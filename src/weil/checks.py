@@ -310,12 +310,12 @@ def quantum_structure_suite(lie):
     cas = qw.zero(lie, rep)
     for a in range(n):
         cas = cas + qw.u_gen(lie, rep, a) * qw.u_gen(lie, rep, a)
-    g2 = qw.gamma_squared(lie)
+    g2 = qw.scalar(lie, rep, qw.gamma_square_formula(lie))
     dsq = dist.dirac * dist.dirac
-    ok = dsq == cas * Fraction(1, 2) + qw.scalar(lie, rep, g2)
+    ok = dsq == cas * Fraction(1, 2) + g2
     results.append(_result("D^2 = (1/2) u_a u_a + gamma^2", [] if ok else ["mismatch"]))
-    results.append(_result("gamma^2 = -(1/48) f_abc f_abc",
-                           [] if isinstance(g2, Fraction) else ["not scalar"]))
+    ok = dist.gamma * dist.gamma == g2
+    results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
 
     rep_cas = qw.casimir_report(lie)
     results.append(_result("u_a u_a is central",
@@ -333,7 +333,9 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     gens += [qw.x_gen(lie, rep, a) for a in range(n)]
     gens += [qw.tau(lie, rep, a) for a in range(n)]
     pool = gens + [random_quantum_element(lie, rep, rng, max_degree) for _ in range(samples)]
-    curv = qw.curvature(lie, rep)
+    # the four-term element, not qw.curvature: that one raises on the
+    # mismatch that the "QC four-term formula" row below reports
+    curv = qw.four_term_curvature(lie, rep)
 
     cartan, ld, liota, ddc = [], [], [], []
     for i, x in enumerate(pool):
@@ -364,8 +366,10 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     results.append(_result("bianchi d(QC) = 0",
                            [] if qw.differential(curv).is_zero else ["d(QC) != 0"]))
 
-    # curvature consistency is asserted inside quantum.curvature; record it
-    results.append(_result("QC four-term formula = (D + x_a tau_a)^2", []))
+    dist = qw.distinguished(lie, rep)
+    ok = curv == dist.dirac_tau * dist.dirac_tau
+    results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
+                           [] if ok else ["mismatch"]))
 
     restrict = []
     for i in range(samples // 2 + 1):

@@ -91,7 +91,13 @@ def cmd_validate(args) -> int:
     return EXIT_OK if _validate_all(alg) else EXIT_FAIL
 
 
+def _require_non_negative(value, flag):
+    if value < 0:
+        raise UsageError(f"{flag} must be non-negative")
+
+
 def cmd_check(args) -> int:
+    _require_non_negative(args.samples, "--samples")
     alg = _load(args)
     context = _context(args)
     if context == "quantum":
@@ -179,8 +185,8 @@ def _print_flat_text(data):
 
 
 def cmd_flat(args) -> int:
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be non-negative")
+    _require_non_negative(args.max_degree, "--max-degree")
+    _require_non_negative(args.samples, "--samples")
     alg = _load(args)
     context = _context(args)
     if context == "quantum":
@@ -198,6 +204,8 @@ def cmd_flat(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _require_non_negative(args.max_degree, "--max-degree")
+    _require_non_negative(args.samples, "--samples")
     names = ["abelian(2)", "heisenberg3", "so3", "sl2"] if args.all_builtins else []
     if getattr(args, "builtin", None):
         names = [args.builtin]

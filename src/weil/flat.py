@@ -231,8 +231,9 @@ def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
             images = [op(v) for v in domain]
             for im in images:
                 for (s, e) in im.terms:
-                    assert sum(s) == k + 1 and e == (), \
-                        "bracket with C must raise symmetric degree by exactly 1"
+                    if sum(s) != k + 1 or e != ():
+                        raise AssertionError(
+                            "bracket with C must raise symmetric degree by exactly 1")
             basis = _kernel(domain, [element_coords(im) for im in images])
             dims[k], vectors[k] = len(basis), basis
     else:
@@ -242,7 +243,9 @@ def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
             images = [op(v) for v in domain]
             for im in images:
                 for (p, c) in im.terms:
-                    assert c == (), "bracket with the quantum curvature must stay horizontal"
+                    if c != ():
+                        raise AssertionError(
+                            "bracket with the quantum curvature must stay horizontal")
             basis = _kernel(domain, [element_coords(im) for im in images])
             dims[k], vectors[k] = len(basis) - prev, basis
             prev = len(basis)
@@ -333,7 +336,8 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
         images = [op(v) for v in domain]
         for im in images:
             for key in im.terms:
-                assert key[1] == combo, "curvature bracket left its index block"
+                if key[1] != combo:
+                    raise AssertionError("curvature bracket left its index block")
         basis.extend(_kernel(domain, [element_coords(im) for im in images]))
     return basis
 

@@ -6,8 +6,12 @@ increasing index tuples.  Polynomials are dicts monomial -> coefficient
 with no zero coefficients stored; coefficients may be Fractions or
 matrices, anything with exact +, *, unary - and falsy zero.
 
-Rewriting is worklist-based and terminates because every step lowers
-(word length, inversion count) lexicographically.
+The Clifford kernel is for the orthonormal form B = I, the only form
+the quantum construction accepts: a product of two index monomials is
+then a single signed term.  The PBW kernel multiplies by one generator
+at a time, onto a normal-form monomial, and merges like terms at every
+step.  The word-rewriting routines these replace, including a Clifford
+product for a general form B, live on in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -26,27 +30,10 @@ def add_term(acc: dict, mono, coeff):
         del acc[mono]
 
 
-def poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        add_term(out, m, c)
-    return out
-
-
-def poly_scale(a: dict, q) -> dict:
-    if not q:
-        return {}
-    return {m: c * q for m, c in a.items()}
-
-
 # -- symmetric algebra -----------------------------------------------------
 
 def sym_mono_mul(m1, m2):
     return tuple(x + y for x, y in zip(m1, m2))
-
-
-def sym_degree(m) -> int:
-    return sum(m)
 
 
 def mul_sym(a: dict, b: dict) -> dict:
@@ -97,45 +84,27 @@ def mul_ext(a: dict, b: dict) -> dict:
 
 # -- Clifford algebra ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def cliff_mono_mul(m1, m2, B):
-    """Product of two Clifford monomials under x_a x_b + x_b x_a = B_ab.
+@lru_cache(maxsize=1 << 16)
+def cliff_mono_mul(m1, m2):
+    """Product of two Clifford monomials under x_a x_b + x_b x_a = delta_ab.
 
-    B is the (symmetric) form matrix; generator squares are B_aa / 2.
-    Returns a tuple of (monomial, Fraction) pairs in normal form.
+    Returns the single term (monomial, Fraction): the monomial is the
+    symmetric difference of the index sets, each shared index contracts
+    to x_a x_a = 1/2, and the sign counts the pairs i in m1, j in m2
+    with i > j that pass each other.
     """
-    out = {}
-    stack = [(Fraction(1), list(m1 + m2))]
-    while stack:
-        coeff, w = stack.pop()
-        bad = None
-        for i in range(len(w) - 1):
-            if w[i] >= w[i + 1]:
-                bad = i
-                break
-        if bad is None:
-            add_term(out, tuple(w), coeff)
-            continue
-        a, b = w[bad], w[bad + 1]
-        if a == b:
-            q = B[a, a] / 2
-            if q:
-                stack.append((coeff * q, w[:bad] + w[bad + 2:]))
-        else:
-            stack.append((-coeff, w[:bad] + [b, a] + w[bad + 2:]))
-            q = B[a, b]
-            if q:
-                stack.append((coeff * q, w[:bad] + w[bad + 2:]))
-    return tuple(sorted(out.items()))
+    swaps = sum(1 for j in m2 for i in m1 if i > j)
+    s1, s2 = set(m1), set(m2)
+    q = Fraction(1, 1 << len(s1 & s2))
+    return tuple(sorted(s1 ^ s2)), (-q if swaps & 1 else q)
 
 
-def mul_clifford(a: dict, b: dict, B) -> dict:
+def mul_clifford(a: dict, b: dict) -> dict:
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            c = c1 * c2
-            for m, q in cliff_mono_mul(m1, m2, B):
-                add_term(out, m, c * q)
+            m, q = cliff_mono_mul(m1, m2)
+            add_term(out, m, c1 * c2 * q)
     return out
 
 
@@ -149,54 +118,50 @@ def pbw_word(mono):
     return tuple(out)
 
 
-def _word_mono(w, n):
-    exp = [0] * n
-    for i in w:
-        exp[i] += 1
-    return tuple(exp)
+def _bump(mono, i, k):
+    return mono[:i] + (mono[i] + k,) + mono[i + 1:]
 
 
-def pbw_word_mul(word, lie, strategy="leftmost"):
-    """Straighten a letter word into PBW normal form.
+@lru_cache(maxsize=1 << 16)
+def _pbw_left(a, mono, lie):
+    """u_a times the normal-form monomial u^mono, as (monomial, Fraction) pairs.
 
-    Out-of-order adjacent pairs rewrite via u_b u_a = u_a u_b - f^c_ab u_c.
-    `strategy` picks which disordered pair to rewrite first; any choice
-    yields the same normal form (confluence), which the tests exercise.
+    With b the smallest letter of mono and b < a, write u^mono = u_b m'; then
+    u_a u_b m' = u_b (u_a m') + [u_a, u_b] m'.  Every call below is on a
+    lower degree, or puts u_b in front of a monomial whose letters are >= b.
     """
-    n = lie.dim
+    b = next((i for i, k in enumerate(mono) if k), a)
+    if b >= a:
+        return ((_bump(mono, a, 1), Fraction(1)),)
+    rest = _bump(mono, b, -1)
     out = {}
-    stack = [(Fraction(1), list(word))]
-    while stack:
-        coeff, w = stack.pop()
-        bad = None
-        idx = range(len(w) - 1)
-        if strategy == "rightmost":
-            idx = range(len(w) - 2, -1, -1)
-        for i in idx:
-            if w[i] > w[i + 1]:
-                bad = i
-                break
-        if bad is None:
-            add_term(out, _word_mono(w, n), coeff)
-            continue
-        b, a = w[bad], w[bad + 1]
-        stack.append((coeff, w[:bad] + [a, b] + w[bad + 2:]))
-        for c, q in lie.bracket(a, b):
-            stack.append((-coeff * q, w[:bad] + [c] + w[bad + 2:]))
-    return out
+    for m, q in _pbw_left(a, rest, lie):
+        for m2, q2 in _pbw_left(b, m, lie):
+            add_term(out, m2, q * q2)
+    for c, f in lie.bracket(b, a):  # [u_a, u_b] = -f^c_ba u_c
+        for m, q in _pbw_left(c, rest, lie):
+            add_term(out, m, -f * q)
+    return tuple(out.items())
 
 
-@lru_cache(maxsize=None)
-def pbw_mono_mul(m1, m2, lie, strategy="leftmost"):
-    d = pbw_word_mul(pbw_word(m1) + pbw_word(m2), lie, strategy)
-    return tuple(sorted(d.items()))
+@lru_cache(maxsize=1 << 14)
+def pbw_mono_mul(m1, m2, lie):
+    """u^m1 u^m2 in PBW normal form: the letters of m1, right to left, onto m2."""
+    terms = {m2: Fraction(1)}
+    for a in reversed(pbw_word(m1)):
+        nxt = {}
+        for m, c in terms.items():
+            for m3, q in _pbw_left(a, m, lie):
+                add_term(nxt, m3, c * q)
+        terms = nxt
+    return tuple(sorted(terms.items()))
 
 
-def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
+def mul_pbw(a: dict, b: dict, lie) -> dict:
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             c = c1 * c2
-            for m, q in pbw_mono_mul(m1, m2, lie, strategy):
+            for m, q in pbw_mono_mul(m1, m2, lie):
                 add_term(out, m, c * q)
     return out

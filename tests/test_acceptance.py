@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from weil import builtin
@@ -27,7 +28,7 @@ from weil.checks import (
 )
 from weil.cli import main
 from weil.flat import decomposition_report, flat_subspace, inclusion_report
-from weil.kernels import mul_pbw
+from weil.kernels import mul_pbw, pbw_mono_mul
 from weil.lie import trivial_rep
 from weil.linalg import Matrix
 
@@ -127,7 +128,7 @@ def test_criterion_5_quantum_operator_suite():
 
 
 def test_criterion_6_pbw_confluence():
-    with criterion(6, 10, "500 random PBW products reduced by two strategies agree"):
+    with criterion(6, 10, "500 random PBW products: the kernel and two rewriting strategies agree"):
         lie = builtin("so3").lie
         rng = random.Random(2024)
         for _ in range(500):
@@ -139,9 +140,10 @@ def test_criterion_6_pbw_confluence():
                 monos.append(tuple(mono))
             a = {monos[0]: Fraction(1)}
             b = {monos[1]: Fraction(1)}
-            left = mul_pbw(a, b, lie, "leftmost")
-            right = mul_pbw(a, b, lie, "rightmost")
+            left = oracles.mul_pbw(a, b, lie, "leftmost")
+            right = oracles.mul_pbw(a, b, lie, "rightmost")
             assert left == right, monos
+            assert mul_pbw(a, b, lie) == left, monos
 
 
 def sympy_commutant_dim(mats):
@@ -155,6 +157,14 @@ def sympy_commutant_dim(mats):
         for t in mats
     ]
     return len(sp.Matrix.vstack(*blocks).nullspace())
+
+
+def test_criterion_10_pbw_degree_eight():
+    with criterion(10, 1, "u3^8 u1^8 on so3 in PBW normal form within a second"):
+        lie = builtin("so3").lie  # a fresh algebra, so the kernel caches start cold
+        product = dict(pbw_mono_mul((0, 0, 8), (8, 0, 0), lie))
+        assert product.pop((8, 0, 8)) == 1
+        assert product and all(sum(m) < 16 for m in product)
 
 
 def test_criterion_7_flat_solver_theorems():

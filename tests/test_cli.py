@@ -103,6 +103,28 @@ def test_eval_error_position(capsys):
     assert "1:1" in err and "classical" in err
 
 
+def test_eval_bound_errors_exit_one_with_position(capsys):
+    for expression, pos in (("1/0", "1:3"), ("[[1/0]]", "1:5"), ("u3^33*u1", "1:4")):
+        code, out, err = run(
+            ["eval", "--builtin", "so3", "--rep", "trivial", "--quantum", expression], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {pos}: "), err
+
+
+def test_negative_samples_exit_two(capsys):
+    for argv in (
+        ["check", "--builtin", "so3", "--classical", "--samples", "-5"],
+        ["flat", "--builtin", "so3", "--classical", "--samples", "-1"],
+        ["report", "--builtin", "abelian(2)", "--samples", "-1"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and "--samples must be non-negative" in err
+    code, _, err = run(["report", "--builtin", "abelian(2)", "--max-degree", "-1"], capsys)
+    assert code == 2 and "--max-degree must be non-negative" in err
+
+
 def test_flat_json_schema(capsys):
     code, out, _ = run(
         ["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum",

@@ -4,7 +4,7 @@ import pytest
 
 from weil import classical as cw
 from weil import quantum as qw
-from weil.expr import BinOp, Comm, ExprError, OpApply, evaluate, parse, render
+from weil.expr import MAX_EXPONENT, BinOp, Comm, ExprError, OpApply, evaluate, parse, render
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,24 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ExprError) as exc:
         parse("v1 +\n* y2")
     assert exc.value.pos[0] == 2
+
+
+def test_exponent_above_cap_is_positioned():
+    assert parse(f"u1^{MAX_EXPONENT}").exponent == MAX_EXPONENT
+    with pytest.raises(ExprError) as exc:
+        parse(f"2*u1^{MAX_EXPONENT + 1}")
+    assert exc.value.pos == (1, 6)
+    assert "exceeds the limit" in str(exc.value)
+
+
+def test_zero_denominator_is_positioned():
+    with pytest.raises(ExprError) as exc:
+        parse("1/0")
+    assert exc.value.pos == (1, 3)
+    assert "zero denominator" in str(exc.value)
+    with pytest.raises(ExprError) as exc:
+        parse("[[1, -2/00]]")
+    assert exc.value.pos == (1, 9)
 
 
 def test_eval_basic_identities(classical_ctx, so3):

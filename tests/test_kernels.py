@@ -1,22 +1,26 @@
+import importlib.util
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weil.kernels import (
+    cliff_mono_mul,
     ext_mono_mul,
     ext_normalize,
     mul_clifford,
     mul_ext,
     mul_pbw,
     mul_sym,
+    pbw_mono_mul,
     pbw_word,
 )
 from weil.lie import builtin
 from weil.linalg import Matrix
-
-DELTA3 = Matrix.identity(3)
 
 
 def one(mono):
@@ -65,26 +69,38 @@ def test_ext_graded_commutativity(m1, m2):
 
 def test_clifford_products_orthonormal():
     x1, x2 = one((0,)), one((1,))
-    assert mul_clifford(x2, x1, DELTA3) == {(0, 1): -1}
+    assert mul_clifford(x2, x1) == {(0, 1): -1}
     # the relation forces generator squares of B_aa / 2
-    assert mul_clifford(x1, x1, DELTA3) == {(): Fraction(1, 2)}
+    assert mul_clifford(x1, x1) == {(): Fraction(1, 2)}
     top = one((0, 1, 2))
     # frozen from the adjacent-transposition expansion done by hand
-    assert mul_clifford(top, top, DELTA3) == {(): Fraction(-1, 8)}
+    assert mul_clifford(top, top) == {(): Fraction(-1, 8)}
 
 
 def test_clifford_supercommutator_recovers_form():
+    # a general form B exists only in the rewriting oracle
     B = Matrix.from_rows([[2, 1, 0], [1, 3, 0], [0, 0, 1]])
     for a in range(3):
         for b in range(3):
             xa, xb = one((a,)), one((b,))
-            anti = mul_clifford(xa, xb, B)
-            for m, c in mul_clifford(xb, xa, B).items():
+            anti = oracles.mul_clifford(xa, xb, B)
+            for m, c in oracles.mul_clifford(xb, xa, B).items():
                 anti = dict(anti)
                 anti[m] = anti.get(m, Fraction(0)) + c
             anti = {m: c for m, c in anti.items() if c}
             expected = {(): B[a, b]} if B[a, b] else {}
             assert anti == expected, (a, b)
+
+
+def test_clifford_kernel_matches_oracle_exhaustively():
+    """Every pair of index monomials in n <= 6 generators, at B = I."""
+    for n in range(1, 7):
+        ident = Matrix.identity(n)
+        monos = [m for k in range(n + 1) for m in itertools.combinations(range(n), k)]
+        for m1 in monos:
+            for m2 in monos:
+                assert (cliff_mono_mul(m1, m2),) == oracles.cliff_mono_mul(m1, m2, ident), \
+                    (n, m1, m2)
 
 
 def test_pbw_straightening_so3():
@@ -101,9 +117,10 @@ def test_pbw_abelian_commutes():
 def test_pbw_confluence_u3u2u1():
     so3 = builtin("so3").lie
     u3, u2, u1 = one((0, 0, 1)), one((0, 1, 0)), one((1, 0, 0))
-    left = mul_pbw(mul_pbw(u3, u2, so3, "leftmost"), u1, so3, "leftmost")
-    right = mul_pbw(mul_pbw(u3, u2, so3, "rightmost"), u1, so3, "rightmost")
+    left = oracles.mul_pbw(oracles.mul_pbw(u3, u2, so3, "leftmost"), u1, so3, "leftmost")
+    right = oracles.mul_pbw(oracles.mul_pbw(u3, u2, so3, "rightmost"), u1, so3, "rightmost")
     assert left == right
+    assert mul_pbw(mul_pbw(u3, u2, so3), u1, so3) == left
 
 
 def _random_mono(rng, n, max_deg):
@@ -119,8 +136,33 @@ def test_pbw_confluence_randomized():
     for _ in range(100):
         m1 = _random_mono(rng, 3, 4)
         m2 = _random_mono(rng, 3, 4)
-        assert mul_pbw(one(m1), one(m2), so3, "leftmost") == \
-            mul_pbw(one(m1), one(m2), so3, "rightmost")
+        left = oracles.mul_pbw(one(m1), one(m2), so3, "leftmost")
+        assert left == oracles.mul_pbw(one(m1), one(m2), so3, "rightmost")
+        assert mul_pbw(one(m1), one(m2), so3) == left
+
+
+def _so3_blocks(k):
+    """so3^k as `scripts/gamma_square_table.py` builds it."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "gamma_square_table.py"
+    spec = importlib.util.spec_from_file_location("gamma_square_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.so3_blocks(k)
+
+
+def test_pbw_kernel_matches_oracle_strategies():
+    algebras = [builtin(name).lie for name in ("so3", "heisenberg3", "sl2", "abelian(2)")]
+    algebras.append(_so3_blocks(2))
+    rng = random.Random(19)
+    for lie in algebras:
+        for _ in range(40):
+            m1 = _random_mono(rng, lie.dim, 4)
+            m2 = _random_mono(rng, lie.dim, 4)
+            word = pbw_word(m1) + pbw_word(m2)
+            got = dict(pbw_mono_mul(m1, m2, lie))
+            for strategy in ("leftmost", "rightmost"):
+                assert got == oracles.pbw_word_mul(word, lie, strategy), \
+                    (lie.name, m1, m2, strategy)
 
 
 def test_pbw_associativity_randomized():
@@ -136,14 +178,13 @@ def test_clifford_associativity_randomized():
     monos = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     for _ in range(60):
         a, b, c = (one(rng.choice(monos)) for _ in range(3))
-        assert mul_clifford(mul_clifford(a, b, DELTA3), c, DELTA3) == \
-            mul_clifford(a, mul_clifford(b, c, DELTA3), DELTA3)
+        assert mul_clifford(mul_clifford(a, b), c) == mul_clifford(a, mul_clifford(b, c))
 
 
 @given(index_monos, index_monos)
 @settings(max_examples=50)
 def test_clifford_filtration_bound(m1, m2):
-    for m, _ in mul_clifford(one(m1), one(m2), Matrix.identity(4)).items():
+    for m, _ in mul_clifford(one(m1), one(m2)).items():
         assert len(m) <= len(m1) + len(m2)
         assert (len(m) - len(m1) - len(m2)) % 2 == 0
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from weil import builtin
 from weil import quantum as qw
 from weil.checks import quantum_structure_suite, quantum_suite, random_quantum_element
 from weil.lie import BilinearForm, LieData, trivial_rep
@@ -222,3 +223,19 @@ def test_render_golden(ctx):
     assert render_quantum(qw.zero(lie, rep)) == "0"
     gamma = qw.distinguished(lie, rep).gamma
     assert render_quantum(gamma * gamma) == "-1/8*I"
+
+
+def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
+    """With x_a x_a = 1 instead of 1/2 the gamma^2 and four-term rows fail,
+    and the suite still returns every row instead of raising."""
+    right = qw.cliff_mono_mul
+
+    def wrong(m1, m2):
+        mono, q = right(m1, m2)
+        return mono, q * 2 ** len(set(m1) & set(m2))
+
+    monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
+    alg = builtin("so3")  # fresh algebra objects, so no cached element is reused
+    rows = {r.name: r for r in quantum_suite(alg.lie, alg.reps["adjoint"], samples=2, seed=1)}
+    for name in ("gamma^2 = -(1/48) f_abc f_abc", "QC four-term formula = (D + x_a tau_a)^2"):
+        assert not rows[name].passed and rows[name].detail == "mismatch", name
