@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Record the CLI goldens that `tests/test_goldens.py` replays.
+
+Each case is a `weil` argument list; its exit code and stdout are run
+in-process through `weil.cli.main` and written to `cli.json` next to
+this file.  Record once, from the commit whose outputs are the
+reference, and re-record only when an output is meant to change:
+
+    PYTHONPATH=src python3 tests/goldens/record.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from weil.cli import main
+
+OUT = Path(__file__).with_name("cli.json")
+
+CONTEXTS = {"abelian(2)": ("classical", "quantum"), "heisenberg3": ("classical",),
+            "so3": ("classical", "quantum"), "sl2": ("classical",)}
+
+SO3_ADJOINT = "[[0,0,0],[0,0,-1],[0,1,0]]"
+
+EVALS = {
+    ("adjoint", "classical"): [
+        "d(C)", "d(y1)", "d(v2)", "L(1, v2*y3)", "iota(2, y1*y2*y3)", "comm(C, y1)",
+        "d(d(y1))", "[[1,0,0],[0,2,0],[0,0,-1]]*v1 + tau(2)", "comm(tau(1), tau(2))",
+        "d([[0,1,0],[0,0,0],[0,0,0]])", "C*C - 2*v1*tau(1)", "u1",
+    ],
+    ("trivial", "classical"): ["d(y1*y2)", "v1^3*y2 - 1/2*v2", "L(2, v1*y3)"],
+    ("adjoint", "quantum"): [
+        "QC", "comm(QC, u1)", "d(x1)", "L(3, u1*x2)", "iota(1, gamma)", "Dirac*Dirac",
+        "comm(Dirac, x2)", f"{SO3_ADJOINT}*u1 + tau(1)*x1", "d(u2) - comm(Dirac, u2)", "C",
+    ],
+    ("trivial", "quantum"): [
+        "gamma*gamma", "Dirac*Dirac", "u3^2*u1^2", "(u1*x1)^3", "comm(u1, u2)", "d(d(x1))",
+    ],
+}
+
+
+def cases():
+    out = [["report", "--all-builtins"]]
+    for name, contexts in CONTEXTS.items():
+        for context in contexts:
+            for rep in ("adjoint", "trivial"):
+                for n in (1, 2):
+                    # so3 quantum adjoint at N = 2 is the benchmark's flat golden
+                    if (name, context, rep, n) == ("so3", "quantum", "adjoint", 2):
+                        continue
+                    out.append(["flat", "--builtin", name, "--rep", rep, f"--{context}",
+                                "--max-degree", str(n), "--json"])
+    for (rep, context), exprs in EVALS.items():
+        for src in exprs:
+            out.append(["eval", "--builtin", "so3", "--rep", rep, f"--{context}", src])
+    return out
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def record():
+    rows = []
+    for argv in cases():
+        code, stdout = run(argv)
+        rows.append({"argv": argv, "exit": code, "stdout": stdout})
+    OUT.write_text(json.dumps(rows, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    return rows
+
+
+if __name__ == "__main__":
+    print(f"recorded {len(record())} cases in {OUT}")
