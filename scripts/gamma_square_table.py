@@ -38,7 +38,10 @@ def main(argv=None):
     for k in range(args.blocks + 1):
         lie = so3_blocks(k)
         value = gamma_squared(lie)
-        assert value == Fraction(-k, 8)
+        if value != Fraction(-k, 8):
+            print(f"mismatch: gamma^2 = {format_scalar(value)} on so3^{k}, "
+                  f"expected {format_scalar(Fraction(-k, 8))}", file=sys.stderr)
+            return 1
         print(f"{k:>6}  {lie.dim:>3}  {format_scalar(value)}")
     return 0
 

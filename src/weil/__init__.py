@@ -22,9 +22,16 @@ from .lie import (
     validate_rep,
 )
 
+from . import classical, quantum
+
+# context string -> the module holding that algebra's element class,
+# operators and curvature under the same names
+ALGEBRAS = {"classical": classical, "quantum": quantum}
+
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGEBRAS",
     "AlgebraDef",
     "BilinearForm",
     "LieData",

@@ -57,34 +57,23 @@ def _random_split(rng, n, total):
     return tuple(mono)
 
 
-def random_classical_element(lie, rep, rng, max_degree=4, max_terms=3):
-    n, d = lie.dim, rep.dim
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        ext_len = rng.randint(0, min(deg, n))
-        sym_deg = (deg - ext_len) // 2
-        ext = tuple(sorted(rng.sample(range(n), ext_len)))
-        sym = _random_split(rng, n, sym_deg)
-        mat = random_matrix(rng, d)
-        if mat:
-            add_term(terms, (sym, ext), mat)
-    return cw.ClassicalElement(lie, rep, terms)
+def _random_key(rng, n, max_degree):
+    """A random (even monomial, odd monomial) pair of degree <= max_degree."""
+    deg = rng.randint(0, max_degree)
+    odd_len = rng.randint(0, min(deg, n))
+    odd = tuple(sorted(rng.sample(range(n), odd_len)))
+    return _random_split(rng, n, (deg - odd_len) // 2), odd
 
 
-def random_quantum_element(lie, rep, rng, max_degree=4, max_terms=3):
-    n, d = lie.dim, rep.dim
+def random_element(cls, lie, rep, rng, max_degree=4, max_terms=3):
+    """A random element of the algebra whose element class is `cls`."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        cliff_len = rng.randint(0, min(deg, n))
-        pbw_deg = (deg - cliff_len) // 2
-        cliff = tuple(sorted(rng.sample(range(n), cliff_len)))
-        pbw = _random_split(rng, n, pbw_deg)
-        mat = random_matrix(rng, d)
+        key = _random_key(rng, lie.dim, max_degree)
+        mat = random_matrix(rng, rep.dim)
         if mat:
-            add_term(terms, (pbw, cliff), mat)
-    return qw.QuantumElement(lie, rep, terms)
+            add_term(terms, key, mat)
+    return cls(lie, rep, terms)
 
 
 def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
@@ -101,16 +90,12 @@ def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
 
 def random_scalar_weil_poly(lie, rng, max_degree=4, max_terms=3):
     """A random scalar polynomial with both symmetric and exterior parts."""
-    n = lie.dim
     poly = {}
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
-        ext_len = rng.randint(0, min(deg, n))
-        ext = tuple(sorted(rng.sample(range(n), ext_len)))
-        sym = _random_split(rng, n, (deg - ext_len) // 2)
+        key = _random_key(rng, lie.dim, max_degree)
         q = random_scalar(rng)
         if q:
-            add_term(poly, (sym, ext), q)
+            add_term(poly, key, q)
     return poly
 
 
@@ -195,6 +180,53 @@ def embed_scalar_poly(lie, rep, poly):
     return cw.ClassicalElement(lie, rep, {m: ident * q for m, q in poly.items()})
 
 
+# -- the operator identities, in either algebra ----------------------------------
+
+
+def _operator_identities(mod, lie, rep, rng, samples, max_degree, curv, names):
+    """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
+    `samples` random elements of the algebra of module `mod` (`classical` or
+    `quantum`).  `names` = (curvature name, structure-constant name) as the
+    rows print them."""
+    cname, fname = names
+    E, n = mod.Element, lie.dim
+    pool = [E.unit(lie, rep)]
+    for make in (E.even_gen, E.odd_gen, E.tau):
+        pool += [make(lie, rep, a) for a in range(n)]
+    pool += [random_element(E, lie, rep, rng, max_degree) for _ in range(samples)]
+
+    cartan, ld, liota, ddc = [], [], [], []
+    for i, x in enumerate(pool):
+        dx = mod.differential(x)
+        lx = [mod.lie_derivative(a, x) for a in range(n)]
+        ix = [mod.contraction(a, x) for a in range(n)]
+        for a in range(n):
+            if mod.contraction(a, dx) + mod.differential(ix[a]) != lx[a]:
+                cartan.append(f"element {i}, a={a + 1}")
+            if mod.lie_derivative(a, dx) != mod.differential(lx[a]):
+                ld.append(f"element {i}, a={a + 1}")
+            for b in range(n):
+                lhs = mod.lie_derivative(a, ix[b]) - mod.contraction(b, lx[a])
+                rhs = E.zero(lie, rep)
+                for c in range(n):
+                    q = lie.f(a, b, c)
+                    if q:
+                        rhs = rhs + ix[c] * q
+                if lhs != rhs:
+                    liota.append(f"element {i}, a={a + 1}, b={b + 1}")
+        if mod.differential(dx) != mod.supercommutator(curv, x):
+            ddc.append(f"element {i}")
+    total = len(pool)
+    return [
+        _result("cartan formula [iota_a,d] = L_a", cartan, total),
+        _result("[L_a,d] = 0", ld, total),
+        _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
+        _result(f"d.d = [{cname},-]", ddc, total),
+        _result(f"bianchi d({cname}) = 0",
+                [] if mod.differential(curv).is_zero else [f"d({cname}) != 0"]),
+    ]
+
+
 # -- classical suite -----------------------------------------------------------
 
 
@@ -202,41 +234,8 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run every classical identity; returns a list of CheckResult."""
     rng = random.Random(seed)
     n = lie.dim
-    results = []
-    gens = [cw.unit(lie, rep)]
-    gens += [cw.sym_gen(lie, rep, a) for a in range(n)]
-    gens += [cw.ext_gen(lie, rep, a) for a in range(n)]
-    gens += [cw.tau(lie, rep, a) for a in range(n)]
-    pool = gens + [random_classical_element(lie, rep, rng, max_degree) for _ in range(samples)]
-    curv = cw.curvature(lie, rep)
-
-    cartan, ld, liota, ddc = [], [], [], []
-    for i, x in enumerate(pool):
-        dx = cw.differential(x)
-        lx = [cw.lie_derivative(a, x) for a in range(n)]
-        ix = [cw.contraction(a, x) for a in range(n)]
-        for a in range(n):
-            if cw.contraction(a, dx) + cw.differential(ix[a]) != lx[a]:
-                cartan.append(f"element {i}, a={a + 1}")
-            if cw.lie_derivative(a, dx) != cw.differential(lx[a]):
-                ld.append(f"element {i}, a={a + 1}")
-            for b in range(n):
-                lhs = cw.lie_derivative(a, ix[b]) - cw.contraction(b, lx[a])
-                rhs = cw.zero(lie, rep)
-                for c, q in ((c, lie.f(a, b, c)) for c in range(n)):
-                    if q:
-                        rhs = rhs + ix[c] * q
-                if lhs != rhs:
-                    liota.append(f"element {i}, a={a + 1}, b={b + 1}")
-        if cw.differential(dx) != cw.supercommutator(curv, x):
-            ddc.append(f"element {i}")
-    total = len(pool)
-    results.append(_result("cartan formula [iota_a,d] = L_a", cartan, total))
-    results.append(_result("[L_a,d] = 0", ld, total))
-    results.append(_result("[L_a,iota_b] = f^c_ab iota_c", liota, total))
-    results.append(_result("d.d = [C,-]", ddc, total))
-    results.append(_result("bianchi d(C) = 0",
-                           [] if cw.differential(curv).is_zero else ["d(C) != 0"]))
+    results = _operator_identities(cw, lie, rep, rng, samples, max_degree,
+                                   cw.curvature(lie, rep), ("C", "f^c_ab"))
 
     restrict, ddzero = [], []
     for i in range(samples):
@@ -307,17 +306,11 @@ def quantum_structure_suite(lie):
             bad.append(f"a={a + 1}")
     results.append(_result("[u_a+g_a,D] = 0", bad))
 
-    cas = qw.zero(lie, rep)
-    for a in range(n):
-        cas = cas + qw.u_gen(lie, rep, a) * qw.u_gen(lie, rep, a)
-    g2 = qw.scalar(lie, rep, qw.gamma_square_formula(lie))
-    dsq = dist.dirac * dist.dirac
-    ok = dsq == cas * Fraction(1, 2) + g2
-    results.append(_result("D^2 = (1/2) u_a u_a + gamma^2", [] if ok else ["mismatch"]))
-    ok = dist.gamma * dist.gamma == g2
-    results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
-
     rep_cas = qw.casimir_report(lie)
+    results.append(_result("D^2 = (1/2) u_a u_a + gamma^2",
+                           [] if rep_cas["dirac_square_matches"] else ["mismatch"]))
+    ok = dist.gamma * dist.gamma == qw.scalar(lie, rep, rep_cas["gamma_squared"])
+    results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
     results.append(_result("u_a u_a is central",
                            [] if rep_cas["casimir_central"] else ["not central"]))
     return results
@@ -328,43 +321,10 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     rng = random.Random(seed)
     n = lie.dim
     results = list(quantum_structure_suite(lie))
-    gens = [qw.unit(lie, rep)]
-    gens += [qw.u_gen(lie, rep, a) for a in range(n)]
-    gens += [qw.x_gen(lie, rep, a) for a in range(n)]
-    gens += [qw.tau(lie, rep, a) for a in range(n)]
-    pool = gens + [random_quantum_element(lie, rep, rng, max_degree) for _ in range(samples)]
     # the four-term element, not qw.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
     curv = qw.four_term_curvature(lie, rep)
-
-    cartan, ld, liota, ddc = [], [], [], []
-    for i, x in enumerate(pool):
-        dx = qw.differential(x)
-        lx = [qw.lie_derivative(a, x) for a in range(n)]
-        ix = [qw.contraction(a, x) for a in range(n)]
-        for a in range(n):
-            if qw.contraction(a, dx) + qw.differential(ix[a]) != lx[a]:
-                cartan.append(f"element {i}, a={a + 1}")
-            if qw.lie_derivative(a, dx) != qw.differential(lx[a]):
-                ld.append(f"element {i}, a={a + 1}")
-            for b in range(n):
-                lhs = qw.lie_derivative(a, ix[b]) - qw.contraction(b, lx[a])
-                rhs = qw.zero(lie, rep)
-                for c in range(n):
-                    q = lie.f(a, b, c)
-                    if q:
-                        rhs = rhs + ix[c] * q
-                if lhs != rhs:
-                    liota.append(f"element {i}, a={a + 1}, b={b + 1}")
-        if qw.differential(dx) != qw.supercommutator(curv, x):
-            ddc.append(f"element {i}")
-    total = len(pool)
-    results.append(_result("cartan formula [iota_a,d] = L_a", cartan, total))
-    results.append(_result("[L_a,d] = 0", ld, total))
-    results.append(_result("[L_a,iota_b] = f_abc iota_c", liota, total))
-    results.append(_result("d.d = [QC,-]", ddc, total))
-    results.append(_result("bianchi d(QC) = 0",
-                           [] if qw.differential(curv).is_zero else ["d(QC) != 0"]))
+    results += _operator_identities(qw, lie, rep, rng, samples, max_degree, curv, ("QC", "f_abc"))
 
     dist = qw.distinguished(lie, rep)
     ok = curv == dist.dirac_tau * dist.dirac_tau
@@ -373,7 +333,7 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
 
     restrict = []
     for i in range(samples // 2 + 1):
-        x = random_quantum_element(lie, rep, rng, max_degree)
+        x = random_element(qw.QuantumElement, lie, rep, rng, max_degree)
         ident_part = qw.QuantumElement(lie, rep, {
             m: Matrix.identity(rep.dim) * mat[0, 0] for m, mat in x.terms.items()
         })

@@ -1,135 +1,39 @@
 """The classical covariant Weil algebra: S g* (x) /\\ g* (x) End V.
 
 Elements are sparse maps (symmetric monomial, exterior monomial) ->
-matrix.  The grading gives symmetric generators degree 2, exterior
-generators degree 1, and endomorphisms degree 0; parity (for Koszul
-signs) is the exterior length mod 2, since the other two factors are
-even.  The three operators are structural derivations extended from
-their generator formulas by the Leibniz rule.
+matrix with the arithmetic of `element.Element`; this module supplies
+the monomial product.  Symmetric generators have degree 2, exterior ones
+degree 1, endomorphisms degree 0; parity is the exterior length mod 2.
+The three operators are structural derivations extended from their
+generator formulas by the Leibniz rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .kernels import add_term, ext_mono_mul, ext_normalize, sym_mono_mul
-from .linalg import Matrix
+from . import element
+from .element import CACHE_SIZE, supercommutator  # noqa: F401  (part of the module interface)
+from .kernels import _bump, add_term, ext_mono_mul, ext_normalize, sym_mono_mul
+
+GRADED = True  # operators have exact degrees; the flat solver splits by degree
 
 
-@dataclass(eq=False)
-class ClassicalElement:
-    lie: object
-    rep: object
-    terms: dict  # (sym exponents, ext indices) -> Matrix
+class ClassicalElement(element.Element):
+    LETTERS = ("v", "y")
 
-    def _check_same(self, other):
-        if self.lie is not other.lie or self.rep is not other.rep:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            add_term(out, m, c)
-        return ClassicalElement(self.lie, self.rep, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ClassicalElement(self.lie, self.rep, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return zero(self.lie, self.rep)
-            return ClassicalElement(self.lie, self.rep,
-                                    {m: c * q for m, c in self.terms.items()})
-        self._check_same(other)
-        out = {}
-        for (s1, e1), m1 in self.terms.items():
-            for (s2, e2), m2 in other.terms.items():
-                r = ext_mono_mul(e1, e2)
-                if r is None:
-                    continue
-                sign, e = r
-                prod = m1 * m2
-                if not prod:
-                    continue
-                add_term(out, (sym_mono_mul(s1, s2), e), prod if sign > 0 else -prod)
-        return ClassicalElement(self.lie, self.rep, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalElement):
-            return NotImplemented
-        return self.lie is other.lie and self.rep is other.rep and self.terms == other.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def parity_parts(self):
-        """Split into (parity, homogeneous part) by exterior length mod 2."""
-        parts = ({}, {})
-        for (s, e), m in self.terms.items():
-            parts[len(e) % 2][(s, e)] = m
-        return [(p, ClassicalElement(self.lie, self.rep, t))
-                for p, t in enumerate(parts) if t]
-
-    def degrees(self):
-        return sorted({2 * sum(s) + len(e) for (s, e) in self.terms})
-
-    def __repr__(self):
-        from .render import render_classical
-        return f"<{render_classical(self)}>"
+    def _mono_mul(self, k1, k2):
+        r = ext_mono_mul(k1[1], k2[1])
+        if r is None:
+            return ()
+        sign, e = r
+        return (((sym_mono_mul(k1[0], k2[0]), e), sign),)
 
 
-def zero(lie, rep) -> ClassicalElement:
-    return ClassicalElement(lie, rep, {})
-
-
-def unit(lie, rep) -> ClassicalElement:
-    n = lie.dim
-    return ClassicalElement(lie, rep, {((0,) * n, ()): Matrix.identity(rep.dim)})
-
-
-def scalar(lie, rep, q) -> ClassicalElement:
-    return unit(lie, rep) * Fraction(q)
-
-
-def sym_gen(lie, rep, a) -> ClassicalElement:
-    mono = tuple(int(i == a) for i in range(lie.dim))
-    return ClassicalElement(lie, rep, {(mono, ()): Matrix.identity(rep.dim)})
-
-
-def ext_gen(lie, rep, a) -> ClassicalElement:
-    return ClassicalElement(lie, rep, {((0,) * lie.dim, (a,)): Matrix.identity(rep.dim)})
-
-
-def endo(lie, rep, mat: Matrix) -> ClassicalElement:
-    if mat.rows != rep.dim or mat.cols != rep.dim:
-        raise ValueError(f"matrix must be {rep.dim}x{rep.dim}")
-    if not mat:
-        return zero(lie, rep)
-    return ClassicalElement(lie, rep, {((0,) * lie.dim, ()): mat})
-
-
-def tau(lie, rep, a) -> ClassicalElement:
-    return endo(lie, rep, rep.matrices[a])
-
-
-def _bump(mono, i, by):
-    out = list(mono)
-    out[i] += by
-    return tuple(out)
+Element = ClassicalElement
+zero, unit, scalar = Element.zero, Element.unit, Element.scalar
+endo, tau, sym_gen, ext_gen = Element.endo, Element.tau, Element.even_gen, Element.odd_gen
 
 
 def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:
@@ -214,7 +118,7 @@ def differential(x: ClassicalElement) -> ClassicalElement:
     return ClassicalElement(lie, rep, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def curvature(lie, rep) -> ClassicalElement:
     """C = sum_a v^a (x) 1 (x) tau_a; degree 2, d-closed."""
     out = {}
@@ -224,15 +128,3 @@ def curvature(lie, rep) -> ClassicalElement:
             add_term(out, (tuple(int(i == a) for i in range(lie.dim)), ()), mat)
     return ClassicalElement(lie, rep, out)
 
-
-def supercommutator(x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
-    """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly over parities."""
-    x._check_same(y)
-    out = zero(x.lie, x.rep)
-    for p, xp in x.parity_parts():
-        for q, yq in y.parity_parts():
-            if p * q:
-                out = out + xp * yq + yq * xp
-            else:
-                out = out + xp * yq - yq * xp
-    return out

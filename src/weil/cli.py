@@ -78,14 +78,6 @@ def _require_rep(alg, args):
         raise UsageError(str(exc)) from exc
 
 
-def _require_quantum_ok(alg):
-    if alg.form is None or not alg.form.is_orthonormal:
-        raise UsageError(
-            f"algebra {alg.name!r} has no orthonormal invariant form; "
-            "the quantum algebra is not available for it"
-        )
-
-
 def cmd_validate(args) -> int:
     alg = _load(args)
     return EXIT_OK if _validate_all(alg) else EXIT_FAIL
@@ -96,21 +88,29 @@ def _require_non_negative(value, flag):
         raise UsageError(f"{flag} must be non-negative")
 
 
-def cmd_check(args) -> int:
-    _require_non_negative(args.samples, "--samples")
+def _session(args):
+    """The algebra, context and representation a command runs in."""
     alg = _load(args)
     context = _context(args)
-    if context == "quantum":
-        _require_quantum_ok(alg)
-    rep = _require_rep(alg, args)
+    if context == "quantum" and not alg.lie.has_orthonormal_form:
+        raise UsageError(
+            f"algebra {alg.name!r} has no orthonormal invariant form; "
+            "the quantum algebra is not available for it"
+        )
+    return alg, context, _require_rep(alg, args)
+
+
+def _suite(context, lie, rep, args):
+    return getattr(checks, f"{context}_suite")(lie, rep, samples=args.samples, seed=args.seed)
+
+
+def cmd_check(args) -> int:
+    _require_non_negative(args.samples, "--samples")
+    alg, context, rep = _session(args)
     if not _validate_all(alg, rep_names=[rep.name]):
         return EXIT_FAIL
-    if context == "classical":
-        results = checks.classical_suite(alg.lie, rep, samples=args.samples, seed=args.seed)
-    else:
-        results = checks.quantum_suite(alg.lie, rep, samples=args.samples, seed=args.seed)
     ok = True
-    for r in results:
+    for r in _suite(context, alg.lie, rep, args):
         status = "pass" if r.passed else "FAIL"
         detail = f"  [{r.detail}]" if (r.detail and not r.passed) else ""
         print(f"{status}  {r.name}{detail}")
@@ -127,11 +127,7 @@ def _quiet_valid(alg, rep) -> bool:
 
 
 def cmd_eval(args) -> int:
-    alg = _load(args)
-    context = _context(args)
-    if context == "quantum":
-        _require_quantum_ok(alg)
-    rep = _require_rep(alg, args)
+    alg, context, rep = _session(args)
     if not _quiet_valid(alg, rep):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
         return EXIT_FAIL
@@ -187,11 +183,7 @@ def _print_flat_text(data):
 def cmd_flat(args) -> int:
     _require_non_negative(args.max_degree, "--max-degree")
     _require_non_negative(args.samples, "--samples")
-    alg = _load(args)
-    context = _context(args)
-    if context == "quantum":
-        _require_quantum_ok(alg)
-    rep = _require_rep(alg, args)
+    alg, context, rep = _session(args)
     if not _quiet_valid(alg, rep):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
         return EXIT_FAIL
@@ -219,18 +211,11 @@ def cmd_report(args) -> int:
         ok &= valid
         if not valid:
             continue
-        contexts = ["classical"]
-        if alg.form is not None and alg.form.is_orthonormal:
-            contexts.append("quantum")
+        contexts = ["classical", "quantum"] if alg.lie.has_orthonormal_form else ["classical"]
         for rep_name in sorted(alg.reps):
             rep = alg.reps[rep_name]
             for context in contexts:
-                if context == "classical":
-                    results = checks.classical_suite(alg.lie, rep,
-                                                     samples=args.samples, seed=args.seed)
-                else:
-                    results = checks.quantum_suite(alg.lie, rep,
-                                                   samples=args.samples, seed=args.seed)
+                results = _suite(context, alg.lie, rep, args)
                 bad = [r for r in results if not r.passed]
                 status = "pass" if not bad else "FAIL"
                 print(f"{status}  {name} rep {rep_name} ({context}): "

@@ -14,8 +14,11 @@ Grammar (whitespace-insensitive):
     CALL      := d(e) | L(i, e) | iota(i, e) | comm(e, e) | tau(i)
 
 Hand-written recursive descent; errors carry (line, column) and what was
-expected.  Parsing is context-free; whether a generator or named element
-is legal in the session's algebra is decided at evaluation time.
+expected.  Factors nest at most MAX_NESTING deep, and no sub-result may
+have polynomial (u or v) degree above MAX_DEGREE; a product or power is
+checked before it is computed.  Parsing is context-free; whether a
+generator or named element is legal in the session's algebra is decided
+at evaluation time.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classical as cw
+from . import ALGEBRAS
 from . import quantum as qw
 from .linalg import Matrix
+from .render import render  # noqa: F401  (part of this module's interface)
 
 
 class ExprError(Exception):
@@ -121,6 +125,12 @@ _TOKEN = re.compile(
 # u3^32*u1^32 on so3 (quantum) takes about half a minute on a 2-core Xeon;
 # the cap keeps one power from asking for far more than that.
 MAX_EXPONENT = 32
+# u3^32*u1^32 reaches degree 64; beyond it the PBW kernel's recursion
+# (one level per degree) would end in a RecursionError.
+MAX_DEGREE = 64
+# parentheses, calls and unary minus; each level costs the recursive
+# descent a few stack frames
+MAX_NESTING = 100
 
 _GEN = re.compile(r"([vyux])(\d+)$")
 _NAMES = ("C", "QC", "gamma", "Dirac", "I")
@@ -171,6 +181,7 @@ class Parser:
     def __init__(self, src):
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> Token:
@@ -212,18 +223,24 @@ class Parser:
         return node
 
     def factor(self) -> Node:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"expression nested deeper than {MAX_NESTING} levels",
+                            self.cur.pos)
         if self.cur.kind == "-":
             tok = self.advance()
-            return Neg(tok.pos, self.factor())
-        node = self.atom()
-        if self.cur.kind == "^":
-            self.advance()
-            tok = self.expect("int", "a non-negative integer exponent")
-            exponent = int(tok.text)
-            if exponent > MAX_EXPONENT:
-                raise ExprError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
-                                tok.pos)
-            node = Pow(node.pos, node, exponent)
+            node = Neg(tok.pos, self.factor())
+        else:
+            node = self.atom()
+            if self.cur.kind == "^":
+                self.advance()
+                tok = self.expect("int", "a non-negative integer exponent")
+                exponent = int(tok.text)
+                if exponent > MAX_EXPONENT:
+                    raise ExprError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
+                                    tok.pos)
+                node = Pow(node.pos, node, exponent)
+        self.depth -= 1
         return node
 
     def denominator(self) -> int:
@@ -335,12 +352,12 @@ class Evaluator:
     """Evaluate an AST in one algebra session: (lie, rep, context)."""
 
     def __init__(self, lie, rep, context):
-        if context not in ("classical", "quantum"):
+        if context not in ALGEBRAS:
             raise ValueError(f"context must be classical or quantum, not {context!r}")
         self.lie = lie
         self.rep = rep
         self.context = context
-        self.mod = cw if context == "classical" else qw
+        self.mod = ALGEBRAS[context]
 
     def _check_index(self, idx, pos):
         if not 1 <= idx <= self.lie.dim:
@@ -349,7 +366,9 @@ class Evaluator:
 
     def eval(self, node):
         method = getattr(self, f"_eval_{type(node).__name__.lower()}")
-        return method(node)
+        out = method(node)
+        _check_degree(_poly_degree(out), node.pos)
+        return out
 
     def _eval_lit(self, node):
         return self.mod.scalar(self.lie, self.rep, node.value)
@@ -369,33 +388,26 @@ class Evaluator:
 
     def _eval_gen(self, node):
         a = self._check_index(node.index, node.pos)
-        table = {
-            ("classical", "v"): lambda: cw.sym_gen(self.lie, self.rep, a),
-            ("classical", "y"): lambda: cw.ext_gen(self.lie, self.rep, a),
-            ("quantum", "u"): lambda: qw.u_gen(self.lie, self.rep, a),
-            ("quantum", "x"): lambda: qw.x_gen(self.lie, self.rep, a),
-        }
-        make = table.get((self.context, node.letter))
-        if make is None:
+        E = self.mod.Element
+        if node.letter not in E.LETTERS:
             raise ExprError(
                 f"generator {node.letter}{node.index} is not part of the "
                 f"{self.context} algebra",
                 node.pos,
             )
-        return make()
+        make = E.even_gen if node.letter == E.LETTERS[0] else E.odd_gen
+        return make(self.lie, self.rep, a)
 
     def _eval_name(self, node):
         name = node.name
         if name == "I":
             return self.mod.unit(self.lie, self.rep)
-        if name == "C":
-            if self.context != "classical":
-                raise ExprError("C is the classical curvature; use QC here", node.pos)
-            return cw.curvature(self.lie, self.rep)
-        if self.context != "quantum":
+        if name == "C" and self.context != "classical":
+            raise ExprError("C is the classical curvature; use QC here", node.pos)
+        if name != "C" and self.context != "quantum":
             raise ExprError(f"{name} only exists in the quantum algebra", node.pos)
-        if name == "QC":
-            return qw.curvature(self.lie, self.rep)
+        if name in ("C", "QC"):
+            return self.mod.curvature(self.lie, self.rep)
         if name == "gamma":
             return qw.distinguished(self.lie, self.rep).gamma
         return qw.distinguished(self.lie, self.rep).dirac
@@ -408,23 +420,34 @@ class Evaluator:
         return -self.eval(node.arg)
 
     def _eval_binop(self, node):
-        left = self.eval(node.left)
-        right = self.eval(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        # a chain a + b - c * d ... nests to the left; walk it in a loop so
+        # that a long sum (a rendering, say) costs no stack depth
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        out = self.eval(node)
+        for link in reversed(chain):
+            right = self.eval(link.right)
+            if link.op == "*":
+                _check_degree(_poly_degree(out) + _poly_degree(right), link.pos)
+                out = out * right
+            else:
+                out = out + right if link.op == "+" else out - right
+        return out
 
     def _eval_pow(self, node):
         base = self.eval(node.base)
+        _check_degree(_poly_degree(base) * node.exponent, node.pos)
         out = self.mod.unit(self.lie, self.rep)
         for _ in range(node.exponent):
             out = out * base
         return out
 
     def _eval_comm(self, node):
-        return self.mod.supercommutator(self.eval(node.left), self.eval(node.right))
+        left, right = self.eval(node.left), self.eval(node.right)
+        _check_degree(_poly_degree(left) + _poly_degree(right), node.pos)
+        return self.mod.supercommutator(left, right)
 
     def _eval_opapply(self, node):
         arg = self.eval(node.arg)
@@ -436,14 +459,16 @@ class Evaluator:
         return self.mod.contraction(a, arg)
 
 
+def _poly_degree(x):
+    return max((sum(even) for even, _ in x.terms), default=0)
+
+
+def _check_degree(degree, pos):
+    if degree > MAX_DEGREE:
+        raise ExprError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}", pos)
+
+
 def evaluate(src_or_node, lie, rep, context):
     node = parse(src_or_node) if isinstance(src_or_node, str) else src_or_node
     return Evaluator(lie, rep, context).eval(node)
 
-
-def render(element) -> str:
-    from .render import render_classical, render_quantum
-
-    if isinstance(element, cw.ClassicalElement):
-        return render_classical(element)
-    return render_quantum(element)

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import classical as cw
-from . import quantum as qw
+from . import ALGEBRAS
 from .linalg import Matrix, nullspace, rank
-
-CLASSICAL = "classical"
-QUANTUM = "quantum"
 
 
 def degree_monomials(n, deg):
@@ -45,29 +41,26 @@ def monomials_up_to(n, max_deg):
     return out
 
 
-def matrix_units(d):
-    return [(i, j) for i in range(d) for j in range(d)]
+def _level_monomials(mod, n, k):
+    """The polynomial monomials of level k: degree exactly k where the
+    algebra is graded, degree <= k where it is only filtered."""
+    return degree_monomials(n, k) if mod.GRADED else monomials_up_to(n, k)
 
 
-def _unit_matrix(d, i, j):
-    ent = [Fraction(0)] * (d * d)
-    ent[i * d + j] = Fraction(1)
-    return Matrix(d, d, ent)
-
-
-def _element(algebra, lie, rep, mono, idx, mat):
-    if algebra == CLASSICAL:
-        return cw.ClassicalElement(lie, rep, {(mono, idx): mat})
-    return qw.QuantumElement(lie, rep, {(mono, idx): mat})
+def _block(mod, lie, rep, monos, combo):
+    """Monomial-times-matrix-unit basis with index monomial `combo`."""
+    d = rep.dim
+    out = []
+    for mono in monos:
+        for unit in range(d * d):
+            ent = [Fraction(0)] * (d * d)
+            ent[unit] = Fraction(1)
+            out.append(mod.Element(lie, rep, {(mono, combo): Matrix(d, d, ent)}))
+    return out
 
 
 def hor_basis(algebra, lie, rep, monos):
-    d = rep.dim
-    return [
-        _element(algebra, lie, rep, mono, (), _unit_matrix(d, i, j))
-        for mono in monos
-        for (i, j) in matrix_units(d)
-    ]
+    return _block(ALGEBRAS[algebra], lie, rep, monos, ())
 
 
 def element_coords(x) -> dict:
@@ -109,10 +102,6 @@ def _kernel(domain, coord_maps):
     return basis
 
 
-def kernel_of_operator(domain, op):
-    return _kernel(domain, [element_coords(op(v)) for v in domain])
-
-
 def _span_matrix(elements):
     coord_maps = [element_coords(x) for x in elements]
     keys = sorted(set().union(*coord_maps)) if coord_maps else []
@@ -142,32 +131,19 @@ def span_contains(big, small) -> bool:
     return span_rank(big) == span_rank(list(big) + list(small))
 
 
-def _ops(algebra, lie, rep):
-    if algebra == CLASSICAL:
-        curv = cw.curvature(lie, rep)
-        return {
-            "lie": cw.lie_derivative,
-            "contraction": cw.contraction,
-            "differential": cw.differential,
-            "flat": lambda x: cw.supercommutator(curv, x),
-        }
-    curv = qw.curvature(lie, rep)
-    return {
-        "lie": qw.lie_derivative,
-        "contraction": qw.contraction,
-        "differential": qw.differential,
-        "flat": lambda x: qw.supercommutator(curv, x),
-    }
+def _flat_op(mod, lie, rep):
+    """x -> [curvature, x], the operator whose kernel is the flat subspace."""
+    curv = mod.curvature(lie, rep)
+    return lambda x: mod.supercommutator(curv, x)
 
 
-def _lie_stacked_coords(algebra, lie, rep, domain):
+def _lie_stacked_coords(mod, lie, domain):
     """Coordinates of all L_a images at once, tagged by the generator index."""
-    lie_op = _ops(algebra, lie, rep)["lie"]
     out = []
     for v in domain:
         tagged = {}
         for a in range(lie.dim):
-            for key, val in element_coords(lie_op(a, v)).items():
+            for key, val in element_coords(mod.lie_derivative(a, v)).items():
                 tagged[(a,) + key] = val
         out.append(tagged)
     return out
@@ -188,12 +164,8 @@ class SubspaceResult:
     dims: dict
     vectors: dict
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def basis_up_to(self, k):
-        if self.algebra == CLASSICAL:
+        if ALGEBRAS[self.algebra].GRADED:
             out = []
             for d in range(min(k, self.max_degree) + 1):
                 out.extend(self.vectors.get(d, []))
@@ -201,75 +173,47 @@ class SubspaceResult:
         return list(self.vectors.get(min(k, self.max_degree), []))
 
 
+def _solve_levels(algebra, kind, lie, rep, max_degree, image_coords):
+    """Kernel of the horizontal block of every level k <= max_degree.
+
+    `image_coords(mod, k, domain)` gives the coordinates of the images of
+    the level-k domain.  Quantum-side the levels are cumulative, so
+    `dims[k]` is the increment over level k - 1.
+    """
+    mod = ALGEBRAS[algebra]
+    dims, vectors, prev = {}, {}, 0
+    for k in range(max_degree + 1):
+        domain = hor_basis(algebra, lie, rep, _level_monomials(mod, lie.dim, k))
+        basis = _kernel(domain, image_coords(k, domain))
+        dims[k], vectors[k] = len(basis) - prev, basis
+        prev = 0 if mod.GRADED else len(basis)
+    return SubspaceResult(algebra, kind, max_degree, dims, vectors)
+
+
 def basic_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     """Horizontal solutions of L_a x = 0 for every a, up to max_degree."""
-    n = lie.dim
-    dims, vectors = {}, {}
-    if algebra == CLASSICAL:
-        for k in range(max_degree + 1):
-            domain = hor_basis(algebra, lie, rep, degree_monomials(n, k))
-            basis = _kernel(domain, _lie_stacked_coords(algebra, lie, rep, domain))
-            dims[k], vectors[k] = len(basis), basis
-    else:
-        prev = 0
-        for k in range(max_degree + 1):
-            domain = hor_basis(algebra, lie, rep, monomials_up_to(n, k))
-            basis = _kernel(domain, _lie_stacked_coords(algebra, lie, rep, domain))
-            dims[k], vectors[k] = len(basis) - prev, basis
-            prev = len(basis)
-    return SubspaceResult(algebra, "basic", max_degree, dims, vectors)
+    mod = ALGEBRAS[algebra]
+    return _solve_levels(algebra, "basic", lie, rep, max_degree,
+                         lambda k, domain: _lie_stacked_coords(mod, lie, domain))
 
 
 def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree."""
-    n = lie.dim
-    op = _ops(algebra, lie, rep)["flat"]
-    dims, vectors = {}, {}
-    if algebra == CLASSICAL:
-        for k in range(max_degree + 1):
-            domain = hor_basis(algebra, lie, rep, degree_monomials(n, k))
-            images = [op(v) for v in domain]
-            for im in images:
-                for (s, e) in im.terms:
-                    if sum(s) != k + 1 or e != ():
-                        raise AssertionError(
-                            "bracket with C must raise symmetric degree by exactly 1")
-            basis = _kernel(domain, [element_coords(im) for im in images])
-            dims[k], vectors[k] = len(basis), basis
-    else:
-        prev = 0
-        for k in range(max_degree + 1):
-            domain = hor_basis(algebra, lie, rep, monomials_up_to(n, k))
-            images = [op(v) for v in domain]
-            for im in images:
-                for (p, c) in im.terms:
-                    if c != ():
-                        raise AssertionError(
-                            "bracket with the quantum curvature must stay horizontal")
-            basis = _kernel(domain, [element_coords(im) for im in images])
-            dims[k], vectors[k] = len(basis) - prev, basis
-            prev = len(basis)
-    return SubspaceResult(algebra, "flat", max_degree, dims, vectors)
+    mod = ALGEBRAS[algebra]
+    op = _flat_op(mod, lie, rep)
 
+    def image_coords(k, domain):
+        images = [op(v) for v in domain]
+        for im in images:
+            for (s, e) in im.terms:
+                if e != ():
+                    raise AssertionError("the bracket with the curvature must stay horizontal")
+                if mod.GRADED and sum(s) != k + 1:
+                    raise AssertionError(
+                        "bracket with C must raise symmetric degree by exactly 1")
+        return [element_coords(im) for im in images]
 
-def _module_products(algebra, lie, rep, basic: SubspaceResult, k):
-    """Polynomial multiples of basic vectors at level k: the S-module
-    classically, the left U-module quantum-side."""
-    n = lie.dim
-    d = rep.dim
-    ident = Matrix.identity(d)
-    out = []
-    if algebra == CLASSICAL:
-        for kb in range(k + 1):
-            for b in basic.vectors.get(kb, []):
-                for mono in degree_monomials(n, k - kb):
-                    out.append(_element(algebra, lie, rep, mono, (), ident) * b)
-    else:
-        for b in basic.basis_up_to(k):
-            db = max((sum(p) for (p, c) in b.terms), default=0)
-            for mono in monomials_up_to(n, k - db):
-                out.append(_element(algebra, lie, rep, mono, (), ident) * b)
-    return out
+    return _solve_levels(algebra, "flat", lie, rep, max_degree, image_coords)
 
 
 def inclusion_report(algebra, lie, rep, max_degree, seed=0) -> dict:
@@ -278,15 +222,18 @@ def inclusion_report(algebra, lie, rep, max_degree, seed=0) -> dict:
     Classically basic inside flat is a theorem; quantum-side the same
     column is observed evidence for an open question, never asserted.
     """
+    mod = ALGEBRAS[algebra]
+    ident = Matrix.identity(rep.dim)
     basic = basic_subspace(algebra, lie, rep, max_degree)
     flat = flat_subspace(algebra, lie, rep, max_degree)
     rows = []
     for k in range(max_degree + 1):
-        if algebra == CLASSICAL:
-            bvecs, fvecs = basic.vectors[k], flat.vectors[k]
-        else:
-            bvecs, fvecs = basic.basis_up_to(k), flat.basis_up_to(k)
-        module = _module_products(algebra, lie, rep, basic, k)
+        bvecs, fvecs = basic.vectors[k], flat.vectors[k]
+        # polynomial multiples of basic vectors at level k: the S-module
+        # classically, the left U-module quantum-side
+        module = [mod.Element(lie, rep, {(mono, ()): ident}) * b
+                  for b in basic.basis_up_to(k)
+                  for mono in _level_monomials(mod, lie.dim, k - _max_poly_degree(b))]
         rows.append({
             "deg": k,
             "dim_basic": basic.dims[k],
@@ -297,7 +244,7 @@ def inclusion_report(algebra, lie, rep, max_degree, seed=0) -> dict:
         })
     return {
         "algebra": algebra,
-        "degree_semantics": "exact" if algebra == CLASSICAL else "filtration_increment",
+        "degree_semantics": "exact" if mod.GRADED else "filtration_increment",
         "per_degree": rows,
         "seed": seed,
     }
@@ -316,23 +263,18 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
     factors included.
 
     The bracket with the curvature never changes the index monomial of a
-    term (asserted below), so the solve runs block by block and stays
-    exact.  `degree` restricts classically to one symmetric degree.
+    term (checked below), so the solve runs block by block and stays
+    exact.  `degree` restricts the solve to that level: one symmetric
+    degree classically, degree <= `degree` quantum-side.
     """
+    mod = ALGEBRAS[algebra]
     n = lie.dim
-    d = rep.dim
-    op = _ops(algebra, lie, rep)["flat"]
-    if algebra == CLASSICAL and degree is not None:
-        monos = degree_monomials(n, degree)
-    else:
-        monos = monomials_up_to(n, max_degree)
+    op = _flat_op(mod, lie, rep)
+    monos = (_level_monomials(mod, n, degree) if degree is not None
+             else monomials_up_to(n, max_degree))
     basis = []
     for combo in _index_monomials(n):
-        domain = [
-            _element(algebra, lie, rep, mono, combo, _unit_matrix(d, i, j))
-            for mono in monos
-            for (i, j) in matrix_units(d)
-        ]
+        domain = _block(mod, lie, rep, monos, combo)
         images = [op(v) for v in domain]
         for im in images:
             for key in im.terms:
@@ -345,28 +287,23 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
 def decomposition_report(algebra, lie, rep, max_degree) -> dict:
     """Check flat(full) = (exterior or Clifford factor) (x) flat(horizontal).
 
-    Verified by dimension count (full-space solve against 2^n times the
-    horizontal count) and by exact flatness of every product vector.
+    Verified level by level by dimension count (full-space solve against
+    2^n times the horizontal count) and by exact flatness of every
+    product vector.
     """
+    mod = ALGEBRAS[algebra]
     n = lie.dim
-    d = rep.dim
     hor = flat_subspace(algebra, lie, rep, max_degree)
-    op = _ops(algebra, lie, rep)["flat"]
-    ident = Matrix.identity(d)
+    op = _flat_op(mod, lie, rep)
+    ident = Matrix.identity(rep.dim)
     rows = []
     all_match = True
     for k in range(max_degree + 1):
-        if algebra == CLASSICAL:
-            dim_hor = hor.dims[k]
-            dim_full = len(full_flat_basis(algebra, lie, rep, max_degree, degree=k))
-            hvecs = hor.vectors[k]
-        else:
-            dim_hor = len(hor.basis_up_to(k))
-            dim_full = len(full_flat_basis(algebra, lie, rep, k))
-            hvecs = hor.basis_up_to(k)
-        expected = (2 ** n) * dim_hor
+        hvecs = hor.vectors[k]
+        dim_full = len(full_flat_basis(algebra, lie, rep, max_degree, degree=k))
+        expected = (2 ** n) * len(hvecs)
         products_flat = all(
-            op(_element(algebra, lie, rep, (0,) * n, combo, ident) * h).is_zero
+            op(mod.Element(lie, rep, {((0,) * n, combo): ident}) * h).is_zero
             for combo in _index_monomials(n)
             for h in hvecs
         )
@@ -374,7 +311,7 @@ def decomposition_report(algebra, lie, rep, max_degree) -> dict:
         all_match = all_match and match
         rows.append({
             "deg": k,
-            "dim_hor_flat": dim_hor,
+            "dim_hor_flat": len(hvecs),
             "dim_full_flat": dim_full,
             "expected_full": expected,
             "match": match,
@@ -395,8 +332,8 @@ def closure_report(algebra, lie, rep, max_degree, samples=20, seed=0) -> dict:
     drawn from vectors of polynomial degree <= max_degree - 1.
     """
     rng = random.Random(seed)
-    ops = _ops(algebra, lie, rep)
-    op = ops["flat"]
+    mod = ALGEBRAS[algebra]
+    op = _flat_op(mod, lie, rep)
     basis = full_flat_basis(algebra, lie, rep, max_degree)
     low = [b for b in basis if _max_poly_degree(b) <= max_degree - 1]
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
@@ -405,18 +342,14 @@ def closure_report(algebra, lie, rep, max_degree, samples=20, seed=0) -> dict:
         for _ in range(samples):
             b1, b2 = rng.choice(basis), rng.choice(basis)
             a = rng.randrange(lie.dim)
-            if not op(b1 * b2).is_zero:
-                failures += 1
-            checked["product"] += 1
-            if not op(ops["lie"](a, b1)).is_zero:
-                failures += 1
-            checked["lie_derivative"] += 1
-            if not op(ops["contraction"](a, b2)).is_zero:
-                failures += 1
-            checked["contraction"] += 1
+            for name, image in (("product", b1 * b2),
+                                ("lie_derivative", mod.lie_derivative(a, b1)),
+                                ("contraction", mod.contraction(a, b2))):
+                failures += int(not op(image).is_zero)
+                checked[name] += 1
     if low:
         for _ in range(samples):
-            if not op(ops["differential"](rng.choice(low))).is_zero:
+            if not op(mod.differential(rng.choice(low))).is_zero:
                 failures += 1
             checked["differential"] += 1
     return {

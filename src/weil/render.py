@@ -58,27 +58,13 @@ def _join(parts):
     return "".join(out)
 
 
-def render_classical(x) -> str:
+def render(x) -> str:
+    even, odd = x.LETTERS
     d = x.rep.dim
     keyed = sorted(x.terms.items(),
                    key=lambda kv: (2 * sum(kv[0][0]) + len(kv[0][1]), kv[0][0], kv[0][1]))
     parts = []
     for (s, e), mat in keyed:
-        sym = _gen_string("v", s)
-        ext = _index_string("y", e)
-        mono = "*".join(p for p in (sym, ext) if p)
-        parts.append(_signed_term(mono, mat, d))
-    return _join(parts)
-
-
-def render_quantum(x) -> str:
-    d = x.rep.dim
-    keyed = sorted(x.terms.items(),
-                   key=lambda kv: (2 * sum(kv[0][0]) + len(kv[0][1]), kv[0][0], kv[0][1]))
-    parts = []
-    for (p, c), mat in keyed:
-        pbw = _gen_string("u", p)
-        cliff = _index_string("x", c)
-        mono = TENSOR.join(part for part in (pbw, cliff) if part)
+        mono = x.JOINER.join(p for p in (_gen_string(even, s), _index_string(odd, e)) if p)
         parts.append(_signed_term(mono, mat, d))
     return _join(parts)

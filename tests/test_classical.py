@@ -6,13 +6,13 @@ import pytest
 from weil import classical as cw
 from weil.checks import (
     embed_scalar_poly,
-    random_classical_element,
+    random_element,
     random_scalar_weil_poly,
     random_sym_poly,
     scalar_weil_differential,
 )
 from weil.linalg import Matrix
-from weil.render import render_classical
+from weil.render import render
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_operator_degrees(ctx, opname, shift):
     lie, rep = ctx
     rng = random.Random(3)
     for _ in range(20):
-        x = random_classical_element(lie, rep, rng, max_degree=3, max_terms=1)
+        x = random_element(cw.ClassicalElement, lie, rep, rng, max_degree=3, max_terms=1)
         if x.is_zero or len(x.degrees()) != 1:
             continue
         deg = x.degrees()[0]
@@ -140,7 +140,7 @@ def _identity_pool(lie, rep, rng, count):
     pool += [cw.sym_gen(lie, rep, a) for a in range(lie.dim)]
     pool += [cw.ext_gen(lie, rep, a) for a in range(lie.dim)]
     pool += [cw.tau(lie, rep, a) for a in range(lie.dim)]
-    pool += [random_classical_element(lie, rep, rng) for _ in range(count)]
+    pool += [random_element(cw.ClassicalElement, lie, rep, rng) for _ in range(count)]
     return pool
 
 
@@ -197,12 +197,12 @@ def test_render_golden(ctx, sl2):
     lie, rep = ctx
     y = [cw.ext_gen(lie, rep, a) for a in range(3)]
     v = [cw.sym_gen(lie, rep, a) for a in range(3)]
-    assert render_classical(cw.zero(lie, rep)) == "0"
-    assert render_classical(cw.differential(y[0])) == "-y2*y3 ⊗ I + v1 ⊗ I"
+    assert render(cw.zero(lie, rep)) == "0"
+    assert render(cw.differential(y[0])) == "-y2*y3 ⊗ I + v1 ⊗ I"
     std = sl2.reps["standard"]
     elem = cw.ClassicalElement(sl2.lie, std, {
         ((2, 0, 0), (1, 2)): Matrix.from_rows([[0, 1], [0, 0]]),
     })
-    assert render_classical(elem) == "v1^2*y2*y3 ⊗ [[0,1],[0,0]]"
+    assert render(elem) == "v1^2*y2*y3 ⊗ [[0,1],[0,0]]"
     trivial_elem = cw.scalar(lie, rep, Fraction(-3, 2))
-    assert render_classical(trivial_elem) == "-3/2*I"
+    assert render(trivial_elem) == "-3/2*I"

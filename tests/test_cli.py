@@ -112,6 +112,26 @@ def test_eval_bound_errors_exit_one_with_position(capsys):
         assert err.startswith(f"error: {pos}: "), err
 
 
+def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
+    """Both ended in a RecursionError traceback: the PBW kernel recurses once
+    per degree, the parser once per nesting level."""
+    nested = "(" * 1200 + "{g}1" + ")" * 1200
+    for context, g in (("classical", "v"), ("quantum", "u")):
+        for expression, pos, what in (
+            (f"{g}3*({g}1^32)^25", "1:5", "polynomial degree 800 exceeds the limit 64"),
+            (f"{g}1^32*{g}1^32*{g}1", "1:12", "polynomial degree 65 exceeds the limit 64"),
+            (nested.format(g=g), "1:101", "nested deeper than 100 levels"),
+        ):
+            code, out, err = run(["eval", "--builtin", "so3", "--rep", "trivial",
+                                  f"--{context}", expression], capsys)
+            assert code == 1 and out == "", expression
+            assert err.startswith(f"error: {pos}: ") and what in err, err
+            assert "Traceback" not in err
+        code, out, _ = run(["eval", "--builtin", "so3", "--rep", "trivial",
+                            f"--{context}", f"{g}1^32*{g}1^32"], capsys)
+        assert code == 0 and out == f"{g}1^64\n"
+
+
 def test_negative_samples_exit_two(capsys):
     for argv in (
         ["check", "--builtin", "so3", "--classical", "--samples", "-5"],

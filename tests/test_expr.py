@@ -4,7 +4,18 @@ import pytest
 
 from weil import classical as cw
 from weil import quantum as qw
-from weil.expr import MAX_EXPONENT, BinOp, Comm, ExprError, OpApply, evaluate, parse, render
+from weil.expr import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    BinOp,
+    Comm,
+    ExprError,
+    Neg,
+    OpApply,
+    evaluate,
+    parse,
+    render,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +80,21 @@ def test_exponent_above_cap_is_positioned():
         parse(f"2*u1^{MAX_EXPONENT + 1}")
     assert exc.value.pos == (1, 6)
     assert "exceeds the limit" in str(exc.value)
+
+
+def test_long_sums_evaluate_without_recursion(quantum_ctx):
+    """A chain of 3000 terms parses to a left-nested tree 3000 deep; the
+    evaluator walks such chains in a loop."""
+    lie, rep, context = quantum_ctx
+    elem = evaluate(" + ".join(["u1"] * 2000 + ["x2*u3"] * 1000), lie, rep, context)
+    assert render(elem) == "2000*u1 ⊗ I + 1000*u3 ⊗ x2 ⊗ I"
+
+
+def test_nesting_limit():
+    assert isinstance(parse("(" * (MAX_NESTING - 2) + "-u1" + ")" * (MAX_NESTING - 2)), Neg)
+    with pytest.raises(ExprError) as exc:
+        parse("d(" * MAX_NESTING + "y1" + ")" * MAX_NESTING)
+    assert exc.value.pos == (1, 2 * MAX_NESTING + 1)
 
 
 def test_zero_denominator_is_positioned():

@@ -141,13 +141,27 @@ def test_pbw_confluence_randomized():
         assert mul_pbw(one(m1), one(m2), so3) == left
 
 
-def _so3_blocks(k):
-    """so3^k as `scripts/gamma_square_table.py` builds it."""
+def _gamma_square_table():
+    """The module `scripts/gamma_square_table.py`."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "gamma_square_table.py"
     spec = importlib.util.spec_from_file_location("gamma_square_table", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.so3_blocks(k)
+    return module
+
+
+def _so3_blocks(k):
+    """so3^k as `scripts/gamma_square_table.py` builds it."""
+    return _gamma_square_table().so3_blocks(k)
+
+
+def test_gamma_square_table_exits_one_on_a_mismatch(monkeypatch, capsys):
+    """The script's check is an `if`, not an `assert` that python -O strips."""
+    module = _gamma_square_table()
+    assert module.main(["--blocks", "2"]) == 0
+    monkeypatch.setattr(module, "gamma_squared", lambda lie: Fraction(1, 8))
+    assert module.main(["--blocks", "2"]) == 1
+    assert "mismatch: gamma^2 = 1/8 on so3^0, expected 0" in capsys.readouterr().err
 
 
 def test_pbw_kernel_matches_oracle_strategies():

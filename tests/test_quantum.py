@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from weil import builtin
+from weil import classical as cw
 from weil import quantum as qw
-from weil.checks import quantum_structure_suite, quantum_suite, random_quantum_element
+from weil.checks import quantum_structure_suite, quantum_suite, random_element
 from weil.lie import BilinearForm, LieData, trivial_rep
 from weil.linalg import Matrix
-from weil.render import render_quantum
+from weil.render import render
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +136,7 @@ def test_restriction_formula(ctx):
     assert qw.differential(x1) != qw.weil_differential(x1)
     rng = random.Random(31)
     for _ in range(20):
-        raw = random_quantum_element(lie, rep, rng)
+        raw = random_element(qw.QuantumElement, lie, rep, rng)
         elem = qw.QuantumElement(lie, rep, {
             m: Matrix.identity(rep.dim) * mat[0, 0] for m, mat in raw.terms.items()
         })
@@ -173,7 +174,7 @@ def test_curvature_closed_and_squares(ctx):
     assert qw.differential(curv).is_zero
     rng = random.Random(41)
     for _ in range(15):
-        x = random_quantum_element(lie, rep, rng)
+        x = random_element(qw.QuantumElement, lie, rep, rng)
         assert qw.differential(qw.differential(x)) == qw.supercommutator(curv, x)
 
 
@@ -192,7 +193,7 @@ def test_filtration_degrees_of_operators(ctx):
     lie, rep = ctx
     rng = random.Random(43)
     for _ in range(25):
-        x = random_quantum_element(lie, rep, rng, max_degree=3, max_terms=1)
+        x = random_element(qw.QuantumElement, lie, rep, rng, max_degree=3, max_terms=1)
         if x.is_zero:
             continue
         top = max(x.degrees())
@@ -219,10 +220,10 @@ def test_render_golden(ctx):
     elem = qw.QuantumElement(lie, rep, {
         ((1, 1, 0), (0, 2)): Matrix.identity(3),
     })
-    assert render_quantum(elem) == "u1*u2 ⊗ x1*x3 ⊗ I"
-    assert render_quantum(qw.zero(lie, rep)) == "0"
+    assert render(elem) == "u1*u2 ⊗ x1*x3 ⊗ I"
+    assert render(qw.zero(lie, rep)) == "0"
     gamma = qw.distinguished(lie, rep).gamma
-    assert render_quantum(gamma * gamma) == "-1/8*I"
+    assert render(gamma * gamma) == "-1/8*I"
 
 
 def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
@@ -239,3 +240,51 @@ def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
     rows = {r.name: r for r in quantum_suite(alg.lie, alg.reps["adjoint"], samples=2, seed=1)}
     for name in ("gamma^2 = -(1/48) f_abc f_abc", "QC four-term formula = (D + x_a tau_a)^2"):
         assert not rows[name].passed and rows[name].detail == "mismatch", name
+
+
+def _degree(key):
+    return 2 * sum(key[0]) + len(key[1])
+
+
+def _gr_mismatches(lie, rep, rng, pairs):
+    """Pairs of random x, y where x*y leaves the filtration, or where its
+    top-degree part differs from the classical product of the top parts of
+    x and y (gr U = S, gr Cl = /\\): the quantum algebra is filtered with
+    the classical one as its associated graded."""
+    bad = 0
+    for _ in range(pairs):
+        x = random_element(qw.QuantumElement, lie, rep, rng)
+        y = random_element(qw.QuantumElement, lie, rep, rng)
+        if x.is_zero or y.is_zero:
+            continue
+        top = max(x.degrees()) + max(y.degrees())
+        xy = x * y
+        gr = [cw.ClassicalElement(lie, rep, {k: m for k, m in z.terms.items()
+                                             if _degree(k) == max(z.degrees())})
+              for z in (x, y)]
+        top_xy = cw.ClassicalElement(lie, rep, {k: m for k, m in xy.terms.items()
+                                                if _degree(k) == top})
+        if max(xy.degrees(), default=0) > top or top_xy != gr[0] * gr[1]:
+            bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("alg_name,rep_name", [
+    ("so3", "adjoint"), ("so3", "trivial"), ("abelian2", "adjoint"), ("abelian2", "trivial"),
+])
+def test_top_degree_of_quantum_product_is_classical(request, alg_name, rep_name):
+    alg = request.getfixturevalue(alg_name)
+    assert _gr_mismatches(alg.lie, alg.reps[rep_name], random.Random(67), 60) == 0
+
+
+def test_gr_check_fails_on_a_wrong_clifford_sign(monkeypatch):
+    """With x_a x_b = +x_b x_a the top parts stop matching the exterior product."""
+    right = qw.cliff_mono_mul
+
+    def wrong(m1, m2):
+        mono, q = right(m1, m2)
+        return mono, abs(q)
+
+    monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
+    alg = builtin("so3")
+    assert _gr_mismatches(alg.lie, alg.reps["trivial"], random.Random(67), 60) > 0
