@@ -176,8 +176,8 @@ class SubspaceResult:
 def _solve_levels(algebra, kind, lie, rep, max_degree, image_coords):
     """Kernel of the horizontal block of every level k <= max_degree.
 
-    `image_coords(mod, k, domain)` gives the coordinates of the images of
-    the level-k domain.  Quantum-side the levels are cumulative, so
+    `image_coords(k, domain)` gives the coordinates of the images of the
+    level-k domain.  Quantum-side the levels are cumulative, so
     `dims[k]` is the increment over level k - 1.
     """
     mod = ALGEBRAS[algebra]
