@@ -107,13 +107,14 @@ class Element:
             terms = {m: c * q for m, c in self.terms.items()} if q else {}
             return type(self)(self.lie, self.rep, terms)
         self._check_same(other)
+        mono_mul = self._mono_mul
         out = {}
         for k1, m1 in self.terms.items():
             for k2, m2 in other.terms.items():
                 prod = m1 * m2
                 if not prod:
                     continue
-                for key, q in self._mono_mul(k1, k2):
+                for key, q in mono_mul(k1, k2):
                     add_term(out, key, prod * q)
         return type(self)(self.lie, self.rep, out)
 

@@ -15,8 +15,8 @@ Grammar (whitespace-insensitive):
 
 Hand-written recursive descent; errors carry (line, column) and what was
 expected.  Factors nest at most MAX_NESTING deep, and no sub-result may
-have polynomial (u or v) degree above MAX_DEGREE; a product or power is
-checked before it is computed.  Parsing is context-free; whether a
+have polynomial (u or v) degree above MAX_DEGREE; a product, power or
+comm is checked before it is computed.  Only these and d raise it.  Parsing is context-free; whether a
 generator or named element is legal in the session's algebra is decided
 at evaluation time.
 """
@@ -366,9 +366,7 @@ class Evaluator:
 
     def eval(self, node):
         method = getattr(self, f"_eval_{type(node).__name__.lower()}")
-        out = method(node)
-        _check_degree(_poly_degree(out), node.pos)
-        return out
+        return method(node)
 
     def _eval_lit(self, node):
         return self.mod.scalar(self.lie, self.rep, node.value)
@@ -451,8 +449,10 @@ class Evaluator:
 
     def _eval_opapply(self, node):
         arg = self.eval(node.arg)
-        if node.op == "d":
-            return self.mod.differential(arg)
+        if node.op == "d":  # raises the degree by at most one: check the result
+            out = self.mod.differential(arg)
+            _check_degree(_poly_degree(out), node.pos)
+            return out
         a = self._check_index(node.index, node.pos)
         if node.op == "L":
             return self.mod.lie_derivative(a, arg)
