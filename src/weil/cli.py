@@ -1,6 +1,6 @@
 """Command-line surface: validate, check, eval, flat, report.
 
-Exit codes: 0 success, 1 validation or identity failure, 2 usage error.
+Exit codes: 0 success, 1 validation or identity failure, 2 usage error, 3 internal error.
 All output is deterministic for fixed inputs and seed.
 """
 
@@ -19,6 +19,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -36,7 +37,7 @@ def _load(args):
     if getattr(args, "file", None):
         try:
             return load_algebra_file(args.file)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot load {args.file}: {exc}") from exc
     raise UsageError("an algebra is required: --builtin NAME or --file PATH")
 
@@ -141,10 +142,10 @@ def cmd_eval(args) -> int:
 
 
 def flat_report_data(alg, rep, context, max_degree, samples, seed) -> dict:
-    inclusion = flat.inclusion_report(context, alg.lie, rep, max_degree, seed=seed)
-    decomposition = flat.decomposition_report(context, alg.lie, rep, max_degree)
-    closure = flat.closure_report(context, alg.lie, rep, max_degree,
-                                  samples=samples, seed=seed)
+    hor = flat.flat_subspace(context, alg.lie, rep, max_degree)
+    inclusion = flat.inclusion_report(hor, seed=seed)
+    decomposition = flat.decomposition_report(hor)
+    closure = flat.closure_report(hor, samples=samples, seed=seed)
     return {
         "schema": SCHEMA_VERSION,
         "algebra": context,
@@ -309,6 +310,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:  # a bug: report it instead of a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

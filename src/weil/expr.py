@@ -14,11 +14,11 @@ Grammar (whitespace-insensitive):
     CALL      := d(e) | L(i, e) | iota(i, e) | comm(e, e) | tau(i)
 
 Hand-written recursive descent; errors carry (line, column) and what was
-expected.  Factors nest at most MAX_NESTING deep, and no sub-result may
-have polynomial (u or v) degree above MAX_DEGREE; a product, power or
-comm is checked before it is computed.  Only these and d raise it.  Parsing is context-free; whether a
-generator or named element is legal in the session's algebra is decided
-at evaluation time.
+expected.  Literals are at most MAX_LITERAL characters long, factors
+nest at most MAX_NESTING deep, and no sub-result may have polynomial
+degree above MAX_DEGREE (checked before a product, power or comm and
+after d, the only operations that raise it).  Parsing is context-free;
+whether a generator or name is legal is decided at evaluation time.
 """
 
 from __future__ import annotations
@@ -131,6 +131,8 @@ MAX_DEGREE = 64
 # parentheses, calls and unary minus; each level costs the recursive
 # descent a few stack frames
 MAX_NESTING = 100
+# characters of an integer or a name; int() refuses more than 4,300 digits
+MAX_LITERAL = 1000
 
 _GEN = re.compile(r"([vyux])(\d+)$")
 _NAMES = ("C", "QC", "gamma", "Dirac", "I")
@@ -154,6 +156,8 @@ def tokenize(src):
             raise ExprError(f"unexpected character {src[i]!r}", (line, col))
         text = m.group(0)
         kind = m.lastgroup
+        if kind in ("int", "ident") and len(text) > MAX_LITERAL:
+            raise ExprError(f"literal longer than {MAX_LITERAL} characters", (line, col))
         if kind != "ws":
             if kind == "op":
                 ch = text

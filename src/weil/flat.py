@@ -8,6 +8,14 @@ degree classically (where the operators are graded and the solves split
 into per-degree blocks) and PBW degree quantum-side (a filtration, so
 solves run on cumulative <= k blocks).
 
+The flat subspace of the full algebra is derived, not solved.  The
+bracket with the even curvature C is a derivation, so once [C, x_a] = 0
+is checked for every odd generator, [C, x_I h] = x_I [C, h] for
+horizontal h, and [C, h] is horizontal (checked by `flat_subspace`).
+As x_I h = h x_I turns each term (s, ()) of h into the one term (s, I),
+h -> x_I h maps the horizontal part one-to-one onto the block of x_I;
+so flat(full) is the sum over index monomials I of x_I flat(hor).
+
 Every reported basis vector satisfies its defining equation exactly;
 dimension tables are reproducible bit for bit.
 """
@@ -47,20 +55,16 @@ def _level_monomials(mod, n, k):
     return degree_monomials(n, k) if mod.GRADED else monomials_up_to(n, k)
 
 
-def _block(mod, lie, rep, monos, combo):
-    """Monomial-times-matrix-unit basis with index monomial `combo`."""
-    d = rep.dim
+def hor_basis(algebra, lie, rep, monos):
+    """Monomial-times-matrix-unit basis of the horizontal part."""
+    cls, d = ALGEBRAS[algebra].Element, rep.dim
     out = []
     for mono in monos:
         for unit in range(d * d):
             ent = [Fraction(0)] * (d * d)
             ent[unit] = Fraction(1)
-            out.append(mod.Element(lie, rep, {(mono, combo): Matrix(d, d, ent)}))
+            out.append(cls(lie, rep, {(mono, ()): Matrix(d, d, ent)}))
     return out
-
-
-def hor_basis(algebra, lie, rep, monos):
-    return _block(ALGEBRAS[algebra], lie, rep, monos, ())
 
 
 def element_coords(x) -> dict:
@@ -75,23 +79,26 @@ def element_coords(x) -> dict:
     return out
 
 
-def _kernel(domain, coord_maps):
-    """Exact kernel from sparse image coordinates of a domain basis.
-
-    Rows are indexed by the sorted union of observed coordinate keys, so
-    no truncation of the codomain can hide a nonzero component.
-    """
+def _coord_matrix(coord_maps):
+    """One column per sparse coordinate map; rows are indexed by the
+    sorted union of observed keys, so no truncation of the codomain can
+    hide a nonzero component."""
     keys = sorted(set().union(*coord_maps)) if coord_maps else []
     key_index = {k: r for r, k in enumerate(keys)}
-    ncols = len(domain)
+    ncols = len(coord_maps)
     entries = [Fraction(0)] * (len(keys) * ncols)
     for col, cmap in enumerate(coord_maps):
         for k, v in cmap.items():
             entries[key_index[k] * ncols + col] = v
+    return Matrix(len(keys), ncols, entries)
+
+
+def _kernel(domain, coord_maps):
+    """Exact kernel from sparse image coordinates of a domain basis."""
     basis = []
-    for vec in nullspace(Matrix(len(keys), ncols, entries)):
+    for vec in nullspace(_coord_matrix(coord_maps)):
         elem = None
-        for r in range(ncols):
+        for r in range(len(domain)):
             q = vec[r, 0]
             if not q:
                 continue
@@ -102,32 +109,12 @@ def _kernel(domain, coord_maps):
     return basis
 
 
-def _span_matrix(elements):
-    coord_maps = [element_coords(x) for x in elements]
-    keys = sorted(set().union(*coord_maps)) if coord_maps else []
-    key_index = {k: c for c, k in enumerate(keys)}
-    rows = []
-    for cmap in coord_maps:
-        row = [Fraction(0)] * len(keys)
-        for k, v in cmap.items():
-            row[key_index[k]] = v
-        rows.append(row)
-    return Matrix.from_rows(rows) if rows else Matrix.zeros(0, 0)
-
-
 def span_rank(elements) -> int:
-    if not elements:
-        return 0
-    return rank(_span_matrix(elements))
+    return rank(_coord_matrix([element_coords(x) for x in elements]))
 
 
 def span_contains(big, small) -> bool:
     """True when span(small) is a subspace of span(big)."""
-    small = [x for x in small if not x.is_zero]
-    if not small:
-        return True
-    if not big:
-        return False
     return span_rank(big) == span_rank(list(big) + list(small))
 
 
@@ -159,7 +146,8 @@ class SubspaceResult:
     """
 
     algebra: str
-    kind: str
+    lie: object
+    rep: object
     max_degree: int
     dims: dict
     vectors: dict
@@ -173,7 +161,7 @@ class SubspaceResult:
         return list(self.vectors.get(min(k, self.max_degree), []))
 
 
-def _solve_levels(algebra, kind, lie, rep, max_degree, image_coords):
+def _solve_levels(algebra, lie, rep, max_degree, image_coords):
     """Kernel of the horizontal block of every level k <= max_degree.
 
     `image_coords(k, domain)` gives the coordinates of the images of the
@@ -187,13 +175,13 @@ def _solve_levels(algebra, kind, lie, rep, max_degree, image_coords):
         basis = _kernel(domain, image_coords(k, domain))
         dims[k], vectors[k] = len(basis) - prev, basis
         prev = 0 if mod.GRADED else len(basis)
-    return SubspaceResult(algebra, kind, max_degree, dims, vectors)
+    return SubspaceResult(algebra, lie, rep, max_degree, dims, vectors)
 
 
 def basic_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     """Horizontal solutions of L_a x = 0 for every a, up to max_degree."""
     mod = ALGEBRAS[algebra]
-    return _solve_levels(algebra, "basic", lie, rep, max_degree,
+    return _solve_levels(algebra, lie, rep, max_degree,
                          lambda k, domain: _lie_stacked_coords(mod, lie, domain))
 
 
@@ -213,19 +201,20 @@ def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
                         "bracket with C must raise symmetric degree by exactly 1")
         return [element_coords(im) for im in images]
 
-    return _solve_levels(algebra, "flat", lie, rep, max_degree, image_coords)
+    return _solve_levels(algebra, lie, rep, max_degree, image_coords)
 
 
-def inclusion_report(algebra, lie, rep, max_degree, seed=0) -> dict:
-    """Per-degree dimensions of basic and flat with containment columns.
+def inclusion_report(flat, seed=0) -> dict:
+    """Per-degree dimensions of basic and flat (a `flat_subspace`
+    result) with containment columns.
 
     Classically basic inside flat is a theorem; quantum-side the same
     column is observed evidence for an open question, never asserted.
     """
+    algebra, lie, rep, max_degree = flat.algebra, flat.lie, flat.rep, flat.max_degree
     mod = ALGEBRAS[algebra]
     ident = Matrix.identity(rep.dim)
     basic = basic_subspace(algebra, lie, rep, max_degree)
-    flat = flat_subspace(algebra, lie, rep, max_degree)
     rows = []
     for k in range(max_degree + 1):
         bvecs, fvecs = basic.vectors[k], flat.vectors[k]
@@ -258,61 +247,50 @@ def _index_monomials(n):
     return out
 
 
-def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
-    """Flat basis of the full truncated algebra, exterior / Clifford
-    factors included.
-
-    The bracket with the curvature never changes the index monomial of a
-    term (checked below), so the solve runs block by block and stays
-    exact.  `degree` restricts the solve to that level: one symmetric
-    degree classically, degree <= `degree` quantum-side.
+def full_flat_basis(flat, degree=None):
+    """The flat basis of the full truncated algebra, exterior / Clifford
+    factors included: x_I h for every index monomial I and every vector
+    h of the `flat_subspace` result `flat`, derived as the module
+    docstring proves once [C, x_a] = 0 is checked here.  `degree`
+    restricts it to that level: one symmetric degree classically,
+    degree <= `degree` quantum-side.
     """
-    mod = ALGEBRAS[algebra]
-    n = lie.dim
+    mod = ALGEBRAS[flat.algebra]
+    lie, rep = flat.lie, flat.rep
     op = _flat_op(mod, lie, rep)
-    monos = (_level_monomials(mod, n, degree) if degree is not None
-             else monomials_up_to(n, max_degree))
-    basis = []
-    for combo in _index_monomials(n):
-        domain = _block(mod, lie, rep, monos, combo)
-        images = [op(v) for v in domain]
-        for im in images:
-            for key in im.terms:
-                if key[1] != combo:
-                    raise AssertionError("curvature bracket left its index block")
-        basis.extend(_kernel(domain, [element_coords(im) for im in images]))
-    return basis
-
-
-def decomposition_report(algebra, lie, rep, max_degree) -> dict:
-    """Check flat(full) = (exterior or Clifford factor) (x) flat(horizontal).
-
-    Verified level by level by dimension count (full-space solve against
-    2^n times the horizontal count) and by exact flatness of every
-    product vector.
-    """
-    mod = ALGEBRAS[algebra]
-    n = lie.dim
-    hor = flat_subspace(algebra, lie, rep, max_degree)
-    op = _flat_op(mod, lie, rep)
+    for a in range(lie.dim):
+        if not op(mod.Element.odd_gen(lie, rep, a)).is_zero:
+            raise AssertionError(f"the curvature does not commute with odd generator {a + 1}")
+    hvecs = flat.basis_up_to(flat.max_degree) if degree is None else flat.vectors[degree]
     ident = Matrix.identity(rep.dim)
+    return [mod.Element(lie, rep, {((0,) * lie.dim, combo): ident}) * h
+            for combo in _index_monomials(lie.dim) for h in hvecs]
+
+
+def decomposition_report(flat) -> dict:
+    """Check flat(full) = (exterior or Clifford factor) (x) flat(horizontal)
+    level by level for the `flat_subspace` result `flat`.
+
+    The full flat basis is derived from the horizontal one
+    (`full_flat_basis`), and every derived vector is bracketed with the
+    curvature again: a nonzero bracket fails its level.
+    """
+    mod = ALGEBRAS[flat.algebra]
+    n = flat.lie.dim
+    op = _flat_op(mod, flat.lie, flat.rep)
     rows = []
     all_match = True
-    for k in range(max_degree + 1):
-        hvecs = hor.vectors[k]
-        dim_full = len(full_flat_basis(algebra, lie, rep, max_degree, degree=k))
+    for k in range(flat.max_degree + 1):
+        hvecs = flat.vectors[k]
+        full = full_flat_basis(flat, degree=k)
         expected = (2 ** n) * len(hvecs)
-        products_flat = all(
-            op(mod.Element(lie, rep, {((0,) * n, combo): ident}) * h).is_zero
-            for combo in _index_monomials(n)
-            for h in hvecs
-        )
-        match = dim_full == expected and products_flat
+        products_flat = all(op(x).is_zero for x in full)
+        match = len(full) == expected and products_flat
         all_match = all_match and match
         rows.append({
             "deg": k,
             "dim_hor_flat": len(hvecs),
-            "dim_full_flat": dim_full,
+            "dim_full_flat": len(full),
             "expected_full": expected,
             "match": match,
         })
@@ -323,25 +301,26 @@ def _max_poly_degree(x):
     return max((sum(key[0]) for key in x.terms), default=0)
 
 
-def closure_report(algebra, lie, rep, max_degree, samples=20, seed=0) -> dict:
+def closure_report(flat, samples=20, seed=0) -> dict:
     """Sampled closure of the full flat subspace under products and the
     three operators.
 
-    Products, L_a, and iota_a images of flat elements are checked for
-    exact flatness; the differential raises degree, so its inputs are
-    drawn from vectors of polynomial degree <= max_degree - 1.
+    `flat` is a `flat_subspace` result.  Products, L_a, and iota_a
+    images of flat elements are checked for exact flatness; the
+    differential raises degree, so its inputs are drawn from vectors of
+    polynomial degree <= max_degree - 1.
     """
     rng = random.Random(seed)
-    mod = ALGEBRAS[algebra]
-    op = _flat_op(mod, lie, rep)
-    basis = full_flat_basis(algebra, lie, rep, max_degree)
-    low = [b for b in basis if _max_poly_degree(b) <= max_degree - 1]
+    mod = ALGEBRAS[flat.algebra]
+    op = _flat_op(mod, flat.lie, flat.rep)
+    basis = full_flat_basis(flat)
+    low = [b for b in basis if _max_poly_degree(b) <= flat.max_degree - 1]
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
     failures = 0
     if basis:
         for _ in range(samples):
             b1, b2 = rng.choice(basis), rng.choice(basis)
-            a = rng.randrange(lie.dim)
+            a = rng.randrange(flat.lie.dim)
             for name, image in (("product", b1 * b2),
                                 ("lie_derivative", mod.lie_derivative(a, b1)),
                                 ("contraction", mod.contraction(a, b2))):

@@ -325,18 +325,28 @@ def builtin(name: str) -> AlgebraDef:
     raise ValueError(f"unknown builtin algebra {name!r}")
 
 
-def _entry_scalar(v):
-    if isinstance(v, str):
-        return parse_scalar(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    raise ValueError(f"matrix entries must be integers or 'p/q' strings, got {v!r}")
+def _expect(ok, path, what):
+    if not ok:
+        raise ValueError(f"{path}: expected {what}")
 
 
-def _load_matrix(rows, what):
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise ValueError(f"{what}: expected a list of rows")
-    return Matrix.from_rows([[_entry_scalar(e) for e in r] for r in rows])
+def _entry_scalar(v, path):
+    try:
+        if isinstance(v, str):
+            return parse_scalar(v)
+        if type(v) is int:
+            return Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{path}: expected an integer or a 'p/q' string, got {v!r}")
+
+
+def _load_matrix(rows, path):
+    _expect(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
+            path, "a list of rows")
+    _expect(all(len(r) == len(rows[0]) for r in rows), path, "rows of equal length")
+    return Matrix.from_rows([[_entry_scalar(e, f"{path}[{i}][{j}]") for j, e in enumerate(r)]
+                             for i, r in enumerate(rows)])
 
 
 def load_algebra_file(path) -> AlgebraDef:
@@ -346,45 +356,45 @@ def load_algebra_file(path) -> AlgebraDef:
     "reps": {"name": {"dim_v": d, "matrices": [[[...]]]}}?}.  Structure
     constants are 1-based, only a < b entries are allowed, and the
     antisymmetric partners are synthesized.  The trivial and adjoint
-    representations are always available.
+    representations are always available.  A malformed file (true or
+    false count as no integer) raises ValueError naming a JSON path.
     """
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("algebra file must hold a JSON object")
+    _expect(isinstance(data, dict), "$", "an object")
     n = data.get("dim")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("'dim' must be a positive integer")
+    _expect(type(n) is int and n >= 1, "$.dim", "a positive integer")
+    f = data.get("f", [])
+    _expect(isinstance(f, list), "$.f", "a list")
     entries = {}
-    for item in data.get("f", []):
-        if not (isinstance(item, list) and len(item) == 4):
-            raise ValueError(f"'f' entries must be [a, b, c, value], got {item!r}")
+    for k, item in enumerate(f):
+        where = f"$.f[{k}]"
+        _expect(isinstance(item, list) and len(item) == 4, where, f"[a, b, c, value], got {item!r}")
         a, b, c, v = item
-        if not all(isinstance(i, int) and 1 <= i <= n for i in (a, b, c)):
-            raise ValueError(f"structure constant indices out of range in {item!r}")
-        if not a < b:
-            raise ValueError(f"structure constants must be listed with a < b, got ({a},{b},{c})")
+        _expect(all(type(i) is int and 1 <= i <= n for i in (a, b, c)), where,
+                f"indices in 1..{n}, got {item!r}")
+        _expect(a < b, where, f"a < b, got ({a},{b},{c})")
         key = (a - 1, b - 1, c - 1)
         if key in entries:
-            raise ValueError(f"duplicate structure constant at ({a},{b},{c})")
-        entries[key] = _entry_scalar(v)
+            raise ValueError(f"{where}: duplicate structure constant at ({a},{b},{c})")
+        entries[key] = _entry_scalar(v, f"{where}[3]")
     form = None
     if "B" in data:
-        B = _load_matrix(data["B"], "B")
-        form = BilinearForm(B)
+        form = BilinearForm(_load_matrix(data["B"], "$.B"))
     name = data.get("name", str(path))
     lie = LieData(n, entries, form=form, name=name)
     reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
-    for rep_name, spec in (data.get("reps") or {}).items():
-        d = spec.get("dim_v")
-        mats = spec.get("matrices")
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"rep {rep_name!r}: 'dim_v' must be a positive integer")
-        if not isinstance(mats, list) or len(mats) != n:
-            raise ValueError(f"rep {rep_name!r}: need {n} matrices")
-        loaded = tuple(_load_matrix(m, f"rep {rep_name!r}") for m in mats)
-        for m in loaded:
-            if m.rows != d or m.cols != d:
-                raise ValueError(f"rep {rep_name!r}: matrices must be {d}x{d}")
+    specs = data.get("reps", {})
+    _expect(isinstance(specs, dict), "$.reps", "an object")
+    for rep_name, spec in specs.items():
+        where = f"$.reps.{rep_name}"
+        _expect(isinstance(spec, dict), where, "an object")
+        d, mats = spec.get("dim_v"), spec.get("matrices")
+        _expect(type(d) is int and d >= 1, f"{where}.dim_v", "a positive integer")
+        _expect(isinstance(mats, list) and len(mats) == n, f"{where}.matrices",
+                f"a list of {n} matrices")
+        loaded = tuple(_load_matrix(m, f"{where}.matrices[{i}]") for i, m in enumerate(mats))
+        _expect(all(m.rows == d and m.cols == d for m in loaded), f"{where}.matrices",
+                f"{d}x{d} matrices")
         reps[rep_name] = RepData(rep_name, loaded)
     return AlgebraDef(name, lie, reps)

@@ -1,11 +1,13 @@
-"""Rewriting oracles for the Clifford and PBW product kernels.
+"""Oracles: the obvious routines that faster code in `weil` replaced.
 
-These are the word-rewriting routines that `weil.kernels` used before
-its closed-form Clifford product and memoized PBW left multiplication.
-They are kept unchanged so that the fast kernels can be tested against
-an obvious, independently written reference: the Clifford routines take
-a general symmetric form B, and the PBW routine straightens a whole
-letter word with either of two rewriting strategies.
+The word-rewriting routines are what `weil.kernels` used before its
+closed-form Clifford product and memoized PBW left multiplication: the
+Clifford routines take a general symmetric form B, and the PBW routine
+straightens a whole letter word with either of two rewriting strategies.
+`full_flat_basis` is the per-index-block flat solve that `weil.flat`
+used before it derived the full flat basis from the horizontal one.
+They are kept unchanged so that the fast code can be tested against an
+obvious, independently written reference.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from weil import ALGEBRAS
+from weil.flat import (_flat_op, _index_monomials, _kernel, _level_monomials,
+                       element_coords, monomials_up_to)
+from weil.linalg import Matrix
 from weil.kernels import add_term, pbw_word
 
 
@@ -113,3 +119,43 @@ def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
             for m, q in pbw_mono_mul(m1, m2, lie, strategy):
                 add_term(out, m, c * q)
     return out
+
+
+# -- full flat basis ----------------------------------------------------------
+
+def _block(mod, lie, rep, monos, combo):
+    """Monomial-times-matrix-unit basis with index monomial `combo`."""
+    d = rep.dim
+    out = []
+    for mono in monos:
+        for unit in range(d * d):
+            ent = [Fraction(0)] * (d * d)
+            ent[unit] = Fraction(1)
+            out.append(mod.Element(lie, rep, {(mono, combo): Matrix(d, d, ent)}))
+    return out
+
+
+def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
+    """Flat basis of the full truncated algebra, exterior / Clifford
+    factors included.
+
+    The bracket with the curvature never changes the index monomial of a
+    term (checked below), so the solve runs block by block and stays
+    exact.  `degree` restricts the solve to that level: one symmetric
+    degree classically, degree <= `degree` quantum-side.
+    """
+    mod = ALGEBRAS[algebra]
+    n = lie.dim
+    op = _flat_op(mod, lie, rep)
+    monos = (_level_monomials(mod, n, degree) if degree is not None
+             else monomials_up_to(n, max_degree))
+    basis = []
+    for combo in _index_monomials(n):
+        domain = _block(mod, lie, rep, monos, combo)
+        images = [op(v) for v in domain]
+        for im in images:
+            for key in im.terms:
+                if key[1] != combo:
+                    raise AssertionError("curvature bracket left its index block")
+        basis.extend(_kernel(domain, [element_coords(im) for im in images]))
+    return basis

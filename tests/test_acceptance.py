@@ -174,11 +174,11 @@ def test_criterion_7_flat_solver_theorems():
                  ("sl2", "adjoint"), ("sl2", "standard")]
         for name, rep_name in pairs:
             alg = builtin(name)
-            report = inclusion_report("classical", alg.lie, alg.reps[rep_name], 2)
+            report = inclusion_report(flat_subspace("classical", alg.lie, alg.reps[rep_name], 2))
             for row in report["per_degree"]:
                 assert row["basic_subset_flat"], (name, rep_name, row)
         alg = builtin("so3")
-        dec = decomposition_report("classical", alg.lie, alg.reps["adjoint"], 1)
+        dec = decomposition_report(flat_subspace("classical", alg.lie, alg.reps["adjoint"], 1))
         assert dec["all_match"]
         for row in dec["per_degree"]:
             assert row["dim_full_flat"] == 8 * row["dim_hor_flat"]

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from weil import cli
 from weil.cli import main
 
 SO3_FILE = """
@@ -104,12 +107,14 @@ def test_eval_error_position(capsys):
 
 
 def test_eval_bound_errors_exit_one_with_position(capsys):
-    for expression, pos in (("1/0", "1:3"), ("[[1/0]]", "1:5"), ("u3^33*u1", "1:4")):
+    for expression, pos in (("1/0", "1:3"), ("[[1/0]]", "1:5"), ("u3^33*u1", "1:4"),
+                            ("2*" + "1" * 5000, "1:3"), ("u" + "2" * 5000, "1:1")):
         code, out, err = run(
             ["eval", "--builtin", "so3", "--rep", "trivial", "--quantum", expression], capsys
         )
         assert code == 1 and out == ""
         assert err.startswith(f"error: {pos}: "), err
+        assert "Traceback" not in err
 
 
 def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
@@ -226,3 +231,31 @@ def test_report_all_builtins(capsys):
     # quantum sections only exist where an orthonormal form ships
     assert "sl2 rep adjoint (quantum)" not in out
     assert "so3 rep adjoint (quantum)" in out
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"dim": 3, "f": 5}', "$.f: expected a list"),
+    ('{"dim": 3, "reps": {"r": [1]}}', "$.reps.r: expected an object"),
+    ('{"dim": 3, "reps": [1]}', "$.reps: expected an object"),
+    ('{"dim": 3, "f": [[1, 2, 3, "1/0"]]}', "$.f[0][3]: expected an integer or a 'p/q' string"),
+    ('{"dim": true}', "$.dim: expected a positive integer"),
+    ('{"dim": 2, "B": [[1, 0], [0]]}', "$.B: expected rows of equal length"),
+    ('{"dim": 2, "reps": {"r": {"dim_v": 1, "matrices": [[[1]], 7]}}}',
+     "$.reps.r.matrices[1]: expected a list of rows"),
+])
+def test_validate_malformed_file_exits_two_with_json_path(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot load {path}: {message}"), err
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, out, err = run(["check", "--builtin", "so3"], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'boom'\n"

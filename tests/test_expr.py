@@ -6,6 +6,7 @@ from weil import classical as cw
 from weil import quantum as qw
 from weil.expr import (
     MAX_EXPONENT,
+    MAX_LITERAL,
     MAX_NESTING,
     BinOp,
     Comm,
@@ -88,6 +89,15 @@ def test_long_sums_evaluate_without_recursion(quantum_ctx):
     lie, rep, context = quantum_ctx
     elem = evaluate(" + ".join(["u1"] * 2000 + ["x2*u3"] * 1000), lie, rep, context)
     assert render(elem) == "2000*u1 ⊗ I + 1000*u3 ⊗ x2 ⊗ I"
+
+
+def test_literal_length_limit():
+    """int() refuses more than 4,300 digits; the lexer stops far earlier."""
+    assert parse("1" * MAX_LITERAL).value == int("1" * MAX_LITERAL)
+    with pytest.raises(ExprError) as exc:
+        parse("2*" + "1" * (MAX_LITERAL + 1))
+    assert exc.value.pos == (1, 3)
+    assert f"literal longer than {MAX_LITERAL} characters" in str(exc.value)
 
 
 def test_nesting_limit():

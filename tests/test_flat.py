@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from weil import BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil import classical as cw
 from weil import quantum as qw
+from weil.cli import main
 from weil.flat import (
     basic_subspace,
     closure_report,
@@ -140,14 +143,14 @@ def test_basic_dims_match_dense_oracle(so3, k):
 def test_inclusion_classical_theorem(so3, sl2):
     for alg, rep_name in [(so3, "adjoint"), (so3, "standard"),
                           (sl2, "adjoint"), (sl2, "standard")]:
-        report = inclusion_report("classical", alg.lie, alg.reps[rep_name], 2)
+        report = inclusion_report(flat_subspace("classical", alg.lie, alg.reps[rep_name], 2))
         for row in report["per_degree"]:
             assert row["basic_subset_flat"], (alg.name, rep_name, row)
 
 
 def test_inclusion_abelian_basic_equals_flat(abelian2):
     lie, rep = abelian2.lie, abelian2.reps["adjoint"]
-    report = inclusion_report("classical", lie, rep, 2)
+    report = inclusion_report(flat_subspace("classical", lie, rep, 2))
     for row in report["per_degree"]:
         # with f = 0 both conditions cut out polynomials valued in the
         # commutant, which for the zero matrices is everything
@@ -157,7 +160,7 @@ def test_inclusion_abelian_basic_equals_flat(abelian2):
 
 def test_decomposition_classical(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = decomposition_report("classical", lie, rep, 1)
+    report = decomposition_report(flat_subspace("classical", lie, rep, 1))
     assert report["factor"] == 8
     assert report["all_match"]
     for row in report["per_degree"]:
@@ -166,7 +169,7 @@ def test_decomposition_classical(so3):
 
 def test_decomposition_trivial_rep(so3):
     lie, rep = so3.lie, so3.reps["trivial"]
-    report = decomposition_report("classical", lie, rep, 1)
+    report = decomposition_report(flat_subspace("classical", lie, rep, 1))
     assert report["all_match"]
     # everything is flat: full dim = all monomials times all wedge monomials
     assert report["per_degree"][0]["dim_full_flat"] == 8
@@ -175,7 +178,7 @@ def test_decomposition_trivial_rep(so3):
 
 def test_decomposition_quantum(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = decomposition_report("quantum", lie, rep, 1)
+    report = decomposition_report(flat_subspace("quantum", lie, rep, 1))
     assert report["factor"] == 8
     assert report["all_match"]
 
@@ -211,7 +214,7 @@ def test_quantum_flat_matches_dense_oracle(so3):
 
 def test_quantum_evidence_report_shape(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = inclusion_report("quantum", lie, rep, 2)
+    report = inclusion_report(flat_subspace("quantum", lie, rep, 2))
     assert report["degree_semantics"] == "filtration_increment"
     assert [row["deg"] for row in report["per_degree"]] == [0, 1, 2]
     for row in report["per_degree"]:
@@ -222,26 +225,26 @@ def test_quantum_evidence_report_shape(so3):
 
 def test_closure_classical(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = closure_report("classical", lie, rep, 2, samples=50, seed=0)
+    report = closure_report(flat_subspace("classical", lie, rep, 2), samples=50, seed=0)
     assert report["all_closed"]
     assert report["checked"]["product"] == 50
     assert report["checked"]["differential"] == 50
     # d of a flat element is flat, explicitly
     curv = cw.curvature(lie, rep)
-    for v in full_flat_basis("classical", lie, rep, 1)[:5]:
+    for v in full_flat_basis(flat_subspace("classical", lie, rep, 1))[:5]:
         assert cw.supercommutator(curv, cw.differential(v)).is_zero
 
 
 def test_closure_quantum(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = closure_report("quantum", lie, rep, 1, samples=15, seed=2)
+    report = closure_report(flat_subspace("quantum", lie, rep, 1), samples=15, seed=2)
     assert report["all_closed"]
 
 
 def test_reports_are_reproducible(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    a = inclusion_report("quantum", lie, rep, 2, seed=5)
-    b = inclusion_report("quantum", lie, rep, 2, seed=5)
+    a = inclusion_report(flat_subspace("quantum", lie, rep, 2), seed=5)
+    b = inclusion_report(flat_subspace("quantum", lie, rep, 2), seed=5)
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -252,3 +255,54 @@ def test_span_rank_tools(so3):
     assert span_rank([v1, v2, v1 + v2]) == 2
     assert span_contains([v1, v2], [v1 + v2])
     assert not span_contains([v1], [v2])
+
+
+def _builtin_cases():
+    """Every builtin algebra x admitted context x representation."""
+    for name in ("abelian(2)", "heisenberg3", "so3", "sl2"):
+        alg = builtin(name)
+        contexts = ("classical", "quantum") if alg.lie.has_orthonormal_form else ("classical",)
+        for rep_name in sorted(alg.reps):
+            for context in contexts:
+                yield pytest.param(context, alg.lie, alg.reps[rep_name],
+                                   id=f"{name}-{context}-{rep_name}")
+
+
+@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
+def test_full_flat_basis_matches_block_solve_oracle(algebra, lie, rep):
+    """The derived basis is the per-block solve's, element for element."""
+    for max_degree in range(3):
+        flat = flat_subspace(algebra, lie, rep, max_degree)
+        assert full_flat_basis(flat) == oracles.full_flat_basis(algebra, lie, rep, max_degree)
+    for k in range(3):
+        assert full_flat_basis(flat, degree=k) == \
+            oracles.full_flat_basis(algebra, lie, rep, 2, degree=k)
+
+
+def test_full_flat_basis_matches_oracle_on_so3_pair():
+    entries = {}
+    for off in (0, 3):
+        for (a, b, c), v in {(0, 1, 2): 1, (1, 2, 0): 1, (0, 2, 1): -1}.items():
+            entries[(a + off, b + off, c + off)] = Fraction(v)
+    lie = LieData(6, entries, form=BilinearForm(Matrix.identity(6)), name="so3^2")
+    rep = adjoint_rep(lie)
+    basis = full_flat_basis(flat_subspace("quantum", lie, rep, 0))
+    assert len(basis) == 64 * 2  # the commutant of so3+so3 adjoint is 2-dimensional
+    assert basis == oracles.full_flat_basis("quantum", lie, rep, 0)
+
+
+def test_curvature_with_a_clifford_term_is_caught(monkeypatch, capsys):
+    """A curvature with an x1 x2 term fails [C, x_a] = 0, in the solver
+    and in `weil flat`, which exits 1 with a message, not a traceback."""
+    curvature = qw.curvature
+    monkeypatch.setattr(qw, "curvature", lambda lie, rep: (
+        curvature(lie, rep) + qw.x_gen(lie, rep, 0) * qw.x_gen(lie, rep, 1)))
+    so3 = builtin("so3")
+    flat = flat_subspace("quantum", so3.lie, so3.reps["adjoint"], 0)
+    with pytest.raises(AssertionError, match="does not commute with odd generator 1"):
+        full_flat_basis(flat)
+    code = main(["flat", "--builtin", "so3", "--quantum", "--max-degree", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "internal consistency error: the curvature does not commute" in captured.err
+    assert "Traceback" not in captured.err
