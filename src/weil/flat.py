@@ -71,11 +71,10 @@ def element_coords(x) -> dict:
     """Sparse coordinates of an element: (monomial key, i, j) -> Fraction."""
     out = {}
     for key, mat in x.terms.items():
-        for i in range(mat.rows):
-            for j in range(mat.cols):
-                v = mat[i, j]
-                if v:
-                    out[(key, i, j)] = v
+        cols, den = mat.cols, mat.den
+        for k, v in enumerate(mat.num):
+            if v:
+                out[(key, k // cols, k % cols)] = Fraction(v, den)
     return out
 
 

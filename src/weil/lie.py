@@ -65,32 +65,38 @@ class LieData:
     # -- derived tables, built once on first use ---------------------------
 
     def _build(self):
+        """Tables of the nonzero constants, read off the stored entries.
+
+        Only a stored key or its swapped partner can give a nonzero f, so
+        the tables cost the number of entries, not n^3; rows keep the
+        index order of a dense scan.
+        """
         n = self.dim
-        bracket = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                row = [(c, q) for c in range(n) if (q := self.f(a, b, c))]
-                if row:
-                    bracket[(a, b)] = tuple(row)
-        # L_a g^c = -f^c_ab g^b: coefficient list per (a, c)
-        action = {}
-        for a in range(n):
-            for c in range(n):
-                row = [(b, -q) for b in range(n) if (q := self.f(a, b, c))]
-                if row:
-                    action[(a, c)] = tuple(row)
-        # d v^c = -f^c_jk y^j v^k and the -1/2 f^c_pq y^p y^q part of d y^c
-        dpairs = {}
-        for c in range(n):
-            row = []
-            for j in range(n):
-                for k in range(n):
-                    q = self.f(j, k, c)
-                    if q:
-                        row.append((j, k, -q))
-            if row:
-                dpairs[c] = tuple(row)
-        self._tables = (bracket, action, dpairs)
+        keys = set()
+        for a, b, c in self.entries:
+            if 0 <= a < n and 0 <= b < n and 0 <= c < n:
+                keys.add((a, b, c))
+                keys.add((b, a, c))
+        pairs, bracket, action, dpairs = {}, {}, {}, {}
+        for a, b, c in sorted(keys):
+            q = self.f(a, b, c)
+            if not q:
+                continue
+            pairs.setdefault((a, b), []).append((c, q))
+            if a < b:
+                bracket.setdefault((a, b), []).append((c, q))
+            # L_a g^c = -f^c_ab g^b: coefficient list per (a, c)
+            action.setdefault((a, c), []).append((b, -q))
+            # d v^c = -f^c_jk y^j v^k and the -1/2 f^c_pq y^p y^q part of d y^c
+            dpairs.setdefault(c, []).append((a, b, -q))
+        self._tables = tuple({k: tuple(v) for k, v in t.items()}
+                             for t in (bracket, action, dpairs, pairs))
+
+    def pair_brackets(self) -> dict:
+        """Nonzero (c, f^c_ab) pairs for every ordered pair (a, b) in range."""
+        if self._tables is None:
+            self._build()
+        return self._tables[3]
 
     def bracket(self, a, b):
         """Nonzero (c, f^c_ab) pairs for a < b."""
@@ -179,21 +185,22 @@ def validate_lie(lie: LieData) -> ValidationReport:
             seen.add((b, a, c))
     if not rep.ok:
         return rep
+    # f is antisymmetric from here on; the Jacobi sum at (a, b, c) runs
+    # over the nonzero f^m_ab f^d_mc (and cyclic) only
+    brackets = lie.pair_brackets()
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                for d in range(n):
-                    s = Fraction(0)
-                    for m in range(n):
-                        s += (
-                            lie.f(a, b, m) * lie.f(m, c, d)
-                            + lie.f(b, c, m) * lie.f(m, a, d)
-                            + lie.f(c, a, m) * lie.f(m, b, d)
-                        )
-                    if s != 0:
+                sums = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for m, q in brackets.get((x, y), ()):
+                        for d, r in brackets.get((m, z), ()):
+                            sums[d] = sums.get(d, 0) + q * r
+                for d in sorted(sums):
+                    if sums[d] != 0:
                         rep.add(
                             f"jacobi violation at ({a + 1},{b + 1},{c + 1}) "
-                            f"target {d + 1}: sum = {s}"
+                            f"target {d + 1}: sum = {sums[d]}"
                         )
     return rep
 
@@ -210,14 +217,27 @@ def validate_form(lie: LieData, form: BilinearForm) -> FormReport:
         rep.add("form is not symmetric")
     if rank(B) != n:
         rep.add("form is degenerate")
+    # invariance at (a, b, d): sum_c f^c_ab B_cd + f^c_ad B_bc, over the
+    # nonzero f only; nothing to sum for an a with no nonzero bracket
+    brackets = lie.pair_brackets()
+    Bq = B.entries
     for a in range(n):
+        row_a = [(d, brackets[(a, d)]) for d in range(n) if (a, d) in brackets]
+        if not row_a:
+            continue
         for b in range(n):
-            for d in range(n):
-                s = Fraction(0)
-                for c in range(n):
-                    s += lie.f(a, b, c) * B[c, d] + lie.f(a, d, c) * B[b, c]
-                if s != 0:
-                    rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {s}")
+            sums = {}
+            for c, q in brackets.get((a, b), ()):
+                for d in range(n):
+                    if w := Bq[c * n + d]:
+                        sums[d] = sums.get(d, 0) + q * w
+            for d, pairs in row_a:
+                for c, q in pairs:
+                    if w := Bq[b * n + c]:
+                        sums[d] = sums.get(d, 0) + q * w
+            for d in sorted(sums):
+                if sums[d] != 0:
+                    rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {sums[d]}")
     rep.orthonormal = form.is_orthonormal
     return rep
 
@@ -249,10 +269,11 @@ def validate_rep(lie: LieData, rep: RepData) -> ValidationReport:
 def adjoint_rep(lie: LieData) -> RepData:
     """Matrices of ad on the basis: (tau_a)_cb = f^c_ab."""
     n = lie.dim
-    mats = []
-    for a in range(n):
-        mats.append(Matrix(n, n, [lie.f(a, b, c) for c in range(n) for b in range(n)]))
-    return RepData("adjoint", tuple(mats))
+    ents = [[0] * (n * n) for _ in range(n)]
+    for (a, b), pairs in lie.pair_brackets().items():
+        for c, q in pairs:
+            ents[a][c * n + b] = q
+    return RepData("adjoint", tuple(Matrix(n, n, e) for e in ents))
 
 
 @lru_cache(maxsize=None)
@@ -281,6 +302,11 @@ class AlgebraDef:
 
 _ABELIAN = re.compile(r"abelian\((\d+)\)$")
 
+# largest Lie algebra dimension accepted from a file or as abelian(n):
+# checking the adjoint representation costs n^2 commutators of n x n
+# matrices, about 0.5 s at this size
+MAX_DIM = 48
+
 
 def builtin_names():
     return ("abelian(n)", "heisenberg3", "so3", "sl2")
@@ -291,8 +317,8 @@ def builtin(name: str) -> AlgebraDef:
     m = _ABELIAN.match(name.strip())
     if m:
         n = int(m.group(1))
-        if n < 1:
-            raise ValueError("abelian(n) needs n >= 1")
+        if not 1 <= n <= MAX_DIM:
+            raise ValueError(f"abelian(n) needs 1 <= n <= {MAX_DIM}")
         lie = LieData(n, {}, form=BilinearForm(Matrix.identity(n)), name=name)
         reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
         return AlgebraDef(name, lie, reps)
@@ -357,13 +383,15 @@ def load_algebra_file(path) -> AlgebraDef:
     constants are 1-based, only a < b entries are allowed, and the
     antisymmetric partners are synthesized.  The trivial and adjoint
     representations are always available.  A malformed file (true or
-    false count as no integer) raises ValueError naming a JSON path.
+    false count as no integer), a `dim` above MAX_DIM or an entry that
+    is not a plain "p/q" raises ValueError naming a JSON path.
     """
     with open(path) as fh:
         data = json.load(fh)
     _expect(isinstance(data, dict), "$", "an object")
     n = data.get("dim")
     _expect(type(n) is int and n >= 1, "$.dim", "a positive integer")
+    _expect(n <= MAX_DIM, "$.dim", f"at most {MAX_DIM}, got {n}")
     f = data.get("f", [])
     _expect(isinstance(f, list), "$.f", "a list")
     entries = {}

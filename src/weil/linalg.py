@@ -1,28 +1,53 @@
 """Exact rational scalars, dense matrices, and kernel computation.
 
 Scalars are `fractions.Fraction`: arbitrary precision, always in lowest
-terms, positive denominator.  Matrices are immutable dense grids of them
-with entrywise equality.  The nullspace routine runs a fraction-free
-elimination with a fixed pivot rule (leftmost nonzero column, lowest row
+terms, positive denominator.  A `Matrix` is an immutable dense grid of
+rationals stored as a tuple `num` of integer numerators, row by row,
+over one positive common denominator `den`; entry (i, j) is
+num[i * cols + j] / den.  The pair is kept canonical: gcd(den, *num) is
+1, so the zero matrix has den 1.  Every rational matrix has exactly one
+such form, which is why equality and hashing compare the plain tuples
+and stay exact: matrices equal over Q compare and hash equal, however
+they were built.  Sums, differences, products and scalar multiples run
+in integer arithmetic and reduce to the canonical form once per result;
+entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
+`scalar_value`).
+
+The nullspace routine runs a fraction-free elimination on the
+numerators with a fixed pivot rule (leftmost nonzero column, lowest row
 index) so every result is reproducible bit for bit.
 
 Dimensions stay tiny here (endomorphism spaces of small representations,
-truncated monomial bases), so there is deliberately no sparse machinery.
+truncated monomial bases), so storage is dense; the product only skips
+zero weights and zero rows, which the representation matrices are full of.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 Scalar = Fraction
 
-_MINUS = "−"  # typographic minus, accepted on input
+# an optional minus sign (ASCII or typographic), digits, optional /digits;
+# each part at most 1,000 digits, so a file entry has a bounded size
+_SCALAR = re.compile(r"([-−]?)([0-9]{1,1000})(?:/([0-9]{1,1000}))?")
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p", with an optional leading minus sign."""
-    return Fraction(text.strip().replace(_MINUS, "-"))
+    """Parse "p/q" or "p", with an optional leading minus sign.
+
+    Nothing else is accepted: no exponents, decimal points, underscores
+    or plus sign.  A zero denominator raises ZeroDivisionError.
+    """
+    text = text.strip()
+    m = _SCALAR.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a 'p/q' scalar: {text[:40]!r}")
+    q = Fraction(int(m[2]), int(m[3] or 1))
+    return -q if m[1] else q
 
 
 def format_scalar(q) -> str:
@@ -33,31 +58,48 @@ def format_scalar(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _frac(n, den):
+    return Fraction(n) if den == 1 else Fraction(n, den)
 
 
 class Matrix:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Q: integer numerators `num` (row by
+    row) over one positive common denominator `den`, in canonical form."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+        entries = [e if type(e) is int or type(e) is Fraction else Fraction(e)
+                   for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        # the lcm of lowest-terms denominators leaves no common factor
+        den = lcm(*{e.denominator for e in entries if type(e) is Fraction})
+        self.num = tuple([e * den if type(e) is int else e.numerator * (den // e.denominator)
+                          for e in entries])
+        self.den = den
 
     @classmethod
-    def _make(cls, rows, cols, entries):
-        """Trusted constructor: entries must already be a Fraction tuple."""
+    def _make(cls, rows, cols, num, den):
+        """Trusted constructor: (num, den) must already be canonical."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.num = num
+        m.den = den
         return m
+
+    @classmethod
+    def _canonical(cls, rows, cols, num, den):
+        """Reduce integer numerators `num` over den > 0 to canonical form."""
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        return cls._make(rows, cols, tuple(num), den)
 
     @classmethod
     def from_rows(cls, rows) -> Matrix:
@@ -69,18 +111,25 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols) -> Matrix:
-        return cls._make(rows, cols, (_ZERO,) * (rows * cols))
+        return cls._make(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def identity(cls, n) -> Matrix:
         return _cached_identity(n)
 
+    @property
+    def entries(self) -> tuple:
+        """The entries as Fractions, row by row."""
+        den = self.den
+        return tuple(_frac(n, den) for n in self.num)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return _frac(self.num[i * self.cols + j], self.den)
 
     def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        den = self.den
+        return tuple(_frac(n, den) for n in self.num[i * self.cols : (i + 1) * self.cols])
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -91,18 +140,27 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Entrywise op (add or sub) over the common denominator."""
         self._check_same_shape(other)
-        return Matrix._make(self.rows, self.cols,
-                            tuple(a + b for a, b in zip(self.entries, other.entries)))
+        da, db = self.den, other.den
+        if da == db:
+            num = list(map(op, self.num, other.num))
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            num = list(map(op, [a * ma for a in self.num], [b * mb for b in other.num]))
+            da *= ma
+        return Matrix._canonical(self.rows, self.cols, num, da)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix._make(self.rows, self.cols,
-                            tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return Matrix._make(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._make(self.rows, self.cols, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -110,30 +168,42 @@ class Matrix:
                 raise ValueError(
                     f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
-            n, m, k = self.rows, other.cols, self.cols
-            a, b = self.entries, other.entries
-            out = []
-            for i in range(n):
-                arow = [(t, v) for t, v in enumerate(a[i * k : (i + 1) * k]) if v]
-                if not arow:
-                    out.extend([_ZERO] * m)
-                    continue
-                for j in range(m):
-                    s = _ZERO
-                    for t, v in arow:
-                        w = b[t * m + j]
-                        if w:
-                            s = s + v * w
-                    out.append(s)
-            return Matrix._make(n, m, tuple(out))
+            # row i of the product combines the rows t of `other` with
+            # weights a[i, t], skipping zero weights and zero rows
+            k, m = self.cols, other.cols
+            a, b = self.num, other.num
+            brows = [b[t * m:(t + 1) * m] for t in range(k)]
+            live = [t for t in range(k) if any(brows[t])]
+            zero = (0,) * m
+            num = []
+            for i in range(0, self.rows * k, k):
+                acc = None
+                for t in live:
+                    v = a[i + t]
+                    if v:
+                        if acc is None:
+                            acc = [v * x for x in brows[t]]
+                        else:
+                            acc = [x + v * y for x, y in zip(acc, brows[t])]
+                num.extend(zero if acc is None else acc)
+            return Matrix._canonical(self.rows, m, num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            q = other if type(other) is Fraction else Fraction(other)
-            if q == 1:
-                return self
-            if q == -1:
-                return -self
-            return Matrix._make(self.rows, self.cols,
-                                tuple(a * q if a else _ZERO for a in self.entries))
+            p, r = other.numerator, other.denominator
+            if r == 1:
+                if p == 1:
+                    return self
+                if p == -1:
+                    return -self
+                if p == 0:
+                    return Matrix.zeros(self.rows, self.cols)
+                # gcd(den, *num) = 1: gcd(den, p) is all the product can cancel
+                g = gcd(self.den, p)
+                if g != 1:
+                    p //= g
+                return Matrix._make(self.rows, self.cols,
+                                    tuple([a * p for a in self.num]), self.den // g)
+            return Matrix._canonical(self.rows, self.cols,
+                                     [a * p for a in self.num], self.den * r)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -149,20 +219,21 @@ class Matrix:
         return self * other - other * self
 
     def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        c = self.cols
+        num = tuple(x for j in range(c) for x in self.num[j::c])
+        return Matrix._make(c, self.rows, num, self.den)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+        return _frac(sum(self.num[:: self.cols + 1]), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero
+        return any(self.num)
 
     @property
     def is_identity(self) -> bool:
@@ -170,22 +241,25 @@ class Matrix:
 
     def scalar_value(self):
         """Return c if this matrix equals c * identity, else None."""
-        if self.rows != self.cols or self.rows == 0:
+        n = self.rows
+        if n != self.cols or n == 0:
             return None
-        c = self[0, 0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self[i, j] != (c if i == j else 0):
+        num = self.num
+        c = num[0]
+        for i in range(n):
+            for j in range(n):
+                if num[i * n + j] != (c if i == j else 0):
                     return None
-        return c
+        return _frac(c, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.den, self.num) == (
+            other.rows, other.cols, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def render(self) -> str:
         rows = ",".join(
@@ -201,9 +275,7 @@ class Matrix:
 def _cached_identity(n):
     m = _IDENTITY_CACHE.get(n)
     if m is None:
-        m = Matrix._make(
-            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
-        )
+        m = Matrix._make(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
         _IDENTITY_CACHE[n] = m
     return m
 
@@ -212,15 +284,9 @@ _IDENTITY_CACHE: dict = {}
 
 
 def _integer_rows(m: Matrix):
-    """Copy of m with each row scaled to integers (kernel unchanged)."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for e in row:
-            den = lcm(den, e.denominator)
-        out.append([int(e * den) for e in row])
-    return out
+    """The numerator rows of m: m scaled by its denominator (kernel unchanged)."""
+    c = m.cols
+    return [list(m.num[i:i + c]) for i in range(0, m.rows * c, c)]
 
 
 def _echelon(rows):

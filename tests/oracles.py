@@ -6,6 +6,14 @@ Clifford routines take a general symmetric form B, and the PBW routine
 straightens a whole letter word with either of two rewriting strategies.
 `full_flat_basis` is the per-index-block flat solve that `weil.flat`
 used before it derived the full flat basis from the horizontal one.
+`FractionMatrix` is the `weil.linalg.Matrix` that stored one Fraction
+per entry, before numerators moved over one common denominator; with it
+go the row conversion and the rank/nullspace entry points it fed to the
+shared elimination `_echelon`.  `dense_validate_lie` and
+`dense_validate_form` are `weil.lie`'s validators before the Jacobi and
+invariance sums ran over the nonzero structure constants only;
+`dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
+the adjoint representation by scanning every index triple.
 They are kept unchanged so that the fast code can be tested against an
 obvious, independently written reference.
 """
@@ -14,11 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from weil import ALGEBRAS
 from weil.flat import (_flat_op, _index_monomials, _kernel, _level_monomials,
                        element_coords, monomials_up_to)
-from weil.linalg import Matrix
+from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
+from weil.linalg import Matrix, _echelon, format_scalar, rank
 from weil.kernels import add_term, pbw_word
 
 
@@ -159,3 +169,333 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
                     raise AssertionError("curvature bracket left its index block")
         basis.extend(_kernel(domain, [element_coords(im) for im in images]))
     return basis
+
+
+# -- End V matrices with one Fraction per entry -------------------------------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class FractionMatrix:
+    """Immutable dense matrix over Fraction."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries):
+        entries = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def _make(cls, rows, cols, entries):
+        """Trusted constructor: entries must already be a Fraction tuple."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
+    def from_rows(cls, rows) -> FractionMatrix:
+        nr = len(rows)
+        nc = len(rows[0]) if nr else 0
+        if any(len(r) != nc for r in rows):
+            raise ValueError("ragged rows")
+        return cls(nr, nc, [e for r in rows for e in r])
+
+    @classmethod
+    def zeros(cls, rows, cols) -> FractionMatrix:
+        return cls._make(rows, cols, (_ZERO,) * (rows * cols))
+
+    @classmethod
+    def identity(cls, n) -> FractionMatrix:
+        return _cached_fraction_identity(n)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i):
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def to_rows(self):
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def _check_same_shape(self, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError(
+                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            )
+
+    def __add__(self, other):
+        self._check_same_shape(other)
+        return FractionMatrix._make(self.rows, self.cols,
+                            tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other):
+        self._check_same_shape(other)
+        return FractionMatrix._make(self.rows, self.cols,
+                            tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def __neg__(self):
+        return FractionMatrix._make(self.rows, self.cols, tuple(-a for a in self.entries))
+
+    def __mul__(self, other):
+        if isinstance(other, FractionMatrix):
+            if self.cols != other.rows:
+                raise ValueError(
+                    f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
+                )
+            n, m, k = self.rows, other.cols, self.cols
+            a, b = self.entries, other.entries
+            out = []
+            for i in range(n):
+                arow = [(t, v) for t, v in enumerate(a[i * k : (i + 1) * k]) if v]
+                if not arow:
+                    out.extend([_ZERO] * m)
+                    continue
+                for j in range(m):
+                    s = _ZERO
+                    for t, v in arow:
+                        w = b[t * m + j]
+                        if w:
+                            s = s + v * w
+                    out.append(s)
+            return FractionMatrix._make(n, m, tuple(out))
+        if isinstance(other, (int, Fraction)):
+            q = other if type(other) is Fraction else Fraction(other)
+            if q == 1:
+                return self
+            if q == -1:
+                return -self
+            return FractionMatrix._make(self.rows, self.cols,
+                                tuple(a * q if a else _ZERO for a in self.entries))
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def commutator(self, other) -> FractionMatrix:
+        """ab - ba; both matrices must be square of the same size."""
+        if self.rows != self.cols or other.rows != other.cols:
+            raise ValueError("commutator needs square matrices")
+        self._check_same_shape(other)
+        return self * other - other * self
+
+    def transpose(self) -> FractionMatrix:
+        return FractionMatrix(self.cols, self.rows,
+                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("trace needs a square matrix")
+        return sum((self[i, i] for i in range(self.rows)), Fraction(0))
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e == 0 for e in self.entries)
+
+    def __bool__(self):
+        return not self.is_zero
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and self == FractionMatrix.identity(self.rows)
+
+    def scalar_value(self):
+        """Return c if this matrix equals c * identity, else None."""
+        if self.rows != self.cols or self.rows == 0:
+            return None
+        c = self[0, 0]
+        for i in range(self.rows):
+            for j in range(self.cols):
+                if self[i, j] != (c if i == j else 0):
+                    return None
+        return c
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def render(self) -> str:
+        rows = ",".join(
+            "[" + ",".join(format_scalar(e) for e in self.row(i)) + "]"
+            for i in range(self.rows)
+        )
+        return "[" + rows + "]"
+
+    def __repr__(self):
+        return f"FractionMatrix({self.rows}x{self.cols} {self.render()})"
+
+
+def _cached_fraction_identity(n):
+    m = _FRACTION_IDENTITY_CACHE.get(n)
+    if m is None:
+        m = FractionMatrix._make(
+            n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n))
+        )
+        _FRACTION_IDENTITY_CACHE[n] = m
+    return m
+
+
+_FRACTION_IDENTITY_CACHE: dict = {}
+
+
+def _fraction_integer_rows(m: FractionMatrix):
+    """Copy of m with each row scaled to integers (kernel unchanged)."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = 1
+        for e in row:
+            den = lcm(den, e.denominator)
+        out.append([int(e * den) for e in row])
+    return out
+
+
+def fraction_rank(m: FractionMatrix) -> int:
+    return len(_echelon(_fraction_integer_rows(m)))
+
+
+def fraction_nullspace(m: FractionMatrix) -> list[FractionMatrix]:
+    """Exact basis of the right kernel, one column vector per free column.
+
+    Each vector has its free variable set to 1; the basis is ordered by
+    free column index, so the output is deterministic.
+    """
+    rows = _fraction_integer_rows(m)
+    pivots = _echelon(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for k in range(len(pivots) - 1, -1, -1):
+            pc = pivots[k]
+            row = rows[k]
+            s = Fraction(0)
+            for j in range(pc + 1, m.cols):
+                if row[j] and v[j]:
+                    s += Fraction(row[j]) * v[j]
+            v[pc] = -s / row[pc]
+        basis.append(FractionMatrix(m.cols, 1, v))
+    return basis
+
+
+# -- Lie data validation with dense index loops ---------------------------------
+
+def dense_validate_lie(lie: LieData) -> ValidationReport:
+    """Check antisymmetry of stored entries and the Jacobi identity."""
+    rep = ValidationReport("lie algebra" + (f" {lie.name}" if lie.name else ""))
+    n = lie.dim
+    for (a, b, c), v in sorted(lie.entries.items()):
+        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
+            rep.add(f"index out of range at ({a + 1},{b + 1},{c + 1})")
+        elif a == b and v != 0:
+            rep.add(f"antisymmetry violation at ({a + 1},{b + 1},{c + 1}): f^c_aa must vanish")
+    seen = set()
+    for (a, b, c) in sorted(lie.entries):
+        if a == b or (a, b, c) in seen:
+            continue
+        other = lie.entries.get((b, a, c))
+        if other is not None and lie.entries[(a, b, c)] + other != 0:
+            key = (a, b, c) if a < b else (b, a, c)
+            rep.add(
+                f"antisymmetry violation at ({key[0] + 1},{key[1] + 1},{key[2] + 1}): "
+                f"f^c_ab + f^c_ba != 0"
+            )
+            seen.add((a, b, c))
+            seen.add((b, a, c))
+    if not rep.ok:
+        return rep
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                for d in range(n):
+                    s = Fraction(0)
+                    for m in range(n):
+                        s += (
+                            lie.f(a, b, m) * lie.f(m, c, d)
+                            + lie.f(b, c, m) * lie.f(m, a, d)
+                            + lie.f(c, a, m) * lie.f(m, b, d)
+                        )
+                    if s != 0:
+                        rep.add(
+                            f"jacobi violation at ({a + 1},{b + 1},{c + 1}) "
+                            f"target {d + 1}: sum = {s}"
+                        )
+    return rep
+
+
+def dense_validate_form(lie: LieData, form: BilinearForm) -> FormReport:
+    """Check symmetry, invertibility, and invariance; flag B = identity."""
+    rep = FormReport("bilinear form")
+    B = form.matrix
+    n = lie.dim
+    if B.rows != n or B.cols != n:
+        rep.add(f"form is {B.rows}x{B.cols}, expected {n}x{n}")
+        return rep
+    if B != B.transpose():
+        rep.add("form is not symmetric")
+    if rank(B) != n:
+        rep.add("form is degenerate")
+    for a in range(n):
+        for b in range(n):
+            for d in range(n):
+                s = Fraction(0)
+                for c in range(n):
+                    s += lie.f(a, b, c) * B[c, d] + lie.f(a, d, c) * B[b, c]
+                if s != 0:
+                    rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {s}")
+    rep.orthonormal = form.is_orthonormal
+    return rep
+
+
+def dense_lie_tables(lie):
+    """(bracket, action, dpairs) tables of `LieData`, by dense index loops."""
+    n = lie.dim
+    bracket = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            row = [(c, q) for c in range(n) if (q := lie.f(a, b, c))]
+            if row:
+                bracket[(a, b)] = tuple(row)
+    # L_a g^c = -f^c_ab g^b: coefficient list per (a, c)
+    action = {}
+    for a in range(n):
+        for c in range(n):
+            row = [(b, -q) for b in range(n) if (q := lie.f(a, b, c))]
+            if row:
+                action[(a, c)] = tuple(row)
+    # d v^c = -f^c_jk y^j v^k and the -1/2 f^c_pq y^p y^q part of d y^c
+    dpairs = {}
+    for c in range(n):
+        row = []
+        for j in range(n):
+            for k in range(n):
+                q = lie.f(j, k, c)
+                if q:
+                    row.append((j, k, -q))
+        if row:
+            dpairs[c] = tuple(row)
+    return bracket, action, dpairs
+
+
+def dense_adjoint_rep(lie: LieData) -> RepData:
+    """Matrices of ad on the basis: (tau_a)_cb = f^c_ab."""
+    n = lie.dim
+    mats = []
+    for a in range(n):
+        mats.append(Matrix(n, n, [lie.f(a, b, c) for c in range(n) for b in range(n)]))
+    return RepData("adjoint", tuple(mats))

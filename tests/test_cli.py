@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from weil import cli
 from weil.cli import main
+from weil.lie import MAX_DIM
 
 SO3_FILE = """
 {
@@ -259,3 +261,47 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     code, out, err = run(["check", "--builtin", "so3"], capsys)
     assert code == 3 and out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("value", ["1e400", "0.5", "1_0"])
+def test_validate_rejects_entries_that_are_not_p_over_q(tmp_path, capsys, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "f": [[1, 2, 3, "1"], [2, 3, 1, value]]}))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot load {path}: $.f[1][3]: expected an integer "
+                          f"or a 'p/q' string, got '{value}'"), err
+
+
+def _so3_blocks_file(path, n):
+    """so3 blocks, then abelian summands up to dimension n; B = I."""
+    f = []
+    for o in range(1, n - 1, 3):
+        f += [[o, o + 1, o + 2, "1"], [o + 1, o + 2, o, "1"], [o, o + 2, o + 1, "-1"]]
+    path.write_text(json.dumps({"dim": n, "f": f,
+                                "B": [[int(i == j) for j in range(n)] for i in range(n)]}))
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["abelian", "so3-blocks"])
+def test_validate_at_the_dim_cap_is_fast(tmp_path, capsys, blocks):
+    path = tmp_path / "cap.json"
+    if blocks:
+        _so3_blocks_file(path, MAX_DIM)
+    else:
+        path.write_text(json.dumps({"dim": MAX_DIM}))
+    start = time.perf_counter()
+    code, out, _ = run(["validate", str(path)], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and "ok    representation adjoint" in out
+    assert elapsed < 2.0, f"validate at dim {MAX_DIM} took {elapsed:.2f} s"
+
+
+def test_dim_above_the_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    _so3_blocks_file(path, MAX_DIM + 1)
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot load {path}: $.dim: expected at most {MAX_DIM}, "
+                          f"got {MAX_DIM + 1}"), err
+    code, out, err = run(["validate", "--builtin", f"abelian({MAX_DIM + 1})"], capsys)
+    assert code == 2 and out == "" and "abelian(n) needs" in err

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weil.lie import (
     BilinearForm,
@@ -216,3 +219,66 @@ def test_file_loader_rejects_duplicates(tmp_path):
     path.write_text('{"dim": 3, "f": [[1, 2, 3, "1"], [1, 2, 3, "2"]]}')
     with pytest.raises(ValueError, match="duplicate"):
         load_algebra_file(path)
+
+
+# -- sparse validation and tables against the dense index loops -------------
+
+constants = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+
+
+@st.composite
+def lie_data(draw):
+    """Small structure-constant tables, Lie algebras or not.  Most list
+    only a < b keys, as the loader does, so that the Jacobi sums run; the
+    rest mix in both orientations and repeated or out-of-range indices."""
+    n = draw(st.sampled_from([1, 2, 3, 3, 4, 4]))
+    index = st.integers(0, n - 1)
+    if draw(st.sampled_from([True, True, True, False])):
+        triples = st.tuples(index, index, index).filter(lambda t: t[0] < t[1])
+    else:
+        index = index | st.integers(-1, n)
+        triples = st.tuples(index, index, index)
+    keys = draw(st.lists(triples, min_size=1, max_size=8, unique=True))
+    lie = LieData(n, {k: draw(constants) for k in keys})
+    size = draw(st.sampled_from([n, n, n + 1]))
+    entries = draw(st.lists(st.integers(-1, 2), min_size=size * size, max_size=size * size))
+    return lie, BilinearForm(Matrix(size, size, entries))
+
+
+VALID_ALGEBRAS = [builtin(name).lie for name in ("abelian(3)", "heisenberg3", "so3", "sl2")]
+
+
+def _same_validation(lie, form):
+    sparse, dense = validate_lie(lie), oracles.dense_validate_lie(lie)
+    assert (sparse.subject, sparse.violations) == (dense.subject, dense.violations)
+    sparse, dense = validate_form(lie, form), oracles.dense_validate_form(lie, form)
+    assert sparse.violations == dense.violations
+    assert sparse.orthonormal == dense.orthonormal
+
+
+def _same_tables(lie):
+    bracket, action, dpairs = oracles.dense_lie_tables(lie)
+    n = lie.dim
+    for a in range(n):
+        assert lie.diff_pairs(a) == dpairs.get(a, ())
+        for b in range(n):
+            assert lie.bracket(a, b) == bracket.get((a, b), ())
+            assert lie.lie_action(a, b) == action.get((a, b), ())
+    assert adjoint_rep(lie).matrices == oracles.dense_adjoint_rep(lie).matrices
+
+
+@given(lie_data())
+@settings(max_examples=150)
+def test_sparse_validation_matches_dense_oracle(data):
+    lie, form = data
+    _same_validation(lie, form)
+    _same_tables(lie)
+
+
+@pytest.mark.parametrize("lie", VALID_ALGEBRAS, ids=lambda lie: lie.name)
+def test_sparse_validation_matches_dense_oracle_on_builtins(lie):
+    n = lie.dim
+    for form in (BilinearForm(Matrix.identity(n)), BilinearForm(Matrix.identity(n) * 2),
+                 BilinearForm(Matrix(n, n, [(i * 7 + 3) % 5 - 2 for i in range(n * n)]))):
+        _same_validation(lie, form)
+    _same_tables(lie)
