@@ -128,6 +128,8 @@ def _quiet_valid(alg, rep) -> bool:
 
 
 def cmd_eval(args) -> int:
+    if args.expression is None:
+        raise UsageError("an expression is required")
     alg, context, rep = _session(args)
     if not _quiet_valid(alg, rep):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate an expression to normal form")
     add_algebra_flags(p_eval)
     add_session_flags(p_eval)
-    p_eval.add_argument("expression", help="expression, e.g. 'd(C)' or 'comm(QC, u1)'")
+    p_eval.add_argument("expression", nargs="?",
+                        help="expression, e.g. 'd(C)', 'comm(QC, u1)' or '-u1'")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_flat = sub.add_parser("flat", help="basic/flat subspace tables up to a degree")
@@ -293,7 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse sets an argument that starts with '-' aside as an unknown
+        # option; `weil eval` prints negative elements that way ("-u1")
+        if getattr(args, "expression", "") is None and len(extra) == 1 \
+                and not extra[0].startswith("--"):
+            args.expression = extra.pop()
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other exits
         return int(exc.code) if exc.code else EXIT_OK

@@ -36,14 +36,6 @@ def sym_mono_mul(m1, m2):
     return tuple(x + y for x, y in zip(m1, m2))
 
 
-def mul_sym(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            add_term(out, sym_mono_mul(m1, m2), c1 * c2)
-    return out
-
-
 # -- exterior algebra ------------------------------------------------------
 
 def ext_normalize(word):
@@ -69,19 +61,6 @@ def ext_mono_mul(m1, m2):
     return ext_normalize(m1 + m2)
 
 
-def mul_ext(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            r = ext_mono_mul(m1, m2)
-            if r is None:
-                continue
-            sign, m = r
-            c = c1 * c2
-            add_term(out, m, c if sign > 0 else -c)
-    return out
-
-
 # -- Clifford algebra ------------------------------------------------------
 
 @lru_cache(maxsize=1 << 16)
@@ -97,15 +76,6 @@ def cliff_mono_mul(m1, m2):
     s1, s2 = set(m1), set(m2)
     q = Fraction(1, 1 << len(s1 & s2))
     return tuple(sorted(s1 ^ s2)), (-q if swaps & 1 else q)
-
-
-def mul_clifford(a: dict, b: dict) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m, q = cliff_mono_mul(m1, m2)
-            add_term(out, m, c1 * c2 * q)
-    return out
 
 
 # -- universal enveloping algebra ------------------------------------------
@@ -155,13 +125,3 @@ def pbw_mono_mul(m1, m2, lie):
                 add_term(nxt, m3, c * q)
         terms = nxt
     return tuple(sorted(terms.items()))
-
-
-def mul_pbw(a: dict, b: dict, lie) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            c = c1 * c2
-            for m, q in pbw_mono_mul(m1, m2, lie):
-                add_term(out, m, c * q)
-    return out

@@ -133,6 +133,10 @@ class RepData:
         return self.matrices[0].rows if self.matrices else 0
 
 
+# violations a report prints; the rest are counted, and all stay in `violations`
+MAX_LISTED = 20
+
+
 @dataclass
 class ValidationReport:
     subject: str
@@ -149,7 +153,9 @@ class ValidationReport:
         if self.ok:
             return [f"ok    {self.subject}"]
         out = [f"FAIL  {self.subject}"]
-        out.extend(f"      {v}" for v in self.violations)
+        out.extend(f"      {v}" for v in self.violations[:MAX_LISTED])
+        if len(self.violations) > MAX_LISTED:
+            out.append(f"      … and {len(self.violations) - MAX_LISTED} more")
         return out
 
     def __str__(self):

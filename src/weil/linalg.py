@@ -131,9 +131,6 @@ class Matrix:
         den = self.den
         return tuple(_frac(n, den) for n in self.num[i * self.cols : (i + 1) * self.cols])
 
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(

@@ -48,7 +48,10 @@ class QuantumElement(element.Element):
 
     def _mono_mul(self, k1, k2):
         cm, cq = cliff_mono_mul(k1[1], k2[1])
-        return [((pm, cm), pq * cq) for pm, pq in pbw_mono_mul(k1[0], k2[0], self.lie)]
+        pbw = pbw_mono_mul(k1[0], k2[0], self.lie)
+        if cq == 1:  # no Clifford contraction or sign: most products
+            return [((pm, cm), pq) for pm, pq in pbw]
+        return [((pm, cm), pq * cq) for pm, pq in pbw]
 
 
 Element = QuantumElement

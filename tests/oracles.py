@@ -5,7 +5,12 @@ closed-form Clifford product and memoized PBW left multiplication: the
 Clifford routines take a general symmetric form B, and the PBW routine
 straightens a whole letter word with either of two rewriting strategies.
 `full_flat_basis` is the per-index-block flat solve that `weil.flat`
-used before it derived the full flat basis from the horizontal one.
+used before it derived the full flat basis from the horizontal one;
+`derived_full_flat_basis` is that derived basis as `weil.flat` built it
+before its reports stopped building it.  `rebracket_decomposition_report`
+and `list_closure_report` are those reports: the first brackets each of
+the 2^n dim derived vectors again, the second draws its samples from the
+built list.
 `FractionMatrix` is the `weil.linalg.Matrix` that stored one Fraction
 per entry, before numerators moved over one common denominator; with it
 go the row conversion and the rank/nullspace entry points it fed to the
@@ -14,22 +19,78 @@ shared elimination `_echelon`.  `dense_validate_lie` and
 invariance sums ran over the nonzero structure constants only;
 `dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
 the adjoint representation by scanning every index triple.
+`sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
+multiply whole polynomials (dicts monomial -> coefficient) term by term
+through `weil.kernels`' monomial products, and `matrix_rows` lists the
+rows of a `weil.linalg.Matrix`; `weil` itself never needs them.
 They are kept unchanged so that the fast code can be tested against an
 obvious, independently written reference.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
 from weil import ALGEBRAS
-from weil.flat import (_flat_op, _index_monomials, _kernel, _level_monomials,
-                       element_coords, monomials_up_to)
+from weil.flat import (_flat_op, _kernel, _level_monomials, _max_poly_degree,
+                       _odd_premise_failure, element_coords, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, _echelon, format_scalar, rank
-from weil.kernels import add_term, pbw_word
+from weil.kernels import (add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
+                          ext_mono_mul, pbw_mono_mul as cached_pbw_mono_mul, pbw_word,
+                          sym_mono_mul)
+
+
+# -- polynomial products on the kernels' monomial products --------------------
+
+def sym_poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            add_term(out, sym_mono_mul(m1, m2), c1 * c2)
+    return out
+
+
+def ext_poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            r = ext_mono_mul(m1, m2)
+            if r is None:
+                continue
+            sign, m = r
+            c = c1 * c2
+            add_term(out, m, c if sign > 0 else -c)
+    return out
+
+
+def cliff_poly_mul(a: dict, b: dict) -> dict:
+    """Product in the Clifford algebra of the orthonormal form B = I."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m, q = orthonormal_cliff_mono_mul(m1, m2)
+            add_term(out, m, c1 * c2 * q)
+    return out
+
+
+def pbw_poly_mul(a: dict, b: dict, lie) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            c = c1 * c2
+            for m, q in cached_pbw_mono_mul(m1, m2, lie):
+                add_term(out, m, c * q)
+    return out
+
+
+def matrix_rows(m: Matrix):
+    """The rows of a `weil.linalg.Matrix` as lists of Fractions."""
+    return [list(m.row(i)) for i in range(m.rows)]
 
 
 # -- Clifford algebra ------------------------------------------------------
@@ -133,6 +194,33 @@ def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
 
 # -- full flat basis ----------------------------------------------------------
 
+def index_monomials(n):
+    """All strictly increasing index tuples: the exterior / Clifford basis."""
+    out = []
+    for size in range(n + 1):
+        out.extend(combinations(range(n), size))
+    return out
+
+
+def derived_full_flat_basis(flat, degree=None):
+    """The flat basis of the full truncated algebra, exterior / Clifford
+    factors included: x_I h for every index monomial I and every vector
+    h of the `flat_subspace` result `flat`, derived as the `weil.flat`
+    docstring proves once [C, x_a] = 0 is checked here.  `degree`
+    restricts it to that level: one symmetric degree classically,
+    degree <= `degree` quantum-side.
+    """
+    bad = _odd_premise_failure(flat)
+    if bad is not None:
+        raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
+    mod = ALGEBRAS[flat.algebra]
+    lie, rep = flat.lie, flat.rep
+    hvecs = flat.basis_up_to(flat.max_degree) if degree is None else flat.vectors[degree]
+    ident = Matrix.identity(rep.dim)
+    return [mod.Element(lie, rep, {((0,) * lie.dim, combo): ident}) * h
+            for combo in index_monomials(lie.dim) for h in hvecs]
+
+
 def _block(mod, lie, rep, monos, combo):
     """Monomial-times-matrix-unit basis with index monomial `combo`."""
     d = rep.dim
@@ -160,7 +248,7 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
     monos = (_level_monomials(mod, n, degree) if degree is not None
              else monomials_up_to(n, max_degree))
     basis = []
-    for combo in _index_monomials(n):
+    for combo in index_monomials(n):
         domain = _block(mod, lie, rep, monos, combo)
         images = [op(v) for v in domain]
         for im in images:
@@ -169,6 +257,64 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
                     raise AssertionError("curvature bracket left its index block")
         basis.extend(_kernel(domain, [element_coords(im) for im in images]))
     return basis
+
+
+def rebracket_decomposition_report(flat) -> dict:
+    """`weil.flat.decomposition_report` before it checked only the premises
+    of its proof: every derived vector x_I h is bracketed again."""
+    mod = ALGEBRAS[flat.algebra]
+    n = flat.lie.dim
+    op = _flat_op(mod, flat.lie, flat.rep)
+    rows = []
+    all_match = True
+    for k in range(flat.max_degree + 1):
+        hvecs = flat.vectors[k]
+        full = derived_full_flat_basis(flat, degree=k)
+        expected = (2 ** n) * len(hvecs)
+        products_flat = all(op(x).is_zero for x in full)
+        match = len(full) == expected and products_flat
+        all_match = all_match and match
+        rows.append({
+            "deg": k,
+            "dim_hor_flat": len(hvecs),
+            "dim_full_flat": len(full),
+            "expected_full": expected,
+            "match": match,
+        })
+    return {"factor": 2 ** n, "per_degree": rows, "all_match": all_match}
+
+
+def list_closure_report(flat, samples=20, seed=0) -> dict:
+    """`weil.flat.closure_report` before it drew samples by index: it
+    builds the whole derived basis and draws with `rng.choice`."""
+    rng = random.Random(seed)
+    mod = ALGEBRAS[flat.algebra]
+    op = _flat_op(mod, flat.lie, flat.rep)
+    basis = derived_full_flat_basis(flat)
+    low = [b for b in basis if _max_poly_degree(b) <= flat.max_degree - 1]
+    checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
+    failures = 0
+    if basis:
+        for _ in range(samples):
+            b1, b2 = rng.choice(basis), rng.choice(basis)
+            a = rng.randrange(flat.lie.dim)
+            for name, image in (("product", b1 * b2),
+                                ("lie_derivative", mod.lie_derivative(a, b1)),
+                                ("contraction", mod.contraction(a, b2))):
+                failures += int(not op(image).is_zero)
+                checked[name] += 1
+    if low:
+        for _ in range(samples):
+            if not op(mod.differential(rng.choice(low))).is_zero:
+                failures += 1
+            checked["differential"] += 1
+    return {
+        "seed": seed,
+        "samples": samples,
+        "checked": checked,
+        "failures": failures,
+        "all_closed": failures == 0,
+    }
 
 
 # -- End V matrices with one Fraction per entry -------------------------------

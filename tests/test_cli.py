@@ -1,11 +1,14 @@
 import json
+import random
 import time
 
 import pytest
 
-from weil import cli
+from weil import ALGEBRAS, builtin, cli
+from weil.checks import random_element
 from weil.cli import main
-from weil.lie import MAX_DIM
+from weil.expr import render
+from weil.lie import MAX_DIM, MAX_LISTED, load_algebra_file, validate_lie
 
 SO3_FILE = """
 {
@@ -305,3 +308,54 @@ def test_dim_above_the_cap_exits_two(tmp_path, capsys):
                           f"got {MAX_DIM + 1}"), err
     code, out, err = run(["validate", "--builtin", f"abelian({MAX_DIM + 1})"], capsys)
     assert code == 2 and out == "" and "abelian(n) needs" in err
+
+
+@pytest.mark.parametrize("context", ["classical", "quantum"])
+@pytest.mark.parametrize("rep", ["trivial", "adjoint"])
+def test_eval_reads_back_what_it_prints(capsys, context, rep):
+    """Every printed element, a leading minus included ("-3/2*y1"),
+    evaluates to the same printed text."""
+    so3 = builtin("so3")
+    cls = ALGEBRAS[context].Element
+    rng = random.Random(5)
+    session = ["eval", "--builtin", "so3", "--rep", rep, f"--{context}"]
+    texts = [render(random_element(cls, so3.lie, so3.reps[rep], rng, max_degree=3))
+             for _ in range(12)]
+    texts += [f"-{texts[-1]}", "-u1" if context == "quantum" else "-v1"]
+    for text in texts:
+        code, out, err = run([*session, text], capsys)
+        assert code == 0, (text, err)
+        code, again, err = run([*session, out.rstrip("\n")], capsys)
+        assert code == 0 and again == out, (text, out, err)
+    assert any(t.startswith("-") for t in texts)
+
+
+def test_eval_unknown_option_exits_two(capsys):
+    for argv in (["eval", "--builtin", "so3", "--bogus", "u1"],
+                 ["eval", "--builtin", "so3", "--bogus"],
+                 ["eval", "--builtin", "so3", "-u1", "-u2"],
+                 ["check", "--builtin", "so3", "-u1"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "unrecognized arguments" in err, argv
+    code, out, err = run(["eval", "--builtin", "so3"], capsys)
+    assert code == 2 and out == "" and "an expression is required" in err
+
+
+def test_validate_caps_the_violations_it_prints(tmp_path, capsys):
+    """A dense random f at dim 12 breaks Jacobi in hundreds of places: the
+    report prints 20 of them and counts the rest, and keeps them all."""
+    n = 12
+    rng = random.Random(12)
+    f = [[a, b, c, str(rng.choice([-2, -1, 1, 2]))]
+         for a in range(1, n + 1) for b in range(a + 1, n + 1) for c in range(1, n + 1)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"dim": n, "f": f}))
+    code, out, _ = run(["validate", str(path)], capsys)
+    violations = validate_lie(load_algebra_file(str(path)).lie).violations
+    assert code == 1 and len(violations) > MAX_LISTED
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  lie algebra")
+    assert lines[1:MAX_LISTED + 1] == [f"      {v}" for v in violations[:MAX_LISTED]]
+    assert lines[MAX_LISTED + 1] == f"      … and {len(violations) - MAX_LISTED} more"
+    assert len(lines) == MAX_LISTED + 2

@@ -1,25 +1,31 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 import oracles
+# x_I h for every I and h, as `weil.flat` listed them before its reports
+# stopped building the list; oracles.full_flat_basis is the block solve
+from oracles import derived_full_flat_basis as full_flat_basis
 from weil import BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil import classical as cw
 from weil import quantum as qw
 from weil.cli import main
 from weil.flat import (
+    _index_monomial,
     basic_subspace,
     closure_report,
     decomposition_report,
     degree_monomials,
     flat_subspace,
-    full_flat_basis,
     inclusion_report,
     monomials_up_to,
     span_contains,
     span_rank,
 )
+
+
 def test_degree_monomials_enumeration():
     assert degree_monomials(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(degree_monomials(3, 2)) == 6
@@ -33,8 +39,8 @@ def sympy_commutant_dim(mats):
     d = mats[0].rows
     eye = sp.eye(d)
     blocks = [
-        sp.kronecker_product(sp.Matrix(t.to_rows()), eye)
-        - sp.kronecker_product(eye, sp.Matrix(t.to_rows()).T)
+        sp.kronecker_product(sp.Matrix(oracles.matrix_rows(t)), eye)
+        - sp.kronecker_product(eye, sp.Matrix(oracles.matrix_rows(t)).T)
         for t in mats
     ]
     return len(sp.Matrix.vstack(*blocks).nullspace())
@@ -279,13 +285,17 @@ def test_full_flat_basis_matches_block_solve_oracle(algebra, lie, rep):
             oracles.full_flat_basis(algebra, lie, rep, 2, degree=k)
 
 
-def test_full_flat_basis_matches_oracle_on_so3_pair():
+def _so3_pair():
     entries = {}
     for off in (0, 3):
         for (a, b, c), v in {(0, 1, 2): 1, (1, 2, 0): 1, (0, 2, 1): -1}.items():
             entries[(a + off, b + off, c + off)] = Fraction(v)
     lie = LieData(6, entries, form=BilinearForm(Matrix.identity(6)), name="so3^2")
-    rep = adjoint_rep(lie)
+    return lie, adjoint_rep(lie)
+
+
+def test_full_flat_basis_matches_oracle_on_so3_pair():
+    lie, rep = _so3_pair()
     basis = full_flat_basis(flat_subspace("quantum", lie, rep, 0))
     assert len(basis) == 64 * 2  # the commutant of so3+so3 adjoint is 2-dimensional
     assert basis == oracles.full_flat_basis("quantum", lie, rep, 0)
@@ -306,3 +316,78 @@ def test_curvature_with_a_clifford_term_is_caught(monkeypatch, capsys):
     assert code == 1 and captured.out == ""
     assert "internal consistency error: the curvature does not commute" in captured.err
     assert "Traceback" not in captured.err
+
+
+def _same_reports(flat, seeds):
+    assert decomposition_report(flat) == oracles.rebracket_decomposition_report(flat)
+    for seed in seeds:
+        assert closure_report(flat, samples=10, seed=seed) == \
+            oracles.list_closure_report(flat, samples=10, seed=seed), seed
+
+
+@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
+def test_reports_match_the_list_oracles(algebra, lie, rep):
+    """Checking the premises gives the report of re-bracketing every x_I h,
+    and drawing by index draws what `rng.choice` draws from the list."""
+    for max_degree in range(3):
+        _same_reports(flat_subspace(algebra, lie, rep, max_degree), seeds=(0, 3, 7))
+
+
+@pytest.mark.parametrize("algebra", ["classical", "quantum"])
+def test_reports_match_the_list_oracles_on_so3_pair(algebra):
+    lie, rep = _so3_pair()
+    _same_reports(flat_subspace(algebra, lie, rep, 1), seeds=(0, 1))
+
+
+def test_non_flat_vector_fails_its_level_and_the_closure():
+    """u1 (x) 1 added to the level-1 flat vectors of quantum so3 adjoint
+    fails the [C, h] = 0 premise of that level, and the closure samples
+    that hit it fail exactly as they do when drawn from the built list."""
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    flat = flat_subspace("quantum", lie, rep, 1)
+    flat.vectors[1] = flat.vectors[1] + [qw.u_gen(lie, rep, 0)]
+    report = decomposition_report(flat)
+    assert [row["match"] for row in report["per_degree"]] == [True, False]
+    assert not report["all_match"]
+    assert report == oracles.rebracket_decomposition_report(flat)
+    failures = []
+    for seed in range(6):
+        closure = closure_report(flat, seed=seed)
+        assert closure == oracles.list_closure_report(flat, seed=seed), seed
+        failures.append(closure["failures"])
+    assert all(failures), failures
+
+
+def test_curvature_with_a_clifford_term_fails_every_level(monkeypatch):
+    curvature = qw.curvature
+    monkeypatch.setattr(qw, "curvature", lambda lie, rep: (
+        curvature(lie, rep) + qw.x_gen(lie, rep, 0) * qw.x_gen(lie, rep, 1)))
+    so3 = builtin("so3")
+    report = decomposition_report(flat_subspace("quantum", so3.lie, so3.reps["trivial"], 1))
+    assert [row["match"] for row in report["per_degree"]] == [False, False]
+    assert not report["all_match"]
+
+
+def test_index_monomial_unranks_the_index_list():
+    for n in range(9):
+        assert [_index_monomial(n, r) for r in range(2 ** n)] == oracles.index_monomials(n)
+
+
+@pytest.mark.parametrize("n, budget", [(16, 1.0), (40, 10.0)])
+def test_flat_cost_is_linear_in_the_dimension(capsys, n, budget):
+    """The reports never build the 2^n x_I h: `abelian(40)` has 2^40 of
+    them per horizontal vector."""
+    start = time.perf_counter()
+    code = main(["flat", "--builtin", f"abelian({n})", "--rep", "trivial", "--quantum",
+                 "--max-degree", "0", "--json"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    data = json.loads(captured.out)
+    dec = data["decomposition"]
+    assert dec["factor"] == 2 ** n and dec["all_match"]
+    assert dec["per_degree"] == [{"deg": 0, "dim_hor_flat": 1, "dim_full_flat": 2 ** n,
+                                  "expected_full": 2 ** n, "match": True}]
+    assert data["closure"]["all_closed"] and data["closure"]["checked"]["product"] == 20
+    assert elapsed < budget, f"abelian({n}) at N=0 took {elapsed:.2f} s"

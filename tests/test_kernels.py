@@ -8,14 +8,11 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cliff_poly_mul, ext_poly_mul, pbw_poly_mul, sym_poly_mul
 from weil.kernels import (
     cliff_mono_mul,
     ext_mono_mul,
     ext_normalize,
-    mul_clifford,
-    mul_ext,
-    mul_pbw,
-    mul_sym,
     pbw_mono_mul,
     pbw_word,
 )
@@ -30,18 +27,18 @@ def one(mono):
 def test_sym_products():
     n = 2
     v1, v2 = one((1, 0)), one((0, 1))
-    assert mul_sym(v1, v2) == {(1, 1): 1}
-    assert mul_sym(v1, v1) == {(2, 0): 1}
-    lhs = mul_sym({(1, 0): Fraction(1), (0, 1): Fraction(1)},
-                  {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+    assert sym_poly_mul(v1, v2) == {(1, 1): 1}
+    assert sym_poly_mul(v1, v1) == {(2, 0): 1}
+    lhs = sym_poly_mul({(1, 0): Fraction(1), (0, 1): Fraction(1)},
+                       {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
     assert lhs == {(2, 0): 1, (0, 2): -1}
 
 
 def test_ext_products():
     y1, y2 = one((0,)), one((1,))
-    assert mul_ext(y1, y2) == {(0, 1): 1}
-    assert mul_ext(y2, y1) == {(0, 1): -1}
-    assert mul_ext(y1, y1) == {}
+    assert ext_poly_mul(y1, y2) == {(0, 1): 1}
+    assert ext_poly_mul(y2, y1) == {(0, 1): -1}
+    assert ext_poly_mul(y1, y1) == {}
 
 
 def test_ext_normalize_words():
@@ -69,12 +66,12 @@ def test_ext_graded_commutativity(m1, m2):
 
 def test_clifford_products_orthonormal():
     x1, x2 = one((0,)), one((1,))
-    assert mul_clifford(x2, x1) == {(0, 1): -1}
+    assert cliff_poly_mul(x2, x1) == {(0, 1): -1}
     # the relation forces generator squares of B_aa / 2
-    assert mul_clifford(x1, x1) == {(): Fraction(1, 2)}
+    assert cliff_poly_mul(x1, x1) == {(): Fraction(1, 2)}
     top = one((0, 1, 2))
     # frozen from the adjacent-transposition expansion done by hand
-    assert mul_clifford(top, top) == {(): Fraction(-1, 8)}
+    assert cliff_poly_mul(top, top) == {(): Fraction(-1, 8)}
 
 
 def test_clifford_supercommutator_recovers_form():
@@ -105,13 +102,13 @@ def test_clifford_kernel_matches_oracle_exhaustively():
 
 def test_pbw_straightening_so3():
     so3 = builtin("so3").lie
-    u2u1 = mul_pbw(one((0, 1, 0)), one((1, 0, 0)), so3)
+    u2u1 = pbw_poly_mul(one((0, 1, 0)), one((1, 0, 0)), so3)
     assert u2u1 == {(1, 1, 0): 1, (0, 0, 1): -1}
 
 
 def test_pbw_abelian_commutes():
     ab = builtin("abelian(2)").lie
-    assert mul_pbw(one((0, 1)), one((1, 0)), ab) == {(1, 1): 1}
+    assert pbw_poly_mul(one((0, 1)), one((1, 0)), ab) == {(1, 1): 1}
 
 
 def test_pbw_confluence_u3u2u1():
@@ -120,7 +117,7 @@ def test_pbw_confluence_u3u2u1():
     left = oracles.mul_pbw(oracles.mul_pbw(u3, u2, so3, "leftmost"), u1, so3, "leftmost")
     right = oracles.mul_pbw(oracles.mul_pbw(u3, u2, so3, "rightmost"), u1, so3, "rightmost")
     assert left == right
-    assert mul_pbw(mul_pbw(u3, u2, so3), u1, so3) == left
+    assert pbw_poly_mul(pbw_poly_mul(u3, u2, so3), u1, so3) == left
 
 
 def _random_mono(rng, n, max_deg):
@@ -138,7 +135,7 @@ def test_pbw_confluence_randomized():
         m2 = _random_mono(rng, 3, 4)
         left = oracles.mul_pbw(one(m1), one(m2), so3, "leftmost")
         assert left == oracles.mul_pbw(one(m1), one(m2), so3, "rightmost")
-        assert mul_pbw(one(m1), one(m2), so3) == left
+        assert pbw_poly_mul(one(m1), one(m2), so3) == left
 
 
 def _gamma_square_table():
@@ -184,7 +181,7 @@ def test_pbw_associativity_randomized():
     rng = random.Random(11)
     for _ in range(60):
         a, b, c = (one(_random_mono(rng, 3, 3)) for _ in range(3))
-        assert mul_pbw(mul_pbw(a, b, so3), c, so3) == mul_pbw(a, mul_pbw(b, c, so3), so3)
+        assert pbw_poly_mul(pbw_poly_mul(a, b, so3), c, so3) == pbw_poly_mul(a, pbw_poly_mul(b, c, so3), so3)
 
 
 def test_clifford_associativity_randomized():
@@ -192,13 +189,13 @@ def test_clifford_associativity_randomized():
     monos = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     for _ in range(60):
         a, b, c = (one(rng.choice(monos)) for _ in range(3))
-        assert mul_clifford(mul_clifford(a, b), c) == mul_clifford(a, mul_clifford(b, c))
+        assert cliff_poly_mul(cliff_poly_mul(a, b), c) == cliff_poly_mul(a, cliff_poly_mul(b, c))
 
 
 @given(index_monos, index_monos)
 @settings(max_examples=50)
 def test_clifford_filtration_bound(m1, m2):
-    for m, _ in mul_clifford(one(m1), one(m2)).items():
+    for m, _ in cliff_poly_mul(one(m1), one(m2)).items():
         assert len(m) <= len(m1) + len(m2)
         assert (len(m) - len(m1) - len(m2)) % 2 == 0
 
@@ -209,7 +206,7 @@ def test_pbw_filtration_bound():
     for _ in range(50):
         m1 = _random_mono(rng, 3, 4)
         m2 = _random_mono(rng, 3, 4)
-        for m, _ in mul_pbw(one(m1), one(m2), so3).items():
+        for m, _ in pbw_poly_mul(one(m1), one(m2), so3).items():
             assert sum(m) <= sum(m1) + sum(m2)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionMatrix, fraction_nullspace, fraction_rank
+from oracles import FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows
 from weil.linalg import Matrix, format_scalar, nullspace, parse_scalar, rank
 
 rationals = st.fractions(
@@ -126,7 +126,7 @@ def test_nullspace_properties_against_sympy(m):
     for v in vecs:
         assert (m * v).is_zero
     assert len(vecs) == m.cols - rank(m)
-    sm = sympy.Matrix(m.to_rows())
+    sm = sympy.Matrix(matrix_rows(m))
     assert rank(m) == sm.rank()
     assert len(vecs) == len(sm.nullspace())
 
@@ -150,8 +150,8 @@ def test_commutant_of_so3_adjoint_is_scalars():
 
     eye = sp.eye(3)
     stacked = sp.Matrix.vstack(*[
-        sp.kronecker_product(sp.Matrix(t.to_rows()), eye)
-        - sp.kronecker_product(eye, sp.Matrix(t.to_rows()).T)
+        sp.kronecker_product(sp.Matrix(matrix_rows(t)), eye)
+        - sp.kronecker_product(eye, sp.Matrix(matrix_rows(t)).T)
         for t in _ad_so3()
     ])
     assert len(stacked.nullspace()) == 1
