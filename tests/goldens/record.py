@@ -21,7 +21,10 @@ OUT = Path(__file__).with_name("cli.json")
 CONTEXTS = {"abelian(2)": ("classical", "quantum"), "heisenberg3": ("classical",),
             "so3": ("classical", "quantum"), "sl2": ("classical",)}
 
-SO3_ADJOINT = "[[0,0,0],[0,0,-1],[0,1,0]]"
+DEGREE_THREE = [("so3", "quantum"), ("so3", "classical"), ("sl2", "classical"),
+                ("heisenberg3", "classical")]
+
+SO3_ADJOINT ="[[0,0,0],[0,0,-1],[0,1,0]]"
 
 EVALS = {
     ("adjoint", "classical"): [
@@ -51,6 +54,10 @@ def cases():
                         continue
                     out.append(["flat", "--builtin", name, "--rep", rep, f"--{context}",
                                 "--max-degree", str(n), "--json"])
+    # one deeper report each: four levels, three of them past degree 0
+    for name, context in DEGREE_THREE:
+        out.append(["flat", "--builtin", name, "--rep", "adjoint", f"--{context}",
+                    "--max-degree", "3", "--json"])
     for (rep, context), exprs in EVALS.items():
         for src in exprs:
             out.append(["eval", "--builtin", "so3", "--rep", rep, f"--{context}", src])
