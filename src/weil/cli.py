@@ -208,7 +208,7 @@ def cmd_report(args) -> int:
         raise UsageError("pass --all-builtins or --builtin NAME")
     ok = True
     for name in names:
-        alg = builtin(name)
+        alg = _load(argparse.Namespace(builtin=name))
         print(f"== {name} ==")
         valid = _validate_all(alg)
         ok &= valid

@@ -143,6 +143,10 @@ class Element:
         """The degrees 2 * (even degree) + (odd length) present among the terms."""
         return sorted({2 * sum(s) + len(e) for (s, e) in self.terms})
 
+    def poly_degree(self) -> int:
+        """The top polynomial (even) degree among the terms; 0 for zero."""
+        return max((sum(even) for even, _ in self.terms), default=0)
+
     def __repr__(self):
         return f"<{render(self)}>"
 

@@ -432,7 +432,7 @@ class Evaluator:
         for link in reversed(chain):
             right = self.eval(link.right)
             if link.op == "*":
-                _check_degree(_poly_degree(out) + _poly_degree(right), link.pos)
+                _check_degree(out.poly_degree() + right.poly_degree(), link.pos)
                 out = out * right
             else:
                 out = out + right if link.op == "+" else out - right
@@ -440,7 +440,7 @@ class Evaluator:
 
     def _eval_pow(self, node):
         base = self.eval(node.base)
-        _check_degree(_poly_degree(base) * node.exponent, node.pos)
+        _check_degree(base.poly_degree() * node.exponent, node.pos)
         out = self.mod.unit(self.lie, self.rep)
         for _ in range(node.exponent):
             out = out * base
@@ -448,23 +448,19 @@ class Evaluator:
 
     def _eval_comm(self, node):
         left, right = self.eval(node.left), self.eval(node.right)
-        _check_degree(_poly_degree(left) + _poly_degree(right), node.pos)
+        _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
         return self.mod.supercommutator(left, right)
 
     def _eval_opapply(self, node):
         arg = self.eval(node.arg)
         if node.op == "d":  # raises the degree by at most one: check the result
             out = self.mod.differential(arg)
-            _check_degree(_poly_degree(out), node.pos)
+            _check_degree(out.poly_degree(), node.pos)
             return out
         a = self._check_index(node.index, node.pos)
         if node.op == "L":
             return self.mod.lie_derivative(a, arg)
         return self.mod.contraction(a, arg)
-
-
-def _poly_degree(x):
-    return max((sum(even) for even, _ in x.terms), default=0)
 
 
 def _check_degree(degree, pos):

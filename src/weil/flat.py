@@ -4,9 +4,9 @@ Horizontal elements have no exterior / Clifford factor; the solver
 enumerates monomial-times-matrix-unit bases up to a degree bound, maps
 them through the defining operator (L_a for basic, bracket with the
 curvature for flat), and takes the exact kernel.  Degree means symmetric
-degree classically (where the operators are graded and the solves split
-into per-degree blocks) and PBW degree quantum-side (a filtration, so
-solves run on cumulative <= k blocks).
+degree classically (where the operators are graded and the solve splits
+into per-degree blocks) and PBW degree quantum-side (a filtration: one
+solve on the whole <= N block).  A vector's level is its top degree.
 
 The flat subspace of the full algebra is derived, not solved.  The
 bracket with the even curvature C is a derivation, so once [C, x_a] = 0
@@ -46,10 +46,7 @@ def degree_monomials(n, deg):
 
 
 def monomials_up_to(n, max_deg):
-    out = []
-    for k in range(max_deg + 1):
-        out.extend(degree_monomials(n, k))
-    return out
+    return [mono for k in range(max_deg + 1) for mono in degree_monomials(n, k)]
 
 
 def _level_monomials(mod, n, k):
@@ -142,9 +139,9 @@ def _lie_stacked_coords(mod, lie, domain):
 class SubspaceResult:
     """Exact basis of a defined subspace of the truncated horizontal part.
 
-    Classically `vectors[k]` holds the degree-k block; quantum-side it
-    holds the kernel of the full <= k block (the solves are cumulative)
-    and `dims[k]` is the increment over level k - 1.
+    `dims[k]` counts the basis vectors of level exactly k.  Classically
+    `vectors[k]` holds them (the degree-k block); quantum-side it holds
+    every vector of level <= k, the kernel of the <= k block.
     """
 
     algebra: str
@@ -155,28 +152,33 @@ class SubspaceResult:
     vectors: dict
 
     def basis_up_to(self, k):
-        if ALGEBRAS[self.algebra].GRADED:
-            out = []
-            for d in range(min(k, self.max_degree) + 1):
-                out.extend(self.vectors.get(d, []))
-            return out
-        return list(self.vectors.get(min(k, self.max_degree), []))
+        k = min(k, self.max_degree)
+        levels = range(k + 1) if ALGEBRAS[self.algebra].GRADED else [k]
+        return [v for d in levels for v in self.vectors.get(d, [])]
 
 
 def _solve_levels(algebra, lie, rep, max_degree, image_coords):
-    """Kernel of the horizontal block of every level k <= max_degree.
+    """Kernel of the horizontal part up to max_degree, split into levels.
 
-    `image_coords(k, domain)` gives the coordinates of the images of the
-    level-k domain.  Quantum-side the levels are cumulative, so
-    `dims[k]` is the increment over level k - 1.
+    One solve per degree block classically, one <= max_degree block
+    quantum-side; `image_coords(domain)` gives the image coordinates of a
+    block's domain.  `hor_basis` orders columns by degree and a normalized
+    kernel vector lives on its free column and the pivot columns before
+    it, so its level is its top polynomial degree, and the vectors of
+    level <= k are the normalized kernel of the <= k block.
     """
     mod = ALGEBRAS[algebra]
-    dims, vectors, prev = {}, {}, 0
-    for k in range(max_degree + 1):
-        domain = hor_basis(algebra, lie, rep, _level_monomials(mod, lie.dim, k))
-        basis = _kernel(domain, image_coords(k, domain))
-        dims[k], vectors[k] = len(basis) - prev, basis
-        prev = 0 if mod.GRADED else len(basis)
+    blocks = ([degree_monomials(lie.dim, k) for k in range(max_degree + 1)] if mod.GRADED
+              else [monomials_up_to(lie.dim, max_degree)])
+    basis = []
+    for monos in blocks:
+        domain = hor_basis(algebra, lie, rep, monos)
+        basis.extend(_kernel(domain, image_coords(domain)))
+    levels = [v.poly_degree() for v in basis]
+    dims = {k: levels.count(k) for k in range(max_degree + 1)}
+    vectors = {k: [v for v, level in zip(basis, levels)
+                   if level == k or (level < k and not mod.GRADED)]
+               for k in range(max_degree + 1)}
     return SubspaceResult(algebra, lie, rep, max_degree, dims, vectors)
 
 
@@ -184,7 +186,7 @@ def basic_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     """Horizontal solutions of L_a x = 0 for every a, up to max_degree."""
     mod = ALGEBRAS[algebra]
     return _solve_levels(algebra, lie, rep, max_degree,
-                         lambda k, domain: _lie_stacked_coords(mod, lie, domain))
+                         lambda domain: _lie_stacked_coords(mod, lie, domain))
 
 
 def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
@@ -192,13 +194,13 @@ def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     mod = ALGEBRAS[algebra]
     op = _flat_op(mod, lie, rep)
 
-    def image_coords(k, domain):
+    def image_coords(domain):
         images = [op(v) for v in domain]
-        for im in images:
+        for v, im in zip(domain, images):
             for (s, e) in im.terms:
                 if e != ():
                     raise AssertionError("the bracket with the curvature must stay horizontal")
-                if mod.GRADED and sum(s) != k + 1:
+                if mod.GRADED and sum(s) != v.poly_degree() + 1:
                     raise AssertionError(
                         "bracket with C must raise symmetric degree by exactly 1")
         return [element_coords(im) for im in images]
@@ -224,7 +226,7 @@ def inclusion_report(flat, seed=0) -> dict:
         # classically, the left U-module quantum-side
         module = [mod.Element(lie, rep, {(mono, ()): ident}) * b
                   for b in basic.basis_up_to(k)
-                  for mono in _level_monomials(mod, lie.dim, k - _max_poly_degree(b))]
+                  for mono in _level_monomials(mod, lie.dim, k - b.poly_degree())]
         rows.append({
             "deg": k,
             "dim_basic": basic.dims[k],
@@ -275,32 +277,24 @@ def decomposition_report(flat) -> dict:
     `dim_full_flat` is 2^n dim flat(hor) by the proof in the module
     docstring, and a level matches when its premises hold: [C, x_a] = 0
     for each odd generator and [C, h] = 0 for each horizontal vector h of
-    the level.  Quantum-side a level's basis extends the one below it
-    (checked, element for element), so only its new vectors are bracketed.
+    the level.  Quantum-side the levels share their vectors (level k lists
+    those of level <= k), and each distinct vector is bracketed once.
     """
     mod = ALGEBRAS[flat.algebra]
     n = flat.lie.dim
     op = _flat_op(mod, flat.lie, flat.rep)
     odd_flat = _odd_premise_failure(flat) is None
+    distinct = {id(h): h for hvecs in flat.vectors.values() for h in hvecs}
+    is_flat = {key: op(h).is_zero for key, h in distinct.items()}
     rows = []
-    prefix, prefix_flat = [], True
     for k in range(flat.max_degree + 1):
         hvecs = flat.vectors[k]
-        if hvecs[:len(prefix)] == prefix:
-            hor_flat = prefix_flat and all(op(h).is_zero for h in hvecs[len(prefix):])
-        else:
-            hor_flat = all(op(h).is_zero for h in hvecs)
-        if not mod.GRADED:
-            prefix, prefix_flat = hvecs, hor_flat
         full = (2 ** n) * len(hvecs)
         rows.append({"deg": k, "dim_hor_flat": len(hvecs), "dim_full_flat": full,
-                     "expected_full": full, "match": odd_flat and hor_flat})
+                     "expected_full": full,
+                     "match": odd_flat and all(is_flat[id(h)] for h in hvecs)})
     return {"factor": 2 ** n, "per_degree": rows,
             "all_match": all(row["match"] for row in rows)}
-
-
-def _max_poly_degree(x):
-    return max((sum(key[0]) for key in x.terms), default=0)
 
 
 def closure_report(flat, samples=20, seed=0) -> dict:
@@ -321,7 +315,7 @@ def closure_report(flat, samples=20, seed=0) -> dict:
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree)
-    low = [h for h in hvecs if _max_poly_degree(h) <= flat.max_degree - 1]
+    low = [h for h in hvecs if h.poly_degree() <= flat.max_degree - 1]
     ident, even = Matrix.identity(flat.rep.dim), (0,) * n
 
     def draw(vecs):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .element import CACHE_SIZE
 from .linalg import Matrix, parse_scalar, rank
 
 
@@ -282,9 +283,9 @@ def adjoint_rep(lie: LieData) -> RepData:
     return RepData("adjoint", tuple(Matrix(n, n, e) for e in ents))
 
 
-@lru_cache(maxsize=None)
-def trivial_rep(lie: LieData, dim: int = 1) -> RepData:
-    return RepData("trivial", tuple(Matrix.zeros(dim, dim) for _ in range(lie.dim)))
+@lru_cache(maxsize=CACHE_SIZE)
+def trivial_rep(lie: LieData) -> RepData:
+    return RepData("trivial", tuple(Matrix.zeros(1, 1) for _ in range(lie.dim)))
 
 
 @dataclass(eq=False)
@@ -312,6 +313,9 @@ _ABELIAN = re.compile(r"abelian\((\d+)\)$")
 # checking the adjoint representation costs n^2 commutators of n x n
 # matrices, about 0.5 s at this size
 MAX_DIM = 48
+# most structure constants a file may list: 2,000 validate in about a
+# second, a dense dim-48 table would take minutes (so(10) needs 360)
+MAX_F_ENTRIES = 2000
 
 
 def builtin_names():
@@ -389,8 +393,9 @@ def load_algebra_file(path) -> AlgebraDef:
     constants are 1-based, only a < b entries are allowed, and the
     antisymmetric partners are synthesized.  The trivial and adjoint
     representations are always available.  A malformed file (true or
-    false count as no integer), a `dim` above MAX_DIM or an entry that
-    is not a plain "p/q" raises ValueError naming a JSON path.
+    false count as no integer), a `dim` above MAX_DIM, an `f` longer
+    than MAX_F_ENTRIES or an entry that is not a plain "p/q" raises
+    ValueError naming a JSON path.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -400,6 +405,7 @@ def load_algebra_file(path) -> AlgebraDef:
     _expect(n <= MAX_DIM, "$.dim", f"at most {MAX_DIM}, got {n}")
     f = data.get("f", [])
     _expect(isinstance(f, list), "$.f", "a list")
+    _expect(len(f) <= MAX_F_ENTRIES, "$.f", f"at most {MAX_F_ENTRIES} entries, got {len(f)}")
     entries = {}
     for k, item in enumerate(f):
         where = f"$.f[{k}]"

@@ -30,7 +30,7 @@ from .lie import trivial_rep
 from .linalg import Matrix
 from .render import TENSOR
 
-GRADED = False  # the product only filters; the flat solver runs cumulative <= k blocks
+GRADED = False  # the product only filters; the flat solver runs one <= N block
 
 
 def _require_orthonormal(lie):

@@ -11,6 +11,9 @@ before its reports stopped building it.  `rebracket_decomposition_report`
 and `list_closure_report` are those reports: the first brackets each of
 the 2^n dim derived vectors again, the second draws its samples from the
 built list.
+`level_solve` is the basic / flat solve before it read every level off
+one basis: it re-solves the whole <= k block for each level k
+quantum-side.
 `FractionMatrix` is the `weil.linalg.Matrix` that stored one Fraction
 per entry, before numerators moved over one common denominator; with it
 go the row conversion and the rank/nullspace entry points it fed to the
@@ -36,8 +39,9 @@ from itertools import combinations
 from math import lcm
 
 from weil import ALGEBRAS
-from weil.flat import (_flat_op, _kernel, _level_monomials, _max_poly_degree,
-                       _odd_premise_failure, element_coords, monomials_up_to)
+from weil.flat import (SubspaceResult, _flat_op, _kernel, _level_monomials,
+                       _lie_stacked_coords, _odd_premise_failure, element_coords,
+                       hor_basis, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, _echelon, format_scalar, rank
 from weil.kernels import (add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
@@ -192,6 +196,37 @@ def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
     return out
 
 
+# -- basic and flat subspaces, one solve per level ----------------------------
+
+def level_solve(algebra, lie, rep, max_degree, image_coords):
+    """Kernel of the horizontal block of every level k <= max_degree.
+
+    `image_coords(k, domain)` gives the coordinates of the images of the
+    level-k domain.  Quantum-side the levels are cumulative, so
+    `dims[k]` is the increment over level k - 1.
+    """
+    mod = ALGEBRAS[algebra]
+    dims, vectors, prev = {}, {}, 0
+    for k in range(max_degree + 1):
+        domain = hor_basis(algebra, lie, rep, _level_monomials(mod, lie.dim, k))
+        basis = _kernel(domain, image_coords(k, domain))
+        dims[k], vectors[k] = len(basis) - prev, basis
+        prev = 0 if mod.GRADED else len(basis)
+    return SubspaceResult(algebra, lie, rep, max_degree, dims, vectors)
+
+
+def level_basic_subspace(algebra, lie, rep, max_degree):
+    mod = ALGEBRAS[algebra]
+    return level_solve(algebra, lie, rep, max_degree,
+                       lambda k, domain: _lie_stacked_coords(mod, lie, domain))
+
+
+def level_flat_subspace(algebra, lie, rep, max_degree):
+    op = _flat_op(ALGEBRAS[algebra], lie, rep)
+    return level_solve(algebra, lie, rep, max_degree,
+                       lambda k, domain: [element_coords(op(v)) for v in domain])
+
+
 # -- full flat basis ----------------------------------------------------------
 
 def index_monomials(n):
@@ -291,7 +326,7 @@ def list_closure_report(flat, samples=20, seed=0) -> dict:
     mod = ALGEBRAS[flat.algebra]
     op = _flat_op(mod, flat.lie, flat.rep)
     basis = derived_full_flat_basis(flat)
-    low = [b for b in basis if _max_poly_degree(b) <= flat.max_degree - 1]
+    low = [b for b in basis if b.poly_degree() <= flat.max_degree - 1]
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
     failures = 0
     if basis:

@@ -8,7 +8,7 @@ from weil import ALGEBRAS, builtin, cli
 from weil.checks import random_element
 from weil.cli import main
 from weil.expr import render
-from weil.lie import MAX_DIM, MAX_LISTED, load_algebra_file, validate_lie
+from weil.lie import MAX_DIM, MAX_F_ENTRIES, MAX_LISTED, load_algebra_file, validate_lie
 
 SO3_FILE = """
 {
@@ -238,6 +238,13 @@ def test_report_all_builtins(capsys):
     assert "so3 rep adjoint (quantum)" in out
 
 
+@pytest.mark.parametrize("name", ["foo", "abelian(99)"])
+def test_report_unknown_builtin_exits_two(capsys, name):
+    code, out, err = run(["report", "--builtin", name], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "internal error" not in err, err
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"dim": 3, "f": 5}', "$.f: expected a list"),
     ('{"dim": 3, "reps": {"r": [1]}}', "$.reps.r: expected an object"),
@@ -359,3 +366,19 @@ def test_validate_caps_the_violations_it_prints(tmp_path, capsys):
     assert lines[1:MAX_LISTED + 1] == [f"      {v}" for v in violations[:MAX_LISTED]]
     assert lines[MAX_LISTED + 1] == f"      … and {len(violations) - MAX_LISTED} more"
     assert len(lines) == MAX_LISTED + 2
+
+
+def test_structure_constants_above_the_cap_exit_two(tmp_path, capsys):
+    """A file may list MAX_F_ENTRIES structure constants, not one more:
+    validation runs over every listed entry."""
+    n = MAX_DIM
+    triples = [[a, b, c, "1"] for a in range(1, n + 1) for b in range(a + 1, n + 1)
+               for c in range(1, n + 1)]
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"dim": n, "f": triples[:MAX_F_ENTRIES]}))
+    assert len(load_algebra_file(str(path)).lie.entries) >= MAX_F_ENTRIES
+    path.write_text(json.dumps({"dim": n, "f": triples[:MAX_F_ENTRIES + 1]}))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot load {path}: $.f: expected at most {MAX_F_ENTRIES} "
+                          f"entries, got {MAX_F_ENTRIES + 1}"), err

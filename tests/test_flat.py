@@ -8,6 +8,7 @@ import oracles
 # x_I h for every I and h, as `weil.flat` listed them before its reports
 # stopped building the list; oracles.full_flat_basis is the block solve
 from oracles import derived_full_flat_basis as full_flat_basis
+import weil.flat
 from weil import BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil import classical as cw
 from weil import quantum as qw
@@ -367,6 +368,75 @@ def test_curvature_with_a_clifford_term_fails_every_level(monkeypatch):
     report = decomposition_report(flat_subspace("quantum", so3.lie, so3.reps["trivial"], 1))
     assert [row["match"] for row in report["per_degree"]] == [False, False]
     assert not report["all_match"]
+
+
+def test_non_flat_vector_fails_only_the_level_it_was_added_to():
+    """Quantum levels share their vectors; a vector added to level 0 alone
+    fails level 0 and no other, as re-bracketing every x_I h finds."""
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    flat = flat_subspace("quantum", lie, rep, 2)
+    flat.vectors[0] = flat.vectors[0] + [qw.u_gen(lie, rep, 0)]
+    report = decomposition_report(flat)
+    assert [row["match"] for row in report["per_degree"]] == [False, True, True]
+    assert report == oracles.rebracket_decomposition_report(flat)
+
+
+def _same_levels(algebra, lie, rep, max_degree):
+    for new, old in ((flat_subspace, oracles.level_flat_subspace),
+                     (basic_subspace, oracles.level_basic_subspace)):
+        got, want = new(algebra, lie, rep, max_degree), old(algebra, lie, rep, max_degree)
+        assert got.dims == want.dims, (new.__name__, max_degree)
+        assert got.vectors == want.vectors, (new.__name__, max_degree)
+
+
+@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
+def test_levels_match_the_per_level_solve(algebra, lie, rep):
+    """Levels read off one basis equal one solve per level, element for
+    element: quantum-side that solve re-eliminates the whole <= k block."""
+    for max_degree in range(4):
+        _same_levels(algebra, lie, rep, max_degree)
+
+
+@pytest.mark.parametrize("algebra", ["classical", "quantum"])
+def test_levels_match_the_per_level_solve_on_so3_pair(algebra):
+    lie, rep = _so3_pair()
+    for max_degree in range(2):
+        _same_levels(algebra, lie, rep, max_degree)
+
+
+def test_levels_match_the_per_level_solve_at_degree_four():
+    so3 = builtin("so3")
+    _same_levels("quantum", so3.lie, so3.reps["adjoint"], 4)
+
+
+def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
+    """so3 adjoint quantum at N = 3: one nullspace call per subspace, and
+    each of the 20 * 9 domain columns bracketed with C once."""
+    calls = {"nullspace": 0, "bracket": 0}
+    nullspace, flat_op = weil.flat.nullspace, weil.flat._flat_op
+
+    def counted_nullspace(m):
+        calls["nullspace"] += 1
+        return nullspace(m)
+
+    def counted_flat_op(*args):
+        op = flat_op(*args)
+
+        def counted(x):
+            calls["bracket"] += 1
+            return op(x)
+        return counted
+
+    monkeypatch.setattr(weil.flat, "nullspace", counted_nullspace)
+    monkeypatch.setattr(weil.flat, "_flat_op", counted_flat_op)
+    so3 = builtin("so3")
+    flat = flat_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
+    assert calls == {"nullspace": 1, "bracket": 180}
+    assert flat.dims == {0: 1, 1: 4, 2: 10, 3: 19}
+    basic = basic_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
+    assert calls == {"nullspace": 2, "bracket": 180}
+    assert basic.dims == {0: 1, 1: 1, 2: 2, 3: 1}
 
 
 def test_index_monomial_unranks_the_index_list():

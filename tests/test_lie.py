@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import oracles
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weil.element import CACHE_SIZE
 from weil.lie import (
     BilinearForm,
     LieData,
@@ -126,6 +129,14 @@ def test_validate_form_non_orthonormal_flag(so3):
 
 def test_trivial_rep_valid(so3):
     assert validate_rep(so3.lie, trivial_rep(so3.lie)).ok
+
+
+def test_trivial_rep_cache_keeps_at_most_cache_size_algebras_alive():
+    refs = [weakref.ref(builtin("so3").lie) for _ in range(200)]
+    gc.collect()
+    assert 0 < sum(ref() is not None for ref in refs) <= CACHE_SIZE
+    lie = builtin("so3").lie
+    assert trivial_rep(lie) is trivial_rep(lie)
 
 
 def test_so3_adjoint_valid_and_explicit(so3):
