@@ -6,7 +6,7 @@ data, the `classical` and `quantum` modules for elements and operators,
 and `flat` for truncated-degree subspace computations.
 """
 
-from .linalg import Matrix, Scalar, format_scalar, nullspace, parse_scalar, rank
+from .linalg import Matrix, Scalar, format_scalar, kernel, parse_scalar, rank
 from .lie import (
     AlgebraDef,
     BilinearForm,
@@ -42,8 +42,8 @@ __all__ = [
     "builtin",
     "builtin_names",
     "format_scalar",
+    "kernel",
     "load_algebra_file",
-    "nullspace",
     "parse_scalar",
     "rank",
     "trivial_rep",

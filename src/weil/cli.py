@@ -145,7 +145,7 @@ def cmd_eval(args) -> int:
 
 def flat_report_data(alg, rep, context, max_degree, samples, seed) -> dict:
     hor = flat.flat_subspace(context, alg.lie, rep, max_degree)
-    inclusion = flat.inclusion_report(hor, seed=seed)
+    inclusion = flat.inclusion_report(hor)
     decomposition = flat.decomposition_report(hor)
     closure = flat.closure_report(hor, samples=samples, seed=seed)
     return {

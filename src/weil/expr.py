@@ -242,13 +242,13 @@ class Parser:
         else:
             node = self.atom()
             if self.cur.kind == "^":
-                self.advance()
+                caret = self.advance()
                 tok = self.expect("int", "a non-negative integer exponent")
                 exponent = int(tok.text)
                 if exponent > MAX_EXPONENT:
                     raise ExprError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
                                     tok.pos)
-                node = Pow(node.pos, node, exponent)
+                node = Pow(caret.pos, node, exponent)
         self.depth -= 1
         return node
 

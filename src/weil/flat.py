@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from . import ALGEBRAS
-from .linalg import Matrix, nullspace, rank
+from .linalg import Matrix, kernel, rank
 
 
 def degree_monomials(n, deg):
@@ -65,14 +65,14 @@ def hor_basis(algebra, lie, rep, monos):
 
 
 def _coord_matrix(images):
-    """Column c holds `images[c]` (the L_a images of domain vector c, or
-    its one [C, .] image), row (i, key, cell) entry `cell` of term `key`
-    of image i, for the sorted keys that occur, so no truncation of the
-    codomain can hide a nonzero component.  The entries are the terms'
-    numerators over the lcm of their (canonical) denominators."""
+    """Rows {column: int} of the coordinate matrix whose column c holds
+    `images[c]` (the L_a images of domain vector c, or its one [C, .]
+    image): row (i, key, cell) is entry `cell` of term `key` of image i,
+    for the sorted keys that occur, so no truncation of the codomain can
+    hide a nonzero component.  The entries are the terms' numerators over
+    the lcm of their (canonical) denominators."""
     den = lcm(*{mat.den for ims in images for im in ims for mat in im.terms.values()})
-    ncols = len(images)
-    rows = defaultdict(lambda: [0] * ncols)
+    rows = defaultdict(dict)
     for c, ims in enumerate(images):
         for i, im in enumerate(ims):
             for key, mat in im.terms.items():
@@ -80,15 +80,14 @@ def _coord_matrix(images):
                 for cell, x in enumerate(mat.num):
                     if x:
                         rows[(i, key, cell)][c] = x * scale
-    num = tuple(x for row_key in sorted(rows) for x in rows[row_key])
-    return Matrix._make(len(rows), ncols, num, den)
+    return [rows[row_key] for row_key in sorted(rows)]
 
 
 def _kernel(domain, images):
     """Exact kernel of the domain's coordinate matrix, as elements."""
     basis = []
-    for vec in nullspace(_coord_matrix(images)):
-        pieces = [domain[r] * Fraction(x, vec.den) for r, x in enumerate(vec.num) if x]
+    for nums, den in kernel(_coord_matrix(images), len(domain)):
+        pieces = [domain[c] * Fraction(x, den) for c, x in nums.items()]
         basis.append(sum(pieces[1:], pieces[0]))
     return basis
 
@@ -177,7 +176,7 @@ def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
     return _solve_levels(algebra, lie, rep, max_degree, images)
 
 
-def inclusion_report(flat, seed=0) -> dict:
+def inclusion_report(flat) -> dict:
     """Per-degree dimensions of basic and flat (a `flat_subspace`
     result) with containment columns.
 
@@ -209,7 +208,6 @@ def inclusion_report(flat, seed=0) -> dict:
         "algebra": algebra,
         "degree_semantics": "exact" if mod.GRADED else "filtration_increment",
         "per_degree": rows,
-        "seed": seed,
     }
 
 

@@ -222,7 +222,7 @@ def validate_form(lie: LieData, form: BilinearForm) -> FormReport:
         return rep
     if B != B.transpose():
         rep.add("form is not symmetric")
-    if rank(B) != n:
+    if rank(dict(enumerate(B.num[i * n:(i + 1) * n])) for i in range(n)) != n:
         rep.add("form is degenerate")
     # invariance at (a, b, d): sum_c f^c_ab B_cd + f^c_ad B_bc, over the
     # nonzero f only; nothing to sum for an a with no nonzero bracket

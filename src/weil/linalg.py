@@ -13,15 +13,19 @@ in integer arithmetic and reduce to the canonical form once per result;
 entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
 `scalar_value`).
 
-`rank` and `nullspace` run a fraction-free elimination on the
-numerators with a fixed pivot rule (leftmost nonzero column, lowest row
-index), so every result is reproducible bit for bit.  `nullspace`
-back-substitutes in integers too, each kernel vector over one
-denominator, and builds no Fraction.
+`rank` and `kernel` take a sparse integer system, rows as
+{column: int}, and share one elimination: each row in turn is reduced
+against the pivot rows found so far until its leading column is new,
+and is stored there, divided by its content.  The leading columns of
+any echelon basis are fixed by the row space, and the normalized kernel
+basis (each free variable 1, the other free variables 0) is fixed by
+them, so the rows may come in any order, repeated or zero, and every
+result is reproducible bit for bit.  `kernel` back-substitutes in
+integers too, each vector over one denominator, and builds no Fraction.
 
-Dimensions stay tiny here (endomorphism spaces of small representations,
-truncated monomial bases), so storage is dense; the product only skips
-zero weights and zero rows, which the representation matrices are full of.
+Matrices stay tiny here (endomorphism spaces of small representations),
+so their storage is dense; the product only skips zero weights and zero
+rows, which the representation matrices are full of.
 """
 
 from __future__ import annotations
@@ -283,79 +287,67 @@ def _cached_identity(n):
 _IDENTITY_CACHE: dict = {}
 
 
-def _integer_rows(m: Matrix):
-    """The numerator rows of m: m scaled by its denominator (kernel unchanged)."""
-    c = m.cols
-    return [list(m.num[i * c:(i + 1) * c]) for i in range(m.rows)]
-
-
 def _echelon(rows):
-    """Fraction-free forward elimination in place; returns pivot columns.
+    """Echelon basis of the span of `rows` ({column: int}), as a dict
+    leading column -> primitive row.
 
-    Pivot rule: leftmost column with a nonzero entry, lowest row index.
-    Rows are gcd-normalized after each step to keep integers small.
+    Each incoming row is reduced against the pivot rows found so far
+    until its leading column is new, then stored under it; a row that
+    reduces to zero is dropped.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
+    pivots = {}
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        while row:
+            c = min(row)
+            top = pivots.get(c)
+            if top is None:
+                g = gcd(*row.values())
+                pivots[c] = {j: x // g for j, x in row.items()} if g > 1 else row
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            v = rows[i][c]
-            if v == 0:
-                continue
-            row = rows[i]
-            top = rows[r]
-            for j in range(c, ncols):
-                row[j] = row[j] * piv - top[j] * v
-            g = 0
-            for j in range(c, ncols):
-                g = gcd(g, row[j])
-            if g > 1:
-                for j in range(c, ncols):
-                    row[j] //= g
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+            # p row - v top cancels column c
+            p, v = top[c], row[c]
+            g = gcd(p, v)
+            p, v = p // g, v // g
+            if p != 1:
+                row = {j: x * p for j, x in row.items()}
+            for j, x in top.items():
+                y = row.get(j, 0) - v * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
     return pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(_echelon(_integer_rows(m)))
+def rank(rows) -> int:
+    """Rank of the integer rows `rows` ({column: int})."""
+    return len(_echelon(rows))
 
 
-def nullspace(m: Matrix) -> list[Matrix]:
-    """Exact basis of the right kernel, one column vector per free column.
+def kernel(rows, ncols) -> list[tuple[dict, int]]:
+    """Exact basis of the right kernel of the integer rows `rows`
+    ({column: int}) over `ncols` columns, one vector per free column.
 
     Each vector has its free variable set to 1 and the other free
-    variables 0; the basis is ordered by free column index, so the output
-    is deterministic.  Back substitution keeps a vector as integers over
-    one denominator and touches only its nonzero entries; pivots right
-    of the free column meet only zeros and are skipped.
+    variables 0, and is returned as (numerators {column: int} in column
+    order, denominator) in lowest terms; the basis is ordered by free
+    column.  Back substitution keeps a vector as integers over one
+    denominator and touches only its nonzero entries; pivots right of
+    the free column meet only zeros and are skipped.
     """
-    rows = _integer_rows(m)
     pivots = _echelon(rows)
-    n = m.cols
+    order = sorted(pivots)
     basis = []
-    for fc in sorted(set(range(n)).difference(pivots)):
+    for fc in sorted(set(range(ncols)).difference(pivots)):
         vec, den = {fc: 1}, 1
-        for k in range(bisect_left(pivots, fc) - 1, -1, -1):
-            row = rows[k]
-            s = sum([row[j] * x for j, x in vec.items()])
+        for k in range(bisect_left(order, fc) - 1, -1, -1):
+            pc = order[k]
+            row = pivots[pc]
+            s = sum([row.get(j, 0) * x for j, x in vec.items()])
             if not s:
                 continue
             # entry pc is -s / (p den): bring the vector over den * |p / g|
-            pc = pivots[k]
             p = row[pc]
             g = gcd(s, p) if p > 0 else -gcd(s, p)
             s, p = s // g, p // g
@@ -364,5 +356,6 @@ def nullspace(m: Matrix) -> list[Matrix]:
                     vec[j] *= p
                 den *= p
             vec[pc] = -s
-        basis.append(Matrix._canonical(n, 1, [vec.get(j, 0) for j in range(n)], den))
+        g = gcd(den, *vec.values())
+        basis.append(({j: vec[j] // g for j in sorted(vec)}, den // g))
     return basis

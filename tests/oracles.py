@@ -19,10 +19,13 @@ and `lie_stacked_coords` turn images into sparse Fraction coordinates,
 `dense_coord_matrix` lays them out as a `FractionMatrix`, and
 `dense_kernel` solves it with `fraction_nullspace`, whose back
 substitution makes one Fraction per cell.
+`_echelon`, `rank` and `nullspace` are `weil.linalg`'s dense
+elimination before it took sparse rows: it sweeps every row below each
+pivot of a `Matrix`'s numerator rows (`_integer_rows`).
 `FractionMatrix` is the `weil.linalg.Matrix` that stored one Fraction
 per entry, before numerators moved over one common denominator; with it
-go the row conversion and the rank/nullspace entry points it fed to the
-shared elimination `_echelon`.  `dense_validate_lie` and
+go the row conversion and the rank/nullspace entry points it fed to
+`_echelon`.  `dense_validate_lie` and
 `dense_validate_form` are `weil.lie`'s validators before the Jacobi and
 invariance sums ran over the nonzero structure constants only;
 `dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
@@ -39,15 +42,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from weil import ALGEBRAS
 from weil.flat import (SubspaceResult, _flat_op, _level_monomials, _odd_premise_failure,
                        hor_basis, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
-from weil.linalg import Matrix, _echelon, format_scalar, rank
+from weil.linalg import Matrix, format_scalar
 from weil.kernels import (add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, pbw_mono_mul as cached_pbw_mono_mul, pbw_word,
                           sym_mono_mul)
@@ -99,6 +103,93 @@ def pbw_poly_mul(a: dict, b: dict, lie) -> dict:
 def matrix_rows(m: Matrix):
     """The rows of a `weil.linalg.Matrix` as lists of Fractions."""
     return [list(m.row(i)) for i in range(m.rows)]
+
+
+# -- the dense elimination -----------------------------------------------------
+
+def _integer_rows(m: Matrix):
+    """The numerator rows of m: m scaled by its denominator (kernel unchanged)."""
+    c = m.cols
+    return [list(m.num[i * c:(i + 1) * c]) for i in range(m.rows)]
+
+
+def _echelon(rows):
+    """Fraction-free forward elimination in place; returns pivot columns.
+
+    Pivot rule: leftmost column with a nonzero entry, lowest row index.
+    Rows are gcd-normalized after each step to keep integers small.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            v = rows[i][c]
+            if v == 0:
+                continue
+            row = rows[i]
+            top = rows[r]
+            for j in range(c, ncols):
+                row[j] = row[j] * piv - top[j] * v
+            g = 0
+            for j in range(c, ncols):
+                g = gcd(g, row[j])
+            if g > 1:
+                for j in range(c, ncols):
+                    row[j] //= g
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(_echelon(_integer_rows(m)))
+
+
+def nullspace(m: Matrix) -> list[Matrix]:
+    """Exact basis of the right kernel, one column vector per free column.
+
+    Each vector has its free variable set to 1 and the other free
+    variables 0; the basis is ordered by free column index, so the output
+    is deterministic.  Back substitution keeps a vector as integers over
+    one denominator and touches only its nonzero entries; pivots right
+    of the free column meet only zeros and are skipped.
+    """
+    rows = _integer_rows(m)
+    pivots = _echelon(rows)
+    n = m.cols
+    basis = []
+    for fc in sorted(set(range(n)).difference(pivots)):
+        vec, den = {fc: 1}, 1
+        for k in range(bisect_left(pivots, fc) - 1, -1, -1):
+            row = rows[k]
+            s = sum([row[j] * x for j, x in vec.items()])
+            if not s:
+                continue
+            # entry pc is -s / (p den): bring the vector over den * |p / g|
+            pc = pivots[k]
+            p = row[pc]
+            g = gcd(s, p) if p > 0 else -gcd(s, p)
+            s, p = s // g, p // g
+            if p != 1:
+                for j in vec:
+                    vec[j] *= p
+                den *= p
+            vec[pc] = -s
+        basis.append(Matrix._canonical(n, 1, [vec.get(j, 0) for j in range(n)], den))
+    return basis
 
 
 # -- Clifford algebra ------------------------------------------------------

@@ -128,7 +128,7 @@ def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
     nested = "(" * 1200 + "{g}1" + ")" * 1200
     for context, g in (("classical", "v"), ("quantum", "u")):
         for expression, pos, what in (
-            (f"{g}3*({g}1^32)^25", "1:5", "polynomial degree 800 exceeds the limit 64"),
+            (f"{g}3*({g}1^32)^25", "1:11", "polynomial degree 800 exceeds the limit 64"),
             (f"{g}1^32*{g}1^32*{g}1", "1:12", "polynomial degree 65 exceeds the limit 64"),
             (nested.format(g=g), "1:101", "nested deeper than 100 levels"),
         ):
@@ -144,12 +144,12 @@ def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
 
 def test_eval_term_pair_bound_exits_one_with_position(capsys):
     """(u1+...+u12)^8 ran for 20 s and printed 2 MB; its sixth power step
-    pairs 4,368 x 12 terms, past the bound, and fails at the power's base."""
+    pairs 4,368 x 12 terms, past the bound, and fails at the power's `^`."""
     expression = "(" + "+".join(f"u{i}" for i in range(1, 13)) + ")^8"
     code, out, err = run(["eval", "--builtin", "abelian(12)", "--rep", "trivial", "--quantum",
                           expression], capsys)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: 1:{expression.rindex('+') + 1}: "), err
+    assert err.startswith(f"error: 1:{expression.rindex('^') + 1}: "), err
     assert "4368 by 12 terms (52416 pairs) exceeds the limit 50000" in err
     assert "Traceback" not in err
 

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 # x_I h for every I and h, as `weil.flat` listed them before its reports
 # stopped building the list; oracles.full_flat_basis is the block solve
 from oracles import derived_full_flat_basis as full_flat_basis
+from test_kernels import _so3_blocks
 import weil.flat
 from weil import ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil import classical as cw
@@ -183,6 +185,15 @@ def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, algebra,
         [(True, True), (False, False)]
 
 
+def _scaled_rows(fm, den=None):
+    """The rows of the oracle's Fraction matrix fm scaled by the lcm of its
+    denominators, which must be `den` when given, as {column: int}."""
+    lcm_den = lcm(*(x.denominator for x in fm.entries))
+    assert den is None or lcm_den == den
+    return [{j: int(x * lcm_den) for j, x in enumerate(fm.row(i)) if x}
+            for i in range(fm.rows)]
+
+
 def test_coordinate_matrix_over_mixed_denominators(so3):
     """Images whose terms have different denominators share one lcm."""
     lie, rep = so3.lie, so3.reps["adjoint"]
@@ -190,11 +201,12 @@ def test_coordinate_matrix_over_mixed_denominators(so3):
     t = [cw.tau(lie, rep, a) for a in range(3)]
     images = [[v[0] * Fraction(1, 2), t[1] * Fraction(2, 3)], [v[0] * Fraction(5, 4) + t[2]],
               [t[1] * Fraction(-1, 6)], [v[1] * Fraction(1, 3)], [v[0] - t[2] * Fraction(4, 5)]]
-    m = weil.flat._coord_matrix(images)
+    rows = weil.flat._coord_matrix(images)
     coords = [{(i,) + key: q for i, im in enumerate(ims)
                for key, q in oracles.element_coords(im).items()} for ims in images]
-    assert m.entries == oracles.dense_coord_matrix(coords).entries
-    assert (m.rows, m.cols, m.den) == (12, 5, 60)
+    fm = oracles.dense_coord_matrix(coords)
+    assert rows == _scaled_rows(fm, 60)
+    assert (len(rows), fm.cols) == (12, 5)
     domain = hor_basis("classical", lie, rep, [(0, 0, 0)])[:len(images)]
     assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coords)
 
@@ -284,8 +296,8 @@ def test_closure_quantum(so3):
 
 def test_reports_are_reproducible(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    a = inclusion_report(flat_subspace("quantum", lie, rep, 2), seed=5)
-    b = inclusion_report(flat_subspace("quantum", lie, rep, 2), seed=5)
+    a = inclusion_report(flat_subspace("quantum", lie, rep, 2))
+    b = inclusion_report(flat_subspace("quantum", lie, rep, 2))
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -434,9 +446,8 @@ def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(algebra, lie
     Fraction matrix, entry for entry and row for row, and the kernel is
     the dense path's (Fraction back substitution), element for element."""
     for domain, images, coord_maps in _images_both_ways(algebra, lie, rep, 2):
-        m, fm = weil.flat._coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
-        assert (m.rows, m.cols) == (fm.rows, fm.cols)
-        assert m.entries == fm.entries
+        rows, fm = weil.flat._coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
+        assert rows == _scaled_rows(fm)
         assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coord_maps)
         elements = [im for ims in images for im in ims][::7]
         assert span_rank(elements) == oracles.fraction_rank(
@@ -473,14 +484,14 @@ def test_levels_match_the_per_level_solve_at_degree_four():
 
 
 def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
-    """so3 adjoint quantum at N = 3: one nullspace call per subspace, and
+    """so3 adjoint quantum at N = 3: one kernel call per subspace, and
     each of the 20 * 9 domain columns bracketed with C once."""
-    calls = {"nullspace": 0, "bracket": 0}
-    nullspace, flat_op = weil.flat.nullspace, weil.flat._flat_op
+    calls = {"kernel": 0, "bracket": 0}
+    kernel, flat_op = weil.flat.kernel, weil.flat._flat_op
 
-    def counted_nullspace(m):
-        calls["nullspace"] += 1
-        return nullspace(m)
+    def counted_kernel(rows, ncols):
+        calls["kernel"] += 1
+        return kernel(rows, ncols)
 
     def counted_flat_op(*args):
         op = flat_op(*args)
@@ -490,15 +501,25 @@ def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
             return op(x)
         return counted
 
-    monkeypatch.setattr(weil.flat, "nullspace", counted_nullspace)
+    monkeypatch.setattr(weil.flat, "kernel", counted_kernel)
     monkeypatch.setattr(weil.flat, "_flat_op", counted_flat_op)
     so3 = builtin("so3")
     flat = flat_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
-    assert calls == {"nullspace": 1, "bracket": 180}
+    assert calls == {"kernel": 1, "bracket": 180}
     assert flat.dims == {0: 1, 1: 4, 2: 10, 3: 19}
     basic = basic_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
-    assert calls == {"nullspace": 2, "bracket": 180}
+    assert calls == {"kernel": 2, "bracket": 180}
     assert basic.dims == {0: 1, 1: 1, 2: 2, 3: 1}
+
+
+def test_so3_pair_quantum_dims_at_degree_three():
+    """so3+so3 adjoint quantum at N = 3 (3,024 domain columns), the
+    algebra `scripts/gamma_square_table.py` builds: the dense coordinate
+    grid of these solves took 370-760 MB."""
+    lie = _so3_blocks(2)
+    rep = adjoint_rep(lie)
+    assert flat_subspace("quantum", lie, rep, 3).dims == {0: 2, 1: 14, 2: 58, 3: 178}
+    assert basic_subspace("quantum", lie, rep, 3).dims == {0: 2, 1: 2, 2: 8, 3: 4}
 
 
 def test_index_monomial_unranks_the_index_list():

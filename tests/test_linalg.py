@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows
-from weil.linalg import Matrix, format_scalar, nullspace, parse_scalar, rank
+from weil.linalg import Matrix, format_scalar, kernel, parse_scalar, rank
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -90,9 +91,27 @@ def test_commutator_antisymmetry(a, b):
     assert a.commutator(b) == -b.commutator(a)
 
 
+def _rows(m):
+    """The numerator rows of m as {column: int}: m scaled by its denominator."""
+    c = m.cols
+    return [{j: x for j, x in enumerate(m.num[i * c:(i + 1) * c]) if x} for i in range(m.rows)]
+
+
+def _column(vec, n):
+    """A kernel vector (numerators, denominator), in lowest terms, as an n x 1 Matrix."""
+    nums, den = vec
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    assert list(nums) == sorted(nums) and all(0 <= j < n for j in nums)
+    return Matrix(n, 1, [Fraction(nums.get(j, 0), den) for j in range(n)])
+
+
+def _kernel_columns(m):
+    return [_column(vec, m.cols) for vec in kernel(_rows(m), m.cols)]
+
+
 def test_nullspace_trivial():
-    assert nullspace(Matrix.identity(4)) == []
-    vecs = nullspace(Matrix.zeros(2, 2))
+    assert _kernel_columns(Matrix.identity(4)) == []
+    vecs = _kernel_columns(Matrix.zeros(2, 2))
     assert len(vecs) == 2
     assert vecs[0] == Matrix(2, 1, [1, 0])
     assert vecs[1] == Matrix(2, 1, [0, 1])
@@ -100,7 +119,7 @@ def test_nullspace_trivial():
 
 def test_nullspace_rectangular():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    vecs = nullspace(m)
+    vecs = _kernel_columns(m)
     assert len(vecs) == 2
     for v in vecs:
         assert (m * v).is_zero
@@ -122,19 +141,19 @@ rect_matrices = st.tuples(
 def test_nullspace_properties_against_sympy(m):
     import sympy
 
-    vecs = nullspace(m)
+    vecs = _kernel_columns(m)
     for v in vecs:
         assert (m * v).is_zero
-    assert len(vecs) == m.cols - rank(m)
+    assert len(vecs) == m.cols - rank(_rows(m))
     sm = sympy.Matrix(matrix_rows(m))
-    assert rank(m) == sm.rank()
+    assert rank(_rows(m)) == sm.rank()
     assert len(vecs) == len(sm.nullspace())
 
 
 def test_nullspace_deterministic():
     m = Matrix.from_rows([[1, 2, 3], [0, 0, 1]])
-    first = nullspace(m)
-    second = nullspace(m)
+    first = _kernel_columns(m)
+    second = _kernel_columns(m)
     assert first == second
     assert len(first) == 1
     assert (m * first[0]).is_zero
@@ -203,10 +222,10 @@ def test_matrix_matches_fraction_oracle(grids, s):
     # equal over Q by another route: equal and hash equal
     for other in (a + a2 - a2, (a * 2) * Fraction(1, 2), Matrix(a.rows, a.cols, fa.entries)):
         assert other == a and hash(other) == hash(a)
-    assert rank(a) == fraction_rank(fa)
-    kernel, oracle_kernel = nullspace(a), fraction_nullspace(fa)
-    assert len(kernel) == len(oracle_kernel)
-    for v, fv in zip(kernel, oracle_kernel):
+    assert rank(_rows(a)) == fraction_rank(fa)
+    vecs, oracle_vecs = _kernel_columns(a), fraction_nullspace(fa)
+    assert len(vecs) == len(oracle_vecs)
+    for v, fv in zip(vecs, oracle_vecs):
         _same(v, fv)
     if a.rows == a.cols:
         assert a.trace() == fa.trace()
@@ -242,12 +261,75 @@ def test_nullspace_matches_fraction_oracle_on_wide_sparse_matrices(grid):
     passes several pivots per free column, and must give the Fraction
     oracle's normalized basis vector for vector."""
     a, fa = Matrix.from_rows(grid), FractionMatrix.from_rows(grid)
-    assert rank(a) == fraction_rank(fa)
-    kernel, oracle_kernel = nullspace(a), fraction_nullspace(fa)
-    assert len(kernel) == a.cols - rank(a) == len(oracle_kernel)
-    for v, fv in zip(kernel, oracle_kernel):
+    assert rank(_rows(a)) == fraction_rank(fa)
+    vecs, oracle_vecs = _kernel_columns(a), fraction_nullspace(fa)
+    assert len(vecs) == a.cols - rank(_rows(a)) == len(oracle_vecs)
+    for v, fv in zip(vecs, oracle_vecs):
         _same(v, fv)
         assert (a * v).is_zero
+
+
+integer_entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6),
+                            st.integers(-10**12, 10**12))
+
+
+@st.composite
+def integer_systems(draw):
+    """Up to 7 x 9 integer rows, possibly with no rows or no columns:
+    sparse base rows (negative leading entries included) and integer
+    combinations of them."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    base = draw(st.lists(st.lists(integer_entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    grid = []
+    for _ in range(rows):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        grid.append([p * x + q * y for x, y in zip(a, b)])
+    return rows, cols, grid
+
+
+@given(integer_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_kernel_and_rank_match_the_dense_elimination(system, rnd):
+    """The row-insertion elimination gives the dense elimination's rank and
+    normalized kernel vector for vector, whatever the order of the rows,
+    and with repeated or zero rows added."""
+    nrows, ncols, grid = system
+    m = Matrix(nrows, ncols, [x for row in grid for x in row])
+    rows = _rows(m)
+    want = oracles.nullspace(m)
+    assert rank(rows) == oracles.rank(m)
+    got = kernel(rows, ncols)
+    assert [_column(vec, ncols) for vec in got] == want
+    zero_rows = [{}, {0: 0}] if ncols else [{}]
+    shuffled = rows + rows[:rnd.randint(0, len(rows))] + zero_rows
+    rnd.shuffle(shuffled)
+    assert kernel(shuffled, ncols) == got
+    assert rank(shuffled) == rank(rows)
+
+
+def test_kernel_and_rank_without_rows_or_columns():
+    """No rows, no columns, or neither: the dense elimination's shapes
+    (the 0-column case once failed in slicing its rows)."""
+    assert kernel([], 0) == [] and rank([]) == 0
+    assert kernel([{}, {}], 0) == [] and rank([{}, {}]) == 0
+    assert kernel([], 3) == [({0: 1}, 1), ({1: 1}, 1), ({2: 1}, 1)]
+    for rows, cols in ((0, 0), (2, 0), (0, 3)):
+        m = Matrix.zeros(rows, cols)
+        assert oracles.rank(m) == 0
+        assert [_column(vec, cols) for vec in kernel(_rows(m), cols)] == oracles.nullspace(m)
+
+
+def test_negative_leading_entries():
+    """Pivot rows that lead with a negative entry keep the kernel's
+    denominator positive and its normalization."""
+    rows = [{0: -2, 1: 3, 2: 1}, {1: -4, 3: 2}]
+    m = Matrix.from_rows([[-2, 3, 1, 0], [0, -4, 0, 2]])
+    got = kernel(rows, 4)
+    assert got == [({0: 1, 2: 2}, 2), ({0: 3, 1: 2, 3: 4}, 4)]
+    assert [_column(vec, 4) for vec in got] == oracles.nullspace(m)
+    assert rank(rows) == rank([{j: -x for j, x in row.items()} for row in rows]) == 2
 
 
 def test_equal_matrices_built_by_different_routes_compare_and_hash_equal():
