@@ -21,6 +21,7 @@ from . import classical as cw
 from . import quantum as qw
 from .kernels import add_term, ext_mono_mul, sym_mono_mul
 from .linalg import Matrix
+from .render import render
 
 
 @dataclass
@@ -183,28 +184,37 @@ def embed_scalar_poly(lie, rep, poly):
 # -- the operator identities, in either algebra ----------------------------------
 
 
-def _operator_identities(mod, lie, rep, rng, samples, max_degree, curv, names):
+def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, names):
     """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
     `samples` random elements of the algebra of module `mod` (`classical` or
-    `quantum`).  `names` = (curvature name, structure-constant name) as the
-    rows print them."""
+    `quantum`), drawn from `rng` (seeded with `seed`) one at a time.
+    `names` = (curvature name, structure-constant name) as the rows print
+    them.  A failure names its witness: the seed, the element's index and
+    its rendering, which `weil eval` reads back as X in the identity."""
     cname, fname = names
     E, n = mod.Element, lie.dim
-    pool = [E.unit(lie, rep)]
-    for make in (E.even_gen, E.odd_gen, E.tau):
-        pool += [make(lie, rep, a) for a in range(n)]
-    pool += [random_element(E, lie, rep, rng, max_degree) for _ in range(samples)]
+
+    def pool():
+        yield E.unit(lie, rep)
+        for make in (E.even_gen, E.odd_gen, E.tau):
+            for a in range(n):
+                yield make(lie, rep, a)
+        for _ in range(samples):
+            yield random_element(E, lie, rep, rng, max_degree)
+
+    def witness(i, x, indices=""):
+        return f"element {i} (seed {seed}){indices}: X = {render(x)}"
 
     cartan, ld, liota, ddc = [], [], [], []
-    for i, x in enumerate(pool):
+    for i, x in enumerate(pool()):
         dx = mod.differential(x)
         lx = [mod.lie_derivative(a, x) for a in range(n)]
         ix = [mod.contraction(a, x) for a in range(n)]
         for a in range(n):
             if mod.contraction(a, dx) + mod.differential(ix[a]) != lx[a]:
-                cartan.append(f"element {i}, a={a + 1}")
+                cartan.append(witness(i, x, f", a={a + 1}"))
             if mod.lie_derivative(a, dx) != mod.differential(lx[a]):
-                ld.append(f"element {i}, a={a + 1}")
+                ld.append(witness(i, x, f", a={a + 1}"))
             for b in range(n):
                 lhs = mod.lie_derivative(a, ix[b]) - mod.contraction(b, lx[a])
                 rhs = E.zero(lie, rep)
@@ -213,10 +223,10 @@ def _operator_identities(mod, lie, rep, rng, samples, max_degree, curv, names):
                     if q:
                         rhs = rhs + ix[c] * q
                 if lhs != rhs:
-                    liota.append(f"element {i}, a={a + 1}, b={b + 1}")
+                    liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
         if mod.differential(dx) != mod.supercommutator(curv, x):
-            ddc.append(f"element {i}")
-    total = len(pool)
+            ddc.append(witness(i, x))
+    total = 1 + 3 * n + samples
     return [
         _result("cartan formula [iota_a,d] = L_a", cartan, total),
         _result("[L_a,d] = 0", ld, total),
@@ -234,7 +244,7 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run every classical identity; returns a list of CheckResult."""
     rng = random.Random(seed)
     n = lie.dim
-    results = _operator_identities(cw, lie, rep, rng, samples, max_degree,
+    results = _operator_identities(cw, lie, rep, rng, seed, samples, max_degree,
                                    cw.curvature(lie, rep), ("C", "f^c_ab"))
 
     restrict, ddzero = [], []
@@ -324,7 +334,8 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     # the four-term element, not qw.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
     curv = qw.four_term_curvature(lie, rep)
-    results += _operator_identities(qw, lie, rep, rng, samples, max_degree, curv, ("QC", "f_abc"))
+    results += _operator_identities(qw, lie, rep, rng, seed, samples, max_degree, curv,
+                                    ("QC", "f_abc"))
 
     dist = qw.distinguished(lie, rep)
     ok = curv == dist.dirac_tau * dist.dirac_tau

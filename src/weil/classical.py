@@ -22,6 +22,7 @@ GRADED = True  # operators have exact degrees; the flat solver splits by degree
 
 class ClassicalElement(element.Element):
     LETTERS = ("v", "y")
+    SUPERCOMMUTATIVE = True
 
     def _mono_mul(self, k1, k2):
         r = ext_mono_mul(k1[1], k2[1])
@@ -54,7 +55,7 @@ def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:
                     continue
                 sign, e2 = r
                 add_term(out, (s, e2), mat * (q * sign))
-        cm = tau_a * mat - mat * tau_a
+        cm = tau_a.commutator(mat)
         if cm:
             add_term(out, (s, e), cm)
     return ClassicalElement(lie, rep, out)
@@ -107,7 +108,7 @@ def differential(x: ClassicalElement) -> ClassicalElement:
         # endomorphism slot: sign (-1)^(exterior length)
         pref = 1 if len(e) % 2 == 0 else -1
         for b in range(n):
-            cm = taus[b] * mat - mat * taus[b]
+            cm = taus[b].commutator(mat)
             if not cm:
                 continue
             r = ext_mono_mul(e, (b,))

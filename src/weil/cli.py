@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import checks, flat
 from .expr import ExprError, evaluate, render
@@ -20,6 +21,14 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# random elements per identity (`check`, `report`) and closure samples
+# (`flat`, `report`): 50 samples of the so3 quantum check take about 0.3 s
+MAX_SAMPLES = 1000
+# horizontal domain columns of a flat solve, C(n + N, n) monomials times
+# dim V^2 matrix units: so3 adjoint runs to N = 12 (4,095 columns),
+# so3+so3 adjoint to N = 3 (3,024)
+MAX_DOMAIN_COLUMNS = 4096
 
 
 class UsageError(Exception):
@@ -89,6 +98,23 @@ def _require_non_negative(value, flag):
         raise UsageError(f"{flag} must be non-negative")
 
 
+def _require_samples(args):
+    _require_non_negative(args.samples, "--samples")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+
+
+def _require_domain_within_cap(lie, rep, max_degree):
+    """Reject a --max-degree whose flat solve would have more than
+    MAX_DOMAIN_COLUMNS domain columns, before any monomial is listed."""
+    columns = comb(lie.dim + max_degree, lie.dim) * rep.dim ** 2
+    if columns > MAX_DOMAIN_COLUMNS:
+        raise UsageError(
+            f"--max-degree {max_degree} gives {columns} domain columns on {lie.name} "
+            f"rep {rep.name} (monomials of degree <= {max_degree} times dim V^2 = "
+            f"{rep.dim ** 2}); at most {MAX_DOMAIN_COLUMNS} are allowed")
+
+
 def _session(args):
     """The algebra, context and representation a command runs in."""
     alg = _load(args)
@@ -106,7 +132,7 @@ def _suite(context, lie, rep, args):
 
 
 def cmd_check(args) -> int:
-    _require_non_negative(args.samples, "--samples")
+    _require_samples(args)
     alg, context, rep = _session(args)
     if not _validate_all(alg, rep_names=[rep.name]):
         return EXIT_FAIL
@@ -185,8 +211,9 @@ def _print_flat_text(data):
 
 def cmd_flat(args) -> int:
     _require_non_negative(args.max_degree, "--max-degree")
-    _require_non_negative(args.samples, "--samples")
+    _require_samples(args)
     alg, context, rep = _session(args)
+    _require_domain_within_cap(alg.lie, rep, args.max_degree)
     if not _quiet_valid(alg, rep):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
         return EXIT_FAIL
@@ -200,15 +227,17 @@ def cmd_flat(args) -> int:
 
 def cmd_report(args) -> int:
     _require_non_negative(args.max_degree, "--max-degree")
-    _require_non_negative(args.samples, "--samples")
+    _require_samples(args)
     names = ["abelian(2)", "heisenberg3", "so3", "sl2"] if args.all_builtins else []
     if getattr(args, "builtin", None):
         names = [args.builtin]
     if not names:
         raise UsageError("pass --all-builtins or --builtin NAME")
+    algebras = [_load(argparse.Namespace(builtin=name)) for name in names]
+    for alg in algebras:
+        _require_domain_within_cap(alg.lie, alg.reps["adjoint"], args.max_degree)
     ok = True
-    for name in names:
-        alg = _load(argparse.Namespace(builtin=name))
+    for name, alg in zip(names, algebras):
         print(f"== {name} ==")
         valid = _validate_all(alg)
         ok &= valid
@@ -262,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_algebra_flags(p_check)
     add_session_flags(p_check)
     p_check.add_argument("--samples", type=int, default=50,
-                         help="random elements per identity (default 50)")
+                         help=f"random elements per identity (default 50, at most {MAX_SAMPLES})")
     p_check.set_defaults(fn=cmd_check)
 
     p_eval = sub.add_parser("eval", help="evaluate an expression to normal form")
@@ -276,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_algebra_flags(p_flat)
     add_session_flags(p_flat)
     p_flat.add_argument("--max-degree", type=int, default=2, dest="max_degree",
-                        help="truncation degree N (default 2)")
+                        help="truncation degree N (default 2); C(n + N, n) dim V^2 "
+                        f"must be at most {MAX_DOMAIN_COLUMNS}")
     p_flat.add_argument("--samples", type=int, default=20,
-                        help="closure samples (default 20)")
+                        help=f"closure samples (default 20, at most {MAX_SAMPLES})")
     p_flat.add_argument("--json", action="store_true", help="emit JSON")
     p_flat.set_defaults(fn=cmd_flat)
 

@@ -9,6 +9,15 @@ and `quantum.QuantumElement` supply that product (`_mono_mul`), the
 letters and joiner of their renderings, and `admit`, the check every
 constructor of a nonzero element runs on the Lie algebra.
 
+The product and the supercommutator share one pass over the term
+pairs of their factors, adding into a single dict; the bracket's yx
+half folds its Koszul sign into each coefficient.  When one of a
+pair's matrix parts is c I the two matrix products agree and are
+computed once, and when the pair's monomials also supercommute (always
+classically; quantum-side when one has no even part and the other no
+odd part, as U(g) and Cl(g) are tensor factors) the two halves cancel
+and the pair is skipped.
+
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
 the odd length: a grading classically, a filtration quantum-side whose
@@ -38,6 +47,9 @@ class Element:
     # a subclass sets LETTERS, the rendering letters of its even and odd
     # generators; JOINER separates the even and odd parts of a rendering
     JOINER = "*"
+    # whether any two monomials supercommute; otherwise only a monomial
+    # with no even part and one with no odd part are known to
+    SUPERCOMMUTATIVE = False
 
     @staticmethod
     def admit(lie):
@@ -106,17 +118,7 @@ class Element:
             q = Fraction(other)
             terms = {m: c * q for m, c in self.terms.items()} if q else {}
             return type(self)(self.lie, self.rep, terms)
-        self._check_same(other)
-        mono_mul = self._mono_mul
-        out = {}
-        for k1, m1 in self.terms.items():
-            for k2, m2 in other.terms.items():
-                prod = m1 * m2
-                if not prod:
-                    continue
-                for key, q in mono_mul(k1, k2):
-                    add_term(out, key, prod * q)
-        return type(self)(self.lie, self.rep, out)
+        return _products(self, other, False)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,13 +134,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def parity_parts(self):
-        """Split into (parity, homogeneous part) by odd length mod 2."""
-        parts = ({}, {})
-        for key, m in self.terms.items():
-            parts[len(key[1]) % 2][key] = m
-        return [(p, type(self)(self.lie, self.rep, t)) for p, t in enumerate(parts) if t]
-
     def degrees(self):
         """The degrees 2 * (even degree) + (odd length) present among the terms."""
         return sorted({2 * sum(s) + len(e) for (s, e) in self.terms})
@@ -153,12 +148,52 @@ class Element:
 
 def supercommutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly over parities."""
+    return _products(x, y, True)
+
+
+def _products(x: Element, y: Element, bracket: bool) -> Element:
+    """xy, or with `bracket` the supercommutator [x, y], in one pass over
+    the term pairs into one dict.
+
+    The yx half of term pair (s, t) carries -(-1)^{|s||t|} in its
+    coefficient, and each coefficient scales the matrix product directly.
+    Each matrix part is tested for c I once per call, not once per pair.
+    When one matrix part of a pair is c I, its matrix product is a
+    scaling and serves both halves; if the monomials supercommute as
+    well, the halves cancel and neither is computed.
+    """
     x._check_same(y)
-    out = x.zero(x.lie, x.rep)
-    for p, xp in x.parity_parts():
-        for q, yq in y.parity_parts():
-            if p * q:
-                out = out + xp * yq + yq * xp
+    mono_mul = x._mono_mul
+    everywhere = x.SUPERCOMMUTATIVE
+    out = {}
+    # every matrix part is dim V x dim V, so no product needs a shape
+    # check; c is the numerator of a c I part, else None
+    yterms = [(k2, m2, m2._scalar(), len(k2[1]) & 1, not any(k2[0]), not k2[1])
+              for k2, m2 in y.terms.items()]
+    for k1, m1 in x.terms.items():
+        c1 = m1._scalar()
+        odd1 = len(k1[1]) & 1
+        no_even1, no_odd1 = not any(k1[0]), not k1[1]
+        for k2, m2, c2, odd2, no_even2, no_odd2 in yterms:
+            scalar = c1 is not None or c2 is not None
+            if bracket and scalar and (everywhere or (no_even1 and no_odd2)
+                                       or (no_odd1 and no_even2)):
+                continue  # the two halves cancel
+            if c1 is not None:
+                prod = m2._scale(c1, m1.den)
+            elif c2 is not None:
+                prod = m1._scale(c2, m2.den)
             else:
-                out = out + xp * yq - yq * xp
-    return out
+                prod = m1._dense_mul(m2)
+            if prod:
+                for key, q in mono_mul(k1, k2):
+                    add_term(out, key, prod._scale(q.numerator, q.denominator))
+            if not bracket:
+                continue
+            if not scalar:
+                prod = m2._dense_mul(m1)
+            if prod:
+                sign = 1 if odd1 and odd2 else -1
+                for key, q in mono_mul(k2, k1):
+                    add_term(out, key, prod._scale(sign * q.numerator, q.denominator))
+    return type(x)(x.lie, x.rep, out)

@@ -21,18 +21,24 @@ any echelon basis are fixed by the row space, and the normalized kernel
 basis (each free variable 1, the other free variables 0) is fixed by
 them, so the rows may come in any order, repeated or zero, and every
 result is reproducible bit for bit.  `kernel` back-substitutes in
-integers too, each vector over one denominator, and builds no Fraction.
+integers too, each vector over one denominator, builds no Fraction,
+and visits only the pivot rows that share a column with the vector.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
-so their storage is dense; the product only skips zero weights and zero
+so their storage is dense.  Most End V parts of the Weil algebras' elements
+are c I, so a product with a factor (c / den) I, found from the
+canonical form by a count of zeros and a look at the diagonal, is one
+scaling of the other factor, and `commutator` returns zero at once when
+either factor is c I.  Any other product skips zero weights and zero
 rows, which the representation matrices are full of.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, sub
 
@@ -166,49 +172,80 @@ class Matrix:
     def __neg__(self):
         return Matrix._make(self.rows, self.cols, tuple([-a for a in self.num]), self.den)
 
+    def _scalar(self):
+        """The numerator c when self = (c / den) I, else None; 0 for a zero
+        square matrix.  The form is canonical, so c I has exactly n * n - n
+        zero numerators (n * n when c = 0) and a constant nonzero diagonal."""
+        n = self.rows
+        if n != self.cols:
+            return None
+        num = self.num
+        zeros = num.count(0)
+        if zeros == n * n:
+            return 0
+        if zeros != n * n - n:
+            return None
+        diag = num[:: n + 1]
+        c = diag[0]
+        return c if c and diag.count(c) == n else None
+
+    def _scale(self, p, r):
+        """self * (p / r), for p / r in lowest terms with r > 0."""
+        if r == 1:
+            if p == 1:
+                return self
+            if p == -1:
+                return -self
+            if p == 0:
+                return Matrix.zeros(self.rows, self.cols)
+            # gcd(den, *num) = 1: gcd(den, p) is all the product can cancel
+            g = gcd(self.den, p)
+            if g != 1:
+                p //= g
+            return Matrix._make(self.rows, self.cols,
+                                tuple([a * p for a in self.num]), self.den // g)
+        return Matrix._canonical(self.rows, self.cols,
+                                 [a * p for a in self.num], self.den * r)
+
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError(
                     f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
-            # row i of the product combines the rows t of `other` with
-            # weights a[i, t], skipping zero weights and zero rows
-            k, m = self.cols, other.cols
-            a, b = self.num, other.num
-            brows = [b[t * m:(t + 1) * m] for t in range(k)]
-            live = [t for t in range(k) if any(brows[t])]
-            zero = (0,) * m
-            num = []
-            for i in range(0, self.rows * k, k):
-                acc = None
-                for t in live:
-                    v = a[i + t]
-                    if v:
-                        if acc is None:
-                            acc = [v * x for x in brows[t]]
-                        else:
-                            acc = [x + v * y for x, y in zip(acc, brows[t])]
-                num.extend(zero if acc is None else acc)
-            return Matrix._canonical(self.rows, m, num, self.den * other.den)
+            # a factor (c / den) I only scales the other factor
+            c = self._scalar()
+            if c is not None:
+                return other._scale(c, self.den)
+            c = other._scalar()
+            if c is not None:
+                return self._scale(c, other.den)
+            return self._dense_mul(other)
         if isinstance(other, (int, Fraction)):
-            p, r = other.numerator, other.denominator
-            if r == 1:
-                if p == 1:
-                    return self
-                if p == -1:
-                    return -self
-                if p == 0:
-                    return Matrix.zeros(self.rows, self.cols)
-                # gcd(den, *num) = 1: gcd(den, p) is all the product can cancel
-                g = gcd(self.den, p)
-                if g != 1:
-                    p //= g
-                return Matrix._make(self.rows, self.cols,
-                                    tuple([a * p for a in self.num]), self.den // g)
-            return Matrix._canonical(self.rows, self.cols,
-                                     [a * p for a in self.num], self.den * r)
+            return self._scale(other.numerator, other.denominator)
         return NotImplemented
+
+    def _dense_mul(self, other):
+        """The product of shape-compatible matrices: row i combines the
+        rows t of `other` with weights self[i, t], skipping zero weights
+        and zero rows."""
+        k, m = self.cols, other.cols
+        a, b = self.num, other.num
+        brows = [b[t * m:(t + 1) * m] for t in range(k)]
+        live = [t for t in range(k) if any(brows[t])]
+        zero = (0,) * m
+        num = []
+        for i in range(0, self.rows * k, k):
+            acc = None
+            for t in live:
+                v = a[i + t]
+                if v:
+                    if acc is None:
+                        acc = [v * x for x in brows[t]]
+                    else:
+                        acc = [x + v * y for x, y in zip(acc, brows[t])]
+            num.extend(zero if acc is None else acc)
+        return Matrix._canonical(self.rows, m, num, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,7 +257,9 @@ class Matrix:
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
-        return self * other - other * self
+        if self._scalar() is not None or other._scalar() is not None:
+            return Matrix.zeros(self.rows, self.cols)
+        return self._dense_mul(other) - other._dense_mul(self)
 
     def transpose(self) -> Matrix:
         c = self.cols
@@ -245,16 +284,8 @@ class Matrix:
 
     def scalar_value(self):
         """Return c if this matrix equals c * identity, else None."""
-        n = self.rows
-        if n != self.cols or n == 0:
-            return None
-        num = self.num
-        c = num[0]
-        for i in range(n):
-            for j in range(n):
-                if num[i * n + j] != (c if i == j else 0):
-                    return None
-        return _frac(c, self.den)
+        c = self._scalar() if self.rows else None
+        return None if c is None else _frac(c, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -333,18 +364,32 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
     variables 0, and is returned as (numerators {column: int} in column
     order, denominator) in lowest terms; the basis is ordered by free
     column.  Back substitution keeps a vector as integers over one
-    denominator and touches only its nonzero entries; pivots right of
-    the free column meet only zeros and are skipped.
+    denominator and visits, largest first, only the pivot rows that
+    meet one of its nonzero entries: a pivot row sharing no column with
+    the vector would give its pivot entry 0.  Each pivot row solved adds
+    its pivot column, and with it the pivot rows that meet that column,
+    all of them further left.
     """
     pivots = _echelon(rows)
-    order = sorted(pivots)
+    # column -> the pivot columns whose rows have an entry there, past the pivot
+    meets = defaultdict(list)
+    for pc, row in pivots.items():
+        for j in row:
+            if j != pc:
+                meets[j].append(pc)
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
         vec, den = {fc: 1}, 1
-        for k in range(bisect_left(order, fc) - 1, -1, -1):
-            pc = order[k]
+        queued = set(meets.get(fc, ()))
+        pending = [-pc for pc in queued]
+        heapify(pending)
+        while pending:
+            pc = -heappop(pending)
             row = pivots[pc]
-            s = sum([row.get(j, 0) * x for j, x in vec.items()])
+            if len(row) < len(vec):
+                s = sum([x * vec[j] for j, x in row.items() if j in vec])
+            else:
+                s = sum([row[j] * x for j, x in vec.items() if j in row])
             if not s:
                 continue
             # entry pc is -s / (p den): bring the vector over den * |p / g|
@@ -356,6 +401,10 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
                     vec[j] *= p
                 den *= p
             vec[pc] = -s
+            for nxt in meets.get(pc, ()):
+                if nxt not in queued:
+                    queued.add(nxt)
+                    heappush(pending, -nxt)
         g = gcd(den, *vec.values())
         basis.append(({j: vec[j] // g for j in sorted(vec)}, den // g))
     return basis

@@ -30,6 +30,11 @@ go the row conversion and the rank/nullspace entry points it fed to
 invariance sums ran over the nonzero structure constants only;
 `dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
 the adjoint representation by scanning every index triple.
+`element_mul` and `parity_supercommutator` are `weil.element`'s product
+and supercommutator before the bracket became one pass: every term pair
+makes a dense matrix product (`Matrix._dense_mul`, which `Matrix.__mul__`
+now skips for a factor c I), and the bracket splits both factors into
+parity parts and adds up four element products per pair of parts.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -288,6 +293,46 @@ def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
             c = c1 * c2
             for m, q in pbw_mono_mul(m1, m2, lie, strategy):
                 add_term(out, m, c * q)
+    return out
+
+
+# -- element products with a dense matrix product per term pair ----------------
+
+def element_mul(x, y):
+    """`Element.__mul__` on two elements before the single-pass product:
+    one dense matrix product per term pair, whatever the factors."""
+    x._check_same(y)
+    mono_mul = x._mono_mul
+    out = {}
+    for k1, m1 in x.terms.items():
+        for k2, m2 in y.terms.items():
+            prod = m1._dense_mul(m2)
+            if not prod:
+                continue
+            for key, q in mono_mul(k1, k2):
+                add_term(out, key, prod * q)
+    return type(x)(x.lie, x.rep, out)
+
+
+def parity_parts(x):
+    """Split into (parity, homogeneous part) by odd length mod 2."""
+    parts = ({}, {})
+    for key, m in x.terms.items():
+        parts[len(key[1]) % 2][key] = m
+    return [(p, type(x)(x.lie, x.rep, t)) for p, t in enumerate(parts) if t]
+
+
+def parity_supercommutator(x, y):
+    """[x, y] = xy - (-1)^{|x||y|} yx, from the homogeneous parts of x
+    and y and four element products per pair of parts."""
+    x._check_same(y)
+    out = x.zero(x.lie, x.rep)
+    for p, xp in parity_parts(x):
+        for q, yq in parity_parts(y):
+            if p * q:
+                out = out + element_mul(xp, yq) + element_mul(yq, xp)
+            else:
+                out = out + element_mul(xp, yq) - element_mul(yq, xp)
     return out
 
 

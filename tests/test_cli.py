@@ -167,6 +167,50 @@ def test_negative_samples_exit_two(capsys):
     assert code == 2 and "--max-degree must be non-negative" in err
 
 
+def _fails_fast(argv, capsys, message):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 2 and out == "", argv
+    assert message in err and "Traceback" not in err, err
+
+
+def test_samples_past_the_cap_exit_two_at_once(capsys):
+    over = str(cli.MAX_SAMPLES + 1)
+    for argv in (["check", "--builtin", "so3", "--quantum", "--samples", over],
+                 ["flat", "--builtin", "so3", "--quantum", "--samples", over],
+                 ["report", "--builtin", "so3", "--samples", over]):
+        _fails_fast(argv, capsys, f"--samples must be at most {cli.MAX_SAMPLES}, got {over}")
+
+
+def test_max_degree_past_the_column_cap_exits_two_at_once(capsys):
+    """so3 adjoint: C(3 + 12, 3) 9 = 4,095 columns pass, N = 13 (5,040)
+    fails; abelian(2) trivial: N = 89 (4,095) passes, N = 90 (4,186) fails."""
+    for argv, columns in (
+        (["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum",
+          "--max-degree", "13"], 5040),
+        (["flat", "--builtin", "abelian(2)", "--rep", "trivial", "--max-degree", "90"], 4186),
+        (["report", "--builtin", "so3", "--max-degree", "13"], 5040),
+        (["report", "--all-builtins", "--max-degree", "13"], 5040),
+    ):
+        _fails_fast(argv, capsys, f"--max-degree {argv[-1]} gives {columns} domain columns")
+    so3, abelian2 = builtin("so3"), builtin("abelian(2)")
+    cli._require_domain_within_cap(so3.lie, so3.reps["adjoint"], 12)
+    cli._require_domain_within_cap(so3.lie, so3.reps["adjoint"], 10)
+    cli._require_domain_within_cap(abelian2.lie, abelian2.reps["trivial"], 89)
+
+
+def test_so3_plus_so3_column_cap(tmp_path, capsys):
+    """so3+so3 adjoint: N = 3 (84 x 36 = 3,024 columns) is admitted,
+    N = 4 (7,560) fails fast."""
+    path = tmp_path / "so3x2.json"
+    _so3_blocks_file(path, 6)
+    alg = load_algebra_file(str(path))
+    cli._require_domain_within_cap(alg.lie, alg.reps["adjoint"], 3)
+    _fails_fast(["flat", "--file", str(path), "--quantum", "--max-degree", "4", "--json"],
+                capsys, "--max-degree 4 gives 7560 domain columns")
+
+
 def test_flat_json_schema(capsys):
     code, out, _ = run(
         ["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum",

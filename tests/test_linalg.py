@@ -70,6 +70,22 @@ def test_matrix_shape_errors():
         Matrix.from_rows([[1, 2]]).commutator(Matrix.from_rows([[1, 2]]))
 
 
+def test_shape_mismatch_with_a_scalar_factor_raises():
+    """The shape check runs before the scalar path: c I times a matrix
+    of the wrong height is an error, not a scaling."""
+    for left, right in ((Matrix.identity(2), Matrix.from_rows([[1, 2, 3]])),
+                        (Matrix.from_rows([[1, 2, 3]]), Matrix.identity(2)),
+                        (Matrix.identity(2) * Fraction(-3, 2), Matrix.identity(3)),
+                        (Matrix.zeros(2, 2), Matrix.identity(1)),
+                        (Matrix.identity(1), Matrix.zeros(2, 2))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            left * right
+    with pytest.raises(ValueError):
+        Matrix.identity(2).commutator(Matrix.identity(3))
+    with pytest.raises(ValueError):
+        Matrix.identity(2).commutator(Matrix.from_rows([[1, 2]]))
+
+
 def test_commutator_trivial_cases():
     t1, _, _ = _ad_so3()
     assert t1.commutator(t1).is_zero
@@ -192,6 +208,56 @@ def _grid(rows, cols):
                     min_size=rows, max_size=rows)
 
 
+def _scalar_grid(n, c):
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def near_scalar_grids(draw, n):
+    """n x n grids one entry or one pattern away from c I: a constant
+    zero diagonal with n nonzeros off it (as many zeros as c I has), one
+    diagonal entry changed, or one off-diagonal entry added."""
+    c = draw(oracle_entries.filter(bool))
+    grid = _scalar_grid(n, c)
+    kind = draw(st.sampled_from(["cycle", "diagonal", "off-diagonal"]))
+    if kind == "cycle":
+        grid = _scalar_grid(n, 0)
+        for i in range(n):
+            grid[i][(i + 1) % n] = c
+    elif kind == "diagonal":
+        i = draw(st.integers(0, n - 1))
+        grid[i][i] = draw(oracle_entries.filter(lambda e: e != c))
+    elif n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        grid[i][j] = draw(oracle_entries.filter(bool))
+    return grid
+
+
+def square_grids(n, scalar):
+    """With `scalar`, c I for c zero, negative or fractional; else a
+    random grid or a near-scalar one."""
+    if scalar:
+        return oracle_entries.map(lambda c: _scalar_grid(n, c))
+    return st.one_of(_grid(n, n), _grid(n, n), near_scalar_grids(n))
+
+
+@st.composite
+def oracle_grids(draw):
+    """Grids a, a2 (r x k) and b (k x m), up to 4 x 4: a and a2 scalar
+    (then r = k), b scalar (then m = k), both, or neither."""
+    r, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    left, right = draw(st.booleans()), draw(st.booleans())
+    if left:
+        ga = draw(square_grids(k, True))
+        ga2 = draw(square_grids(k, draw(st.booleans())))
+    elif r == k:
+        ga, ga2 = draw(square_grids(k, False)), draw(square_grids(k, False))
+    else:
+        ga, ga2 = draw(_grid(r, k)), draw(_grid(r, k))
+    gb = draw(square_grids(k, True)) if right else draw(_grid(k, m))
+    return ga, ga2, gb
+
+
 def _same(m, fm):
     """m equals the oracle's fm entry for entry, and m is canonical."""
     assert (m.rows, m.cols) == (fm.rows, fm.cols)
@@ -202,12 +268,12 @@ def _same(m, fm):
     assert all(type(x) is int for x in m.num) and type(m.den) is int
 
 
-@given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(
-    lambda s: st.tuples(_grid(s[0], s[1]), _grid(s[0], s[1]), _grid(s[1], s[2]))),
-    scalars)
-@settings(max_examples=150)
+@given(oracle_grids(), scalars)
+@settings(max_examples=300)
 def test_matrix_matches_fraction_oracle(grids, s):
-    ga, ga2, gb = grids
+    """Matrix against the Fraction oracle, with c I factors (1 x 1
+    included) drawn on the left of the product, the right, or both,
+    and near-scalar matrices that must take the dense product."""
     a, a2, b = (Matrix.from_rows(g) for g in grids)
     fa, fa2, fb = (FractionMatrix.from_rows(g) for g in grids)
     _same(a, fa)
@@ -215,6 +281,10 @@ def test_matrix_matches_fraction_oracle(grids, s):
     _same(a - a2, fa - fa2)
     _same(-a, -fa)
     _same(a * b, fa * fb)
+    assert a * b == a._dense_mul(b)
+    if a.rows == a.cols:
+        _same(a * a2, fa * fa2)
+        _same(a2 * a, fa2 * fa)
     _same(a * s, fa * s)
     _same(s * a, s * fa)
     _same(a.transpose(), fa.transpose())

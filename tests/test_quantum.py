@@ -1,4 +1,7 @@
+import contextlib
+import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from weil import builtin
 from weil import classical as cw
 from weil import quantum as qw
 from weil.checks import quantum_structure_suite, quantum_suite, random_element
+from weil.cli import main
 from weil.lie import BilinearForm, LieData, trivial_rep
 from weil.linalg import Matrix
 from weil.render import render
@@ -240,6 +244,48 @@ def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
     rows = {r.name: r for r in quantum_suite(alg.lie, alg.reps["adjoint"], samples=2, seed=1)}
     for name in ("gamma^2 = -(1/48) f_abc f_abc", "QC four-term formula = (D + x_a tau_a)^2"):
         assert not rows[name].passed and rows[name].detail == "mismatch", name
+
+
+def _eval_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return buf.getvalue().strip()
+
+
+def test_failed_identity_names_a_witness_that_eval_reproduces(monkeypatch):
+    """A wrong Clifford sign on products of two words of length >= 2 breaks
+    the Cartan formula on a random element.  The row names the seed, the
+    element's index and its rendering; the rendering is that seeded draw,
+    and pasted into `weil eval` it gives a nonzero Cartan defect under the
+    mutant and zero without it."""
+    right = qw.cliff_mono_mul
+
+    def wrong(m1, m2):
+        mono, q = right(m1, m2)
+        return mono, (-q if len(m1) >= 2 and len(m2) >= 2 and len(mono) >= 2 else q)
+
+    monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
+    alg = builtin("so3")  # fresh algebra objects, so no cached element is reused
+    lie, rep = alg.lie, alg.reps["adjoint"]
+    rows = {r.name: r for r in quantum_suite(lie, rep, samples=3, seed=0)}
+    row = rows["cartan formula [iota_a,d] = L_a"]
+    assert not row.passed
+    m = re.fullmatch(r"element (\d+) \(seed 0\), a=(\d+): X = (.*)", row.detail.split("; ")[0])
+    assert m, row.detail
+    index, a, x = int(m[1]), m[2], m[3]
+    first_random = 1 + 3 * lie.dim  # the unit, then u_a, x_a, tau_a
+    assert index >= first_random
+    rng = random.Random(0)
+    draws = [random_element(qw.QuantumElement, lie, rep, rng)
+             for _ in range(index - first_random + 1)]
+    assert render(draws[-1]) == x
+    argv = ["eval", "--builtin", "so3", "--rep", "adjoint", "--quantum",
+            f"iota({a}, d({x})) + d(iota({a}, {x})) - L({a}, {x})"]
+    assert _eval_stdout(argv) != "0"
+    monkeypatch.undo()
+    assert _eval_stdout(argv) == "0"
 
 
 def _degree(key):
