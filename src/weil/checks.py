@@ -193,6 +193,7 @@ def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, na
     its rendering, which `weil eval` reads back as X in the identity."""
     cname, fname = names
     E, n = mod.Element, lie.dim
+    brackets = lie.pair_brackets()
 
     def pool():
         yield E.unit(lie, rep)
@@ -218,10 +219,8 @@ def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, na
             for b in range(n):
                 lhs = mod.lie_derivative(a, ix[b]) - mod.contraction(b, lx[a])
                 rhs = E.zero(lie, rep)
-                for c in range(n):
-                    q = lie.f(a, b, c)
-                    if q:
-                        rhs = rhs + ix[c] * q
+                for c, q in brackets.get((a, b), ()):
+                    rhs = rhs + ix[c] * q
                 if lhs != rhs:
                     liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
         if mod.differential(dx) != mod.supercommutator(curv, x):

@@ -10,12 +10,12 @@ generator formulas by the Leibniz rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import element
-from .element import CACHE_SIZE, supercommutator  # noqa: F401  (part of the module interface)
-from .kernels import _bump, add_term, ext_mono_mul, ext_normalize, sym_mono_mul
+from .element import CACHE_SIZE, add_scaled
+from .element import supercommutator  # noqa: F401  (part of the module interface)
+from .kernels import _bump, add_term, ext_mono_mul, ext_normalize, sub_term, sym_mono_mul
 
 GRADED = True  # operators have exact degrees; the flat solver splits by degree
 
@@ -47,14 +47,15 @@ def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:
             if not k:
                 continue
             for b, q in lie.lie_action(a, c):
-                add_term(out, (_bump(_bump(s, c, -1), b, 1), e), mat * (q * k))
+                add_scaled(out, (_bump(_bump(s, c, -1), b, 1), e), mat,
+                           q.numerator * k, q.denominator)
         for j, idx in enumerate(e):
             for b, q in lie.lie_action(a, idx):
                 r = ext_normalize(e[:j] + (b,) + e[j + 1:])
                 if r is None:
                     continue
                 sign, e2 = r
-                add_term(out, (s, e2), mat * (q * sign))
+                add_scaled(out, (s, e2), mat, q.numerator * sign, q.denominator)
         cm = tau_a.commutator(mat)
         if cm:
             add_term(out, (s, e), cm)
@@ -67,7 +68,7 @@ def contraction(a, x: ClassicalElement) -> ClassicalElement:
     for (s, e), mat in x.terms.items():
         for j, idx in enumerate(e):
             if idx == a:
-                add_term(out, (s, e[:j] + e[j + 1:]), mat if j % 2 == 0 else -mat)
+                (sub_term if j % 2 else add_term)(out, (s, e[:j] + e[j + 1:]), mat)
                 break
     return ClassicalElement(x.lie, x.rep, out)
 
@@ -76,7 +77,9 @@ def differential(x: ClassicalElement) -> ClassicalElement:
     """The covariant differential: odd derivation of degree +1.
 
     Generator images: d v^c = -f^c_jk y^j v^k, d y^c = v^c - (1/2) f^c_jk
-    y^j y^k, d A = y^b [tau_b, A] summed over b.
+    y^j y^k, d A = y^b [tau_b, A] summed over b.  Each term scales its
+    matrix by integers: the numerator of f^c_jk times the multiplicity
+    and the signs, over its denominator (twice it for the 1/2).
     """
     lie, rep = x.lie, x.rep
     n = lie.dim
@@ -93,18 +96,19 @@ def differential(x: ClassicalElement) -> ClassicalElement:
                 if r is None:
                     continue
                 sign, e2 = r
-                add_term(out, (_bump(base, kk, 1), e2), mat * (q * k * sign))
+                add_scaled(out, (_bump(base, kk, 1), e2), mat,
+                           q.numerator * k * sign, q.denominator)
         # exterior slot: sign (-1)^position for the odd factors passed
         for j, idx in enumerate(e):
             pref = 1 if j % 2 == 0 else -1
             rest = e[:j] + e[j + 1:]
-            add_term(out, (_bump(s, idx, 1), rest), mat * pref)
+            add_scaled(out, (_bump(s, idx, 1), rest), mat, pref)
             for p, q_, q in lie.diff_pairs(idx):
                 r = ext_normalize(e[:j] + (p, q_) + e[j + 1:])
                 if r is None:
                     continue
                 sign, e2 = r
-                add_term(out, (s, e2), mat * (q * pref * sign * Fraction(1, 2)))
+                add_scaled(out, (s, e2), mat, q.numerator * pref * sign, 2 * q.denominator)
         # endomorphism slot: sign (-1)^(exterior length)
         pref = 1 if len(e) % 2 == 0 else -1
         for b in range(n):
@@ -115,7 +119,7 @@ def differential(x: ClassicalElement) -> ClassicalElement:
             if r is None:
                 continue
             sign, e2 = r
-            add_term(out, (s, e2), cm * (pref * sign))
+            add_scaled(out, (s, e2), cm, pref * sign)
     return ClassicalElement(lie, rep, out)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernels import add_term
+from .kernels import add_term, sub_term
 from .linalg import Matrix
 from .render import render
 
@@ -108,7 +108,11 @@ class Element:
         return type(self)(self.lie, self.rep, out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_same(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            sub_term(out, m, c)
+        return type(self)(self.lie, self.rep, out)
 
     def __neg__(self):
         return type(self)(self.lie, self.rep, {m: -c for m, c in self.terms.items()})
@@ -146,6 +150,15 @@ class Element:
         return f"<{render(self)}>"
 
 
+def add_scaled(acc: dict, key, mat: Matrix, p: int, r: int = 1):
+    """acc[key] += mat * (p / r) for integers p and r > 0; for p / r = -1
+    mat is subtracted, with no negated copy."""
+    if r == 1 and (p == 1 or p == -1):
+        (add_term if p == 1 else sub_term)(acc, key, mat)
+    else:
+        add_term(acc, key, mat._scale(p, r))
+
+
 def supercommutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly over parities."""
     return _products(x, y, True)
@@ -156,7 +169,8 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
     the term pairs into one dict.
 
     The yx half of term pair (s, t) carries -(-1)^{|s||t|} in its
-    coefficient, and each coefficient scales the matrix product directly.
+    coefficient, and each coefficient scales the matrix product directly
+    (a coefficient -1 subtracts it).
     Each matrix part is tested for c I once per call, not once per pair.
     When one matrix part of a pair is c I, its matrix product is a
     scaling and serves both halves; if the monomials supercommute as
@@ -187,7 +201,7 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
                 prod = m1._dense_mul(m2)
             if prod:
                 for key, q in mono_mul(k1, k2):
-                    add_term(out, key, prod._scale(q.numerator, q.denominator))
+                    add_scaled(out, key, prod, q.numerator, q.denominator)
             if not bracket:
                 continue
             if not scalar:
@@ -195,5 +209,5 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
             if prod:
                 sign = 1 if odd1 and odd2 else -1
                 for key, q in mono_mul(k2, k1):
-                    add_term(out, key, prod._scale(sign * q.numerator, q.denominator))
+                    add_scaled(out, key, prod, sign * q.numerator, q.denominator)
     return type(x)(x.lie, x.rep, out)

@@ -30,6 +30,17 @@ def add_term(acc: dict, mono, coeff):
         del acc[mono]
 
 
+def sub_term(acc: dict, mono, coeff):
+    """acc[mono] -= coeff, dropping the key when the difference vanishes;
+    coeff is negated only when mono is new to acc."""
+    cur = acc.get(mono)
+    new = -coeff if cur is None else cur - coeff
+    if new:
+        acc[mono] = new
+    elif cur is not None:
+        del acc[mono]
+
+
 # -- symmetric algebra -----------------------------------------------------
 
 def sym_mono_mul(m1, m2):

@@ -29,8 +29,11 @@ so their storage is dense.  Most End V parts of the Weil algebras' elements
 are c I, so a product with a factor (c / den) I, found from the
 canonical form by a count of zeros and a look at the diagonal, is one
 scaling of the other factor, and `commutator` returns zero at once when
-either factor is c I.  Any other product skips zero weights and zero
-rows, which the representation matrices are full of.
+either factor is c I.  Any other product, and any other commutator,
+walks the nonzero entries of whichever factor has fewer of them, adding
+a scaled row or column of the other factor for each: its cost follows
+the sparser factor, and the representation matrices are nearly all
+zeros.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm
 from operator import add, sub
 
@@ -190,7 +194,7 @@ class Matrix:
         return c if c and diag.count(c) == n else None
 
     def _scale(self, p, r):
-        """self * (p / r), for p / r in lowest terms with r > 0."""
+        """self * (p / r), for integers p and r > 0."""
         if r == 1:
             if p == 1:
                 return self
@@ -226,25 +230,30 @@ class Matrix:
         return NotImplemented
 
     def _dense_mul(self, other):
-        """The product of shape-compatible matrices: row i combines the
-        rows t of `other` with weights self[i, t], skipping zero weights
-        and zero rows."""
+        """The product of shape-compatible matrices, walking the nonzero
+        entries of the factor with fewer of them: a left entry (i, t)
+        adds v times row t of `other` into row i, a right entry (t, j)
+        adds column t of `self`, times v, into column j."""
         k, m = self.cols, other.cols
         a, b = self.num, other.num
-        brows = [b[t * m:(t + 1) * m] for t in range(k)]
-        live = [t for t in range(k) if any(brows[t])]
-        zero = (0,) * m
-        num = []
-        for i in range(0, self.rows * k, k):
-            acc = None
-            for t in live:
-                v = a[i + t]
-                if v:
-                    if acc is None:
-                        acc = [v * x for x in brows[t]]
-                    else:
-                        acc = [x + v * y for x, y in zip(acc, brows[t])]
-            num.extend(zero if acc is None else acc)
+        num = [0] * (self.rows * m)
+        if b.count(0) <= a.count(0):
+            # the left entries come row by row: sum a row, then store it
+            lo, acc = 0, num[:m]
+            for p in compress(range(len(a)), a):
+                i, t = divmod(p, k)
+                v, brow = a[p], b[t * m:t * m + m]
+                if i * m == lo:
+                    acc = [x + v * y for x, y in zip(acc, brow)]
+                else:
+                    num[lo:lo + m] = acc
+                    lo, acc = i * m, [v * y for y in brow]
+            num[lo:lo + m] = acc
+        else:
+            for p in compress(range(len(b)), b):
+                t, j = divmod(p, m)
+                v = b[p]
+                num[j::m] = [x + v * y for x, y in zip(num[j::m], a[t::k])]
         return Matrix._canonical(self.rows, m, num, self.den * other.den)
 
     def __rmul__(self, other):
@@ -253,13 +262,29 @@ class Matrix:
         return NotImplemented
 
     def commutator(self, other) -> Matrix:
-        """ab - ba; both matrices must be square of the same size."""
+        """ab - ba; both matrices must be square of the same size.
+
+        One pass over the nonzero entries of the factor with fewer of
+        them, x, against the other, y: entry (i, t) = v adds v times row
+        t of y into row i and takes v times column i of y out of column
+        t, which builds [x, y]; when x is `other`, [a, b] = -[b, a]
+        flips the sign of v."""
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
         if self._scalar() is not None or other._scalar() is not None:
             return Matrix.zeros(self.rows, self.cols)
-        return self._dense_mul(other) - other._dense_mul(self)
+        n = self.rows
+        x, y, sign = self.num, other.num, 1
+        if y.count(0) > x.count(0):
+            x, y, sign = y, x, -1
+        num = [0] * (n * n)
+        for p in compress(range(n * n), x):
+            i, t = divmod(p, n)
+            v, lo = sign * x[p], i * n
+            num[lo:lo + n] = [z + v * w for z, w in zip(num[lo:lo + n], y[t * n:t * n + n])]
+            num[t::n] = [z - v * w for z, w in zip(num[t::n], y[i::n])]
+        return Matrix._canonical(n, n, num, self.den * other.den)
 
     def transpose(self) -> Matrix:
         c = self.cols

@@ -30,11 +30,17 @@ go the row conversion and the rank/nullspace entry points it fed to
 invariance sums ran over the nonzero structure constants only;
 `dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
 the adjoint representation by scanning every index triple.
+`row_combination_mul` and `two_product_commutator` are `Matrix`'s
+product and commutator before both walked the nonzero entries of the
+sparser factor: the product combines, for each row of the left factor,
+the rows of the right one with that row's weights, and the commutator
+takes two such products and their difference.
 `element_mul` and `parity_supercommutator` are `weil.element`'s product
 and supercommutator before the bracket became one pass: every term pair
-makes a dense matrix product (`Matrix._dense_mul`, which `Matrix.__mul__`
-now skips for a factor c I), and the bracket splits both factors into
-parity parts and adds up four element products per pair of parts.
+makes a dense matrix product (`row_combination_mul`, even for a factor
+c I, which `Matrix.__mul__` now only scales), and the bracket splits
+both factors into parity parts and adds up four element products per
+pair of parts.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -296,6 +302,41 @@ def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:
     return out
 
 
+# -- End V products by row combination -----------------------------------------
+
+def row_combination_mul(self, other):
+    """The product of shape-compatible matrices: row i combines the
+    rows t of `other` with weights self[i, t], skipping zero weights
+    and zero rows."""
+    k, m = self.cols, other.cols
+    a, b = self.num, other.num
+    brows = [b[t * m:(t + 1) * m] for t in range(k)]
+    live = [t for t in range(k) if any(brows[t])]
+    zero = (0,) * m
+    num = []
+    for i in range(0, self.rows * k, k):
+        acc = None
+        for t in live:
+            v = a[i + t]
+            if v:
+                if acc is None:
+                    acc = [v * x for x in brows[t]]
+                else:
+                    acc = [x + v * y for x, y in zip(acc, brows[t])]
+        num.extend(zero if acc is None else acc)
+    return Matrix._canonical(self.rows, m, num, self.den * other.den)
+
+
+def two_product_commutator(self, other):
+    """ab - ba; both matrices must be square of the same size."""
+    if self.rows != self.cols or other.rows != other.cols:
+        raise ValueError("commutator needs square matrices")
+    self._check_same_shape(other)
+    if self._scalar() is not None or other._scalar() is not None:
+        return Matrix.zeros(self.rows, self.cols)
+    return row_combination_mul(self, other) - row_combination_mul(other, self)
+
+
 # -- element products with a dense matrix product per term pair ----------------
 
 def element_mul(x, y):
@@ -306,7 +347,7 @@ def element_mul(x, y):
     out = {}
     for k1, m1 in x.terms.items():
         for k2, m2 in y.terms.items():
-            prod = m1._dense_mul(m2)
+            prod = row_combination_mul(m1, m2)
             if not prod:
                 continue
             for key, q in mono_mul(k1, k2):

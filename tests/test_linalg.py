@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows
+from oracles import (FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows,
+                     row_combination_mul, two_product_commutator)
 from weil.linalg import Matrix, format_scalar, kernel, parse_scalar, rank
 
 rationals = st.fractions(
@@ -304,6 +305,78 @@ def test_matrix_matches_fraction_oracle(grids, s):
         _same(ident, fident)
         assert ident.scalar_value() == fident.scalar_value()
         _same(a.commutator(a2), fa.commutator(fa2))
+
+
+# -- products walking the sparser factor, against the row-combination oracles --
+
+@st.composite
+def traffic_grids(draw, rows, cols, nnz=None):
+    """rows x cols grids shaped like the End V traffic: a matrix unit
+    E_ij, a tau-like grid with 1-2 nonzeros, or a random grid with zero
+    rows or zero columns; with `nnz`, that many nonzeros at random places."""
+    values = oracle_entries.filter(bool)
+    if nnz is None:
+        kind = draw(st.sampled_from(["unit", "tau", "zero rows", "zero columns"]))
+        if kind == "unit":
+            nnz, values = 1, st.just(1)
+        elif kind == "tau":
+            nnz = draw(st.integers(1, 2))
+        else:
+            grid = draw(_grid(rows, cols))
+            if kind == "zero rows":
+                for i in draw(st.sets(st.integers(0, rows - 1))):
+                    grid[i] = [0] * cols
+            else:
+                for j in draw(st.sets(st.integers(0, cols - 1))):
+                    for row in grid:
+                        row[j] = 0
+            return grid
+    grid = [[0] * cols for _ in range(rows)]
+    for p in draw(st.permutations(range(rows * cols)))[:nnz]:
+        grid[p // cols][p % cols] = draw(values)
+    return grid
+
+
+@st.composite
+def traffic_pairs(draw):
+    """Factors a (r x k) and b (k x m) up to 5 x 5, square half the time:
+    a is drawn from `traffic_grids`, and b has fewer nonzeros than a, as
+    many, more, or is drawn the same way as a."""
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        r = m = k
+    else:
+        r, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ga = draw(traffic_grids(r, k))
+    nnz, cells = sum(1 for row in ga for x in row if x), k * m
+    side = draw(st.sampled_from(["fewer", "equal", "more", "any"]))
+    if side == "any":
+        return ga, draw(traffic_grids(k, m))
+    count = {"fewer": st.integers(0, max(nnz - 1, 0)),
+             "equal": st.just(min(nnz, cells)),
+             "more": st.integers(min(nnz + 1, cells), cells)}[side]
+    return ga, draw(traffic_grids(k, m, draw(count)))
+
+
+@given(traffic_pairs())
+@settings(max_examples=300)
+def test_sparse_products_match_the_row_combination_oracles(grids):
+    """The product and the commutator walk the sparser factor, on the
+    left, on the right, or either at equal counts; both equal the
+    row-combination oracles bit for bit and the Fraction oracle entry
+    for entry, in canonical form."""
+    a, b = (Matrix.from_rows(g) for g in grids)
+    fa, fb = (FractionMatrix.from_rows(g) for g in grids)
+    prod = a._dense_mul(b)
+    _same(prod, fa * fb)
+    # == compares the canonical numerators and denominator: bit for bit
+    assert prod == row_combination_mul(a, b)
+    if a.rows == a.cols == b.cols:
+        _same(b._dense_mul(a), fb * fa)
+        for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+            cm = x.commutator(y)
+            _same(cm, fx.commutator(fy))
+            assert cm == two_product_commutator(x, y)
 
 
 sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), oracle_entries)
