@@ -42,6 +42,21 @@ EVALS = {
     ],
 }
 
+# classical eval on algebras other than so3: a non-adjoint rep, structure
+# constants of +-2 and a nilpotent adjoint; (builtin, rep) -> expressions
+MAT2, UNIT2 = "[[1,2],[3,4]]", "[[1,0],[0,0]]"
+MAT3, UNIT3 = "[[1,2,0],[0,3,4],[5,0,6]]", "[[1,0,0],[0,0,0],[0,0,0]]"
+CLASSICAL_EVALS = {
+    (name, rep): [
+        f"d(v3*y1*y2*{mat})", f"L(3, v1^2*y2*{mat})", f"L(1, y1*y3*{mat} + 1/2*v2)",
+        f"iota(2, y1*y2*y3*{mat})", f"d(d(v1*y2*{unit}))", "L(1, v2^2*y3*tau(1))",
+        "d(tau(1)*y3)", "d(3*v1*y2 - 1/2*y1*y3)", "d(C)", f"d(y1*y2*y3*{mat})",
+    ]
+    for name, rep, mat, unit in (("sl2", "standard", MAT2, UNIT2),
+                                 ("sl2", "adjoint", MAT3, UNIT3),
+                                 ("heisenberg3", "adjoint", MAT3, UNIT3))
+}
+
 
 def cases():
     out = [["report", "--all-builtins"]]
@@ -61,6 +76,9 @@ def cases():
     for (rep, context), exprs in EVALS.items():
         for src in exprs:
             out.append(["eval", "--builtin", "so3", "--rep", rep, f"--{context}", src])
+    for (name, rep), exprs in CLASSICAL_EVALS.items():
+        for src in exprs:
+            out.append(["eval", "--builtin", name, "--rep", rep, "--classical", src])
     return out
 
 
