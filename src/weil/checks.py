@@ -142,7 +142,9 @@ def scalar_weil_differential(lie, poly):
 
     Written as sum_a (image of generator) * (partial derivative); the
     generator images are even, so no Koszul correction is needed when
-    they multiply from the left.
+    they multiply from the left.  The images come from dense `lie.f`
+    scans, not `lie.pair_brackets()`, so the check is independent of
+    the table `classical.differential` reads.
     """
     n = lie.dim
     zero_s = (0,) * n
@@ -289,7 +291,7 @@ def quantum_structure_suite(lie):
         for b in range(n):
             lhs = qw.supercommutator(qw.x_gen(lie, rep, a), dist.g[b])
             rhs = qw.zero(lie, rep)
-            for c in range(n):
+            for c in range(n):  # dense: independent of lie.pair_brackets()
                 q = -lie.f(a, c, b)  # -f_bac, with f_bac = f^b_ac
                 if q:
                     rhs = rhs + qw.x_gen(lie, rep, c) * q

@@ -119,7 +119,7 @@ def _pbw_left(a, mono, lie):
     for m, q in _pbw_left(a, rest, lie):
         for m2, q2 in _pbw_left(b, m, lie):
             add_term(out, m2, q * q2)
-    for c, f in lie.bracket(b, a):  # [u_a, u_b] = -f^c_ba u_c
+    for c, f in lie.pair_brackets().get((b, a), ()):  # [u_a, u_b] = -f^c_ba u_c
         for m, q in _pbw_left(c, rest, lie):
             add_term(out, m, -f * q)
     return tuple(out.items())

@@ -34,7 +34,8 @@ class BilinearForm:
 
 @dataclass(eq=False)
 class LieData:
-    """Dimension, structure constants f^c_ab keyed (a, b, c), named basis.
+    """Dimension, structure constants f^c_ab keyed (a, b, c), named basis,
+    and one derived table, `pair_brackets`.
 
     Entries are kept exactly as constructed so that validation can flag
     inconsistent orientations; builtins and the file loader only ever
@@ -51,7 +52,7 @@ class LieData:
         self.entries = {k: Fraction(v) for k, v in self.entries.items()}
         if not self.basis_names:
             self.basis_names = tuple(f"e{i + 1}" for i in range(self.dim))
-        self._tables = None
+        self._pairs = None
 
     def f(self, a, b, c) -> Fraction:
         """f^c_ab with the sign of the stored orientation synthesized."""
@@ -63,59 +64,27 @@ class LieData:
             return -v
         return Fraction(0)
 
-    # -- derived tables, built once on first use ---------------------------
-
-    def _build(self):
-        """Tables of the nonzero constants, read off the stored entries.
+    def pair_brackets(self) -> dict:
+        """Nonzero (c, f^c_ab) pairs for every ordered pair (a, b) in range,
+        built once on first use.
 
         Only a stored key or its swapped partner can give a nonzero f, so
-        the tables cost the number of entries, not n^3; rows keep the
-        index order of a dense scan.
+        the table costs the number of entries, not n^3; keys and rows keep
+        the index order of a dense scan.
         """
-        n = self.dim
-        keys = set()
-        for a, b, c in self.entries:
-            if 0 <= a < n and 0 <= b < n and 0 <= c < n:
-                keys.add((a, b, c))
-                keys.add((b, a, c))
-        pairs, bracket, action, dpairs = {}, {}, {}, {}
-        for a, b, c in sorted(keys):
-            q = self.f(a, b, c)
-            if not q:
-                continue
-            pairs.setdefault((a, b), []).append((c, q))
-            if a < b:
-                bracket.setdefault((a, b), []).append((c, q))
-            # L_a g^c = -f^c_ab g^b: coefficient list per (a, c)
-            action.setdefault((a, c), []).append((b, -q))
-            # d v^c = -f^c_jk y^j v^k and the -1/2 f^c_pq y^p y^q part of d y^c
-            dpairs.setdefault(c, []).append((a, b, -q))
-        self._tables = tuple({k: tuple(v) for k, v in t.items()}
-                             for t in (bracket, action, dpairs, pairs))
-
-    def pair_brackets(self) -> dict:
-        """Nonzero (c, f^c_ab) pairs for every ordered pair (a, b) in range."""
-        if self._tables is None:
-            self._build()
-        return self._tables[3]
-
-    def bracket(self, a, b):
-        """Nonzero (c, f^c_ab) pairs for a < b."""
-        if self._tables is None:
-            self._build()
-        return self._tables[0].get((a, b), ())
-
-    def lie_action(self, a, c):
-        """Nonzero (b, -f^c_ab) pairs: image of generator c under L_a."""
-        if self._tables is None:
-            self._build()
-        return self._tables[1].get((a, c), ())
-
-    def diff_pairs(self, c):
-        """Nonzero (j, k, -f^c_jk) triples over ordered pairs (j, k)."""
-        if self._tables is None:
-            self._build()
-        return self._tables[2].get(c, ())
+        if self._pairs is None:
+            n = self.dim
+            keys = set()
+            for a, b, c in self.entries:
+                if 0 <= a < n and 0 <= b < n and 0 <= c < n:
+                    keys.add((a, b, c))
+                    keys.add((b, a, c))
+            pairs = {}
+            for a, b, c in sorted(keys):
+                if q := self.f(a, b, c):
+                    pairs.setdefault((a, b), []).append((c, q))
+            self._pairs = {k: tuple(v) for k, v in pairs.items()}
+        return self._pairs
 
     @property
     def has_orthonormal_form(self) -> bool:
@@ -262,11 +231,12 @@ def validate_rep(lie: LieData, rep: RepData) -> ValidationReport:
             report.add(f"matrix {i + 1} is {m.rows}x{m.cols}, expected {d}x{d}")
     if not report.ok:
         return report
+    brackets = lie.pair_brackets()
     for a in range(n):
         for b in range(a + 1, n):
             lhs = rep.matrices[a].commutator(rep.matrices[b])
             rhs = Matrix.zeros(d, d)
-            for c, q in lie.bracket(a, b):
+            for c, q in brackets.get((a, b), ()):
                 rhs = rhs + rep.matrices[c] * q
             if lhs != rhs:
                 report.add(f"representation violation at pair ({a + 1},{b + 1})")

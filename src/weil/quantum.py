@@ -77,28 +77,15 @@ def distinguished(lie, rep) -> Distinguished:
     ident = Matrix.identity(rep.dim)
     empty = (0,) * n
 
-    g = []
-    for a in range(n):
-        terms = {}
-        for r in range(n):
-            for s in range(n):
-                q = lie.f(r, s, a)  # f_ars with an orthonormal form
-                if not q:
-                    continue
-                cm, cq = cliff_mono_mul((r,), (s,))
-                add_term(terms, (empty, cm), ident * (cq * q * Fraction(-1, 2)))
-        g.append(QuantumElement(lie, rep, terms))
-    g = tuple(g)
-
-    gterms = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                q = lie.f(b, c, a)
-                if not q:
-                    continue
-                cm, cq = _cliff_word((a, b, c))
-                add_term(gterms, (empty, cm), ident * (cq * q * Fraction(-1, 6)))
+    # f^a_bc = f_abc with an orthonormal form
+    gs, gterms = [{} for _ in range(n)], {}
+    for (b, c), row in lie.pair_brackets().items():
+        for a, q in row:
+            cm, cq = cliff_mono_mul((b,), (c,))
+            add_term(gs[a], (empty, cm), ident * (cq * q * Fraction(-1, 2)))
+            cm, cq = _cliff_word((a, b, c))
+            add_term(gterms, (empty, cm), ident * (cq * q * Fraction(-1, 6)))
+    g = tuple(QuantumElement(lie, rep, terms) for terms in gs)
     gamma = QuantumElement(lie, rep, gterms)
 
     third = sum((x_gen(lie, rep, a) * g[a] for a in range(n)), zero(lie, rep)) * Fraction(1, 3)
@@ -146,13 +133,8 @@ def weil_differential(x: QuantumElement) -> QuantumElement:
 
 def gamma_square_formula(lie) -> Fraction:
     """-(1/48) sum f_abc^2: the scalar that gamma^2 must equal."""
-    n = lie.dim
-    total = Fraction(0)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                total += lie.f(b, c, a) ** 2
-    return -total / 48
+    total = sum(q * q for row in lie.pair_brackets().values() for _, q in row)
+    return -Fraction(total) / 48
 
 
 def gamma_squared(lie) -> Fraction:

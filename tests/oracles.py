@@ -28,8 +28,13 @@ go the row conversion and the rank/nullspace entry points it fed to
 `_echelon`.  `dense_validate_lie` and
 `dense_validate_form` are `weil.lie`'s validators before the Jacobi and
 invariance sums ran over the nonzero structure constants only;
-`dense_lie_tables` and `dense_adjoint_rep` build the `LieData` tables and
-the adjoint representation by scanning every index triple.
+`dense_lie_tables` builds `LieData.pair_brackets` and the generator
+images of the classical L_a and d, and `dense_adjoint_rep` the adjoint
+representation, by scanning every index triple.
+`lie_derivative`, `contraction` and `differential` are `weil.classical`'s
+operators before they became one Leibniz rule over generator images:
+each writes the rule out by hand, and `differential` computes all n
+commutators [tau_b, A] of every term, c I parts included.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
 sparser factor: the product combines, for each row of the left factor,
@@ -59,13 +64,15 @@ from itertools import combinations
 from math import gcd, lcm
 
 from weil import ALGEBRAS
+from weil.classical import ClassicalElement
+from weil.element import add_scaled
 from weil.flat import (SubspaceResult, _flat_op, _level_monomials, _odd_premise_failure,
                        hor_basis, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar
-from weil.kernels import (add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
-                          ext_mono_mul, pbw_mono_mul as cached_pbw_mono_mul, pbw_word,
-                          sym_mono_mul)
+from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
+                          ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
+                          pbw_word, sub_term, sym_mono_mul)
 
 
 # -- polynomial products on the kernels' monomial products --------------------
@@ -281,7 +288,7 @@ def pbw_word_mul(word, lie, strategy="leftmost"):
             continue
         b, a = w[bad], w[bad + 1]
         stack.append((coeff, w[:bad] + [a, b] + w[bad + 2:]))
-        for c, q in lie.bracket(a, b):
+        for c, q in lie.pair_brackets().get((a, b), ()):
             stack.append((-coeff * q, w[:bad] + [c] + w[bad + 2:]))
     return out
 
@@ -375,6 +382,96 @@ def parity_supercommutator(x, y):
             else:
                 out = out + element_mul(xp, yq) - element_mul(yq, xp)
     return out
+
+
+# -- classical operators, one hand-written Leibniz rule each -------------------
+
+def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:
+    """L_a: even derivation; acts on all three tensor slots."""
+    lie, rep = x.lie, x.rep
+    _, action, _ = dense_lie_tables(lie)
+    tau_a = rep.matrices[a]
+    out = {}
+    for (s, e), mat in x.terms.items():
+        for c, k in enumerate(s):
+            if not k:
+                continue
+            for b, q in action.get((a, c), ()):
+                add_scaled(out, (_bump(_bump(s, c, -1), b, 1), e), mat,
+                           q.numerator * k, q.denominator)
+        for j, idx in enumerate(e):
+            for b, q in action.get((a, idx), ()):
+                r = ext_normalize(e[:j] + (b,) + e[j + 1:])
+                if r is None:
+                    continue
+                sign, e2 = r
+                add_scaled(out, (s, e2), mat, q.numerator * sign, q.denominator)
+        cm = tau_a.commutator(mat)
+        if cm:
+            add_term(out, (s, e), cm)
+    return ClassicalElement(lie, rep, out)
+
+
+def contraction(a, x: ClassicalElement) -> ClassicalElement:
+    """iota_a: odd derivation of degree -1; kills all but the exterior slot."""
+    out = {}
+    for (s, e), mat in x.terms.items():
+        for j, idx in enumerate(e):
+            if idx == a:
+                (sub_term if j % 2 else add_term)(out, (s, e[:j] + e[j + 1:]), mat)
+                break
+    return ClassicalElement(x.lie, x.rep, out)
+
+
+def differential(x: ClassicalElement) -> ClassicalElement:
+    """The covariant differential: odd derivation of degree +1.
+
+    Generator images: d v^c = -f^c_jk y^j v^k, d y^c = v^c - (1/2) f^c_jk
+    y^j y^k, d A = y^b [tau_b, A] summed over b.  Each term scales its
+    matrix by integers: the numerator of f^c_jk times the multiplicity
+    and the signs, over its denominator (twice it for the 1/2).
+    """
+    lie, rep = x.lie, x.rep
+    _, _, dpairs = dense_lie_tables(lie)
+    n = lie.dim
+    taus = rep.matrices
+    out = {}
+    for (s, e), mat in x.terms.items():
+        # symmetric slot (even factors, no position sign)
+        for c, k in enumerate(s):
+            if not k:
+                continue
+            base = _bump(s, c, -1)
+            for j, kk, q in dpairs.get(c, ()):
+                r = ext_mono_mul((j,), e)
+                if r is None:
+                    continue
+                sign, e2 = r
+                add_scaled(out, (_bump(base, kk, 1), e2), mat,
+                           q.numerator * k * sign, q.denominator)
+        # exterior slot: sign (-1)^position for the odd factors passed
+        for j, idx in enumerate(e):
+            pref = 1 if j % 2 == 0 else -1
+            rest = e[:j] + e[j + 1:]
+            add_scaled(out, (_bump(s, idx, 1), rest), mat, pref)
+            for p, q_, q in dpairs.get(idx, ()):
+                r = ext_normalize(e[:j] + (p, q_) + e[j + 1:])
+                if r is None:
+                    continue
+                sign, e2 = r
+                add_scaled(out, (s, e2), mat, q.numerator * pref * sign, 2 * q.denominator)
+        # endomorphism slot: sign (-1)^(exterior length)
+        pref = 1 if len(e) % 2 == 0 else -1
+        for b in range(n):
+            cm = taus[b].commutator(mat)
+            if not cm:
+                continue
+            r = ext_mono_mul(e, (b,))
+            if r is None:
+                continue
+            sign, e2 = r
+            add_scaled(out, (s, e2), cm, pref * sign)
+    return ClassicalElement(lie, rep, out)
 
 
 # -- the dense Fraction kernel path ---------------------------------------------
@@ -880,14 +977,16 @@ def dense_validate_form(lie: LieData, form: BilinearForm) -> FormReport:
 
 
 def dense_lie_tables(lie):
-    """(bracket, action, dpairs) tables of `LieData`, by dense index loops."""
+    """(pairs, action, dpairs) tables by dense index loops: the nonzero
+    (c, f^c_ab) for every ordered pair (a, b), as `LieData.pair_brackets`
+    gives them, and the generator images of the classical L_a and d."""
     n = lie.dim
-    bracket = {}
+    pairs = {}
     for a in range(n):
-        for b in range(a + 1, n):
+        for b in range(n):
             row = [(c, q) for c in range(n) if (q := lie.f(a, b, c))]
             if row:
-                bracket[(a, b)] = tuple(row)
+                pairs[(a, b)] = tuple(row)
     # L_a g^c = -f^c_ab g^b: coefficient list per (a, c)
     action = {}
     for a in range(n):
@@ -906,7 +1005,7 @@ def dense_lie_tables(lie):
                     row.append((j, k, -q))
         if row:
             dpairs[c] = tuple(row)
-    return bracket, action, dpairs
+    return pairs, action, dpairs
 
 
 def dense_adjoint_rep(lie: LieData) -> RepData:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weil.classical import _derivations
 from weil.element import CACHE_SIZE
 from weil.lie import (
     BilinearForm,
@@ -268,14 +269,30 @@ def _same_validation(lie, form):
 
 
 def _same_tables(lie):
-    bracket, action, dpairs = oracles.dense_lie_tables(lie)
+    """`pair_brackets`, the classical generator images read off it, and the
+    adjoint rep against dense scans: same keys, rows and order."""
+    pairs, action, dpairs = oracles.dense_lie_tables(lie)
+    assert list(lie.pair_brackets().items()) == list(pairs.items())
+    rep = adjoint_rep(lie)
+    taus = rep.matrices
+    lie_ders, iotas, d = _derivations(lie, rep)
     n = lie.dim
     for a in range(n):
-        assert lie.diff_pairs(a) == dpairs.get(a, ())
-        for b in range(n):
-            assert lie.bracket(a, b) == bracket.get((a, b), ())
-            assert lie.lie_action(a, b) == action.get((a, b), ())
-    assert adjoint_rep(lie).matrices == oracles.dense_adjoint_rep(lie).matrices
+        for c in range(n):
+            row = action.get((a, c), ())
+            assert lie_ders[a].v.get(c, []) == [(b, (), q.numerator, q.denominator, None)
+                                                for b, q in row]
+            assert lie_ders[a].y.get(c, []) == [(None, (b,), q.numerator, q.denominator, None)
+                                                for b, q in row]
+        assert lie_ders[a].endo == (((None, (), 1, 1, taus[a]),) if taus[a] else ())
+        assert not lie_ders[a].odd and iotas[a].odd
+        assert (iotas[a].v, iotas[a].y, iotas[a].endo) == ({}, {a: ((None, (), 1, 1, None),)}, ())
+        row = dpairs.get(a, ())
+        assert d.v.get(a, []) == [(k, (j,), q.numerator, q.denominator, None) for j, k, q in row]
+        assert d.y[a] == [(a, (), 1, 1, None)] + [(None, (j, k), q.numerator, 2 * q.denominator,
+                                                   None) for j, k, q in row]
+    assert d.odd and d.endo == tuple((None, (b,), 1, 1, t) for b, t in enumerate(taus) if t)
+    assert taus == oracles.dense_adjoint_rep(lie).matrices
 
 
 @given(lie_data())
