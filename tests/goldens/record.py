@@ -3,7 +3,8 @@
 
 Each case is a `weil` argument list; its exit code and stdout are run
 in-process through `weil.cli.main` and written to `cli.json` next to
-this file.  Record once, from the commit whose outputs are the
+this file.  The expression-error cases (`ERRORS`) record stderr too, so
+that each error message and its position are pinned.  Record once, from the commit whose outputs are the
 reference, and re-record only when an output is meant to change:
 
     PYTHONPATH=src python3 tests/goldens/record.py
@@ -57,6 +58,19 @@ CLASSICAL_EVALS = {
                                  ("heisenberg3", "adjoint", MAT3, UNIT3))
 }
 
+# each fails (exit 1) at a different point of the grammar or the evaluator:
+# every call form, rationals, matrices, exponents, names and generators
+ERRORS = {
+    ("so3", "adjoint", "classical"): [
+        "tau", "tau(x)", "tau(1", "tau(4)", "d()", "d(y1", "L(v1)", "L(1 v1)", "L(4, v1)",
+        "iota(0, y1)", "comm(v1)", "comm(v1 v2)", "comm(v1, v2", "1/0", "2/", "[[1,-2/00]]",
+        "[[1,2],[3]]", "u1^33", "foo(1)", "QC", "v1 +",
+    ],
+    # u1 and C on the adjoint rep are stdout rows above
+    ("so3", "trivial", "classical"): ["u1"],
+    ("so3", "trivial", "quantum"): ["C"],
+}
+
 
 def cases():
     out = [["report", "--all-builtins"]]
@@ -82,18 +96,26 @@ def cases():
     return out
 
 
+def error_cases():
+    return [["eval", "--builtin", name, "--rep", rep, f"--{context}", src]
+            for (name, rep, context), exprs in ERRORS.items() for src in exprs]
+
+
 def run(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def record():
     rows = []
     for argv in cases():
-        code, stdout = run(argv)
+        code, stdout, _ = run(argv)
         rows.append({"argv": argv, "exit": code, "stdout": stdout})
+    for argv in error_cases():
+        code, stdout, stderr = run(argv)
+        rows.append({"argv": argv, "exit": code, "stdout": stdout, "stderr": stderr})
     OUT.write_text(json.dumps(rows, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     return rows
 

@@ -1,9 +1,10 @@
 """CLI outputs against goldens recorded before the element refactor.
 
 `goldens/cli.json` holds, per case, a `weil` argument list with the
-exit code and stdout it gave when recorded (see `goldens/record.py`).
-Each case runs in-process through `cli.main`; stdout and the exit code
-must match byte for byte.
+exit code and stdout it gave when recorded (see `goldens/record.py`),
+and stderr for the expression-error cases.  Each case runs in-process
+through `cli.main`; stdout, the exit code and any recorded stderr must
+match byte for byte.
 """
 
 import contextlib
@@ -20,8 +21,10 @@ CASES = json.loads((Path(__file__).parent / "goldens" / "cli.json").read_text(en
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_cli_golden(case):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(case["argv"])
     assert code == case["exit"]
-    assert buf.getvalue() == case["stdout"]
+    assert out.getvalue() == case["stdout"]
+    if "stderr" in case:
+        assert err.getvalue() == case["stderr"]
