@@ -30,12 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernels import add_term, sub_term
-from .linalg import Matrix
+from .linalg import CACHE_SIZE, Matrix  # noqa: F401  (CACHE_SIZE: part of the interface)
 from .render import render
-
-# maxsize of the per-(lie, rep) element caches (curvature, distinguished
-# elements); an evicted entry is rebuilt as an equal element
-CACHE_SIZE = 64
 
 
 @dataclass(eq=False)

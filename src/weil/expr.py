@@ -12,6 +12,7 @@ Grammar (whitespace-insensitive):
     GENERATOR := v<i> y<i>          (classical)   u<i> x<i>   (quantum)
     NAME      := C | QC | gamma | Dirac | I
     CALL      := d(e) | L(i, e) | iota(i, e) | comm(e, e) | tau(i)
+                 the table _CALLS; i an INT generator index, e an expr
 
 Hand-written recursive descent; errors carry (line, column) and what was
 expected.  Literals are at most MAX_LITERAL characters long, factors
@@ -78,11 +79,6 @@ class Name(Node):
 
 
 @dataclass
-class Tau(Node):
-    index: int
-
-
-@dataclass
 class Neg(Node):
     arg: Node
 
@@ -101,16 +97,9 @@ class Pow(Node):
 
 
 @dataclass
-class Comm(Node):
-    left: Node
-    right: Node
-
-
-@dataclass
-class OpApply(Node):
-    op: str  # 'd', 'L', 'iota'
-    index: int | None
-    arg: Node
+class Call(Node):
+    name: str  # a key of _CALLS
+    args: tuple  # int for a generator index, Node for an expression
 
 
 # -- lexer --------------------------------------------------------------------
@@ -141,7 +130,9 @@ MAX_TERM_PAIRS = 50_000
 
 _GEN = re.compile(r"([vyux])(\d+)$")
 _NAMES = ("C", "QC", "gamma", "Dirac", "I")
-_CALLS = ("d", "L", "iota", "comm", "tau")
+# call name -> its argument kinds in order: i a generator index, e an expr
+_CALLS = {"tau": "i", "d": "e", "L": "ie", "iota": "ie", "comm": "ee"}
+_ALIASES = {"−": "-", "⊗": "*"}
 
 
 @dataclass
@@ -163,16 +154,10 @@ def tokenize(src):
         kind = m.lastgroup
         if kind in ("int", "ident") and len(text) > MAX_LITERAL:
             raise ExprError(f"literal longer than {MAX_LITERAL} characters", (line, col))
+        if kind == "op":
+            kind = _ALIASES.get(text, text)
         if kind != "ws":
-            if kind == "op":
-                ch = text
-                if ch == "−":
-                    ch = "-"
-                if ch == "⊗":
-                    ch = "*"
-                tokens.append(Token(ch, text, (line, col)))
-            else:
-                tokens.append(Token(kind, text, (line, col)))
+            tokens.append(Token(kind, text, (line, col)))
         for ch in text:
             if ch == "\n":
                 line += 1
@@ -252,22 +237,20 @@ class Parser:
         self.depth -= 1
         return node
 
-    def denominator(self) -> int:
+    def rational(self, what) -> Fraction:
+        num = int(self.expect("int", what).text)
+        if self.cur.kind != "/":
+            return Fraction(num)
+        self.advance()
         tok = self.expect("int", "a denominator")
-        den = int(tok.text)
-        if not den:
+        if not int(tok.text):
             raise ExprError("zero denominator", tok.pos)
-        return den
+        return Fraction(num, int(tok.text))
 
     def atom(self) -> Node:
         tok = self.cur
         if tok.kind == "int":
-            self.advance()
-            num = int(tok.text)
-            if self.cur.kind == "/":
-                self.advance()
-                return Lit(tok.pos, Fraction(num, self.denominator()))
-            return Lit(tok.pos, Fraction(num))
+            return Lit(tok.pos, self.rational("a number"))
         if tok.kind == "[":
             return self.matrix()
         if tok.kind == "(":
@@ -290,31 +273,19 @@ class Parser:
             return Gen(tok.pos, m.group(1), int(m.group(2)))
         if name in _NAMES:
             return Name(tok.pos, name)
-        if name == "tau":
-            self.expect("(")
-            idx = self.expect("int", "a generator index")
-            self.expect(")")
-            return Tau(tok.pos, int(idx.text))
-        if name == "comm":
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return Comm(tok.pos, left, right)
-        if name == "d":
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return OpApply(tok.pos, "d", None, arg)
-        if name in ("L", "iota"):
-            self.expect("(")
-            idx = self.expect("int", "a generator index")
-            self.expect(",")
-            arg = self.expr()
-            self.expect(")")
-            return OpApply(tok.pos, name, int(idx.text), arg)
-        raise ExprError(f"unknown identifier {name!r}", tok.pos)
+        if name not in _CALLS:
+            raise ExprError(f"unknown identifier {name!r}", tok.pos)
+        self.expect("(")
+        args = []
+        for k, kind in enumerate(_CALLS[name]):
+            if k:
+                self.expect(",")
+            if kind == "i":
+                args.append(int(self.expect("int", "a generator index").text))
+            else:
+                args.append(self.expr())
+        self.expect(")")
+        return Call(tok.pos, name, tuple(args))
 
     def matrix(self) -> Node:
         start = self.expect("[")
@@ -342,12 +313,7 @@ class Parser:
         while self.cur.kind == "-":
             self.advance()
             neg = not neg
-        tok = self.expect("int", "a rational matrix entry")
-        num = int(tok.text)
-        val = Fraction(num)
-        if self.cur.kind == "/":
-            self.advance()
-            val = Fraction(num, self.denominator())
+        val = self.rational("a rational matrix entry")
         return -val if neg else val
 
 
@@ -419,10 +385,6 @@ class Evaluator:
             return qw.distinguished(self.lie, self.rep).gamma
         return qw.distinguished(self.lie, self.rep).dirac
 
-    def _eval_tau(self, node):
-        a = self._check_index(node.index, node.pos)
-        return self.mod.tau(self.lie, self.rep, a)
-
     def _eval_neg(self, node):
         return -self.eval(node.arg)
 
@@ -453,20 +415,22 @@ class Evaluator:
             out = out * base
         return out
 
-    def _eval_comm(self, node):
-        left, right = self.eval(node.left), self.eval(node.right)
-        _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
-        _check_term_pairs(left, right, node.pos)
-        return self.mod.supercommutator(left, right)
-
-    def _eval_opapply(self, node):
-        arg = self.eval(node.arg)
-        if node.op == "d":  # raises the degree by at most one: check the result
+    def _eval_call(self, node):
+        name, args = node.name, node.args
+        if name == "tau":
+            return self.mod.tau(self.lie, self.rep, self._check_index(args[0], node.pos))
+        if name == "comm":
+            left, right = self.eval(args[0]), self.eval(args[1])
+            _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
+            _check_term_pairs(left, right, node.pos)
+            return self.mod.supercommutator(left, right)
+        arg = self.eval(args[-1])
+        if name == "d":  # raises the degree by at most one: check the result
             out = self.mod.differential(arg)
             _check_degree(out.poly_degree(), node.pos)
             return out
-        a = self._check_index(node.index, node.pos)
-        if node.op == "L":
+        a = self._check_index(args[0], node.pos)
+        if name == "L":
             return self.mod.lie_derivative(a, arg)
         return self.mod.contraction(a, arg)
 

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .element import CACHE_SIZE
-from .linalg import Matrix, parse_scalar, rank
+from .linalg import CACHE_SIZE, Matrix, parse_scalar, rank
 
 
 @dataclass(frozen=True)

@@ -41,12 +41,18 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import add, sub
 
 Scalar = Fraction
+
+# maxsize of every cache: the identity matrices here and, in the modules
+# above, those per Lie algebra and rep (trivial rep, curvature,
+# distinguished elements); an evicted entry is rebuilt as an equal one
+CACHE_SIZE = 64
 
 # an optional minus sign (ASCII or typographic), digits, optional /digits;
 # each part at most 1,000 digits, so a file entry has a bounded size
@@ -131,8 +137,9 @@ class Matrix:
         return cls._make(rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
+    @lru_cache(maxsize=CACHE_SIZE)
     def identity(cls, n) -> Matrix:
-        return _cached_identity(n)
+        return cls._make(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
     @property
     def entries(self) -> tuple:
@@ -330,17 +337,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self.render()})"
-
-
-def _cached_identity(n):
-    m = _IDENTITY_CACHE.get(n)
-    if m is None:
-        m = Matrix._make(n, n, tuple(int(i == j) for i in range(n) for j in range(n)), 1)
-        _IDENTITY_CACHE[n] = m
-    return m
-
-
-_IDENTITY_CACHE: dict = {}
 
 
 def _echelon(rows):

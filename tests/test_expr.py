@@ -9,10 +9,9 @@ from weil.expr import (
     MAX_LITERAL,
     MAX_NESTING,
     BinOp,
-    Comm,
+    Call,
     ExprError,
     Neg,
-    OpApply,
     evaluate,
     parse,
     render,
@@ -34,9 +33,9 @@ def test_parse_shapes():
     assert isinstance(tree, BinOp) and tree.op == "+"
     assert isinstance(tree.left, BinOp) and tree.left.op == "*"
     tree = parse("comm(C, tau(1))")
-    assert isinstance(tree, Comm)
+    assert isinstance(tree, Call) and tree.name == "comm"
     tree = parse("d(d(tau(1)))")
-    assert isinstance(tree, OpApply) and isinstance(tree.arg, OpApply)
+    assert isinstance(tree, Call) and isinstance(tree.args[0], Call)
 
 
 def _shape(node):
@@ -47,6 +46,8 @@ def _shape(node):
             continue
         if hasattr(value, "pos"):
             items.append((name, _shape(value)))
+        elif isinstance(value, tuple):
+            items.append((name, tuple(_shape(v) if hasattr(v, "pos") else v for v in value)))
         else:
             items.append((name, value))
     return tuple(items)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows,
                      row_combination_mul, two_product_commutator)
-from weil.linalg import Matrix, format_scalar, kernel, parse_scalar, rank
+from weil.linalg import CACHE_SIZE, Matrix, format_scalar, kernel, parse_scalar, rank
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -106,6 +106,15 @@ def test_commutator_antisymmetry(a, b):
     if a.rows != b.rows:
         return
     assert a.commutator(b) == -b.commutator(a)
+
+
+def test_identity_cache_is_bounded():
+    """Identity matrices are cached, but at most CACHE_SIZE of them."""
+    for n in range(1, CACHE_SIZE + 11):
+        ident = Matrix.identity(n)
+        assert ident.rows == ident.cols == n and ident.is_identity
+        assert Matrix.identity(n) is ident
+    assert Matrix.identity.cache_info().currsize <= CACHE_SIZE
 
 
 def _rows(m):
