@@ -424,6 +424,7 @@ class Evaluator:
             _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
             _check_term_pairs(left, right, node.pos)
             return self.mod.supercommutator(left, right)
+        # d, L, iota: an error in the argument is reported before a bad index
         arg = self.eval(args[-1])
         if name == "d":  # raises the degree by at most one: check the result
             out = self.mod.differential(arg)

@@ -4,8 +4,9 @@
 Each case is a `weil` argument list; its exit code and stdout are run
 in-process through `weil.cli.main` and written to `cli.json` next to
 this file.  The expression-error cases (`ERRORS`) record stderr too, so
-that each error message and its position are pinned.  Record once, from the commit whose outputs are the
-reference, and re-record only when an output is meant to change:
+that each error message and its position are pinned.  Record once, from
+the commit whose outputs are the reference, and re-record only when an
+output is meant to change:
 
     PYTHONPATH=src python3 tests/goldens/record.py
 """
