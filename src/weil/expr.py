@@ -113,8 +113,8 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
-# u3^32*u1^32 on so3 (quantum) takes about half a minute on a 2-core Xeon;
-# the cap keeps one power from asking for far more than that.
+# u3^32*u1^32 on so3 (quantum) takes about 4 s on a 2-core Xeon; the cap
+# keeps one power from asking for far more than that.
 MAX_EXPONENT = 32
 # u3^32*u1^32 reaches degree 64; beyond it the PBW kernel's recursion
 # (one level per degree) would end in a RecursionError.
@@ -124,8 +124,11 @@ MAX_DEGREE = 64
 MAX_NESTING = 100
 # characters of an integer or a name; int() refuses more than 4,300 digits
 MAX_LITERAL = 1000
-# terms of one factor times terms of the other, at tens of microseconds a
-# pair: (u1+...+u12)^8 on abelian(12) ran 20 s; the CLI goldens pair <= 16
+# terms of one factor times terms of the other.  A pair costs tens of
+# microseconds on commuting words ((u1+...+u12)^5 on abelian(12), 21,840
+# pairs, under 1 s) and about 0.2 ms on two degree-8 PBW words of so3
+# ((u1+u2+u3)^8 * (u1+u2+u3+x1)^8, 44,772 pairs, about 10 s); the CLI
+# goldens pair <= 16
 MAX_TERM_PAIRS = 50_000
 
 _GEN = re.compile(r"([vyux])(\d+)$")

@@ -3,15 +3,19 @@
 Monomials are plain tuples: symmetric and enveloping-algebra monomials
 are exponent vectors, exterior and Clifford monomials are strictly
 increasing index tuples.  Polynomials are dicts monomial -> coefficient
-with no zero coefficients stored; coefficients may be Fractions or
-matrices, anything with exact +, *, unary - and falsy zero.
+with no zero coefficients stored; coefficients may be ints, Fractions
+or matrices, anything with exact +, *, unary - and falsy zero.
 
 The Clifford kernel is for the orthonormal form B = I, the only form
 the quantum construction accepts: a product of two index monomials is
-then a single signed term.  The PBW kernel multiplies by one generator
-at a time, onto a normal-form monomial, and merges like terms at every
-step.  The word-rewriting routines these replace, including a Clifford
-product for a general form B, live on in the tests as oracles.
+then a single signed term with a Fraction coefficient.  The PBW kernel
+multiplies by one generator at a time, onto a normal-form monomial, and
+merges like terms at every step; its coefficients stay Python ints on
+an algebra with integral structure constants (every builtin, so(n)) and
+are exact ints and Fractions otherwise.  The word-rewriting routines
+these replace, including a Clifford product for a general form B, and
+the PBW kernel as it ran on Fractions only, live on in the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -105,7 +109,9 @@ def _bump(mono, i, k):
 
 @lru_cache(maxsize=1 << 16)
 def _pbw_left(a, mono, lie):
-    """u_a times the normal-form monomial u^mono, as (monomial, Fraction) pairs.
+    """u_a times the normal-form monomial u^mono, as (monomial, coefficient)
+    pairs: ints when every f^c_ab in `lie.pair_brackets()` is an int, exact
+    ints and Fractions otherwise.
 
     With b the smallest letter of mono and b < a, write u^mono = u_b m'; then
     u_a u_b m' = u_b (u_a m') + [u_a, u_b] m'.  Every call below is on a
@@ -113,7 +119,7 @@ def _pbw_left(a, mono, lie):
     """
     b = next((i for i, k in enumerate(mono) if k), a)
     if b >= a:
-        return ((_bump(mono, a, 1), Fraction(1)),)
+        return ((_bump(mono, a, 1), 1),)
     rest = _bump(mono, b, -1)
     out = {}
     for m, q in _pbw_left(a, rest, lie):
@@ -128,7 +134,7 @@ def _pbw_left(a, mono, lie):
 @lru_cache(maxsize=1 << 14)
 def pbw_mono_mul(m1, m2, lie):
     """u^m1 u^m2 in PBW normal form: the letters of m1, right to left, onto m2."""
-    terms = {m2: Fraction(1)}
+    terms = {m2: 1}
     for a in reversed(pbw_word(m1)):
         nxt = {}
         for m, c in terms.items():

@@ -65,7 +65,9 @@ class LieData:
 
     def pair_brackets(self) -> dict:
         """Nonzero (c, f^c_ab) pairs for every ordered pair (a, b) in range,
-        built once on first use.
+        built once on first use.  Each f^c_ab is an int when it is integral
+        and a Fraction otherwise, so that the PBW kernel and every other
+        reader multiply in ints on an integral algebra.
 
         Only a stored key or its swapped partner can give a nonzero f, so
         the table costs the number of entries, not n^3; keys and rows keep
@@ -81,6 +83,7 @@ class LieData:
             pairs = {}
             for a, b, c in sorted(keys):
                 if q := self.f(a, b, c):
+                    q = q.numerator if q.denominator == 1 else q
                     pairs.setdefault((a, b), []).append((c, q))
             self._pairs = {k: tuple(v) for k, v in pairs.items()}
         return self._pairs

@@ -4,6 +4,10 @@ The word-rewriting routines are what `weil.kernels` used before its
 closed-form Clifford product and memoized PBW left multiplication: the
 Clifford routines take a general symmetric form B, and the PBW routine
 straightens a whole letter word with either of two rewriting strategies.
+`fraction_pbw_left` and `fraction_pbw_mono_mul` are that memoized left
+multiplication before its coefficients became ints on an integral
+algebra: every coefficient is a Fraction, and each f^c_ab is read by
+`LieData.f`, not from `pair_brackets`.
 `full_flat_basis` is the per-index-block flat solve that `weil.flat`
 used before it derived the full flat basis from the horizontal one;
 `derived_full_flat_basis` is that derived basis as `weil.flat` built it
@@ -297,6 +301,38 @@ def pbw_word_mul(word, lie, strategy="leftmost"):
 def pbw_mono_mul(m1, m2, lie, strategy="leftmost"):
     d = pbw_word_mul(pbw_word(m1) + pbw_word(m2), lie, strategy)
     return tuple(sorted(d.items()))
+
+
+@lru_cache(maxsize=None)
+def fraction_pbw_left(a, mono, lie):
+    """`weil.kernels._pbw_left` on Fractions only: u_a times u^mono with the
+    seed Fraction(1), every f^c_ba a Fraction read by `lie.f`."""
+    b = next((i for i, k in enumerate(mono) if k), a)
+    if b >= a:
+        return ((_bump(mono, a, 1), Fraction(1)),)
+    rest = _bump(mono, b, -1)
+    out = {}
+    for m, q in fraction_pbw_left(a, rest, lie):
+        for m2, q2 in fraction_pbw_left(b, m, lie):
+            add_term(out, m2, q * q2)
+    for c in range(lie.dim):  # [u_a, u_b] = -f^c_ba u_c
+        if f := lie.f(b, a, c):
+            for m, q in fraction_pbw_left(c, rest, lie):
+                add_term(out, m, -f * q)
+    return tuple(out.items())
+
+
+@lru_cache(maxsize=None)
+def fraction_pbw_mono_mul(m1, m2, lie):
+    """`weil.kernels.pbw_mono_mul` on Fractions only, through `fraction_pbw_left`."""
+    terms = {m2: Fraction(1)}
+    for a in reversed(pbw_word(m1)):
+        nxt = {}
+        for m, c in terms.items():
+            for m3, q in fraction_pbw_left(a, m, lie):
+                add_term(nxt, m3, c * q)
+        terms = nxt
+    return tuple(sorted(terms.items()))
 
 
 def mul_pbw(a: dict, b: dict, lie, strategy="leftmost") -> dict:

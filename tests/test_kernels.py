@@ -1,22 +1,28 @@
 import importlib.util
 import itertools
+import json
 import random
+import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weil.kernels as kernels
 from oracles import cliff_poly_mul, ext_poly_mul, pbw_poly_mul, sym_poly_mul
 from weil.kernels import (
+    add_term,
     cliff_mono_mul,
     ext_mono_mul,
     ext_normalize,
     pbw_mono_mul,
     pbw_word,
 )
-from weil.lie import builtin
+from weil.lie import builtin, load_algebra_file
 from weil.linalg import Matrix
 
 
@@ -174,6 +180,77 @@ def test_pbw_kernel_matches_oracle_strategies():
             for strategy in ("leftmost", "rightmost"):
                 assert got == oracles.pbw_word_mul(word, lie, strategy), \
                     (lie.name, m1, m2, strategy)
+
+
+@lru_cache(maxsize=None)
+def _pbw_algebras():
+    """so3, sl2, heisenberg3, abelian(2) and so3+so3, all with integral f,
+    and heisenberg3 loaded from a file with f^3_12 = 1/2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "heisenberg3_half.json"
+        path.write_text(json.dumps({"dim": 3, "f": [[1, 2, 3, "1/2"]], "name": "heisenberg3/2"}))
+        half = load_algebra_file(str(path)).lie
+    lies = [builtin(name).lie for name in ("so3", "sl2", "heisenberg3", "abelian(2)")]
+    return tuple(lies + [_so3_blocks(2), half])
+
+
+def _assert_pbw_matches_fraction_oracle(mono_mul, lie, m1, m2):
+    """Term for term equal to the Fraction kernel; every coefficient an int
+    when every f^c_ab of `lie` is integral, an int or a Fraction otherwise."""
+    got = mono_mul(m1, m2, lie)
+    assert got == oracles.fraction_pbw_mono_mul(m1, m2, lie), (lie.name, m1, m2)
+    integral = all(q.denominator == 1 for q in lie.entries.values())
+    kinds = (int,) if integral else (int, Fraction)
+    assert all(type(q) in kinds for _, q in got), (lie.name, m1, m2, got)
+
+
+@st.composite
+def _pbw_cases(draw):
+    """An algebra and two monomials of total degree <= 6."""
+    lie = draw(st.sampled_from(_pbw_algebras()))
+    letters = st.lists(st.integers(min_value=0, max_value=lie.dim - 1), max_size=6)
+    m1, m2 = ([0] * lie.dim, [0] * lie.dim)
+    for mono in (m1, m2):
+        for a in draw(letters):
+            mono[a] += 1
+    return lie, tuple(m1), tuple(m2)
+
+
+@given(_pbw_cases())
+@settings(max_examples=300, deadline=None)
+def test_pbw_kernel_matches_the_fraction_oracle(case):
+    _assert_pbw_matches_fraction_oracle(pbw_mono_mul, *case)
+
+
+def test_pbw_oracle_test_fails_on_a_wrong_integer_bracket_sign(monkeypatch):
+    """A kernel whose bracket term has the wrong sign when f^c_ba is an int
+    fails on every integral algebra that has a bracket, and only there."""
+
+    @lru_cache(maxsize=None)
+    def wrong(a, mono, lie):
+        b = next((i for i, k in enumerate(mono) if k), a)
+        if b >= a:
+            return ((kernels._bump(mono, a, 1), 1),)
+        rest = kernels._bump(mono, b, -1)
+        out = {}
+        for m, q in wrong(a, rest, lie):
+            for m2, q2 in wrong(b, m, lie):
+                add_term(out, m2, q * q2)
+        for c, f in lie.pair_brackets().get((b, a), ()):
+            for m, q in wrong(c, rest, lie):
+                add_term(out, m, (f if type(f) is int else -f) * q)
+        return tuple(out.items())
+
+    monkeypatch.setattr(kernels, "_pbw_left", wrong)
+    mutant = kernels.pbw_mono_mul.__wrapped__  # no cached products
+    so3, sl2, heisenberg3, abelian2, so3_pair, half = _pbw_algebras()
+    for lie, m1, m2 in ((so3, (0, 1, 0), (1, 0, 0)), (sl2, (0, 0, 1), (1, 0, 0)),
+                        (heisenberg3, (0, 1, 0), (1, 0, 0)),
+                        (so3_pair, (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0))):
+        with pytest.raises(AssertionError):
+            _assert_pbw_matches_fraction_oracle(mutant, lie, m1, m2)
+    for lie, m1, m2 in ((abelian2, (0, 2), (2, 0)), (half, (0, 2, 1), (3, 0, 0))):
+        _assert_pbw_matches_fraction_oracle(mutant, lie, m1, m2)
 
 
 def test_pbw_associativity_randomized():
