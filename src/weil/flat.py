@@ -20,6 +20,18 @@ The reports check exactly these premises, n + dim flat(hor) brackets,
 and never build the 2^n dim flat(hor) vectors x_I h: the closure check
 builds only the ones it samples.
 
+Every bracket [C, x] is computed as [C - Z, x], where Z is the sum of
+C's terms with no odd factor and a c I End V part: quantum-side the
+Casimir part (1/2) u_a u_a (x) I and the constant c I, central in the
+quantum Weil algebra (Alekseev and Meinrenken, Invent. Math. 139,
+2000), whose PBW products would otherwise be computed on both sides of
+every bracket only to cancel.  The split is taken only after
+[Z, u_b] = 0 and [Z, x_b] = 0 are checked exactly for every b; as Z's
+End V parts are scalars, Z also commutes with End V, and the u_b, the
+x_b and End V generate the algebra, so Z is central and [C, x] =
+[C - Z, x] for every x.  If any of these brackets is nonzero the full C
+is used.  Classically no builtin curvature has such terms.
+
 Every reported basis vector satisfies its defining equation exactly;
 dimension tables are reproducible bit for bit.
 """
@@ -30,6 +42,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, lcm
 
 from . import ALGEBRAS
@@ -96,10 +109,27 @@ def span_rank(elements) -> int:
     return rank(_coord_matrix([[x] for x in elements]))
 
 
-def _flat_op(mod, lie, rep):
-    """x -> [curvature, x], the operator whose kernel is the flat subspace."""
+def _bracketed_curvature(mod, lie, rep):
+    """C - Z, where Z is the sum of the curvature C's terms with no odd
+    factor and a c I End V part, once [Z, u_b] = 0 and [Z, x_b] = 0 are
+    checked exactly for every b; C itself when any of them is nonzero."""
     curv = mod.curvature(lie, rep)
-    return lambda x: mod.supercommutator(curv, x)
+    central = {key: mat for key, mat in curv.terms.items()
+               if not key[1] and mat._scalar() is not None}
+    if not central:
+        return curv
+    cls = mod.Element
+    z = cls(lie, rep, central)
+    if any(not mod.supercommutator(z, gen(lie, rep, b)).is_zero
+           for gen in (cls.even_gen, cls.odd_gen) for b in range(lie.dim)):
+        return curv
+    return cls(lie, rep, {key: mat for key, mat in curv.terms.items() if key not in central})
+
+
+def _flat_op(mod, lie, rep):
+    """x -> [curvature, x], the operator whose kernel is the flat subspace,
+    computed as [C - Z, x] (`_bracketed_curvature`)."""
+    return partial(mod.supercommutator, _bracketed_curvature(mod, lie, rep))
 
 
 @dataclass
@@ -229,11 +259,10 @@ def _index_monomial(n, rank):
     return tuple(out)
 
 
-def _odd_premise_failure(flat):
-    """The first a with [C, x_a] != 0 for the `flat_subspace` result
-    `flat`, or None when the curvature commutes with every odd generator."""
+def _odd_premise_failure(flat, op):
+    """The first a with [C, x_a] != 0, `op` being `flat`'s `_flat_op`, or
+    None when the curvature commutes with every odd generator."""
     mod = ALGEBRAS[flat.algebra]
-    op = _flat_op(mod, flat.lie, flat.rep)
     return next((a for a in range(flat.lie.dim)
                  if not op(mod.Element.odd_gen(flat.lie, flat.rep, a)).is_zero), None)
 
@@ -251,7 +280,7 @@ def decomposition_report(flat) -> dict:
     mod = ALGEBRAS[flat.algebra]
     n = flat.lie.dim
     op = _flat_op(mod, flat.lie, flat.rep)
-    odd_flat = _odd_premise_failure(flat) is None
+    odd_flat = _odd_premise_failure(flat, op) is None
     distinct = {id(h): h for hvecs in flat.vectors.values() for h in hvecs}
     is_flat = {key: op(h).is_zero for key, h in distinct.items()}
     rows = []
@@ -279,7 +308,7 @@ def closure_report(flat, samples=20, seed=0) -> dict:
     mod = ALGEBRAS[flat.algebra]
     n = flat.lie.dim
     op = _flat_op(mod, flat.lie, flat.rep)
-    bad = _odd_premise_failure(flat)
+    bad = _odd_premise_failure(flat, op)
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree)

@@ -14,15 +14,20 @@ entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
 `scalar_value`).
 
 `rank` and `kernel` take a sparse integer system, rows as
-{column: int}, and share one elimination: each row in turn is reduced
-against the pivot rows found so far until its leading column is new,
-and is stored there, divided by its content.  The leading columns of
-any echelon basis are fixed by the row space, and the normalized kernel
-basis (each free variable 1, the other free variables 0) is fixed by
-them, so the rows may come in any order, repeated or zero, and every
-result is reproducible bit for bit.  `kernel` back-substitutes in
-integers too, each vector over one denominator, builds no Fraction,
-and visits only the pivot rows that share a column with the vector.
+{column: int}, and share one elimination: each row in turn, sparsest
+first, is reduced against the pivot rows found so far until its leading
+column is new, and is stored there, divided by its content.  The
+leading columns of any echelon basis are fixed by the row space, and
+the normalized kernel basis (each free variable 1, the other free
+variables 0) is fixed by them, so the rows may come in any order,
+repeated or zero, and every result is reproducible bit for bit.  The
+order is therefore free for speed, and sparse rows first keep the
+stored pivot rows sparse: the pivot rows of the so3 adjoint quantum
+flat solve at degree 8 hold 16,541 nonzeros, against 97,752 with the
+rows in the solver's order (by codomain key).  `kernel`
+back-substitutes in integers too, each vector over one denominator,
+builds no Fraction, and visits only the pivot rows that share a column
+with the vector.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
 so their storage is dense.  Most End V parts of the Weil algebras' elements
@@ -343,12 +348,12 @@ def _echelon(rows):
     """Echelon basis of the span of `rows` ({column: int}), as a dict
     leading column -> primitive row.
 
-    Each incoming row is reduced against the pivot rows found so far
-    until its leading column is new, then stored under it; a row that
-    reduces to zero is dropped.
+    The rows come in sparsest first.  Each is reduced against the pivot
+    rows found so far until its leading column is new, then stored under
+    it; a row that reduces to zero is dropped.
     """
     pivots = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         row = {j: x for j, x in row.items() if x}
         while row:
             c = min(row)

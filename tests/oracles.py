@@ -15,6 +15,9 @@ before its reports stopped building it.  `rebracket_decomposition_report`
 and `list_closure_report` are those reports: the first brackets each of
 the 2^n dim derived vectors again, the second draws its samples from the
 built list.
+`full_flat_op` is `weil.flat._flat_op` before it bracketed with the
+curvature minus its checked central part: it brackets with the whole
+curvature, and every flat oracle here brackets through it.
 `level_solve` is the basic / flat solve before it read every level off
 one basis: it re-solves the whole <= k block for each level k
 quantum-side.  It runs on the dense Fraction kernel path that
@@ -70,8 +73,8 @@ from math import gcd, lcm
 from weil import ALGEBRAS
 from weil.classical import ClassicalElement
 from weil.element import add_scaled
-from weil.flat import (SubspaceResult, _flat_op, _level_monomials, _odd_premise_failure,
-                       hor_basis, monomials_up_to)
+from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
+                       monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
@@ -590,8 +593,15 @@ def level_basic_subspace(algebra, lie, rep, max_degree):
                        lambda k, domain: lie_stacked_coords(mod, lie, domain))
 
 
+def full_flat_op(mod, lie, rep):
+    """x -> [C, x] with the whole curvature C, Casimir and constant terms
+    included."""
+    curv = mod.curvature(lie, rep)
+    return lambda x: mod.supercommutator(curv, x)
+
+
 def level_flat_subspace(algebra, lie, rep, max_degree):
-    op = _flat_op(ALGEBRAS[algebra], lie, rep)
+    op = full_flat_op(ALGEBRAS[algebra], lie, rep)
     return level_solve(algebra, lie, rep, max_degree,
                        lambda k, domain: [element_coords(op(v)) for v in domain])
 
@@ -614,11 +624,11 @@ def derived_full_flat_basis(flat, degree=None):
     restricts it to that level: one symmetric degree classically,
     degree <= `degree` quantum-side.
     """
-    bad = _odd_premise_failure(flat)
-    if bad is not None:
-        raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     mod = ALGEBRAS[flat.algebra]
     lie, rep = flat.lie, flat.rep
+    bad = _odd_premise_failure(flat, full_flat_op(mod, lie, rep))
+    if bad is not None:
+        raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree) if degree is None else flat.vectors[degree]
     ident = Matrix.identity(rep.dim)
     return [mod.Element(lie, rep, {((0,) * lie.dim, combo): ident}) * h
@@ -648,7 +658,7 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
     """
     mod = ALGEBRAS[algebra]
     n = lie.dim
-    op = _flat_op(mod, lie, rep)
+    op = full_flat_op(mod, lie, rep)
     monos = (_level_monomials(mod, n, degree) if degree is not None
              else monomials_up_to(n, max_degree))
     basis = []
@@ -668,7 +678,7 @@ def rebracket_decomposition_report(flat) -> dict:
     of its proof: every derived vector x_I h is bracketed again."""
     mod = ALGEBRAS[flat.algebra]
     n = flat.lie.dim
-    op = _flat_op(mod, flat.lie, flat.rep)
+    op = full_flat_op(mod, flat.lie, flat.rep)
     rows = []
     all_match = True
     for k in range(flat.max_degree + 1):
@@ -693,7 +703,7 @@ def list_closure_report(flat, samples=20, seed=0) -> dict:
     builds the whole derived basis and draws with `rng.choice`."""
     rng = random.Random(seed)
     mod = ALGEBRAS[flat.algebra]
-    op = _flat_op(mod, flat.lie, flat.rep)
+    op = full_flat_op(mod, flat.lie, flat.rep)
     basis = derived_full_flat_basis(flat)
     low = [b for b in basis if b.poly_degree() <= flat.max_degree - 1]
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}

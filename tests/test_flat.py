@@ -1,9 +1,12 @@
 import json
+import random
 import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 # x_I h for every I and h, as `weil.flat` listed them before its reports
@@ -14,6 +17,7 @@ import weil.flat
 from weil import ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil import classical as cw
 from weil import quantum as qw
+from weil.checks import random_element
 from weil.cli import main
 from weil.flat import (
     _index_monomial,
@@ -544,3 +548,99 @@ def test_flat_cost_is_linear_in_the_dimension(capsys, n, budget):
                                   "expected_full": 2 ** n, "match": True}]
     assert data["closure"]["all_closed"] and data["closure"]["checked"]["product"] == 20
     assert elapsed < budget, f"abelian({n}) at N=0 took {elapsed:.2f} s"
+
+
+def _flat_op_cases():
+    """Every builtin x admitted context x rep, plus so3+so3 adjoint."""
+    yield from _builtin_cases()
+    lie, rep = _so3_pair()
+    for context in ("classical", "quantum"):
+        yield pytest.param(context, lie, rep, id=f"so3^2-{context}-adjoint")
+
+
+@pytest.mark.parametrize("algebra, lie, rep", _flat_op_cases())
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_flat_op_matches_the_full_curvature_oracle(algebra, lie, rep, seed):
+    """[C - Z, x] is [C, x] with the whole curvature, on random elements
+    of degree <= 4 with odd factors and any End V parts."""
+    mod = ALGEBRAS[algebra]
+    x = random_element(mod.Element, lie, rep, random.Random(seed), max_degree=4)
+    assert weil.flat._flat_op(mod, lie, rep)(x) == oracles.full_flat_op(mod, lie, rep)(x)
+
+
+def _bracketed_element(monkeypatch, lie, rep, x):
+    """The element that `_flat_op` brackets x with, seen by a spy on the
+    quantum supercommutator (its last call, after the centrality check),
+    and the image of x."""
+    seen, supercommutator = [], qw.supercommutator
+
+    def spy(a, b):
+        seen.append(a)
+        return supercommutator(a, b)
+
+    monkeypatch.setattr(qw, "supercommutator", spy)
+    image = weil.flat._flat_op(qw, lie, rep)(x)
+    monkeypatch.setattr(qw, "supercommutator", supercommutator)
+    return seen[-1], image
+
+
+def test_flat_op_drops_the_casimir_and_constant_terms(monkeypatch):
+    """On so3 adjoint quantum the split is taken: the bracketed element is
+    sum u_a (x) tau_a, with no Casimir or constant term."""
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    x = qw.u_gen(lie, rep, 1)
+    bracketed, image = _bracketed_element(monkeypatch, lie, rep, x)
+    assert sorted(sum(s) for s, _ in qw.curvature(lie, rep).terms) == [0, 1, 1, 1, 2, 2, 2]
+    assert sorted(bracketed.terms) == [
+        ((0, 0, 1), ()), ((0, 1, 0), ()), ((1, 0, 0), ())]
+    assert bracketed.terms[((1, 0, 0), ())] == rep.matrices[0]
+    assert image == oracles.full_flat_op(qw, lie, rep)(x)
+
+
+def _u1(lie, rep):
+    return qw.u_gen(lie, rep, 0)
+
+
+def _u1_squared(lie, rep):
+    return qw.u_gen(lie, rep, 0) * qw.u_gen(lie, rep, 0)
+
+
+@pytest.mark.parametrize("rep_name, extra", [("trivial", _u1), ("adjoint", _u1_squared)],
+                         ids=["trivial-u1", "adjoint-u1^2"])
+def test_flat_op_keeps_a_non_central_scalar_term(monkeypatch, rep_name, extra):
+    """A curvature with an added scalar term that is not central, u1 (x) I
+    or u1^2 (x) I, refuses the split: dropping it with the Casimir would
+    lose [u1, u2] = u3 or [u1^2, u2] from [C, u2], and the op must still
+    equal the full-curvature oracle."""
+    curvature = qw.curvature
+    monkeypatch.setattr(qw, "curvature", lambda lie, rep: curvature(lie, rep) + extra(lie, rep))
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps[rep_name]
+    u2 = qw.u_gen(lie, rep, 1)
+    bracketed, image = _bracketed_element(monkeypatch, lie, rep, u2)
+    assert bracketed == qw.curvature(lie, rep)
+    assert image == oracles.full_flat_op(qw, lie, rep)(u2)
+    # the curvature minus every scalar term without an odd factor, the
+    # added one among them, would be off by [extra, u2]
+    curv = qw.curvature(lie, rep)
+    split = qw.Element(lie, rep, {key: mat for key, mat in curv.terms.items()
+                                  if key[1] or mat._scalar() is None})
+    assert image - qw.supercommutator(split, u2) == qw.supercommutator(extra(lie, rep), u2)
+    assert not qw.supercommutator(extra(lie, rep), u2).is_zero
+
+
+def test_flat_op_splits_when_an_added_term_is_not_scalar(monkeypatch):
+    """On the adjoint rep an added u1 (x) I merges with u1 (x) tau_1 into
+    u1 (x) (tau_1 + I), which is not scalar: the Casimir and constant
+    terms are still central and dropped, and the op stays exact."""
+    curvature = qw.curvature
+    monkeypatch.setattr(qw, "curvature", lambda lie, rep: curvature(lie, rep) + _u1(lie, rep))
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    u2 = qw.u_gen(lie, rep, 1)
+    bracketed, image = _bracketed_element(monkeypatch, lie, rep, u2)
+    assert bracketed.terms[((1, 0, 0), ())] == rep.matrices[0] + Matrix.identity(3)
+    assert sorted(sum(s) for s, _ in bracketed.terms) == [1, 1, 1]
+    assert image == oracles.full_flat_op(qw, lie, rep)(u2)
