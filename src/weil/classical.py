@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import element
-from .element import CACHE_SIZE, add_scaled
+from .element import CACHE_SIZE, accumulate, collect
 from .element import supercommutator  # noqa: F401  (part of the module interface)
 from .kernels import _bump, add_term, ext_mono_mul, ext_normalize, sym_mono_mul
 
@@ -31,7 +31,7 @@ class ClassicalElement(element.Element):
         if r is None:
             return ()
         sign, e = r
-        return (((sym_mono_mul(k1[0], k2[0]), e), sign),)
+        return (((sym_mono_mul(k1[0], k2[0]), e), sign, 1),)
 
 
 Element = ClassicalElement
@@ -86,10 +86,12 @@ def _leibniz(der: _Derivation, x: ClassicalElement) -> ClassicalElement:
       + (-1)^(|e| |D|) v^s y^e D(A)
 
     The End V slot is skipped for A = c I, whose commutators vanish, and
-    a term's y-word is checked before its commutator is computed.
+    a term's y-word is checked before its commutator is computed.  Each
+    piece enters one accumulator as raw numerators, and each result key
+    is canonicalized once.
     """
     odd, vs, ys, endo = der
-    out = {}
+    acc = {}
     for (s, e), mat in x.terms.items():
         # (v part, multiplicity, y's before, y's after, sign, image) per factor
         slots = [(_bump(s, c, -1), k, (), e, 1, vs[c])
@@ -109,12 +111,14 @@ def _leibniz(der: _Derivation, x: ClassicalElement) -> ClassicalElement:
                 else:
                     ws, word = 1, before + after
                 if t is None:
-                    m = mat
-                elif not (m := t.commutator(mat)):
-                    continue
-                add_scaled(out, (base if g is None else _bump(base, g, 1), word), m,
-                           p * k * sign * ws, r)
-    return ClassicalElement(x.lie, x.rep, out)
+                    num, den = mat.num, mat.den
+                else:
+                    num, den = t._commutator_num(mat)
+                    if not any(num):
+                        continue
+                accumulate(acc, (base if g is None else _bump(base, g, 1), word), num,
+                           den * r, p * k * sign * ws)
+    return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))
 
 
 def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:

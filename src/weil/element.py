@@ -10,13 +10,16 @@ letters and joiner of their renderings, and `admit`, the check every
 constructor of a nonzero element runs on the Lie algebra.
 
 The product and the supercommutator share one pass over the term
-pairs of their factors, adding into a single dict; the bracket's yx
-half folds its Koszul sign into each coefficient.  When one of a
-pair's matrix parts is c I the two matrix products agree and are
-computed once, and when the pair's monomials also supercommute (always
-classically; quantum-side when one has no even part and the other no
-odd part, as U(g) and Cl(g) are tensor factors) the two halves cancel
-and the pair is skipped.
+pairs of their factors; the bracket's yx half folds its Koszul sign
+into each coefficient.  When one of a pair's matrix parts is c I the
+two matrix products agree and are one scaling of the other part, and
+when the pair's monomials also supercommute (always classically;
+quantum-side when one has no even part and the other no odd part, as
+U(g) and Cl(g) are tensor factors) the two halves cancel and the pair
+is skipped.  Products, brackets and the classical derivations sum into
+one integer accumulator (`accumulate`): each result key holds integer
+numerators over one denominator, and each End V part is reduced to its
+canonical `Matrix` once per result key (`collect`), not once per term.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 
 from .kernels import add_term, sub_term
 from .linalg import CACHE_SIZE, Matrix  # noqa: F401  (CACHE_SIZE: part of the interface)
@@ -52,7 +57,8 @@ class Element:
         """Raise unless the algebra can be built on `lie`."""
 
     # a subclass defines _mono_mul(self, k1, k2): the product of two (even,
-    # odd) monomials as a sequence of (key, coefficient) pairs
+    # odd) monomials as a sequence of (key, p, r) triples, each the term
+    # key times p / r for integers p and r > 0
 
     # -- constructors ------------------------------------------------------
 
@@ -146,13 +152,37 @@ class Element:
         return f"<{render(self)}>"
 
 
-def add_scaled(acc: dict, key, mat: Matrix, p: int, r: int = 1):
-    """acc[key] += mat * (p / r) for integers p and r > 0; for p / r = -1
-    mat is subtracted, with no negated copy."""
-    if r == 1 and (p == 1 or p == -1):
-        (add_term if p == 1 else sub_term)(acc, key, mat)
+def accumulate(acc: dict, key, num, den: int, p: int = 1):
+    """acc[key] += p * num / den, for integer numerators `num` (a matrix's,
+    row by row) and integers p and den > 0.
+
+    `acc` maps a key to [numerators, den], neither reduced.  The stored
+    numerators are rescaled to the lcm only when the denominators differ,
+    and p = -1 subtracts."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [num if p == 1 else [p * x for x in num], den]
+        return
+    total, d = cur
+    if d != den:
+        g = gcd(d, den)
+        if den != g:
+            total = [x * (den // g) for x in total]
+            cur[1] = d * (den // g)
+        p *= d // g
+    if p == 1:
+        cur[0] = list(map(add, total, num))
+    elif p == -1:
+        cur[0] = list(map(sub, total, num))
     else:
-        add_term(acc, key, mat._scale(p, r))
+        cur[0] = [x + p * y for x, y in zip(total, num)]
+
+
+def collect(acc: dict, dim: int) -> dict:
+    """The terms of an accumulator: each key's sum as a canonical dim x dim
+    `Matrix`, the keys whose sum is zero dropped."""
+    return {key: Matrix._canonical(dim, dim, num, den)
+            for key, (num, den) in acc.items() if any(num)}
 
 
 def supercommutator(x: Element, y: Element) -> Element:
@@ -162,20 +192,21 @@ def supercommutator(x: Element, y: Element) -> Element:
 
 def _products(x: Element, y: Element, bracket: bool) -> Element:
     """xy, or with `bracket` the supercommutator [x, y], in one pass over
-    the term pairs into one dict.
+    the term pairs into one accumulator.
 
     The yx half of term pair (s, t) carries -(-1)^{|s||t|} in its
-    coefficient, and each coefficient scales the matrix product directly
-    (a coefficient -1 subtracts it).
+    coefficient.  A pair's matrix product enters as raw numerators over
+    a denominator, times the integer coefficient of each monomial product
+    term; each result key is canonicalized once, at the end.
     Each matrix part is tested for c I once per call, not once per pair.
     When one matrix part of a pair is c I, its matrix product is a
-    scaling and serves both halves; if the monomials supercommute as
-    well, the halves cancel and neither is computed.
+    scaling of the other part and serves both halves; if the monomials
+    supercommute as well, the halves cancel and neither is computed.
     """
     x._check_same(y)
     mono_mul = x._mono_mul
     everywhere = x.SUPERCOMMUTATIVE
-    out = {}
+    acc = {}
     # every matrix part is dim V x dim V, so no product needs a shape
     # check; c is the numerator of a c I part, else None
     yterms = [(k2, m2, m2._scalar(), len(k2[1]) & 1, not any(k2[0]), not k2[1])
@@ -189,21 +220,22 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
             if bracket and scalar and (everywhere or (no_even1 and no_odd2)
                                        or (no_odd1 and no_even2)):
                 continue  # the two halves cancel
+            # the matrix product m1 m2 is c * num / den
             if c1 is not None:
-                prod = m2._scale(c1, m1.den)
+                num, den, c = m2.num, m1.den * m2.den, c1
             elif c2 is not None:
-                prod = m1._scale(c2, m2.den)
+                num, den, c = m1.num, m1.den * m2.den, c2
             else:
-                prod = m1._dense_mul(m2)
-            if prod:
-                for key, q in mono_mul(k1, k2):
-                    add_scaled(out, key, prod, q.numerator, q.denominator)
+                (num, den), c = m1._mul_num(m2), 1
+            if any(num):
+                for key, p, r in mono_mul(k1, k2):
+                    accumulate(acc, key, num, den * r, c * p)
             if not bracket:
                 continue
             if not scalar:
-                prod = m2._dense_mul(m1)
-            if prod:
-                sign = 1 if odd1 and odd2 else -1
-                for key, q in mono_mul(k2, k1):
-                    add_scaled(out, key, prod, sign * q.numerator, q.denominator)
-    return type(x)(x.lie, x.rep, out)
+                num, den = m2._mul_num(m1)
+            if any(num):
+                c = c if odd1 and odd2 else -c  # the Koszul sign of the yx half
+                for key, p, r in mono_mul(k2, k1):
+                    accumulate(acc, key, num, den * r, c * p)
+    return type(x)(x.lie, x.rep, collect(acc, x.rep.dim))

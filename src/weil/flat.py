@@ -41,11 +41,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import comb, lcm
 
 from . import ALGEBRAS
+from .element import accumulate, collect
 from .linalg import Matrix, kernel, rank
 
 
@@ -100,8 +100,12 @@ def _kernel(domain, images):
     """Exact kernel of the domain's coordinate matrix, as elements."""
     basis = []
     for nums, den in kernel(_coord_matrix(images), len(domain)):
-        pieces = [domain[c] * Fraction(x, den) for c, x in nums.items()]
-        basis.append(sum(pieces[1:], pieces[0]))
+        acc = {}
+        for c, x in nums.items():
+            for key, mat in domain[c].terms.items():
+                accumulate(acc, key, mat.num, mat.den * den, x)
+        first = domain[0]
+        basis.append(type(first)(first.lie, first.rep, collect(acc, first.rep.dim)))
     return basis
 
 

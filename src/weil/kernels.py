@@ -8,7 +8,7 @@ or matrices, anything with exact +, *, unary - and falsy zero.
 
 The Clifford kernel is for the orthonormal form B = I, the only form
 the quantum construction accepts: a product of two index monomials is
-then a single signed term with a Fraction coefficient.  The PBW kernel
+then a single term with coefficient +-1 / 2^k, given as two integers.  The PBW kernel
 multiplies by one generator at a time, onto a normal-form monomial, and
 merges like terms at every step; its coefficients stay Python ints on
 an algebra with integral structure constants (every builtin, so(n)) and
@@ -20,7 +20,6 @@ oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -82,15 +81,15 @@ def ext_mono_mul(m1, m2):
 def cliff_mono_mul(m1, m2):
     """Product of two Clifford monomials under x_a x_b + x_b x_a = delta_ab.
 
-    Returns the single term (monomial, Fraction): the monomial is the
-    symmetric difference of the index sets, each shared index contracts
-    to x_a x_a = 1/2, and the sign counts the pairs i in m1, j in m2
-    with i > j that pass each other.
+    Returns the single term (monomial, p, r), coefficient p / r: the
+    monomial is the symmetric difference of the index sets, each shared
+    index contracts to x_a x_a = 1/2, so r = 2^|m1 & m2|, and the sign
+    p = +-1 counts the pairs i in m1, j in m2 with i > j that pass each
+    other.
     """
     swaps = sum(1 for j in m2 for i in m1 if i > j)
     s1, s2 = set(m1), set(m2)
-    q = Fraction(1, 1 << len(s1 & s2))
-    return tuple(sorted(s1 ^ s2)), (-q if swaps & 1 else q)
+    return tuple(sorted(s1 ^ s2)), (-1 if swaps & 1 else 1), 1 << len(s1 & s2)
 
 
 # -- universal enveloping algebra ------------------------------------------

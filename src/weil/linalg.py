@@ -242,10 +242,15 @@ class Matrix:
         return NotImplemented
 
     def _dense_mul(self, other):
-        """The product of shape-compatible matrices, walking the nonzero
-        entries of the factor with fewer of them: a left entry (i, t)
-        adds v times row t of `other` into row i, a right entry (t, j)
-        adds column t of `self`, times v, into column j."""
+        """The product of shape-compatible matrices, canonical."""
+        return Matrix._canonical(self.rows, other.cols, *self._mul_num(other))
+
+    def _mul_num(self, other):
+        """(numerators, den) of the product of shape-compatible matrices,
+        not reduced, walking the nonzero entries of the factor with fewer
+        of them: a left entry (i, t) adds v times row t of `other` into
+        row i, a right entry (t, j) adds column t of `self`, times v,
+        into column j."""
         k, m = self.cols, other.cols
         a, b = self.num, other.num
         num = [0] * (self.rows * m)
@@ -266,7 +271,7 @@ class Matrix:
                 t, j = divmod(p, m)
                 v = b[p]
                 num[j::m] = [x + v * y for x, y in zip(num[j::m], a[t::k])]
-        return Matrix._canonical(self.rows, m, num, self.den * other.den)
+        return num, self.den * other.den
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -274,18 +279,21 @@ class Matrix:
         return NotImplemented
 
     def commutator(self, other) -> Matrix:
-        """ab - ba; both matrices must be square of the same size.
-
-        One pass over the nonzero entries of the factor with fewer of
-        them, x, against the other, y: entry (i, t) = v adds v times row
-        t of y into row i and takes v times column i of y out of column
-        t, which builds [x, y]; when x is `other`, [a, b] = -[b, a]
-        flips the sign of v."""
+        """ab - ba, canonical; both matrices must be square of the same size."""
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
         if self._scalar() is not None or other._scalar() is not None:
             return Matrix.zeros(self.rows, self.cols)
+        return Matrix._canonical(self.rows, self.rows, *self._commutator_num(other))
+
+    def _commutator_num(self, other):
+        """(numerators, den) of ab - ba for square matrices of one size,
+        not reduced: one pass over the nonzero entries of the factor with
+        fewer of them, x, against the other, y.  Entry (i, t) = v adds v
+        times row t of y into row i and takes v times column i of y out
+        of column t, which builds [x, y]; when x is `other`, [a, b] =
+        -[b, a] flips the sign of v."""
         n = self.rows
         x, y, sign = self.num, other.num, 1
         if y.count(0) > x.count(0):
@@ -296,7 +304,7 @@ class Matrix:
             v, lo = sign * x[p], i * n
             num[lo:lo + n] = [z + v * w for z, w in zip(num[lo:lo + n], y[t * n:t * n + n])]
             num[t::n] = [z - v * w for z, w in zip(num[t::n], y[i::n])]
-        return Matrix._canonical(n, n, num, self.den * other.den)
+        return num, self.den * other.den
 
     def transpose(self) -> Matrix:
         c = self.cols

@@ -47,11 +47,9 @@ class QuantumElement(element.Element):
     admit = staticmethod(_require_orthonormal)
 
     def _mono_mul(self, k1, k2):
-        cm, cq = cliff_mono_mul(k1[1], k2[1])
-        pbw = pbw_mono_mul(k1[0], k2[0], self.lie)
-        if cq == 1:  # no Clifford contraction or sign: most products
-            return [((pm, cm), pq) for pm, pq in pbw]
-        return [((pm, cm), pq * cq) for pm, pq in pbw]
+        cm, cp, cr = cliff_mono_mul(k1[1], k2[1])
+        return [((pm, cm), cp * q.numerator, cr * q.denominator)
+                for pm, q in pbw_mono_mul(k1[0], k2[0], self.lie)]
 
 
 Element = QuantumElement
@@ -81,8 +79,8 @@ def distinguished(lie, rep) -> Distinguished:
     gs, gterms = [{} for _ in range(n)], {}
     for (b, c), row in lie.pair_brackets().items():
         for a, q in row:
-            cm, cq = cliff_mono_mul((b,), (c,))
-            add_term(gs[a], (empty, cm), ident * (cq * q * Fraction(-1, 2)))
+            cm, cp, cr = cliff_mono_mul((b,), (c,))
+            add_term(gs[a], (empty, cm), ident * (Fraction(-cp, 2 * cr) * q))
             cm, cq = _cliff_word((a, b, c))
             add_term(gterms, (empty, cm), ident * (cq * q * Fraction(-1, 6)))
     g = tuple(QuantumElement(lie, rep, terms) for terms in gs)
@@ -107,8 +105,8 @@ def _cliff_word(word):
     """Normal form of a product of Clifford generators, as (mono, coeff)."""
     mono, coeff = (), Fraction(1)
     for a in word:
-        mono, q = cliff_mono_mul(mono, (a,))
-        coeff *= q
+        mono, p, r = cliff_mono_mul(mono, (a,))
+        coeff *= Fraction(p, r)
     return mono, coeff
 
 

@@ -52,7 +52,11 @@ and supercommutator before the bracket became one pass: every term pair
 makes a dense matrix product (`row_combination_mul`, even for a factor
 c I, which `Matrix.__mul__` now only scales), and the bracket splits
 both factors into parity parts and adds up four element products per
-pair of parts.
+pair of parts.  Both add each term as a canonical `Matrix` (`add_term`),
+as `weil.element` did before its products, brackets and derivations
+summed raw numerators into one accumulator per result key;
+`add_scaled` is that per-term step for a coefficient p / r, and the
+classical operator oracles below still add through it.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -72,7 +76,6 @@ from math import gcd, lcm
 
 from weil import ALGEBRAS
 from weil.classical import ClassicalElement
-from weil.element import add_scaled
 from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
                        monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
@@ -110,8 +113,8 @@ def cliff_poly_mul(a: dict, b: dict) -> dict:
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m, q = orthonormal_cliff_mono_mul(m1, m2)
-            add_term(out, m, c1 * c2 * q)
+            m, p, r = orthonormal_cliff_mono_mul(m1, m2)
+            add_term(out, m, c1 * c2 * Fraction(p, r))
     return out
 
 
@@ -385,9 +388,20 @@ def two_product_commutator(self, other):
 
 # -- element products with a dense matrix product per term pair ----------------
 
+def add_scaled(acc: dict, key, mat: Matrix, p: int, r: int = 1):
+    """acc[key] += mat * (p / r) for integers p and r > 0, one canonical
+    `Matrix` per term; for p / r = -1 mat is subtracted, with no negated
+    copy."""
+    if r == 1 and (p == 1 or p == -1):
+        (add_term if p == 1 else sub_term)(acc, key, mat)
+    else:
+        add_term(acc, key, mat._scale(p, r))
+
+
 def element_mul(x, y):
     """`Element.__mul__` on two elements before the single-pass product:
-    one dense matrix product per term pair, whatever the factors."""
+    one dense matrix product per term pair, whatever the factors, and one
+    canonical `add_term` per term of each monomial product."""
     x._check_same(y)
     mono_mul = x._mono_mul
     out = {}
@@ -396,8 +410,8 @@ def element_mul(x, y):
             prod = row_combination_mul(m1, m2)
             if not prod:
                 continue
-            for key, q in mono_mul(k1, k2):
-                add_term(out, key, prod * q)
+            for key, p, r in mono_mul(k1, k2):
+                add_term(out, key, prod * Fraction(p, r))
     return type(x)(x.lie, x.rep, out)
 
 

@@ -3,6 +3,7 @@ oracles they replaced (`oracles.element_mul`, `oracles.parity_supercommutator`),
 element for element, in both algebras."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -108,3 +109,104 @@ def test_bracket_with_a_zero_one_way_product(mod):
         got = mod.supercommutator(a, b)
         assert not got.is_zero
         _same_element(got, oracles.parity_supercommutator(a, b))
+
+
+# -- the integer accumulator against the per-term canonical path ---------------
+
+def _canonical_and_nonzero(x):
+    for mat in x.terms.values():
+        assert gcd(mat.den, *mat.num) == 1 and mat.den > 0
+        assert any(mat.num)
+
+
+def _same_bits(got, want):
+    """Equal term for term, each End V part with the same numerators and
+    denominator, canonical and nonzero."""
+    assert type(got) is type(want)
+    assert {k: (m.num, m.den) for k, m in got.terms.items()} == \
+        {k: (m.num, m.den) for k, m in want.terms.items()}
+    _canonical_and_nonzero(got)
+
+
+def _key(n, gens):
+    """The key of the product of distinct generators (kind, index)."""
+    even = tuple(sum(1 for kind, a in gens if kind == "even" and a == i) for i in range(n))
+    return even, tuple(sorted(a for kind, a in gens if kind == "odd"))
+
+
+@st.composite
+def scaled_parts(draw, rep, dens):
+    """tau_a, a matrix unit or I, times a nonzero coefficient whose
+    denominator is one of `dens`; I where tau_a is zero."""
+    d = rep.dim
+    q = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.sampled_from(dens)))
+    kind = draw(st.sampled_from(["tau", "unit", "scalar"]))
+    if kind == "tau":
+        mat = rep.matrices[draw(st.integers(0, len(rep.matrices) - 1))]
+    elif kind == "unit":
+        cell = draw(st.integers(0, d * d - 1))
+        mat = Matrix(d, d, [int(k == cell) for k in range(d * d)])
+    else:
+        mat = Matrix.identity(d)
+    return (mat if mat else Matrix.identity(d)) * q
+
+
+@st.composite
+def colliding_pairs(draw):
+    """x = A0 + A1 g1 + A2 g2 and y = B0 g1 g2 + B1 g2 (+ B2 g1), for two
+    distinct generators g1, g2 with g1 g2 in normal form.
+
+    In x * y the key of g1 g2 is reached by (A0, B0), (A1, B1) and, with
+    B2, (A2, B2), in that order.  A0 is tau_a, a matrix unit or c I over a
+    denominator 1, 2 or 4; A1 = c1 I and A2 = c2 I over 3 or 5; B1 =
+    -A0 B0 / c1.  So the first two sums cancel to zero over different
+    denominators; with B2 the key reappears, without it the key's sum
+    stays zero.  Returns (module, x, y, key, whether the key reappears).
+    """
+    mod, name, rep_name = draw(st.sampled_from(SETTINGS))
+    alg = ALGEBRAS[name]
+    lie, rep = alg.lie, alg.reps[rep_name]
+    n = lie.dim
+    g1 = (draw(st.sampled_from(["even", "odd"])), draw(st.integers(0, n - 1)))
+    g2 = (draw(st.sampled_from(["even", "odd"])), draw(st.integers(0, n - 1)))
+    if g1[0] == g2[0]:  # same kind: distinct indices in order
+        if g1[1] == g2[1]:
+            g2 = (g2[0], (g2[1] + 1) % n)
+        g1, g2 = sorted((g1, g2))
+    a0 = draw(scaled_parts(rep, [1, 2, 4]))
+    b0 = draw(scaled_parts(rep, [1, 2, 4]))
+    if not a0 * b0:
+        b0 = Matrix.identity(rep.dim)
+    c1, c2 = (Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.sampled_from([3, 5])))
+              for _ in range(2))
+    ident = Matrix.identity(rep.dim)
+    reappears = draw(st.booleans())
+    x = {_key(n, []): a0, _key(n, [g1]): ident * c1, _key(n, [g2]): ident * c2}
+    y = {_key(n, [g1, g2]): b0, _key(n, [g2]): (a0 * b0) * (-1 / c1)}
+    if reappears:
+        y[_key(n, [g1])] = draw(scaled_parts(rep, [1, 2, 3]))
+    return mod, mod.Element(lie, rep, x), mod.Element(lie, rep, y), _key(n, [g1, g2]), reappears
+
+
+@given(colliding_pairs())
+@settings(max_examples=200)
+def test_accumulated_products_match_the_per_term_oracle(case):
+    """Every product, bracket and classical derivation equals its per-term
+    canonical oracle bit for bit, on keys reached over different
+    denominators whose sums cancel and then reappear (or stay zero)."""
+    mod, x, y, key, reappears = case
+    # the first two pairs into the key cancel: it is absent from their product
+    first = [mod.Element(x.lie, x.rep, dict(list(z.terms.items())[:2])) for z in (x, y)]
+    assert key not in oracles.element_mul(*first).terms
+    xy = x * y
+    assert (key in xy.terms) == reappears
+    _same_bits(xy, oracles.element_mul(x, y))
+    _same_bits(y * x, oracles.element_mul(y, x))
+    _same_bits(mod.supercommutator(x, y), oracles.parity_supercommutator(x, y))
+    _same_bits(mod.supercommutator(y, x), oracles.parity_supercommutator(y, x))
+    if mod is cw:
+        for z in (x, y, xy):
+            _same_bits(cw.differential(z), oracles.differential(z))
+            for a in range(z.lie.dim):
+                _same_bits(cw.lie_derivative(a, z), oracles.lie_derivative(a, z))
+                _same_bits(cw.contraction(a, z), oracles.contraction(a, z))

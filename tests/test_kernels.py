@@ -102,7 +102,8 @@ def test_clifford_kernel_matches_oracle_exhaustively():
         monos = [m for k in range(n + 1) for m in itertools.combinations(range(n), k)]
         for m1 in monos:
             for m2 in monos:
-                assert (cliff_mono_mul(m1, m2),) == oracles.cliff_mono_mul(m1, m2, ident), \
+                mono, p, r = cliff_mono_mul(m1, m2)
+                assert ((mono, Fraction(p, r)),) == oracles.cliff_mono_mul(m1, m2, ident), \
                     (n, m1, m2)
 
 

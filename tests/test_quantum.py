@@ -236,8 +236,8 @@ def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
     right = qw.cliff_mono_mul
 
     def wrong(m1, m2):
-        mono, q = right(m1, m2)
-        return mono, q * 2 ** len(set(m1) & set(m2))
+        mono, p, r = right(m1, m2)
+        return mono, p, r // 2 ** len(set(m1) & set(m2))
 
     monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
     alg = builtin("so3")  # fresh algebra objects, so no cached element is reused
@@ -263,8 +263,8 @@ def test_failed_identity_names_a_witness_that_eval_reproduces(monkeypatch):
     right = qw.cliff_mono_mul
 
     def wrong(m1, m2):
-        mono, q = right(m1, m2)
-        return mono, (-q if len(m1) >= 2 and len(m2) >= 2 and len(mono) >= 2 else q)
+        mono, p, r = right(m1, m2)
+        return mono, (-p if len(m1) >= 2 and len(m2) >= 2 and len(mono) >= 2 else p), r
 
     monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
     alg = builtin("so3")  # fresh algebra objects, so no cached element is reused
@@ -328,8 +328,8 @@ def test_gr_check_fails_on_a_wrong_clifford_sign(monkeypatch):
     right = qw.cliff_mono_mul
 
     def wrong(m1, m2):
-        mono, q = right(m1, m2)
-        return mono, abs(q)
+        mono, p, r = right(m1, m2)
+        return mono, abs(p), r
 
     monkeypatch.setattr(qw, "cliff_mono_mul", wrong)
     alg = builtin("so3")
