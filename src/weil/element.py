@@ -11,15 +11,14 @@ constructor of a nonzero element runs on the Lie algebra.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
-into each coefficient.  When one of a pair's matrix parts is c I the
-two matrix products agree and are one scaling of the other part, and
-when the pair's monomials also supercommute (always classically;
-quantum-side when one has no even part and the other no odd part, as
-U(g) and Cl(g) are tensor factors) the two halves cancel and the pair
-is skipped.  Products, brackets and the classical derivations sum into
-one integer accumulator (`accumulate`): each result key holds integer
-numerators over one denominator, and each End V part is reduced to its
-canonical `Matrix` once per result key (`collect`), not once per term.
+into each coefficient.  They, and the classical derivations, sum raw
+integer numerators into one accumulator and canonicalize each End V
+part once per result key, not once per term (`accumulate`, `collect`).
+When one of a pair's matrix parts is c I the two matrix products agree
+and are one scaling of the other part, and when the pair's monomials
+also supercommute (always classically; quantum-side when one has no
+even part and the other no odd part, as U(g) and Cl(g) are tensor
+factors) the two halves cancel and the pair is skipped.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -34,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, sub
 
-from .kernels import add_term, sub_term
+from .kernels import add_term
 from .linalg import CACHE_SIZE, Matrix  # noqa: F401  (CACHE_SIZE: part of the interface)
 from .render import render
 
@@ -110,11 +109,7 @@ class Element:
         return type(self)(self.lie, self.rep, out)
 
     def __sub__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            sub_term(out, m, c)
-        return type(self)(self.lie, self.rep, out)
+        return self + -other
 
     def __neg__(self):
         return type(self)(self.lie, self.rep, {m: -c for m, c in self.terms.items()})
@@ -153,12 +148,10 @@ class Element:
 
 
 def accumulate(acc: dict, key, num, den: int, p: int = 1):
-    """acc[key] += p * num / den, for integer numerators `num` (a matrix's,
-    row by row) and integers p and den > 0.
-
-    `acc` maps a key to [numerators, den], neither reduced.  The stored
-    numerators are rescaled to the lcm only when the denominators differ,
-    and p = -1 subtracts."""
+    """acc[key] += p * num / den, for a matrix's integer numerators `num`
+    and integers p and den > 0.  `acc` maps a key to [numerators, den],
+    neither reduced; they are rescaled to the lcm only when the
+    denominators differ, and p = -1 subtracts."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = [num if p == 1 else [p * x for x in num], den]
@@ -195,9 +188,7 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
     the term pairs into one accumulator.
 
     The yx half of term pair (s, t) carries -(-1)^{|s||t|} in its
-    coefficient.  A pair's matrix product enters as raw numerators over
-    a denominator, times the integer coefficient of each monomial product
-    term; each result key is canonicalized once, at the end.
+    coefficient, and each coefficient scales the raw matrix product.
     Each matrix part is tested for c I once per call, not once per pair.
     When one matrix part of a pair is c I, its matrix product is a
     scaling of the other part and serves both halves; if the monomials

@@ -100,11 +100,10 @@ def _kernel(domain, images):
     """Exact kernel of the domain's coordinate matrix, as elements."""
     basis = []
     for nums, den in kernel(_coord_matrix(images), len(domain)):
-        acc = {}
+        acc, first = {}, domain[0]
         for c, x in nums.items():
             for key, mat in domain[c].terms.items():
                 accumulate(acc, key, mat.num, mat.den * den, x)
-        first = domain[0]
         basis.append(type(first)(first.lie, first.rep, collect(acc, first.rep.dim)))
     return basis
 

@@ -55,8 +55,9 @@ both factors into parity parts and adds up four element products per
 pair of parts.  Both add each term as a canonical `Matrix` (`add_term`),
 as `weil.element` did before its products, brackets and derivations
 summed raw numerators into one accumulator per result key;
-`add_scaled` is that per-term step for a coefficient p / r, and the
-classical operator oracles below still add through it.
+`add_scaled` is that per-term step for a coefficient p / r (`sub_term`
+subtracting for -1), and the classical operator oracles below still add
+through it.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -82,7 +83,7 @@ from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationRepor
 from weil.linalg import Matrix, format_scalar
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
-                          pbw_word, sub_term, sym_mono_mul)
+                          pbw_word, sym_mono_mul)
 
 
 # -- polynomial products on the kernels' monomial products --------------------
@@ -387,6 +388,17 @@ def two_product_commutator(self, other):
 
 
 # -- element products with a dense matrix product per term pair ----------------
+
+def sub_term(acc: dict, mono, coeff):
+    """acc[mono] -= coeff, dropping the key when the difference vanishes;
+    coeff is negated only when mono is new to acc."""
+    cur = acc.get(mono)
+    new = -coeff if cur is None else cur - coeff
+    if new:
+        acc[mono] = new
+    elif cur is not None:
+        del acc[mono]
+
 
 def add_scaled(acc: dict, key, mat: Matrix, p: int, r: int = 1):
     """acc[key] += mat * (p / r) for integers p and r > 0, one canonical
