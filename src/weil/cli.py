@@ -1,6 +1,7 @@
 """Command-line surface: validate, check, eval, flat, report.
 
-Exit codes: 0 success, 1 validation or identity failure, 2 usage error, 3 internal error.
+Exit codes: 0 success, 1 validation or identity failure, 2 usage error or
+malformed expression, 3 internal error.
 All output is deterministic for fixed inputs and seed.
 """
 
@@ -165,7 +166,7 @@ def cmd_eval(args) -> int:
         element = evaluate(args.expression, alg.lie, rep, context)
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_USAGE
     print(render(element))
     return EXIT_OK
 

@@ -19,7 +19,8 @@ expected.  Literals are at most MAX_LITERAL characters long, factors
 nest at most MAX_NESTING deep, no sub-result may have polynomial
 degree above MAX_DEGREE (checked before a product, power or comm and
 after d, the only operations that raise it), and no product, power step
-or comm may pair more than MAX_TERM_PAIRS terms of its two factors.
+or comm may pair more than MAX_TERM_PAIRS terms of its two factors, each
+pair weighted by the product of the two words' polynomial degrees.
 Parsing is context-free; whether a generator or name is legal is
 decided at evaluation time.
 """
@@ -124,11 +125,12 @@ MAX_DEGREE = 64
 MAX_NESTING = 100
 # characters of an integer or a name; int() refuses more than 4,300 digits
 MAX_LITERAL = 1000
-# terms of one factor times terms of the other.  A pair costs tens of
-# microseconds on commuting words ((u1+...+u12)^5 on abelian(12), 21,840
-# pairs, under 1 s) and about 0.2 ms on two degree-8 PBW words of so3
-# ((u1+u2+u3)^8 * (u1+u2+u3+x1)^8, 44,772 pairs, about 10 s); the CLI
-# goldens pair <= 16
+# terms of one factor times terms of the other, each pair weighted by the
+# product of its words' polynomial degrees (each at least 1), as a PBW
+# pair costs more the deeper its words: on so3, (u1+u2+u3)^8 *
+# (u1^8+u2^8+u3^8+u1^4*u3^4+u2^4*u3^4) weighs 990 x 40 and takes 0.2 s,
+# and (u1+u2+u3)^8 * (u1+u2+u3+x1)^8 weighs 990 x 1,555 (about 5 s);
+# the CLI goldens weigh <= 16
 MAX_TERM_PAIRS = 50_000
 
 _GEN = re.compile(r"([vyux])(\d+)$")
@@ -445,10 +447,11 @@ def _check_degree(degree, pos):
 
 
 def _check_term_pairs(x, y, pos):
-    pairs = len(x.terms) * len(y.terms)
-    if pairs > MAX_TERM_PAIRS:
-        raise ExprError(f"a product of {len(x.terms)} by {len(y.terms)} terms ({pairs} pairs) "
-                        f"exceeds the limit {MAX_TERM_PAIRS}", pos)
+    """Each term pair weighs the product of its words' polynomial degrees (each at least 1)."""
+    work = sum(max(1, sum(s)) for s, _ in x.terms) * sum(max(1, sum(s)) for s, _ in y.terms)
+    if work > MAX_TERM_PAIRS:
+        raise ExprError(f"a product of {len(x.terms)} by {len(y.terms)} terms ({work} pairs "
+                        f"weighted by degree) exceeds the limit {MAX_TERM_PAIRS}", pos)
 
 
 def evaluate(src_or_node, lie, rep, context):

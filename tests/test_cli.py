@@ -107,22 +107,22 @@ def test_eval_error_position(capsys):
     code, _, err = run(
         ["eval", "--builtin", "so3", "--rep", "adjoint", "--classical", "u1"], capsys
     )
-    assert code == 1
+    assert code == 2
     assert "1:1" in err and "classical" in err
 
 
-def test_eval_bound_errors_exit_one_with_position(capsys):
+def test_eval_bound_errors_exit_two_with_position(capsys):
     for expression, pos in (("1/0", "1:3"), ("[[1/0]]", "1:5"), ("u3^33*u1", "1:4"),
                             ("2*" + "1" * 5000, "1:3"), ("u" + "2" * 5000, "1:1")):
         code, out, err = run(
             ["eval", "--builtin", "so3", "--rep", "trivial", "--quantum", expression], capsys
         )
-        assert code == 1 and out == ""
+        assert code == 2 and out == ""
         assert err.startswith(f"error: {pos}: "), err
         assert "Traceback" not in err
 
 
-def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
+def test_eval_degree_and_nesting_bounds_exit_two_with_position(capsys):
     """Both ended in a RecursionError traceback: the PBW kernel recurses once
     per degree, the parser once per nesting level."""
     nested = "(" * 1200 + "{g}1" + ")" * 1200
@@ -134,7 +134,7 @@ def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
         ):
             code, out, err = run(["eval", "--builtin", "so3", "--rep", "trivial",
                                   f"--{context}", expression], capsys)
-            assert code == 1 and out == "", expression
+            assert code == 2 and out == "", expression
             assert err.startswith(f"error: {pos}: ") and what in err, err
             assert "Traceback" not in err
         code, out, _ = run(["eval", "--builtin", "so3", "--rep", "trivial",
@@ -142,15 +142,29 @@ def test_eval_degree_and_nesting_bounds_exit_one_with_position(capsys):
         assert code == 0 and out == f"{g}1^64\n"
 
 
-def test_eval_term_pair_bound_exits_one_with_position(capsys):
-    """(u1+...+u12)^8 ran for 20 s and printed 2 MB; its sixth power step
-    pairs 4,368 x 12 terms, past the bound, and fails at the power's `^`."""
+def test_eval_term_pair_bound_exits_two_with_position(capsys):
+    """(u1+...+u12)^8 ran for 20 s and printed 2 MB; its fifth power step
+    pairs 1,365 terms of degree 4 with 12 of degree 1, 65,520 pairs
+    weighted by degree, past the bound, and fails at the power's `^`."""
     expression = "(" + "+".join(f"u{i}" for i in range(1, 13)) + ")^8"
     code, out, err = run(["eval", "--builtin", "abelian(12)", "--rep", "trivial", "--quantum",
                           expression], capsys)
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert err.startswith(f"error: 1:{expression.rindex('^') + 1}: "), err
-    assert "4368 by 12 terms (52416 pairs) exceeds the limit 50000" in err
+    assert "1365 by 12 terms (65520 pairs weighted by degree) exceeds the limit 50000" in err
+    assert "Traceback" not in err
+
+
+def test_eval_refuses_a_product_of_deep_words_at_its_position(capsys):
+    """164 by 273 terms of PBW degree up to 8: 44,772 pairs, under the
+    bound unweighted, and about 5 s of work; weighted by degree it is
+    refused at the `*`, before any pair is multiplied."""
+    expression = "(u1+u2+u3)^8 * (u1+u2+u3+x1)^8"
+    code, out, err = run(["eval", "--builtin", "so3", "--rep", "trivial", "--quantum",
+                          expression], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: 1:{expression.index('*') + 1}: "), err
+    assert "164 by 273 terms (1539450 pairs weighted by degree) exceeds the limit 50000" in err
     assert "Traceback" not in err
 
 
