@@ -59,7 +59,7 @@ CLASSICAL_EVALS = {
                                  ("heisenberg3", "adjoint", MAT3, UNIT3))
 }
 
-# each fails (exit 1) at a different point of the grammar or the evaluator:
+# each fails (exit 2) at a different point of the grammar or the evaluator:
 # every call form, rationals, matrices, exponents, names and generators
 ERRORS = {
     ("so3", "adjoint", "classical"): [
