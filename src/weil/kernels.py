@@ -8,7 +8,7 @@ or matrices, anything with exact +, *, unary - and falsy zero.
 
 The Clifford kernel is for the orthonormal form B = I, the only form
 the quantum construction accepts: a product of two index monomials is
-then a single term with coefficient +-1 / 2^k, given as two integers.  The PBW kernel
+then one term with coefficient +-1/2^k, as two ints.  The PBW kernel
 multiplies by one generator at a time, onto a normal-form monomial, and
 merges like terms at every step; its coefficients stay Python ints on
 an algebra with integral structure constants (every builtin, so(n)) and
