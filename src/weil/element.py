@@ -149,26 +149,26 @@ class Element:
 
 def accumulate(acc: dict, key, num, den: int, p: int = 1):
     """acc[key] += p * num / den, for a matrix's integer numerators `num`
-    and integers p and den > 0.  `acc` maps a key to [numerators, den],
+    and integers p and den > 0.  `acc` maps a key to (numerators, den),
     neither reduced; they are rescaled to the lcm only when the
     denominators differ, and p = -1 subtracts."""
     cur = acc.get(key)
     if cur is None:
-        acc[key] = [num if p == 1 else [p * x for x in num], den]
+        acc[key] = (num if p == 1 else [p * x for x in num], den)
         return
     total, d = cur
     if d != den:
         g = gcd(d, den)
+        p *= d // g
         if den != g:
             total = [x * (den // g) for x in total]
-            cur[1] = d * (den // g)
-        p *= d // g
+            d *= den // g
     if p == 1:
-        cur[0] = list(map(add, total, num))
+        acc[key] = (list(map(add, total, num)), d)
     elif p == -1:
-        cur[0] = list(map(sub, total, num))
+        acc[key] = (list(map(sub, total, num)), d)
     else:
-        cur[0] = [x + p * y for x, y in zip(total, num)]
+        acc[key] = ([x + p * y for x, y in zip(total, num)], d)
 
 
 def collect(acc: dict, dim: int) -> dict:
