@@ -86,8 +86,7 @@ def _leibniz(der: _Derivation, x: ClassicalElement) -> ClassicalElement:
       + (-1)^(|e| |D|) v^s y^e D(A)
 
     The End V slot is skipped for A = c I, whose commutators vanish, and
-    a term's y-word is checked before its commutator is computed.  The
-    pieces are summed raw (`element.accumulate`).
+    a term's y-word is checked before its commutator is computed.
     """
     odd, vs, ys, endo = der
     acc = {}

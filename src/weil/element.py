@@ -11,14 +11,13 @@ constructor of a nonzero element runs on the Lie algebra.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
-into each coefficient.  They, and the classical derivations, sum raw
-integer numerators into one accumulator and canonicalize each End V
-part once per result key, not once per term (`accumulate`, `collect`).
-When one of a pair's matrix parts is c I the two matrix products agree
-and are one scaling of the other part, and when the pair's monomials
-also supercommute (always classically; quantum-side when one has no
-even part and the other no odd part, as U(g) and Cl(g) are tensor
-factors) the two halves cancel and the pair is skipped.
+into each coefficient.  They and the classical derivations sum raw
+integer numerators in one accumulator, canonicalizing each End V part
+once per result key (`accumulate`, `collect`).  When one of a pair's
+matrix parts is c I the two matrix products agree and are one scaling
+of the other, and when the pair's monomials also supercommute (always
+classically; quantum-side when one has no even part and the other no
+odd part, as U(g) and Cl(g) are tensor factors) the two halves cancel.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -148,10 +147,9 @@ class Element:
 
 
 def accumulate(acc: dict, key, num, den: int, p: int = 1):
-    """acc[key] += p * num / den, for a matrix's integer numerators `num`
-    and integers p and den > 0.  `acc` maps a key to (numerators, den),
-    neither reduced; they are rescaled to the lcm only when the
-    denominators differ, and p = -1 subtracts."""
+    """acc[key] += p * num / den for a matrix's integer numerators `num` and
+    integers p, den > 0.  `acc` holds (numerators, den) per key, unreduced,
+    rescaled to the lcm only when the denominators differ; p = -1 subtracts."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = (num if p == 1 else [p * x for x in num], den)

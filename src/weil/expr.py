@@ -447,8 +447,11 @@ def _check_degree(degree, pos):
 
 
 def _check_term_pairs(x, y, pos):
-    """Each term pair weighs the product of its words' polynomial degrees (each at least 1)."""
-    work = sum(max(1, sum(s)) for s, _ in x.terms) * sum(max(1, sum(s)) for s, _ in y.terms)
+    """Weigh each term pair by its words' polynomial degrees, each in 1..MAX_DEGREE
+    (every caller checks the degrees first), so a few pairs need no weighing."""
+    if len(x.terms) * len(y.terms) * MAX_DEGREE ** 2 <= MAX_TERM_PAIRS:
+        return
+    work = sum([sum(s) or 1 for s, _ in x.terms]) * sum([sum(s) or 1 for s, _ in y.terms])
     if work > MAX_TERM_PAIRS:
         raise ExprError(f"a product of {len(x.terms)} by {len(y.terms)} terms ({work} pairs "
                         f"weighted by degree) exceeds the limit {MAX_TERM_PAIRS}", pos)

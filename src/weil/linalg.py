@@ -10,10 +10,9 @@ such form, which is why equality and hashing compare the plain tuples
 and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
-the raw kernels `_mul_num` and `_commutator_num` return unreduced
-numerators over a denominator, so that the element products, brackets
-and derivations can sum them and canonicalize once per result key.
-Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
+the raw kernels `_mul_num` and `_commutator_num` return them unreduced,
+for the element products, brackets and derivations to sum and reduce
+once per result key.  Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
 `scalar_value`).
 
 `rank` and `kernel` take a sparse integer system, rows as

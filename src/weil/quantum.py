@@ -48,7 +48,8 @@ class QuantumElement(element.Element):
 
     def _mono_mul(self, k1, k2):
         cm, cp, cr = cliff_mono_mul(k1[1], k2[1])
-        return [((pm, cm), cp * q.numerator, cr * q.denominator)
+        return [((pm, cm), cp * q, cr) if type(q) is int
+                else ((pm, cm), cp * q.numerator, cr * q.denominator)
                 for pm, q in pbw_mono_mul(k1[0], k2[0], self.lie)]
 
 

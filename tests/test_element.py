@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weil import builtin
+from weil import AlgebraDef, LieData, adjoint_rep, builtin
 from weil import classical as cw
 from weil import quantum as qw
 from weil.linalg import Matrix
@@ -128,6 +128,12 @@ def _same_bits(got, want):
     _canonical_and_nonzero(got)
 
 
+# so3 with f halved: its PBW products carry Fraction coefficients
+_SO3 = ALGEBRAS["so3"].lie
+_HALF = LieData(3, {k: q / 2 for k, q in _SO3.entries.items()}, form=_SO3.form, name="so3/2")
+ALGEBRAS["so3/2"] = AlgebraDef("so3/2", _HALF, {"adjoint": adjoint_rep(_HALF)})
+
+
 def _key(n, gens):
     """The key of the product of distinct generators (kind, index)."""
     even = tuple(sum(1 for kind, a in gens if kind == "even" and a == i) for i in range(n))
@@ -163,7 +169,7 @@ def colliding_pairs(draw):
     denominators; with B2 the key reappears, without it the key's sum
     stays zero.  Returns (module, x, y, key, whether the key reappears).
     """
-    mod, name, rep_name = draw(st.sampled_from(SETTINGS))
+    mod, name, rep_name = draw(st.sampled_from(SETTINGS + [(qw, "so3/2", "adjoint")]))
     alg = ALGEBRAS[name]
     lie, rep = alg.lie, alg.reps[rep_name]
     n = lie.dim
@@ -210,3 +216,15 @@ def test_accumulated_products_match_the_per_term_oracle(case):
             for a in range(z.lie.dim):
                 _same_bits(cw.lie_derivative(a, z), oracles.lie_derivative(a, z))
                 _same_bits(cw.contraction(a, z), oracles.contraction(a, z))
+
+
+def test_quantum_products_carry_fraction_pbw_coefficients():
+    """On so3 with f halved the PBW kernel returns Fraction coefficients,
+    and the products keep their denominators: [u_a, u_b] = f^c_ab u_c
+    with f = +-1/2, for every ordered pair."""
+    alg = ALGEBRAS["so3/2"]
+    lie, rep = alg.lie, alg.reps["adjoint"]
+    for (a, b), row in lie.pair_brackets().items():
+        want = sum((qw.u_gen(lie, rep, c) * q for c, q in row), qw.zero(lie, rep))
+        assert want.terms and all(m.den == 2 for m in want.terms.values())
+        assert qw.supercommutator(qw.u_gen(lie, rep, a), qw.u_gen(lie, rep, b)) == want
