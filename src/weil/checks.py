@@ -327,6 +327,12 @@ def quantum_structure_suite(lie):
     return results
 
 
+def identity_part(x):
+    """x with each End V part A replaced by A[0, 0] I; A[0, 0] = 0 drops it."""
+    ident = Matrix.identity(x.rep.dim)
+    return type(x)(x.lie, x.rep, {m: ident * a[0, 0] for m, a in x.terms.items() if a[0, 0]})
+
+
 def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run the quantum operator identities; returns a list of CheckResult."""
     rng = random.Random(seed)
@@ -346,9 +352,7 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     restrict = []
     for i in range(samples // 2 + 1):
         x = random_element(qw.QuantumElement, lie, rep, rng, max_degree)
-        ident_part = qw.QuantumElement(lie, rep, {
-            m: Matrix.identity(rep.dim) * mat[0, 0] for m, mat in x.terms.items()
-        })
+        ident_part = identity_part(x)
         lhs = qw.differential(ident_part)
         rhs = qw.weil_differential(ident_part)
         for a in range(n):

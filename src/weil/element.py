@@ -172,8 +172,11 @@ def accumulate(acc: dict, key, num, den: int, p: int = 1):
 def collect(acc: dict, dim: int) -> dict:
     """The terms of an accumulator: each key's sum as a canonical dim x dim
     `Matrix`, the keys whose sum is zero dropped."""
-    return {key: Matrix._canonical(dim, dim, num, den)
-            for key, (num, den) in acc.items() if any(num)}
+    out = {}
+    for key, (num, den) in acc.items():
+        if any(num):
+            out[key] = Matrix._canonical(dim, dim, num, den)
+    return out
 
 
 def supercommutator(x: Element, y: Element) -> Element:

@@ -42,6 +42,10 @@ representation, by scanning every index triple.
 operators before they became one Leibniz rule over generator images:
 each writes the rule out by hand, and `differential` computes all n
 commutators [tau_b, A] of every term, c I parts included.
+`slot_leibniz` is that one rule before its monomial images and
+commutators were read from tables: it walks the product-rule slots of
+every term on every call, normalizes each y-word, and computes each
+commutator [tau_b, A] afresh.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
 sparser factor: the product combines, for each row of the left factor,
@@ -77,6 +81,7 @@ from math import gcd, lcm
 
 from weil import ALGEBRAS
 from weil.classical import ClassicalElement
+from weil.element import accumulate, collect
 from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
                        monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
@@ -537,6 +542,49 @@ def differential(x: ClassicalElement) -> ClassicalElement:
             sign, e2 = r
             add_scaled(out, (s, e2), cm, pref * sign)
     return ClassicalElement(lie, rep, out)
+
+
+def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
+    """D(x) for a derivation of `weil.classical._derivations` by the
+    Leibniz rule, slot by slot for every term v^s y^e A of every call:
+
+        sum_c s_c v^(s - e_c) D(v^c) y^e A
+      + sum_j (-1)^(j |D|) v^s y^(e<j) D(y^(e_j)) y^(e>j) A
+      + (-1)^(|e| |D|) v^s y^e D(A)
+
+    The End V slot is skipped for A = c I, whose commutators vanish, and
+    a term's y-word is checked before its commutator is computed.
+    """
+    odd, vs, ys, endo = der.odd, der.v, der.y, der.endo
+    taus = x.rep.matrices
+    acc = {}
+    for (s, e), mat in x.terms.items():
+        # (v part, multiplicity, y's before, y's after, sign, image) per factor
+        slots = [(_bump(s, c, -1), k, (), e, 1, vs[c])
+                 for c, k in enumerate(s) if k and c in vs]
+        for j, c in enumerate(e):
+            if c in ys:
+                slots.append((s, 1, e[:j], e[j + 1:], -1 if odd and j & 1 else 1, ys[c]))
+        if endo and mat._scalar() is None:
+            slots.append((s, 1, e, (), -1 if odd and len(e) & 1 else 1, endo))
+        for base, k, before, after, sign, image in slots:
+            for g, w, p, r, t in image:
+                if w:
+                    res = ext_normalize(before + w + after)
+                    if res is None:
+                        continue
+                    ws, word = res
+                else:
+                    ws, word = 1, before + after
+                if t is None:
+                    num, den = mat.num, mat.den
+                else:
+                    num, den = taus[t]._commutator_num(mat)
+                    if not any(num):
+                        continue
+                accumulate(acc, (base if g is None else _bump(base, g, 1), word), num,
+                           den * r, p * k * sign * ws)
+    return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))
 
 
 # -- the dense Fraction kernel path ---------------------------------------------

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernels import _so3_blocks
 
 from weil import adjoint_rep, builtin, trivial_rep
@@ -250,3 +253,84 @@ def test_operators_match_the_hand_written_leibniz_oracles(lie, rep):
         for a in range(n):
             assert cw.lie_derivative(a, x) == oracles.lie_derivative(a, x)
             assert cw.contraction(a, x) == oracles.contraction(a, x)
+
+
+def _table_contexts():
+    """(lie, rep) pairs for the table tests, one object each, so that the
+    tables fill across examples: so3 adjoint, heisenberg3 adjoint
+    (nilpotent tau), abelian(2) adjoint (tau = 0, so no End V slot), sl2
+    standard (f = +-2 on a 2-dimensional rep) and so3 with f halved
+    (Fraction structure constants)."""
+    out = [(alg.lie, alg.reps[rep]) for alg, rep in (
+        (builtin("so3"), "adjoint"), (builtin("heisenberg3"), "adjoint"),
+        (builtin("abelian(2)"), "adjoint"), (builtin("sl2"), "standard"))]
+    so3 = builtin("so3").lie
+    half = LieData(3, {k: q / 2 for k, q in so3.entries.items()}, form=so3.form, name="so3/2")
+    return out + [(half, adjoint_rep(half))]
+
+
+TABLE_CONTEXTS = _table_contexts()
+SCALES = [1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)]
+
+
+@st.composite
+def table_elements(draw):
+    """An element of a table context with 1 to 4 terms, each generator to
+    a power <= 2 and up to 3 odd factors; each End V part is I, a nonzero
+    tau_a or a matrix unit, times a scale.  Also a fractional scale q:
+    x * q has x's numerators over other denominators."""
+    lie, rep = draw(st.sampled_from(TABLE_CONTEXTS))
+    n, d = lie.dim, rep.dim
+    bases = [Matrix.identity(d), *(t for t in rep.matrices if t),
+             *(Matrix(d, d, [int(k == cell) for k in range(d * d)]) for cell in range(d * d))]
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        even = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        odd = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 3)))))
+        terms[(even, odd)] = draw(st.sampled_from(bases)) * draw(st.sampled_from(SCALES))
+    return cw.ClassicalElement(lie, rep, terms), draw(st.sampled_from(SCALES[3:]))
+
+
+def _bits(x):
+    return {key: (mat.num, mat.den) for key, mat in x.terms.items()}
+
+
+@given(table_elements())
+@settings(max_examples=150)
+def test_tables_match_the_slot_oracle(drawn):
+    """L_a, iota_a and d read from the image and commutator tables against
+    `oracles.slot_leibniz`, the slot loop they replaced, numerators and
+    denominator bit for bit, on x, x * q and d x; no table exceeds its
+    bound."""
+    x, q = drawn
+    lie_ders, iotas, d, image, commutator = cw._derivations(x.lie, x.rep)
+    n = x.lie.dim
+    ops = [(cw.differential, d)]
+    ops += [(partial(cw.lie_derivative, a), lie_ders[a]) for a in range(n)]
+    ops += [(partial(cw.contraction, a), iotas[a]) for a in range(n)]
+    for y in (x, x * q, cw.differential(x)):
+        for op, der in ops:
+            got = op(y)
+            assert _bits(got) == _bits(oracles.slot_leibniz(der, y))
+            assert all(got.terms.values())
+    for table, bound in ((image, cw.IMAGE_TABLE_SIZE), (commutator, cw.COMMUTATOR_TABLE_SIZE)):
+        info = table.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+
+
+def test_tables_match_the_slot_oracle_while_evicting():
+    """The same comparison with both table bounds at 2 entries, so that
+    nearly every lookup evicts an entry."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cw, "IMAGE_TABLE_SIZE", 2)
+        mp.setattr(cw, "COMMUTATOR_TABLE_SIZE", 2)
+        cw._derivations.cache_clear()
+        try:
+            test_tables_match_the_slot_oracle()
+            infos = [tuple(table.cache_info() for table in cw._derivations(lie, rep)[3:])
+                     for lie, rep in TABLE_CONTEXTS]
+        finally:
+            cw._derivations.cache_clear()
+    assert all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
+    assert any(image.misses > 2 for image, _ in infos)
+    assert any(commutator.misses > 2 for _, commutator in infos)

@@ -275,7 +275,7 @@ def _same_tables(lie):
     assert list(lie.pair_brackets().items()) == list(pairs.items())
     rep = adjoint_rep(lie)
     taus = rep.matrices
-    lie_ders, iotas, d = _derivations(lie, rep)
+    lie_ders, iotas, d = _derivations(lie, rep)[:3]
     n = lie.dim
     for a in range(n):
         for c in range(n):
@@ -284,14 +284,16 @@ def _same_tables(lie):
                                                 for b, q in row]
             assert lie_ders[a].y.get(c, []) == [(None, (b,), q.numerator, q.denominator, None)
                                                 for b, q in row]
-        assert lie_ders[a].endo == (((None, (), 1, 1, taus[a]),) if taus[a] else ())
+        assert lie_ders[a].endo == (((None, (), 1, 1, a),) if taus[a] else ())
         assert not lie_ders[a].odd and iotas[a].odd
+        assert (lie_ders[a].index, iotas[a].index) == (a, n + a)
         assert (iotas[a].v, iotas[a].y, iotas[a].endo) == ({}, {a: ((None, (), 1, 1, None),)}, ())
         row = dpairs.get(a, ())
         assert d.v.get(a, []) == [(k, (j,), q.numerator, q.denominator, None) for j, k, q in row]
         assert d.y[a] == [(a, (), 1, 1, None)] + [(None, (j, k), q.numerator, 2 * q.denominator,
                                                    None) for j, k, q in row]
-    assert d.odd and d.endo == tuple((None, (b,), 1, 1, t) for b, t in enumerate(taus) if t)
+    assert d.odd and d.endo == tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t)
+    assert d.index == 2 * n
     assert taus == oracles.dense_adjoint_rep(lie).matrices
 
 
