@@ -2,8 +2,10 @@
 
 Everything is computed over the rationals: no floats, no tolerances.
 The main entry points are `builtin` / `load_algebra_file` for algebra
-data, the `classical` and `quantum` modules for elements and operators,
-and `flat` for truncated-degree subspace computations.
+data; `ClassicalAlgebra(lie, rep)` and `QuantumAlgebra(lie, rep)`, the
+two kinds of `WeilAlgebra`, for elements, operators and curvature; and
+`flat` for truncated-degree subspace computations, which take such a
+value.
 """
 
 from .linalg import Matrix, Scalar, format_scalar, kernel, parse_scalar, rank
@@ -22,11 +24,12 @@ from .lie import (
     validate_rep,
 )
 
-from . import classical, quantum
+from .element import WeilAlgebra
+from .classical import ClassicalAlgebra
+from .quantum import QuantumAlgebra
 
-# context string -> the module holding that algebra's element class,
-# operators and curvature under the same names
-ALGEBRAS = {"classical": classical, "quantum": quantum}
+# context string ("--classical" / "--quantum") -> the algebra's class
+ALGEBRAS = {"classical": ClassicalAlgebra, "quantum": QuantumAlgebra}
 
 __version__ = "0.1.0"
 
@@ -34,10 +37,13 @@ __all__ = [
     "ALGEBRAS",
     "AlgebraDef",
     "BilinearForm",
+    "ClassicalAlgebra",
     "LieData",
     "Matrix",
+    "QuantumAlgebra",
     "RepData",
     "Scalar",
+    "WeilAlgebra",
     "adjoint_rep",
     "builtin",
     "builtin_names",

@@ -17,10 +17,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import classical as cw
-from . import quantum as qw
+from .classical import ClassicalAlgebra, ClassicalElement
+from .element import supercommutator
 from .kernels import add_term, ext_mono_mul, sym_mono_mul
+from .lie import trivial_rep
 from .linalg import Matrix
+from .quantum import QuantumAlgebra
 from .render import render
 
 
@@ -66,15 +68,15 @@ def _random_key(rng, n, max_degree):
     return _random_split(rng, n, (deg - odd_len) // 2), odd
 
 
-def random_element(cls, lie, rep, rng, max_degree=4, max_terms=3):
-    """A random element of the algebra whose element class is `cls`."""
+def random_element(alg, rng, max_degree=4, max_terms=3):
+    """A random element of the `WeilAlgebra` `alg`."""
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
-        key = _random_key(rng, lie.dim, max_degree)
-        mat = random_matrix(rng, rep.dim)
+        key = _random_key(rng, alg.lie.dim, max_degree)
+        mat = random_matrix(rng, alg.rep.dim)
         if mat:
             add_term(terms, key, mat)
-    return cls(lie, rep, terms)
+    return alg.element(terms)
 
 
 def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
@@ -180,52 +182,53 @@ def scalar_weil_differential(lie, poly):
 
 def embed_scalar_poly(lie, rep, poly):
     ident = Matrix.identity(rep.dim)
-    return cw.ClassicalElement(lie, rep, {m: ident * q for m, q in poly.items()})
+    return ClassicalElement(lie, rep, {m: ident * q for m, q in poly.items()})
 
 
 # -- the operator identities, in either algebra ----------------------------------
 
 
-def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, names):
+def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
-    `samples` random elements of the algebra of module `mod` (`classical` or
-    `quantum`), drawn from `rng` (seeded with `seed`) one at a time.
+    `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
+    (seeded with `seed`) one at a time.
     `names` = (curvature name, structure-constant name) as the rows print
     them.  A failure names its witness: the seed, the element's index and
     its rendering, which `weil eval` reads back as X in the identity."""
     cname, fname = names
-    E, n = mod.Element, lie.dim
-    brackets = lie.pair_brackets()
+    n = alg.lie.dim
+    brackets = alg.lie.pair_brackets()
+    d, lie_derivative, contraction = alg.differential, alg.lie_derivative, alg.contraction
 
     def pool():
-        yield E.unit(lie, rep)
-        for make in (E.even_gen, E.odd_gen, E.tau):
+        yield alg.unit()
+        for make in (alg.even_gen, alg.odd_gen, alg.tau):
             for a in range(n):
-                yield make(lie, rep, a)
+                yield make(a)
         for _ in range(samples):
-            yield random_element(E, lie, rep, rng, max_degree)
+            yield random_element(alg, rng, max_degree)
 
     def witness(i, x, indices=""):
         return f"element {i} (seed {seed}){indices}: X = {render(x)}"
 
     cartan, ld, liota, ddc = [], [], [], []
     for i, x in enumerate(pool()):
-        dx = mod.differential(x)
-        lx = [mod.lie_derivative(a, x) for a in range(n)]
-        ix = [mod.contraction(a, x) for a in range(n)]
+        dx = d(x)
+        lx = [lie_derivative(a, x) for a in range(n)]
+        ix = [contraction(a, x) for a in range(n)]
         for a in range(n):
-            if mod.contraction(a, dx) + mod.differential(ix[a]) != lx[a]:
+            if contraction(a, dx) + d(ix[a]) != lx[a]:
                 cartan.append(witness(i, x, f", a={a + 1}"))
-            if mod.lie_derivative(a, dx) != mod.differential(lx[a]):
+            if lie_derivative(a, dx) != d(lx[a]):
                 ld.append(witness(i, x, f", a={a + 1}"))
             for b in range(n):
-                lhs = mod.lie_derivative(a, ix[b]) - mod.contraction(b, lx[a])
-                rhs = E.zero(lie, rep)
+                lhs = lie_derivative(a, ix[b]) - contraction(b, lx[a])
+                rhs = alg.zero()
                 for c, q in brackets.get((a, b), ()):
                     rhs = rhs + ix[c] * q
                 if lhs != rhs:
                     liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
-        if mod.differential(dx) != mod.supercommutator(curv, x):
+        if d(dx) != supercommutator(curv, x):
             ddc.append(witness(i, x))
     total = 1 + 3 * n + samples
     return [
@@ -234,7 +237,7 @@ def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, na
         _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
         _result(f"d.d = [{cname},-]", ddc, total),
         _result(f"bianchi d({cname}) = 0",
-                [] if mod.differential(curv).is_zero else [f"d({cname}) != 0"]),
+                [] if d(curv).is_zero else [f"d({cname}) != 0"]),
     ]
 
 
@@ -244,9 +247,9 @@ def _operator_identities(mod, lie, rep, rng, seed, samples, max_degree, curv, na
 def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run every classical identity; returns a list of CheckResult."""
     rng = random.Random(seed)
-    n = lie.dim
-    results = _operator_identities(cw, lie, rep, rng, seed, samples, max_degree,
-                                   cw.curvature(lie, rep), ("C", "f^c_ab"))
+    alg = ClassicalAlgebra(lie, rep)
+    results = _operator_identities(alg, rng, seed, samples, max_degree, alg.curvature,
+                                   ("C", "f^c_ab"))
 
     restrict, ddzero = [], []
     for i in range(samples):
@@ -254,9 +257,9 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
         if not poly:
             continue
         elem = embed_scalar_poly(lie, rep, poly)
-        if cw.differential(elem) != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
+        if alg.differential(elem) != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
             restrict.append(f"poly {i}")
-        if not cw.differential(cw.differential(elem)).is_zero:
+        if not alg.differential(alg.differential(elem)).is_zero:
             ddzero.append(f"poly {i}")
     results.append(_result("restriction: d matches the scalar differential", restrict, samples))
     results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
@@ -265,9 +268,9 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     for i in range(samples):
         poly = random_sym_poly(lie, rng, max_degree)
         f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
-        acc = cw.zero(lie, rep)
-        for a in range(n):
-            acc = acc + cw.sym_gen(lie, rep, a) * cw.lie_derivative(a, f)
+        acc = alg.zero()
+        for a in range(lie.dim):
+            acc = acc + alg.even_gen(a) * alg.lie_derivative(a, f)
         if not acc.is_zero:
             lemma.append(f"poly {i}")
     results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
@@ -279,48 +282,38 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
 
 def quantum_structure_suite(lie):
     """Structural lemmas in the representation-free quantum algebra."""
-    from .lie import trivial_rep
-
-    rep = trivial_rep(lie)
-    n = lie.dim
-    dist = qw.distinguished(lie, rep)
+    alg = QuantumAlgebra(lie, trivial_rep(lie))
+    n, x = lie.dim, alg.odd_gen
     results = []
 
     bad = []
     for a in range(n):
         for b in range(n):
-            lhs = qw.supercommutator(qw.x_gen(lie, rep, a), dist.g[b])
-            rhs = qw.zero(lie, rep)
+            lhs = supercommutator(x(a), alg.g[b])
+            rhs = alg.zero()
             for c in range(n):  # dense: independent of lie.pair_brackets()
                 q = -lie.f(a, c, b)  # -f_bac, with f_bac = f^b_ac
                 if q:
-                    rhs = rhs + qw.x_gen(lie, rep, c) * q
+                    rhs = rhs + x(c) * q
             if lhs != rhs:
                 bad.append(f"a={a + 1}, b={b + 1}")
     results.append(_result("[x_a,g_b] = -f_bac x_c", bad))
 
-    bad = [f"a={a + 1}" for a in range(n)
-           if qw.supercommutator(qw.x_gen(lie, rep, a), dist.gamma) != dist.g[a]]
+    bad = [f"a={a + 1}" for a in range(n) if supercommutator(x(a), alg.gamma) != alg.g[a]]
     results.append(_result("[x_a,gamma] = g_a", bad))
 
-    bad = []
-    for a in range(n):
-        lhs = qw.supercommutator(qw.x_gen(lie, rep, a), dist.dirac)
-        if lhs != qw.u_gen(lie, rep, a) + dist.g[a]:
-            bad.append(f"a={a + 1}")
+    bad = [f"a={a + 1}" for a in range(n)
+           if supercommutator(x(a), alg.dirac) != alg.even_gen(a) + alg.g[a]]
     results.append(_result("[x_a,D] = u_a + g_a", bad))
 
-    bad = []
-    for a in range(n):
-        ug = qw.u_gen(lie, rep, a) + dist.g[a]
-        if not qw.supercommutator(ug, dist.dirac).is_zero:
-            bad.append(f"a={a + 1}")
+    bad = [f"a={a + 1}" for a in range(n)
+           if not supercommutator(alg.even_gen(a) + alg.g[a], alg.dirac).is_zero]
     results.append(_result("[u_a+g_a,D] = 0", bad))
 
-    rep_cas = qw.casimir_report(lie)
+    rep_cas = alg.casimir_report()
     results.append(_result("D^2 = (1/2) u_a u_a + gamma^2",
                            [] if rep_cas["dirac_square_matches"] else ["mismatch"]))
-    ok = dist.gamma * dist.gamma == qw.scalar(lie, rep, rep_cas["gamma_squared"])
+    ok = alg.gamma * alg.gamma == alg.scalar(rep_cas["gamma_squared"])
     results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
     results.append(_result("u_a u_a is central",
                            [] if rep_cas["casimir_central"] else ["not central"]))
@@ -336,33 +329,31 @@ def identity_part(x):
 def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run the quantum operator identities; returns a list of CheckResult."""
     rng = random.Random(seed)
-    n = lie.dim
+    alg = QuantumAlgebra(lie, rep)
     results = list(quantum_structure_suite(lie))
-    # the four-term element, not qw.curvature: that one raises on the
+    # the four-term element, not alg.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
-    curv = qw.four_term_curvature(lie, rep)
-    results += _operator_identities(qw, lie, rep, rng, seed, samples, max_degree, curv,
+    curv = alg.four_term_curvature()
+    results += _operator_identities(alg, rng, seed, samples, max_degree, curv,
                                     ("QC", "f_abc"))
 
-    dist = qw.distinguished(lie, rep)
-    ok = curv == dist.dirac_tau * dist.dirac_tau
+    ok = curv == alg.dirac_tau * alg.dirac_tau
     results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
                            [] if ok else ["mismatch"]))
 
     restrict = []
     for i in range(samples // 2 + 1):
-        x = random_element(qw.QuantumElement, lie, rep, rng, max_degree)
-        ident_part = identity_part(x)
-        lhs = qw.differential(ident_part)
-        rhs = qw.weil_differential(ident_part)
-        for a in range(n):
-            rhs = rhs + qw.contraction(a, ident_part) * qw.tau(lie, rep, a)
+        ident_part = identity_part(random_element(alg, rng, max_degree))
+        lhs = alg.differential(ident_part)
+        rhs = alg.weil_differential(ident_part)
+        for a in range(lie.dim):
+            rhs = rhs + alg.contraction(a, ident_part) * alg.tau(a)
         if lhs != rhs:
             restrict.append(f"element {i}")
     results.append(_result("restriction: d = d_W + iota_a tau_a", restrict))
 
-    x1 = qw.x_gen(lie, rep, 0)
-    differs = qw.differential(x1) != qw.weil_differential(x1)
+    x1 = alg.odd_gen(0)
+    differs = alg.differential(x1) != alg.weil_differential(x1)
     ok = differs == bool(rep.matrices[0])
     results.append(_result("restriction: d != d_W exactly when tau_1 is nonzero",
                            [] if ok else ["witness failed at x1"]))

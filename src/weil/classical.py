@@ -4,25 +4,23 @@ Elements are sparse maps (symmetric monomial, exterior monomial) ->
 matrix with the arithmetic of `element.Element`; this module supplies
 the monomial product.  Symmetric generators have degree 2, exterior ones
 degree 1, endomorphisms degree 0; parity is the exterior length mod 2.
-The operators L_a, iota_a and d are derivations, each given by its
-images of v^c, y^c and End V (read off `LieData.pair_brackets`) and
-extended to products by one Leibniz rule over generator images.  The
-rule runs once per (derivation, monomial): monomial images and the
-commutators [tau_b, A] are read from two bounded tables of the (lie, rep).
+`ClassicalAlgebra` is the algebra on one (lie, rep).  Its operators
+L_a, iota_a and d are derivations, each given by its images of v^c, y^c
+and End V (read off `LieData.pair_brackets`) and extended to products
+by one Leibniz rule over generator images.  The rule runs once per
+(derivation, monomial): monomial images and the commutators [tau_b, A]
+are read from two bounded tables of the value.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from . import element
-from .element import CACHE_SIZE, accumulate, collect
-from .element import supercommutator  # noqa: F401  (part of the module interface)
-from .kernels import _bump, add_term, ext_mono_mul, ext_normalize, sym_mono_mul
+from .element import accumulate, collect
+from .kernels import _bump, ext_mono_mul, ext_normalize, sym_mono_mul
 from .linalg import Matrix
-
-GRADED = True  # operators have exact degrees; the flat solver splits by degree
 
 
 class ClassicalElement(element.Element):
@@ -37,12 +35,7 @@ class ClassicalElement(element.Element):
         return (((sym_mono_mul(k1[0], k2[0]), e), sign, 1),)
 
 
-Element = ClassicalElement
-zero, unit, scalar = Element.zero, Element.unit, Element.scalar
-endo, tau, sym_gen, ext_gen = Element.endo, Element.tau, Element.even_gen, Element.odd_gen
-
-
-# entries of each (lie, rep)'s two tables, read by `_leibniz`; 256 images
+# entries of each value's two tables, read by `_leibniz`; 256 images
 # catch 90% of the image lookups of an so3 adjoint check at 200 samples,
 # 1,024 catch 98% but add about 0.4 MB to the check-classical peak RSS
 IMAGE_TABLE_SIZE = 256
@@ -55,50 +48,13 @@ class _Derivation(NamedTuple):
     An image is a sequence of terms (g, w, p, r, t): (p / r) v^g y^w times
     the End V part, which is [tau_t, A] for an index t and else the term's
     own A; p and r > 0 are integers, and g and t are None for no v and no
-    tau.  `index` keys D's entries in the image table.
+    tau.
     """
 
     odd: bool
     v: dict  # c -> image of v^c
     y: dict  # c -> image of y^c
     endo: tuple  # the image of A
-    index: int
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _derivations(lie, rep):
-    """The derivations L_a and iota_a (a tuple of n each, indices a and
-    n + a) and d (index 2n) on (lie, rep), read off `lie.pair_brackets()`,
-    and the two tables of `_leibniz`; zero tau_b are dropped."""
-    n = lie.dim
-    lv, ly = [{} for _ in range(n)], [{} for _ in range(n)]
-    dv, dy = {}, {c: [(c, (), 1, 1, None)] for c in range(n)}
-    # L_a v^c = -f^c_ab v^b and L_a y^c = -f^c_ab y^b; d v^c = -f^c_ab y^a v^b
-    # and d y^c = v^c - (1/2) f^c_ab y^a y^b, summed over ordered pairs (a, b)
-    for (a, b), row in lie.pair_brackets().items():
-        for c, q in row:
-            p, r = q.numerator, q.denominator
-            lv[a].setdefault(c, []).append((b, (), -p, r, None))
-            ly[a].setdefault(c, []).append((None, (b,), -p, r, None))
-            dv.setdefault(c, []).append((b, (a,), -p, r, None))
-            dy[c].append((None, (a, b), -p, 2 * r, None))
-    taus, dim = rep.matrices, rep.dim
-    lie_ders = tuple(_Derivation(False, lv[a], ly[a],
-                                 ((None, (), 1, 1, a),) if taus[a] else (), a)
-                     for a in range(n))
-    iotas = tuple(_Derivation(True, {}, {a: ((None, (), 1, 1, None),)}, (), n + a)
-                  for a in range(n))
-    d = _Derivation(True, dv, dy,
-                    tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t), 2 * n)
-    ders = lie_ders + iotas + (d,)
-
-    @lru_cache(maxsize=COMMUTATOR_TABLE_SIZE)
-    def commutator(b, num, den):
-        cnum, cden = taus[b]._commutator_num(Matrix._make(dim, dim, num, den))
-        return (tuple(cnum), cden) if any(cnum) else None
-
-    image = lru_cache(maxsize=IMAGE_TABLE_SIZE)(lambda i, s, e: _monomial_image(ders[i], s, e))
-    return lie_ders, iotas, d, image, commutator
 
 
 def _monomial_image(der: _Derivation, s, e):
@@ -113,7 +69,7 @@ def _monomial_image(der: _Derivation, s, e):
     (key, p, r, t) for key times (p / r) [tau_t, A].  Terms whose y-word
     repeats an index are dropped.
     """
-    odd, vs, ys, endo, _ = der
+    odd, vs, ys, endo = der
     # (v part, multiplicity, y's before, y's after, sign, image) per factor
     slots = [(_bump(s, c, -1), k, (), e, 1, vs[c]) for c, k in enumerate(s) if k and c in vs]
     for j, c in enumerate(e):
@@ -143,54 +99,97 @@ def _monomial_image(der: _Derivation, s, e):
     return tuple((key, p, r) for key, (p, r) in plain.items() if p), tuple(endo_terms)
 
 
-def _leibniz(der: _Derivation, x: ClassicalElement) -> ClassicalElement:
-    """D(x) from two LRU tables of (lie, rep) keyed by tuples of ints:
-    `image(D.index, s, e)` is `_monomial_image`, with at most
-    IMAGE_TABLE_SIZE entries, and `commutator(b, A.num, A.den)` the
-    (numerators, den) of [tau_b, A], or None for 0, with at most
-    COMMUTATOR_TABLE_SIZE.  A term v^s y^e A adds the plain part of its
-    image times A and, unless A = c I, the commutators of its End V part."""
-    _, _, _, image, commutator = _derivations(x.lie, x.rep)
-    i, acc = der.index, {}
-    for (s, e), mat in x.terms.items():
-        plain, endo = image(i, s, e)
-        num, den = mat.num, mat.den
-        for key, p, r in plain:
-            accumulate(acc, key, num, den * r, p)
-        if endo and mat._scalar() is None:
-            for key, p, r, t in endo:
-                cm = commutator(t, num, den)
-                if cm is not None:
-                    accumulate(acc, key, cm[0], cm[1] * r, p)
-    return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))
+class ClassicalAlgebra(element.WeilAlgebra):
+    Element = ClassicalElement
+    KIND = "classical"
+    GRADED = True
+
+    @cached_property
+    def derivations(self):
+        """The derivations L_a (index a), iota_a (n + a) and d (2n), read
+        off `lie.pair_brackets()`; zero tau_b are dropped."""
+        lie, taus = self.lie, self.rep.matrices
+        n = lie.dim
+        lv, ly = [{} for _ in range(n)], [{} for _ in range(n)]
+        dv, dy = {}, {c: [(c, (), 1, 1, None)] for c in range(n)}
+        # L_a v^c = -f^c_ab v^b and L_a y^c = -f^c_ab y^b; d v^c = -f^c_ab y^a v^b
+        # and d y^c = v^c - (1/2) f^c_ab y^a y^b, summed over ordered pairs (a, b)
+        for (a, b), row in lie.pair_brackets().items():
+            for c, q in row:
+                p, r = q.numerator, q.denominator
+                lv[a].setdefault(c, []).append((b, (), -p, r, None))
+                ly[a].setdefault(c, []).append((None, (b,), -p, r, None))
+                dv.setdefault(c, []).append((b, (a,), -p, r, None))
+                dy[c].append((None, (a, b), -p, 2 * r, None))
+        lie_ders = tuple(_Derivation(False, lv[a], ly[a],
+                                     ((None, (), 1, 1, a),) if taus[a] else ())
+                         for a in range(n))
+        iotas = tuple(_Derivation(True, {}, {a: ((None, (), 1, 1, None),)}, ())
+                      for a in range(n))
+        d = _Derivation(True, dv, dy, tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t))
+        return lie_ders + iotas + (d,)
+
+    @cached_property
+    def image_table(self):
+        """(index, s, e) -> `_monomial_image` of derivation `index`, at most
+        IMAGE_TABLE_SIZE entries."""
+        ders = self.derivations
+        return lru_cache(maxsize=IMAGE_TABLE_SIZE)(lambda i, s, e: _monomial_image(ders[i], s, e))
+
+    @cached_property
+    def commutator_table(self):
+        """(b, A.num, A.den) -> the (numerators, den) of [tau_b, A], or None
+        for 0, at most COMMUTATOR_TABLE_SIZE entries."""
+        taus, dim = self.rep.matrices, self.rep.dim
+
+        @lru_cache(maxsize=COMMUTATOR_TABLE_SIZE)
+        def commutator(b, num, den):
+            cnum, cden = taus[b]._commutator_num(Matrix._make(dim, dim, num, den))
+            return (tuple(cnum), cden) if any(cnum) else None
+        return commutator
+
+    def _leibniz(self, i, x: ClassicalElement) -> ClassicalElement:
+        """D(x) for derivation i from the two tables, keyed by tuples of
+        ints.  A term v^s y^e A adds the plain part of its image times A
+        and, unless A = c I, the commutators of its End V part."""
+        image, commutator = self.image_table, self.commutator_table
+        acc = {}
+        for (s, e), mat in x.terms.items():
+            plain, endo = image(i, s, e)
+            num, den = mat.num, mat.den
+            for key, p, r in plain:
+                accumulate(acc, key, num, den * r, p)
+            if endo and mat._scalar() is None:
+                for key, p, r, t in endo:
+                    cm = commutator(t, num, den)
+                    if cm is not None:
+                        accumulate(acc, key, cm[0], cm[1] * r, p)
+        return self.element(collect(acc, self.rep.dim))
+
+    def lie_derivative(self, a, x: ClassicalElement) -> ClassicalElement:
+        """L_a, the even derivation with L_a v^c = -f^c_ab v^b, L_a y^c =
+        -f^c_ab y^b and L_a A = [tau_a, A]."""
+        return self._leibniz(a, x)
+
+    def contraction(self, a, x: ClassicalElement) -> ClassicalElement:
+        """iota_a, the odd derivation of degree -1 with iota_a y^c = delta_ac,
+        zero on v^c and End V."""
+        return self._leibniz(self.lie.dim + a, x)
+
+    def differential(self, x: ClassicalElement) -> ClassicalElement:
+        """The covariant differential, the odd derivation of degree +1 with
+        d v^c = -f^c_jk y^j v^k, d y^c = v^c - (1/2) f^c_jk y^j y^k and
+        d A = y^b [tau_b, A], summed over j, k and b."""
+        return self._leibniz(2 * self.lie.dim, x)
+
+    @cached_property
+    def curvature(self) -> ClassicalElement:
+        """C = sum_a v^a (x) 1 (x) tau_a; degree 2, d-closed."""
+        n = self.lie.dim
+        return self.element({(tuple(int(i == a) for i in range(n)), ()): mat
+                             for a, mat in enumerate(self.rep.matrices) if mat})
 
 
-def lie_derivative(a, x: ClassicalElement) -> ClassicalElement:
-    """L_a, the even derivation with L_a v^c = -f^c_ab v^b, L_a y^c =
-    -f^c_ab y^b and L_a A = [tau_a, A]."""
-    return _leibniz(_derivations(x.lie, x.rep)[0][a], x)
-
-
-def contraction(a, x: ClassicalElement) -> ClassicalElement:
-    """iota_a, the odd derivation of degree -1 with iota_a y^c = delta_ac,
-    zero on v^c and End V."""
-    return _leibniz(_derivations(x.lie, x.rep)[1][a], x)
-
-
-def differential(x: ClassicalElement) -> ClassicalElement:
-    """The covariant differential, the odd derivation of degree +1 with
-    d v^c = -f^c_jk y^j v^k, d y^c = v^c - (1/2) f^c_jk y^j y^k and
-    d A = y^b [tau_b, A], summed over j, k and b."""
-    return _leibniz(_derivations(x.lie, x.rep)[2], x)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def curvature(lie, rep) -> ClassicalElement:
-    """C = sum_a v^a (x) 1 (x) tau_a; degree 2, d-closed."""
-    out = {}
-    for a in range(lie.dim):
-        mat = rep.matrices[a]
-        if mat:
-            add_term(out, (tuple(int(i == a) for i in range(lie.dim)), ()), mat)
-    return ClassicalElement(lie, rep, out)
-
+    """The curvature of a fresh `ClassicalAlgebra(lie, rep)`."""
+    return ClassicalAlgebra(lie, rep).curvature

@@ -12,7 +12,7 @@ import json
 import sys
 from math import comb
 
-from . import checks, flat
+from . import ALGEBRAS, checks, flat
 from .expr import ExprError, evaluate, render
 from .lie import builtin, load_algebra_file, validate_form, validate_lie, validate_rep
 
@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
 
 
 def flat_report_data(alg, rep, context, max_degree, samples, seed) -> dict:
-    hor = flat.flat_subspace(context, alg.lie, rep, max_degree)
+    hor = flat.flat_subspace(ALGEBRAS[context](alg.lie, rep), max_degree)
     inclusion = flat.inclusion_report(hor)
     decomposition = flat.decomposition_report(hor)
     closure = flat.closure_report(hor, samples=samples, seed=seed)

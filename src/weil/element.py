@@ -5,9 +5,12 @@ with End V: S g* (x) /\\ g* (x) End V classically, U(g) (x) Cl(g) (x)
 End V quantum-side.  An element is a sparse map from such pairs to
 nonzero matrices.  Everything but the product of two monomials is the
 same for both and is written here once; `classical.ClassicalElement`
-and `quantum.QuantumElement` supply that product (`_mono_mul`), the
-letters and joiner of their renderings, and `admit`, the check every
-constructor of a nonzero element runs on the Lie algebra.
+and `quantum.QuantumElement` supply that product (`_mono_mul`) and the
+letters and joiner of their renderings.
+
+A `WeilAlgebra` is one algebra on a (lie, rep), classical or quantum:
+its element class, constructors, operators and curvature.  What a value
+derives is built on first use and kept on the value.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import add, sub
 
 from .kernels import add_term
-from .linalg import CACHE_SIZE, Matrix  # noqa: F401  (CACHE_SIZE: part of the interface)
+from .linalg import Matrix
 from .render import render
 
 
@@ -50,49 +54,9 @@ class Element:
     # with no even part and one with no odd part are known to
     SUPERCOMMUTATIVE = False
 
-    @staticmethod
-    def admit(lie):
-        """Raise unless the algebra can be built on `lie`."""
-
     # a subclass defines _mono_mul(self, k1, k2): the product of two (even,
     # odd) monomials as a sequence of (key, p, r) triples, each the term
     # key times p / r for integers p and r > 0
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, lie, rep):
-        return cls(lie, rep, {})
-
-    @classmethod
-    def endo(cls, lie, rep, mat: Matrix):
-        cls.admit(lie)
-        if mat.rows != rep.dim or mat.cols != rep.dim:
-            raise ValueError(f"matrix must be {rep.dim}x{rep.dim}")
-        return cls(lie, rep, {((0,) * lie.dim, ()): mat} if mat else {})
-
-    @classmethod
-    def unit(cls, lie, rep):
-        return cls.endo(lie, rep, Matrix.identity(rep.dim))
-
-    @classmethod
-    def scalar(cls, lie, rep, q):
-        return cls.unit(lie, rep) * Fraction(q)
-
-    @classmethod
-    def tau(cls, lie, rep, a):
-        return cls.endo(lie, rep, rep.matrices[a])
-
-    @classmethod
-    def even_gen(cls, lie, rep, a):
-        cls.admit(lie)
-        mono = tuple(int(i == a) for i in range(lie.dim))
-        return cls(lie, rep, {(mono, ()): Matrix.identity(rep.dim)})
-
-    @classmethod
-    def odd_gen(cls, lie, rep, a):
-        cls.admit(lie)
-        return cls(lie, rep, {((0,) * lie.dim, (a,)): Matrix.identity(rep.dim)})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -231,3 +195,74 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
                 for key, p, r in mono_mul(k2, k1):
                     accumulate(acc, key, num, den * r, c * p)
     return type(x)(x.lie, x.rep, collect(acc, x.rep.dim))
+
+
+@dataclass(frozen=True, eq=False)
+class WeilAlgebra:
+    """One covariant Weil algebra on (lie, rep).
+
+    A subclass sets `Element`, its element class; `KIND`, "classical" or
+    "quantum"; and `GRADED`, whether its operators have exact degrees
+    (the flat solver then splits by degree).  It defines
+    `lie_derivative(a, x)`, `contraction(a, x)`, `differential(x)` and
+    the cached `curvature`.  Constructing a value builds nothing.
+    """
+
+    lie: object
+    rep: object
+
+    def __post_init__(self):
+        """Raise unless the algebra can be built on (lie, rep)."""
+
+    # -- constructors ------------------------------------------------------
+
+    def element(self, terms):
+        return self.Element(self.lie, self.rep, terms)
+
+    def zero(self):
+        return self.element({})
+
+    def endo(self, mat: Matrix):
+        if mat.rows != self.rep.dim or mat.cols != self.rep.dim:
+            raise ValueError(f"matrix must be {self.rep.dim}x{self.rep.dim}")
+        return self.element({((0,) * self.lie.dim, ()): mat} if mat else {})
+
+    def unit(self):
+        return self.endo(Matrix.identity(self.rep.dim))
+
+    def scalar(self, q):
+        return self.unit() * Fraction(q)
+
+    def tau(self, a):
+        return self.endo(self.rep.matrices[a])
+
+    def even_gen(self, a):
+        mono = tuple(int(i == a) for i in range(self.lie.dim))
+        return self.element({(mono, ()): Matrix.identity(self.rep.dim)})
+
+    def odd_gen(self, a):
+        return self.element({((0,) * self.lie.dim, (a,)): Matrix.identity(self.rep.dim)})
+
+    # -- the curvature split -------------------------------------------------
+
+    @cached_property
+    def bracketed_curvature(self):
+        """C - Z, where Z is the sum of the curvature C's terms with no odd
+        factor and a c I End V part, once [Z, u_b] = 0 and [Z, x_b] = 0 are
+        checked exactly for every b; C itself when any of them is nonzero.
+        Z is then central (see `flat`)."""
+        curv = self.curvature
+        central = {key: mat for key, mat in curv.terms.items()
+                   if not key[1] and mat._scalar() is not None}
+        if not central:
+            return curv
+        z = self.element(central)
+        if any(not supercommutator(z, gen(b)).is_zero
+               for gen in (self.even_gen, self.odd_gen) for b in range(self.lie.dim)):
+            return curv
+        return self.element({key: mat for key, mat in curv.terms.items() if key not in central})
+
+    def flat_op(self, x):
+        """[C, x], the operator whose kernel is the flat subspace, computed
+        as [C - Z, x] (`bracketed_curvature`)."""
+        return supercommutator(self.bracketed_curvature, x)

@@ -20,9 +20,11 @@ nest at most MAX_NESTING deep, no sub-result may have polynomial
 degree above MAX_DEGREE (checked before a product, power or comm and
 after d, the only operations that raise it), and no product, power step
 or comm may pair more than MAX_TERM_PAIRS terms of its two factors, each
-pair weighted by the product of the two words' polynomial degrees.
+pair weighted by the product d1 d2 of the two words' polynomial degrees,
+nor weigh more than MAX_DEEP_PAIRS with each pair weighted by (d1 d2)^2.
 Parsing is context-free; whether a generator or name is legal is
-decided at evaluation time.
+decided at evaluation time.  An expression is evaluated in one
+`WeilAlgebra` value, built from the context string by `weil.ALGEBRAS`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ALGEBRAS
-from . import quantum as qw
+from .element import supercommutator
 from .linalg import Matrix
 from .render import render  # noqa: F401  (part of this module's interface)
 
@@ -132,6 +134,11 @@ MAX_LITERAL = 1000
 # and (u1+u2+u3)^8 * (u1+u2+u3+x1)^8 weighs 990 x 1,555 (about 5 s);
 # the CLI goldens weigh <= 16
 MAX_TERM_PAIRS = 50_000
+# the same pairs each weighted by (d1 d2)^2, as the rewriting work of a
+# pair of deep words grows faster than d1 d2: on so3, u3^32*u1^32 (one
+# pair of weight 2^20) takes about 4 s and is admitted, and
+# (u3^32+u2^32)*(u1^32+u2^32) (four pairs, 2^22) is refused at once
+MAX_DEEP_PAIRS = 2 ** 21
 
 _GEN = re.compile(r"([vyux])(\d+)$")
 _NAMES = ("C", "QC", "gamma", "Dirac", "I")
@@ -329,19 +336,14 @@ def parse(src: str) -> Node:
 # -- evaluator ------------------------------------------------------------------
 
 class Evaluator:
-    """Evaluate an AST in one algebra session: (lie, rep, context)."""
+    """Evaluate an AST in one `WeilAlgebra` value."""
 
-    def __init__(self, lie, rep, context):
-        if context not in ALGEBRAS:
-            raise ValueError(f"context must be classical or quantum, not {context!r}")
-        self.lie = lie
-        self.rep = rep
-        self.context = context
-        self.mod = ALGEBRAS[context]
+    def __init__(self, alg):
+        self.alg = alg
 
     def _check_index(self, idx, pos):
-        if not 1 <= idx <= self.lie.dim:
-            raise ExprError(f"generator index {idx} out of range 1..{self.lie.dim}", pos)
+        if not 1 <= idx <= self.alg.lie.dim:
+            raise ExprError(f"generator index {idx} out of range 1..{self.alg.lie.dim}", pos)
         return idx - 1
 
     def eval(self, node):
@@ -349,46 +351,43 @@ class Evaluator:
         return method(node)
 
     def _eval_lit(self, node):
-        return self.mod.scalar(self.lie, self.rep, node.value)
+        return self.alg.scalar(node.value)
 
     def _eval_matlit(self, node):
         widths = {len(r) for r in node.rows}
         if len(widths) != 1:
             raise ExprError("matrix rows have unequal lengths", node.pos)
-        mat = Matrix.from_rows(node.rows)
-        if mat.rows != self.rep.dim or mat.cols != self.rep.dim:
+        mat, dim = Matrix.from_rows(node.rows), self.alg.rep.dim
+        if mat.rows != dim or mat.cols != dim:
             raise ExprError(
                 f"matrix literal is {mat.rows}x{mat.cols}; the representation "
-                f"needs {self.rep.dim}x{self.rep.dim}",
+                f"needs {dim}x{dim}",
                 node.pos,
             )
-        return self.mod.endo(self.lie, self.rep, mat)
+        return self.alg.endo(mat)
 
     def _eval_gen(self, node):
         a = self._check_index(node.index, node.pos)
-        E = self.mod.Element
-        if node.letter not in E.LETTERS:
+        letters = self.alg.Element.LETTERS
+        if node.letter not in letters:
             raise ExprError(
                 f"generator {node.letter}{node.index} is not part of the "
-                f"{self.context} algebra",
+                f"{self.alg.KIND} algebra",
                 node.pos,
             )
-        make = E.even_gen if node.letter == E.LETTERS[0] else E.odd_gen
-        return make(self.lie, self.rep, a)
+        return (self.alg.even_gen if node.letter == letters[0] else self.alg.odd_gen)(a)
 
     def _eval_name(self, node):
-        name = node.name
+        name, kind = node.name, self.alg.KIND
         if name == "I":
-            return self.mod.unit(self.lie, self.rep)
-        if name == "C" and self.context != "classical":
+            return self.alg.unit()
+        if name == "C" and kind != "classical":
             raise ExprError("C is the classical curvature; use QC here", node.pos)
-        if name != "C" and self.context != "quantum":
+        if name != "C" and kind != "quantum":
             raise ExprError(f"{name} only exists in the quantum algebra", node.pos)
         if name in ("C", "QC"):
-            return self.mod.curvature(self.lie, self.rep)
-        if name == "gamma":
-            return qw.distinguished(self.lie, self.rep).gamma
-        return qw.distinguished(self.lie, self.rep).dirac
+            return self.alg.curvature
+        return self.alg.gamma if name == "gamma" else self.alg.dirac
 
     def _eval_neg(self, node):
         return -self.eval(node.arg)
@@ -414,7 +413,7 @@ class Evaluator:
     def _eval_pow(self, node):
         base = self.eval(node.base)
         _check_degree(base.poly_degree() * node.exponent, node.pos)
-        out = self.mod.unit(self.lie, self.rep)
+        out = self.alg.unit()
         for _ in range(node.exponent):
             _check_term_pairs(out, base, node.pos)
             out = out * base
@@ -423,22 +422,22 @@ class Evaluator:
     def _eval_call(self, node):
         name, args = node.name, node.args
         if name == "tau":
-            return self.mod.tau(self.lie, self.rep, self._check_index(args[0], node.pos))
+            return self.alg.tau(self._check_index(args[0], node.pos))
         if name == "comm":
             left, right = self.eval(args[0]), self.eval(args[1])
             _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
             _check_term_pairs(left, right, node.pos)
-            return self.mod.supercommutator(left, right)
+            return supercommutator(left, right)
         # d, L, iota: an error in the argument is reported before a bad index
         arg = self.eval(args[-1])
         if name == "d":  # raises the degree by at most one: check the result
-            out = self.mod.differential(arg)
+            out = self.alg.differential(arg)
             _check_degree(out.poly_degree(), node.pos)
             return out
         a = self._check_index(args[0], node.pos)
         if name == "L":
-            return self.mod.lie_derivative(a, arg)
-        return self.mod.contraction(a, arg)
+            return self.alg.lie_derivative(a, arg)
+        return self.alg.contraction(a, arg)
 
 
 def _check_degree(degree, pos):
@@ -447,17 +446,29 @@ def _check_degree(degree, pos):
 
 
 def _check_term_pairs(x, y, pos):
-    """Weigh each term pair by its words' polynomial degrees, each in 1..MAX_DEGREE
-    (every caller checks the degrees first), so a few pairs need no weighing."""
-    if len(x.terms) * len(y.terms) * MAX_DEGREE ** 2 <= MAX_TERM_PAIRS:
+    """Weigh each term pair by its words' polynomial degrees d1 and d2, each at
+    least 1, once by d1 d2 and once by (d1 d2)^2.  Every caller checks the
+    degrees first, so d1 + d2 <= MAX_DEGREE and a pair weighs at most
+    (MAX_DEGREE / 2)^2 and its square: a few pairs need no weighing."""
+    pairs = len(x.terms) * len(y.terms)
+    if pairs * (MAX_DEGREE // 2) ** 4 <= MAX_DEEP_PAIRS:
         return
-    work = sum([sum(s) or 1 for s, _ in x.terms]) * sum([sum(s) or 1 for s, _ in y.terms])
+    dx, dy = [sum(s) or 1 for s, _ in x.terms], [sum(s) or 1 for s, _ in y.terms]
+    work = sum(dx) * sum(dy)
     if work > MAX_TERM_PAIRS:
         raise ExprError(f"a product of {len(x.terms)} by {len(y.terms)} terms ({work} pairs "
                         f"weighted by degree) exceeds the limit {MAX_TERM_PAIRS}", pos)
+    deep = sum([d * d for d in dx]) * sum([d * d for d in dy])
+    if deep > MAX_DEEP_PAIRS:
+        raise ExprError(f"a product of {len(x.terms)} by {len(y.terms)} terms ({deep} pairs "
+                        f"weighted by squared degree) exceeds the limit {MAX_DEEP_PAIRS}", pos)
 
 
 def evaluate(src_or_node, lie, rep, context):
+    """The element `src_or_node` (a string or a parsed node) denotes in
+    the `context` algebra ("classical" or "quantum") on (lie, rep)."""
     node = parse(src_or_node) if isinstance(src_or_node, str) else src_or_node
-    return Evaluator(lie, rep, context).eval(node)
+    if context not in ALGEBRAS:
+        raise ValueError(f"context must be classical or quantum, not {context!r}")
+    return Evaluator(ALGEBRAS[context](lie, rep)).eval(node)
 

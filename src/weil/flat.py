@@ -20,17 +20,19 @@ The reports check exactly these premises, n + dim flat(hor) brackets,
 and never build the 2^n dim flat(hor) vectors x_I h: the closure check
 builds only the ones it samples.
 
-Every bracket [C, x] is computed as [C - Z, x], where Z is the sum of
-C's terms with no odd factor and a c I End V part: quantum-side the
-Casimir part (1/2) u_a u_a (x) I and the constant c I, central in the
-quantum Weil algebra (Alekseev and Meinrenken, Invent. Math. 139,
-2000), whose PBW products would otherwise be computed on both sides of
-every bracket only to cancel.  The split is taken only after
-[Z, u_b] = 0 and [Z, x_b] = 0 are checked exactly for every b; as Z's
-End V parts are scalars, Z also commutes with End V, and the u_b, the
-x_b and End V generate the algebra, so Z is central and [C, x] =
+Every bracket [C, x] is computed as [C - Z, x] (`WeilAlgebra.flat_op`),
+where Z is the sum of C's terms with no odd factor and a c I End V part:
+quantum-side the Casimir part (1/2) u_a u_a (x) I and the constant c I,
+central in the quantum Weil algebra (Alekseev and Meinrenken, Invent.
+Math. 139, 2000), whose PBW products would otherwise be computed on
+both sides of every bracket only to cancel.  The split is taken only
+after [Z, u_b] = 0 and [Z, x_b] = 0 are checked exactly for every b; as
+Z's End V parts are scalars, Z also commutes with End V, and the u_b,
+the x_b and End V generate the algebra, so Z is central and [C, x] =
 [C - Z, x] for every x.  If any of these brackets is nonzero the full C
-is used.  Classically no builtin curvature has such terms.
+is used.  Classically no builtin curvature has such terms.  Every
+function here takes one `WeilAlgebra` value, or a result that holds
+it, so the split is computed once per value.
 
 Every reported basis vector satisfies its defining equation exactly;
 dimension tables are reproducible bit for bit.
@@ -41,10 +43,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from math import comb, lcm
 
-from . import ALGEBRAS
 from .element import accumulate, collect
 from .linalg import Matrix, kernel, rank
 
@@ -64,17 +64,17 @@ def monomials_up_to(n, max_deg):
     return [mono for k in range(max_deg + 1) for mono in degree_monomials(n, k)]
 
 
-def _level_monomials(mod, n, k):
+def _level_monomials(alg, k):
     """The polynomial monomials of level k: degree exactly k where the
     algebra is graded, degree <= k where it is only filtered."""
-    return degree_monomials(n, k) if mod.GRADED else monomials_up_to(n, k)
+    return (degree_monomials if alg.GRADED else monomials_up_to)(alg.lie.dim, k)
 
 
-def hor_basis(algebra, lie, rep, monos):
+def hor_basis(alg, monos):
     """Monomial-times-matrix-unit basis of the horizontal part."""
-    cls, d = ALGEBRAS[algebra].Element, rep.dim
+    d = alg.rep.dim
     units = [Matrix(d, d, [int(k == unit) for k in range(d * d)]) for unit in range(d * d)]
-    return [cls(lie, rep, {(mono, ()): unit}) for mono in monos for unit in units]
+    return [alg.element({(mono, ()): unit}) for mono in monos for unit in units]
 
 
 def _coord_matrix(images):
@@ -112,29 +112,6 @@ def span_rank(elements) -> int:
     return rank(_coord_matrix([[x] for x in elements]))
 
 
-def _bracketed_curvature(mod, lie, rep):
-    """C - Z, where Z is the sum of the curvature C's terms with no odd
-    factor and a c I End V part, once [Z, u_b] = 0 and [Z, x_b] = 0 are
-    checked exactly for every b; C itself when any of them is nonzero."""
-    curv = mod.curvature(lie, rep)
-    central = {key: mat for key, mat in curv.terms.items()
-               if not key[1] and mat._scalar() is not None}
-    if not central:
-        return curv
-    cls = mod.Element
-    z = cls(lie, rep, central)
-    if any(not mod.supercommutator(z, gen(lie, rep, b)).is_zero
-           for gen in (cls.even_gen, cls.odd_gen) for b in range(lie.dim)):
-        return curv
-    return cls(lie, rep, {key: mat for key, mat in curv.terms.items() if key not in central})
-
-
-def _flat_op(mod, lie, rep):
-    """x -> [curvature, x], the operator whose kernel is the flat subspace,
-    computed as [C - Z, x] (`_bracketed_curvature`)."""
-    return partial(mod.supercommutator, _bracketed_curvature(mod, lie, rep))
-
-
 @dataclass
 class SubspaceResult:
     """Exact basis of a defined subspace of the truncated horizontal part.
@@ -144,20 +121,18 @@ class SubspaceResult:
     every vector of level <= k, the kernel of the <= k block.
     """
 
-    algebra: str
-    lie: object
-    rep: object
+    alg: object  # the `WeilAlgebra`
     max_degree: int
     dims: dict
     vectors: dict
 
     def basis_up_to(self, k):
         k = min(k, self.max_degree)
-        levels = range(k + 1) if ALGEBRAS[self.algebra].GRADED else [k]
+        levels = range(k + 1) if self.alg.GRADED else [k]
         return [v for d in levels for v in self.vectors.get(d, [])]
 
 
-def _solve_levels(algebra, lie, rep, max_degree, images):
+def _solve_levels(alg, max_degree, images):
     """Kernel of the horizontal part up to max_degree, split into levels.
 
     One solve per degree block classically, one <= max_degree block
@@ -167,46 +142,42 @@ def _solve_levels(algebra, lie, rep, max_degree, images):
     it, so its level is its top polynomial degree, and the vectors of
     level <= k are the normalized kernel of the <= k block.
     """
-    mod = ALGEBRAS[algebra]
-    blocks = ([degree_monomials(lie.dim, k) for k in range(max_degree + 1)] if mod.GRADED
-              else [monomials_up_to(lie.dim, max_degree)])
+    n = alg.lie.dim
+    blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
+              else [monomials_up_to(n, max_degree)])
     basis = []
     for monos in blocks:
-        domain = hor_basis(algebra, lie, rep, monos)
+        domain = hor_basis(alg, monos)
         basis.extend(_kernel(domain, images(domain)))
     levels = [v.poly_degree() for v in basis]
     dims = {k: levels.count(k) for k in range(max_degree + 1)}
     vectors = {k: [v for v, level in zip(basis, levels)
-                   if level == k or (level < k and not mod.GRADED)]
+                   if level == k or (level < k and not alg.GRADED)]
                for k in range(max_degree + 1)}
-    return SubspaceResult(algebra, lie, rep, max_degree, dims, vectors)
+    return SubspaceResult(alg, max_degree, dims, vectors)
 
 
-def basic_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
+def basic_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of L_a x = 0 for every a, up to max_degree."""
-    mod = ALGEBRAS[algebra]
-    return _solve_levels(algebra, lie, rep, max_degree,
-                         lambda domain: [[mod.lie_derivative(a, v) for a in range(lie.dim)]
+    return _solve_levels(alg, max_degree,
+                         lambda domain: [[alg.lie_derivative(a, v) for a in range(alg.lie.dim)]
                                          for v in domain])
 
 
-def flat_subspace(algebra, lie, rep, max_degree) -> SubspaceResult:
+def flat_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree."""
-    mod = ALGEBRAS[algebra]
-    op = _flat_op(mod, lie, rep)
-
     def images(domain):
-        out = [op(v) for v in domain]
+        out = [alg.flat_op(v) for v in domain]
         for v, im in zip(domain, out):
             for (s, e) in im.terms:
                 if e != ():
                     raise AssertionError("the bracket with the curvature must stay horizontal")
-                if mod.GRADED and sum(s) != v.poly_degree() + 1:
+                if alg.GRADED and sum(s) != v.poly_degree() + 1:
                     raise AssertionError(
                         "bracket with C must raise symmetric degree by exactly 1")
         return [[im] for im in out]
 
-    return _solve_levels(algebra, lie, rep, max_degree, images)
+    return _solve_levels(alg, max_degree, images)
 
 
 def inclusion_report(flat) -> dict:
@@ -216,18 +187,17 @@ def inclusion_report(flat) -> dict:
     Classically basic inside flat is a theorem; quantum-side the same
     column is observed evidence for an open question, never asserted.
     """
-    algebra, lie, rep, max_degree = flat.algebra, flat.lie, flat.rep, flat.max_degree
-    mod = ALGEBRAS[algebra]
-    ident = Matrix.identity(rep.dim)
-    basic = basic_subspace(algebra, lie, rep, max_degree)
+    alg, max_degree = flat.alg, flat.max_degree
+    ident = Matrix.identity(alg.rep.dim)
+    basic = basic_subspace(alg, max_degree)
     rows = []
     for k in range(max_degree + 1):
         bvecs, fvecs = basic.vectors[k], flat.vectors[k]
         # polynomial multiples of basic vectors at level k: the S-module
         # classically, the left U-module quantum-side
-        module = [mod.Element(lie, rep, {(mono, ()): ident}) * b
+        module = [alg.element({(mono, ()): ident}) * b
                   for b in basic.basis_up_to(k)
-                  for mono in _level_monomials(mod, lie.dim, k - b.poly_degree())]
+                  for mono in _level_monomials(alg, k - b.poly_degree())]
         rows.append({
             "deg": k,
             "dim_basic": basic.dims[k],
@@ -238,8 +208,8 @@ def inclusion_report(flat) -> dict:
                                     == span_rank(fvecs + module)),
         })
     return {
-        "algebra": algebra,
-        "degree_semantics": "exact" if mod.GRADED else "filtration_increment",
+        "algebra": alg.KIND,
+        "degree_semantics": "exact" if alg.GRADED else "filtration_increment",
         "per_degree": rows,
     }
 
@@ -262,12 +232,10 @@ def _index_monomial(n, rank):
     return tuple(out)
 
 
-def _odd_premise_failure(flat, op):
-    """The first a with [C, x_a] != 0, `op` being `flat`'s `_flat_op`, or
+def _odd_premise_failure(alg, op):
+    """The first a with [C, x_a] != 0, `op` being x -> [C, x] on `alg`, or
     None when the curvature commutes with every odd generator."""
-    mod = ALGEBRAS[flat.algebra]
-    return next((a for a in range(flat.lie.dim)
-                 if not op(mod.Element.odd_gen(flat.lie, flat.rep, a)).is_zero), None)
+    return next((a for a in range(alg.lie.dim) if not op(alg.odd_gen(a)).is_zero), None)
 
 
 def decomposition_report(flat) -> dict:
@@ -280,10 +248,9 @@ def decomposition_report(flat) -> dict:
     the level.  Quantum-side the levels share their vectors (level k lists
     those of level <= k), and each distinct vector is bracketed once.
     """
-    mod = ALGEBRAS[flat.algebra]
-    n = flat.lie.dim
-    op = _flat_op(mod, flat.lie, flat.rep)
-    odd_flat = _odd_premise_failure(flat, op) is None
+    alg = flat.alg
+    n, op = alg.lie.dim, alg.flat_op
+    odd_flat = _odd_premise_failure(alg, op) is None
     distinct = {id(h): h for hvecs in flat.vectors.values() for h in hvecs}
     is_flat = {key: op(h).is_zero for key, h in distinct.items()}
     rows = []
@@ -308,19 +275,18 @@ def closure_report(flat, samples=20, seed=0) -> dict:
     2^n len(h) pairs (I, h), I-major, and only that x_I h is built.
     """
     rng = random.Random(seed)
-    mod = ALGEBRAS[flat.algebra]
-    n = flat.lie.dim
-    op = _flat_op(mod, flat.lie, flat.rep)
-    bad = _odd_premise_failure(flat, op)
+    alg = flat.alg
+    n, op = alg.lie.dim, alg.flat_op
+    bad = _odd_premise_failure(alg, op)
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree)
     low = [h for h in hvecs if h.poly_degree() <= flat.max_degree - 1]
-    ident, even = Matrix.identity(flat.rep.dim), (0,) * n
+    ident, even = Matrix.identity(alg.rep.dim), (0,) * n
 
     def draw(vecs):
         index, j = divmod(rng.randrange(len(vecs) << n), len(vecs))
-        return mod.Element(flat.lie, flat.rep, {(even, _index_monomial(n, index)): ident}) * vecs[j]
+        return alg.element({(even, _index_monomial(n, index)): ident}) * vecs[j]
 
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
     failures = 0
@@ -329,13 +295,13 @@ def closure_report(flat, samples=20, seed=0) -> dict:
             b1, b2 = draw(hvecs), draw(hvecs)
             a = rng.randrange(n)
             for name, image in (("product", b1 * b2),
-                                ("lie_derivative", mod.lie_derivative(a, b1)),
-                                ("contraction", mod.contraction(a, b2))):
+                                ("lie_derivative", alg.lie_derivative(a, b1)),
+                                ("contraction", alg.contraction(a, b2))):
                 failures += int(not op(image).is_zero)
                 checked[name] += 1
     if low:
         for _ in range(samples):
-            if not op(mod.differential(draw(low))).is_zero:
+            if not op(alg.differential(draw(low))).is_zero:
                 failures += 1
             checked["differential"] += 1
     return {

@@ -13,9 +13,8 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .linalg import CACHE_SIZE, Matrix, parse_scalar, rank
+from .linalg import Matrix, parse_scalar, rank
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,6 @@ def adjoint_rep(lie: LieData) -> RepData:
     return RepData("adjoint", tuple(Matrix(n, n, e) for e in ents))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def trivial_rep(lie: LieData) -> RepData:
     return RepData("trivial", tuple(Matrix.zeros(1, 1) for _ in range(lie.dim)))
 

@@ -15,9 +15,10 @@ before its reports stopped building it.  `rebracket_decomposition_report`
 and `list_closure_report` are those reports: the first brackets each of
 the 2^n dim derived vectors again, the second draws its samples from the
 built list.
-`full_flat_op` is `weil.flat._flat_op` before it bracketed with the
+`full_flat_op` is `WeilAlgebra.flat_op` before it bracketed with the
 curvature minus its checked central part: it brackets with the whole
-curvature, and every flat oracle here brackets through it.
+curvature, and every flat oracle here brackets through it.  The flat
+oracles take a `WeilAlgebra` value, or a `flat_subspace` result.
 `level_solve` is the basic / flat solve before it read every level off
 one basis: it re-solves the whole <= k block for each level k
 quantum-side.  It runs on the dense Fraction kernel path that
@@ -42,7 +43,8 @@ representation, by scanning every index triple.
 operators before they became one Leibniz rule over generator images:
 each writes the rule out by hand, and `differential` computes all n
 commutators [tau_b, A] of every term, c I parts included.
-`slot_leibniz` is that one rule before its monomial images and
+`slot_leibniz` is that one rule, for a derivation of
+`ClassicalAlgebra.derivations`, before its monomial images and
 commutators were read from tables: it walks the product-rule slots of
 every term on every call, normalizes each y-word, and computes each
 commutator [tau_b, A] afresh.
@@ -79,9 +81,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from weil import ALGEBRAS
 from weil.classical import ClassicalElement
-from weil.element import accumulate, collect
+from weil.element import accumulate, collect, supercommutator
 from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
                        monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
@@ -444,7 +445,7 @@ def parity_supercommutator(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx, from the homogeneous parts of x
     and y and four element products per pair of parts."""
     x._check_same(y)
-    out = x.zero(x.lie, x.rep)
+    out = type(x)(x.lie, x.rep, {})
     for p, xp in parity_parts(x):
         for q, yq in parity_parts(y):
             if p * q:
@@ -545,7 +546,7 @@ def differential(x: ClassicalElement) -> ClassicalElement:
 
 
 def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
-    """D(x) for a derivation of `weil.classical._derivations` by the
+    """D(x) for a derivation of `ClassicalAlgebra.derivations` by the
     Leibniz rule, slot by slot for every term v^s y^e A of every call:
 
         sum_c s_c v^(s - e_c) D(v^c) y^e A
@@ -600,13 +601,13 @@ def element_coords(x) -> dict:
     return out
 
 
-def lie_stacked_coords(mod, lie, domain):
+def lie_stacked_coords(alg, domain):
     """Coordinates of all L_a images at once, tagged by the generator index."""
     out = []
     for v in domain:
         tagged = {}
-        for a in range(lie.dim):
-            for key, val in element_coords(mod.lie_derivative(a, v)).items():
+        for a in range(alg.lie.dim):
+            for key, val in element_coords(alg.lie_derivative(a, v)).items():
                 tagged[(a,) + key] = val
         out.append(tagged)
     return out
@@ -644,39 +645,36 @@ def dense_kernel(domain, coord_maps):
 
 # -- basic and flat subspaces, one solve per level ----------------------------
 
-def level_solve(algebra, lie, rep, max_degree, image_coords):
+def level_solve(alg, max_degree, image_coords):
     """Kernel of the horizontal block of every level k <= max_degree.
 
     `image_coords(k, domain)` gives the coordinates of the images of the
     level-k domain.  Quantum-side the levels are cumulative, so
     `dims[k]` is the increment over level k - 1.
     """
-    mod = ALGEBRAS[algebra]
     dims, vectors, prev = {}, {}, 0
     for k in range(max_degree + 1):
-        domain = hor_basis(algebra, lie, rep, _level_monomials(mod, lie.dim, k))
+        domain = hor_basis(alg, _level_monomials(alg, k))
         basis = dense_kernel(domain, image_coords(k, domain))
         dims[k], vectors[k] = len(basis) - prev, basis
-        prev = 0 if mod.GRADED else len(basis)
-    return SubspaceResult(algebra, lie, rep, max_degree, dims, vectors)
+        prev = 0 if alg.GRADED else len(basis)
+    return SubspaceResult(alg, max_degree, dims, vectors)
 
 
-def level_basic_subspace(algebra, lie, rep, max_degree):
-    mod = ALGEBRAS[algebra]
-    return level_solve(algebra, lie, rep, max_degree,
-                       lambda k, domain: lie_stacked_coords(mod, lie, domain))
+def level_basic_subspace(alg, max_degree):
+    return level_solve(alg, max_degree, lambda k, domain: lie_stacked_coords(alg, domain))
 
 
-def full_flat_op(mod, lie, rep):
+def full_flat_op(alg):
     """x -> [C, x] with the whole curvature C, Casimir and constant terms
     included."""
-    curv = mod.curvature(lie, rep)
-    return lambda x: mod.supercommutator(curv, x)
+    curv = alg.curvature
+    return lambda x: supercommutator(curv, x)
 
 
-def level_flat_subspace(algebra, lie, rep, max_degree):
-    op = full_flat_op(ALGEBRAS[algebra], lie, rep)
-    return level_solve(algebra, lie, rep, max_degree,
+def level_flat_subspace(alg, max_degree):
+    op = full_flat_op(alg)
+    return level_solve(alg, max_degree,
                        lambda k, domain: [element_coords(op(v)) for v in domain])
 
 
@@ -698,30 +696,29 @@ def derived_full_flat_basis(flat, degree=None):
     restricts it to that level: one symmetric degree classically,
     degree <= `degree` quantum-side.
     """
-    mod = ALGEBRAS[flat.algebra]
-    lie, rep = flat.lie, flat.rep
-    bad = _odd_premise_failure(flat, full_flat_op(mod, lie, rep))
+    alg = flat.alg
+    bad = _odd_premise_failure(alg, full_flat_op(alg))
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree) if degree is None else flat.vectors[degree]
-    ident = Matrix.identity(rep.dim)
-    return [mod.Element(lie, rep, {((0,) * lie.dim, combo): ident}) * h
-            for combo in index_monomials(lie.dim) for h in hvecs]
+    ident = Matrix.identity(alg.rep.dim)
+    return [alg.element({((0,) * alg.lie.dim, combo): ident}) * h
+            for combo in index_monomials(alg.lie.dim) for h in hvecs]
 
 
-def _block(mod, lie, rep, monos, combo):
+def _block(alg, monos, combo):
     """Monomial-times-matrix-unit basis with index monomial `combo`."""
-    d = rep.dim
+    d = alg.rep.dim
     out = []
     for mono in monos:
         for unit in range(d * d):
             ent = [Fraction(0)] * (d * d)
             ent[unit] = Fraction(1)
-            out.append(mod.Element(lie, rep, {(mono, combo): Matrix(d, d, ent)}))
+            out.append(alg.element({(mono, combo): Matrix(d, d, ent)}))
     return out
 
 
-def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
+def full_flat_basis(alg, max_degree, degree=None):
     """Flat basis of the full truncated algebra, exterior / Clifford
     factors included.
 
@@ -730,14 +727,13 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
     exact.  `degree` restricts the solve to that level: one symmetric
     degree classically, degree <= `degree` quantum-side.
     """
-    mod = ALGEBRAS[algebra]
-    n = lie.dim
-    op = full_flat_op(mod, lie, rep)
-    monos = (_level_monomials(mod, n, degree) if degree is not None
+    n = alg.lie.dim
+    op = full_flat_op(alg)
+    monos = (_level_monomials(alg, degree) if degree is not None
              else monomials_up_to(n, max_degree))
     basis = []
     for combo in index_monomials(n):
-        domain = _block(mod, lie, rep, monos, combo)
+        domain = _block(alg, monos, combo)
         images = [op(v) for v in domain]
         for im in images:
             for key in im.terms:
@@ -750,9 +746,8 @@ def full_flat_basis(algebra, lie, rep, max_degree, degree=None):
 def rebracket_decomposition_report(flat) -> dict:
     """`weil.flat.decomposition_report` before it checked only the premises
     of its proof: every derived vector x_I h is bracketed again."""
-    mod = ALGEBRAS[flat.algebra]
-    n = flat.lie.dim
-    op = full_flat_op(mod, flat.lie, flat.rep)
+    n = flat.alg.lie.dim
+    op = full_flat_op(flat.alg)
     rows = []
     all_match = True
     for k in range(flat.max_degree + 1):
@@ -776,8 +771,8 @@ def list_closure_report(flat, samples=20, seed=0) -> dict:
     """`weil.flat.closure_report` before it drew samples by index: it
     builds the whole derived basis and draws with `rng.choice`."""
     rng = random.Random(seed)
-    mod = ALGEBRAS[flat.algebra]
-    op = full_flat_op(mod, flat.lie, flat.rep)
+    alg = flat.alg
+    op = full_flat_op(alg)
     basis = derived_full_flat_basis(flat)
     low = [b for b in basis if b.poly_degree() <= flat.max_degree - 1]
     checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
@@ -785,15 +780,15 @@ def list_closure_report(flat, samples=20, seed=0) -> dict:
     if basis:
         for _ in range(samples):
             b1, b2 = rng.choice(basis), rng.choice(basis)
-            a = rng.randrange(flat.lie.dim)
+            a = rng.randrange(alg.lie.dim)
             for name, image in (("product", b1 * b2),
-                                ("lie_derivative", mod.lie_derivative(a, b1)),
-                                ("contraction", mod.contraction(a, b2))):
+                                ("lie_derivative", alg.lie_derivative(a, b1)),
+                                ("contraction", alg.contraction(a, b2))):
                 failures += int(not op(image).is_zero)
                 checked[name] += 1
     if low:
         for _ in range(samples):
-            if not op(mod.differential(rng.choice(low))).is_zero:
+            if not op(alg.differential(rng.choice(low))).is_zero:
                 failures += 1
             checked["differential"] += 1
     return {

@@ -15,7 +15,6 @@ import oracles
 import pytest
 
 from weil import builtin
-from weil import classical as cw
 from weil import quantum as qw
 from weil.checks import (
     classical_suite,
@@ -26,11 +25,13 @@ from weil.checks import (
     random_sym_poly,
     scalar_weil_differential,
 )
+from weil.classical import ClassicalAlgebra
 from weil.cli import main
 from weil.flat import decomposition_report, flat_subspace, inclusion_report
 from weil.kernels import pbw_mono_mul
 from weil.lie import trivial_rep
 from weil.linalg import Matrix
+from weil.quantum import QuantumAlgebra
 
 CLASSICAL_GRID = [
     (name, rep)
@@ -74,8 +75,9 @@ def test_criterion_2_classical_restriction():
                 poly = random_scalar_weil_poly(alg.lie, rng)
                 elem = embed_scalar_poly(alg.lie, rep, poly)
                 ref = scalar_weil_differential(alg.lie, poly)
-                assert cw.differential(elem) == embed_scalar_poly(alg.lie, rep, ref)
-                assert cw.differential(cw.differential(elem)).is_zero
+                c = ClassicalAlgebra(alg.lie, rep)
+                assert c.differential(elem) == embed_scalar_poly(alg.lie, rep, ref)
+                assert c.differential(c.differential(elem)).is_zero
 
 
 def test_criterion_3_symmetric_annihilation_lemma():
@@ -84,13 +86,13 @@ def test_criterion_3_symmetric_annihilation_lemma():
         for name in ("abelian(2)", "heisenberg3", "so3", "sl2"):
             alg = builtin(name)
             rep = alg.reps["adjoint"]
-            rng = random.Random(11)
+            rng, c = random.Random(11), ClassicalAlgebra(alg.lie, rep)
             for _ in range(100):
                 poly = random_sym_poly(alg.lie, rng)
                 f = embed_scalar_poly(alg.lie, rep, {(m, ()): q for m, q in poly.items()})
-                acc = cw.zero(alg.lie, rep)
+                acc = c.zero()
                 for a in range(alg.lie.dim):
-                    acc = acc + cw.sym_gen(alg.lie, rep, a) * cw.lie_derivative(a, f)
+                    acc = acc + c.even_gen(a) * c.lie_derivative(a, f)
                 assert acc.is_zero
 
 
@@ -104,11 +106,11 @@ def test_criterion_4_quantum_structural_lemmas():
         so3 = builtin("so3").lie
         assert qw.gamma_squared(so3) == Fraction(-1, 8)
         # independent expansion: gamma = -x1x2x3, and (x1x2x3)^2 = -1/8
-        rep = trivial_rep(so3)
-        x = [qw.x_gen(so3, rep, a) for a in range(3)]
+        q = QuantumAlgebra(so3, trivial_rep(so3))
+        x = [q.odd_gen(a) for a in range(3)]
         top = x[0] * x[1] * x[2]
-        assert qw.distinguished(so3, rep).gamma == -top
-        assert top * top == qw.scalar(so3, rep, Fraction(-1, 8))
+        assert q.gamma == -top
+        assert top * top == q.scalar(Fraction(-1, 8))
         assert qw.gamma_squared(builtin("abelian(2)").lie) == 0
 
 
@@ -121,10 +123,10 @@ def test_criterion_5_quantum_operator_suite():
             for r in results:
                 assert r.passed, (rep_name, r.name, r.detail)
         # witnessed inequality of the coupled and uncoupled differentials
-        lie, rep = alg.lie, alg.reps["adjoint"]
-        x1 = qw.x_gen(lie, rep, 0)
-        assert qw.differential(x1) != qw.weil_differential(x1)
-        assert qw.differential(x1) == qw.weil_differential(x1) + qw.tau(lie, rep, 0)
+        q = QuantumAlgebra(alg.lie, alg.reps["adjoint"])
+        x1 = q.odd_gen(0)
+        assert q.differential(x1) != q.weil_differential(x1)
+        assert q.differential(x1) == q.weil_differential(x1) + q.tau(0)
 
 
 def test_criterion_6_pbw_confluence():
@@ -174,18 +176,18 @@ def test_criterion_7_flat_solver_theorems():
                  ("sl2", "adjoint"), ("sl2", "standard")]
         for name, rep_name in pairs:
             alg = builtin(name)
-            report = inclusion_report(flat_subspace("classical", alg.lie, alg.reps[rep_name], 2))
+            report = inclusion_report(flat_subspace(ClassicalAlgebra(alg.lie, alg.reps[rep_name]), 2))
             for row in report["per_degree"]:
                 assert row["basic_subset_flat"], (name, rep_name, row)
         alg = builtin("so3")
-        dec = decomposition_report(flat_subspace("classical", alg.lie, alg.reps["adjoint"], 1))
+        dec = decomposition_report(flat_subspace(ClassicalAlgebra(alg.lie, alg.reps["adjoint"]), 1))
         assert dec["all_match"]
         for row in dec["per_degree"]:
             assert row["dim_full_flat"] == 8 * row["dim_hor_flat"]
         for name, rep_name in pairs:
             alg = builtin(name)
             rep = alg.reps[rep_name]
-            flat0 = flat_subspace("classical", alg.lie, rep, 0)
+            flat0 = flat_subspace(ClassicalAlgebra(alg.lie, rep), 0)
             assert flat0.dims[0] == sympy_commutant_dim(rep.matrices), (name, rep_name)
 
 

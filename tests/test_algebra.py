@@ -1,0 +1,47 @@
+"""The `WeilAlgebra` value: what two values on one (lie, rep) share, and
+how many values one report or check builds."""
+
+import pytest
+
+from weil import ClassicalAlgebra, QuantumAlgebra, builtin, checks, cli, expr
+
+
+def test_two_values_on_one_lie_and_rep_give_equal_elements(so3):
+    """Each `expr.evaluate` call builds its own value; elements compare by
+    (lie, rep) and terms, so a rendering evaluated again equals the
+    element it came from."""
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    src = "comm(QC, u1*tau(1)) + gamma*Dirac + d(x2)"
+    first = expr.evaluate(src, lie, rep, "quantum")
+    assert first == expr.evaluate(src, lie, rep, "quantum")
+    assert first == expr.evaluate(expr.render(first), lie, rep, "quantum")
+    a, b = QuantumAlgebra(lie, rep), QuantumAlgebra(lie, rep)
+    assert a is not b and a.curvature is not b.curvature
+    assert a.curvature == b.curvature and a.dirac == b.dirac
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The values each algebra class constructs while the test runs."""
+    seen = []
+    for kind in (ClassicalAlgebra, QuantumAlgebra):
+        def counted(self, post_init=kind.__post_init__):
+            seen.append(type(self))
+            post_init(self)
+        monkeypatch.setattr(kind, "__post_init__", counted)
+    return seen
+
+
+def test_one_flat_report_builds_one_value(built):
+    so3 = builtin("so3")
+    for context, kind in (("quantum", QuantumAlgebra), ("classical", ClassicalAlgebra)):
+        built.clear()
+        cli.flat_report_data(so3, so3.reps["adjoint"], context, 1, 5, 0)
+        assert built == [kind]
+
+
+def test_one_classical_suite_builds_one_value(built):
+    so3 = builtin("so3")
+    results = checks.classical_suite(so3.lie, so3.reps["adjoint"], samples=3, seed=0)
+    assert all(r.passed for r in results)
+    assert built == [ClassicalAlgebra]

@@ -4,11 +4,12 @@ import time
 
 import pytest
 
-from weil import ALGEBRAS, builtin, cli
+from weil import ALGEBRAS, Matrix, QuantumAlgebra, builtin, cli, expr
 from weil.checks import random_element
 from weil.cli import main
 from weil.expr import render
 from weil.lie import MAX_DIM, MAX_F_ENTRIES, MAX_LISTED, load_algebra_file, validate_lie
+from weil.quantum import QuantumElement
 
 SO3_FILE = """
 {
@@ -152,6 +153,34 @@ def test_eval_term_pair_bound_exits_two_with_position(capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: 1:{expression.rindex('^') + 1}: "), err
     assert "1365 by 12 terms (65520 pairs weighted by degree) exceeds the limit 50000" in err
+
+
+def test_eval_deep_word_bound_exits_two_before_the_product(capsys, monkeypatch):
+    """(u3^32+u2^32)*(u1^32+u2^32) on so3 weighs 4,096 pairs by degree,
+    far under that bound, and took 9 s.  Weighted by squared degree it
+    is (2 * 32^2)^2 = 4,194,304, past the 2^21 bound: it fails at its
+    `*` before the 2 by 2 product is computed.  One pair of degree-32
+    words, 2^20, is admitted without being weighed."""
+    shapes, mul = [], QuantumElement.__mul__
+
+    def spy(x, y):
+        shapes.append((len(x.terms), len(getattr(y, "terms", ()))))
+        return mul(x, y)
+
+    monkeypatch.setattr(QuantumElement, "__mul__", spy)
+    expression = "(u3^32+u2^32)*(u1^32+u2^32)"
+    code, out, err = run(["eval", "--builtin", "so3", "--rep", "trivial", "--quantum",
+                          expression], capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: 1:{expression.index('*') + 1}: a product of 2 by 2 terms "
+                   "(4194304 pairs weighted by squared degree) exceeds the limit 2097152\n")
+    assert (2, 2) not in shapes
+    so3 = builtin("so3")
+    alg = QuantumAlgebra(so3.lie, so3.reps["trivial"])
+    for i, j in ((2, 0), (0, 0)):
+        x, y = (alg.element({(tuple(32 * (k == g) for k in range(3)), ()): Matrix.identity(1)})
+                for g in (i, j))
+        expr._check_term_pairs(x, y, (1, 1))
     assert "Traceback" not in err
 
 
@@ -393,10 +422,10 @@ def test_eval_reads_back_what_it_prints(capsys, context, rep):
     """Every printed element, a leading minus included ("-3/2*y1"),
     evaluates to the same printed text."""
     so3 = builtin("so3")
-    cls = ALGEBRAS[context].Element
+    alg = ALGEBRAS[context](so3.lie, so3.reps[rep])
     rng = random.Random(5)
     session = ["eval", "--builtin", "so3", "--rep", rep, f"--{context}"]
-    texts = [render(random_element(cls, so3.lie, so3.reps[rep], rng, max_degree=3))
+    texts = [render(random_element(alg, rng, max_degree=3))
              for _ in range(12)]
     texts += [f"-{texts[-1]}", "-u1" if context == "quantum" else "-v1"]
     for text in texts:

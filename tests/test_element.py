@@ -10,15 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weil import AlgebraDef, LieData, adjoint_rep, builtin
-from weil import classical as cw
-from weil import quantum as qw
+from weil import AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin
+from weil.element import supercommutator
 from weil.linalg import Matrix
 
-# (module, algebra, rep): the adjoint reps give the tau_a parts (nilpotent
+# (kind, algebra, rep): the adjoint reps give the tau_a parts (nilpotent
 # ones on heisenberg3), so3 trivial makes every End V part a 1 x 1 scalar
-SETTINGS = [(cw, "so3", "adjoint"), (cw, "heisenberg3", "adjoint"),
-            (qw, "so3", "adjoint"), (qw, "so3", "trivial"), (qw, "abelian(2)", "adjoint")]
+SETTINGS = [(ClassicalAlgebra, "so3", "adjoint"), (ClassicalAlgebra, "heisenberg3", "adjoint"),
+            (QuantumAlgebra, "so3", "adjoint"), (QuantumAlgebra, "so3", "trivial"),
+            (QuantumAlgebra, "abelian(2)", "adjoint")]
 
 coefficients = st.one_of(st.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(3, 4)]),
                          st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
@@ -91,11 +91,12 @@ def test_product_and_supercommutator_match_the_oracles(pair):
     mod, x, y = pair
     _same_element(x * y, oracles.element_mul(x, y))
     _same_element(y * x, oracles.element_mul(y, x))
-    _same_element(mod.supercommutator(x, y), oracles.parity_supercommutator(x, y))
-    _same_element(mod.supercommutator(y, x), oracles.parity_supercommutator(y, x))
+    _same_element(supercommutator(x, y), oracles.parity_supercommutator(x, y))
+    _same_element(supercommutator(y, x), oracles.parity_supercommutator(y, x))
 
 
-@pytest.mark.parametrize("mod", [cw, qw])
+@pytest.mark.parametrize("mod", [ClassicalAlgebra, QuantumAlgebra],
+                         ids=lambda kind: kind.__module__)
 def test_bracket_with_a_zero_one_way_product(mod):
     """E_11 E_12 = E_12 but E_12 E_11 = 0: the bracket keeps the half
     whose matrix product survives, whichever half that is."""
@@ -103,10 +104,11 @@ def test_bracket_with_a_zero_one_way_product(mod):
     lie, rep = alg.lie, alg.reps["adjoint"]
     e11 = Matrix(3, 3, [1] + [0] * 8)
     e12 = Matrix(3, 3, [0, 1] + [0] * 7)
-    x = mod.Element.odd_gen(lie, rep, 0) * mod.Element.endo(lie, rep, e11)
-    y = mod.Element.even_gen(lie, rep, 1) * mod.Element.endo(lie, rep, e12)
+    w = mod(lie, rep)
+    x = w.odd_gen(0) * w.endo(e11)
+    y = w.even_gen(1) * w.endo(e12)
     for a, b in ((x, y), (y, x)):
-        got = mod.supercommutator(a, b)
+        got = supercommutator(a, b)
         assert not got.is_zero
         _same_element(got, oracles.parity_supercommutator(a, b))
 
@@ -169,7 +171,7 @@ def colliding_pairs(draw):
     denominators; with B2 the key reappears, without it the key's sum
     stays zero.  Returns (module, x, y, key, whether the key reappears).
     """
-    mod, name, rep_name = draw(st.sampled_from(SETTINGS + [(qw, "so3/2", "adjoint")]))
+    mod, name, rep_name = draw(st.sampled_from(SETTINGS + [(QuantumAlgebra, "so3/2", "adjoint")]))
     alg = ALGEBRAS[name]
     lie, rep = alg.lie, alg.reps[rep_name]
     n = lie.dim
@@ -208,14 +210,15 @@ def test_accumulated_products_match_the_per_term_oracle(case):
     assert (key in xy.terms) == reappears
     _same_bits(xy, oracles.element_mul(x, y))
     _same_bits(y * x, oracles.element_mul(y, x))
-    _same_bits(mod.supercommutator(x, y), oracles.parity_supercommutator(x, y))
-    _same_bits(mod.supercommutator(y, x), oracles.parity_supercommutator(y, x))
-    if mod is cw:
+    _same_bits(supercommutator(x, y), oracles.parity_supercommutator(x, y))
+    _same_bits(supercommutator(y, x), oracles.parity_supercommutator(y, x))
+    if mod is ClassicalAlgebra:
+        c = ClassicalAlgebra(x.lie, x.rep)
         for z in (x, y, xy):
-            _same_bits(cw.differential(z), oracles.differential(z))
+            _same_bits(c.differential(z), oracles.differential(z))
             for a in range(z.lie.dim):
-                _same_bits(cw.lie_derivative(a, z), oracles.lie_derivative(a, z))
-                _same_bits(cw.contraction(a, z), oracles.contraction(a, z))
+                _same_bits(c.lie_derivative(a, z), oracles.lie_derivative(a, z))
+                _same_bits(c.contraction(a, z), oracles.contraction(a, z))
 
 
 def test_quantum_products_carry_fraction_pbw_coefficients():
@@ -223,8 +226,8 @@ def test_quantum_products_carry_fraction_pbw_coefficients():
     and the products keep their denominators: [u_a, u_b] = f^c_ab u_c
     with f = +-1/2, for every ordered pair."""
     alg = ALGEBRAS["so3/2"]
-    lie, rep = alg.lie, alg.reps["adjoint"]
-    for (a, b), row in lie.pair_brackets().items():
-        want = sum((qw.u_gen(lie, rep, c) * q for c, q in row), qw.zero(lie, rep))
+    q = QuantumAlgebra(alg.lie, alg.reps["adjoint"])
+    for (a, b), row in alg.lie.pair_brackets().items():
+        want = sum((q.even_gen(c) * f for c, f in row), q.zero())
         assert want.terms and all(m.den == 2 for m in want.terms.values())
-        assert qw.supercommutator(qw.u_gen(lie, rep, a), qw.u_gen(lie, rep, b)) == want
+        assert supercommutator(q.even_gen(a), q.even_gen(b)) == want

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weil import classical as cw
-from weil import quantum as qw
+from weil.classical import ClassicalAlgebra
 from weil.expr import (
     MAX_EXPONENT,
     MAX_LITERAL,
@@ -16,6 +15,7 @@ from weil.expr import (
     parse,
     render,
 )
+from weil.quantum import QuantumAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +120,9 @@ def test_zero_denominator_is_positioned():
 
 def test_eval_basic_identities(classical_ctx, so3):
     lie, rep, context = classical_ctx
-    y = [cw.ext_gen(lie, rep, a) for a in range(3)]
-    v = [cw.sym_gen(lie, rep, a) for a in range(3)]
+    c = ClassicalAlgebra(lie, rep)
+    y = [c.odd_gen(a) for a in range(3)]
+    v = [c.even_gen(a) for a in range(3)]
     assert evaluate("d(y1)", lie, rep, context) == v[0] - y[1] * y[2]
     assert evaluate("d(d(tau(1))) - comm(C, tau(1))", lie, rep, context).is_zero
     assert evaluate("L(1, v3)", lie, rep, context) == -v[1]
@@ -134,7 +135,7 @@ def test_eval_matrix_literal(sl2):
     lie, rep = sl2.lie, sl2.reps["standard"]
     elem = evaluate("[[0,1],[0,0]] * [[0,0],[1,0]] - [[0,0],[1,0]] * [[0,1],[0,0]]",
                     lie, rep, "classical")
-    assert elem == cw.tau(lie, rep, 2)
+    assert elem == ClassicalAlgebra(lie, rep).tau(2)
     with pytest.raises(ExprError, match="3x3"):
         evaluate("[[0,1,0],[0,0,0],[0,0,0]]", lie, rep, "classical")
 
@@ -142,7 +143,7 @@ def test_eval_matrix_literal(sl2):
 def test_eval_quantum(quantum_ctx, abelian2):
     lie, rep, context = quantum_ctx
     gamma_sq = evaluate("gamma*gamma", lie, rep, context)
-    assert gamma_sq == qw.scalar(lie, rep, Fraction(-1, 8))
+    assert gamma_sq == QuantumAlgebra(lie, rep).scalar(Fraction(-1, 8))
     assert evaluate("Dirac*Dirac - QC", lie, rep, context) == \
         -(evaluate("comm(Dirac, x1*tau(1) + x2*tau(2) + x3*tau(3))", lie, rep, context)) \
         - evaluate("(x1*tau(1) + x2*tau(2) + x3*tau(3))^2", lie, rep, context)

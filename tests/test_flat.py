@@ -2,6 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -15,10 +16,11 @@ from oracles import derived_full_flat_basis as full_flat_basis
 from test_kernels import _so3_blocks
 import weil.flat
 from weil import ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin
-from weil import classical as cw
-from weil import quantum as qw
 from weil.checks import random_element
+from weil.classical import ClassicalAlgebra
 from weil.cli import main
+from weil.element import supercommutator
+from weil.quantum import QuantumAlgebra
 from weil.flat import (
     _index_monomial,
     basic_subspace,
@@ -56,47 +58,46 @@ def sympy_commutant_dim(mats):
 def test_degree_zero_flat_is_commutant(so3, sl2):
     for alg, rep_name in [(so3, "adjoint"), (sl2, "standard"), (sl2, "adjoint")]:
         lie, rep = alg.lie, alg.reps[rep_name]
-        flat = flat_subspace("classical", lie, rep, 0)
+        flat = flat_subspace(ClassicalAlgebra(lie, rep), 0)
         assert flat.dims[0] == sympy_commutant_dim(rep.matrices)
         assert flat.dims[0] == 1  # absolutely irreducible reps: scalars only
 
 
 def test_degree_zero_basic_is_commutant(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    basic = basic_subspace("classical", lie, rep, 0)
+    basic = basic_subspace(ClassicalAlgebra(lie, rep), 0)
     # L_a on degree 0 is conjugation by tau_a, so basic = flat = commutant
     assert basic.dims[0] == sympy_commutant_dim(rep.matrices) == 1
 
 
 def test_trivial_rep_everything_flat(so3):
     lie, rep = so3.lie, so3.reps["trivial"]
-    flat = flat_subspace("classical", lie, rep, 2)
+    flat = flat_subspace(ClassicalAlgebra(lie, rep), 2)
     for k in range(3):
         assert flat.dims[k] == len(degree_monomials(3, k))
-    basic = basic_subspace("classical", lie, rep, 2)
+    basic = basic_subspace(ClassicalAlgebra(lie, rep), 2)
     assert basic.dims[0] == 1
 
 
 def test_every_basis_vector_satisfies_definition(so3):
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    curv = cw.curvature(lie, rep)
-    flat = flat_subspace("classical", lie, rep, 2)
+    c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    flat = flat_subspace(c, 2)
     for k, vecs in flat.vectors.items():
         for v in vecs:
-            assert cw.supercommutator(curv, v).is_zero
-    basic = basic_subspace("classical", lie, rep, 2)
+            assert supercommutator(c.curvature, v).is_zero
+    basic = basic_subspace(c, 2)
     for vecs in basic.vectors.values():
         for v in vecs:
             for a in range(3):
-                assert cw.lie_derivative(a, v).is_zero
+                assert c.lie_derivative(a, v).is_zero
 
 
 def test_curvature_is_basic_and_flat(so3):
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    curv = cw.curvature(lie, rep)
-    basic = basic_subspace("classical", lie, rep, 1)
+    c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    curv = c.curvature
+    basic = basic_subspace(c, 1)
     assert span_rank(basic.vectors[1] + [curv]) == span_rank(basic.vectors[1])
-    flat = flat_subspace("classical", lie, rep, 1)
+    flat = flat_subspace(c, 1)
     assert span_rank(flat.vectors[1] + [curv]) == span_rank(flat.vectors[1])
 
 
@@ -149,21 +150,21 @@ def dense_lie_operator_dims(lie, rep, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_basic_dims_match_dense_oracle(so3, k):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    basic = basic_subspace("classical", lie, rep, k)
+    basic = basic_subspace(ClassicalAlgebra(lie, rep), k)
     assert basic.dims[k] == dense_lie_operator_dims(lie, rep, k)
 
 
 def test_inclusion_classical_theorem(so3, sl2):
     for alg, rep_name in [(so3, "adjoint"), (so3, "standard"),
                           (sl2, "adjoint"), (sl2, "standard")]:
-        report = inclusion_report(flat_subspace("classical", alg.lie, alg.reps[rep_name], 2))
+        report = inclusion_report(flat_subspace(ClassicalAlgebra(alg.lie, alg.reps[rep_name]), 2))
         for row in report["per_degree"]:
             assert row["basic_subset_flat"], (alg.name, rep_name, row)
 
 
 def test_inclusion_abelian_basic_equals_flat(abelian2):
     lie, rep = abelian2.lie, abelian2.reps["adjoint"]
-    report = inclusion_report(flat_subspace("classical", lie, rep, 2))
+    report = inclusion_report(flat_subspace(ClassicalAlgebra(lie, rep), 2))
     for row in report["per_degree"]:
         # with f = 0 both conditions cut out polynomials valued in the
         # commutant, which for the zero matrices is everything
@@ -171,19 +172,18 @@ def test_inclusion_abelian_basic_equals_flat(abelian2):
         assert row["basic_subset_flat"] and row["s_basic_equals_flat"]
 
 
-@pytest.mark.parametrize("algebra, level_one", [
-    ("classical", lambda flat, lie, rep: []),
-    ("quantum", lambda flat, lie, rep: flat.vectors[0]),
+@pytest.mark.parametrize("kind, level_one", [
+    (ClassicalAlgebra, lambda flat: []),
+    (QuantumAlgebra, lambda flat: flat.vectors[0]),
     # as many vectors as the S-module has rank, spanning something else
-    ("classical", lambda flat, lie, rep: hor_basis("classical", lie, rep, [(0, 0, 1)])[:4]),
+    (ClassicalAlgebra, lambda flat: hor_basis(flat.alg, [(0, 0, 1)])[:4]),
 ], ids=["dropped", "dropped-quantum", "swapped"])
-def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, algebra, level_one):
+def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, kind, level_one):
     """Both columns compare spans by rank: with the level-1 flat vectors of
     so3 adjoint dropped or swapped, the level-1 basic vectors and the
     S-module fall outside their span."""
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    flat = flat_subspace(algebra, lie, rep, 1)
-    flat.vectors[1] = level_one(flat, lie, rep)
+    flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 1)
+    flat.vectors[1] = level_one(flat)
     rows = inclusion_report(flat)["per_degree"]
     assert [(row["basic_subset_flat"], row["s_basic_equals_flat"]) for row in rows] == \
         [(True, True), (False, False)]
@@ -200,9 +200,9 @@ def _scaled_rows(fm, den=None):
 
 def test_coordinate_matrix_over_mixed_denominators(so3):
     """Images whose terms have different denominators share one lcm."""
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    v = [cw.sym_gen(lie, rep, a) for a in range(3)]
-    t = [cw.tau(lie, rep, a) for a in range(3)]
+    c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    v = [c.even_gen(a) for a in range(3)]
+    t = [c.tau(a) for a in range(3)]
     images = [[v[0] * Fraction(1, 2), t[1] * Fraction(2, 3)], [v[0] * Fraction(5, 4) + t[2]],
               [t[1] * Fraction(-1, 6)], [v[1] * Fraction(1, 3)], [v[0] - t[2] * Fraction(4, 5)]]
     rows = weil.flat._coord_matrix(images)
@@ -211,13 +211,13 @@ def test_coordinate_matrix_over_mixed_denominators(so3):
     fm = oracles.dense_coord_matrix(coords)
     assert rows == _scaled_rows(fm, 60)
     assert (len(rows), fm.cols) == (12, 5)
-    domain = hor_basis("classical", lie, rep, [(0, 0, 0)])[:len(images)]
+    domain = hor_basis(c, [(0, 0, 0)])[:len(images)]
     assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coords)
 
 
 def test_decomposition_classical(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = decomposition_report(flat_subspace("classical", lie, rep, 1))
+    report = decomposition_report(flat_subspace(ClassicalAlgebra(lie, rep), 1))
     assert report["factor"] == 8
     assert report["all_match"]
     for row in report["per_degree"]:
@@ -226,7 +226,7 @@ def test_decomposition_classical(so3):
 
 def test_decomposition_trivial_rep(so3):
     lie, rep = so3.lie, so3.reps["trivial"]
-    report = decomposition_report(flat_subspace("classical", lie, rep, 1))
+    report = decomposition_report(flat_subspace(ClassicalAlgebra(lie, rep), 1))
     assert report["all_match"]
     # everything is flat: full dim = all monomials times all wedge monomials
     assert report["per_degree"][0]["dim_full_flat"] == 8
@@ -235,7 +235,7 @@ def test_decomposition_trivial_rep(so3):
 
 def test_decomposition_quantum(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = decomposition_report(flat_subspace("quantum", lie, rep, 1))
+    report = decomposition_report(flat_subspace(QuantumAlgebra(lie, rep), 1))
     assert report["factor"] == 8
     assert report["all_match"]
 
@@ -245,8 +245,9 @@ def quantum_flat_dense_dim(lie, rep, k):
     the bracket-with-curvature matrix via raw element products only."""
     import sympy as sp
 
-    curv = qw.curvature(lie, rep)
-    domain = hor_basis("quantum", lie, rep, monomials_up_to(lie.dim, k))
+    alg = QuantumAlgebra(lie, rep)
+    curv = alg.curvature
+    domain = hor_basis(alg, monomials_up_to(lie.dim, k))
     d = rep.dim
     col_maps = []
     for v in domain:
@@ -264,14 +265,14 @@ def quantum_flat_dense_dim(lie, rep, k):
 
 def test_quantum_flat_matches_dense_oracle(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    flat = flat_subspace("quantum", lie, rep, 2)
+    flat = flat_subspace(QuantumAlgebra(lie, rep), 2)
     for k in range(3):
         assert len(flat.basis_up_to(k)) == quantum_flat_dense_dim(lie, rep, k)
 
 
 def test_quantum_evidence_report_shape(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = inclusion_report(flat_subspace("quantum", lie, rep, 2))
+    report = inclusion_report(flat_subspace(QuantumAlgebra(lie, rep), 2))
     assert report["degree_semantics"] == "filtration_increment"
     assert [row["deg"] for row in report["per_degree"]] == [0, 1, 2]
     for row in report["per_degree"]:
@@ -282,58 +283,56 @@ def test_quantum_evidence_report_shape(so3):
 
 def test_closure_classical(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = closure_report(flat_subspace("classical", lie, rep, 2), samples=50, seed=0)
+    report = closure_report(flat_subspace(ClassicalAlgebra(lie, rep), 2), samples=50, seed=0)
     assert report["all_closed"]
     assert report["checked"]["product"] == 50
     assert report["checked"]["differential"] == 50
     # d of a flat element is flat, explicitly
-    curv = cw.curvature(lie, rep)
-    for v in full_flat_basis(flat_subspace("classical", lie, rep, 1))[:5]:
-        assert cw.supercommutator(curv, cw.differential(v)).is_zero
+    c = ClassicalAlgebra(lie, rep)
+    for v in full_flat_basis(flat_subspace(c, 1))[:5]:
+        assert supercommutator(c.curvature, c.differential(v)).is_zero
 
 
 def test_closure_quantum(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    report = closure_report(flat_subspace("quantum", lie, rep, 1), samples=15, seed=2)
+    report = closure_report(flat_subspace(QuantumAlgebra(lie, rep), 1), samples=15, seed=2)
     assert report["all_closed"]
 
 
 def test_reports_are_reproducible(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
-    a = inclusion_report(flat_subspace("quantum", lie, rep, 2))
-    b = inclusion_report(flat_subspace("quantum", lie, rep, 2))
+    a = inclusion_report(flat_subspace(QuantumAlgebra(lie, rep), 2))
+    b = inclusion_report(flat_subspace(QuantumAlgebra(lie, rep), 2))
     assert json.dumps(a) == json.dumps(b)
 
 
 def test_span_rank_tools(so3):
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    v1 = cw.sym_gen(lie, rep, 0)
-    v2 = cw.sym_gen(lie, rep, 1)
+    c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    v1, v2 = c.even_gen(0), c.even_gen(1)
     assert span_rank([v1, v2, v1 + v2]) == 2 == span_rank([v1, v2])
     assert span_rank([v1, v2]) > span_rank([v1]) == 1
     assert span_rank([]) == span_rank([v1 - v1]) == 0
 
 
 def _builtin_cases():
-    """Every builtin algebra x admitted context x representation."""
+    """Every builtin algebra x admitted context x representation, as a value."""
     for name in ("abelian(2)", "heisenberg3", "so3", "sl2"):
         alg = builtin(name)
         contexts = ("classical", "quantum") if alg.lie.has_orthonormal_form else ("classical",)
         for rep_name in sorted(alg.reps):
             for context in contexts:
-                yield pytest.param(context, alg.lie, alg.reps[rep_name],
+                yield pytest.param(ALGEBRAS[context](alg.lie, alg.reps[rep_name]),
                                    id=f"{name}-{context}-{rep_name}")
 
 
-@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
-def test_full_flat_basis_matches_block_solve_oracle(algebra, lie, rep):
+@pytest.mark.parametrize("alg", _builtin_cases())
+def test_full_flat_basis_matches_block_solve_oracle(alg):
     """The derived basis is the per-block solve's, element for element."""
     for max_degree in range(3):
-        flat = flat_subspace(algebra, lie, rep, max_degree)
-        assert full_flat_basis(flat) == oracles.full_flat_basis(algebra, lie, rep, max_degree)
+        flat = flat_subspace(alg, max_degree)
+        assert full_flat_basis(flat) == oracles.full_flat_basis(alg, max_degree)
     for k in range(3):
-        assert full_flat_basis(flat, degree=k) == \
-            oracles.full_flat_basis(algebra, lie, rep, 2, degree=k)
+        assert full_flat_basis(flat, degree=k) == oracles.full_flat_basis(alg, 2, degree=k)
 
 
 def _so3_pair():
@@ -346,22 +345,34 @@ def _so3_pair():
 
 
 def test_full_flat_basis_matches_oracle_on_so3_pair():
-    lie, rep = _so3_pair()
-    basis = full_flat_basis(flat_subspace("quantum", lie, rep, 0))
+    alg = QuantumAlgebra(*_so3_pair())
+    basis = full_flat_basis(flat_subspace(alg, 0))
     assert len(basis) == 64 * 2  # the commutant of so3+so3 adjoint is 2-dimensional
-    assert basis == oracles.full_flat_basis("quantum", lie, rep, 0)
+    assert basis == oracles.full_flat_basis(alg, 0)
+
+
+def _mutant(extra):
+    """A `QuantumAlgebra` whose curvature has `extra(alg)` added."""
+    class Mutant(QuantumAlgebra):
+        @cached_property
+        def curvature(self):
+            return super().curvature + extra(self)
+    return Mutant
+
+
+def _x1_x2(alg):
+    return alg.odd_gen(0) * alg.odd_gen(1)
 
 
 def test_curvature_with_a_clifford_term_is_caught(monkeypatch, capsys):
     """A curvature with an x1 x2 term fails [C, x_a] = 0, in the solver
     and in `weil flat`, which exits 1 with a message, not a traceback."""
-    curvature = qw.curvature
-    monkeypatch.setattr(qw, "curvature", lambda lie, rep: (
-        curvature(lie, rep) + qw.x_gen(lie, rep, 0) * qw.x_gen(lie, rep, 1)))
+    mutant = _mutant(_x1_x2)
     so3 = builtin("so3")
-    flat = flat_subspace("quantum", so3.lie, so3.reps["adjoint"], 0)
+    flat = flat_subspace(mutant(so3.lie, so3.reps["adjoint"]), 0)
     with pytest.raises(AssertionError, match="does not commute with odd generator 1"):
         full_flat_basis(flat)
+    monkeypatch.setitem(ALGEBRAS, "quantum", mutant)
     code = main(["flat", "--builtin", "so3", "--quantum", "--max-degree", "0", "--json"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -376,18 +387,17 @@ def _same_reports(flat, seeds):
             oracles.list_closure_report(flat, samples=10, seed=seed), seed
 
 
-@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
-def test_reports_match_the_list_oracles(algebra, lie, rep):
+@pytest.mark.parametrize("alg", _builtin_cases())
+def test_reports_match_the_list_oracles(alg):
     """Checking the premises gives the report of re-bracketing every x_I h,
     and drawing by index draws what `rng.choice` draws from the list."""
     for max_degree in range(3):
-        _same_reports(flat_subspace(algebra, lie, rep, max_degree), seeds=(0, 3, 7))
+        _same_reports(flat_subspace(alg, max_degree), seeds=(0, 3, 7))
 
 
-@pytest.mark.parametrize("algebra", ["classical", "quantum"])
-def test_reports_match_the_list_oracles_on_so3_pair(algebra):
-    lie, rep = _so3_pair()
-    _same_reports(flat_subspace(algebra, lie, rep, 1), seeds=(0, 1))
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
+def test_reports_match_the_list_oracles_on_so3_pair(kind):
+    _same_reports(flat_subspace(kind(*_so3_pair()), 1), seeds=(0, 1))
 
 
 def test_non_flat_vector_fails_its_level_and_the_closure():
@@ -395,9 +405,8 @@ def test_non_flat_vector_fails_its_level_and_the_closure():
     fails the [C, h] = 0 premise of that level, and the closure samples
     that hit it fail exactly as they do when drawn from the built list."""
     so3 = builtin("so3")
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    flat = flat_subspace("quantum", lie, rep, 1)
-    flat.vectors[1] = flat.vectors[1] + [qw.u_gen(lie, rep, 0)]
+    flat = flat_subspace(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 1)
+    flat.vectors[1] = flat.vectors[1] + [flat.alg.even_gen(0)]
     report = decomposition_report(flat)
     assert [row["match"] for row in report["per_degree"]] == [True, False]
     assert not report["all_match"]
@@ -410,12 +419,9 @@ def test_non_flat_vector_fails_its_level_and_the_closure():
     assert all(failures), failures
 
 
-def test_curvature_with_a_clifford_term_fails_every_level(monkeypatch):
-    curvature = qw.curvature
-    monkeypatch.setattr(qw, "curvature", lambda lie, rep: (
-        curvature(lie, rep) + qw.x_gen(lie, rep, 0) * qw.x_gen(lie, rep, 1)))
+def test_curvature_with_a_clifford_term_fails_every_level():
     so3 = builtin("so3")
-    report = decomposition_report(flat_subspace("quantum", so3.lie, so3.reps["trivial"], 1))
+    report = decomposition_report(flat_subspace(_mutant(_x1_x2)(so3.lie, so3.reps["trivial"]), 1))
     assert [row["match"] for row in report["per_degree"]] == [False, False]
     assert not report["all_match"]
 
@@ -424,32 +430,29 @@ def test_non_flat_vector_fails_only_the_level_it_was_added_to():
     """Quantum levels share their vectors; a vector added to level 0 alone
     fails level 0 and no other, as re-bracketing every x_I h finds."""
     so3 = builtin("so3")
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    flat = flat_subspace("quantum", lie, rep, 2)
-    flat.vectors[0] = flat.vectors[0] + [qw.u_gen(lie, rep, 0)]
+    flat = flat_subspace(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 2)
+    flat.vectors[0] = flat.vectors[0] + [flat.alg.even_gen(0)]
     report = decomposition_report(flat)
     assert [row["match"] for row in report["per_degree"]] == [False, True, True]
     assert report == oracles.rebracket_decomposition_report(flat)
 
 
-def _images_both_ways(algebra, lie, rep, max_degree):
+def _images_both_ways(alg, max_degree):
     """A <= max_degree domain with its [C, .] images and its L_a images,
     each also as the dense path's coordinate maps."""
-    mod = ALGEBRAS[algebra]
-    op = weil.flat._flat_op(mod, lie, rep)
-    domain = hor_basis(algebra, lie, rep, monomials_up_to(lie.dim, max_degree))
-    flat_images = [[op(v)] for v in domain]
+    domain = hor_basis(alg, monomials_up_to(alg.lie.dim, max_degree))
+    flat_images = [[alg.flat_op(v)] for v in domain]
     yield domain, flat_images, [oracles.element_coords(im) for im, in flat_images]
-    basic_images = [[mod.lie_derivative(a, v) for a in range(lie.dim)] for v in domain]
-    yield domain, basic_images, oracles.lie_stacked_coords(mod, lie, domain)
+    basic_images = [[alg.lie_derivative(a, v) for a in range(alg.lie.dim)] for v in domain]
+    yield domain, basic_images, oracles.lie_stacked_coords(alg, domain)
 
 
-@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
-def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(algebra, lie, rep):
+@pytest.mark.parametrize("alg", _builtin_cases())
+def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(alg):
     """Rows built straight from the terms' numerators are the dense
     Fraction matrix, entry for entry and row for row, and the kernel is
     the dense path's (Fraction back substitution), element for element."""
-    for domain, images, coord_maps in _images_both_ways(algebra, lie, rep, 2):
+    for domain, images, coord_maps in _images_both_ways(alg, 2):
         rows, fm = weil.flat._coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
         assert rows == _scaled_rows(fm)
         assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coord_maps)
@@ -458,60 +461,57 @@ def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(algebra, lie
             oracles.dense_coord_matrix([oracles.element_coords(x) for x in elements]))
 
 
-def _same_levels(algebra, lie, rep, max_degree):
+def _same_levels(alg, max_degree):
     for new, old in ((flat_subspace, oracles.level_flat_subspace),
                      (basic_subspace, oracles.level_basic_subspace)):
-        got, want = new(algebra, lie, rep, max_degree), old(algebra, lie, rep, max_degree)
+        got, want = new(alg, max_degree), old(alg, max_degree)
         assert got.dims == want.dims, (new.__name__, max_degree)
         assert got.vectors == want.vectors, (new.__name__, max_degree)
 
 
-@pytest.mark.parametrize("algebra, lie, rep", _builtin_cases())
-def test_levels_match_the_per_level_solve(algebra, lie, rep):
+@pytest.mark.parametrize("alg", _builtin_cases())
+def test_levels_match_the_per_level_solve(alg):
     """Levels read off one basis equal one solve per level on the dense
     Fraction path, element for element: quantum-side that solve
     re-eliminates the whole <= k block."""
     for max_degree in range(4):
-        _same_levels(algebra, lie, rep, max_degree)
+        _same_levels(alg, max_degree)
 
 
-@pytest.mark.parametrize("algebra", ["classical", "quantum"])
-def test_levels_match_the_per_level_solve_on_so3_pair(algebra):
-    lie, rep = _so3_pair()
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
+def test_levels_match_the_per_level_solve_on_so3_pair(kind):
+    alg = kind(*_so3_pair())
     for max_degree in range(2):
-        _same_levels(algebra, lie, rep, max_degree)
+        _same_levels(alg, max_degree)
 
 
 def test_levels_match_the_per_level_solve_at_degree_four():
     so3 = builtin("so3")
-    _same_levels("quantum", so3.lie, so3.reps["adjoint"], 4)
+    _same_levels(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 4)
 
 
 def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
     """so3 adjoint quantum at N = 3: one kernel call per subspace, and
     each of the 20 * 9 domain columns bracketed with C once."""
     calls = {"kernel": 0, "bracket": 0}
-    kernel, flat_op = weil.flat.kernel, weil.flat._flat_op
+    kernel = weil.flat.kernel
 
     def counted_kernel(rows, ncols):
         calls["kernel"] += 1
         return kernel(rows, ncols)
 
-    def counted_flat_op(*args):
-        op = flat_op(*args)
-
-        def counted(x):
+    class Counted(QuantumAlgebra):
+        def flat_op(self, x):
             calls["bracket"] += 1
-            return op(x)
-        return counted
+            return super().flat_op(x)
 
     monkeypatch.setattr(weil.flat, "kernel", counted_kernel)
-    monkeypatch.setattr(weil.flat, "_flat_op", counted_flat_op)
     so3 = builtin("so3")
-    flat = flat_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
+    alg = Counted(so3.lie, so3.reps["adjoint"])
+    flat = flat_subspace(alg, 3)
     assert calls == {"kernel": 1, "bracket": 180}
     assert flat.dims == {0: 1, 1: 4, 2: 10, 3: 19}
-    basic = basic_subspace("quantum", so3.lie, so3.reps["adjoint"], 3)
+    basic = basic_subspace(alg, 3)
     assert calls == {"kernel": 2, "bracket": 180}
     assert basic.dims == {0: 1, 1: 1, 2: 2, 3: 1}
 
@@ -522,8 +522,8 @@ def test_so3_pair_quantum_dims_at_degree_three():
     grid of these solves took 370-760 MB."""
     lie = _so3_blocks(2)
     rep = adjoint_rep(lie)
-    assert flat_subspace("quantum", lie, rep, 3).dims == {0: 2, 1: 14, 2: 58, 3: 178}
-    assert basic_subspace("quantum", lie, rep, 3).dims == {0: 2, 1: 2, 2: 8, 3: 4}
+    assert flat_subspace(QuantumAlgebra(lie, rep), 3).dims == {0: 2, 1: 14, 2: 58, 3: 178}
+    assert basic_subspace(QuantumAlgebra(lie, rep), 3).dims == {0: 2, 1: 2, 2: 8, 3: 4}
 
 
 def test_index_monomial_unranks_the_index_list():
@@ -553,94 +553,71 @@ def test_flat_cost_is_linear_in_the_dimension(capsys, n, budget):
 def _flat_op_cases():
     """Every builtin x admitted context x rep, plus so3+so3 adjoint."""
     yield from _builtin_cases()
-    lie, rep = _so3_pair()
-    for context in ("classical", "quantum"):
-        yield pytest.param(context, lie, rep, id=f"so3^2-{context}-adjoint")
+    for kind in (ClassicalAlgebra, QuantumAlgebra):
+        yield pytest.param(kind(*_so3_pair()), id=f"so3^2-{kind.KIND}-adjoint")
 
 
-@pytest.mark.parametrize("algebra, lie, rep", _flat_op_cases())
+@pytest.mark.parametrize("alg", _flat_op_cases())
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_flat_op_matches_the_full_curvature_oracle(algebra, lie, rep, seed):
+def test_flat_op_matches_the_full_curvature_oracle(alg, seed):
     """[C - Z, x] is [C, x] with the whole curvature, on random elements
     of degree <= 4 with odd factors and any End V parts."""
-    mod = ALGEBRAS[algebra]
-    x = random_element(mod.Element, lie, rep, random.Random(seed), max_degree=4)
-    assert weil.flat._flat_op(mod, lie, rep)(x) == oracles.full_flat_op(mod, lie, rep)(x)
+    x = random_element(alg, random.Random(seed), max_degree=4)
+    assert alg.flat_op(x) == oracles.full_flat_op(alg)(x)
 
 
-def _bracketed_element(monkeypatch, lie, rep, x):
-    """The element that `_flat_op` brackets x with, seen by a spy on the
-    quantum supercommutator (its last call, after the centrality check),
-    and the image of x."""
-    seen, supercommutator = [], qw.supercommutator
-
-    def spy(a, b):
-        seen.append(a)
-        return supercommutator(a, b)
-
-    monkeypatch.setattr(qw, "supercommutator", spy)
-    image = weil.flat._flat_op(qw, lie, rep)(x)
-    monkeypatch.setattr(qw, "supercommutator", supercommutator)
-    return seen[-1], image
-
-
-def test_flat_op_drops_the_casimir_and_constant_terms(monkeypatch):
+def test_flat_op_drops_the_casimir_and_constant_terms():
     """On so3 adjoint quantum the split is taken: the bracketed element is
     sum u_a (x) tau_a, with no Casimir or constant term."""
     so3 = builtin("so3")
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    x = qw.u_gen(lie, rep, 1)
-    bracketed, image = _bracketed_element(monkeypatch, lie, rep, x)
-    assert sorted(sum(s) for s, _ in qw.curvature(lie, rep).terms) == [0, 1, 1, 1, 2, 2, 2]
+    alg = QuantumAlgebra(so3.lie, so3.reps["adjoint"])
+    x = alg.even_gen(1)
+    image, bracketed = alg.flat_op(x), alg.bracketed_curvature
+    assert sorted(sum(s) for s, _ in alg.curvature.terms) == [0, 1, 1, 1, 2, 2, 2]
     assert sorted(bracketed.terms) == [
         ((0, 0, 1), ()), ((0, 1, 0), ()), ((1, 0, 0), ())]
-    assert bracketed.terms[((1, 0, 0), ())] == rep.matrices[0]
-    assert image == oracles.full_flat_op(qw, lie, rep)(x)
+    assert bracketed.terms[((1, 0, 0), ())] == alg.rep.matrices[0]
+    assert image == oracles.full_flat_op(alg)(x)
 
 
-def _u1(lie, rep):
-    return qw.u_gen(lie, rep, 0)
+def _u1(alg):
+    return alg.even_gen(0)
 
 
-def _u1_squared(lie, rep):
-    return qw.u_gen(lie, rep, 0) * qw.u_gen(lie, rep, 0)
+def _u1_squared(alg):
+    return alg.even_gen(0) * alg.even_gen(0)
 
 
 @pytest.mark.parametrize("rep_name, extra", [("trivial", _u1), ("adjoint", _u1_squared)],
                          ids=["trivial-u1", "adjoint-u1^2"])
-def test_flat_op_keeps_a_non_central_scalar_term(monkeypatch, rep_name, extra):
+def test_flat_op_keeps_a_non_central_scalar_term(rep_name, extra):
     """A curvature with an added scalar term that is not central, u1 (x) I
     or u1^2 (x) I, refuses the split: dropping it with the Casimir would
     lose [u1, u2] = u3 or [u1^2, u2] from [C, u2], and the op must still
     equal the full-curvature oracle."""
-    curvature = qw.curvature
-    monkeypatch.setattr(qw, "curvature", lambda lie, rep: curvature(lie, rep) + extra(lie, rep))
     so3 = builtin("so3")
-    lie, rep = so3.lie, so3.reps[rep_name]
-    u2 = qw.u_gen(lie, rep, 1)
-    bracketed, image = _bracketed_element(monkeypatch, lie, rep, u2)
-    assert bracketed == qw.curvature(lie, rep)
-    assert image == oracles.full_flat_op(qw, lie, rep)(u2)
+    alg = _mutant(extra)(so3.lie, so3.reps[rep_name])
+    u2 = alg.even_gen(1)
+    image = alg.flat_op(u2)
+    assert alg.bracketed_curvature is alg.curvature
+    assert image == oracles.full_flat_op(alg)(u2)
     # the curvature minus every scalar term without an odd factor, the
     # added one among them, would be off by [extra, u2]
-    curv = qw.curvature(lie, rep)
-    split = qw.Element(lie, rep, {key: mat for key, mat in curv.terms.items()
-                                  if key[1] or mat._scalar() is None})
-    assert image - qw.supercommutator(split, u2) == qw.supercommutator(extra(lie, rep), u2)
-    assert not qw.supercommutator(extra(lie, rep), u2).is_zero
+    split = alg.element({key: mat for key, mat in alg.curvature.terms.items()
+                         if key[1] or mat._scalar() is None})
+    assert image - supercommutator(split, u2) == supercommutator(extra(alg), u2)
+    assert not supercommutator(extra(alg), u2).is_zero
 
 
-def test_flat_op_splits_when_an_added_term_is_not_scalar(monkeypatch):
+def test_flat_op_splits_when_an_added_term_is_not_scalar():
     """On the adjoint rep an added u1 (x) I merges with u1 (x) tau_1 into
     u1 (x) (tau_1 + I), which is not scalar: the Casimir and constant
     terms are still central and dropped, and the op stays exact."""
-    curvature = qw.curvature
-    monkeypatch.setattr(qw, "curvature", lambda lie, rep: curvature(lie, rep) + _u1(lie, rep))
     so3 = builtin("so3")
-    lie, rep = so3.lie, so3.reps["adjoint"]
-    u2 = qw.u_gen(lie, rep, 1)
-    bracketed, image = _bracketed_element(monkeypatch, lie, rep, u2)
-    assert bracketed.terms[((1, 0, 0), ())] == rep.matrices[0] + Matrix.identity(3)
+    alg = _mutant(_u1)(so3.lie, so3.reps["adjoint"])
+    u2 = alg.even_gen(1)
+    image, bracketed = alg.flat_op(u2), alg.bracketed_curvature
+    assert bracketed.terms[((1, 0, 0), ())] == alg.rep.matrices[0] + Matrix.identity(3)
     assert sorted(sum(s) for s, _ in bracketed.terms) == [1, 1, 1]
-    assert image == oracles.full_flat_op(qw, lie, rep)(u2)
+    assert image == oracles.full_flat_op(alg)(u2)

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weil.classical import _derivations
-from weil.element import CACHE_SIZE
+from weil.classical import ClassicalAlgebra
 from weil.lie import (
     BilinearForm,
     LieData,
@@ -132,12 +131,19 @@ def test_trivial_rep_valid(so3):
     assert validate_rep(so3.lie, trivial_rep(so3.lie)).ok
 
 
-def test_trivial_rep_cache_keeps_at_most_cache_size_algebras_alive():
-    refs = [weakref.ref(builtin("so3").lie) for _ in range(200)]
+def test_trivial_reps_and_classical_values_keep_no_algebra_alive():
+    """No cache keyed by Lie data outlives it: a trivial rep, and a
+    classical value with its derivations, tables and curvature, go with
+    their algebra."""
+    refs = []
+    for _ in range(20):
+        lie = builtin("so3").lie
+        alg = ClassicalAlgebra(lie, trivial_rep(lie))
+        assert alg.differential(alg.odd_gen(0) * alg.curvature + alg.even_gen(1))
+        refs.append(weakref.ref(lie))
+    del lie, alg
     gc.collect()
-    assert 0 < sum(ref() is not None for ref in refs) <= CACHE_SIZE
-    lie = builtin("so3").lie
-    assert trivial_rep(lie) is trivial_rep(lie)
+    assert all(ref() is None for ref in refs)
 
 
 def test_so3_adjoint_valid_and_explicit(so3):
@@ -275,8 +281,8 @@ def _same_tables(lie):
     assert list(lie.pair_brackets().items()) == list(pairs.items())
     rep = adjoint_rep(lie)
     taus = rep.matrices
-    lie_ders, iotas, d = _derivations(lie, rep)[:3]
-    n = lie.dim
+    n, ders = lie.dim, ClassicalAlgebra(lie, rep).derivations
+    lie_ders, iotas, d = ders[:n], ders[n:2 * n], ders[2 * n]
     for a in range(n):
         for c in range(n):
             row = action.get((a, c), ())
@@ -286,14 +292,13 @@ def _same_tables(lie):
                                                 for b, q in row]
         assert lie_ders[a].endo == (((None, (), 1, 1, a),) if taus[a] else ())
         assert not lie_ders[a].odd and iotas[a].odd
-        assert (lie_ders[a].index, iotas[a].index) == (a, n + a)
         assert (iotas[a].v, iotas[a].y, iotas[a].endo) == ({}, {a: ((None, (), 1, 1, None),)}, ())
         row = dpairs.get(a, ())
         assert d.v.get(a, []) == [(k, (j,), q.numerator, q.denominator, None) for j, k, q in row]
         assert d.y[a] == [(a, (), 1, 1, None)] + [(None, (j, k), q.numerator, 2 * q.denominator,
                                                    None) for j, k, q in row]
     assert d.odd and d.endo == tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t)
-    assert d.index == 2 * n
+    assert len(ders) == 2 * n + 1
     assert taus == oracles.dense_adjoint_rep(lie).matrices
 
 

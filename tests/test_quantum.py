@@ -7,18 +7,20 @@ from fractions import Fraction
 import pytest
 
 from weil import builtin
-from weil import classical as cw
 from weil import quantum as qw
 from weil.checks import identity_part, quantum_structure_suite, quantum_suite, random_element
+from weil.classical import ClassicalElement
 from weil.cli import main
+from weil.element import supercommutator
 from weil.lie import BilinearForm, LieData, trivial_rep
 from weil.linalg import Matrix
+from weil.quantum import QuantumAlgebra
 from weil.render import render
 
 
 @pytest.fixture(scope="module")
 def ctx(so3):
-    return so3.lie, so3.reps["adjoint"]
+    return QuantumAlgebra(so3.lie, so3.reps["adjoint"])
 
 
 def so3_plus_so3():
@@ -33,41 +35,45 @@ def so3_plus_so3():
 
 def test_quantum_requires_orthonormal_form(sl2, heis3):
     with pytest.raises(ValueError, match="orthonormal"):
-        qw.unit(sl2.lie, sl2.reps["standard"])
-    with pytest.raises(ValueError, match="orthonormal"):
-        qw.distinguished(heis3.lie, heis3.reps["trivial"])
+        QuantumAlgebra(sl2.lie, sl2.reps["standard"])
+
+
+def test_quantum_value_on_heisenberg3_raises_the_orthonormal_form_message(heis3):
+    """The check runs when the value is built, before anything is derived."""
+    with pytest.raises(ValueError) as info:
+        QuantumAlgebra(heis3.lie, heis3.reps["trivial"])
+    assert str(info.value) == (
+        "quantum construction needs an orthonormal invariant form (B = identity); "
+        "algebra heisenberg3 does not carry one")
 
 
 def test_product_examples(ctx):
-    lie, rep = ctx
-    u1, u2 = qw.u_gen(lie, rep, 0), qw.u_gen(lie, rep, 1)
-    x1 = qw.x_gen(lie, rep, 0)
+    q = ctx
+    u1, u2 = q.even_gen(0), q.even_gen(1)
+    x1 = q.odd_gen(0)
     assert (u1 * x1).terms == {((1, 0, 0), (0,)): Matrix.identity(3)}
     # Clifford generator squares are 1/2 for an orthonormal form
-    assert x1 * x1 == qw.scalar(lie, rep, Fraction(1, 2))
+    assert x1 * x1 == q.scalar(Fraction(1, 2))
     # u2 u1 = u1 u2 - u3
-    assert u2 * u1 == u1 * u2 - qw.u_gen(lie, rep, 2)
+    assert u2 * u1 == u1 * u2 - q.even_gen(2)
 
 
 def test_distinguished_elements_so3(ctx):
-    lie, rep = ctx
-    dist = qw.distinguished(lie, rep)
-    x = [qw.x_gen(lie, rep, a) for a in range(3)]
-    assert dist.g[0] == -(x[1] * x[2])
-    assert dist.gamma == -(x[0] * x[1] * x[2])
-    u = [qw.u_gen(lie, rep, a) for a in range(3)]
-    expected_dirac = u[0] * x[0] + u[1] * x[1] + u[2] * x[2] + dist.gamma
-    assert dist.dirac == expected_dirac
+    q = ctx
+    x = [q.odd_gen(a) for a in range(3)]
+    assert q.g[0] == -(x[1] * x[2])
+    assert q.gamma == -(x[0] * x[1] * x[2])
+    u = [q.even_gen(a) for a in range(3)]
+    expected_dirac = u[0] * x[0] + u[1] * x[1] + u[2] * x[2] + q.gamma
+    assert q.dirac == expected_dirac
 
 
 def test_distinguished_elements_abelian(abelian2):
-    lie, rep = abelian2.lie, abelian2.reps["trivial"]
-    dist = qw.distinguished(lie, rep)
-    assert all(g.is_zero for g in dist.g)
-    assert dist.gamma.is_zero
-    expected = qw.u_gen(lie, rep, 0) * qw.x_gen(lie, rep, 0) + \
-        qw.u_gen(lie, rep, 1) * qw.x_gen(lie, rep, 1)
-    assert dist.dirac == expected
+    q = QuantumAlgebra(abelian2.lie, abelian2.reps["trivial"])
+    assert all(g.is_zero for g in q.g)
+    assert q.gamma.is_zero
+    expected = q.even_gen(0) * q.odd_gen(0) + q.even_gen(1) * q.odd_gen(1)
+    assert q.dirac == expected
 
 
 def test_gamma_squared_values(so3, abelian2):
@@ -78,13 +84,11 @@ def test_gamma_squared_values(so3, abelian2):
 
 def test_gamma_squared_by_direct_expansion(so3):
     """Independent route: gamma = -x1x2x3, so gamma^2 = (x1x2x3)^2 = -1/8."""
-    lie = so3.lie
-    rep = trivial_rep(lie)
-    x = [qw.x_gen(lie, rep, a) for a in range(3)]
+    q = QuantumAlgebra(so3.lie, trivial_rep(so3.lie))
+    x = [q.odd_gen(a) for a in range(3)]
     top = x[0] * x[1] * x[2]
-    assert top * top == qw.scalar(lie, rep, Fraction(-1, 8))
-    dist = qw.distinguished(lie, rep)
-    assert dist.gamma * dist.gamma == qw.scalar(lie, rep, Fraction(-1, 8))
+    assert top * top == q.scalar(Fraction(-1, 8))
+    assert q.gamma * q.gamma == q.scalar(Fraction(-1, 8))
 
 
 def test_structure_lemmas(so3, abelian2):
@@ -95,120 +99,117 @@ def test_structure_lemmas(so3, abelian2):
 
 def test_lie_derivative_matches_lowered_constants(ctx):
     """L_a x_b = f_cab x_c, equivalent to the structure-constant form."""
-    lie, rep = ctx
+    q, lie = ctx, ctx.lie
     n = lie.dim
     for a in range(n):
         for b in range(n):
-            lhs = qw.lie_derivative(a, qw.x_gen(lie, rep, b))
-            rhs = qw.zero(lie, rep)
+            lhs = q.lie_derivative(a, q.odd_gen(b))
+            rhs = q.zero()
             for c in range(n):
-                q = lie.f(a, b, c)  # f_cab = f^c_ab with an orthonormal form
-                if q:
-                    rhs = rhs + qw.x_gen(lie, rep, c) * q
+                f = lie.f(a, b, c)  # f_cab = f^c_ab with an orthonormal form
+                if f:
+                    rhs = rhs + q.odd_gen(c) * f
             assert lhs == rhs, (a, b)
-            lhs_u = qw.lie_derivative(a, qw.u_gen(lie, rep, b))
-            rhs_u = qw.zero(lie, rep)
+            lhs_u = q.lie_derivative(a, q.even_gen(b))
+            rhs_u = q.zero()
             for c in range(n):
-                q = lie.f(a, b, c)
-                if q:
-                    rhs_u = rhs_u + qw.u_gen(lie, rep, c) * q
+                f = lie.f(a, b, c)
+                if f:
+                    rhs_u = rhs_u + q.even_gen(c) * f
             assert lhs_u == rhs_u, (a, b)
 
 
 def test_operator_generator_values(ctx):
-    lie, rep = ctx
-    x = [qw.x_gen(lie, rep, a) for a in range(3)]
-    u = [qw.u_gen(lie, rep, a) for a in range(3)]
+    q = ctx
+    x = [q.odd_gen(a) for a in range(3)]
+    u = [q.even_gen(a) for a in range(3)]
     # iota_a x_b = delta_ab
     for a in range(3):
         for b in range(3):
-            img = qw.contraction(a, x[b])
-            assert img == (qw.unit(lie, rep) if a == b else qw.zero(lie, rep))
-            assert qw.contraction(a, u[b]).is_zero
+            img = q.contraction(a, x[b])
+            assert img == (q.unit() if a == b else q.zero())
+            assert q.contraction(a, u[b]).is_zero
     # d u_1 = -f_1bc x_b u_c = -x_2 u_3 + x_3 u_2
-    assert qw.differential(u[0]) == -(x[1] * u[2]) + x[2] * u[1]
+    assert q.differential(u[0]) == -(x[1] * u[2]) + x[2] * u[1]
     # d_W x_1 = u_1 - x_2 x_3
-    assert qw.weil_differential(x[0]) == u[0] - x[1] * x[2]
+    assert q.weil_differential(x[0]) == u[0] - x[1] * x[2]
 
 
 def test_restriction_formula(ctx):
     """On identity-matrix-part elements d = d_W + iota_a tau_a, and the two
     differentials genuinely differ at x_1 for the adjoint representation."""
-    lie, rep = ctx
-    x1 = qw.x_gen(lie, rep, 0)
-    assert qw.differential(x1) == qw.weil_differential(x1) + qw.tau(lie, rep, 0)
-    assert qw.differential(x1) != qw.weil_differential(x1)
+    q = ctx
+    x1 = q.odd_gen(0)
+    assert q.differential(x1) == q.weil_differential(x1) + q.tau(0)
+    assert q.differential(x1) != q.weil_differential(x1)
     rng = random.Random(31)
     for _ in range(20):
-        raw = random_element(qw.QuantumElement, lie, rep, rng)
-        elem = qw.QuantumElement(lie, rep, {
-            m: Matrix.identity(rep.dim) * mat[0, 0] for m, mat in raw.terms.items()
+        raw = random_element(q, rng)
+        elem = q.element({
+            m: Matrix.identity(q.rep.dim) * mat[0, 0] for m, mat in raw.terms.items()
         })
-        rhs = qw.weil_differential(elem)
+        rhs = q.weil_differential(elem)
         for a in range(3):
-            rhs = rhs + qw.contraction(a, elem) * qw.tau(lie, rep, a)
-        assert qw.differential(elem) == rhs
+            rhs = rhs + q.contraction(a, elem) * q.tau(a)
+        assert q.differential(elem) == rhs
     # L_a and iota_a agree with the uncoupled operators on such elements
     for a in range(3):
-        elem = qw.u_gen(lie, rep, 1) * qw.x_gen(lie, rep, 2)
-        uncoupled = qw.supercommutator(
-            qw.u_gen(lie, rep, a) + qw.distinguished(lie, rep).g[a], elem)
-        assert qw.lie_derivative(a, elem) == uncoupled
+        elem = q.even_gen(1) * q.odd_gen(2)
+        uncoupled = supercommutator(q.even_gen(a) + q.g[a], elem)
+        assert q.lie_derivative(a, elem) == uncoupled
 
 
 def test_curvature_trivial_cases(so3, abelian2):
-    lie, rep = abelian2.lie, abelian2.reps["trivial"]
-    curv = qw.curvature(lie, rep)
-    half_cas = qw.zero(lie, rep)
+    q = QuantumAlgebra(abelian2.lie, abelian2.reps["trivial"])
+    half_cas = q.zero()
     for a in range(2):
-        half_cas = half_cas + qw.u_gen(lie, rep, a) * qw.u_gen(lie, rep, a)
-    assert curv == half_cas * Fraction(1, 2)
+        half_cas = half_cas + q.even_gen(a) * q.even_gen(a)
+    assert q.curvature == half_cas * Fraction(1, 2)
 
-    lie, rep = so3.lie, so3.reps["trivial"]
-    curv = qw.curvature(lie, rep)
-    half_cas = qw.zero(lie, rep)
+    q = QuantumAlgebra(so3.lie, so3.reps["trivial"])
+    half_cas = q.zero()
     for a in range(3):
-        half_cas = half_cas + qw.u_gen(lie, rep, a) * qw.u_gen(lie, rep, a)
-    assert curv == half_cas * Fraction(1, 2) + qw.scalar(lie, rep, Fraction(-1, 8))
+        half_cas = half_cas + q.even_gen(a) * q.even_gen(a)
+    assert q.curvature == half_cas * Fraction(1, 2) + q.scalar(Fraction(-1, 8))
 
 
 def test_curvature_closed_and_squares(ctx):
-    lie, rep = ctx
-    curv = qw.curvature(lie, rep)
-    assert qw.differential(curv).is_zero
+    q = ctx
+    curv = q.curvature
+    assert q.differential(curv).is_zero
     rng = random.Random(41)
     for _ in range(15):
-        x = random_element(qw.QuantumElement, lie, rep, rng)
-        assert qw.differential(qw.differential(x)) == qw.supercommutator(curv, x)
+        x = random_element(q, rng)
+        assert q.differential(q.differential(x)) == supercommutator(curv, x)
 
 
 def test_casimir_report(so3, abelian2):
-    rep = qw.casimir_report(so3.lie)
+    rep = QuantumAlgebra(so3.lie, trivial_rep(so3.lie)).casimir_report()
     assert rep["casimir_central"]
     assert rep["dirac_square_matches"]
     assert rep["gamma_squared"] == Fraction(-1, 8)
-    rep = qw.casimir_report(abelian2.lie)
+    rep = QuantumAlgebra(abelian2.lie, trivial_rep(abelian2.lie)).casimir_report()
     assert rep["casimir_central"]
     assert rep["dirac_square_matches"]
     assert rep["gamma_squared"] == 0
 
 
 def test_filtration_degrees_of_operators(ctx):
-    lie, rep = ctx
+    q = ctx
     rng = random.Random(43)
     for _ in range(25):
-        x = random_element(qw.QuantumElement, lie, rep, rng, max_degree=3, max_terms=1)
+        x = random_element(q, rng, max_degree=3, max_terms=1)
         if x.is_zero:
             continue
         top = max(x.degrees())
-        dx = qw.differential(x)
+        dx = q.differential(x)
         if not dx.is_zero:
             assert max(dx.degrees()) <= top + 1
         for a in range(3):
-            la = qw.lie_derivative(a, x)
+            la = q.lie_derivative(a, x)
             if not la.is_zero:
                 assert max(la.degrees()) <= top
-            ia = qw.contraction(a, x)
+            ia = q.contraction(a, x)
             if not ia.is_zero:
                 assert max(ia.degrees()) <= top - 1
 
@@ -222,11 +223,10 @@ def test_full_suite_passes(so3):
 def test_identity_part_stores_no_zero_matrix(ctx):
     """The restriction row's identity part keeps A[0, 0] I for every term
     with A[0, 0] != 0 and drops the others, so no stored matrix is zero."""
-    lie, rep = ctx
     rng = random.Random(21001)
     dropped = 0
     for _ in range(60):
-        x = random_element(qw.QuantumElement, lie, rep, rng)
+        x = random_element(ctx, rng)
         part = identity_part(x)
         assert all(part.terms.values())
         assert part.terms == {m: Matrix.identity(3) * a[0, 0]
@@ -236,14 +236,13 @@ def test_identity_part_stores_no_zero_matrix(ctx):
 
 
 def test_render_golden(ctx):
-    lie, rep = ctx
-    elem = qw.QuantumElement(lie, rep, {
+    q = ctx
+    elem = q.element({
         ((1, 1, 0), (0, 2)): Matrix.identity(3),
     })
     assert render(elem) == "u1*u2 ⊗ x1*x3 ⊗ I"
-    assert render(qw.zero(lie, rep)) == "0"
-    gamma = qw.distinguished(lie, rep).gamma
-    assert render(gamma * gamma) == "-1/8*I"
+    assert render(q.zero()) == "0"
+    assert render(q.gamma * q.gamma) == "-1/8*I"
 
 
 def test_suite_rows_fail_on_a_wrong_clifford_coefficient(monkeypatch):
@@ -294,7 +293,7 @@ def test_failed_identity_names_a_witness_that_eval_reproduces(monkeypatch):
     first_random = 1 + 3 * lie.dim  # the unit, then u_a, x_a, tau_a
     assert index >= first_random
     rng = random.Random(0)
-    draws = [random_element(qw.QuantumElement, lie, rep, rng)
+    draws = [random_element(QuantumAlgebra(lie, rep), rng)
              for _ in range(index - first_random + 1)]
     assert render(draws[-1]) == x
     argv = ["eval", "--builtin", "so3", "--rep", "adjoint", "--quantum",
@@ -313,18 +312,18 @@ def _gr_mismatches(lie, rep, rng, pairs):
     top-degree part differs from the classical product of the top parts of
     x and y (gr U = S, gr Cl = /\\): the quantum algebra is filtered with
     the classical one as its associated graded."""
-    bad = 0
+    bad, q = 0, QuantumAlgebra(lie, rep)
     for _ in range(pairs):
-        x = random_element(qw.QuantumElement, lie, rep, rng)
-        y = random_element(qw.QuantumElement, lie, rep, rng)
+        x = random_element(q, rng)
+        y = random_element(q, rng)
         if x.is_zero or y.is_zero:
             continue
         top = max(x.degrees()) + max(y.degrees())
         xy = x * y
-        gr = [cw.ClassicalElement(lie, rep, {k: m for k, m in z.terms.items()
+        gr = [ClassicalElement(lie, rep, {k: m for k, m in z.terms.items()
                                              if _degree(k) == max(z.degrees())})
               for z in (x, y)]
-        top_xy = cw.ClassicalElement(lie, rep, {k: m for k, m in xy.terms.items()
+        top_xy = ClassicalElement(lie, rep, {k: m for k, m in xy.terms.items()
                                                 if _degree(k) == top})
         if max(xy.degrees(), default=0) > top or top_xy != gr[0] * gr[1]:
             bad += 1
