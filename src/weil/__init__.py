@@ -8,7 +8,7 @@ two kinds of `WeilAlgebra`, for elements, operators and curvature; and
 value.
 """
 
-from .linalg import Matrix, Scalar, format_scalar, kernel, parse_scalar, rank
+from .linalg import Matrix, format_scalar, kernel, parse_scalar, rank
 from .lie import (
     AlgebraDef,
     BilinearForm,
@@ -16,7 +16,6 @@ from .lie import (
     RepData,
     adjoint_rep,
     builtin,
-    builtin_names,
     load_algebra_file,
     trivial_rep,
     validate_form,
@@ -42,11 +41,9 @@ __all__ = [
     "Matrix",
     "QuantumAlgebra",
     "RepData",
-    "Scalar",
     "WeilAlgebra",
     "adjoint_rep",
     "builtin",
-    "builtin_names",
     "format_scalar",
     "kernel",
     "load_algebra_file",

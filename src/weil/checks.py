@@ -22,7 +22,7 @@ from .element import supercommutator
 from .kernels import add_term, ext_mono_mul, sym_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
-from .quantum import QuantumAlgebra
+from .quantum import QuantumAlgebra, gamma_square_formula
 from .render import render
 
 
@@ -310,13 +310,15 @@ def quantum_structure_suite(lie):
            if not supercommutator(alg.even_gen(a) + alg.g[a], alg.dirac).is_zero]
     results.append(_result("[u_a+g_a,D] = 0", bad))
 
-    rep_cas = alg.casimir_report()
-    results.append(_result("D^2 = (1/2) u_a u_a + gamma^2",
-                           [] if rep_cas["dirac_square_matches"] else ["mismatch"]))
-    ok = alg.gamma * alg.gamma == alg.scalar(rep_cas["gamma_squared"])
+    cas = sum((alg.even_gen(a) * alg.even_gen(a) for a in range(n)), alg.zero())
+    g2 = gamma_square_formula(lie)
+    ok = alg.dirac * alg.dirac == cas * Fraction(1, 2) + alg.scalar(g2)
+    results.append(_result("D^2 = (1/2) u_a u_a + gamma^2", [] if ok else ["mismatch"]))
+    ok = alg.gamma * alg.gamma == alg.scalar(g2)
     results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
-    results.append(_result("u_a u_a is central",
-                           [] if rep_cas["casimir_central"] else ["not central"]))
+    ok = all(supercommutator(cas, gen(b)).is_zero
+             for b in range(n) for gen in (alg.even_gen, alg.odd_gen))
+    results.append(_result("u_a u_a is central", [] if ok else ["not central"]))
     return results
 
 

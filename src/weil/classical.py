@@ -6,10 +6,11 @@ the monomial product.  Symmetric generators have degree 2, exterior ones
 degree 1, endomorphisms degree 0; parity is the exterior length mod 2.
 `ClassicalAlgebra` is the algebra on one (lie, rep).  Its operators
 L_a, iota_a and d are derivations, each given by its images of v^c, y^c
-and End V (read off `LieData.pair_brackets`) and extended to products
-by one Leibniz rule over generator images.  The rule runs once per
-(derivation, monomial): monomial images and the commutators [tau_b, A]
-are read from two bounded tables of the value.
+and End V (read off `LieData.pair_brackets`, see `derivations`) and
+extended to products by one Leibniz rule over generator images: that
+rule is the value's `_apply`.  It runs once per (derivation, monomial):
+monomial images and the commutators [tau_b, A] are read from two
+bounded tables of the value.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class ClassicalElement(element.Element):
         return (((sym_mono_mul(k1[0], k2[0]), e), sign, 1),)
 
 
-# entries of each value's two tables, read by `_leibniz`; 256 images
+# entries of each value's two tables, read by `_apply`; 256 images
 # catch 90% of the image lookups of an so3 adjoint check at 200 samples,
 # 1,024 catch 98% but add about 0.4 MB to the check-classical peak RSS
 IMAGE_TABLE_SIZE = 256
@@ -107,7 +108,11 @@ class ClassicalAlgebra(element.WeilAlgebra):
     @cached_property
     def derivations(self):
         """The derivations L_a (index a), iota_a (n + a) and d (2n), read
-        off `lie.pair_brackets()`; zero tau_b are dropped."""
+        off `lie.pair_brackets()`; zero tau_b are dropped.  Summed over j,
+        k and b: L_a (even, degree 0) is -f^c_ab v^b on v^c, -f^c_ab y^b on
+        y^c and [tau_a, A] on A; iota_a (odd, degree -1) is delta_ac on y^c
+        and zero on v^c and End V; d (odd, degree +1) is -f^c_jk y^j v^k on
+        v^c, v^c - (1/2) f^c_jk y^j y^k on y^c and y^b [tau_b, A] on A."""
         lie, taus = self.lie, self.rep.matrices
         n = lie.dim
         lv, ly = [{} for _ in range(n)], [{} for _ in range(n)]
@@ -148,7 +153,7 @@ class ClassicalAlgebra(element.WeilAlgebra):
             return (tuple(cnum), cden) if any(cnum) else None
         return commutator
 
-    def _leibniz(self, i, x: ClassicalElement) -> ClassicalElement:
+    def _apply(self, i, x: ClassicalElement) -> ClassicalElement:
         """D(x) for derivation i from the two tables, keyed by tuples of
         ints.  A term v^s y^e A adds the plain part of its image times A
         and, unless A = c I, the commutators of its End V part."""
@@ -165,22 +170,6 @@ class ClassicalAlgebra(element.WeilAlgebra):
                     if cm is not None:
                         accumulate(acc, key, cm[0], cm[1] * r, p)
         return self.element(collect(acc, self.rep.dim))
-
-    def lie_derivative(self, a, x: ClassicalElement) -> ClassicalElement:
-        """L_a, the even derivation with L_a v^c = -f^c_ab v^b, L_a y^c =
-        -f^c_ab y^b and L_a A = [tau_a, A]."""
-        return self._leibniz(a, x)
-
-    def contraction(self, a, x: ClassicalElement) -> ClassicalElement:
-        """iota_a, the odd derivation of degree -1 with iota_a y^c = delta_ac,
-        zero on v^c and End V."""
-        return self._leibniz(self.lie.dim + a, x)
-
-    def differential(self, x: ClassicalElement) -> ClassicalElement:
-        """The covariant differential, the odd derivation of degree +1 with
-        d v^c = -f^c_jk y^j v^k, d y^c = v^c - (1/2) f^c_jk y^j y^k and
-        d A = y^b [tau_b, A], summed over j, k and b."""
-        return self._leibniz(2 * self.lie.dim, x)
 
     @cached_property
     def curvature(self) -> ClassicalElement:

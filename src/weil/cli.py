@@ -14,7 +14,7 @@ from math import comb
 
 from . import ALGEBRAS, checks, flat
 from .expr import ExprError, evaluate, render
-from .lie import builtin, load_algebra_file, validate_form, validate_lie, validate_rep
+from .lie import FormReport, builtin, load_algebra_file, validate_form, validate_lie, validate_rep
 
 SCHEMA_VERSION = 1
 
@@ -61,25 +61,28 @@ def _context(args):
     return "classical"
 
 
+def _reports(alg, rep_names=None):
+    """The validation reports of the Lie data, its form if any and the
+    named representations (default: all), in that order; the
+    representations only when the Lie data is valid."""
+    reports = [validate_lie(alg.lie)]
+    if alg.form is not None:
+        reports.append(validate_form(alg.lie, alg.form))
+    if reports[0].ok:
+        reports += [validate_rep(alg.lie, alg.reps[name])
+                    for name in (rep_names if rep_names is not None else sorted(alg.reps))]
+    return reports
+
+
 def _validate_all(alg, rep_names=None):
     """Print validation reports; returns True when everything is valid."""
-    ok = True
-    report = validate_lie(alg.lie)
-    print("\n".join(report.lines()))
-    ok &= report.ok
-    if alg.form is not None:
-        freport = validate_form(alg.lie, alg.form)
-        lines = freport.lines()
-        if freport.ok:
-            lines[0] += " (orthonormal)" if freport.orthonormal else " (not orthonormal)"
+    reports = _reports(alg, rep_names)
+    for report in reports:
+        lines = report.lines()
+        if isinstance(report, FormReport) and report.ok:
+            lines[0] += " (orthonormal)" if report.orthonormal else " (not orthonormal)"
         print("\n".join(lines))
-        ok &= freport.ok
-    if report.ok:
-        for name in rep_names if rep_names is not None else sorted(alg.reps):
-            rreport = validate_rep(alg.lie, alg.reps[name])
-            print("\n".join(rreport.lines()))
-            ok &= rreport.ok
-    return ok
+    return all(r.ok for r in reports)
 
 
 def _require_rep(alg, args):
@@ -149,17 +152,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _quiet_valid(alg, rep) -> bool:
-    if not validate_lie(alg.lie).ok or not validate_rep(alg.lie, rep).ok:
-        return False
-    return alg.form is None or validate_form(alg.lie, alg.form).ok
-
-
 def cmd_eval(args) -> int:
     if args.expression is None:
         raise UsageError("an expression is required")
     alg, context, rep = _session(args)
-    if not _quiet_valid(alg, rep):
+    if not all(r.ok for r in _reports(alg, [rep.name])):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
         return EXIT_FAIL
     try:
@@ -216,7 +213,7 @@ def cmd_flat(args) -> int:
     _require_samples(args)
     alg, context, rep = _session(args)
     _require_domain_within_cap(alg.lie, rep, args.max_degree)
-    if not _quiet_valid(alg, rep):
+    if not all(r.ok for r in _reports(alg, [rep.name])):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)
         return EXIT_FAIL
     data = flat_report_data(alg, rep, context, args.max_degree, args.samples, args.seed)

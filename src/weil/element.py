@@ -203,9 +203,12 @@ class WeilAlgebra:
 
     A subclass sets `Element`, its element class; `KIND`, "classical" or
     "quantum"; and `GRADED`, whether its operators have exact degrees
-    (the flat solver then splits by degree).  It defines
-    `lie_derivative(a, x)`, `contraction(a, x)`, `differential(x)` and
-    the cached `curvature`.  Constructing a value builds nothing.
+    (the flat solver then splits by degree).  It defines the cached
+    `curvature` and `_apply(i, x)`: operator i of the table L_a, iota_a, d
+    (a = 0 .. n-1, so L_a is index a, iota_a is n + a and d is 2n)
+    applied to x.  These make the algebra a curved dg algebra; their
+    degrees are exact when GRADED and bound the filtration degree
+    otherwise.  Constructing a value builds nothing.
     """
 
     lie: object
@@ -242,6 +245,21 @@ class WeilAlgebra:
 
     def odd_gen(self, a):
         return self.element({((0,) * self.lie.dim, (a,)): Matrix.identity(self.rep.dim)})
+
+    # -- the operators: indices a, n + a and 2n of one table; range(n)[a]
+    # raises IndexError for an a >= n, which would reach another operator
+
+    def lie_derivative(self, a, x):
+        """L_a(x): even, of degree 0."""
+        return self._apply(range(self.lie.dim)[a], x)
+
+    def contraction(self, a, x):
+        """iota_a(x): odd, of degree -1."""
+        return self._apply(self.lie.dim + range(self.lie.dim)[a], x)
+
+    def differential(self, x):
+        """d(x), the covariant differential: odd, of degree +1."""
+        return self._apply(2 * self.lie.dim, x)
 
     # -- the curvature split -------------------------------------------------
 

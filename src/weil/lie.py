@@ -22,18 +22,15 @@ class BilinearForm:
     matrix: Matrix
 
     @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    @property
     def is_orthonormal(self) -> bool:
         return self.matrix.is_identity
 
 
 @dataclass(eq=False)
 class LieData:
-    """Dimension, structure constants f^c_ab keyed (a, b, c), named basis,
-    and one derived table, `pair_brackets`.
+    """Dimension, structure constants f^c_ab keyed (a, b, c) over the
+    0-based basis indices, an optional invariant form, a name, and one
+    derived table, `pair_brackets`.
 
     Entries are kept exactly as constructed so that validation can flag
     inconsistent orientations; builtins and the file loader only ever
@@ -42,14 +39,11 @@ class LieData:
 
     dim: int
     entries: dict
-    basis_names: tuple = ()
     form: BilinearForm | None = None
     name: str = ""
 
     def __post_init__(self):
         self.entries = {k: Fraction(v) for k, v in self.entries.items()}
-        if not self.basis_names:
-            self.basis_names = tuple(f"e{i + 1}" for i in range(self.dim))
         self._pairs = None
 
     def f(self, a, b, c) -> Fraction:
@@ -289,10 +283,6 @@ MAX_DIM = 48
 MAX_F_ENTRIES = 2000
 
 
-def builtin_names():
-    return ("abelian(n)", "heisenberg3", "so3", "sl2")
-
-
 def builtin(name: str) -> AlgebraDef:
     """Catalog of validated algebras: abelian(n), heisenberg3, so3, sl2."""
     m = _ABELIAN.match(name.strip())
@@ -304,8 +294,8 @@ def builtin(name: str) -> AlgebraDef:
         reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
         return AlgebraDef(name, lie, reps)
     if name == "heisenberg3":
-        lie = LieData(3, {(0, 1, 2): Fraction(1)},
-                      basis_names=("x", "y", "z"), name=name)
+        # basis (x, y, z): [x,y] = z
+        lie = LieData(3, {(0, 1, 2): Fraction(1)}, name=name)
         reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
         return AlgebraDef(name, lie, reps)
     if name == "so3":
@@ -321,7 +311,7 @@ def builtin(name: str) -> AlgebraDef:
     if name == "sl2":
         # basis (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
         f = {(0, 1, 2): Fraction(1), (0, 2, 0): Fraction(-2), (1, 2, 1): Fraction(2)}
-        lie = LieData(3, f, basis_names=("e", "f", "h"), name=name)
+        lie = LieData(3, f, name=name)
         std = RepData("standard", (
             Matrix.from_rows([[0, 1], [0, 0]]),
             Matrix.from_rows([[0, 0], [1, 0]]),
@@ -360,12 +350,13 @@ def load_algebra_file(path) -> AlgebraDef:
     """Load a JSON algebra definition.
 
     Schema: {"dim": n, "f": [[a, b, c, "p/q"], ...], "B": [[...]]?,
-    "reps": {"name": {"dim_v": d, "matrices": [[[...]]]}}?}.  Structure
-    constants are 1-based, only a < b entries are allowed, and the
-    antisymmetric partners are synthesized.  The trivial and adjoint
-    representations are always available.  A malformed file (true or
-    false count as no integer), a `dim` above MAX_DIM, an `f` longer
-    than MAX_F_ENTRIES or an entry that is not a plain "p/q" raises
+    "reps": {"name": {"dim_v": d, "matrices": [[[...]]]}}?, "name": "..."?}.
+    Structure constants are 1-based, only a < b entries are allowed, and
+    the antisymmetric partners are synthesized.  The trivial and adjoint
+    representations are always available; the name defaults to the path.
+    A malformed file (true or false count as no integer; a name that is
+    not a string), a `dim` above MAX_DIM, an `f` longer than
+    MAX_F_ENTRIES or an entry that is not a plain "p/q" raises
     ValueError naming a JSON path.
     """
     with open(path) as fh:
@@ -393,6 +384,7 @@ def load_algebra_file(path) -> AlgebraDef:
     if "B" in data:
         form = BilinearForm(_load_matrix(data["B"], "$.B"))
     name = data.get("name", str(path))
+    _expect(isinstance(name, str), "$.name", "a string")
     lie = LieData(n, entries, form=form, name=name)
     reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
     specs = data.get("reps", {})

@@ -33,14 +33,13 @@ with the vector.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
 so their storage is dense.  Most End V parts of the Weil algebras' elements
-are c I, so a product with a factor (c / den) I, found from the
-canonical form by a count of zeros and a look at the diagonal, is one
-scaling of the other factor, and `commutator` returns zero at once when
-either factor is c I.  Any other product, and any other commutator,
-walks the nonzero entries of whichever factor has fewer of them, adding
-a scaled row or column of the other factor for each: its cost follows
-the sparser factor, and the representation matrices are nearly all
-zeros.
+are c I; `_scalar` finds the c of a factor (c / den) I from the
+canonical form by a count of zeros and a look at the diagonal, and
+`element._products` uses it to take a product with such a factor as a
+scaling of the other factor.  A product or commutator here walks the
+nonzero entries of whichever factor has fewer of them, adding a scaled
+row or column of the other factor for each: its cost follows the
+sparser factor, and the representation matrices are nearly all zeros.
 """
 
 from __future__ import annotations
@@ -54,11 +53,8 @@ from itertools import compress
 from math import gcd, lcm
 from operator import add, sub
 
-Scalar = Fraction
-
-# maxsize of every cache: the identity matrices here and, in the modules
-# above, those per Lie algebra and rep (trivial rep, curvature,
-# distinguished elements); an evicted entry is rebuilt as an equal one
+# maxsize of the cache of identity matrices; an evicted entry is rebuilt
+# as an equal one
 CACHE_SIZE = 64
 
 # an optional minus sign (ASCII or typographic), digits, optional /digits;
@@ -214,8 +210,6 @@ class Matrix:
                 return self
             if p == -1:
                 return -self
-            if p == 0:
-                return Matrix.zeros(self.rows, self.cols)
             # gcd(den, *num) = 1: gcd(den, p) is all the product can cancel
             g = gcd(self.den, p)
             if g != 1:
@@ -231,21 +225,10 @@ class Matrix:
                 raise ValueError(
                     f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
                 )
-            # a factor (c / den) I only scales the other factor
-            c = self._scalar()
-            if c is not None:
-                return other._scale(c, self.den)
-            c = other._scalar()
-            if c is not None:
-                return self._scale(c, other.den)
-            return self._dense_mul(other)
+            return Matrix._canonical(self.rows, other.cols, *self._mul_num(other))
         if isinstance(other, (int, Fraction)):
             return self._scale(other.numerator, other.denominator)
         return NotImplemented
-
-    def _dense_mul(self, other):
-        """The product of shape-compatible matrices, canonical."""
-        return Matrix._canonical(self.rows, other.cols, *self._mul_num(other))
 
     def _mul_num(self, other):
         """(numerators, den) of the product of shape-compatible matrices,
@@ -285,8 +268,6 @@ class Matrix:
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
-        if self._scalar() is not None or other._scalar() is not None:
-            return Matrix.zeros(self.rows, self.cols)
         return Matrix._canonical(self.rows, self.rows, *self._commutator_num(other))
 
     def _commutator_num(self, other):

@@ -9,7 +9,9 @@ distinguished elements below make all three operators inner:
     D     = x_a u_a + gamma
 
 L_a, iota_a, and the covariant differential are super-commutators with
-u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively.  Elements are
+u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
+`inner` holds these elements in the order of the operator table, and
+its `_apply(i, x)` is the bracket [inner[i], x].  Elements are
 sparse maps (PBW monomial, Clifford monomial) -> matrix, with the
 arithmetic of `element.Element`; this module supplies the monomial
 product (PBW times Clifford).  Parity is the Clifford length mod 2, the
@@ -103,21 +105,17 @@ class QuantumAlgebra(element.WeilAlgebra):
         return sum((self.odd_gen(a) * self.tau(a) for a in range(self.lie.dim)), self.dirac)
 
     @cached_property
-    def lie_elements(self) -> tuple:
-        """u_a + g_a + tau_a, one per generator."""
-        return tuple(self.even_gen(a) + self.g[a] + self.tau(a) for a in range(self.lie.dim))
+    def inner(self) -> tuple:
+        """The elements whose brackets are the operators, at their indices
+        in the table: u_a + g_a + tau_a (L_a), x_a (iota_a), D + x_a tau_a (d)."""
+        n = self.lie.dim
+        return (tuple(self.even_gen(a) + self.g[a] + self.tau(a) for a in range(n))
+                + tuple(self.odd_gen(a) for a in range(n)) + (self.dirac_tau,))
 
     # -- operators: all three are inner -------------------------------------------
 
-    def lie_derivative(self, a, x: QuantumElement) -> QuantumElement:
-        return supercommutator(self.lie_elements[a], x)
-
-    def contraction(self, a, x: QuantumElement) -> QuantumElement:
-        return supercommutator(self.odd_gen(a), x)
-
-    def differential(self, x: QuantumElement) -> QuantumElement:
-        """The covariant differential ad(D + x_a tau_a)."""
-        return supercommutator(self.dirac_tau, x)
+    def _apply(self, i, x: QuantumElement) -> QuantumElement:
+        return supercommutator(self.inner[i], x)
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one
@@ -157,19 +155,6 @@ class QuantumAlgebra(element.WeilAlgebra):
         if curv != self.dirac_tau * self.dirac_tau:
             raise AssertionError("four-term curvature formula disagrees with (D + x tau)^2")
         return curv
-
-    def casimir_report(self) -> dict:
-        """Centrality of u_a u_a and the value of D^2."""
-        n = self.lie.dim
-        cas = sum((self.even_gen(a) * self.even_gen(a) for a in range(n)), self.zero())
-        central = all(supercommutator(cas, gen(b)).is_zero
-                      for b in range(n) for gen in (self.even_gen, self.odd_gen))
-        g2 = gamma_square_formula(self.lie)
-        return {
-            "casimir_central": central,
-            "dirac_square_matches": self.dirac * self.dirac == cas * Fraction(1, 2) + self.scalar(g2),
-            "gamma_squared": g2,
-        }
 
 
 def curvature(lie, rep) -> QuantumElement:

@@ -56,9 +56,9 @@ takes two such products and their difference.
 `element_mul` and `parity_supercommutator` are `weil.element`'s product
 and supercommutator before the bracket became one pass: every term pair
 makes a dense matrix product (`row_combination_mul`, even for a factor
-c I, which `Matrix.__mul__` now only scales), and the bracket splits
-both factors into parity parts and adds up four element products per
-pair of parts.  Both add each term as a canonical `Matrix` (`add_term`),
+c I, which `weil.element._products` now only scales), and the bracket
+splits both factors into parity parts and adds up four element products
+per pair of parts.  Both add each term as a canonical `Matrix` (`add_term`),
 as `weil.element` did before its products, brackets and derivations
 summed raw numerators into one accumulator per result key;
 `add_scaled` is that per-term step for a coefficient p / r (`sub_term`

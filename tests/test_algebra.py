@@ -20,6 +20,18 @@ def test_two_values_on_one_lie_and_rep_give_equal_elements(so3):
     assert a.curvature == b.curvature and a.dirac == b.dirac
 
 
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
+def test_an_operator_index_past_the_dimension_raises(so3, kind):
+    """L_a and iota_a are indices a and n + a of one operator table; an
+    a >= n must raise, not reach iota_0 or d."""
+    alg = kind(so3.lie, so3.reps["adjoint"])
+    x = alg.odd_gen(0) * alg.even_gen(1)
+    for op in (alg.lie_derivative, alg.contraction):
+        with pytest.raises(IndexError):
+            op(3, x)
+    assert alg.contraction(2, x) == alg.contraction(-1, x)
+
+
 @pytest.fixture
 def built(monkeypatch):
     """The values each algebra class constructs while the test runs."""

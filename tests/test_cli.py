@@ -353,6 +353,7 @@ def test_report_unknown_builtin_exits_two(capsys, name):
     ('{"dim": 2, "B": [[1, 0], [0]]}', "$.B: expected rows of equal length"),
     ('{"dim": 2, "reps": {"r": {"dim_v": 1, "matrices": [[[1]], 7]}}}',
      "$.reps.r.matrices[1]: expected a list of rows"),
+    ('{"dim": 1, "name": 7}', "$.name: expected a string"),
 ])
 def test_validate_malformed_file_exits_two_with_json_path(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from weil.checks import identity_part, quantum_structure_suite, quantum_suite, r
 from weil.classical import ClassicalElement
 from weil.cli import main
 from weil.element import supercommutator
-from weil.lie import BilinearForm, LieData, trivial_rep
+from weil.lie import BilinearForm, LieData, adjoint_rep, trivial_rep
 from weil.linalg import Matrix
 from weil.quantum import QuantumAlgebra
 from weil.render import render
@@ -184,14 +184,24 @@ def test_curvature_closed_and_squares(ctx):
 
 
 def test_casimir_report(so3, abelian2):
-    rep = QuantumAlgebra(so3.lie, trivial_rep(so3.lie)).casimir_report()
-    assert rep["casimir_central"]
-    assert rep["dirac_square_matches"]
-    assert rep["gamma_squared"] == Fraction(-1, 8)
-    rep = QuantumAlgebra(abelian2.lie, trivial_rep(abelian2.lie)).casimir_report()
-    assert rep["casimir_central"]
-    assert rep["dirac_square_matches"]
-    assert rep["gamma_squared"] == 0
+    """The structure suite's Casimir rows: u_a u_a is central and D^2 =
+    (1/2) u_a u_a + gamma^2, with gamma^2 from -(1/48) f_abc f_abc."""
+    for alg in (so3, abelian2):
+        rows = {r.name: r for r in quantum_structure_suite(alg.lie)}
+        for name in ("u_a u_a is central", "D^2 = (1/2) u_a u_a + gamma^2"):
+            assert rows[name].passed and rows[name].detail == "exact", (alg.name, name)
+
+
+def test_inner_elements_are_the_operator_table(so3):
+    """inner[a] = u_a + g_a + tau_a, inner[n + a] = x_a and inner[2n] =
+    D + x_a tau_a: L_a, iota_a and d are their brackets."""
+    for lie in (so3.lie, so3_plus_so3()):
+        q, n = QuantumAlgebra(lie, adjoint_rep(lie)), lie.dim
+        assert len(q.inner) == 2 * n + 1
+        for a in range(n):
+            assert q.inner[a] == q.even_gen(a) + q.g[a] + q.tau(a)
+            assert q.inner[n + a] == q.odd_gen(a)
+        assert q.inner[2 * n] == q.dirac_tau
 
 
 def test_filtration_degrees_of_operators(ctx):
