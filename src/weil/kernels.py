@@ -16,6 +16,11 @@ are exact ints and Fractions otherwise.  The word-rewriting routines
 these replace, including a Clifford product for a general form B, and
 the PBW kernel as it ran on Fractions only, live on in the tests as
 oracles.
+
+The Clifford and PBW products are memoized in bounded LRU caches.
+`_pbw_left` and `pbw_mono_mul` take the `LieData` itself as part of the
+key: `LieData` is declared `eq=False`, so the key hashes by identity, and
+an entry keeps its algebra alive until the entry is evicted.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .linalg import Matrix, parse_scalar, rank
 
@@ -188,27 +189,13 @@ def validate_form(lie: LieData, form: BilinearForm) -> FormReport:
         rep.add("form is not symmetric")
     if rank(dict(enumerate(B.num[i * n:(i + 1) * n])) for i in range(n)) != n:
         rep.add("form is degenerate")
-    # invariance at (a, b, d): sum_c f^c_ab B_cd + f^c_ad B_bc, over the
-    # nonzero f only; nothing to sum for an a with no nonzero bracket
-    brackets = lie.pair_brackets()
-    Bq = B.entries
-    for a in range(n):
-        row_a = [(d, brackets[(a, d)]) for d in range(n) if (a, d) in brackets]
-        if not row_a:
-            continue
-        for b in range(n):
-            sums = {}
-            for c, q in brackets.get((a, b), ()):
-                for d in range(n):
-                    if w := Bq[c * n + d]:
-                        sums[d] = sums.get(d, 0) + q * w
-            for d, pairs in row_a:
-                for c, q in pairs:
-                    if w := Bq[b * n + c]:
-                        sums[d] = sums.get(d, 0) + q * w
-            for d in sorted(sums):
-                if sums[d] != 0:
-                    rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {sums[d]}")
+    # invariance: ad_a^T B + B ad_a = 0, entry (b, d) the sum over c of
+    # f^c_ab B_cd + f^c_ad B_bc
+    for a, ad in enumerate(adjoint_rep(lie).matrices):
+        m = ad.transpose() * B + B * ad
+        for i in compress(range(n * n), m.num):
+            b, d = divmod(i, n)
+            rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {m[b, d]}")
     rep.orthonormal = form.is_orthonormal
     return rep
 

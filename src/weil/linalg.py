@@ -26,10 +26,10 @@ repeated or zero, and every result is reproducible bit for bit.  The
 order is therefore free for speed, and sparse rows first keep the
 stored pivot rows sparse: the pivot rows of the so3 adjoint quantum
 flat solve at degree 8 hold 16,541 nonzeros, against 97,752 with the
-rows in the solver's order (by codomain key).  `kernel`
-back-substitutes in integers too, each vector over one denominator,
-builds no Fraction, and visits only the pivot rows that share a column
-with the vector.
+rows in the solver's order (by codomain key).  `kernel` then reduces
+the echelon rows right to left (Gauss-Jordan), so each keeps entries only
+at its own pivot and at free columns, and reads every normalized vector
+off them in integers over one denominator; it builds no Fraction.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
 so their storage is dense.  Most End V parts of the Weil algebras' elements
@@ -48,7 +48,6 @@ import re
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import add, sub
@@ -205,19 +204,7 @@ class Matrix:
 
     def _scale(self, p, r):
         """self * (p / r), for integers p and r > 0."""
-        if r == 1:
-            if p == 1:
-                return self
-            if p == -1:
-                return -self
-            # gcd(den, *num) = 1: gcd(den, p) is all the product can cancel
-            g = gcd(self.den, p)
-            if g != 1:
-                p //= g
-            return Matrix._make(self.rows, self.cols,
-                                tuple([a * p for a in self.num]), self.den // g)
-        return Matrix._canonical(self.rows, self.cols,
-                                 [a * p for a in self.num], self.den * r)
+        return Matrix._canonical(self.rows, self.cols, [a * p for a in self.num], self.den * r)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -380,48 +367,44 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
     Each vector has its free variable set to 1 and the other free
     variables 0, and is returned as (numerators {column: int} in column
     order, denominator) in lowest terms; the basis is ordered by free
-    column.  Back substitution keeps a vector as integers over one
-    denominator and visits, largest first, only the pivot rows that
-    meet one of its nonzero entries: a pivot row sharing no column with
-    the vector would give its pivot entry 0.  Each pivot row solved adds
-    its pivot column, and with it the pivot rows that meet that column,
-    all of them further left.
+    column.  Gauss-Jordan: the echelon rows are reduced right to left,
+    each cleared at the pivot columns after its own by the rows already
+    reduced, so a reduced row has entries only at its pivot column c and
+    at free columns.  The vector of free column f is then read off:
+    x_c = -row_c[f] / row_c[c], over the lcm of those pivots.
     """
     pivots = _echelon(rows)
-    # column -> the pivot columns whose rows have an entry there, past the pivot
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        for c in [c for c in row if c != pc and c in pivots]:
+            # p row - v top cancels column c
+            top = pivots[c]
+            p, v = top[c], row[c]
+            g = gcd(p, v)
+            p, v = p // g, v // g
+            if p != 1:
+                row = {j: x * p for j, x in row.items()}
+            for j, x in top.items():
+                y = row.get(j, 0) - v * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+        g = gcd(*row.values())
+        pivots[pc] = {j: x // g for j, x in row.items()} if g > 1 else row
+    # free column -> (pivot column, entry there, pivot) of the rows meeting it
     meets = defaultdict(list)
     for pc, row in pivots.items():
-        for j in row:
+        p = row[pc]
+        for j, x in row.items():
             if j != pc:
-                meets[j].append(pc)
+                meets[j].append((pc, x, p))
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
-        vec, den = {fc: 1}, 1
-        queued = set(meets.get(fc, ()))
-        pending = [-pc for pc in queued]
-        heapify(pending)
-        while pending:
-            pc = -heappop(pending)
-            row = pivots[pc]
-            if len(row) < len(vec):
-                s = sum([x * vec[j] for j, x in row.items() if j in vec])
-            else:
-                s = sum([row[j] * x for j, x in vec.items() if j in row])
-            if not s:
-                continue
-            # entry pc is -s / (p den): bring the vector over den * |p / g|
-            p = row[pc]
-            g = gcd(s, p) if p > 0 else -gcd(s, p)
-            s, p = s // g, p // g
-            if p != 1:
-                for j in vec:
-                    vec[j] *= p
-                den *= p
-            vec[pc] = -s
-            for nxt in meets.get(pc, ()):
-                if nxt not in queued:
-                    queued.add(nxt)
-                    heappush(pending, -nxt)
-        g = gcd(den, *vec.values())
+        terms = meets.get(fc, ())
+        den = lcm(*[p for _, _, p in terms])
+        vec = {pc: -x * (den // p) for pc, x, p in terms}
+        vec[fc] = den
+        g = gcd(*vec.values())
         basis.append(({j: vec[j] // g for j in sorted(vec)}, den // g))
     return basis

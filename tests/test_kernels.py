@@ -290,3 +290,11 @@ def test_pbw_filtration_bound():
 
 def test_pbw_word_expansion():
     assert pbw_word((2, 0, 1)) == (0, 0, 2)
+
+
+def test_kernel_caches_are_bounded():
+    """The module-level product caches have a finite maxsize."""
+    for cache, bound in ((cliff_mono_mul, 1 << 16), (kernels._pbw_left, 1 << 16),
+                         (pbw_mono_mul, 1 << 14)):
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
