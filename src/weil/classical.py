@@ -8,20 +8,17 @@ degree 1, endomorphisms degree 0; parity is the exterior length mod 2.
 L_a, iota_a and d are derivations, each given by its images of v^c, y^c
 and End V (read off `LieData.pair_brackets`, see `derivations`) and
 extended to products by one Leibniz rule over generator images: that
-rule is the value's `_apply`.  It runs once per (derivation, monomial):
-monomial images and the commutators [tau_b, A] are read from two
-bounded tables of the value.
+rule is the value's `_image` of one monomial, which the shared
+`element.WeilAlgebra._apply` reads from the value's image table.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from . import element
-from .element import accumulate, collect
 from .kernels import _bump, ext_mono_mul, ext_normalize, sym_mono_mul
-from .linalg import Matrix
 
 
 class ClassicalElement(element.Element):
@@ -34,13 +31,6 @@ class ClassicalElement(element.Element):
             return ()
         sign, e = r
         return (((sym_mono_mul(k1[0], k2[0]), e), sign, 1),)
-
-
-# entries of each value's two tables, read by `_apply`; 256 images
-# catch 90% of the image lookups of an so3 adjoint check at 200 samples,
-# 1,024 catch 98% but add about 0.4 MB to the check-classical peak RSS
-IMAGE_TABLE_SIZE = 256
-COMMUTATOR_TABLE_SIZE = 128
 
 
 class _Derivation(NamedTuple):
@@ -67,8 +57,8 @@ def _monomial_image(der: _Derivation, s, e):
 
     as (plain, endo): the v- and y-slot terms merged per key, (key, p, r)
     for key times (p / r) A with zero sums dropped, and the End V slot,
-    (key, p, r, t) for key times (p / r) [tau_t, A].  Terms whose y-word
-    repeats an index are dropped.
+    (key, t, p, -p, r) for key times (p / r) [tau_t, A].  Terms whose
+    y-word repeats an index are dropped.
     """
     odd, vs, ys, endo = der
     # (v part, multiplicity, y's before, y's after, sign, image) per factor
@@ -90,7 +80,7 @@ def _monomial_image(der: _Derivation, s, e):
                 ws, word = 1, before + after
             key, p = (base if g is None else _bump(base, g, 1), word), p * k * sign * ws
             if t is not None:
-                endo_terms.append((key, p, r, t))
+                endo_terms.append((key, t, p, -p, r))
                 continue
             cur = plain.get(key)
             if cur is not None:  # p / r + q / u
@@ -134,42 +124,8 @@ class ClassicalAlgebra(element.WeilAlgebra):
         d = _Derivation(True, dv, dy, tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t))
         return lie_ders + iotas + (d,)
 
-    @cached_property
-    def image_table(self):
-        """(index, s, e) -> `_monomial_image` of derivation `index`, at most
-        IMAGE_TABLE_SIZE entries."""
-        ders = self.derivations
-        return lru_cache(maxsize=IMAGE_TABLE_SIZE)(lambda i, s, e: _monomial_image(ders[i], s, e))
-
-    @cached_property
-    def commutator_table(self):
-        """(b, A.num, A.den) -> the (numerators, den) of [tau_b, A], or None
-        for 0, at most COMMUTATOR_TABLE_SIZE entries."""
-        taus, dim = self.rep.matrices, self.rep.dim
-
-        @lru_cache(maxsize=COMMUTATOR_TABLE_SIZE)
-        def commutator(b, num, den):
-            cnum, cden = taus[b]._commutator_num(Matrix._make(dim, dim, num, den))
-            return (tuple(cnum), cden) if any(cnum) else None
-        return commutator
-
-    def _apply(self, i, x: ClassicalElement) -> ClassicalElement:
-        """D(x) for derivation i from the two tables, keyed by tuples of
-        ints.  A term v^s y^e A adds the plain part of its image times A
-        and, unless A = c I, the commutators of its End V part."""
-        image, commutator = self.image_table, self.commutator_table
-        acc = {}
-        for (s, e), mat in x.terms.items():
-            plain, endo = image(i, s, e)
-            num, den = mat.num, mat.den
-            for key, p, r in plain:
-                accumulate(acc, key, num, den * r, p)
-            if endo and mat._scalar() is None:
-                for key, p, r, t in endo:
-                    cm = commutator(t, num, den)
-                    if cm is not None:
-                        accumulate(acc, key, cm[0], cm[1] * r, p)
-        return self.element(collect(acc, self.rep.dim))
+    def _image(self, i, key):
+        return _monomial_image(self.derivations[i], *key)
 
     @cached_property
     def curvature(self) -> ClassicalElement:

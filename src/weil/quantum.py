@@ -10,20 +10,21 @@ distinguished elements below make all three operators inner:
 
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
-`inner` holds these elements in the order of the operator table, and
-its `_apply(i, x)` is the bracket [inner[i], x].  Elements are
-sparse maps (PBW monomial, Clifford monomial) -> matrix, with the
-arithmetic of `element.Element`; this module supplies the monomial
-product (PBW times Clifford).  Parity is the Clifford length mod 2, the
-filtration degree of a term is twice the PBW degree plus the Clifford
-length.  `QuantumAlgebra` is the algebra on one (lie, rep); it builds
-each distinguished element on first use.
+`inner` holds these elements in the order of the operator table, each
+built on first use, and its `_image(i, key)` brackets inner[i] with one
+monomial for `element.WeilAlgebra._apply`.  Elements are sparse maps
+(PBW monomial, Clifford monomial) -> matrix, with the arithmetic of
+`element.Element`; this module supplies the monomial product (PBW times
+Clifford).  Parity is the Clifford length mod 2, the filtration degree
+of a term is twice the PBW degree plus the Clifford length.
+`QuantumAlgebra` is the algebra on one (lie, rep).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import element
 from .element import supercommutator
@@ -104,18 +105,54 @@ class QuantumAlgebra(element.WeilAlgebra):
         """D + x_a tau_a."""
         return sum((self.odd_gen(a) * self.tau(a) for a in range(self.lie.dim)), self.dirac)
 
+    def _inner_element(self, i) -> QuantumElement:
+        """The element whose bracket is operator i (see `inner`)."""
+        n = self.lie.dim
+        return (self.even_gen(i) + self.g[i] + self.tau(i) if i < n
+                else self.odd_gen(i - n) if i < 2 * n else self.dirac_tau)
+
     @cached_property
     def inner(self) -> tuple:
         """The elements whose brackets are the operators, at their indices
         in the table: u_a + g_a + tau_a (L_a), x_a (iota_a), D + x_a tau_a (d)."""
-        n = self.lie.dim
-        return (tuple(self.even_gen(a) + self.g[a] + self.tau(a) for a in range(n))
-                + tuple(self.odd_gen(a) for a in range(n)) + (self.dirac_tau,))
+        return tuple(map(self._inner_element, range(2 * self.lie.dim + 1)))
 
     # -- operators: all three are inner -------------------------------------------
 
-    def _apply(self, i, x: QuantumElement) -> QuantumElement:
-        return supercommutator(self.inner[i], x)
+    @cached_property
+    def _operator_terms(self) -> dict:
+        return {}  # i -> `_inner_terms(i)`, filled per index on first use
+
+    def _inner_terms(self, i):
+        """The terms of `_inner_element(i)` as (key, t, p, r): key (p / r) I
+        for t None, else key tau_t."""
+        if i not in self._operator_terms:
+            self._operator_terms[i] = tuple(
+                (key, None, c, m.den) if (c := m._scalar()) is not None
+                else (key, self.rep.matrices.index(m), 1, 1)
+                for key, m in self._inner_element(i).terms.items())
+        return self._operator_terms[i]
+
+    def _image(self, i, key):
+        """[inner[i], key A]: k1 key M A - (-1)^{|k1||key|} key k1 A M per term
+        k1 M of inner[i], summed per (key', t) in integers; a c I part M adds
+        to the plain terms, a tau_t part to an endo term."""
+        mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
+        sums = {}  # (key', t) -> [pl, pr, r]: side 0 is M A, 1 is A M
+        for k1, t, p1, r1 in self._inner_terms(i):
+            yx = p1 if odd and len(k1[1]) & 1 else -p1
+            for side, pair, c in ((0, (k1, key), p1), (1, (key, k1), yx)):
+                for k, p, r in mono_mul(*pair):
+                    r *= r1
+                    cur = sums.setdefault((k, t), [0, 0, r])
+                    if cur[2] != r:  # both over the lcm of the two denominators
+                        m = lcm(cur[2], r)
+                        cur[:] = [x * (m // cur[2]) for x in cur[:2]] + [m]
+                        p *= m // r
+                    cur[side] += c * p
+        items = [(k, t, pl, pr, r) for (k, t), (pl, pr, r) in sums.items() if pl or pr]
+        return (tuple((k, pl + pr, r) for k, t, pl, pr, r in items if t is None and pl + pr),
+                tuple(term for term in items if term[1] is not None))
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one

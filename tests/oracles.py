@@ -48,6 +48,10 @@ commutators [tau_b, A] of every term, c I parts included.
 commutators were read from tables: it walks the product-rule slots of
 every term on every call, normalizes each y-word, and computes each
 commutator [tau_b, A] afresh.
+`bracket_apply` is `QuantumAlgebra`'s operator before its images were
+read per monomial from the value's tables: the whole supercommutator
+[inner[i], x], both halves of every term pair, with the leading terms
+that cancel built and summed.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
 sparser factor: the product combines, for each row of the left factor,
@@ -586,6 +590,12 @@ def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
                 accumulate(acc, (base if g is None else _bump(base, g, 1), word), num,
                            den * r, p * k * sign * ws)
     return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))
+
+
+def bracket_apply(alg, i, x):
+    """Operator i of the `QuantumAlgebra` `alg` applied to x, as the
+    bracket [alg.inner[i], x]."""
+    return supercommutator(alg.inner[i], x)
 
 
 # -- the dense Fraction kernel path ---------------------------------------------

@@ -11,6 +11,7 @@ from test_kernels import _so3_blocks
 
 from weil import adjoint_rep, builtin, trivial_rep
 from weil import classical as cw
+from weil import element as ew
 from weil.checks import (
     embed_scalar_poly,
     random_element,
@@ -304,8 +305,8 @@ def test_tables_match_the_slot_oracle(drawn):
             got = op(y)
             assert _bits(got) == _bits(oracles.slot_leibniz(der, y))
             assert all(got.terms.values())
-    for table, bound in ((c.image_table, cw.IMAGE_TABLE_SIZE),
-                         (c.commutator_table, cw.COMMUTATOR_TABLE_SIZE)):
+    for table, bound in ((c.image_table, ew.IMAGE_TABLE_SIZE),
+                         (c.commutator_table, ew.COMMUTATOR_TABLE_SIZE)):
         info = table.cache_info()
         assert info.maxsize == bound and info.currsize <= bound
 
@@ -314,8 +315,8 @@ def test_tables_match_the_slot_oracle_while_evicting():
     """The same comparison with both table bounds at 2 entries, on fresh
     values, so that nearly every lookup evicts an entry."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cw, "IMAGE_TABLE_SIZE", 2)
-        mp.setattr(cw, "COMMUTATOR_TABLE_SIZE", 2)
+        mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
+        mp.setattr(ew, "COMMUTATOR_TABLE_SIZE", 2)
         mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
                    [ClassicalAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
         test_tables_match_the_slot_oracle()

@@ -1,15 +1,22 @@
 import contextlib
+import gc
 import io
 import random
 import re
+import sys
+import weakref
 from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weil import builtin
+from weil import builtin, checks
+from weil import element as ew
 from weil import quantum as qw
 from weil.checks import identity_part, quantum_structure_suite, quantum_suite, random_element
-from weil.classical import ClassicalElement
+from weil.classical import ClassicalAlgebra, ClassicalElement
 from weil.cli import main
 from weil.element import supercommutator
 from weil.lie import BilinearForm, LieData, adjoint_rep, trivial_rep
@@ -202,6 +209,171 @@ def test_inner_elements_are_the_operator_table(so3):
             assert q.inner[a] == q.even_gen(a) + q.g[a] + q.tau(a)
             assert q.inner[n + a] == q.odd_gen(a)
         assert q.inner[2 * n] == q.dirac_tau
+
+
+def test_lie_derivative_builds_only_its_own_operator_entry(so3):
+    """The first L_a and iota_a on a fresh value build neither gamma (with
+    its cross-check), D nor D + x_a tau_a; the first d does."""
+    q = QuantumAlgebra(so3.lie, so3.reps["adjoint"])
+    q.lie_derivative(0, q.even_gen(1))
+    q.contraction(2, q.odd_gen(1))
+    assert not {"gamma", "dirac", "dirac_tau", "inner"} & set(vars(q))
+    q.differential(q.even_gen(1))
+    assert {"gamma", "dirac", "dirac_tau"} <= set(vars(q))
+
+
+def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
+    """The tables hold their value weakly: once every operator has filled
+    them, dropping the last reference frees the value with the cycle
+    collector off, classically and quantum-side."""
+    refs = []
+    gc.disable()
+    try:
+        for kind in (QuantumAlgebra, ClassicalAlgebra):
+            alg = kind(so3.lie, so3.reps["adjoint"])
+            x = alg.even_gen(0) * alg.odd_gen(1) * alg.tau(2)
+            for i in range(7):
+                alg._apply(i, x)
+            assert alg.image_table.cache_info().currsize and alg.commutator_table.cache_info().currsize
+            refs.append(weakref.ref(alg))
+            del alg
+    finally:
+        gc.enable()
+    assert [r() for r in refs] == [None, None]
+
+
+def _table_contexts():
+    """so3 trivial, standard and adjoint; abelian(2) adjoint, where every
+    tau is zero; so3+so3 adjoint, with 13 operators; so3 with halved
+    structure constants, whose PBW products have Fraction coefficients."""
+    so3, ab = builtin("so3"), builtin("abelian(2)")
+    pair = so3_plus_so3()
+    half = LieData(3, {k: q / 2 for k, q in so3.lie.entries.items()}, form=so3.lie.form,
+                   name="so3/2")
+    return ([(so3.lie, so3.reps[r]) for r in ("trivial", "standard", "adjoint")]
+            + [(ab.lie, ab.reps["adjoint"]), (pair, adjoint_rep(pair)),
+               (half, adjoint_rep(half))])
+
+
+TABLE_CONTEXTS = _table_contexts()
+TABLE_ALGEBRAS = [QuantumAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS]
+SCALES = [1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)]
+
+
+@st.composite
+def table_elements(draw):
+    """An element of a table context with 1 to 3 terms, each of PBW
+    degree <= 3 and up to 3 Clifford factors; each End V part is I, a
+    nonzero tau_a or a matrix unit, times a scale.  Also a fractional
+    scale q: x * q has x's numerators over other denominators."""
+    q = draw(st.sampled_from(TABLE_ALGEBRAS))
+    n, d, rep = q.lie.dim, q.rep.dim, q.rep
+    bases = [Matrix.identity(d), *(t for t in rep.matrices if t),
+             *(Matrix(d, d, [int(k == cell) for k in range(d * d)]) for cell in range(d * d))]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        even = tuple(letters.count(a) for a in range(n))
+        odd = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(n, 3)))))
+        terms[(even, odd)] = draw(st.sampled_from(bases)) * draw(st.sampled_from(SCALES))
+    return q, q.element(terms), draw(st.sampled_from(SCALES[3:]))
+
+
+def _bits(x):
+    return {key: (mat.num, mat.den) for key, mat in x.terms.items()}
+
+
+@given(table_elements())
+@settings(max_examples=60)
+def test_tables_match_the_bracket_oracle(drawn):
+    """All 2n + 1 operators read from the image and commutator tables
+    against `oracles.bracket_apply`, the whole bracket with inner[i],
+    numerators and denominator bit for bit, on x, x * q and d x; no
+    table exceeds its bound."""
+    q, x, scale = drawn
+    for y in (x, x * scale, oracles.bracket_apply(q, 2 * q.lie.dim, x)):
+        for i in range(2 * q.lie.dim + 1):
+            got = q._apply(i, y)
+            assert _bits(got) == _bits(oracles.bracket_apply(q, i, y)), i
+            assert all(got.terms.values())
+    for table, bound in ((q.image_table, ew.IMAGE_TABLE_SIZE),
+                         (q.commutator_table, ew.COMMUTATOR_TABLE_SIZE)):
+        info = table.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+
+
+def test_tables_match_the_bracket_oracle_while_evicting():
+    """The same comparison with both table bounds at 2 entries, on fresh
+    values, so that nearly every lookup evicts an entry."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
+        mp.setattr(ew, "COMMUTATOR_TABLE_SIZE", 2)
+        mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
+                   [QuantumAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
+        test_tables_match_the_bracket_oracle()
+        infos = [(q.image_table.cache_info(), q.commutator_table.cache_info())
+                 for q in TABLE_ALGEBRAS if "image_table" in vars(q)]
+    assert infos and all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
+    assert any(image.misses > 2 for image, _ in infos)
+    assert any(commutator.misses > 2 for _, commutator in infos)
+
+
+class _UncoupledDifferential(QuantumAlgebra):
+    """A wrong operator table: inner[2n] is D, without x_a tau_a."""
+
+    def _inner_element(self, i):
+        return self.dirac if i == 2 * self.lie.dim else super()._inner_element(i)
+
+
+class _CurvatureOperator(QuantumAlgebra):
+    """inner[2n] is the curvature: its u_a tau_a terms give images with
+    pl tau_a A + pr A tau_a, pl != -pr, which take two matrix products."""
+
+    def _inner_element(self, i):
+        return self.four_term_curvature() if i == 2 * self.lie.dim else super()._inner_element(i)
+
+
+class _SplitScalars(QuantumAlgebra):
+    """The operator terms with each c I part split into c/2 + c/3 + c/6:
+    the same operators, with sums over three denominators per image."""
+
+    def _inner_terms(self, i):
+        return tuple(split for key, t, p, r in super()._inner_terms(i)
+                     for split in ([(key, t, p, r)] if t is not None
+                                   else [(key, t, p, 2 * r), (key, t, p, 3 * r), (key, t, p, 6 * r)]))
+
+
+def test_images_sum_terms_over_differing_denominators(so3):
+    """Operator terms over different denominators merge exactly: with the
+    split terms every operator still equals its bracket, bit for bit."""
+    q = _SplitScalars(so3.lie, so3.reps["adjoint"])
+    rng = random.Random(13)
+    for _ in range(8):
+        x = random_element(q, rng, max_degree=4)
+        for i in range(7):
+            assert _bits(q._apply(i, x)) == _bits(oracles.bracket_apply(q, i, x)), i
+
+
+def test_operator_images_are_read_off_the_inner_elements(so3, monkeypatch):
+    """With inner[2n] = D the table-read d is the bracket with D, bit for
+    bit, and the suite on so3 adjoint reports failing rows: no image is
+    written down apart from `inner`.  With inner[2n] the curvature, d is
+    the bracket with it."""
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    q = _UncoupledDifferential(lie, rep)
+    assert q.inner[6] == q.dirac
+    rng = random.Random(7)
+    for _ in range(10):
+        x = random_element(q, rng, max_degree=4)
+        assert _bits(q.differential(x)) == _bits(supercommutator(q.dirac, x))
+    monkeypatch.setattr(checks, "QuantumAlgebra", _UncoupledDifferential)
+    failed = {r.name for r in quantum_suite(lie, rep, samples=4, seed=0) if not r.passed}
+    assert "restriction: d = d_W + iota_a tau_a" in failed, failed
+    q = _CurvatureOperator(lie, rep)
+    curv = q.four_term_curvature()
+    for _ in range(10):
+        x = random_element(q, rng, max_degree=4)
+        assert _bits(q.differential(x)) == _bits(supercommutator(curv, x))
 
 
 def test_filtration_degrees_of_operators(ctx):
