@@ -5,6 +5,13 @@ seeded random elements, exactly over the rationals.  Results come back
 as (name, passed, detail) records; nothing raises on failure, so a CLI
 or test can report all of them.
 
+Each case of an identity row is one accumulator: both sides, the right
+one negated, are summed in integers per result key (`apply_into`,
+`products_into`, `add_into`), and the case holds when the sum vanishes.
+Each key's sum is kept over one common denominator, so that test is
+exact.  Only d x, L_a x and iota_a x, which feed further operators, are
+built as elements.
+
 The restriction check uses an independently written differential on the
 scalar Weil algebra (no endomorphism factor), built as a sum of partial
 derivatives rather than by Leibniz insertion, so the two
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classical import ClassicalAlgebra, ClassicalElement
-from .element import supercommutator
+from .element import add_into, products_into, supercommutator, vanishes
 from .kernels import add_term, ext_mono_mul, sym_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
@@ -199,6 +206,7 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     n = alg.lie.dim
     brackets = alg.lie.pair_brackets()
     d, lie_derivative, contraction = alg.differential, alg.lie_derivative, alg.contraction
+    apply_into = alg.apply_into
 
     def pool():
         yield alg.unit()
@@ -217,18 +225,29 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
         lx = [lie_derivative(a, x) for a in range(n)]
         ix = [contraction(a, x) for a in range(n)]
         for a in range(n):
-            if contraction(a, dx) + d(ix[a]) != lx[a]:
+            acc = {}  # iota_a(d x) + d(iota_a x) - L_a x
+            apply_into(acc, n + a, dx, 1)
+            apply_into(acc, 2 * n, ix[a], 1)
+            add_into(acc, lx[a], -1)
+            if not vanishes(acc):
                 cartan.append(witness(i, x, f", a={a + 1}"))
-            if lie_derivative(a, dx) != d(lx[a]):
+            acc = {}  # L_a(d x) - d(L_a x)
+            apply_into(acc, a, dx, 1)
+            apply_into(acc, 2 * n, lx[a], -1)
+            if not vanishes(acc):
                 ld.append(witness(i, x, f", a={a + 1}"))
             for b in range(n):
-                lhs = lie_derivative(a, ix[b]) - contraction(b, lx[a])
-                rhs = alg.zero()
+                acc = {}  # L_a(iota_b x) - iota_b(L_a x) - f^c_ab iota_c x
+                apply_into(acc, a, ix[b], 1)
+                apply_into(acc, n + b, lx[a], -1)
                 for c, q in brackets.get((a, b), ()):
-                    rhs = rhs + ix[c] * q
-                if lhs != rhs:
+                    add_into(acc, ix[c], -q.numerator, q.denominator)
+                if not vanishes(acc):
                     liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
-        if d(dx) != supercommutator(curv, x):
+        acc = {}  # d(d x) - [curv, x]
+        apply_into(acc, 2 * n, dx, 1)
+        products_into(acc, curv, x, True, -1)
+        if not vanishes(acc):
             ddc.append(witness(i, x))
     total = 1 + 3 * n + samples
     return [
@@ -246,8 +265,13 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
 
 def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run every classical identity; returns a list of CheckResult."""
+    return _classical_rows(ClassicalAlgebra(lie, rep), samples, seed, max_degree)
+
+
+def _classical_rows(alg, samples, seed, max_degree):
+    """The classical rows on the `ClassicalAlgebra` value `alg`."""
+    lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    alg = ClassicalAlgebra(lie, rep)
     results = _operator_identities(alg, rng, seed, samples, max_degree, alg.curvature,
                                    ("C", "f^c_ab"))
 
@@ -257,9 +281,12 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
         if not poly:
             continue
         elem = embed_scalar_poly(lie, rep, poly)
-        if alg.differential(elem) != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
+        d_elem = alg.differential(elem)
+        if d_elem != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
             restrict.append(f"poly {i}")
-        if not alg.differential(alg.differential(elem)).is_zero:
+        acc = {}  # d(d elem)
+        alg.apply_into(acc, 2 * lie.dim, d_elem, 1)
+        if not vanishes(acc):
             ddzero.append(f"poly {i}")
     results.append(_result("restriction: d matches the scalar differential", restrict, samples))
     results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
@@ -268,10 +295,10 @@ def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
     for i in range(samples):
         poly = random_sym_poly(lie, rng, max_degree)
         f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
-        acc = alg.zero()
+        acc = {}  # v^a L_a f
         for a in range(lie.dim):
-            acc = acc + alg.even_gen(a) * alg.lie_derivative(a, f)
-        if not acc.is_zero:
+            products_into(acc, alg.even_gen(a), alg.lie_derivative(a, f), False, 1)
+        if not vanishes(acc):
             lemma.append(f"poly {i}")
     results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
     return results
@@ -330,8 +357,13 @@ def identity_part(x):
 
 def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     """Run the quantum operator identities; returns a list of CheckResult."""
+    return _quantum_rows(QuantumAlgebra(lie, rep), samples, seed, max_degree)
+
+
+def _quantum_rows(alg, samples, seed, max_degree):
+    """The quantum rows on the `QuantumAlgebra` value `alg`."""
+    lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    alg = QuantumAlgebra(lie, rep)
     results = list(quantum_structure_suite(lie))
     # the four-term element, not alg.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
@@ -346,11 +378,12 @@ def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
     restrict = []
     for i in range(samples // 2 + 1):
         ident_part = identity_part(random_element(alg, rng, max_degree))
-        lhs = alg.differential(ident_part)
-        rhs = alg.weil_differential(ident_part)
+        acc = {}  # d(X) - d_W(X) - iota_a(X) tau_a, d_W = [D, -]
+        alg.apply_into(acc, 2 * lie.dim, ident_part, 1)
+        products_into(acc, alg.dirac, ident_part, True, -1)
         for a in range(lie.dim):
-            rhs = rhs + alg.contraction(a, ident_part) * alg.tau(a)
-        if lhs != rhs:
+            products_into(acc, alg.contraction(a, ident_part), alg.tau(a), False, -1)
+        if not vanishes(acc):
             restrict.append(f"element {i}")
     results.append(_result("restriction: d = d_W + iota_a tau_a", restrict))
 

@@ -25,7 +25,7 @@ EXIT_INTERNAL = 3
 
 # random elements per identity (`check`, `report`) and closure samples
 # (`flat`, `report`): 50 samples of the so3 adjoint quantum check take
-# about 0.25 s, of the classical one about 0.1 s, on an Intel Xeon core
+# 0.10-0.15 s, of the classical one 0.09-0.11 s, on an Intel Xeon core
 MAX_SAMPLES = 1000
 # horizontal domain columns of a flat solve, C(n + N, n) monomials times
 # dim V^2 matrix units: so3 adjoint runs to N = 12 (4,095 columns),

@@ -21,6 +21,13 @@ matrix parts is c I the two matrix products agree and are one scaling
 of the other, and when the pair's monomials also supercommute (always
 classically; quantum-side when one has no even part and the other no
 odd part, as U(g) and Cl(g) are tensor factors) the two halves cancel.
+`apply_into` and `products_into` add sign times an image or a product
+into a caller's accumulator, and `_apply` and `_products` are each one
+of them followed by `collect`.  So an identity is checked by summing
+both of its sides, one negated, into one accumulator and asking
+`vanishes`: each key's sum is held as integer numerators over one
+denominator, so it is zero exactly when every numerator is, and no side
+that is only compared becomes a canonical `Matrix` or an element.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -144,32 +151,55 @@ def collect(acc: dict, dim: int) -> dict:
     return out
 
 
+def vanishes(acc: dict) -> bool:
+    """Whether the accumulator sums to zero: every key's numerators are 0.
+    Exact, as each key holds its sum over one common denominator."""
+    return not any(any(num) for num, _ in acc.values())
+
+
+def add_into(acc: dict, x: Element, p: int = 1, r: int = 1):
+    """acc += (p / r) x for integers p and r > 0."""
+    for key, mat in x.terms.items():
+        accumulate(acc, key, mat.num, mat.den * r, p)
+
+
 def supercommutator(x: Element, y: Element) -> Element:
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly over parities."""
     return _products(x, y, True)
 
 
 def _products(x: Element, y: Element, bracket: bool) -> Element:
-    """xy, or with `bracket` the supercommutator [x, y], in one pass over
-    the term pairs into one accumulator.
+    """xy, or with `bracket` the supercommutator [x, y] (`products_into`)."""
+    acc = {}
+    products_into(acc, x, y, bracket, 1)
+    return type(x)(x.lie, x.rep, collect(acc, x.rep.dim))
+
+
+def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
+    """acc += sign xy, or with `bracket` sign [x, y], in one pass over the
+    term pairs; sign is an integer, +-1 in use.
 
     The yx half of term pair (s, t) carries -(-1)^{|s||t|} in its
     coefficient, and each coefficient scales the raw matrix product.
-    Each matrix part is tested for c I once per call, not once per pair.
-    When one matrix part of a pair is c I, its matrix product is a
-    scaling of the other part and serves both halves; if the monomials
-    supercommute as well, the halves cancel and neither is computed.
+    Each matrix part is tested for c I once per call, not once per pair,
+    and the sign is folded into its c, or into the coefficient of a pair
+    with no c I part, so no term pays for it.  When one matrix part of a
+    pair is c I, its matrix product is a scaling of the other part and
+    serves both halves; if the monomials supercommute as well, the halves
+    cancel and neither is computed.
     """
     x._check_same(y)
     mono_mul = x._mono_mul
     everywhere = x.SUPERCOMMUTATIVE
-    acc = {}
     # every matrix part is dim V x dim V, so no product needs a shape
-    # check; c is the numerator of a c I part, else None
-    yterms = [(k2, m2, m2._scalar(), len(k2[1]) & 1, not any(k2[0]), not k2[1])
-              for k2, m2 in y.terms.items()]
+    # check; c is sign times the numerator of a c I part, else None
+    yterms = [(k2, m2, None if c2 is None else sign * c2, len(k2[1]) & 1,
+               not any(k2[0]), not k2[1])
+              for k2, m2 in y.terms.items() for c2 in (m2._scalar(),)]
     for k1, m1 in x.terms.items():
         c1 = m1._scalar()
+        if c1 is not None:
+            c1 *= sign
         odd1 = len(k1[1]) & 1
         no_even1, no_odd1 = not any(k1[0]), not k1[1]
         for k2, m2, c2, odd2, no_even2, no_odd2 in yterms:
@@ -177,13 +207,13 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
             if bracket and scalar and (everywhere or (no_even1 and no_odd2)
                                        or (no_odd1 and no_even2)):
                 continue  # the two halves cancel
-            # the matrix product m1 m2 is c * num / den
+            # the matrix product sign m1 m2 is c * num / den
             if c1 is not None:
                 num, den, c = m2.num, m1.den * m2.den, c1
             elif c2 is not None:
                 num, den, c = m1.num, m1.den * m2.den, c2
             else:
-                (num, den), c = m1._mul_num(m2), 1
+                (num, den), c = m1._mul_num(m2), sign
             if any(num):
                 for key, p, r in mono_mul(k1, k2):
                     accumulate(acc, key, num, den * r, c * p)
@@ -195,7 +225,6 @@ def _products(x: Element, y: Element, bracket: bool) -> Element:
                 c = c if odd1 and odd2 else -c  # the Koszul sign of the yx half
                 for key, p, r in mono_mul(k2, k1):
                     accumulate(acc, key, num, den * r, c * p)
-    return type(x)(x.lie, x.rep, collect(acc, x.rep.dim))
 
 
 # entries of each value's two tables, read by `WeilAlgebra._apply`; 256
@@ -289,29 +318,35 @@ class WeilAlgebra:
         return commutator
 
     def _apply(self, i, x):
-        """Operator i on x from the two tables.  A term key A adds its plain
-        image times A and, per endo term, one scaling of tau_t when A = c I,
-        pl [tau_t, A] when pl = -pr, else the two products."""
-        image, commutator, taus = self.image_table, self.commutator_table, self.rep.matrices
+        """Operator i on x (`apply_into`)."""
         acc = {}
+        self.apply_into(acc, i, x, 1)
+        return self.element(collect(acc, self.rep.dim))
+
+    def apply_into(self, acc, i, x, sign):
+        """acc += sign (operator i on x), from the two tables; sign is an
+        integer, +-1 in use.  A term key A adds its plain image times A
+        and, per endo term, one scaling of tau_t when A = c I, pl [tau_t, A]
+        when pl = -pr, else the two products."""
+        image, commutator, taus = self.image_table, self.commutator_table, self.rep.matrices
         for key, mat in x.terms.items():
             plain, endo = image(i, key)
             num, den = mat.num, mat.den
             for k, p, r in plain:
-                accumulate(acc, k, num, den * r, p)
+                accumulate(acc, k, num, den * r, sign * p)
             c = mat._scalar() if endo else None
             for k, t, pl, pr, r in endo:
                 if c is not None:  # (pl + pr) c tau_t, zero for a commutator
                     if pl + pr:
-                        accumulate(acc, k, taus[t].num, taus[t].den * den * r, (pl + pr) * c)
+                        accumulate(acc, k, taus[t].num, taus[t].den * den * r,
+                                   sign * (pl + pr) * c)
                 elif pl == -pr:
                     cm = commutator(t, num, den)
                     if cm is not None:
-                        accumulate(acc, k, cm[0], cm[1] * r, pl)
+                        accumulate(acc, k, cm[0], cm[1] * r, sign * pl)
                 else:
                     for q, (pn, pd) in ((pl, taus[t]._mul_num(mat)), (pr, mat._mul_num(taus[t]))):
-                        accumulate(acc, k, pn, pd * r, q)
-        return self.element(collect(acc, self.rep.dim))
+                        accumulate(acc, k, pn, pd * r, sign * q)
 
     # -- the curvature split -------------------------------------------------
 

@@ -68,6 +68,10 @@ summed raw numerators into one accumulator per result key;
 `add_scaled` is that per-term step for a coefficient p / r (`sub_term`
 subtracting for -1), and the classical operator oracles below still add
 through it.
+`operator_identities`, `classical_rows` and `quantum_rows` are
+`weil.checks`' identity rows before each case summed its two sides into
+one accumulator: every side is a canonical element, built through
+`+`, `-` and scalar products, and the two sides are compared with `==`.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -85,12 +89,16 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_structure_suite,
+                         random_element, random_scalar_weil_poly, random_sym_poly,
+                         scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
 from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
                        monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar
+from weil.render import render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
                           pbw_word, sym_mono_mul)
@@ -1140,3 +1148,119 @@ def dense_adjoint_rep(lie: LieData) -> RepData:
     for a in range(n):
         mats.append(Matrix(n, n, [lie.f(a, b, c) for c in range(n) for b in range(n)]))
     return RepData("adjoint", tuple(mats))
+
+
+# -- identity rows by element comparison ----------------------------------------
+
+def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
+    """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
+    `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
+    (seeded with `seed`) one at a time, each side a canonical element."""
+    cname, fname = names
+    n = alg.lie.dim
+    brackets = alg.lie.pair_brackets()
+    d, lie_derivative, contraction = alg.differential, alg.lie_derivative, alg.contraction
+
+    def pool():
+        yield alg.unit()
+        for make in (alg.even_gen, alg.odd_gen, alg.tau):
+            for a in range(n):
+                yield make(a)
+        for _ in range(samples):
+            yield random_element(alg, rng, max_degree)
+
+    def witness(i, x, indices=""):
+        return f"element {i} (seed {seed}){indices}: X = {render(x)}"
+
+    cartan, ld, liota, ddc = [], [], [], []
+    for i, x in enumerate(pool()):
+        dx = d(x)
+        lx = [lie_derivative(a, x) for a in range(n)]
+        ix = [contraction(a, x) for a in range(n)]
+        for a in range(n):
+            if contraction(a, dx) + d(ix[a]) != lx[a]:
+                cartan.append(witness(i, x, f", a={a + 1}"))
+            if lie_derivative(a, dx) != d(lx[a]):
+                ld.append(witness(i, x, f", a={a + 1}"))
+            for b in range(n):
+                lhs = lie_derivative(a, ix[b]) - contraction(b, lx[a])
+                rhs = alg.zero()
+                for c, q in brackets.get((a, b), ()):
+                    rhs = rhs + ix[c] * q
+                if lhs != rhs:
+                    liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
+        if d(dx) != supercommutator(curv, x):
+            ddc.append(witness(i, x))
+    total = 1 + 3 * n + samples
+    return [
+        _result("cartan formula [iota_a,d] = L_a", cartan, total),
+        _result("[L_a,d] = 0", ld, total),
+        _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
+        _result(f"d.d = [{cname},-]", ddc, total),
+        _result(f"bianchi d({cname}) = 0",
+                [] if d(curv).is_zero else [f"d({cname}) != 0"]),
+    ]
+
+
+def classical_rows(alg, samples, seed, max_degree):
+    """The rows of `weil.checks.classical_suite` on the value `alg`."""
+    lie, rep = alg.lie, alg.rep
+    rng = random.Random(seed)
+    results = operator_identities(alg, rng, seed, samples, max_degree, alg.curvature,
+                                  ("C", "f^c_ab"))
+
+    restrict, ddzero = [], []
+    for i in range(samples):
+        poly = random_scalar_weil_poly(lie, rng, max_degree)
+        if not poly:
+            continue
+        elem = embed_scalar_poly(lie, rep, poly)
+        if alg.differential(elem) != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
+            restrict.append(f"poly {i}")
+        if not alg.differential(alg.differential(elem)).is_zero:
+            ddzero.append(f"poly {i}")
+    results.append(_result("restriction: d matches the scalar differential", restrict, samples))
+    results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
+
+    lemma = []
+    for i in range(samples):
+        poly = random_sym_poly(lie, rng, max_degree)
+        f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
+        acc = alg.zero()
+        for a in range(lie.dim):
+            acc = acc + alg.even_gen(a) * alg.lie_derivative(a, f)
+        if not acc.is_zero:
+            lemma.append(f"poly {i}")
+    results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
+    return results
+
+
+def quantum_rows(alg, samples, seed, max_degree):
+    """The rows of `weil.checks.quantum_suite` on the value `alg`."""
+    lie, rep = alg.lie, alg.rep
+    rng = random.Random(seed)
+    results = list(quantum_structure_suite(lie))
+    curv = alg.four_term_curvature()
+    results += operator_identities(alg, rng, seed, samples, max_degree, curv, ("QC", "f_abc"))
+
+    ok = curv == alg.dirac_tau * alg.dirac_tau
+    results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
+                           [] if ok else ["mismatch"]))
+
+    restrict = []
+    for i in range(samples // 2 + 1):
+        ident_part = identity_part(random_element(alg, rng, max_degree))
+        lhs = alg.differential(ident_part)
+        rhs = alg.weil_differential(ident_part)
+        for a in range(lie.dim):
+            rhs = rhs + alg.contraction(a, ident_part) * alg.tau(a)
+        if lhs != rhs:
+            restrict.append(f"element {i}")
+    results.append(_result("restriction: d = d_W + iota_a tau_a", restrict))
+
+    x1 = alg.odd_gen(0)
+    differs = alg.differential(x1) != alg.weil_differential(x1)
+    ok = differs == bool(rep.matrices[0])
+    results.append(_result("restriction: d != d_W exactly when tau_1 is nonzero",
+                           [] if ok else ["witness failed at x1"]))
+    return results

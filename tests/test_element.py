@@ -2,6 +2,7 @@
 oracles they replaced (`oracles.element_mul`, `oracles.parity_supercommutator`),
 element for element, in both algebras."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from weil import AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin
-from weil.element import supercommutator
+from weil.checks import random_element
+from weil.element import (_products, accumulate, add_into, collect, products_into,
+                          supercommutator, vanishes)
 from weil.linalg import Matrix
 
 # (kind, algebra, rep): the adjoint reps give the tau_a parts (nilpotent
@@ -231,3 +234,65 @@ def test_quantum_products_carry_fraction_pbw_coefficients():
         want = sum((q.even_gen(c) * f for c, f in row), q.zero())
         assert want.terms and all(m.den == 2 for m in want.terms.values())
         assert supercommutator(q.even_gen(a), q.even_gen(b)) == want
+
+
+# -- signed accumulation and the zero test of the identity rows -----------------
+
+def test_vanishes_only_when_every_key_sums_to_zero():
+    """1/2 A - 2/4 A vanishes, 1/2 A - 1/3 A does not, and a key that
+    only one side adds does not."""
+    a = Matrix.from_rows([[1, -2], [0, Fraction(3, 5)]])
+    k1, k2 = ((1, 0), ()), ((0, 0), (1,))
+    acc = {}
+    accumulate(acc, k1, a.num, a.den * 2)
+    accumulate(acc, k1, a.num, a.den * 4, -2)
+    assert vanishes(acc) and vanishes({})
+    accumulate(acc, k2, a.num, a.den * 3, -1)
+    assert not vanishes(acc)
+    acc = {}
+    accumulate(acc, k1, a.num, a.den * 2)
+    accumulate(acc, k1, a.num, a.den * 3, -1)
+    assert not vanishes(acc)
+    tau = QuantumAlgebra(_SO3, ALGEBRAS["so3"].reps["adjoint"]).tau(0)
+    acc = {}
+    add_into(acc, tau, 1, 2)
+    add_into(acc, tau, -2, 4)
+    assert vanishes(acc)
+
+
+SIGN_CONTEXTS = [(mod, ALGEBRAS[name].lie, ALGEBRAS[name].reps[rep])
+                 for mod, name, rep in SETTINGS + [(QuantumAlgebra, "so3/2", "adjoint")]]
+
+
+@pytest.mark.parametrize("mod,lie,rep", SIGN_CONTEXTS,
+                         ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
+def test_apply_into_with_sign_minus_one_cancels_the_operator(mod, lie, rep):
+    """For every operator i, apply_into with sign -1 and then _apply added
+    vanishes, and apply_into with sign -1 alone collects to -_apply bit
+    for bit."""
+    alg = mod(lie, rep)
+    rng = random.Random(5)
+    for _ in range(6):
+        x = random_element(alg, rng, max_degree=4)
+        for i in range(2 * lie.dim + 1):
+            acc = {}
+            alg.apply_into(acc, i, x, -1)
+            add_into(acc, alg._apply(i, x))
+            assert vanishes(acc), i
+            acc = {}
+            alg.apply_into(acc, i, x, -1)
+            neg = collect(acc, rep.dim)
+            _same_bits(alg.element(neg), -alg._apply(i, x))
+
+
+@given(element_pairs(), st.booleans())
+@settings(max_examples=150)
+def test_products_into_with_sign_minus_one_negates_the_product(pair, bracket):
+    """products_into(..., -1) is -_products bit for bit, product and bracket."""
+    mod, x, y = pair
+    acc = {}
+    products_into(acc, x, y, bracket, -1)
+    got = type(x)(x.lie, x.rep, collect(acc, x.rep.dim))
+    _same_bits(got, -_products(x, y, bracket))
+    add_into(acc, _products(x, y, bracket))
+    assert vanishes(acc)
