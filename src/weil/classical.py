@@ -55,10 +55,10 @@ def _monomial_image(der: _Derivation, s, e):
       + sum_j (-1)^(j |D|) v^s y^(e<j) D(y^(e_j)) y^(e>j) A
       + (-1)^(|e| |D|) v^s y^e D(A)
 
-    as (plain, endo): the v- and y-slot terms merged per key, (key, p, r)
-    for key times (p / r) A with zero sums dropped, and the End V slot,
-    (key, t, p, -p, r) for key times (p / r) [tau_t, A].  Terms whose
-    y-word repeats an index are dropped.
+    as (plain, endo): the v- and y-slot terms summed per key by
+    `element.accumulate`, (key, p, r) for key times (p / r) A with zero
+    sums dropped, and the End V slot, (key, t, p, -p, r) for key times
+    (p / r) [tau_t, A].  Terms whose y-word repeats an index are dropped.
     """
     odd, vs, ys, endo = der
     # (v part, multiplicity, y's before, y's after, sign, image) per factor
@@ -81,13 +81,9 @@ def _monomial_image(der: _Derivation, s, e):
             key, p = (base if g is None else _bump(base, g, 1), word), p * k * sign * ws
             if t is not None:
                 endo_terms.append((key, t, p, -p, r))
-                continue
-            cur = plain.get(key)
-            if cur is not None:  # p / r + q / u
-                q, u = cur
-                p, r = (p + q, r) if u == r else (p * u + q * r, r * u)
-            plain[key] = p, r
-    return tuple((key, p, r) for key, (p, r) in plain.items() if p), tuple(endo_terms)
+            else:
+                element.accumulate(plain, key, (p,), r)
+    return tuple((key, p, r) for key, ((p,), r) in plain.items() if p), tuple(endo_terms)
 
 
 class ClassicalAlgebra(element.WeilAlgebra):

@@ -30,6 +30,9 @@ rows in the solver's order (by codomain key).  `kernel` then reduces
 the echelon rows right to left (Gauss-Jordan), so each keeps entries only
 at its own pivot and at free columns, and reads every normalized vector
 off them in integers over one denominator; it builds no Fraction.
+Both passes run one step, written once: `_cancel` clears a column by
+coprime integer multiples of a row and a pivot row, and `_primitive`
+divides a row, or a kernel vector with its denominator, by its content.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
 so their storage is dense.  Most End V parts of the Weil algebras' elements
@@ -322,6 +325,29 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self.render()})"
 
 
+def _cancel(row, top, c):
+    """p row - v top, p / v = top[c] / row[c] in lowest terms: `row` with
+    column c cleared by the pivot row `top`, changed in place when p is 1."""
+    p, v = top[c], row[c]
+    g = gcd(p, v)
+    p, v = p // g, v // g
+    if p != 1:
+        row = {j: x * p for j, x in row.items()}
+    for j, x in top.items():
+        y = row.get(j, 0) - v * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+    return row
+
+
+def _primitive(row):
+    """`row` ({column: int}) divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
 def _echelon(rows):
     """Echelon basis of the span of `rows` ({column: int}), as a dict
     leading column -> primitive row.
@@ -337,21 +363,9 @@ def _echelon(rows):
             c = min(row)
             top = pivots.get(c)
             if top is None:
-                g = gcd(*row.values())
-                pivots[c] = {j: x // g for j, x in row.items()} if g > 1 else row
+                pivots[c] = _primitive(row)
                 break
-            # p row - v top cancels column c
-            p, v = top[c], row[c]
-            g = gcd(p, v)
-            p, v = p // g, v // g
-            if p != 1:
-                row = {j: x * p for j, x in row.items()}
-            for j, x in top.items():
-                y = row.get(j, 0) - v * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+            row = _cancel(row, top, c)
     return pivots
 
 
@@ -377,21 +391,8 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
     for pc in sorted(pivots, reverse=True):
         row = pivots[pc]
         for c in [c for c in row if c != pc and c in pivots]:
-            # p row - v top cancels column c
-            top = pivots[c]
-            p, v = top[c], row[c]
-            g = gcd(p, v)
-            p, v = p // g, v // g
-            if p != 1:
-                row = {j: x * p for j, x in row.items()}
-            for j, x in top.items():
-                y = row.get(j, 0) - v * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-        g = gcd(*row.values())
-        pivots[pc] = {j: x // g for j, x in row.items()} if g > 1 else row
+            row = _cancel(row, pivots[c], c)
+        pivots[pc] = _primitive(row)
     # free column -> (pivot column, entry there, pivot) of the rows meeting it
     meets = defaultdict(list)
     for pc, row in pivots.items():
@@ -404,7 +405,7 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
         terms = meets.get(fc, ())
         den = lcm(*[p for _, _, p in terms])
         vec = {pc: -x * (den // p) for pc, x, p in terms}
-        vec[fc] = den
-        g = gcd(*vec.values())
-        basis.append(({j: vec[j] // g for j in sorted(vec)}, den // g))
+        vec[fc] = den  # the free variable 1, so vec[fc] is its denominator
+        vec = _primitive(vec)
+        basis.append((dict(sorted(vec.items())), vec[fc]))
     return basis

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 from . import element
-from .element import supercommutator
+from .element import accumulate, supercommutator
 from .kernels import add_term, cliff_mono_mul, pbw_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
@@ -135,22 +134,17 @@ class QuantumAlgebra(element.WeilAlgebra):
 
     def _image(self, i, key):
         """[inner[i], key A]: k1 key M A - (-1)^{|k1||key|} key k1 A M per term
-        k1 M of inner[i], summed per (key', t) in integers; a c I part M adds
-        to the plain terms, a tau_t part to an endo term."""
+        k1 M of inner[i], summed per (key', t) by `element.accumulate` as the
+        2-vector (pl, pr) of the M A and A M sides over one r; a c I part M
+        adds to the plain terms, a tau_t part to an endo term."""
         mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
-        sums = {}  # (key', t) -> [pl, pr, r]: side 0 is M A, 1 is A M
+        sums = {}  # (key', t) -> ((pl, pr), r)
         for k1, t, p1, r1 in self._inner_terms(i):
             yx = p1 if odd and len(k1[1]) & 1 else -p1
-            for side, pair, c in ((0, (k1, key), p1), (1, (key, k1), yx)):
+            for side, pair, c in (((1, 0), (k1, key), p1), ((0, 1), (key, k1), yx)):
                 for k, p, r in mono_mul(*pair):
-                    r *= r1
-                    cur = sums.setdefault((k, t), [0, 0, r])
-                    if cur[2] != r:  # both over the lcm of the two denominators
-                        m = lcm(cur[2], r)
-                        cur[:] = [x * (m // cur[2]) for x in cur[:2]] + [m]
-                        p *= m // r
-                    cur[side] += c * p
-        items = [(k, t, pl, pr, r) for (k, t), (pl, pr, r) in sums.items() if pl or pr]
+                    accumulate(sums, (k, t), side, r * r1, c * p)
+        items = [(k, t, pl, pr, r) for (k, t), ((pl, pr), r) in sums.items() if pl or pr]
         return (tuple((k, pl + pr, r) for k, t, pl, pr, r in items if t is None and pl + pr),
                 tuple(term for term in items if term[1] is not None))
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows,
                      row_combination_mul, two_product_commutator)
-from weil.linalg import CACHE_SIZE, Matrix, format_scalar, kernel, parse_scalar, rank
+from weil.linalg import (CACHE_SIZE, Matrix, _cancel, _primitive, format_scalar, kernel,
+                         parse_scalar, rank)
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -471,6 +472,18 @@ def test_kernel_and_rank_without_rows_or_columns():
         m = Matrix.zeros(rows, cols)
         assert oracles.rank(m) == 0
         assert [_column(vec, cols) for vec in kernel(_rows(m), cols)] == oracles.nullspace(m)
+
+
+def test_one_elimination_step():
+    """`_cancel` clears the column by coprime multiples of the row and the
+    pivot row; `_primitive` divides by the content, so a kernel vector of
+    a row with content 2 comes out in lowest terms."""
+    assert _cancel({0: 2, 1: 3}, {0: 4, 1: 1}, 0) == {1: 5}
+    assert _cancel({0: 3, 2: 1}, {0: 1, 1: 2}, 0) == {1: -6, 2: 1}
+    assert _primitive({0: 6, 3: -4}) == {0: 3, 3: -2}
+    assert _primitive({1: -1}) == {1: -1}
+    assert kernel([{0: 2, 1: 4}], 2) == [({0: -2, 1: 1}, 1)]
+    assert kernel([{0: 2, 2: 4}, {1: 3, 2: 6}], 3) == [({0: -2, 1: -2, 2: 1}, 1)]
 
 
 def test_negative_leading_entries():
