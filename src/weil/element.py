@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache, partial
 from math import gcd
 from operator import add, sub
 
-from .kernels import add_term
+from .kernels import _bump, add_term
 from .linalg import Matrix
 from .render import render
 
@@ -274,26 +274,33 @@ class WeilAlgebra:
     def scalar(self, q):
         return self.unit() * Fraction(q)
 
+    def _check_index(self, a):
+        """a, or IndexError outside range(n): a negative index would count
+        from the end, and an operator's a >= n would reach another operator."""
+        if not 0 <= a < self.lie.dim:
+            raise IndexError(f"generator index {a} is not in range({self.lie.dim})")
+        return a
+
     def tau(self, a):
-        return self.endo(self.rep.matrices[a])
+        return self.endo(self.rep.matrices[self._check_index(a)])
 
     def even_gen(self, a):
-        mono = tuple(int(i == a) for i in range(self.lie.dim))
+        mono = _bump((0,) * self.lie.dim, self._check_index(a), 1)
         return self.element({(mono, ()): Matrix.identity(self.rep.dim)})
 
     def odd_gen(self, a):
-        return self.element({((0,) * self.lie.dim, (a,)): Matrix.identity(self.rep.dim)})
+        key = ((0,) * self.lie.dim, (self._check_index(a),))
+        return self.element({key: Matrix.identity(self.rep.dim)})
 
-    # -- the operators: indices a, n + a and 2n of one table; range(n)[a]
-    # raises IndexError for an a >= n, which would reach another operator
+    # -- the operators: indices a, n + a and 2n of one table
 
     def lie_derivative(self, a, x):
         """L_a(x): even, of degree 0."""
-        return self._apply(range(self.lie.dim)[a], x)
+        return self._apply(self._check_index(a), x)
 
     def contraction(self, a, x):
         """iota_a(x): odd, of degree -1."""
-        return self._apply(self.lie.dim + range(self.lie.dim)[a], x)
+        return self._apply(self.lie.dim + self._check_index(a), x)
 
     def differential(self, x):
         """d(x), the covariant differential: odd, of degree +1."""

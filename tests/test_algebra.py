@@ -23,13 +23,26 @@ def test_two_values_on_one_lie_and_rep_give_equal_elements(so3):
 @pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
 def test_an_operator_index_past_the_dimension_raises(so3, kind):
     """L_a and iota_a are indices a and n + a of one operator table; an
-    a >= n must raise, not reach iota_0 or d."""
+    a >= n must raise, not reach iota_0 or d, and an a < 0 must raise,
+    not act as index n + a."""
     alg = kind(so3.lie, so3.reps["adjoint"])
     x = alg.odd_gen(0) * alg.even_gen(1)
     for op in (alg.lie_derivative, alg.contraction):
-        with pytest.raises(IndexError):
-            op(3, x)
-    assert alg.contraction(2, x) == alg.contraction(-1, x)
+        for a in (-1, 3):
+            with pytest.raises(IndexError):
+                op(a, x)
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
+def test_a_generator_index_outside_the_range_raises(so3, kind):
+    """tau(a), even_gen(a) and odd_gen(a) raise for a = -1 and a = n:
+    neither the unit, a generator of index n + 1, nor tau_(n-1)."""
+    alg = kind(so3.lie, so3.reps["adjoint"])
+    for make in (alg.tau, alg.even_gen, alg.odd_gen):
+        for a in (-1, 3):
+            with pytest.raises(IndexError):
+                make(a)
+        assert not make(2).is_zero
 
 
 @pytest.fixture
