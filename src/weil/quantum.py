@@ -134,16 +134,16 @@ class QuantumAlgebra(element.WeilAlgebra):
 
     def _image(self, i, key):
         """[inner[i], key A]: k1 key M A - (-1)^{|k1||key|} key k1 A M per term
-        k1 M of inner[i], summed per (key', t) by `element.accumulate` as the
-        2-vector (pl, pr) of the M A and A M sides over one r; a c I part M
-        adds to the plain terms, a tau_t part to an endo term."""
+        k1 M of inner[i], summed per (key', t) into (pl, pr) by `accumulate`;
+        a c I part M adds to the plain terms, a tau_t part to an endo term."""
         mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
-        sums = {}  # (key', t) -> ((pl, pr), r)
+        sums = {}  # (key', t) -> ((pl, pr), r): pl of the M A side, pr of A M
         for k1, t, p1, r1 in self._inner_terms(i):
             yx = p1 if odd and len(k1[1]) & 1 else -p1
-            for side, pair, c in (((1, 0), (k1, key), p1), ((0, 1), (key, k1), yx)):
-                for k, p, r in mono_mul(*pair):
-                    accumulate(sums, (k, t), side, r * r1, c * p)
+            for k, p, r in mono_mul(k1, key):
+                accumulate(sums, (k, t), (p1 * p, 0), r * r1)
+            for k, p, r in mono_mul(key, k1):
+                accumulate(sums, (k, t), (0, yx * p), r * r1)
         items = [(k, t, pl, pr, r) for (k, t), ((pl, pr), r) in sums.items() if pl or pr]
         return (tuple((k, pl + pr, r) for k, t, pl, pr, r in items if t is None and pl + pr),
                 tuple(term for term in items if term[1] is not None))
