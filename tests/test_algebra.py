@@ -35,8 +35,8 @@ def test_an_operator_index_past_the_dimension_raises(so3, kind):
 
 @pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
 def test_a_generator_index_outside_the_range_raises(so3, kind):
-    """tau(a), even_gen(a) and odd_gen(a) raise for a = -1 and a = n:
-    neither the unit, a generator of index n + 1, nor tau_(n-1)."""
+    """tau(a), even_gen(a) and odd_gen(a) raise for a = -1 and a = n,
+    rather than count from the end or build a generator outside g."""
     alg = kind(so3.lie, so3.reps["adjoint"])
     for make in (alg.tau, alg.even_gen, alg.odd_gen):
         for a in (-1, 3):
