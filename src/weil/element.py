@@ -45,7 +45,7 @@ from math import gcd
 from operator import add, sub
 
 from .kernels import _bump, add_term
-from .linalg import Matrix
+from .linalg import Matrix, exact_scalar
 from .render import render
 
 
@@ -90,7 +90,9 @@ class Element:
             q = Fraction(other)
             terms = {m: c * q for m, c in self.terms.items()} if q else {}
             return type(self)(self.lie, self.rep, terms)
-        return _products(self, other, False)
+        if isinstance(other, Element):
+            return _products(self, other, False)
+        return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -272,7 +274,7 @@ class WeilAlgebra:
         return self.endo(Matrix.identity(self.rep.dim))
 
     def scalar(self, q):
-        return self.unit() * Fraction(q)
+        return self.unit() * exact_scalar(q)
 
     def _check_index(self, a):
         """a, or IndexError outside range(n): a negative index would count

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
-from .linalg import Matrix, parse_scalar, rank
+from .linalg import Matrix, exact_scalar, parse_scalar, rank
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LieData:
     name: str = ""
 
     def __post_init__(self):
-        self.entries = {k: Fraction(v) for k, v in self.entries.items()}
+        self.entries = {k: exact_scalar(v) for k, v in self.entries.items()}
         self._pairs = None
 
     def f(self, a, b, c) -> Fraction:

@@ -33,6 +33,9 @@ off them in integers over one denominator; it builds no Fraction.
 Both passes run one step, written once: `_cancel` clears a column by
 coprime integer multiples of a row and a pivot row, and `_primitive`
 divides a row, or a kernel vector with its denominator, by its content.
+Each pass raises AssertionError (not an `assert`, which `python -O`
+strips) when a step leaves its column in the row, so a wrong step fails
+at once instead of reducing the same row forever.
 
 Matrices stay tiny here (endomorphism spaces of small representations),
 so their storage is dense.  Most End V parts of the Weil algebras' elements
@@ -78,6 +81,15 @@ def parse_scalar(text: str) -> Fraction:
     return -q if m[1] else q
 
 
+def exact_scalar(q) -> Fraction:
+    """q as a Fraction; a float raises TypeError.  Fraction(0.1) is the
+    binary rounding of 0.1, 3602879701896397/36028797018963968, and would
+    pass for an exact value in every result built on it."""
+    if isinstance(q, float):
+        raise TypeError(f"a float is not an exact scalar: {q!r}; pass a Fraction or an int")
+    return Fraction(q)
+
+
 def format_scalar(q) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     q = Fraction(q)
@@ -97,7 +109,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows, cols, entries):
-        entries = [e if type(e) is int or type(e) is Fraction else Fraction(e)
+        entries = [e if type(e) is int or type(e) is Fraction else exact_scalar(e)
                    for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
@@ -366,6 +378,8 @@ def _echelon(rows):
                 pivots[c] = _primitive(row)
                 break
             row = _cancel(row, top, c)
+            if c in row:  # else the row would be reduced at c forever
+                raise AssertionError(f"elimination left column {c} in a row")
     return pivots
 
 
@@ -392,6 +406,8 @@ def kernel(rows, ncols) -> list[tuple[dict, int]]:
         row = pivots[pc]
         for c in [c for c in row if c != pc and c in pivots]:
             row = _cancel(row, pivots[c], c)
+            if c in row:
+                raise AssertionError(f"elimination left column {c} in a row")
         pivots[pc] = _primitive(row)
     # free column -> (pivot column, entry there, pivot) of the rows meeting it
     meets = defaultdict(list)

@@ -9,6 +9,9 @@ the commit whose outputs are the reference, and re-record only when an
 output is meant to change:
 
     PYTHONPATH=src python3 tests/goldens/record.py
+
+It does not write `pins.json`: those sha256 pins of larger runs are
+anchors, each recorded at an earlier commit, and are never re-recorded.
 """
 
 import contextlib

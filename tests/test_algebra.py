@@ -1,6 +1,8 @@
 """The `WeilAlgebra` value: what two values on one (lie, rep) share, and
 how many values one report or check builds."""
 
+from fractions import Fraction
+
 import pytest
 
 from weil import ClassicalAlgebra, QuantumAlgebra, builtin, checks, cli, expr
@@ -43,6 +45,24 @@ def test_a_generator_index_outside_the_range_raises(so3, kind):
             with pytest.raises(IndexError):
                 make(a)
         assert not make(2).is_zero
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
+def test_a_float_scalar_raises_type_error(so3, kind):
+    """A float would enter as its binary rounding (0.1 as
+    3602879701896397/36028797018963968): `scalar` and a product with an
+    element raise TypeError, not a wrong value or a ValueError about
+    algebras; elements of two algebras still raise ValueError."""
+    alg = kind(so3.lie, so3.reps["adjoint"])
+    x = alg.even_gen(0)
+    for make in (lambda: alg.scalar(0.1), lambda: x * 0.5, lambda: 0.5 * x):
+        with pytest.raises(TypeError):
+            make()
+    assert alg.scalar(Fraction(1, 10)) == alg.unit() * Fraction(1, 10)
+    other = (QuantumAlgebra if kind is ClassicalAlgebra else ClassicalAlgebra)(
+        so3.lie, so3.reps["adjoint"])
+    with pytest.raises(ValueError, match="different algebras"):
+        x * other.even_gen(0)
 
 
 @pytest.fixture

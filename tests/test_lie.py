@@ -49,6 +49,13 @@ def test_abelian_is_valid():
     assert not alg.lie.entries
 
 
+def test_a_float_structure_constant_raises_type_error():
+    """LieData(3, {(0, 1, 2): 0.1}) once stored 0.1's binary rounding."""
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        LieData(3, {(0, 1, 2): 0.1})
+    assert LieData(3, {(0, 1, 2): Fraction(1, 10)}).f(1, 0, 2) == Fraction(-1, 10)
+
+
 def test_so3_is_valid(so3):
     assert validate_lie(so3.lie).ok
     assert jacobi_oracle(so3.lie) == []

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows,
                      row_combination_mul, two_product_commutator)
+from weil import linalg
 from weil.linalg import (CACHE_SIZE, Matrix, _cancel, _primitive, format_scalar, kernel,
                          parse_scalar, rank)
 
@@ -497,6 +500,46 @@ def test_negative_leading_entries():
     assert rank(rows) == rank([{j: -x for j, x in row.items()} for row in rows]) == 2
 
 
+def _cancel_adding(row, top, c):
+    """`_cancel` with the sign of its step flipped: p row + v top keeps
+    column c, so an unchecked elimination reduces the row forever."""
+    p, v = top[c], row[c]
+    g = gcd(p, v)
+    p, v = p // g, v // g
+    row = {j: x * p for j, x in row.items()}
+    for j, x in top.items():
+        row[j] = row.get(j, 0) + v * x
+    return row
+
+
+@contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("solve, rows", [
+    (rank, [{0: 1, 1: 1}, {0: 1, 1: 2}]),
+    (lambda rows: kernel(rows, 2), [{0: 1, 1: 1}, {0: 1, 1: 2}]),
+    # no echelon step: only the Gauss-Jordan pass cancels, at column 1
+    (lambda rows: kernel(rows, 2), [{0: 1, 1: 1}, {1: 1}]),
+], ids=["rank", "kernel-echelon", "kernel-gauss-jordan"])
+def test_a_wrong_elimination_step_raises_at_once(monkeypatch, solve, rows):
+    """Both passes check that each step cleared its column, with a raise
+    that `python -O` keeps, so a wrong step fails instead of hanging."""
+    monkeypatch.setattr(linalg, "_cancel", _cancel_adding)
+    with _alarm(5), pytest.raises(AssertionError, match="left column"):
+        solve(rows)
+
+
 def test_equal_matrices_built_by_different_routes_compare_and_hash_equal():
     half = Matrix.from_rows([[Fraction(2, 4)]])
     product = Matrix.from_rows([[Fraction(1, 2)]]) * Matrix.from_rows([[1]])
@@ -508,6 +551,13 @@ def test_equal_matrices_built_by_different_routes_compare_and_hash_equal():
     zero = Matrix.from_rows([[Fraction(1, 3)]]) - Matrix.from_rows([[Fraction(1, 3)]])
     assert zero == Matrix.zeros(1, 1) and (zero.num, zero.den) == ((0,), 1)
     assert hash(zero) == hash(Matrix.zeros(1, 1)) and not zero
+
+
+def test_a_float_entry_raises_type_error():
+    """Matrix(1, 1, [0.1]) once stored 0.1's binary rounding."""
+    for make in (lambda: Matrix(1, 1, [0.1]), lambda: Matrix.from_rows([[1, 0.5]])):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            make()
 
 
 def test_entries_is_read_only():
