@@ -57,7 +57,7 @@ def _monomial_image(der: _Derivation, s, e):
 
     as (plain, endo): the v- and y-slot terms summed per key by
     `element.accumulate`, (key, p, r) for key times (p / r) A with zero
-    sums dropped, and the End V slot, (key, t, p, -p, r) for key times
+    sums dropped, and the End V slot, (key, t, -1, p, r) for key times
     (p / r) [tau_t, A].  Terms whose y-word repeats an index are dropped.
     """
     odd, vs, ys, endo = der
@@ -80,7 +80,7 @@ def _monomial_image(der: _Derivation, s, e):
                 ws, word = 1, before + after
             key, p = (base if g is None else _bump(base, g, 1), word), p * k * sign * ws
             if t is not None:
-                endo_terms.append((key, t, p, -p, r))
+                endo_terms.append((key, t, -1, p, r))
             else:
                 element.accumulate(plain, key, (p,), r)
     return tuple((key, p, r) for key, ((p,), r) in plain.items() if p), tuple(endo_terms)

@@ -1,7 +1,7 @@
 """Command-line surface: validate, check, eval, flat, report.
 
-Exit codes: 0 success, 1 validation or identity failure, 2 usage error or
-malformed expression, 3 internal error.
+Exit codes: 0 success, 1 validation or identity failure or a closed
+stdout, 2 usage error or malformed expression, 3 internal error.
 All output is deterministic for fixed inputs and seed.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 
@@ -342,7 +343,14 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         args.file = args.file_pos
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`weil ... | head`): nothing is left to
+        # report to; devnull takes the unwritten rest (Python's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

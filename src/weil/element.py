@@ -10,7 +10,11 @@ letters and joiner of their renderings.
 
 A `WeilAlgebra` is one algebra on a (lie, rep), classical or quantum:
 its element class, constructors, operators and curvature.  What a value
-derives is built on first use and kept on the value.
+derives is built on first use and kept on the value.  End V enters
+L_a, iota_a and d only through tau, so every End V part of an operator
+image is tau_t A + s A tau_t, s = +-1: a commutator, or quantum-side an
+anticommutator from the Clifford sign of d's x_a tau_a terms, each read
+from one bounded bracket table.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
@@ -73,6 +77,8 @@ class Element:
             raise ValueError("elements live in different algebras")
 
     def __add__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented  # x + 1 is a TypeError, as 1 + x is
         self._check_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -80,7 +86,7 @@ class Element:
         return type(self)(self.lie, self.rep, out)
 
     def __sub__(self, other):
-        return self + -other
+        return self + -other if isinstance(other, Element) else NotImplemented
 
     def __neg__(self):
         return type(self)(self.lie, self.rep, {m: -c for m, c in self.terms.items()})
@@ -233,7 +239,7 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
 # images catch 90% of the image lookups of an so3 adjoint classical check at
 # 200 samples, 1,024 catch 98% but add about 0.4 MB to its peak RSS
 IMAGE_TABLE_SIZE = 256
-COMMUTATOR_TABLE_SIZE = 128
+BRACKET_TABLE_SIZE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +251,9 @@ class WeilAlgebra:
     flat solver then splits by degree).  It defines the cached `curvature`
     and `_image(i, key)`: operator i (L_a is a, iota_a is n + a, d is 2n)
     on key A, as plain terms (key', p, r), key' (p / r) A, and endo terms
-    (key', t, pl, pr, r), key' (pl tau_t A + pr A tau_t) / r, in integers
-    with r > 0.  These make the algebra a curved dg algebra; their degrees
-    are exact when GRADED and bound the filtration degree otherwise.
+    (key', t, s, p, r), key' (p / r) (tau_t A + s A tau_t) with s = +-1, in
+    integers with r > 0.  These make the algebra a curved dg algebra; their
+    degrees are exact when GRADED and bound the filtration degree otherwise.
     Constructing a value builds nothing.
     """
 
@@ -315,16 +321,16 @@ class WeilAlgebra:
         return lru_cache(maxsize=IMAGE_TABLE_SIZE)(partial(type(self)._image, weakref.proxy(self)))
 
     @cached_property
-    def commutator_table(self):
-        """(t, A.num, A.den) -> the (numerators, den) of [tau_t, A], or None
-        for 0, at most COMMUTATOR_TABLE_SIZE entries."""
+    def bracket_table(self):
+        """(t, s, A.num, A.den) -> the (numerators, den) of tau_t A + s A tau_t,
+        or None for 0, at most BRACKET_TABLE_SIZE entries."""
         taus, dim = self.rep.matrices, self.rep.dim
 
-        @lru_cache(maxsize=COMMUTATOR_TABLE_SIZE)
-        def commutator(t, num, den):
-            cnum, cden = taus[t]._commutator_num(Matrix._make(dim, dim, num, den))
-            return (tuple(cnum), cden) if any(cnum) else None
-        return commutator
+        @lru_cache(maxsize=BRACKET_TABLE_SIZE)
+        def bracket(t, s, num, den):
+            bnum, bden = taus[t]._bracket_num(Matrix._make(dim, dim, num, den), s)
+            return (tuple(bnum), bden) if any(bnum) else None
+        return bracket
 
     def _apply(self, i, x):
         """Operator i on x (`apply_into`)."""
@@ -335,27 +341,17 @@ class WeilAlgebra:
     def apply_into(self, acc, i, x, sign):
         """acc += sign (operator i on x), from the two tables; sign is an
         integer, +-1 in use.  A term key A adds its plain image times A
-        and, per endo term, one scaling of tau_t when A = c I, pl [tau_t, A]
-        when pl = -pr, else the two products."""
-        image, commutator, taus = self.image_table, self.commutator_table, self.rep.matrices
+        and, per endo term, tau_t A + s A tau_t read from the bracket table."""
+        image, bracket = self.image_table, self.bracket_table
         for key, mat in x.terms.items():
             plain, endo = image(i, key)
             num, den = mat.num, mat.den
             for k, p, r in plain:
                 accumulate(acc, k, num, den * r, sign * p)
-            c = mat._scalar() if endo else None
-            for k, t, pl, pr, r in endo:
-                if c is not None:  # (pl + pr) c tau_t, zero for a commutator
-                    if pl + pr:
-                        accumulate(acc, k, taus[t].num, taus[t].den * den * r,
-                                   sign * (pl + pr) * c)
-                elif pl == -pr:
-                    cm = commutator(t, num, den)
-                    if cm is not None:
-                        accumulate(acc, k, cm[0], cm[1] * r, sign * pl)
-                else:
-                    for q, (pn, pd) in ((pl, taus[t]._mul_num(mat)), (pr, mat._mul_num(taus[t]))):
-                        accumulate(acc, k, pn, pd * r, sign * q)
+            for k, t, s, p, r in endo:
+                b = bracket(t, s, num, den)
+                if b is not None:
+                    accumulate(acc, k, b[0], b[1] * r, sign * p)
 
     # -- the curvature split -------------------------------------------------
 

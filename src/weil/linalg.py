@@ -10,10 +10,11 @@ such form, which is why equality and hashing compare the plain tuples
 and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
-the raw kernels `_mul_num` and `_commutator_num` return them unreduced,
-for the element products, brackets and derivations to sum and reduce
-once per result key.  Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`,
-`scalar_value`).
+the raw kernels `_mul_num` and `_bracket_num` (ab + s ba for s = +-1,
+which the operators read through one bracket table) return them
+unreduced, for the element products, brackets and operators to sum and
+reduce once per result key.  Entries leave as `Fraction`s (`entries`,
+`m[i, j]`, `row`, `trace`, `scalar_value`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -42,7 +43,7 @@ so their storage is dense.  Most End V parts of the Weil algebras' elements
 are c I; `_scalar` finds the c of a factor (c / den) I from the
 canonical form by a count of zeros and a look at the diagonal, and
 `element._products` uses it to take a product with such a factor as a
-scaling of the other factor.  A product or commutator here walks the
+scaling of the other factor.  A product or bracket here walks the
 nonzero entries of whichever factor has fewer of them, adding a scaled
 row or column of the other factor for each: its cost follows the
 sparser factor, and the representation matrices are nearly all zeros.
@@ -270,25 +271,26 @@ class Matrix:
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
-        return Matrix._canonical(self.rows, self.rows, *self._commutator_num(other))
+        return Matrix._canonical(self.rows, self.rows, *self._bracket_num(other, -1))
 
-    def _commutator_num(self, other):
-        """(numerators, den) of ab - ba for square matrices of one size,
-        not reduced: one pass over the nonzero entries of the factor with
-        fewer of them, x, against the other, y.  Entry (i, t) = v adds v
-        times row t of y into row i and takes v times column i of y out
-        of column t, which builds [x, y]; when x is `other`, [a, b] =
-        -[b, a] flips the sign of v."""
+    def _bracket_num(self, other, s):
+        """(numerators, den) of ab + s ba for square matrices of one size and
+        s = +-1, not reduced: one pass over the nonzero entries of the
+        factor with fewer of them, x, against the other, y.  Entry (i, t)
+        = v adds v times row t of y into row i and s v times column i of y
+        into column t, which builds xy + s yx; when x is `other`, ab + s ba
+        = s (ba + s ab) multiplies v by s."""
         n = self.rows
-        x, y, sign = self.num, other.num, 1
+        x, y, flip = self.num, other.num, 1
         if y.count(0) > x.count(0):
-            x, y, sign = y, x, -1
+            x, y, flip = y, x, s
         num = [0] * (n * n)
         for p in compress(range(n * n), x):
             i, t = divmod(p, n)
-            v, lo = sign * x[p], i * n
+            v, lo = flip * x[p], i * n
+            sv = s * v
             num[lo:lo + n] = [z + v * w for z, w in zip(num[lo:lo + n], y[t * n:t * n + n])]
-            num[t::n] = [z - v * w for z, w in zip(num[t::n], y[i::n])]
+            num[t::n] = [z + sv * w for z, w in zip(num[t::n], y[i::n])]
         return num, self.den * other.den
 
     def transpose(self) -> Matrix:

@@ -134,8 +134,9 @@ class QuantumAlgebra(element.WeilAlgebra):
 
     def _image(self, i, key):
         """[inner[i], key A]: k1 key M A - (-1)^{|k1||key|} key k1 A M per term
-        k1 M of inner[i], summed per (key', t) into (pl, pr) by `accumulate`;
-        a c I part M adds to the plain terms, a tau_t part to an endo term."""
+        k1 M of inner[i], summed per (key', t) into (pl, pr) by `accumulate`.
+        A c I part M gives the plain term (pl + pr) A, a tau_t part the endo
+        terms ((pl + pr) {tau_t, A} + (pl - pr) [tau_t, A]) / 2, each over 2r."""
         mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
         sums = {}  # (key', t) -> ((pl, pr), r): pl of the M A side, pr of A M
         for k1, t, p1, r1 in self._inner_terms(i):
@@ -144,9 +145,10 @@ class QuantumAlgebra(element.WeilAlgebra):
                 accumulate(sums, (k, t), (p1 * p, 0), r * r1)
             for k, p, r in mono_mul(key, k1):
                 accumulate(sums, (k, t), (0, yx * p), r * r1)
-        items = [(k, t, pl, pr, r) for (k, t), ((pl, pr), r) in sums.items() if pl or pr]
-        return (tuple((k, pl + pr, r) for k, t, pl, pr, r in items if t is None and pl + pr),
-                tuple(term for term in items if term[1] is not None))
+        return (tuple((k, pl + pr, r) for (k, t), ((pl, pr), r) in sums.items()
+                      if t is None and pl + pr),
+                tuple((k, t, s, p, 2 * r) for (k, t), ((pl, pr), r) in sums.items()
+                      if t is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one

@@ -592,9 +592,10 @@ def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
                 if t is None:
                     num, den = mat.num, mat.den
                 else:
-                    num, den = taus[t]._commutator_num(mat)
-                    if not any(num):
+                    cm = taus[t].commutator(mat)
+                    if not cm:
                         continue
+                    num, den = cm.num, cm.den
                 accumulate(acc, (base if g is None else _bump(base, g, 1), word), num,
                            den * r, p * k * sign * ws)
     return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))

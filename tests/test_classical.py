@@ -291,7 +291,7 @@ def _bits(x):
 @given(table_elements())
 @settings(max_examples=150)
 def test_tables_match_the_slot_oracle(drawn):
-    """L_a, iota_a and d read from the image and commutator tables against
+    """L_a, iota_a and d read from the image and bracket tables against
     `oracles.slot_leibniz`, the slot loop they replaced, numerators and
     denominator bit for bit, on x, x * q and d x; no table exceeds its
     bound."""
@@ -306,7 +306,7 @@ def test_tables_match_the_slot_oracle(drawn):
             assert _bits(got) == _bits(oracles.slot_leibniz(der, y))
             assert all(got.terms.values())
     for table, bound in ((c.image_table, ew.IMAGE_TABLE_SIZE),
-                         (c.commutator_table, ew.COMMUTATOR_TABLE_SIZE)):
+                         (c.bracket_table, ew.BRACKET_TABLE_SIZE)):
         info = table.cache_info()
         assert info.maxsize == bound and info.currsize <= bound
 
@@ -316,12 +316,12 @@ def test_tables_match_the_slot_oracle_while_evicting():
     values, so that nearly every lookup evicts an entry."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
-        mp.setattr(ew, "COMMUTATOR_TABLE_SIZE", 2)
+        mp.setattr(ew, "BRACKET_TABLE_SIZE", 2)
         mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
                    [ClassicalAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
         test_tables_match_the_slot_oracle()
-        infos = [(c.image_table.cache_info(), c.commutator_table.cache_info())
+        infos = [(c.image_table.cache_info(), c.bracket_table.cache_info())
                  for c in TABLE_ALGEBRAS]
     assert all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
     assert any(image.misses > 2 for image, _ in infos)
-    assert any(commutator.misses > 2 for _, commutator in infos)
+    assert any(bracket.misses > 2 for _, bracket in infos)

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import weil
 from weil import ALGEBRAS, Matrix, QuantumAlgebra, builtin, cli, expr
 from weil.checks import random_element
 from weil.cli import main
@@ -371,6 +376,26 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     code, out, err = run(["check", "--builtin", "so3"], capsys)
     assert code == 3 and out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["print", "final-flush"])
+def test_a_closed_stdout_exits_one_silently(unbuffered):
+    """`weil ... | head` once head has exited: stdout is a pipe whose read
+    end is closed.  Unbuffered, the print fails; buffered, the flush at the
+    end.  Either way exit 1, with nothing on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(weil.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "weil.cli", "eval", "--builtin", "so3",
+                               "--rep", "trivial", "--quantum", "u1"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("value", ["1e400", "0.5", "1_0"])

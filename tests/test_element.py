@@ -296,3 +296,57 @@ def test_products_into_with_sign_minus_one_negates_the_product(pair, bracket):
     _same_bits(got, -_products(x, y, bracket))
     add_into(acc, _products(x, y, bracket))
     assert vanishes(acc)
+
+
+def _keys_to_degree_two(n):
+    """Every (even, odd) key of degree 2 (even degree) + (odd length) <= 2."""
+    zero = (0,) * n
+    yield zero, ()
+    for a in range(n):
+        yield tuple(int(i == a) for i in range(n)), ()
+        yield zero, (a,)
+        for b in range(a + 1, n):
+            yield zero, (a, b)
+
+
+def test_every_endo_term_is_tau_a_plus_s_a_tau():
+    """Every endo term (key', t, s, p, r) of every operator's image of every
+    key up to degree 2 has s = +-1, p != 0 and r > 0, on every builtin,
+    rep and kind; classically s = -1 (a commutator), and the quantum d on
+    so3 adjoint has anticommutators (s = +1)."""
+    signs = {}
+    for name in ("abelian(2)", "heisenberg3", "so3", "sl2"):
+        defn = builtin(name)
+        for rep_name, rep in defn.reps.items():
+            for kind in (ClassicalAlgebra, QuantumAlgebra):
+                if kind is QuantumAlgebra and not defn.lie.has_orthonormal_form:
+                    continue
+                alg, n = kind(defn.lie, rep), defn.lie.dim
+                for i in range(2 * n + 1):
+                    for key in _keys_to_degree_two(n):
+                        for _, t, s, p, r in alg._image(i, key)[1]:
+                            assert s in (1, -1) and p != 0 and r > 0 and 0 <= t < n
+                            signs.setdefault((kind, name, rep_name, i), set()).add(s)
+    classical = [found for (kind, *_), found in signs.items() if kind is ClassicalAlgebra]
+    assert classical and all(found == {-1} for found in classical)
+    assert 1 in signs[(QuantumAlgebra, "so3", "adjoint", 6)]
+
+
+SO3_ADJOINT_QUANTUM = QuantumAlgebra(ALGEBRAS["so3"].lie, ALGEBRAS["so3"].reps["adjoint"])
+
+
+@pytest.mark.parametrize("op", [lambda x: x + 1, lambda x: x - 1, lambda x: x + 0.5],
+                         ids=["x + 1", "x - 1", "x + 0.5"])
+def test_adding_a_number_is_a_type_error(op):
+    """An element plus or minus a number is a TypeError, as 1 + x is: not
+    the ValueError of two elements from different algebras."""
+    with pytest.raises(TypeError):
+        op(SO3_ADJOINT_QUANTUM.even_gen(0))
+
+
+def test_elements_of_different_algebras_do_not_add():
+    x = SO3_ADJOINT_QUANTUM.even_gen(0)
+    y = QuantumAlgebra(ALGEBRAS["so3"].lie, ALGEBRAS["so3"].reps["trivial"]).even_gen(0)
+    for op in (lambda: x + y, lambda: x - y):
+        with pytest.raises(ValueError, match="different algebras"):
+            op()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (FractionMatrix, fraction_nullspace, fraction_rank, matrix_rows,
                      row_combination_mul, two_product_commutator)
-from weil import linalg
+from weil import builtin, linalg
 from weil.linalg import (CACHE_SIZE, Matrix, _cancel, _primitive, format_scalar, kernel,
                          parse_scalar, rank)
 
@@ -390,6 +390,36 @@ def test_sparse_products_match_the_row_combination_oracles(grids):
             cm = x.commutator(y)
             _same(cm, fx.commutator(fy))
             assert cm == two_product_commutator(x, y)
+
+
+def _bracket_cases():
+    """(tau, A) on so3 adjoint and sl2 standard, A zero, c I, a matrix
+    unit, a dense matrix or another tau.  On so3 the zero matrix and the
+    unit are sparser than tau (the walk swaps the factors), the others
+    are not."""
+    cases = []
+    for name, rep in (("so3", "adjoint"), ("sl2", "standard")):
+        taus = builtin(name).reps[rep].matrices
+        d = taus[0].rows
+        others = [Matrix.zeros(d, d), Matrix.identity(d) * Fraction(-3, 2),
+                  Matrix(d, d, [int(k == d + 1) for k in range(d * d)]) * 5,
+                  Matrix(d, d, [Fraction(k + 1, 1 + k % 3) for k in range(d * d)]), taus[1]]
+        cases += [(tau, a) for tau in taus for a in others]
+    return cases
+
+
+def test_bracket_num_is_one_product_plus_s_times_the_other():
+    """_bracket_num(A, s) = tau A + s A tau, numerators and denominator as
+    the two `_mul_num` products give them, for s = +-1, with either
+    factor the sparser one."""
+    swapped = set()
+    for tau, a in _bracket_cases():
+        (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)
+        assert den == den2
+        for s in (1, -1):
+            assert tau._bracket_num(a, s) == ([x + s * y for x, y in zip(ta, at)], den)
+        swapped.add(a.num.count(0) > tau.num.count(0))
+    assert swapped == {True, False}
 
 
 sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), oracle_entries)

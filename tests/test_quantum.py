@@ -234,7 +234,7 @@ def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
             x = alg.even_gen(0) * alg.odd_gen(1) * alg.tau(2)
             for i in range(7):
                 alg._apply(i, x)
-            assert alg.image_table.cache_info().currsize and alg.commutator_table.cache_info().currsize
+            assert alg.image_table.cache_info().currsize and alg.bracket_table.cache_info().currsize
             refs.append(weakref.ref(alg))
             del alg
     finally:
@@ -286,7 +286,7 @@ def _bits(x):
 @given(table_elements())
 @settings(max_examples=60)
 def test_tables_match_the_bracket_oracle(drawn):
-    """All 2n + 1 operators read from the image and commutator tables
+    """All 2n + 1 operators read from the image and bracket tables
     against `oracles.bracket_apply`, the whole bracket with inner[i],
     numerators and denominator bit for bit, on x, x * q and d x; no
     table exceeds its bound."""
@@ -297,7 +297,7 @@ def test_tables_match_the_bracket_oracle(drawn):
             assert _bits(got) == _bits(oracles.bracket_apply(q, i, y)), i
             assert all(got.terms.values())
     for table, bound in ((q.image_table, ew.IMAGE_TABLE_SIZE),
-                         (q.commutator_table, ew.COMMUTATOR_TABLE_SIZE)):
+                         (q.bracket_table, ew.BRACKET_TABLE_SIZE)):
         info = table.cache_info()
         assert info.maxsize == bound and info.currsize <= bound
 
@@ -307,15 +307,15 @@ def test_tables_match_the_bracket_oracle_while_evicting():
     values, so that nearly every lookup evicts an entry."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
-        mp.setattr(ew, "COMMUTATOR_TABLE_SIZE", 2)
+        mp.setattr(ew, "BRACKET_TABLE_SIZE", 2)
         mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
                    [QuantumAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
         test_tables_match_the_bracket_oracle()
-        infos = [(q.image_table.cache_info(), q.commutator_table.cache_info())
+        infos = [(q.image_table.cache_info(), q.bracket_table.cache_info())
                  for q in TABLE_ALGEBRAS if "image_table" in vars(q)]
     assert infos and all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
     assert any(image.misses > 2 for image, _ in infos)
-    assert any(commutator.misses > 2 for _, commutator in infos)
+    assert any(bracket.misses > 2 for _, bracket in infos)
 
 
 class _UncoupledDifferential(QuantumAlgebra):
@@ -327,7 +327,9 @@ class _UncoupledDifferential(QuantumAlgebra):
 
 class _CurvatureOperator(QuantumAlgebra):
     """inner[2n] is the curvature: its u_a tau_a terms give images with
-    pl tau_a A + pr A tau_a, pl != -pr, which take two matrix products."""
+    pl tau_a A + pr A tau_a and pl != +-pr where the lower PBW terms of
+    u_a key and key u_a differ, each split into an anticommutator and a
+    commutator."""
 
     def _inner_element(self, i):
         return self.four_term_curvature() if i == 2 * self.lie.dim else super()._inner_element(i)
