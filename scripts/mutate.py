@@ -10,10 +10,9 @@ other pytest exit (a collection error, a test id not found) is an error.
 The exit status is 1 if a mutant survived, errs or its text is missing,
 else 0.
 
-Usage: python scripts/mutate.py [-k SUBSTRING] [--timeout SECONDS]
+Usage: python scripts/mutate.py
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -23,6 +22,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120  # per mutant; each runs in a few seconds
 
 QUANTUM_TABLES = ["tests/test_quantum.py::test_tables_match_the_bracket_oracle",
                   "tests/test_quantum.py::test_operator_images_are_read_off_the_inner_elements"]
@@ -56,7 +56,7 @@ MUTANTS = [
 ]
 
 
-def run_mutant(path, old, new, tests, timeout):
+def run_mutant(path, old, new, tests):
     """'killed', 'survived', 'timed out', 'error' or 'missing' (old text
     not found exactly once)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
@@ -71,24 +71,18 @@ def run_mutant(path, old, new, tests, timeout):
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         try:
             proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                                   *tests], cwd=tmp, env=env, timeout=timeout,
+                                   *tests], cwd=tmp, env=env, timeout=TIMEOUT_S,
                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except subprocess.TimeoutExpired:
             return "timed out"
         return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", default="", help="run only the mutants whose name contains this")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
-    args = parser.parse_args(argv)
+def main() -> int:
     counts = {}
     for name, path, old, new, tests in MUTANTS:
-        if args.k not in name:
-            continue
         start = time.perf_counter()
-        outcome = run_mutant(path, old, new, tests, args.timeout)
+        outcome = run_mutant(path, old, new, tests)
         counts[outcome] = counts.get(outcome, 0) + 1
         print(f"{outcome:<10} {time.perf_counter() - start:6.1f} s  {name}", flush=True)
     print(", ".join(f"{counts.get(k, 0)} {k}"

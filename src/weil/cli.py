@@ -324,6 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`weil ... | head`): nothing is left to
+        # report to; devnull takes the unwritten rest (Python's "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
@@ -343,14 +355,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         args.file = args.file_pos
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
-        return code
+        return args.fn(args)
     except BrokenPipeError:
-        # the reader closed stdout (`weil ... | head`): nothing is left to
-        # report to; devnull takes the unwritten rest (Python's "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_FAIL
+        raise  # main's to handle, not an internal error
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -360,7 +367,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: report it instead of a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
 
 if __name__ == "__main__":
     sys.exit(main())

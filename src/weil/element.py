@@ -86,7 +86,7 @@ class Element:
         return type(self)(self.lie, self.rep, out)
 
     def __sub__(self, other):
-        return self + -other if isinstance(other, Element) else NotImplemented
+        return self + -other
 
     def __neg__(self):
         return type(self)(self.lie, self.rep, {m: -c for m, c in self.terms.items()})

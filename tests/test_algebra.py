@@ -50,19 +50,23 @@ def test_a_generator_index_outside_the_range_raises(so3, kind):
 @pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
 def test_a_float_scalar_raises_type_error(so3, kind):
     """A float would enter as its binary rounding (0.1 as
-    3602879701896397/36028797018963968): `scalar` and a product with an
-    element raise TypeError, not a wrong value or a ValueError about
-    algebras; elements of two algebras still raise ValueError."""
+    3602879701896397/36028797018963968): `scalar`, a product with an
+    element and an element plus or minus a number raise TypeError, not a
+    wrong value or a ValueError about algebras; elements of two algebras
+    still raise ValueError."""
     alg = kind(so3.lie, so3.reps["adjoint"])
     x = alg.even_gen(0)
-    for make in (lambda: alg.scalar(0.1), lambda: x * 0.5, lambda: 0.5 * x):
+    for make in (lambda: alg.scalar(0.1), lambda: x * 0.5, lambda: 0.5 * x,
+                 lambda: x + 1, lambda: x - 1, lambda: x + 0.5):
         with pytest.raises(TypeError):
             make()
     assert alg.scalar(Fraction(1, 10)) == alg.unit() * Fraction(1, 10)
     other = (QuantumAlgebra if kind is ClassicalAlgebra else ClassicalAlgebra)(
         so3.lie, so3.reps["adjoint"])
-    with pytest.raises(ValueError, match="different algebras"):
-        x * other.even_gen(0)
+    for make in (lambda: x * other.even_gen(0), lambda: x + other.even_gen(0),
+                 lambda: x - other.even_gen(0)):
+        with pytest.raises(ValueError, match="different algebras"):
+            make()
 
 
 @pytest.fixture

@@ -378,11 +378,16 @@ def test_unexpected_exception_exits_three(monkeypatch, capsys):
     assert err == "internal error: KeyError: 'boom'\n"
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["print", "final-flush"])
-def test_a_closed_stdout_exits_one_silently(unbuffered):
+EVAL_U1 = ["eval", "--builtin", "so3", "--rep", "trivial", "--quantum", "u1"]
+
+
+@pytest.mark.parametrize("unbuffered, argv", [(True, EVAL_U1), (False, EVAL_U1), (False, ["--help"])],
+                         ids=["print", "final-flush", "help"])
+def test_a_closed_stdout_exits_one_silently(unbuffered, argv):
     """`weil ... | head` once head has exited: stdout is a pipe whose read
     end is closed.  Unbuffered, the print fails; buffered, the flush at the
-    end.  Either way exit 1, with nothing on stderr."""
+    end, also after argparse's own output.  Either way exit 1, with nothing
+    on stderr."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(weil.__file__).parents[1])
     if unbuffered:
@@ -390,8 +395,7 @@ def test_a_closed_stdout_exits_one_silently(unbuffered):
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run([sys.executable, "-m", "weil.cli", "eval", "--builtin", "so3",
-                               "--rep", "trivial", "--quantum", "u1"],
+        proc = subprocess.run([sys.executable, "-m", "weil.cli", *argv],
                               stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(w)

@@ -331,22 +331,3 @@ def test_every_endo_term_is_tau_a_plus_s_a_tau():
     assert classical and all(found == {-1} for found in classical)
     assert 1 in signs[(QuantumAlgebra, "so3", "adjoint", 6)]
 
-
-SO3_ADJOINT_QUANTUM = QuantumAlgebra(ALGEBRAS["so3"].lie, ALGEBRAS["so3"].reps["adjoint"])
-
-
-@pytest.mark.parametrize("op", [lambda x: x + 1, lambda x: x - 1, lambda x: x + 0.5],
-                         ids=["x + 1", "x - 1", "x + 0.5"])
-def test_adding_a_number_is_a_type_error(op):
-    """An element plus or minus a number is a TypeError, as 1 + x is: not
-    the ValueError of two elements from different algebras."""
-    with pytest.raises(TypeError):
-        op(SO3_ADJOINT_QUANTUM.even_gen(0))
-
-
-def test_elements_of_different_algebras_do_not_add():
-    x = SO3_ADJOINT_QUANTUM.even_gen(0)
-    y = QuantumAlgebra(ALGEBRAS["so3"].lie, ALGEBRAS["so3"].reps["trivial"]).even_gen(0)
-    for op in (lambda: x + y, lambda: x - y):
-        with pytest.raises(ValueError, match="different algebras"):
-            op()
