@@ -17,8 +17,18 @@ As x_I h = h x_I turns each term (s, ()) of h into the one term (s, I),
 h -> x_I h maps the horizontal part one-to-one onto the block of x_I;
 so flat(full) is the sum over index monomials I of x_I flat(hor).
 The reports check exactly these premises, n + dim flat(hor) brackets,
-and never build the 2^n dim flat(hor) vectors x_I h: the closure check
-builds only the ones it samples.
+and never build the 2^n dim flat(hor) vectors x_I h.  Each premise is
+worked out once per `flat_subspace` result and shared by the reports.
+
+The closure of flat(full) is decided the same way.  L_a, iota_a and d are
+derivations; quantum-side they are the brackets with theta_a = u_a + g_a
++ tau_a, x_a and Q = D + x_a tau_a.  For such a D and y with [C, y] = 0,
+D [C, y] = [D C, y] + [C, D y] gives [C, D y] = -[D C, y], so flat is
+closed under the three operators once their 2n + 1 images of C vanish:
+L_a C = 0, iota_a C = 0 and the Bianchi identity d C = 0.  It is closed
+under products as [C, .] is a derivation.  When these and the premises
+above hold, every sampled image is flat by proof and `closure_report`
+draws nothing; when one fails, it samples.
 
 Every bracket [C, x] is computed as [C - Z, x] (`WeilAlgebra.flat_op`),
 where Z is the sum of C's terms with no odd factor and a c I End V part:
@@ -43,6 +53,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, lcm
 
 from .element import accumulate, collect
@@ -126,10 +137,35 @@ class SubspaceResult:
     dims: dict
     vectors: dict
 
+    def __post_init__(self):
+        # id(h) -> (h, [C, h] == 0): holding h keeps its id from being reused
+        self._commutes = {}
+
     def basis_up_to(self, k):
         k = min(k, self.max_degree)
         levels = range(k + 1) if self.alg.GRADED else [k]
         return [v for d in levels for v in self.vectors.get(d, [])]
+
+    # -- the premises of the reports on a `flat_subspace` result, each
+    # worked out once: `vectors` may be edited, so h is looked up by identity
+
+    def commutes(self, h) -> bool:
+        """[C, h] = 0, bracketed once per vector h."""
+        hit = self._commutes.get(id(h))
+        if hit is None:
+            hit = self._commutes[id(h)] = (h, self.alg.flat_op(h).is_zero)
+        return hit[1]
+
+    @cached_property
+    def odd_premise_failure(self):
+        """The first a with [C, x_a] != 0, or None (`_odd_premise_failure`)."""
+        return _odd_premise_failure(self.alg, self.alg.flat_op)
+
+    @cached_property
+    def curvature_images_vanish(self) -> bool:
+        """Whether L_a C, iota_a C and d C all vanish: operators 0 .. 2n on C."""
+        alg = self.alg
+        return all(alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))
 
 
 def _solve_levels(alg, max_degree, images):
@@ -246,42 +282,69 @@ def decomposition_report(flat) -> dict:
     docstring, and a level matches when its premises hold: [C, x_a] = 0
     for each odd generator and [C, h] = 0 for each horizontal vector h of
     the level.  Quantum-side the levels share their vectors (level k lists
-    those of level <= k), and each distinct vector is bracketed once.
+    those of level <= k); each distinct vector is bracketed at most once
+    per result (`SubspaceResult.commutes`), for this report and the closure.
     """
-    alg = flat.alg
-    n, op = alg.lie.dim, alg.flat_op
-    odd_flat = _odd_premise_failure(alg, op) is None
-    distinct = {id(h): h for hvecs in flat.vectors.values() for h in hvecs}
-    is_flat = {key: op(h).is_zero for key, h in distinct.items()}
+    n = flat.alg.lie.dim
+    odd_flat = flat.odd_premise_failure is None
     rows = []
     for k in range(flat.max_degree + 1):
         hvecs = flat.vectors[k]
         full = (2 ** n) * len(hvecs)
         rows.append({"deg": k, "dim_hor_flat": len(hvecs), "dim_full_flat": full,
                      "expected_full": full,
-                     "match": odd_flat and all(is_flat[id(h)] for h in hvecs)})
+                     "match": odd_flat and all(flat.commutes(h) for h in hvecs)})
     return {"factor": 2 ** n, "per_degree": rows,
             "all_match": all(row["match"] for row in rows)}
 
 
 def closure_report(flat, samples=20, seed=0) -> dict:
-    """Sampled closure of the full flat subspace under products and the
-    three operators.
+    """Closure of the full flat subspace under products and the three
+    operators, for the `flat_subspace` result `flat`.
 
-    `flat` is a `flat_subspace` result.  Products, L_a, and iota_a
-    images of flat elements x_I h are checked for exact flatness; the
-    differential raises degree, so its inputs have polynomial degree
-    <= max_degree - 1.  Each sample is one `randrange` over the
-    2^n len(h) pairs (I, h), I-major, and only that x_I h is built.
+    The closure is decided by its premises (module docstring): [C, x_a] =
+    0 for each odd generator (its failure raises), L_a C = 0, iota_a C = 0
+    and d C = 0, and [C, h] = 0 for each h that the sampler would draw
+    from.  When they hold every image below is flat by proof, and the
+    report gives the sampler's counts with no draw, product or bracket.
+
+    When one fails, products, L_a, and iota_a images of flat elements x_I
+    h are checked for exact flatness; the differential raises degree, so
+    its inputs have polynomial degree <= max_degree - 1.  Each sample is
+    one `randrange` over the 2^n len(h) pairs (I, h), I-major, and only
+    that x_I h is built.  No mutant curvature fails d C = 0 alone.
+    Classically a C with iota_a C = 0 has iota_a d C = L_a C by [iota_a,
+    d] = L_a, and d C has one y factor per term, so d C = y^a L_a C.
+    Quantum-side a C with [C, x_a] = 0 commutes with Cl(g), so [Q, C] =
+    x_a [u_a + tau_a, C] = x_a L_a C.
     """
-    rng = random.Random(seed)
     alg = flat.alg
-    n, op = alg.lie.dim, alg.flat_op
-    bad = _odd_premise_failure(alg, op)
+    bad = flat.odd_premise_failure
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree)
     low = [h for h in hvecs if h.poly_degree() <= flat.max_degree - 1]
+    if flat.curvature_images_vanish and all(flat.commutes(h) for h in hvecs):
+        count = max(samples, 0)
+        checked = {name: count if hvecs else 0
+                   for name in ("product", "lie_derivative", "contraction")}
+        checked["differential"] = count if low else 0
+        failures = 0
+    else:
+        checked, failures = _sampled_closure(alg, hvecs, low, samples, random.Random(seed))
+    return {
+        "seed": seed,
+        "samples": samples,
+        "checked": checked,
+        "failures": failures,
+        "all_closed": failures == 0,
+    }
+
+
+def _sampled_closure(alg, hvecs, low, samples, rng):
+    """The closure counts (checked per kind, failures) of `samples` sampled
+    images per kind, drawn by `rng`, each bracketed with C."""
+    n, op = alg.lie.dim, alg.flat_op
     ident, even = Matrix.identity(alg.rep.dim), (0,) * n
 
     def draw(vecs):
@@ -304,10 +367,4 @@ def closure_report(flat, samples=20, seed=0) -> dict:
             if not op(alg.differential(draw(low))).is_zero:
                 failures += 1
             checked["differential"] += 1
-    return {
-        "seed": seed,
-        "samples": samples,
-        "checked": checked,
-        "failures": failures,
-        "all_closed": failures == 0,
-    }
+    return checked, failures

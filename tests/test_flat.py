@@ -14,6 +14,7 @@ import oracles
 # stopped building the list; oracles.full_flat_basis is the block solve
 from oracles import derived_full_flat_basis as full_flat_basis
 from test_kernels import _so3_blocks
+import weil.cli
 import weil.flat
 from weil import ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin
 from weil.checks import random_element
@@ -351,9 +352,10 @@ def test_full_flat_basis_matches_oracle_on_so3_pair():
     assert basis == oracles.full_flat_basis(alg, 0)
 
 
-def _mutant(extra):
-    """A `QuantumAlgebra` whose curvature has `extra(alg)` added."""
-    class Mutant(QuantumAlgebra):
+def _mutant(extra, kind=QuantumAlgebra):
+    """A `kind` (`QuantumAlgebra` by default) whose curvature has
+    `extra(alg)` added."""
+    class Mutant(kind):
         @cached_property
         def curvature(self):
             return super().curvature + extra(self)
@@ -417,6 +419,103 @@ def test_non_flat_vector_fails_its_level_and_the_closure():
         assert closure == oracles.list_closure_report(flat, seed=seed), seed
         failures.append(closure["failures"])
     assert all(failures), failures
+
+
+def _refuse(*args):
+    raise AssertionError("the closure drew or bracketed although its premises hold")
+
+
+@pytest.mark.parametrize("alg, degrees", [
+    *(pytest.param(case.values[0], range(3), id=case.id) for case in _builtin_cases()),
+    *(pytest.param(kind(*_so3_pair()), range(2), id=f"so3^2-{kind.KIND}-adjoint")
+      for kind in (ClassicalAlgebra, QuantumAlgebra)),
+])
+def test_closure_draws_and_brackets_nothing_when_its_premises_hold(monkeypatch, alg, degrees):
+    """Once the decomposition has bracketed the premises, the closure
+    reads them: it draws no x_I h and brackets nothing with C, and it
+    reports the sampler's counts."""
+    for max_degree in degrees:
+        flat = flat_subspace(alg, max_degree)
+        decomposition_report(flat)
+        hvecs = flat.basis_up_to(max_degree)
+        low = [h for h in hvecs if h.poly_degree() < max_degree]
+        with monkeypatch.context() as patch:
+            patch.setattr(weil.flat, "_index_monomial", _refuse)
+            patch.setattr(type(alg), "flat_op", _refuse)
+            report = closure_report(flat, samples=7, seed=4)
+        assert report == {
+            "seed": 4, "samples": 7,
+            "checked": {"product": 7 * bool(hvecs), "lie_derivative": 7 * bool(hvecs),
+                        "contraction": 7 * bool(hvecs), "differential": 7 * bool(low)},
+            "failures": 0, "all_closed": True}
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
+def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind):
+    """One `flat_report_data` call on so3 adjoint at N = 3 brackets with C
+    each of the 180 solver domain vectors, each x_a and each distinct flat
+    vector once: the reports share the premises and the closure samples
+    nothing."""
+    so3 = builtin("so3")
+    calls = []
+
+    class Counted(kind):
+        def flat_op(self, x):
+            calls.append(x)
+            return super().flat_op(x)
+
+    monkeypatch.setitem(ALGEBRAS, kind.KIND, Counted)
+    data = weil.cli.flat_report_data(so3, so3.reps["adjoint"], kind.KIND, 3, 20, 0)
+    assert data["closure"]["all_closed"] and data["closure"]["checked"]["product"] == 20
+    dims = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 3).dims
+    assert len(calls) == 180 + 3 + sum(dims.values())
+
+
+def _u2(alg):
+    return alg.even_gen(1)
+
+
+def _v2_squared(alg):
+    return alg.even_gen(1) * alg.even_gen(1)
+
+
+def _with_a_non_flat_vector(flat):
+    """v1 (x) E_11 added to the top level: [C, v1 E_11] = v^a v1 [tau_a, E_11]."""
+    top = flat.max_degree
+    flat.vectors[top] = flat.vectors[top] + [hor_basis(flat.alg, [(1, 0, 0)])[0]]
+
+
+@pytest.mark.parametrize("kind, extra, edit, caught", [
+    (QuantumAlgebra, _u2, None, True),
+    (ClassicalAlgebra, _v2_squared, None, False),
+    (ClassicalAlgebra, None, _with_a_non_flat_vector, True),
+], ids=["quantum-u2", "classical-v2^2", "classical-non-flat-vector"])
+def test_closure_samples_when_a_premise_fails(monkeypatch, kind, extra, edit, caught):
+    """A failed premise sends the closure to the sampler, whose report is
+    the list oracle's.  u2 (x) I on quantum so3 adjoint fails L_1 C = 0,
+    L_3 C = 0 and d C = 0, and at N = 1 and 2 every seed's samples find
+    it.  v2^2 (x) I fails the same premises classically, but it is central
+    there, so no sample fails.  No mutant fails d C = 0 alone
+    (`closure_report`)."""
+    so3 = builtin("so3")
+    alg = (kind if extra is None else _mutant(extra, kind))(so3.lie, so3.reps["adjoint"])
+    images = [alg._apply(i, alg.curvature).is_zero for i in range(7)]
+    assert images == ([True] * 7 if extra is None else [False, True, False] + [True] * 3 + [False])
+    draws = []
+    monkeypatch.setattr(weil.flat, "_index_monomial",
+                        lambda n, rank: draws.append(rank) or _index_monomial(n, rank))
+    failures = []
+    for max_degree in (1, 2):
+        flat = flat_subspace(alg, max_degree)
+        if edit is not None:
+            edit(flat)
+        for seed in range(3):
+            before = len(draws)
+            report = closure_report(flat, seed=seed)
+            assert report == oracles.list_closure_report(flat, seed=seed), (max_degree, seed)
+            assert len(draws) > before
+            failures.append(report["failures"])
+    assert all(failures) if caught else not any(failures), failures
 
 
 def test_curvature_with_a_clifford_term_fails_every_level():
