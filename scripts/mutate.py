@@ -28,7 +28,7 @@ QUANTUM_TABLES = ["tests/test_quantum.py::test_tables_match_the_bracket_oracle",
                   "tests/test_quantum.py::test_operator_images_are_read_off_the_inner_elements"]
 CLASSICAL_TABLES = ["tests/test_classical.py::test_tables_match_the_slot_oracle"]
 BRACKET_NUM = ["tests/test_linalg.py::test_bracket_num_is_one_product_plus_s_times_the_other"]
-CLOSURE_PREMISES = ["tests/test_flat.py::test_closure_samples_when_a_premise_fails"]
+CLOSURE_PREMISES = ["tests/test_flat.py::test_a_failed_premise_fails_the_closure"]
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -54,12 +54,14 @@ MUTANTS = [
      "                accumulate(sums, (k, t), (yx * p, 0)", QUANTUM_TABLES),
     ("_cancel adds the pivot row", "src/weil/linalg.py",
      "y = row.get(j, 0) - v * x", "y = row.get(j, 0) + v * x", ["tests/test_linalg.py"]),
-    ("closure: operator premises forced to hold", "src/weil/flat.py",
-     "return all(alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))",
-     "return True", CLOSURE_PREMISES),
-    ("closure: vector premises forced to hold", "src/weil/flat.py",
-     "flat.curvature_images_vanish and all(flat.commutes(h) for h in hvecs)",
-     "flat.curvature_images_vanish", CLOSURE_PREMISES),
+    ("closure: curvature images counted as 0", "src/weil/flat.py",
+     "return sum(not alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))",
+     "return 0", CLOSURE_PREMISES),
+    ("closure: vector premises not counted", "src/weil/flat.py",
+     "flat.curvature_image_failures + sum(not flat.commutes(h) for h in hvecs)",
+     "flat.curvature_image_failures", CLOSURE_PREMISES),
+    ("closure: all_closed ignores failures", "src/weil/flat.py",
+     '"all_closed": failures == 0,', '"all_closed": True,', CLOSURE_PREMISES),
 ]
 
 

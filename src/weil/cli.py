@@ -24,9 +24,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# random elements per identity (`check`, `report`) and closure samples
-# (`flat`, `report`): 50 samples of the so3 adjoint quantum check take
-# 0.10-0.15 s, of the classical one 0.09-0.11 s, on an Intel Xeon core
+# random elements per identity (`check`, `report`), also echoed by the
+# closure report (`flat`, `report`): 50 samples of the so3 adjoint
+# quantum check take 0.10-0.15 s, of the classical one 0.09-0.11 s, on an
+# Intel Xeon core
 MAX_SAMPLES = 1000
 # horizontal domain columns of a flat solve, C(n + N, n) monomials times
 # dim V^2 matrix units: so3 adjoint runs to N = 12 (4,095 columns),
@@ -308,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="truncation degree N (default 2); C(n + N, n) dim V^2 "
                         f"must be at most {MAX_DOMAIN_COLUMNS}")
     p_flat.add_argument("--samples", type=int, default=20,
-                        help=f"closure samples (default 20, at most {MAX_SAMPLES})")
+                        help="echoed in the closure report, which is decided by its "
+                        f"premises (default 20, at most {MAX_SAMPLES})")
     p_flat.add_argument("--json", action="store_true", help="emit JSON")
     p_flat.set_defaults(fn=cmd_flat)
 

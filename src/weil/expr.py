@@ -109,8 +109,8 @@ class Call(Node):
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<int>\d+)
-      | (?P<ident>[A-Za-z]+\d*)
+      | (?P<int>[0-9]+)
+      | (?P<ident>[A-Za-z]+[0-9]*)
       | (?P<op>⊗|−|[-+*/^(),\[\]])
     """,
     re.VERBOSE,
@@ -140,7 +140,7 @@ MAX_TERM_PAIRS = 50_000
 # (u3^32+u2^32)*(u1^32+u2^32) (four pairs, 2^22) is refused at once
 MAX_DEEP_PAIRS = 2 ** 21
 
-_GEN = re.compile(r"([vyux])(\d+)$")
+_GEN = re.compile(r"([vyux])([0-9]+)$")
 _NAMES = ("C", "QC", "gamma", "Dirac", "I")
 # call name -> its argument kinds in order: i a generator index, e an expr
 _CALLS = {"tau": "i", "d": "e", "L": "ie", "iota": "ie", "comm": "ee"}

@@ -26,9 +26,8 @@ derivations; quantum-side they are the brackets with theta_a = u_a + g_a
 D [C, y] = [D C, y] + [C, D y] gives [C, D y] = -[D C, y], so flat is
 closed under the three operators once their 2n + 1 images of C vanish:
 L_a C = 0, iota_a C = 0 and the Bianchi identity d C = 0.  It is closed
-under products as [C, .] is a derivation.  When these and the premises
-above hold, every sampled image is flat by proof and `closure_report`
-draws nothing; when one fails, it samples.
+under products as [C, .] is a derivation.  `closure_report` counts the
+premises that fail and draws, builds and brackets no image.
 
 Every bracket [C, x] is computed as [C - Z, x] (`WeilAlgebra.flat_op`),
 where Z is the sum of C's terms with no odd factor and a c I End V part:
@@ -50,11 +49,10 @@ dimension tables are reproducible bit for bit.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lcm
+from math import lcm
 
 from .element import accumulate, collect
 from .linalg import Matrix, kernel, rank
@@ -162,10 +160,10 @@ class SubspaceResult:
         return _odd_premise_failure(self.alg, self.alg.flat_op)
 
     @cached_property
-    def curvature_images_vanish(self) -> bool:
-        """Whether L_a C, iota_a C and d C all vanish: operators 0 .. 2n on C."""
+    def curvature_image_failures(self) -> int:
+        """How many of L_a C, iota_a C and d C are nonzero: operators 0 .. 2n on C."""
         alg = self.alg
-        return all(alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))
+        return sum(not alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))
 
 
 def _solve_levels(alg, max_degree, images):
@@ -250,24 +248,6 @@ def inclusion_report(flat) -> dict:
     }
 
 
-def _index_monomial(n, rank):
-    """The `rank`-th strictly increasing index tuple over range(n) (an
-    exterior / Clifford basis monomial), by length, then lexicographically."""
-    size = 0
-    while rank >= comb(n, size):
-        rank -= comb(n, size)
-        size += 1
-    out, first = [], 0
-    for left in range(size, 0, -1):
-        # comb(n - first - 1, left - 1) tuples continue with `first`
-        while rank >= comb(n - first - 1, left - 1):
-            rank -= comb(n - first - 1, left - 1)
-            first += 1
-        out.append(first)
-        first += 1
-    return tuple(out)
-
-
 def _odd_premise_failure(alg, op):
     """The first a with [C, x_a] != 0, `op` being x -> [C, x] on `alg`, or
     None when the curvature commutes with every odd generator."""
@@ -304,34 +284,23 @@ def closure_report(flat, samples=20, seed=0) -> dict:
 
     The closure is decided by its premises (module docstring): [C, x_a] =
     0 for each odd generator (its failure raises), L_a C = 0, iota_a C = 0
-    and d C = 0, and [C, h] = 0 for each h that the sampler would draw
-    from.  When they hold every image below is flat by proof, and the
-    report gives the sampler's counts with no draw, product or bracket.
-
-    When one fails, products, L_a, and iota_a images of flat elements x_I
-    h are checked for exact flatness; the differential raises degree, so
-    its inputs have polynomial degree <= max_degree - 1.  Each sample is
-    one `randrange` over the 2^n len(h) pairs (I, h), I-major, and only
-    that x_I h is built.  No mutant curvature fails d C = 0 alone.
-    Classically a C with iota_a C = 0 has iota_a d C = L_a C by [iota_a,
-    d] = L_a, and d C has one y factor per term, so d C = y^a L_a C.
-    Quantum-side a C with [C, x_a] = 0 commutes with Cl(g), so [Q, C] =
-    x_a [u_a + tau_a, C] = x_a L_a C.
+    and d C = 0, and [C, h] = 0 for each horizontal flat vector h.
+    `failures` counts the operator images of C that are nonzero and the
+    vectors h with [C, h] != 0, and the closure holds when it is 0.
+    `samples` and `seed` only fill the echoed fields: `checked` gives
+    `samples` per kind that has inputs, the differential's being the
+    vectors of polynomial degree <= max_degree - 1, as it raises degree.
     """
-    alg = flat.alg
     bad = flat.odd_premise_failure
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
     hvecs = flat.basis_up_to(flat.max_degree)
-    low = [h for h in hvecs if h.poly_degree() <= flat.max_degree - 1]
-    if flat.curvature_images_vanish and all(flat.commutes(h) for h in hvecs):
-        count = max(samples, 0)
-        checked = {name: count if hvecs else 0
-                   for name in ("product", "lie_derivative", "contraction")}
-        checked["differential"] = count if low else 0
-        failures = 0
-    else:
-        checked, failures = _sampled_closure(alg, hvecs, low, samples, random.Random(seed))
+    count = max(samples, 0)
+    low = any(h.poly_degree() < flat.max_degree for h in hvecs)
+    checked = {name: count if hvecs else 0
+               for name in ("product", "lie_derivative", "contraction")}
+    checked["differential"] = count if low else 0
+    failures = flat.curvature_image_failures + sum(not flat.commutes(h) for h in hvecs)
     return {
         "seed": seed,
         "samples": samples,
@@ -339,32 +308,3 @@ def closure_report(flat, samples=20, seed=0) -> dict:
         "failures": failures,
         "all_closed": failures == 0,
     }
-
-
-def _sampled_closure(alg, hvecs, low, samples, rng):
-    """The closure counts (checked per kind, failures) of `samples` sampled
-    images per kind, drawn by `rng`, each bracketed with C."""
-    n, op = alg.lie.dim, alg.flat_op
-    ident, even = Matrix.identity(alg.rep.dim), (0,) * n
-
-    def draw(vecs):
-        index, j = divmod(rng.randrange(len(vecs) << n), len(vecs))
-        return alg.element({(even, _index_monomial(n, index)): ident}) * vecs[j]
-
-    checked = {"product": 0, "lie_derivative": 0, "contraction": 0, "differential": 0}
-    failures = 0
-    if hvecs:
-        for _ in range(samples):
-            b1, b2 = draw(hvecs), draw(hvecs)
-            a = rng.randrange(n)
-            for name, image in (("product", b1 * b2),
-                                ("lie_derivative", alg.lie_derivative(a, b1)),
-                                ("contraction", alg.contraction(a, b2))):
-                failures += int(not op(image).is_zero)
-                checked[name] += 1
-    if low:
-        for _ in range(samples):
-            if not op(alg.differential(draw(low))).is_zero:
-                failures += 1
-            checked["differential"] += 1
-    return checked, failures

@@ -298,6 +298,26 @@ def test_flat_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("context", ["quantum", "classical"])
+def test_flat_json_depends_on_seed_and_samples_only_through_the_echoed_fields(capsys, context):
+    """The closure is decided by its premises, so `--seed` and `--samples`
+    change only the echoed "seed", "samples" and "checked" fields of the
+    report; its other bytes are those of the default run."""
+    argv = ["flat", "--builtin", "so3", "--rep", "adjoint", f"--{context}",
+            "--max-degree", "2", "--json"]
+    code, base, _ = run(argv, capsys)
+    assert code == 0
+    for seed in (0, 7):
+        for samples in (20, 3):
+            code, out, _ = run(argv + ["--seed", str(seed), "--samples", str(samples)], capsys)
+            expected = json.loads(base)
+            expected["seed"] = seed
+            closure = expected["closure"]
+            closure.update(seed=seed, samples=samples,
+                           checked={k: samples * bool(v) for k, v in closure["checked"].items()})
+            assert code == 0 and out == json.dumps(expected, indent=2) + "\n", (seed, samples)
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(["check", "--builtin", "e8", "--classical"], capsys)
     assert code == 2 and "unknown builtin" in err

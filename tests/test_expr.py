@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from weil.classical import ClassicalAlgebra
+from weil.cli import main
 from weil.expr import (
     MAX_EXPONENT,
     MAX_LITERAL,
@@ -74,6 +75,20 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ExprError) as exc:
         parse("v1 +\n* y2")
     assert exc.value.pos[0] == 2
+
+
+def test_only_ascii_digits_are_digits(capsys):
+    """Other Unicode decimal digits are refused where they stand, as the
+    file loader refuses them: int() would read "٣" as 3."""
+    for src, pos in (("٣/4*u1", (1, 1)), ("3/٤*u1", (1, 3)), ("u١", (1, 2)),
+                     ("v1*y２", (1, 5))):
+        with pytest.raises(ExprError, match="unexpected character") as exc:
+            parse(src)
+        assert exc.value.pos == pos, src
+    code = main(["eval", "--builtin", "so3", "--rep", "trivial", "--quantum", "٣/٤*u1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: 1:1: unexpected character '٣'\n"
 
 
 def test_exponent_above_cap_is_positioned():
