@@ -29,6 +29,8 @@ QUANTUM_TABLES = ["tests/test_quantum.py::test_tables_match_the_bracket_oracle",
 CLASSICAL_TABLES = ["tests/test_classical.py::test_tables_match_the_slot_oracle"]
 BRACKET_NUM = ["tests/test_linalg.py::test_bracket_num_is_one_product_plus_s_times_the_other"]
 CLOSURE_PREMISES = ["tests/test_flat.py::test_a_failed_premise_fails_the_closure"]
+ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
+            "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -58,10 +60,14 @@ MUTANTS = [
      "return sum(not alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))",
      "return 0", CLOSURE_PREMISES),
     ("closure: vector premises not counted", "src/weil/flat.py",
-     "flat.curvature_image_failures + sum(not flat.commutes(h) for h in hvecs)",
+     "flat.curvature_image_failures + flat.commuting.count(False)",
      "flat.curvature_image_failures", CLOSURE_PREMISES),
     ("closure: all_closed ignores failures", "src/weil/flat.py",
-     '"all_closed": failures == 0,', '"all_closed": True,', CLOSURE_PREMISES),
+     '"all_closed": failures == 0}', '"all_closed": True}', CLOSURE_PREMISES),
+    ("rows list levels <= k for both kinds", "src/weil/flat.py",
+     "level == k or (level < k and not alg.GRADED)", "level <= k", ROW_RULE),
+    ("rows list level k alone for both kinds", "src/weil/flat.py",
+     "level == k or (level < k and not alg.GRADED)", "level == k", ROW_RULE),
 ]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import comb
 
@@ -265,6 +266,17 @@ def cmd_report(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _int(text):
+    """argparse's `int` on ASCII digits alone: `int` also reads other
+    Unicode digits and underscores."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weil",
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rep", default="adjoint", help="representation name (default adjoint)")
         p.add_argument("--classical", action="store_true", help="classical algebra (default)")
         p.add_argument("--quantum", action="store_true", help="quantum algebra")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+        p.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
 
     p_validate = sub.add_parser("validate", help="run the validation reports")
     add_algebra_flags(p_validate)
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify every operator identity")
     add_algebra_flags(p_check)
     add_session_flags(p_check)
-    p_check.add_argument("--samples", type=int, default=50,
+    p_check.add_argument("--samples", type=_int, default=50,
                          help=f"random elements per identity (default 50, at most {MAX_SAMPLES})")
     p_check.set_defaults(fn=cmd_check)
 
@@ -305,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_flat = sub.add_parser("flat", help="basic/flat subspace tables up to a degree")
     add_algebra_flags(p_flat)
     add_session_flags(p_flat)
-    p_flat.add_argument("--max-degree", type=int, default=2, dest="max_degree",
+    p_flat.add_argument("--max-degree", type=_int, default=2, dest="max_degree",
                         help="truncation degree N (default 2); C(n + N, n) dim V^2 "
                         f"must be at most {MAX_DOMAIN_COLUMNS}")
-    p_flat.add_argument("--samples", type=int, default=20,
+    p_flat.add_argument("--samples", type=_int, default=20,
                         help="echoed in the closure report, which is decided by its "
                         f"premises (default 20, at most {MAX_SAMPLES})")
     p_flat.add_argument("--json", action="store_true", help="emit JSON")
@@ -317,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="run check + flat over the catalog")
     p_report.add_argument("--all-builtins", action="store_true", dest="all_builtins")
     p_report.add_argument("--builtin", help="restrict to one catalog algebra")
-    p_report.add_argument("--max-degree", type=int, default=1, dest="max_degree")
-    p_report.add_argument("--samples", type=int, default=10)
-    p_report.add_argument("--seed", type=int, default=0)
+    p_report.add_argument("--max-degree", type=_int, default=1, dest="max_degree")
+    p_report.add_argument("--samples", type=_int, default=10)
+    p_report.add_argument("--seed", type=_int, default=0)
     p_report.set_defaults(fn=cmd_report)
 
     return parser

@@ -4,7 +4,7 @@ Horizontal elements have no exterior / Clifford factor; the solver
 enumerates monomial-times-matrix-unit bases up to a degree bound, maps
 them through the defining operator (L_a for basic, bracket with the
 curvature for flat), and takes the exact kernel, in integers from the
-images' numerators to the kernel vectors.  Degree means symmetric
+images' numerators to the kernel basis.  Degree means symmetric
 degree classically (where the operators are graded and the solve splits
 into per-degree blocks) and PBW degree quantum-side (a filtration: one
 solve on the whole <= N block).  A vector's level is its top degree.
@@ -17,7 +17,7 @@ As x_I h = h x_I turns each term (s, ()) of h into the one term (s, I),
 h -> x_I h maps the horizontal part one-to-one onto the block of x_I;
 so flat(full) is the sum over index monomials I of x_I flat(hor).
 The reports check exactly these premises, n + dim flat(hor) brackets,
-and never build the 2^n dim flat(hor) vectors x_I h.  Each premise is
+and never build the 2^n dim flat(hor) elements x_I h.  Each premise is
 worked out once per `flat_subspace` result and shared by the reports.
 
 The closure of flat(full) is decided the same way.  L_a, iota_a and d are
@@ -59,7 +59,7 @@ from .linalg import Matrix, kernel, rank
 
 
 def degree_monomials(n, deg):
-    """All exponent vectors of total degree deg in n variables, lex order."""
+    """All exponent tuples of total degree deg in n variables, lex order."""
     if n == 1:
         return [(deg,)]
     out = []
@@ -73,10 +73,11 @@ def monomials_up_to(n, max_deg):
     return [mono for k in range(max_deg + 1) for mono in degree_monomials(n, k)]
 
 
-def _level_monomials(alg, k):
-    """The polynomial monomials of level k: degree exactly k where the
-    algebra is graded, degree <= k where it is only filtered."""
-    return (degree_monomials if alg.GRADED else monomials_up_to)(alg.lie.dim, k)
+def _at_level(alg, pairs, k):
+    """The items of the (level, item) `pairs` that row k lists: level
+    exactly k where the algebra is graded, level <= k where it is only
+    filtered."""
+    return [x for level, x in pairs if level == k or (level < k and not alg.GRADED)]
 
 
 def hor_basis(alg, monos):
@@ -125,34 +126,28 @@ def span_rank(elements) -> int:
 class SubspaceResult:
     """Exact basis of a defined subspace of the truncated horizontal part.
 
-    `dims[k]` counts the basis vectors of level exactly k.  Classically
-    `vectors[k]` holds them (the degree-k block); quantum-side it holds
-    every vector of level <= k, the kernel of the <= k block.
+    `levelled` holds each kernel vector once, in solver order, as a pair
+    (level, vector), the level being its top polynomial degree.  Row k of
+    a report lists the pairs that `_at_level` keeps: the degree-k block
+    classically, the kernel of the <= k block quantum-side.  `dims[k]`
+    counts those of level exactly k.
     """
 
     alg: object  # the `WeilAlgebra`
     max_degree: int
-    dims: dict
-    vectors: dict
+    levelled: list
 
-    def __post_init__(self):
-        # id(h) -> (h, [C, h] == 0): holding h keeps its id from being reused
-        self._commutes = {}
+    @property
+    def dims(self):
+        levels = [level for level, _ in self.levelled]
+        return {k: levels.count(k) for k in range(self.max_degree + 1)}
 
-    def basis_up_to(self, k):
-        k = min(k, self.max_degree)
-        levels = range(k + 1) if self.alg.GRADED else [k]
-        return [v for d in levels for v in self.vectors.get(d, [])]
+    # -- the premises of the reports, each worked out once per result
 
-    # -- the premises of the reports on a `flat_subspace` result, each
-    # worked out once: `vectors` may be edited, so h is looked up by identity
-
-    def commutes(self, h) -> bool:
-        """[C, h] = 0, bracketed once per vector h."""
-        hit = self._commutes.get(id(h))
-        if hit is None:
-            hit = self._commutes[id(h)] = (h, self.alg.flat_op(h).is_zero)
-        return hit[1]
+    @cached_property
+    def commuting(self):
+        """[C, h] = 0 for each vector h of `levelled`, in its order."""
+        return [self.alg.flat_op(h).is_zero for _, h in self.levelled]
 
     @cached_property
     def odd_premise_failure(self):
@@ -173,8 +168,8 @@ def _solve_levels(alg, max_degree, images):
     quantum-side; `images(domain)` lists the images of each vector of a
     block's domain.  `hor_basis` orders columns by degree and a normalized
     kernel vector lives on its free column and the pivot columns before
-    it, so its level is its top polynomial degree, and the vectors of
-    level <= k are the normalized kernel of the <= k block.
+    it, so its level is its top polynomial degree, and those of level
+    <= k are the normalized kernel of the <= k block.
     """
     n = alg.lie.dim
     blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
@@ -183,12 +178,7 @@ def _solve_levels(alg, max_degree, images):
     for monos in blocks:
         domain = hor_basis(alg, monos)
         basis.extend(_kernel(domain, images(domain)))
-    levels = [v.poly_degree() for v in basis]
-    dims = {k: levels.count(k) for k in range(max_degree + 1)}
-    vectors = {k: [v for v, level in zip(basis, levels)
-                   if level == k or (level < k and not alg.GRADED)]
-               for k in range(max_degree + 1)}
-    return SubspaceResult(alg, max_degree, dims, vectors)
+    return SubspaceResult(alg, max_degree, [(v.poly_degree(), v) for v in basis])
 
 
 def basic_subspace(alg, max_degree) -> SubspaceResult:
@@ -224,28 +214,30 @@ def inclusion_report(flat) -> dict:
     alg, max_degree = flat.alg, flat.max_degree
     ident = Matrix.identity(alg.rep.dim)
     basic = basic_subspace(alg, max_degree)
-    rows = []
+    # the multiples m b of the basic b, keyed (index of b, m) at level deg m
+    # + level b: the S-module classically, the left U-module quantum-side;
+    # each is built once, and kept while the rows list it
+    module = [(sum(mono) + level, (j, mono)) for j, (level, _) in enumerate(basic.levelled)
+              for mono in monomials_up_to(alg.lie.dim, max_degree - level)]
+    rows, built = [], {}
     for k in range(max_degree + 1):
-        bvecs, fvecs = basic.vectors[k], flat.vectors[k]
-        # polynomial multiples of basic vectors at level k: the S-module
-        # classically, the left U-module quantum-side
-        module = [alg.element({(mono, ()): ident}) * b
-                  for b in basic.basis_up_to(k)
-                  for mono in _level_monomials(alg, k - b.poly_degree())]
+        bvecs, fvecs = _at_level(alg, basic.levelled, k), _at_level(alg, flat.levelled, k)
+        built = {(j, m): built[j, m] if (j, m) in built
+                 else alg.element({(m, ()): ident}) * basic.levelled[j][1]
+                 for j, m in _at_level(alg, module, k)}
+        mvecs = list(built.values())
         rows.append({
             "deg": k,
             "dim_basic": basic.dims[k],
             "dim_flat": flat.dims[k],
             # a kernel basis is independent: span(fvecs) has rank len(fvecs)
             "basic_subset_flat": span_rank(fvecs + bvecs) == len(fvecs),
-            "s_basic_equals_flat": (span_rank(module) == len(fvecs)
-                                    == span_rank(fvecs + module)),
+            "s_basic_equals_flat": (span_rank(mvecs) == len(fvecs)
+                                    == span_rank(fvecs + mvecs)),
         })
-    return {
-        "algebra": alg.KIND,
-        "degree_semantics": "exact" if alg.GRADED else "filtration_increment",
-        "per_degree": rows,
-    }
+    return {"algebra": alg.KIND,
+            "degree_semantics": "exact" if alg.GRADED else "filtration_increment",
+            "per_degree": rows}
 
 
 def _odd_premise_failure(alg, op):
@@ -260,20 +252,19 @@ def decomposition_report(flat) -> dict:
 
     `dim_full_flat` is 2^n dim flat(hor) by the proof in the module
     docstring, and a level matches when its premises hold: [C, x_a] = 0
-    for each odd generator and [C, h] = 0 for each horizontal vector h of
-    the level.  Quantum-side the levels share their vectors (level k lists
-    those of level <= k); each distinct vector is bracketed at most once
-    per result (`SubspaceResult.commutes`), for this report and the closure.
+    for each odd generator and [C, h] = 0 for each horizontal vector h
+    that the row lists (`_at_level`).  Each vector is bracketed once per
+    result (`SubspaceResult.commuting`), for this report and the closure.
     """
     n = flat.alg.lie.dim
     odd_flat = flat.odd_premise_failure is None
+    flags = [(level, ok) for (level, _), ok in zip(flat.levelled, flat.commuting)]
     rows = []
     for k in range(flat.max_degree + 1):
-        hvecs = flat.vectors[k]
-        full = (2 ** n) * len(hvecs)
-        rows.append({"deg": k, "dim_hor_flat": len(hvecs), "dim_full_flat": full,
-                     "expected_full": full,
-                     "match": odd_flat and all(flat.commutes(h) for h in hvecs)})
+        row = _at_level(flat.alg, flags, k)
+        full = (2 ** n) * len(row)
+        rows.append({"deg": k, "dim_hor_flat": len(row), "dim_full_flat": full,
+                     "expected_full": full, "match": odd_flat and all(row)})
     return {"factor": 2 ** n, "per_degree": rows,
             "all_match": all(row["match"] for row in rows)}
 
@@ -286,25 +277,20 @@ def closure_report(flat, samples=20, seed=0) -> dict:
     0 for each odd generator (its failure raises), L_a C = 0, iota_a C = 0
     and d C = 0, and [C, h] = 0 for each horizontal flat vector h.
     `failures` counts the operator images of C that are nonzero and the
-    vectors h with [C, h] != 0, and the closure holds when it is 0.
-    `samples` and `seed` only fill the echoed fields: `checked` gives
-    `samples` per kind that has inputs, the differential's being the
-    vectors of polynomial degree <= max_degree - 1, as it raises degree.
+    h with [C, h] != 0 (`SubspaceResult.commuting`), and the closure
+    holds when it is 0.  `samples` and `seed` only fill the echoed
+    fields: `checked` gives `samples` per kind that has inputs, the
+    differential's being the h of level <= max_degree - 1, as it raises
+    degree.
     """
     bad = flat.odd_premise_failure
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
-    hvecs = flat.basis_up_to(flat.max_degree)
     count = max(samples, 0)
-    low = any(h.poly_degree() < flat.max_degree for h in hvecs)
-    checked = {name: count if hvecs else 0
+    low = any(level < flat.max_degree for level, _ in flat.levelled)
+    checked = {name: count if flat.levelled else 0
                for name in ("product", "lie_derivative", "contraction")}
     checked["differential"] = count if low else 0
-    failures = flat.curvature_image_failures + sum(not flat.commutes(h) for h in hvecs)
-    return {
-        "seed": seed,
-        "samples": samples,
-        "checked": checked,
-        "failures": failures,
-        "all_closed": failures == 0,
-    }
+    failures = flat.curvature_image_failures + flat.commuting.count(False)
+    return {"seed": seed, "samples": samples, "checked": checked, "failures": failures,
+            "all_closed": failures == 0}

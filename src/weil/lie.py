@@ -258,7 +258,7 @@ class AlgebraDef:
         return self.reps[name]
 
 
-_ABELIAN = re.compile(r"abelian\((\d+)\)$")
+_ABELIAN = re.compile(r"abelian\(([0-9]+)\)$")
 
 # largest Lie algebra dimension accepted from a file or as abelian(n):
 # checking the adjoint representation costs n(n-1)/2 commutators of n x n

@@ -21,7 +21,9 @@ curvature, and every flat oracle here brackets through it.  The flat
 oracles take a `WeilAlgebra` value, or a `flat_subspace` result.
 `level_solve` is the basic / flat solve before it read every level off
 one basis: it re-solves the whole <= k block for each level k
-quantum-side.  It runs on the dense Fraction kernel path that
+quantum-side, and returns the rows, level k listing that block's kernel
+(the monomials of a row are `level_monomials`, `weil.flat._at_level`
+on monomials levelled by their degree).  It runs on the dense Fraction kernel path that
 `weil.flat` used before its solves stayed in integers: `element_coords`
 and `lie_stacked_coords` turn images into sparse Fraction coordinates,
 `dense_coord_matrix` lays them out as a `FractionMatrix`, and
@@ -94,8 +96,7 @@ from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_stru
                          scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
-from weil.flat import (SubspaceResult, _level_monomials, _odd_premise_failure, hor_basis,
-                       monomials_up_to)
+from weil.flat import _at_level, _odd_premise_failure, hor_basis, monomials_up_to
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar
 from weil.render import render
@@ -664,20 +665,25 @@ def dense_kernel(domain, coord_maps):
 
 # -- basic and flat subspaces, one solve per level ----------------------------
 
+def level_monomials(alg, k):
+    """The polynomial monomials that row k lists: degree exactly k where
+    the algebra is graded, degree <= k where it is only filtered."""
+    return _at_level(alg, [(sum(m), m) for m in monomials_up_to(alg.lie.dim, k)], k)
+
+
 def level_solve(alg, max_degree, image_coords):
-    """Kernel of the horizontal block of every level k <= max_degree.
+    """The kernel of the horizontal block of every row k <= max_degree,
+    as a list indexed by k.
 
     `image_coords(k, domain)` gives the coordinates of the images of the
-    level-k domain.  Quantum-side the levels are cumulative, so
-    `dims[k]` is the increment over level k - 1.
+    row-k domain.  Quantum-side the rows are cumulative: row k is the
+    kernel of the whole <= k block.
     """
-    dims, vectors, prev = {}, {}, 0
+    rows = []
     for k in range(max_degree + 1):
-        domain = hor_basis(alg, _level_monomials(alg, k))
-        basis = dense_kernel(domain, image_coords(k, domain))
-        dims[k], vectors[k] = len(basis) - prev, basis
-        prev = 0 if alg.GRADED else len(basis)
-    return SubspaceResult(alg, max_degree, dims, vectors)
+        domain = hor_basis(alg, level_monomials(alg, k))
+        rows.append(dense_kernel(domain, image_coords(k, domain)))
+    return rows
 
 
 def level_basic_subspace(alg, max_degree):
@@ -719,7 +725,8 @@ def derived_full_flat_basis(flat, degree=None):
     bad = _odd_premise_failure(alg, full_flat_op(alg))
     if bad is not None:
         raise AssertionError(f"the curvature does not commute with odd generator {bad + 1}")
-    hvecs = flat.basis_up_to(flat.max_degree) if degree is None else flat.vectors[degree]
+    hvecs = ([h for _, h in flat.levelled] if degree is None
+             else _at_level(alg, flat.levelled, degree))
     ident = Matrix.identity(alg.rep.dim)
     return [alg.element({((0,) * alg.lie.dim, combo): ident}) * h
             for combo in index_monomials(alg.lie.dim) for h in hvecs]
@@ -748,7 +755,7 @@ def full_flat_basis(alg, max_degree, degree=None):
     """
     n = alg.lie.dim
     op = full_flat_op(alg)
-    monos = (_level_monomials(alg, degree) if degree is not None
+    monos = (level_monomials(alg, degree) if degree is not None
              else monomials_up_to(n, max_degree))
     basis = []
     for combo in index_monomials(n):
@@ -770,7 +777,7 @@ def rebracket_decomposition_report(flat) -> dict:
     rows = []
     all_match = True
     for k in range(flat.max_degree + 1):
-        hvecs = flat.vectors[k]
+        hvecs = _at_level(flat.alg, flat.levelled, k)
         full = derived_full_flat_basis(flat, degree=k)
         expected = (2 ** n) * len(hvecs)
         products_flat = all(op(x).is_zero for x in full)

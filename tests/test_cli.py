@@ -369,6 +369,35 @@ def test_report_unknown_builtin_exits_two(capsys, name):
     assert err.startswith("error: ") and "internal error" not in err, err
 
 
+def test_abelian_takes_ascii_digits_only(capsys):
+    """abelian(n) reads n in ASCII digits, as the file loader reads its
+    scalars: an Arabic-Indic three names no algebra."""
+    code, out, err = run(["validate", "--builtin", "abelian(\u0663)"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: unknown builtin algebra 'abelian(\u0663)'\n"
+
+
+INT_FLAGS = [("check", "--seed"), ("check", "--samples"), ("eval", "--seed"),
+             ("flat", "--seed"), ("flat", "--max-degree"), ("flat", "--samples"),
+             ("report", "--max-degree"), ("report", "--samples"), ("report", "--seed")]
+
+
+@pytest.mark.parametrize("command, flag", INT_FLAGS)
+def test_integer_flags_take_ascii_digits_only(capsys, command, flag):
+    """Every integer flag reads an optional minus sign and ASCII digits:
+    `int` would also take an Arabic-Indic digit, underscores, a plus sign
+    and surrounding blanks.  Each is refused with argparse's message and
+    exit 2, as is a number too long for `int`; "-12" still parses, for
+    the commands to refuse."""
+    for value in ("\u0661", "1_0", "+1", " 1", "9" * 5000):
+        code, out, err = run([command, "--builtin", "so3", flag, value], capsys)
+        assert code == 2 and out == "", (flag, value)
+        assert f"argument {flag}: invalid int value: {value!r}" in err, err
+    for value, parsed in (("12", 12), ("-12", -12), ("007", 7)):
+        args, _ = cli.build_parser().parse_known_args([command, flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == parsed
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"dim": 3, "f": 5}', "$.f: expected a list"),
     ('{"dim": 3, "reps": {"r": [1]}}', "$.reps.r: expected an object"),

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -23,6 +24,7 @@ from weil.cli import main
 from weil.element import supercommutator
 from weil.quantum import QuantumAlgebra
 from weil.flat import (
+    _at_level,
     basic_subspace,
     closure_report,
     decomposition_report,
@@ -82,23 +84,21 @@ def test_trivial_rep_everything_flat(so3):
 def test_every_basis_vector_satisfies_definition(so3):
     c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
     flat = flat_subspace(c, 2)
-    for k, vecs in flat.vectors.items():
-        for v in vecs:
-            assert supercommutator(c.curvature, v).is_zero
+    for level, v in flat.levelled:
+        assert supercommutator(c.curvature, v).is_zero
+        assert level == v.poly_degree()
     basic = basic_subspace(c, 2)
-    for vecs in basic.vectors.values():
-        for v in vecs:
-            for a in range(3):
-                assert c.lie_derivative(a, v).is_zero
+    for _, v in basic.levelled:
+        for a in range(3):
+            assert c.lie_derivative(a, v).is_zero
 
 
 def test_curvature_is_basic_and_flat(so3):
     c = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
     curv = c.curvature
-    basic = basic_subspace(c, 1)
-    assert span_rank(basic.vectors[1] + [curv]) == span_rank(basic.vectors[1])
-    flat = flat_subspace(c, 1)
-    assert span_rank(flat.vectors[1] + [curv]) == span_rank(flat.vectors[1])
+    for sub in (basic_subspace(c, 1), flat_subspace(c, 1)):
+        level_one = _at_level(c, sub.levelled, 1)
+        assert span_rank(level_one + [curv]) == span_rank(level_one)
 
 
 def dense_lie_operator_dims(lie, rep, k):
@@ -172,18 +172,27 @@ def test_inclusion_abelian_basic_equals_flat(abelian2):
         assert row["basic_subset_flat"] and row["s_basic_equals_flat"]
 
 
+def _add(flat, level, vector):
+    """Append (level, vector) to the `flat_subspace` result `flat`, before
+    any report has bracketed its premises."""
+    assert "commuting" not in vars(flat)
+    flat.levelled.append((level, vector))
+
+
 @pytest.mark.parametrize("kind, level_one", [
-    (ClassicalAlgebra, lambda flat: []),
-    (QuantumAlgebra, lambda flat: flat.vectors[0]),
+    (ClassicalAlgebra, lambda alg: []),
+    (QuantumAlgebra, lambda alg: []),
     # as many vectors as the S-module has rank, spanning something else
-    (ClassicalAlgebra, lambda flat: hor_basis(flat.alg, [(0, 0, 1)])[:4]),
+    (ClassicalAlgebra, lambda alg: hor_basis(alg, [(0, 0, 1)])[:4]),
 ], ids=["dropped", "dropped-quantum", "swapped"])
 def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, kind, level_one):
     """Both columns compare spans by rank: with the level-1 flat vectors of
     so3 adjoint dropped or swapped, the level-1 basic vectors and the
     S-module fall outside their span."""
     flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 1)
-    flat.vectors[1] = level_one(flat)
+    flat.levelled[:] = [(level, v) for level, v in flat.levelled if level != 1]
+    for v in level_one(flat.alg):
+        _add(flat, 1, v)
     rows = inclusion_report(flat)["per_degree"]
     assert [(row["basic_subset_flat"], row["s_basic_equals_flat"]) for row in rows] == \
         [(True, True), (False, False)]
@@ -267,7 +276,7 @@ def test_quantum_flat_matches_dense_oracle(so3):
     lie, rep = so3.lie, so3.reps["adjoint"]
     flat = flat_subspace(QuantumAlgebra(lie, rep), 2)
     for k in range(3):
-        assert len(flat.basis_up_to(k)) == quantum_flat_dense_dim(lie, rep, k)
+        assert len(_at_level(flat.alg, flat.levelled, k)) == quantum_flat_dense_dim(lie, rep, k)
 
 
 def test_quantum_evidence_report_shape(so3):
@@ -407,7 +416,7 @@ def test_non_flat_vector_fails_its_level_and_the_closure():
     that one failed premise."""
     so3 = builtin("so3")
     flat = flat_subspace(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 1)
-    flat.vectors[1] = flat.vectors[1] + [flat.alg.even_gen(0)]
+    _add(flat, 1, flat.alg.even_gen(0))
     report = decomposition_report(flat)
     assert [row["match"] for row in report["per_degree"]] == [True, False]
     assert not report["all_match"]
@@ -432,7 +441,7 @@ def test_closure_draws_and_brackets_nothing_when_its_premises_hold(monkeypatch, 
     for max_degree in degrees:
         flat = flat_subspace(alg, max_degree)
         decomposition_report(flat)
-        hvecs = flat.basis_up_to(max_degree)
+        hvecs = [h for _, h in flat.levelled]
         low = [h for h in hvecs if h.poly_degree() < max_degree]
         with monkeypatch.context() as patch:
             patch.setattr(type(alg), "flat_op", _refuse)
@@ -474,9 +483,8 @@ def _v2_squared(alg):
 
 
 def _with_a_non_flat_vector(flat):
-    """v1 (x) E_11 added to the top level: [C, v1 E_11] = v^a v1 [tau_a, E_11]."""
-    top = flat.max_degree
-    flat.vectors[top] = flat.vectors[top] + [hor_basis(flat.alg, [(1, 0, 0)])[0]]
+    """v1 (x) E_11 added at its level 1: [C, v1 E_11] = v^a v1 [tau_a, E_11]."""
+    _add(flat, 1, hor_basis(flat.alg, [(1, 0, 0)])[0])
 
 
 @pytest.mark.parametrize("kind, extra, edit, failures, caught", [
@@ -514,15 +522,36 @@ def test_curvature_with_a_clifford_term_fails_every_level():
     assert not report["all_match"]
 
 
-def test_non_flat_vector_fails_only_the_level_it_was_added_to():
-    """Quantum levels share their vectors; a vector added to level 0 alone
-    fails level 0 and no other, as re-bracketing every x_I h finds."""
+@pytest.mark.parametrize("kind, matches", [
+    (ClassicalAlgebra, [False, True, True]),
+    (QuantumAlgebra, [False, False, False]),
+], ids=["classical", "quantum"])
+def test_non_flat_vector_fails_exactly_the_rows_that_list_it(kind, matches):
+    """E_11, of level 0 and not flat on so3 adjoint, is listed by row 0
+    classically and by every row quantum-side, where row k lists the
+    levels <= k; it fails exactly those rows, as re-bracketing every x_I h
+    finds."""
     so3 = builtin("so3")
-    flat = flat_subspace(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 2)
-    flat.vectors[0] = flat.vectors[0] + [flat.alg.even_gen(0)]
+    flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 2)
+    _add(flat, 0, hor_basis(flat.alg, [(0, 0, 0)])[0])
     report = decomposition_report(flat)
-    assert [row["match"] for row in report["per_degree"]] == [False, True, True]
+    assert [row["match"] for row in report["per_degree"]] == matches
     assert report == oracles.rebracket_decomposition_report(flat)
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
+def test_an_added_vector_counts_alike_in_both_reports(kind):
+    """With v1 (x) E_11 added at level 1 of so3 adjoint at N = 1, the
+    inclusion's `dim_flat` counts it at level 1, and the decomposition's
+    `dim_hor_flat` in every row that lists it: the same numbers
+    classically, their running sum quantum-side."""
+    so3 = builtin("so3")
+    flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 1)
+    _with_a_non_flat_vector(flat)
+    dim_flat = [row["dim_flat"] for row in inclusion_report(flat)["per_degree"]]
+    dim_hor = [row["dim_hor_flat"] for row in decomposition_report(flat)["per_degree"]]
+    assert dim_flat == [1, 5]
+    assert dim_hor == (dim_flat if kind.GRADED else list(accumulate(dim_flat)))
 
 
 def _images_both_ways(alg, max_degree):
@@ -553,8 +582,8 @@ def _same_levels(alg, max_degree):
     for new, old in ((flat_subspace, oracles.level_flat_subspace),
                      (basic_subspace, oracles.level_basic_subspace)):
         got, want = new(alg, max_degree), old(alg, max_degree)
-        assert got.dims == want.dims, (new.__name__, max_degree)
-        assert got.vectors == want.vectors, (new.__name__, max_degree)
+        rows = [_at_level(alg, got.levelled, k) for k in range(max_degree + 1)]
+        assert rows == want, (new.__name__, max_degree)
 
 
 @pytest.mark.parametrize("alg", _builtin_cases())
