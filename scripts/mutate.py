@@ -29,6 +29,7 @@ QUANTUM_TABLES = ["tests/test_quantum.py::test_tables_match_the_bracket_oracle",
 CLASSICAL_TABLES = ["tests/test_classical.py::test_tables_match_the_slot_oracle"]
 BRACKET_NUM = ["tests/test_linalg.py::test_bracket_num_is_one_product_plus_s_times_the_other"]
 CLOSURE_PREMISES = ["tests/test_flat.py::test_a_failed_premise_fails_the_closure"]
+WRITTEN_ROWS = ["tests/test_flat.py::test_written_rows_solve_as_the_element_images"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -68,6 +69,10 @@ MUTANTS = [
      "level == k or (level < k and not alg.GRADED)", "level <= k", ROW_RULE),
     ("rows list level k alone for both kinds", "src/weil/flat.py",
      "level == k or (level < k and not alg.GRADED)", "level == k", ROW_RULE),
+    ("flat rows: E_ij M half added, not subtracted", "src/weil/flat.py",
+     "(0, k, mat, False, -p, r)", "(0, k, mat, False, p, r)", WRITTEN_ROWS),
+    ("basic rows: endo terms with s = +1", "src/weil/flat.py",
+     "(a, k, taus[t], False, s * p, r)", "(a, k, taus[t], False, p, r)", WRITTEN_ROWS),
 ]
 
 

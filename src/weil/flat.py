@@ -1,13 +1,19 @@
 """Truncated-degree computation of horizontal, basic, and flat subspaces.
 
-Horizontal elements have no exterior / Clifford factor; the solver
-enumerates monomial-times-matrix-unit bases up to a degree bound, maps
-them through the defining operator (L_a for basic, bracket with the
-curvature for flat), and takes the exact kernel, in integers from the
-images' numerators to the kernel basis.  Degree means symmetric
-degree classically (where the operators are graded and the solve splits
-into per-degree blocks) and PBW degree quantum-side (a filtration: one
-solve on the whole <= N block).  A vector's level is its top degree.
+Horizontal elements have no exterior / Clifford factor.  The solver's
+domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
+bound, and on it both defining operators (L_a for basic, the bracket with
+the curvature for flat) are sums of per-monomial table terms key (p / r)
+M A and key (p / r) A M, A the matrix unit: L_a's from the monomial
+images `_image(a, (m, ()))` that `apply_into` reads, the bracket's from
+the products of m with each term of C - Z.  `_rows` writes the integer
+rows of the coordinate matrix straight from these tables, since M E_ij
+is column i of M moved to column j and E_ij M is row j of M moved to
+row i, and the exact kernel is taken in integers; no domain vector or
+image is built as an element.  Degree means symmetric degree
+classically (where the operators are graded and the solve splits into
+per-degree blocks) and PBW degree quantum-side (a filtration: one solve
+on the whole <= N block).  A vector's level is its top degree.
 
 The flat subspace of the full algebra is derived, not solved.  The
 bracket with the even curvature C is a derivation, so once [C, x_a] = 0
@@ -19,6 +25,9 @@ so flat(full) is the sum over index monomials I of x_I flat(hor).
 The reports check exactly these premises, n + dim flat(hor) brackets,
 and never build the 2^n dim flat(hor) elements x_I h.  Each premise is
 worked out once per `flat_subspace` result and shared by the reports.
+The premises bracket elements (`WeilAlgebra.flat_op`), an implementation
+of [C, .] independent of the solver's rows, so every solved vector is
+checked by a second route.
 
 The closure of flat(full) is decided the same way.  L_a, iota_a and d are
 derivations; quantum-side they are the brackets with theta_a = u_a + g_a
@@ -54,7 +63,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .element import accumulate, collect
 from .linalg import Matrix, kernel, rank
 
 
@@ -80,20 +88,12 @@ def _at_level(alg, pairs, k):
     return [x for level, x in pairs if level == k or (level < k and not alg.GRADED)]
 
 
-def hor_basis(alg, monos):
-    """Monomial-times-matrix-unit basis of the horizontal part."""
-    d = alg.rep.dim
-    units = [Matrix(d, d, [int(k == unit) for k in range(d * d)]) for unit in range(d * d)]
-    return [alg.element({(mono, ()): unit}) for mono in monos for unit in units]
-
-
 def _coord_matrix(images):
     """Rows {column: int} of the coordinate matrix whose column c holds
-    `images[c]` (the L_a images of domain vector c, or its one [C, .]
-    image): row (i, key, cell) is entry `cell` of term `key` of image i,
-    for the sorted keys that occur, so no truncation of the codomain can
-    hide a nonzero component.  The entries are the terms' numerators over
-    the lcm of their (canonical) denominators."""
+    the elements `images[c]`: row (i, key, cell) is entry `cell` of term
+    `key` of element i, for the sorted keys that occur, so no truncation
+    of the codomain can hide a nonzero component.  The entries are the
+    terms' numerators over the lcm of their (canonical) denominators."""
     den = lcm(*{mat.den for ims in images for im in ims for mat in im.terms.values()})
     rows = defaultdict(dict)
     for c, ims in enumerate(images):
@@ -104,18 +104,6 @@ def _coord_matrix(images):
                     if x:
                         rows[(i, key, cell)][c] = x * scale
     return [rows[row_key] for row_key in sorted(rows)]
-
-
-def _kernel(domain, images):
-    """Exact kernel of the domain's coordinate matrix, as elements."""
-    basis = []
-    for nums, den in kernel(_coord_matrix(images), len(domain)):
-        acc, first = {}, domain[0]
-        for c, x in nums.items():
-            for key, mat in domain[c].terms.items():
-                accumulate(acc, key, mat.num, mat.den * den, x)
-        basis.append(type(first)(first.lie, first.rep, collect(acc, first.rep.dim)))
-    return basis
 
 
 def span_rank(elements) -> int:
@@ -161,47 +149,118 @@ class SubspaceResult:
         return sum(not alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))
 
 
-def _solve_levels(alg, max_degree, images):
+def _unit_products(mat, left):
+    """The numerators of M E_ij (`left`) or of E_ij M for M = `mat`, for
+    every matrix unit E_ij in the order i d + j, each as its nonzero
+    cells [(cell, numerator)]: M E_ij is column i of M moved to column j,
+    E_ij M is row j of M moved to row i."""
+    d, num = mat.rows, mat.num
+    if left:
+        return [[(x * d + j, num[x * d + i]) for x in range(d) if num[x * d + i]]
+                for i in range(d) for j in range(d)]
+    return [[(i * d + y, num[j * d + y]) for y in range(d) if num[j * d + y]]
+            for i in range(d) for j in range(d)]
+
+
+def _rows(alg, monos, table):
+    """The nonzero rows {column: int} of an operator's coordinate matrix on
+    the domain m (x) E_ij, m in `monos`, whose column (index of m) d^2 + i d
+    + j is that vector, keyed (tag, key, cell): entry `cell` of term `key`
+    of image `tag`.
+
+    `table(m)` lists the operator on m (x) A as terms (tag, key, M, left,
+    p, r): key (p / r) M A when `left`, else key (p / r) A M, for integers p
+    and r > 0.  The entries are numerators over one denominator, the lcm
+    of the terms' r M.den.
+    """
+    d2 = alg.rep.dim ** 2
+    tables = [table(m) for m in monos]
+    den = lcm(*{r * mat.den for terms in tables for _, _, mat, _, _, r in terms})
+    units, rows = {}, defaultdict(dict)
+    for base, terms in zip(range(0, d2 * len(monos), d2), tables):
+        for tag, key, mat, left, p, r in terms:
+            cells = units.get((mat.num, left))
+            if cells is None:
+                cells = units[mat.num, left] = _unit_products(mat, left)
+            scale = p * (den // (r * mat.den))
+            for col, unit in enumerate(cells, base):
+                for cell, x in unit:
+                    row = rows[tag, key, cell]
+                    row[col] = row.get(col, 0) + scale * x
+    return {row_key: row for row_key, row in rows.items() if any(row.values())}
+
+
+def _solve_levels(alg, max_degree, table, check=None):
     """Kernel of the horizontal part up to max_degree, split into levels.
 
     One solve per degree block classically, one <= max_degree block
-    quantum-side; `images(domain)` lists the images of each vector of a
-    block's domain.  `hor_basis` orders columns by degree and a normalized
-    kernel vector lives on its free column and the pivot columns before
-    it, so its level is its top polynomial degree, and those of level
-    <= k are the normalized kernel of the <= k block.
+    quantum-side, on the rows that `_rows` writes from `table`; `check`,
+    if given, is called with the set of term keys of a block's nonzero
+    rows and the block's monomials.  Columns are ordered by degree and a
+    normalized kernel vector lives on its free column and the pivot
+    columns before it, so its level is its top polynomial degree, and
+    those of level <= k are the normalized kernel of the <= k block.  A
+    kernel vector becomes an element by grouping its columns per monomial.
     """
-    n = alg.lie.dim
+    n, d = alg.lie.dim, alg.rep.dim
     blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
               else [monomials_up_to(n, max_degree)])
     basis = []
     for monos in blocks:
-        domain = hor_basis(alg, monos)
-        basis.extend(_kernel(domain, images(domain)))
+        rows = _rows(alg, monos, table)
+        if check is not None:
+            check({key for _, key, _ in rows}, monos)
+        for nums, den in kernel([rows[row_key] for row_key in sorted(rows)], len(monos) * d * d):
+            parts = {}
+            for c, x in nums.items():
+                mono, cell = divmod(c, d * d)
+                parts.setdefault(monos[mono], [0] * (d * d))[cell] = x
+            basis.append(alg.element({(mono, ()): Matrix._canonical(d, d, num, den)
+                                      for mono, num in parts.items()}))
     return SubspaceResult(alg, max_degree, [(v.poly_degree(), v) for v in basis])
 
 
 def basic_subspace(alg, max_degree) -> SubspaceResult:
-    """Horizontal solutions of L_a x = 0 for every a, up to max_degree."""
-    return _solve_levels(alg, max_degree,
-                         lambda domain: [[alg.lie_derivative(a, v) for a in range(alg.lie.dim)]
-                                         for v in domain])
+    """Horizontal solutions of L_a x = 0 for every a, up to max_degree.
+
+    L_a on m (x) A is read off `_image(a, (m, ()))`: a plain term key (p /
+    r) A and an endo term key (p / r) (tau_t A + s A tau_t)."""
+    n, taus, ident = alg.lie.dim, alg.rep.matrices, Matrix.identity(alg.rep.dim)
+
+    def table(m):
+        terms = []
+        for a in range(n):
+            plain, endo = alg._image(a, (m, ()))
+            terms += [(a, k, ident, True, p, r) for k, p, r in plain]
+            for k, t, s, p, r in endo:
+                terms += [(a, k, taus[t], True, p, r), (a, k, taus[t], False, s * p, r)]
+        return terms
+
+    return _solve_levels(alg, max_degree, table)
 
 
 def flat_subspace(alg, max_degree) -> SubspaceResult:
-    """Horizontal solutions of [curvature, x] = 0, up to max_degree."""
-    def images(domain):
-        out = [alg.flat_op(v) for v in domain]
-        for v, im in zip(domain, out):
-            for (s, e) in im.terms:
-                if e != ():
-                    raise AssertionError("the bracket with the curvature must stay horizontal")
-                if alg.GRADED and sum(s) != v.poly_degree() + 1:
-                    raise AssertionError(
-                        "bracket with C must raise symmetric degree by exactly 1")
-        return [[im] for im in out]
+    """Horizontal solutions of [curvature, x] = 0, up to max_degree.
 
-    return _solve_levels(alg, max_degree, images)
+    [C - Z, m (x) A] is, summed over the terms k1 M of C - Z, k1 m (x) M A
+    - m k1 (x) A M: the yx sign is -1 as m is even.  The nonzero rows must
+    have no Clifford or exterior factor and, classically, symmetric degree
+    one more than the block's."""
+    mono_mul, curv = alg.zero()._mono_mul, alg.bracketed_curvature.terms.items()
+
+    def table(m):
+        return ([(0, k, mat, True, p, r) for k1, mat in curv for k, p, r in mono_mul(k1, (m, ()))]
+                + [(0, k, mat, False, -p, r)
+                   for k1, mat in curv for k, p, r in mono_mul((m, ()), k1)])
+
+    def check(keys, monos):
+        for s, e in keys:
+            if e != ():
+                raise AssertionError("the bracket with the curvature must stay horizontal")
+            if alg.GRADED and sum(s) != sum(monos[0]) + 1:
+                raise AssertionError("bracket with C must raise symmetric degree by exactly 1")
+
+    return _solve_levels(alg, max_degree, table, check)
 
 
 def inclusion_report(flat) -> dict:

@@ -258,7 +258,8 @@ class AlgebraDef:
         return self.reps[name]
 
 
-_ABELIAN = re.compile(r"abelian\(([0-9]+)\)$")
+# n in ASCII digits with no leading zero; a name is matched as given, unstripped
+_ABELIAN = re.compile(r"abelian\((0|[1-9][0-9]*)\)")
 
 # largest Lie algebra dimension accepted from a file or as abelian(n):
 # checking the adjoint representation costs n(n-1)/2 commutators of n x n
@@ -272,7 +273,7 @@ MAX_F_ENTRIES = 2000
 
 def builtin(name: str) -> AlgebraDef:
     """Catalog of validated algebras: abelian(n), heisenberg3, so3, sl2."""
-    m = _ABELIAN.match(name.strip())
+    m = _ABELIAN.fullmatch(name)
     if m:
         n = int(m.group(1))
         if not 1 <= n <= MAX_DIM:

@@ -19,6 +19,12 @@ built list.
 curvature minus its checked central part: it brackets with the whole
 curvature, and every flat oracle here brackets through it.  The flat
 oracles take a `WeilAlgebra` value, or a `flat_subspace` result.
+`element_basic_subspace` and `element_flat_subspace` are
+`weil.flat`'s solves before their rows were written from per-monomial
+tables: each domain vector m (x) E_ij is an element (`hor_basis`), its
+L_a or [C, .] images are element operators and brackets, read into
+integer rows by `weil.flat._coord_matrix`, and each kernel vector is
+summed back from the domain elements (`element_kernel`).
 `level_solve` is the basic / flat solve before it read every level off
 one basis: it re-solves the whole <= k block for each level k
 quantum-side, and returns the rows, level k listing that block's kernel
@@ -96,9 +102,10 @@ from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_stru
                          scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
-from weil.flat import _at_level, _odd_premise_failure, hor_basis, monomials_up_to
+from weil.flat import (SubspaceResult, _at_level, _coord_matrix, _odd_premise_failure,
+                       degree_monomials, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
-from weil.linalg import Matrix, format_scalar
+from weil.linalg import Matrix, format_scalar, kernel
 from weil.render import render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
@@ -661,6 +668,63 @@ def dense_kernel(domain, coord_maps):
         if elem is not None:
             basis.append(elem)
     return basis
+
+
+# -- basic and flat subspaces through element images -------------------------
+
+def hor_basis(alg, monos):
+    """Monomial-times-matrix-unit basis of the horizontal part."""
+    d = alg.rep.dim
+    units = [Matrix(d, d, [int(k == unit) for k in range(d * d)]) for unit in range(d * d)]
+    return [alg.element({(mono, ()): unit}) for mono in monos for unit in units]
+
+
+def element_kernel(domain, images):
+    """Exact kernel of the domain's coordinate matrix, as elements."""
+    basis = []
+    for nums, den in kernel(_coord_matrix(images), len(domain)):
+        acc, first = {}, domain[0]
+        for c, x in nums.items():
+            for key, mat in domain[c].terms.items():
+                accumulate(acc, key, mat.num, mat.den * den, x)
+        basis.append(type(first)(first.lie, first.rep, collect(acc, first.rep.dim)))
+    return basis
+
+
+def element_solve_levels(alg, max_degree, images):
+    """Kernel of the horizontal part up to max_degree, split into levels,
+    `images(domain)` listing the images of each vector of a block's
+    domain: one block per degree classically, one <= max_degree block
+    quantum-side."""
+    n = alg.lie.dim
+    blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
+              else [monomials_up_to(n, max_degree)])
+    basis = []
+    for monos in blocks:
+        domain = hor_basis(alg, monos)
+        basis.extend(element_kernel(domain, images(domain)))
+    return SubspaceResult(alg, max_degree, [(v.poly_degree(), v) for v in basis])
+
+
+def element_basic_subspace(alg, max_degree):
+    return element_solve_levels(alg, max_degree,
+                                lambda domain: [[alg.lie_derivative(a, v) for a in range(alg.lie.dim)]
+                                                for v in domain])
+
+
+def element_flat_subspace(alg, max_degree):
+    def images(domain):
+        out = [alg.flat_op(v) for v in domain]
+        for v, im in zip(domain, out):
+            for (s, e) in im.terms:
+                if e != ():
+                    raise AssertionError("the bracket with the curvature must stay horizontal")
+                if alg.GRADED and sum(s) != v.poly_degree() + 1:
+                    raise AssertionError(
+                        "bracket with C must raise symmetric degree by exactly 1")
+        return [[im] for im in out]
+
+    return element_solve_levels(alg, max_degree, images)
 
 
 # -- basic and flat subspaces, one solve per level ----------------------------

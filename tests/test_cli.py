@@ -377,6 +377,20 @@ def test_abelian_takes_ascii_digits_only(capsys):
     assert err == "error: unknown builtin algebra 'abelian(\u0663)'\n"
 
 
+@pytest.mark.parametrize("name", [" abelian(2)", "abelian(2) ", "abelian(02)", " so3"])
+def test_builtin_names_are_read_as_given(capsys, name):
+    """One rule for every builtin name: no blank is stripped and n has no
+    leading zero, so each of these is a usage error naming the input."""
+    code, out, err = run(["validate", "--builtin", name], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown builtin algebra {name!r}\n"
+
+
+def test_abelian_zero_keeps_its_range_message(capsys):
+    code, out, err = run(["validate", "--builtin", "abelian(0)"], capsys)
+    assert code == 2 and out == "" and "abelian(n) needs 1 <= n" in err
+
+
 INT_FLAGS = [("check", "--seed"), ("check", "--samples"), ("eval", "--seed"),
              ("flat", "--seed"), ("flat", "--max-degree"), ("flat", "--samples"),
              ("report", "--max-degree"), ("report", "--samples"), ("report", "--seed")]

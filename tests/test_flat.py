@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,8 @@ from oracles import derived_full_flat_basis as full_flat_basis
 from test_kernels import _so3_blocks
 import weil.cli
 import weil.flat
-from weil import ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin
+from weil import (ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin,
+                  load_algebra_file)
 from weil.checks import random_element
 from weil.classical import ClassicalAlgebra
 from weil.cli import main
@@ -30,7 +32,6 @@ from weil.flat import (
     decomposition_report,
     degree_monomials,
     flat_subspace,
-    hor_basis,
     inclusion_report,
     monomials_up_to,
     span_rank,
@@ -183,7 +184,7 @@ def _add(flat, level, vector):
     (ClassicalAlgebra, lambda alg: []),
     (QuantumAlgebra, lambda alg: []),
     # as many vectors as the S-module has rank, spanning something else
-    (ClassicalAlgebra, lambda alg: hor_basis(alg, [(0, 0, 1)])[:4]),
+    (ClassicalAlgebra, lambda alg: oracles.hor_basis(alg, [(0, 0, 1)])[:4]),
 ], ids=["dropped", "dropped-quantum", "swapped"])
 def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, kind, level_one):
     """Both columns compare spans by rank: with the level-1 flat vectors of
@@ -220,8 +221,8 @@ def test_coordinate_matrix_over_mixed_denominators(so3):
     fm = oracles.dense_coord_matrix(coords)
     assert rows == _scaled_rows(fm, 60)
     assert (len(rows), fm.cols) == (12, 5)
-    domain = hor_basis(c, [(0, 0, 0)])[:len(images)]
-    assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coords)
+    domain = oracles.hor_basis(c, [(0, 0, 0)])[:len(images)]
+    assert oracles.element_kernel(domain, images) == oracles.dense_kernel(domain, coords)
 
 
 def test_decomposition_classical(so3):
@@ -256,7 +257,7 @@ def quantum_flat_dense_dim(lie, rep, k):
 
     alg = QuantumAlgebra(lie, rep)
     curv = alg.curvature
-    domain = hor_basis(alg, monomials_up_to(lie.dim, k))
+    domain = oracles.hor_basis(alg, monomials_up_to(lie.dim, k))
     d = rep.dim
     col_maps = []
     for v in domain:
@@ -390,6 +391,35 @@ def test_curvature_with_a_clifford_term_is_caught(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+def _x1_x2_tau1(alg):
+    return alg.odd_gen(0) * alg.odd_gen(1) * alg.tau(0)
+
+
+def _v1_v2_tau1(alg):
+    return alg.even_gen(0) * alg.even_gen(1) * alg.tau(0)
+
+
+@pytest.mark.parametrize("kind, extra, message", [
+    (QuantumAlgebra, _x1_x2_tau1, "the bracket with the curvature must stay horizontal"),
+    (ClassicalAlgebra, _v1_v2_tau1, "bracket with C must raise symmetric degree by exactly 1"),
+], ids=["quantum-x1x2-tau1", "classical-v1v2-tau1"])
+def test_solver_consistency_errors_are_raised(monkeypatch, capsys, kind, extra, message):
+    """[x1 x2 tau_1, E_ij] = x1 x2 [tau_1, E_ij] has a Clifford factor, and
+    [v1 v2 tau_1, E_ij] raises symmetric degree by 2: the flat solve
+    raises on each, and `weil flat` exits 1 with a message, not a
+    traceback."""
+    mutant = _mutant(extra, kind)
+    so3 = builtin("so3")
+    with pytest.raises(AssertionError, match=message):
+        flat_subspace(mutant(so3.lie, so3.reps["adjoint"]), 0)
+    monkeypatch.setitem(ALGEBRAS, kind.KIND, mutant)
+    code = main(["flat", "--builtin", "so3", f"--{kind.KIND}", "--max-degree", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert f"internal consistency error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _same_reports(flat, seeds):
     assert decomposition_report(flat) == oracles.rebracket_decomposition_report(flat)
     for seed in seeds:
@@ -456,9 +486,9 @@ def test_closure_draws_and_brackets_nothing_when_its_premises_hold(monkeypatch, 
 @pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
 def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind):
     """One `flat_report_data` call on so3 adjoint at N = 3 brackets with C
-    each of the 180 solver domain vectors, each x_a and each distinct flat
-    vector once: the reports share the premises and the closure brackets
-    nothing of its own."""
+    each x_a and each distinct flat vector once: the solve brackets no
+    domain vector (its rows are written from tables), the reports share
+    the premises and the closure brackets nothing of its own."""
     so3 = builtin("so3")
     calls = []
 
@@ -470,8 +500,11 @@ def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind):
     monkeypatch.setitem(ALGEBRAS, kind.KIND, Counted)
     data = weil.cli.flat_report_data(so3, so3.reps["adjoint"], kind.KIND, 3, 20, 0)
     assert data["closure"]["all_closed"] and data["closure"]["checked"]["product"] == 20
-    dims = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 3).dims
-    assert len(calls) == 180 + 3 + sum(dims.values())
+    brackets = len(calls)
+    calls.clear()
+    dims = flat_subspace(Counted(so3.lie, so3.reps["adjoint"]), 3).dims
+    assert calls == []
+    assert brackets == 3 + sum(dims.values())
 
 
 def _u2(alg):
@@ -484,7 +517,7 @@ def _v2_squared(alg):
 
 def _with_a_non_flat_vector(flat):
     """v1 (x) E_11 added at its level 1: [C, v1 E_11] = v^a v1 [tau_a, E_11]."""
-    _add(flat, 1, hor_basis(flat.alg, [(1, 0, 0)])[0])
+    _add(flat, 1, oracles.hor_basis(flat.alg, [(1, 0, 0)])[0])
 
 
 @pytest.mark.parametrize("kind, extra, edit, failures, caught", [
@@ -533,7 +566,7 @@ def test_non_flat_vector_fails_exactly_the_rows_that_list_it(kind, matches):
     finds."""
     so3 = builtin("so3")
     flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 2)
-    _add(flat, 0, hor_basis(flat.alg, [(0, 0, 0)])[0])
+    _add(flat, 0, oracles.hor_basis(flat.alg, [(0, 0, 0)])[0])
     report = decomposition_report(flat)
     assert [row["match"] for row in report["per_degree"]] == matches
     assert report == oracles.rebracket_decomposition_report(flat)
@@ -557,7 +590,7 @@ def test_an_added_vector_counts_alike_in_both_reports(kind):
 def _images_both_ways(alg, max_degree):
     """A <= max_degree domain with its [C, .] images and its L_a images,
     each also as the dense path's coordinate maps."""
-    domain = hor_basis(alg, monomials_up_to(alg.lie.dim, max_degree))
+    domain = oracles.hor_basis(alg, monomials_up_to(alg.lie.dim, max_degree))
     flat_images = [[alg.flat_op(v)] for v in domain]
     yield domain, flat_images, [oracles.element_coords(im) for im, in flat_images]
     basic_images = [[alg.lie_derivative(a, v) for a in range(alg.lie.dim)] for v in domain]
@@ -572,7 +605,7 @@ def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(alg):
     for domain, images, coord_maps in _images_both_ways(alg, 2):
         rows, fm = weil.flat._coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
         assert rows == _scaled_rows(fm)
-        assert weil.flat._kernel(domain, images) == oracles.dense_kernel(domain, coord_maps)
+        assert oracles.element_kernel(domain, images) == oracles.dense_kernel(domain, coord_maps)
         elements = [im for ims in images for im in ims][::7]
         assert span_rank(elements) == oracles.fraction_rank(
             oracles.dense_coord_matrix([oracles.element_coords(x) for x in elements]))
@@ -607,9 +640,33 @@ def test_levels_match_the_per_level_solve_at_degree_four():
     _same_levels(QuantumAlgebra(so3.lie, so3.reps["adjoint"]), 4)
 
 
+def _row_writer_cases():
+    """Every builtin x admitted context x rep at N <= 3, so3+so3 adjoint at
+    N <= 1, and so3/2 adjoint (tau over 2) at N <= 3."""
+    for case in _builtin_cases():
+        yield pytest.param(case.values[0], 3, id=case.id)
+    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    for kind in (ClassicalAlgebra, QuantumAlgebra):
+        yield pytest.param(kind(*_so3_pair()), 1, id=f"so3^2-{kind.KIND}-adjoint")
+        yield pytest.param(kind(half.lie, half.reps["adjoint"]), 3,
+                           id=f"so3-half-{kind.KIND}-adjoint")
+
+
+@pytest.mark.parametrize("alg, top", _row_writer_cases())
+def test_written_rows_solve_as_the_element_images(alg, top):
+    """The rows written from per-monomial tables give the levelled bases
+    of the element path (domain elements, their L_a or [C, .] images read
+    into rows), vector for vector, for both subspaces at every N."""
+    for max_degree in range(top + 1):
+        for new, old in ((flat_subspace, oracles.element_flat_subspace),
+                         (basic_subspace, oracles.element_basic_subspace)):
+            assert new(alg, max_degree).levelled == old(alg, max_degree).levelled, \
+                (new.__name__, max_degree)
+
+
 def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
     """so3 adjoint quantum at N = 3: one kernel call per subspace, and
-    each of the 20 * 9 domain columns bracketed with C once."""
+    none of the 20 * 9 domain columns bracketed with C."""
     calls = {"kernel": 0, "bracket": 0}
     kernel = weil.flat.kernel
 
@@ -626,10 +683,10 @@ def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
     so3 = builtin("so3")
     alg = Counted(so3.lie, so3.reps["adjoint"])
     flat = flat_subspace(alg, 3)
-    assert calls == {"kernel": 1, "bracket": 180}
+    assert calls == {"kernel": 1, "bracket": 0}
     assert flat.dims == {0: 1, 1: 4, 2: 10, 3: 19}
     basic = basic_subspace(alg, 3)
-    assert calls == {"kernel": 2, "bracket": 180}
+    assert calls == {"kernel": 2, "bracket": 0}
     assert basic.dims == {0: 1, 1: 1, 2: 2, 3: 1}
 
 
