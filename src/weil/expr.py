@@ -42,15 +42,13 @@ from .render import render  # noqa: F401  (part of this module's interface)
 class ExprError(Exception):
     """Parse or evaluation error with a source position."""
 
-    def __init__(self, message, pos=None):
+    def __init__(self, message, pos):
         self.message = message
         self.pos = pos  # (line, column), 1-based
         super().__init__(str(self))
 
     def __str__(self):
-        if self.pos:
-            return f"{self.pos[0]}:{self.pos[1]}: {self.message}"
-        return self.message
+        return f"{self.pos[0]}:{self.pos[1]}: {self.message}"
 
 
 # -- AST ---------------------------------------------------------------------

@@ -88,26 +88,19 @@ def _at_level(alg, pairs, k):
     return [x for level, x in pairs if level == k or (level < k and not alg.GRADED)]
 
 
-def _coord_matrix(images):
-    """Rows {column: int} of the coordinate matrix whose column c holds
-    the elements `images[c]`: row (i, key, cell) is entry `cell` of term
-    `key` of element i, for the sorted keys that occur, so no truncation
-    of the codomain can hide a nonzero component.  The entries are the
-    terms' numerators over the lcm of their (canonical) denominators."""
-    den = lcm(*{mat.den for ims in images for im in ims for mat in im.terms.values()})
-    rows = defaultdict(dict)
-    for c, ims in enumerate(images):
-        for i, im in enumerate(ims):
-            for key, mat in im.terms.items():
-                scale = den // mat.den
-                for cell, x in enumerate(mat.num):
-                    if x:
-                        rows[(i, key, cell)][c] = x * scale
-    return [rows[row_key] for row_key in sorted(rows)]
-
-
 def span_rank(elements) -> int:
-    return rank(_coord_matrix([[x] for x in elements]))
+    """Rank of the coordinate matrix whose column c is `elements[c]`: row
+    (key, cell) holds entry `cell` of term `key`, for the sorted keys that
+    occur, as the terms' numerators over the lcm of their denominators."""
+    den = lcm(*{mat.den for x in elements for mat in x.terms.values()})
+    rows = defaultdict(dict)
+    for c, x in enumerate(elements):
+        for key, mat in x.terms.items():
+            scale = den // mat.den
+            for cell, v in enumerate(mat.num):
+                if v:
+                    rows[(key, cell)][c] = v * scale
+    return rank([rows[row_key] for row_key in sorted(rows)])
 
 
 @dataclass

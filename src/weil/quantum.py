@@ -208,9 +208,7 @@ def gamma_squared(lie) -> Fraction:
     for (p, c), m in (gamma * gamma).terms.items():
         if any(p) or c != ():
             raise AssertionError("gamma^2 is not a scalar")
-        value = m.scalar_value()
-        if value is None:
-            raise AssertionError("gamma^2 matrix part is not scalar")
+        value = m.scalar_value()  # a 1x1 matrix: the trivial representation
     formula = gamma_square_formula(lie)
     if value != formula:
         raise AssertionError(f"gamma^2 = {value} but -(1/48) sum f^2 = {formula}")

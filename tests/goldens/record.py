@@ -41,6 +41,7 @@ EVALS = {
     ("adjoint", "quantum"): [
         "QC", "comm(QC, u1)", "d(x1)", "L(3, u1*x2)", "iota(1, gamma)", "Dirac*Dirac",
         "comm(Dirac, x2)", f"{SO3_ADJOINT}*u1 + tau(1)*x1", "d(u2) - comm(Dirac, u2)", "C",
+        "comm(QC, u1*tau(1))",
     ],
     ("trivial", "quantum"): [
         "gamma*gamma", "Dirac*Dirac", "u3^2*u1^2", "(u1*x1)^3", "comm(u1, u2)", "d(d(x1))",
@@ -61,6 +62,17 @@ CLASSICAL_EVALS = {
                                  ("sl2", "adjoint", MAT3, UNIT3),
                                  ("heisenberg3", "adjoint", MAT3, UNIT3))
 }
+# all five calls of the expression language in one expression
+CLASSICAL_EVALS[("sl2", "standard")].append("comm(tau(1), L(2, iota(1, d(v3*y1*tau(2)))))")
+
+# full `weil check` runs at 5 samples, (builtin, rep, context): on so3 trivial
+# every End V part is a 1x1 scalar, so every matrix product takes the scalar
+# path; sl2's structure constants of +-2 scale End V parts by non-unit
+# integers, and its standard rep is a 2-dimensional non-adjoint one;
+# heisenberg3 has a nilpotent adjoint
+CHECKS = [("so3", "adjoint", "classical"), ("sl2", "adjoint", "classical"),
+          ("sl2", "standard", "classical"), ("heisenberg3", "adjoint", "classical"),
+          ("so3", "adjoint", "quantum"), ("so3", "trivial", "quantum")]
 
 # each fails (exit 2) at a different point of the grammar or the evaluator:
 # every call form, rationals, matrices, exponents, names and generators
@@ -77,7 +89,9 @@ ERRORS = {
 
 
 def cases():
-    out = [["report", "--all-builtins"]]
+    out = [["report", "--all-builtins"], ["report", "--all-builtins", "--max-degree", "2"]]
+    out += [["check", "--builtin", name, "--rep", rep, f"--{context}", "--samples", "5"]
+            for name, rep, context in CHECKS]
     for name, contexts in CONTEXTS.items():
         for context in contexts:
             for rep in ("adjoint", "trivial"):

@@ -23,7 +23,7 @@ oracles take a `WeilAlgebra` value, or a `flat_subspace` result.
 `weil.flat`'s solves before their rows were written from per-monomial
 tables: each domain vector m (x) E_ij is an element (`hor_basis`), its
 L_a or [C, .] images are element operators and brackets, read into
-integer rows by `weil.flat._coord_matrix`, and each kernel vector is
+integer rows by `coord_matrix`, and each kernel vector is
 summed back from the domain elements (`element_kernel`).
 `level_solve` is the basic / flat solve before it read every level off
 one basis: it re-solves the whole <= k block for each level k
@@ -93,6 +93,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from bisect import bisect_left
+from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
@@ -102,7 +103,7 @@ from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_stru
                          scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
-from weil.flat import (SubspaceResult, _at_level, _coord_matrix, _odd_premise_failure,
+from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure,
                        degree_monomials, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
@@ -679,10 +680,28 @@ def hor_basis(alg, monos):
     return [alg.element({(mono, ()): unit}) for mono in monos for unit in units]
 
 
+def coord_matrix(images):
+    """Rows {column: int} of the coordinate matrix whose column c holds
+    the elements `images[c]`: row (i, key, cell) is entry `cell` of term
+    `key` of element i, for the sorted keys that occur, so no truncation
+    of the codomain can hide a nonzero component.  The entries are the
+    terms' numerators over the lcm of their (canonical) denominators."""
+    den = lcm(*{mat.den for ims in images for im in ims for mat in im.terms.values()})
+    rows = defaultdict(dict)
+    for c, ims in enumerate(images):
+        for i, im in enumerate(ims):
+            for key, mat in im.terms.items():
+                scale = den // mat.den
+                for cell, x in enumerate(mat.num):
+                    if x:
+                        rows[(i, key, cell)][c] = x * scale
+    return [rows[row_key] for row_key in sorted(rows)]
+
+
 def element_kernel(domain, images):
     """Exact kernel of the domain's coordinate matrix, as elements."""
     basis = []
-    for nums, den in kernel(_coord_matrix(images), len(domain)):
+    for nums, den in kernel(coord_matrix(images), len(domain)):
         acc, first = {}, domain[0]
         for c, x in nums.items():
             for key, mat in domain[c].terms.items():

@@ -40,6 +40,17 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+# so3 with the sign of f(1,3,2) flipped: [e1,e3] = e2 still satisfies the
+# Jacobi identity, but B = I is no longer invariant
+NON_INVARIANT_FORM_FILE = """
+{
+  "dim": 3,
+  "f": [[1, 2, 3, "1"], [2, 3, 1, "1"], [1, 3, 2, "1"]],
+  "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+}
+"""
+
+
 def test_validate_builtin(capsys):
     code, out, _ = run(["validate", "--builtin", "so3"], capsys)
     assert code == 0
@@ -331,6 +342,34 @@ def test_usage_errors_exit_two(capsys):
         ["eval", "--builtin", "so3", "--file", "x.json", "--classical", "C"], capsys
     )
     assert code == 2
+
+
+def test_check_takes_one_context(capsys):
+    code, out, err = run(["check", "--builtin", "so3", "--classical", "--quantum"], capsys)
+    assert (code, out, err) == (2, "", "error: pass either --classical or --quantum, not both\n")
+
+
+@pytest.mark.parametrize("command, extra", [("eval", ["C"]), ("flat", ["--json"])])
+def test_eval_and_flat_refuse_an_algebra_that_fails_validation(tmp_path, capsys, command, extra):
+    path = tmp_path / "bad.json"
+    path.write_text(NON_INVARIANT_FORM_FILE)
+    code, out, _ = run(["validate", str(path)], capsys)
+    assert code == 1 and "FAIL  bilinear form" in out and "ok    lie algebra" in out
+    code, out, err = run([command, "--file", str(path), *extra], capsys)
+    assert (code, out, err) == (1, "", "algebra failed validation; run `weil validate`\n")
+
+
+def test_report_needs_an_algebra(capsys):
+    code, out, err = run(["report"], capsys)
+    assert (code, out, err) == (2, "", "error: pass --all-builtins or --builtin NAME\n")
+
+
+@pytest.mark.parametrize("flag", [["--file", "other.json"], ["--builtin", "so3"]])
+def test_validate_file_conflicts_with_the_algebra_flags(tmp_path, capsys, flag):
+    path = tmp_path / "so3.json"
+    path.write_text(SO3_FILE)
+    code, out, err = run(["validate", str(path), *flag], capsys)
+    assert (code, out, err) == (2, "", "error: FILE conflicts with --file/--builtin\n")
 
 
 def test_unknown_rep_exits_two(capsys):

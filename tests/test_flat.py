@@ -215,7 +215,7 @@ def test_coordinate_matrix_over_mixed_denominators(so3):
     t = [c.tau(a) for a in range(3)]
     images = [[v[0] * Fraction(1, 2), t[1] * Fraction(2, 3)], [v[0] * Fraction(5, 4) + t[2]],
               [t[1] * Fraction(-1, 6)], [v[1] * Fraction(1, 3)], [v[0] - t[2] * Fraction(4, 5)]]
-    rows = weil.flat._coord_matrix(images)
+    rows = oracles.coord_matrix(images)
     coords = [{(i,) + key: q for i, im in enumerate(ims)
                for key, q in oracles.element_coords(im).items()} for ims in images]
     fm = oracles.dense_coord_matrix(coords)
@@ -322,6 +322,27 @@ def test_span_rank_tools(so3):
     assert span_rank([v1, v2, v1 + v2]) == 2 == span_rank([v1, v2])
     assert span_rank([v1, v2]) > span_rank([v1]) == 1
     assert span_rank([]) == span_rank([v1 - v1]) == 0
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra])
+def test_span_rank_is_the_rank_of_the_dense_coordinates(so3, kind):
+    """Elements with odd parts and terms over mixed denominators, two of
+    them dependent on the others: every prefix has the rank of its dense
+    Fraction coordinate matrix."""
+    alg = kind(so3.lie, so3.reps["adjoint"])
+    v = [alg.even_gen(a) for a in range(3)]
+    y = [alg.odd_gen(a) for a in range(3)]
+    t = [alg.tau(a) for a in range(3)]
+    x1 = v[0] * y[1] * Fraction(1, 2) + t[2] * Fraction(2, 3)
+    x2 = y[0] * y[2] * t[1] * Fraction(-5, 4) + v[1]
+    x3 = y[2] * Fraction(1, 7) - v[2] * t[0] * Fraction(3, 5)
+    x4 = y[1] * t[1] * Fraction(9, 8)
+    elements = [x1, x2, x1 * Fraction(3, 2) - x2 * Fraction(1, 6), x3, x4,
+                x3 * Fraction(7, 2) + x4 * Fraction(-4, 3)]
+    ranks = [span_rank(elements[:k]) for k in range(len(elements) + 1)]
+    assert ranks == [oracles.fraction_rank(oracles.dense_coord_matrix(
+        [oracles.element_coords(x) for x in elements[:k]])) for k in range(len(elements) + 1)]
+    assert ranks == [0, 1, 2, 2, 3, 4, 4]
 
 
 def _builtin_cases():
@@ -603,7 +624,7 @@ def test_coordinate_matrix_and_kernel_match_the_dense_fraction_path(alg):
     Fraction matrix, entry for entry and row for row, and the kernel is
     the dense path's (Fraction back substitution), element for element."""
     for domain, images, coord_maps in _images_both_ways(alg, 2):
-        rows, fm = weil.flat._coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
+        rows, fm = oracles.coord_matrix(images), oracles.dense_coord_matrix(coord_maps)
         assert rows == _scaled_rows(fm)
         assert oracles.element_kernel(domain, images) == oracles.dense_kernel(domain, coord_maps)
         elements = [im for ims in images for im in ims][::7]

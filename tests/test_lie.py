@@ -167,6 +167,16 @@ def test_scaled_generator_breaks_rep(so3):
     assert any("pair (1,2)" in v for v in report.violations)
 
 
+def test_rep_of_the_wrong_shape_is_reported(so3):
+    """The file loader rejects both shapes before validation; through the
+    API, `validate_rep` reports them instead of failing on a product."""
+    ad = adjoint_rep(so3.lie).matrices
+    short = validate_rep(so3.lie, RepData("short", ad[:2]))
+    assert short.violations == ["2 matrices for dim 3"]
+    skewed = validate_rep(so3.lie, RepData("skewed", (ad[0], Matrix.identity(2), ad[2])))
+    assert skewed.violations == ["matrix 2 is 2x2, expected 3x3"]
+
+
 def test_heisenberg_adjoint_nilpotent(heis3):
     ad = heis3.reps["adjoint"]
     assert validate_rep(heis3.lie, ad).ok

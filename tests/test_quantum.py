@@ -6,13 +6,14 @@ import re
 import sys
 import weakref
 from fractions import Fraction
+from functools import cached_property
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weil import builtin, checks
+from weil import ALGEBRAS, builtin, checks
 from weil import element as ew
 from weil import quantum as qw
 from weil.checks import identity_part, quantum_structure_suite, quantum_suite, random_element
@@ -164,6 +165,59 @@ def test_restriction_formula(ctx):
         elem = q.even_gen(1) * q.odd_gen(2)
         uncoupled = supercommutator(q.even_gen(a) + q.g[a], elem)
         assert q.lie_derivative(a, elem) == uncoupled
+
+
+class DoubledG(QuantumAlgebra):
+    """g_1 doubled, so gamma is no longer (1/3) x_a g_a."""
+
+    @cached_property
+    def g(self):
+        first, *rest = QuantumAlgebra.g.func(self)
+        return (first * 2, *rest)
+
+
+class ShiftedCurvature(QuantumAlgebra):
+    """The four-term formula plus 1, so it is no longer (D + x_a tau_a)^2."""
+
+    def four_term_curvature(self):
+        return super().four_term_curvature() + self.scalar(1)
+
+
+class TiltedGamma(QuantumAlgebra):
+    """gamma + u_1, whose square has a u_1^2 term."""
+
+    @cached_property
+    def gamma(self):
+        return QuantumAlgebra.gamma.func(self) + self.even_gen(0)
+
+
+def test_gamma_cross_check_fires_on_a_wrong_g(so3):
+    with pytest.raises(AssertionError, match=r"^gamma construction inconsistent: "):
+        DoubledG(so3.lie, so3.reps["adjoint"]).gamma
+
+
+def test_curvature_cross_check_fires_on_a_wrong_four_term_formula(so3, monkeypatch, capsys):
+    """The wrong formula raises, and `weil flat` reports it with exit 1."""
+    message = "four-term curvature formula disagrees with (D + x tau)^2"
+    with pytest.raises(AssertionError) as raised:
+        ShiftedCurvature(so3.lie, so3.reps["adjoint"]).curvature
+    assert str(raised.value) == message
+    monkeypatch.setitem(ALGEBRAS, "quantum", ShiftedCurvature)
+    code = main(["flat", "--builtin", "so3", "--quantum", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"internal consistency error: {message}\n")
+
+
+def test_gamma_squared_cross_checks_fire(so3, monkeypatch):
+    right = qw.gamma_square_formula
+    monkeypatch.setattr(qw, "gamma_square_formula", lambda lie: right(lie) + 1)
+    with pytest.raises(AssertionError) as raised:
+        qw.gamma_squared(so3.lie)
+    assert str(raised.value) == "gamma^2 = -1/8 but -(1/48) sum f^2 = 7/8"
+    monkeypatch.setattr(qw, "QuantumAlgebra", TiltedGamma)
+    with pytest.raises(AssertionError) as raised:
+        qw.gamma_squared(so3.lie)
+    assert str(raised.value) == "gamma^2 is not a scalar"
 
 
 def test_curvature_trivial_cases(so3, abelian2):
