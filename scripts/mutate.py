@@ -27,7 +27,8 @@ TIMEOUT_S = 120  # per mutant; each runs in a few seconds
 QUANTUM_TABLES = ["tests/test_quantum.py::test_tables_match_the_bracket_oracle",
                   "tests/test_quantum.py::test_operator_images_are_read_off_the_inner_elements"]
 CLASSICAL_TABLES = ["tests/test_classical.py::test_tables_match_the_slot_oracle"]
-BRACKET_NUM = ["tests/test_linalg.py::test_bracket_num_is_one_product_plus_s_times_the_other"]
+BRACKET_CELLS = ["tests/test_element.py::test_cell_rule_is_tau_a_plus_s_a_tau",
+                 *QUANTUM_TABLES, *CLASSICAL_TABLES]
 CLOSURE_PREMISES = ["tests/test_flat.py::test_a_failed_premise_fails_the_closure"]
 WRITTEN_ROWS = ["tests/test_flat.py::test_written_rows_solve_as_the_element_images"]
 SOURCE_SCAN = ["tests/test_source.py::test_no_source_line_depends_on_python_O"]
@@ -39,10 +40,15 @@ ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_tha
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
-    ("bracket: swap sign fixed at -1", "src/weil/linalg.py",
-     "x, y, flip = y, x, s", "x, y, flip = y, x, -1", BRACKET_NUM + QUANTUM_TABLES),
-    ("bracket: column update ignores s", "src/weil/linalg.py",
-     "num[t::n] = [z + sv * w", "num[t::n] = [z - v * w", BRACKET_NUM + QUANTUM_TABLES),
+    ("bracket cells: A tau half with s fixed at -1", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] += -v",
+     BRACKET_CELLS),
+    ("bracket cells: A tau half transposed", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + i, j * n + t] += s * v",
+     BRACKET_CELLS),
+    ("bracket cells: a duplicate (out, in) overwritten, not summed", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] = s * v",
+     BRACKET_CELLS),
     ("quantum split over r, not 2r", "src/weil/quantum.py",
      "(k, t, s, p, 2 * r)", "(k, t, s, p, r)", QUANTUM_TABLES),
     ("quantum split drops {tau, A}", "src/weil/quantum.py",

@@ -167,10 +167,7 @@ def scalar_weil_differential(lie, poly):
                     q = lie.f(j, k, a)
                     if not q:
                         continue
-                    r = ext_mono_mul((j,), (k,))
-                    if r is None:
-                        continue
-                    sign, e = r
+                    sign, e = ext_mono_mul((j,), (k,))  # j != k, as f(j, j, a) = 0
                     add_term(image, (zero_s, e), -q * sign / 2)
             for m, c in _scalar_poly_mul(image, dee).items():
                 add_term(out, m, c)

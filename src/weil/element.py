@@ -13,8 +13,9 @@ its element class, constructors, operators and curvature.  What a value
 derives is built on first use and kept on the value.  End V enters
 L_a, iota_a and d only through tau, so every End V part of an operator
 image is tau_t A + s A tau_t, s = +-1: a commutator, or quantum-side an
-anticommutator from the Clifford sign of d's x_a tau_a terms, each read
-from one bounded bracket table.
+anticommutator from the Clifford sign of d's x_a tau_a terms, each
+evaluated on A's numerators from tau_t's fixed cell map
+(`Matrix._bracket_cells`), with no table.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
@@ -235,11 +236,11 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
                     accumulate(acc, key, num, den * r, c * p)
 
 
-# entries of each value's two tables, read by `WeilAlgebra._apply`; 256
-# images catch 90% of the image lookups of an so3 adjoint classical check at
-# 200 samples, 1,024 catch 98% but add about 0.4 MB to its peak RSS
-IMAGE_TABLE_SIZE = 256
-BRACKET_TABLE_SIZE = 128
+# entries of each value's image table, read by `WeilAlgebra._apply`.  With
+# 512, perfbench's check jobs miss only first lookups on so3 adjoint (98% hits
+# classically, 95% quantum-side); so3+so3 adjoint classically hits 49%, 41%
+# with 256 and 59% with 1,024, which adds about 0.1 MB to the job's peak RSS
+IMAGE_TABLE_SIZE = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,16 +322,9 @@ class WeilAlgebra:
         return lru_cache(maxsize=IMAGE_TABLE_SIZE)(partial(type(self)._image, weakref.proxy(self)))
 
     @cached_property
-    def bracket_table(self):
-        """(t, s, A.num, A.den) -> the (numerators, den) of tau_t A + s A tau_t,
-        or None for 0, at most BRACKET_TABLE_SIZE entries."""
-        taus, dim = self.rep.matrices, self.rep.dim
-
-        @lru_cache(maxsize=BRACKET_TABLE_SIZE)
-        def bracket(t, s, num, den):
-            bnum, bden = taus[t]._bracket_num(Matrix._make(dim, dim, num, den), s)
-            return (tuple(bnum), bden) if any(bnum) else None
-        return bracket
+    def bracket_cells(self):
+        """bracket_cells[t][s]: tau_t's `_bracket_cells(s)`, s = +-1."""
+        return [{s: tau._bracket_cells(s) for s in (1, -1)} for tau in self.rep.matrices]
 
     def _apply(self, i, x):
         """Operator i on x (`apply_into`)."""
@@ -339,19 +333,22 @@ class WeilAlgebra:
         return self.element(collect(acc, self.rep.dim))
 
     def apply_into(self, acc, i, x, sign):
-        """acc += sign (operator i on x), from the two tables; sign is an
-        integer, +-1 in use.  A term key A adds its plain image times A
-        and, per endo term, tau_t A + s A tau_t read from the bracket table."""
-        image, bracket = self.image_table, self.bracket_table
+        """acc += sign (operator i on x); sign is an integer, +-1 in use.  A
+        term key A adds its plain image (from the image table) times A and,
+        per endo term, tau_t A + s A tau_t from tau_t's cells, unless 0."""
+        image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices
+        size = self.rep.dim ** 2
         for key, mat in x.terms.items():
             plain, endo = image(i, key)
             num, den = mat.num, mat.den
             for k, p, r in plain:
                 accumulate(acc, k, num, den * r, sign * p)
             for k, t, s, p, r in endo:
-                b = bracket(t, s, num, den)
-                if b is not None:
-                    accumulate(acc, k, b[0], b[1] * r, sign * p)
+                b = [0] * size
+                for o, c, v in cells[t][s]:
+                    b[o] += v * num[c]
+                if any(b):
+                    accumulate(acc, k, b, taus[t].den * den * r, sign * p)
 
     # -- the curvature split -------------------------------------------------
 

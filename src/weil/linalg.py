@@ -11,10 +11,10 @@ and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
 the raw kernels `_mul_num` and `_bracket_num` (ab + s ba for s = +-1,
-which the operators read through one bracket table) return them
-unreduced, for the element products, brackets and operators to sum and
-reduce once per result key.  Entries leave as `Fraction`s (`entries`,
-`m[i, j]`, `row`, `trace`, `scalar_value`).
+from a's fixed cell map `_bracket_cells`, which the operators evaluate
+inline) return them unreduced, for the element products, brackets and
+operators to sum and reduce once per result key.  Entries leave as
+`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -43,10 +43,11 @@ so their storage is dense.  Most End V parts of the Weil algebras' elements
 are c I; `_scalar` finds the c of a factor (c / den) I from the
 canonical form by a count of zeros and a look at the diagonal, and
 `element._products` uses it to take a product with such a factor as a
-scaling of the other factor.  A product or bracket here walks the
-nonzero entries of whichever factor has fewer of them, adding a scaled
-row or column of the other factor for each: its cost follows the
-sparser factor, and the representation matrices are nearly all zeros.
+scaling of the other factor.  A product here walks the nonzero entries
+of whichever factor has fewer of them, adding a scaled row or column of
+the other factor for each: its cost follows the sparser factor, and the
+representation matrices are nearly all zeros.  A bracket's cell map has
+about 2 n triples per nonzero entry of a.
 """
 
 from __future__ import annotations
@@ -273,24 +274,28 @@ class Matrix:
         self._check_same_shape(other)
         return Matrix._canonical(self.rows, self.rows, *self._bracket_num(other, -1))
 
+    def _bracket_cells(self, s):
+        """The map A -> self A + s A self, s = +-1, of a square matrix, as
+        triples (out cell, in cell, v): out[o] += v * A.num[c], over
+        self.den.  Entry (i, t) = v sends row t of A to row i and column i
+        to column t, times s; the triples are merged per (out, in) and the
+        zeros dropped."""
+        n, tau = self.rows, self.num
+        cells = defaultdict(int)
+        for p in compress(range(n * n), tau):
+            i, t = divmod(p, n)
+            v = tau[p]
+            for j in range(n):
+                cells[i * n + j, t * n + j] += v
+                cells[j * n + t, j * n + i] += s * v
+        return tuple((o, c, v) for (o, c), v in cells.items() if v)
+
     def _bracket_num(self, other, s):
         """(numerators, den) of ab + s ba for square matrices of one size and
-        s = +-1, not reduced: one pass over the nonzero entries of the
-        factor with fewer of them, x, against the other, y.  Entry (i, t)
-        = v adds v times row t of y into row i and s v times column i of y
-        into column t, which builds xy + s yx; when x is `other`, ab + s ba
-        = s (ba + s ab) multiplies v by s."""
-        n = self.rows
-        x, y, flip = self.num, other.num, 1
-        if y.count(0) > x.count(0):
-            x, y, flip = y, x, s
-        num = [0] * (n * n)
-        for p in compress(range(n * n), x):
-            i, t = divmod(p, n)
-            v, lo = flip * x[p], i * n
-            sv = s * v
-            num[lo:lo + n] = [z + v * w for z, w in zip(num[lo:lo + n], y[t * n:t * n + n])]
-            num[t::n] = [z + sv * w for z, w in zip(num[t::n], y[i::n])]
+        s = +-1, not reduced: a's `_bracket_cells` on b's numerators."""
+        b, num = other.num, [0] * len(other.num)
+        for o, c, v in self._bracket_cells(s):
+            num[o] += v * b[c]
         return num, self.den * other.den
 
     def transpose(self) -> Matrix:

@@ -291,10 +291,10 @@ def _bits(x):
 @given(table_elements())
 @settings(max_examples=150)
 def test_tables_match_the_slot_oracle(drawn):
-    """L_a, iota_a and d read from the image and bracket tables against
-    `oracles.slot_leibniz`, the slot loop they replaced, numerators and
-    denominator bit for bit, on x, x * q and d x; no table exceeds its
-    bound."""
+    """L_a, iota_a and d read from the image table and tau's cell maps
+    against `oracles.slot_leibniz`, the slot loop they replaced, numerators
+    and denominator bit for bit, on x, x * q and d x; the table stays
+    within its bound."""
     c, x, q = drawn
     ders, n = c.derivations, c.lie.dim
     ops = [(c.differential, ders[2 * n])]
@@ -305,23 +305,18 @@ def test_tables_match_the_slot_oracle(drawn):
             got = op(y)
             assert _bits(got) == _bits(oracles.slot_leibniz(der, y))
             assert all(got.terms.values())
-    for table, bound in ((c.image_table, ew.IMAGE_TABLE_SIZE),
-                         (c.bracket_table, ew.BRACKET_TABLE_SIZE)):
-        info = table.cache_info()
-        assert info.maxsize == bound and info.currsize <= bound
+    info = c.image_table.cache_info()
+    assert info.maxsize == ew.IMAGE_TABLE_SIZE and info.currsize <= ew.IMAGE_TABLE_SIZE
 
 
 def test_tables_match_the_slot_oracle_while_evicting():
-    """The same comparison with both table bounds at 2 entries, on fresh
-    values, so that nearly every lookup evicts an entry."""
+    """The same comparison with the image table's bound at 2 entries, on
+    fresh values, so that nearly every lookup evicts an entry."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
-        mp.setattr(ew, "BRACKET_TABLE_SIZE", 2)
         mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
                    [ClassicalAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
         test_tables_match_the_slot_oracle()
-        infos = [(c.image_table.cache_info(), c.bracket_table.cache_info())
-                 for c in TABLE_ALGEBRAS]
-    assert all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
-    assert any(image.misses > 2 for image, _ in infos)
-    assert any(bracket.misses > 2 for _, bracket in infos)
+        infos = [c.image_table.cache_info() for c in TABLE_ALGEBRAS]
+    assert all(i.maxsize == 2 and i.currsize <= 2 for i in infos)
+    assert any(image.misses > 2 for image in infos)

@@ -1,21 +1,26 @@
 """The single-pass element product and supercommutator against the
 oracles they replaced (`oracles.element_mul`, `oracles.parity_supercommutator`),
-element for element, in both algebras."""
+element for element, in both algebras; the operators' bracket cell rule
+against two matrix products."""
 
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weil import AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin
+from test_kernels import _so3_blocks
+from weil import (AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin,
+                  load_algebra_file)
 from weil.checks import random_element
 from weil.element import (_products, accumulate, add_into, collect, products_into,
                           supercommutator, vanishes)
 from weil.linalg import Matrix
+from weil.render import render
 
 # (kind, algebra, rep): the adjoint reps give the tau_a parts (nilpotent
 # ones on heisenberg3), so3 trivial makes every End V part a 1 x 1 scalar
@@ -331,3 +336,69 @@ def test_every_endo_term_is_tau_a_plus_s_a_tau():
     assert classical and all(found == {-1} for found in classical)
     assert 1 in signs[(QuantumAlgebra, "so3", "adjoint", 6)]
 
+
+
+def _cell_contexts():
+    """(lie, rep): every builtin rep, the adjoint rep of the so3/2 file
+    (tau over 2) and so3+so3 adjoint (6 x 6 tau)."""
+    out = [(defn.lie, rep) for name in ("abelian(2)", "heisenberg3", "so3", "sl2")
+           for defn in (builtin(name),) for rep in defn.reps.values()]
+    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    pair = _so3_blocks(2)
+    return out + [(half.lie, half.reps["adjoint"]), (pair, adjoint_rep(pair))]
+
+
+CELL_CONTEXTS = _cell_contexts()
+_SL2 = builtin("sl2")
+cell_entries = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+
+
+@st.composite
+def cell_cases(draw):
+    """(lie, rep, t, s, A): A is a matrix with zero cells and mixed
+    denominators, c I or c tau_t; with s = -1 the last two bracket to 0."""
+    lie, rep = draw(st.sampled_from(CELL_CONTEXTS))
+    d, t = rep.dim, draw(st.integers(0, lie.dim - 1))
+    c = draw(st.sampled_from([1, -2, Fraction(3, 2), Fraction(-1, 3)]))
+    a = draw(st.sampled_from([
+        Matrix(d, d, draw(st.lists(cell_entries, min_size=d * d, max_size=d * d))),
+        Matrix.identity(d) * c, rep.matrices[t] * c]))
+    return lie, rep, t, draw(st.sampled_from([1, -1])), a
+
+
+@given(cell_cases())
+@settings(max_examples=300)
+@example((_SL2.lie, _SL2.reps["standard"], 2, -1, Matrix.identity(2) * 3))
+@example((_SL2.lie, _SL2.reps["standard"], 2, -1, Matrix.from_rows([[1, 2], [Fraction(1, 2), -1]])))
+def test_cell_rule_is_tau_a_plus_s_a_tau(case):
+    """`_bracket_num` and `WeilAlgebra.apply_into`'s evaluation of tau_t's
+    cells give tau_t A + s A tau_t as two `_mul_num` products give it,
+    numerators and denominator, and apply_into skips a zero bracket.  The
+    examples take sl2's diagonal h, whose cells at (i, j) -> (i, j) sum
+    one entry of each half."""
+    lie, rep, t, s, a = case
+    tau = rep.matrices[t]
+    (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)
+    want = [x + s * y for x, y in zip(ta, at)]
+    assert den == den2 and tau._bracket_num(a, s) == (want, den)
+    if not a:
+        return  # no element has a zero End V part
+    alg, key = ClassicalAlgebra(lie, rep), ((0,) * lie.dim, ())
+    vars(alg)["image_table"] = lambda i, k: ((), ((k, t, s, 1, 1),))  # one endo term
+    acc = {}
+    alg.apply_into(acc, 0, alg.element({key: a}), 1)
+    assert acc == ({key: (want, den)} if any(want) else {})
+
+
+def test_scalar_times_element_equality_repr_and_endo_shape(so3):
+    """q * x is x * q; == with a non-element is NotImplemented, so False;
+    repr is the rendering in angle brackets; `endo` refuses a matrix of
+    the wrong shape."""
+    alg = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    x = alg.even_gen(0) * alg.tau(1) + alg.odd_gen(2)
+    for q in (3, Fraction(-1, 2)):
+        assert q * x == x * q and not (q * x).is_zero
+    assert x.__eq__(1) is NotImplemented and x != 1
+    assert repr(x) == f"<{render(x)}>"
+    with pytest.raises(ValueError, match="matrix must be 3x3"):
+        alg.endo(Matrix.identity(2))

@@ -395,8 +395,7 @@ def test_sparse_products_match_the_row_combination_oracles(grids):
 def _bracket_cases():
     """(tau, A) on so3 adjoint and sl2 standard, A zero, c I, a matrix
     unit, a dense matrix or another tau.  On so3 the zero matrix and the
-    unit are sparser than tau (the walk swaps the factors), the others
-    are not."""
+    unit are sparser than tau, the others are not."""
     cases = []
     for name, rep in (("so3", "adjoint"), ("sl2", "standard")):
         taus = builtin(name).reps[rep].matrices
@@ -410,8 +409,8 @@ def _bracket_cases():
 
 def test_bracket_num_is_one_product_plus_s_times_the_other():
     """_bracket_num(A, s) = tau A + s A tau, numerators and denominator as
-    the two `_mul_num` products give them, for s = +-1, with either
-    factor the sparser one."""
+    the two `_mul_num` products give them (the oracle of the cell rule),
+    for s = +-1, with either factor the sparser one."""
     swapped = set()
     for tau, a in _bracket_cases():
         (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)

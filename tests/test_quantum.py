@@ -277,9 +277,9 @@ def test_lie_derivative_builds_only_its_own_operator_entry(so3):
 
 
 def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
-    """The tables hold their value weakly: once every operator has filled
-    them, dropping the last reference frees the value with the cycle
-    collector off, classically and quantum-side."""
+    """The image table holds its value weakly: once every operator has
+    filled it and the cell maps, dropping the last reference frees the
+    value with the cycle collector off, classically and quantum-side."""
     refs = []
     gc.disable()
     try:
@@ -288,7 +288,7 @@ def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
             x = alg.even_gen(0) * alg.odd_gen(1) * alg.tau(2)
             for i in range(7):
                 alg._apply(i, x)
-            assert alg.image_table.cache_info().currsize and alg.bracket_table.cache_info().currsize
+            assert alg.image_table.cache_info().currsize and "bracket_cells" in vars(alg)
             refs.append(weakref.ref(alg))
             del alg
     finally:
@@ -340,36 +340,31 @@ def _bits(x):
 @given(table_elements())
 @settings(max_examples=60)
 def test_tables_match_the_bracket_oracle(drawn):
-    """All 2n + 1 operators read from the image and bracket tables
-    against `oracles.bracket_apply`, the whole bracket with inner[i],
-    numerators and denominator bit for bit, on x, x * q and d x; no
-    table exceeds its bound."""
+    """All 2n + 1 operators read from the image table and tau's cell
+    maps against `oracles.bracket_apply`, the whole bracket with
+    inner[i], numerators and denominator bit for bit, on x, x * q and
+    d x; the table stays within its bound."""
     q, x, scale = drawn
     for y in (x, x * scale, oracles.bracket_apply(q, 2 * q.lie.dim, x)):
         for i in range(2 * q.lie.dim + 1):
             got = q._apply(i, y)
             assert _bits(got) == _bits(oracles.bracket_apply(q, i, y)), i
             assert all(got.terms.values())
-    for table, bound in ((q.image_table, ew.IMAGE_TABLE_SIZE),
-                         (q.bracket_table, ew.BRACKET_TABLE_SIZE)):
-        info = table.cache_info()
-        assert info.maxsize == bound and info.currsize <= bound
+    info = q.image_table.cache_info()
+    assert info.maxsize == ew.IMAGE_TABLE_SIZE and info.currsize <= ew.IMAGE_TABLE_SIZE
 
 
 def test_tables_match_the_bracket_oracle_while_evicting():
-    """The same comparison with both table bounds at 2 entries, on fresh
-    values, so that nearly every lookup evicts an entry."""
+    """The same comparison with the image table's bound at 2 entries, on
+    fresh values, so that nearly every lookup evicts an entry."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ew, "IMAGE_TABLE_SIZE", 2)
-        mp.setattr(ew, "BRACKET_TABLE_SIZE", 2)
         mp.setattr(sys.modules[__name__], "TABLE_ALGEBRAS",
                    [QuantumAlgebra(lie, rep) for lie, rep in TABLE_CONTEXTS])
         test_tables_match_the_bracket_oracle()
-        infos = [(q.image_table.cache_info(), q.bracket_table.cache_info())
-                 for q in TABLE_ALGEBRAS if "image_table" in vars(q)]
-    assert infos and all(i.maxsize == 2 and i.currsize <= 2 for pair in infos for i in pair)
-    assert any(image.misses > 2 for image, _ in infos)
-    assert any(bracket.misses > 2 for _, bracket in infos)
+        infos = [q.image_table.cache_info() for q in TABLE_ALGEBRAS if "image_table" in vars(q)]
+    assert infos and all(i.maxsize == 2 and i.currsize <= 2 for i in infos)
+    assert any(image.misses > 2 for image in infos)
 
 
 class _UncoupledDifferential(QuantumAlgebra):
