@@ -35,6 +35,8 @@ SOURCE_SCAN = ["tests/test_source.py::test_no_source_line_depends_on_python_O"]
 CURVATURE_CHECK = ["tests/test_quantum.py::"
                    "test_curvature_cross_check_fires_on_a_wrong_four_term_formula"]
 ONE_CONTEXT = ["tests/test_cli.py::test_check_takes_one_context"]
+RENDER = ["tests/test_element.py::test_render_matches_the_fraction_oracle"]
+POWERS = ["tests/test_expr.py::test_powers_are_repeated_products_of_the_base"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -93,6 +95,12 @@ MUTANTS = [
      "if curv != self.dirac_tau * self.dirac_tau:", "if curv != curv:", CURVATURE_CHECK),
     ("check takes --classical and --quantum together", "src/weil/cli.py",
      "if args.classical and args.quantum:", "if False:", ONE_CONTEXT),
+    ("a negative scalar printed without its sign", "src/weil/render.py",
+     "neg = c < 0\n    mag = -c if neg else c", "neg = False\n    mag = abs(c)", RENDER),
+    ("a scalar |c|/den printed as |c|", "src/weil/render.py",
+     "format_ratio(mag, mat.den)", "str(mag)", RENDER),
+    ("a power one product short", "src/weil/expr.py",
+     "range(node.exponent - 1)", "range(node.exponent - 2)", POWERS),
 ]
 
 

@@ -411,8 +411,10 @@ class Evaluator:
     def _eval_pow(self, node):
         base = self.eval(node.base)
         _check_degree(base.poly_degree() * node.exponent, node.pos)
-        out = self.alg.unit()
-        for _ in range(node.exponent):
+        if not node.exponent:
+            return self.alg.unit()
+        out = base
+        for _ in range(node.exponent - 1):
             _check_term_pairs(out, base, node.pos)
             out = out * base
         return out

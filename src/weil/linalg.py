@@ -14,7 +14,8 @@ the raw kernels `_mul_num` and `_bracket_num` (ab + s ba for s = +-1,
 from a's fixed cell map `_bracket_cells`, which the operators evaluate
 inline) return them unreduced, for the element products, brackets and
 operators to sum and reduce once per result key.  Entries leave as
-`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`).
+`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`);
+`render` prints them from the integers (`format_ratio`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -95,9 +96,13 @@ def exact_scalar(q) -> Fraction:
 def format_scalar(q) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(n, den) -> str:
+    """format_scalar(n / den) for integers n and den > 0, with no Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _frac(n, den):
@@ -334,11 +339,9 @@ class Matrix:
         return hash((self.rows, self.cols, self.den, self.num))
 
     def render(self) -> str:
-        rows = ",".join(
-            "[" + ",".join(format_scalar(e) for e in self.row(i)) + "]"
-            for i in range(self.rows)
-        )
-        return "[" + rows + "]"
+        c, cells = self.cols, [format_ratio(n, self.den) for n in self.num]
+        return "[" + ",".join("[" + ",".join(cells[i * c:(i + 1) * c]) + "]"
+                              for i in range(self.rows)) + "]"
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self.render()})"

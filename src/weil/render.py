@@ -10,7 +10,7 @@ product and supports generator powers.
 
 from __future__ import annotations
 
-from .linalg import format_scalar
+from .linalg import format_ratio
 
 TENSOR = " ⊗ "
 
@@ -31,13 +31,13 @@ def _index_string(letter, indices):
 
 def _signed_term(mono_str, mat, endo_dim):
     """Return (negative, body) for one term."""
-    c = mat.scalar_value()
+    c = mat._scalar() if mat.rows else None  # c over mat.den, coprime
     if c is None:
         body = (mono_str + TENSOR if mono_str else "") + mat.render()
         return False, body
     neg = c < 0
     mag = -c if neg else c
-    coeff = "" if mag == 1 else format_scalar(mag)
+    coeff = "" if mag == mat.den == 1 else format_ratio(mag, mat.den)
     prefix = "*".join(p for p in (coeff, mono_str) if p)
     if endo_dim == 1:
         return neg, prefix or "1"

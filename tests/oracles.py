@@ -80,6 +80,11 @@ through it.
 `weil.checks`' identity rows before each case summed its two sides into
 one accumulator: every side is a canonical element, built through
 `+`, `-` and scalar products, and the two sides are compared with `==`.
+`fraction_render` is `weil.render.render` before it printed from the
+canonical integers: each c I part becomes a Fraction (`scalar_value`),
+its sign is flipped on a Fraction and its magnitude printed by
+`format_scalar`; `fraction_matrix_render` is `Matrix.render` before it
+printed from the numerators, each entry a Fraction from `row`.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
 multiply whole polynomials (dicts monomial -> coefficient) term by term
 through `weil.kernels`' monomial products, and `matrix_rows` lists the
@@ -107,7 +112,7 @@ from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure,
                        degree_monomials, monomials_up_to)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
-from weil.render import render
+from weil.render import TENSOR, _gen_string, _index_string, _join, render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
                           pbw_word, sym_mono_mul)
@@ -1129,6 +1134,45 @@ def fraction_nullspace(m: FractionMatrix) -> list[FractionMatrix]:
             v[pc] = -s / row[pc]
         basis.append(FractionMatrix(m.cols, 1, v))
     return basis
+
+
+# -- element rendering through Fractions ----------------------------------------
+
+def fraction_matrix_render(m: Matrix) -> str:
+    rows = ",".join(
+        "[" + ",".join(format_scalar(e) for e in m.row(i)) + "]"
+        for i in range(m.rows)
+    )
+    return "[" + rows + "]"
+
+
+def _fraction_signed_term(mono_str, mat, endo_dim):
+    """Return (negative, body) for one term."""
+    c = mat.scalar_value()
+    if c is None:
+        body = (mono_str + TENSOR if mono_str else "") + fraction_matrix_render(mat)
+        return False, body
+    neg = c < 0
+    mag = -c if neg else c
+    coeff = "" if mag == 1 else format_scalar(mag)
+    prefix = "*".join(p for p in (coeff, mono_str) if p)
+    if endo_dim == 1:
+        return neg, prefix or "1"
+    if mono_str:
+        return neg, prefix + TENSOR + "I"
+    return neg, (prefix + "*I") if prefix else "I"
+
+
+def fraction_render(x) -> str:
+    even, odd = x.LETTERS
+    d = x.rep.dim
+    keyed = sorted(x.terms.items(),
+                   key=lambda kv: (2 * sum(kv[0][0]) + len(kv[0][1]), kv[0][0], kv[0][1]))
+    parts = []
+    for (s, e), mat in keyed:
+        mono = x.JOINER.join(p for p in (_gen_string(even, s), _index_string(odd, e)) if p)
+        parts.append(_fraction_signed_term(mono, mat, d))
+    return _join(parts)
 
 
 # -- Lie data validation with dense index loops ---------------------------------

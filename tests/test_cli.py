@@ -160,7 +160,7 @@ def test_eval_degree_and_nesting_bounds_exit_two_with_position(capsys):
 
 
 def test_eval_term_pair_bound_exits_two_with_position(capsys):
-    """(u1+...+u12)^8 ran for 20 s and printed 2 MB; its fifth power step
+    """(u1+...+u12)^8 ran for 20 s and printed 2 MB; its fourth power step
     pairs 1,365 terms of degree 4 with 12 of degree 1, 65,520 pairs
     weighted by degree, past the bound, and fails at the power's `^`."""
     expression = "(" + "+".join(f"u{i}" for i in range(1, 13)) + ")^8"

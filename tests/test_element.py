@@ -390,6 +390,37 @@ def test_cell_rule_is_tau_a_plus_s_a_tau(case):
     assert acc == ({key: (want, den)} if any(want) else {})
 
 
+def _render_contexts():
+    """(lie, rep): so3 trivial (1 x 1 parts print as bare scalars),
+    standard and adjoint, sl2 standard and the so3/2 file's adjoint rep
+    (tau over 2)."""
+    so3, sl2 = builtin("so3"), builtin("sl2")
+    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    return ([(so3.lie, so3.reps[name]) for name in ("trivial", "standard", "adjoint")]
+            + [(sl2.lie, sl2.reps["standard"]), (half.lie, half.reps["adjoint"])])
+
+
+RENDER_CONTEXTS = _render_contexts()
+
+
+@st.composite
+def rendered_elements(draw):
+    mod = draw(st.sampled_from([ClassicalAlgebra, QuantumAlgebra]))
+    lie, rep = draw(st.sampled_from(RENDER_CONTEXTS))
+    return draw(elements(mod, lie, rep))
+
+
+@given(rendered_elements())
+@settings(max_examples=300)
+def test_render_matches_the_fraction_oracle(x):
+    """Each c I part prints from its canonical integers, sign then |c| or
+    |c|/den, and each other part from its numerators, as the Fraction
+    oracle prints them; `repr` wraps the same text."""
+    want = oracles.fraction_render(x)
+    assert render(x) == want
+    assert repr(x) == f"<{want}>"
+
+
 def test_scalar_times_element_equality_repr_and_endo_shape(so3):
     """q * x is x * q; == with a non-element is NotImplemented, so False;
     repr is the rendering in angle brackets; `endo` refuses a matrix of

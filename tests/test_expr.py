@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from weil import ALGEBRAS
 from weil.classical import ClassicalAlgebra
 from weil.cli import main
 from weil.expr import (
@@ -164,6 +165,49 @@ def test_eval_quantum(quantum_ctx, abelian2):
         - evaluate("(x1*tau(1) + x2*tau(2) + x3*tau(3))^2", lie, rep, context)
     triv = abelian2.reps["trivial"]
     assert evaluate("comm(QC, u1)", abelian2.lie, triv, "quantum").is_zero
+
+
+# per kind: a generator of each parity (y_a^2 = 0, x_a^2 = 1/2), a
+# matrix literal and a sum with a fractional coefficient and a c I part
+POWER_BASES = {"classical": ("v2", "y2", "[[0,1,0],[0,0,-1],[2,0,0]]", "v1 - 1/2*y3 + tau(1) - 3"),
+               "quantum": ("u2", "x2", "[[0,1,0],[0,0,-1],[2,0,0]]", "u1 - 1/2*x3 + tau(1) - 3")}
+
+
+@pytest.mark.parametrize("context", ["classical", "quantum"])
+def test_powers_are_repeated_products_of_the_base(so3, context, monkeypatch):
+    """x^0 is the unit, x^1 is x with no product, and x^k is the k-fold
+    product made by k - 1 products."""
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    alg = ALGEBRAS[context](lie, rep)
+    cls, mul, calls = alg.Element, alg.Element.__mul__, []
+
+    def spy(x, y):
+        calls.append(isinstance(y, cls))
+        return mul(x, y)
+
+    monkeypatch.setattr(cls, "__mul__", spy)
+
+    def products(src):
+        calls.clear()
+        out = evaluate(src, lie, rep, context)
+        return out, calls.count(True)
+
+    odd = POWER_BASES[context][1]
+    assert evaluate(f"{odd}^2", lie, rep, context) == alg.scalar(
+        0 if context == "classical" else Fraction(1, 2))
+    for base in POWER_BASES[context]:
+        x, made = products(base)
+        assert products(f"({base})^0") == (alg.unit(), made)
+        assert products(f"({base})^1") == (x, made)
+        want = x
+        for k in range(2, 6):
+            want = mul(want, x)
+            assert products(f"({base})^{k}") == (want, made + k - 1), (base, k)
+
+
+def test_evaluate_names_an_unknown_context(so3):
+    with pytest.raises(ValueError, match="context must be classical or quantum, not 'symplectic'"):
+        evaluate("1", so3.lie, so3.reps["adjoint"], "symplectic")
 
 
 def test_context_mismatch(classical_ctx, quantum_ctx):

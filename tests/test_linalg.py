@@ -282,6 +282,20 @@ def _same(m, fm):
     assert all(type(x) is int for x in m.num) and type(m.den) is int
 
 
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=200)
+def test_render_prints_each_entry_in_lowest_terms(r, c, data):
+    """Over mixed denominators, each entry reduces by its own gcd with
+    the common denominator, as the Fraction routines print it."""
+    entries = data.draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9),
+                                           st.fractions(-9, 9, max_denominator=12)),
+                                 min_size=r * c, max_size=r * c))
+    m = Matrix(r, c, entries)
+    assert m.render() == FractionMatrix(r, c, entries).render() == oracles.fraction_matrix_render(m)
+    assert Matrix.from_rows([[Fraction(1, 2), Fraction(-2, 3)], [6, 0]]).render() == \
+        "[[1/2,-2/3],[6,0]]"
+
+
 @given(oracle_grids(), scalars)
 @settings(max_examples=300)
 def test_matrix_matches_fraction_oracle(grids, s):
