@@ -37,6 +37,7 @@ CURVATURE_CHECK = ["tests/test_quantum.py::"
 ONE_CONTEXT = ["tests/test_cli.py::test_check_takes_one_context"]
 RENDER = ["tests/test_element.py::test_render_matches_the_fraction_oracle"]
 POWERS = ["tests/test_expr.py::test_powers_are_repeated_products_of_the_base"]
+FOOTPRINT = ["tests/test_footprint.py"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -101,6 +102,10 @@ MUTANTS = [
      "format_ratio(mag, mat.den)", "str(mag)", RENDER),
     ("a power one product short", "src/weil/expr.py",
      "range(node.exponent - 1)", "range(node.exponent - 2)", POWERS),
+    ("cli imports checks at module level", "src/weil/cli.py",
+     "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
+    ("quantum images skip tau_t terms in the other tensor factor", "src/weil/quantum.py",
+     "if t is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
 ]
 
 

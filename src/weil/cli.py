@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 validation or identity failure or a closed
 stdout, 2 usage error or malformed expression, 3 internal error.
-All output is deterministic for fixed inputs and seed.
+All output is deterministic for fixed inputs and seed.  Each command
+imports its layer when it runs: `checks` for check and report, `expr` for
+eval, so `weil flat` compiles neither.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import re
 import sys
 from math import comb
 
-from . import ALGEBRAS, checks, flat
-from .expr import ExprError, evaluate, render
+from . import ALGEBRAS, flat
 from .lie import FormReport, builtin, load_algebra_file, validate_form, validate_lie, validate_rep
+from .render import render
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +138,8 @@ def _session(args):
 
 
 def _suite(context, lie, rep, args):
+    from . import checks
+
     return getattr(checks, f"{context}_suite")(lie, rep, samples=args.samples, seed=args.seed)
 
 
@@ -158,6 +162,8 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     if args.expression is None:
         raise UsageError("an expression is required")
+    from .expr import ExprError, evaluate
+
     alg, context, rep = _session(args)
     if not all(r.ok for r in _reports(alg, [rep.name])):
         print("algebra failed validation; run `weil validate`", file=sys.stderr)

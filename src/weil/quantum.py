@@ -138,8 +138,11 @@ class QuantumAlgebra(element.WeilAlgebra):
         A c I part M gives the plain term (pl + pr) A, a tau_t part the endo
         terms ((pl + pr) {tau_t, A} + (pl - pr) [tau_t, A]) / 2, each over 2r."""
         mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
+        no_even, no_odd = not any(key[0]), not key[1]
         sums = {}  # (key', t) -> ((pl, pr), r): pl of the M A side, pr of A M
         for k1, t, p1, r1 in self._inner_terms(i):
+            if t is None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
+                continue  # k1 and key lie in different tensor factors: the sides cancel
             yx = p1 if odd and len(k1[1]) & 1 else -p1
             for k, p, r in mono_mul(k1, key):
                 accumulate(sums, (k, t), (p1 * p, 0), r * r1)
