@@ -38,6 +38,9 @@ ONE_CONTEXT = ["tests/test_cli.py::test_check_takes_one_context"]
 RENDER = ["tests/test_element.py::test_render_matches_the_fraction_oracle"]
 POWERS = ["tests/test_expr.py::test_powers_are_repeated_products_of_the_base"]
 FOOTPRINT = ["tests/test_footprint.py"]
+INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
+INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
+REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_with_its_detail"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -82,6 +85,16 @@ MUTANTS = [
      "level == k or (level < k and not alg.GRADED)", "level <= k", ROW_RULE),
     ("rows list level k alone for both kinds", "src/weil/flat.py",
      "level == k or (level < k and not alg.GRADED)", "level == k", ROW_RULE),
+    ("inclusion: basic_subset_flat without the flat premise", "src/weil/flat.py",
+     '"basic_subset_flat": flat_ok and all(', '"basic_subset_flat": all(', INCLUSION),
+    ("inclusion: s_basic_equals_flat without the rank", "src/weil/flat.py",
+     "equal = span_rank(list(built.values())) == len(_at_level(alg, flat.levelled, k))",
+     "equal = True", INCLUSION),
+    ("inclusion: module premise without the [C, m] b term", "src/weil/flat.py",
+     "basic.commuting[j]\n                     and (bracket(m) * basic.levelled[j][1]).is_zero)",
+     "basic.commuting[j])", INCLUSION_ORACLE),
+    ("report drops a failing identity's detail line", "src/weil/cli.py",
+     'print(f"      {r.name}: {r.detail}")', "pass", REPORT_DETAIL),
     ("flat rows: E_ij M half added, not subtracted", "src/weil/flat.py",
      "(0, k, mat, False, -p, r)", "(0, k, mat, False, p, r)", WRITTEN_ROWS),
     ("basic rows: endo terms with s = +1", "src/weil/flat.py",

@@ -179,8 +179,8 @@ def cmd_eval(args) -> int:
 
 def flat_report_data(alg, rep, context, max_degree, samples, seed) -> dict:
     hor = flat.flat_subspace(ALGEBRAS[context](alg.lie, rep), max_degree)
+    decomposition = flat.decomposition_report(hor)  # brackets the shared premises
     inclusion = flat.inclusion_report(hor)
-    decomposition = flat.decomposition_report(hor)
     closure = flat.closure_report(hor, samples=samples, seed=seed)
     return {
         "schema": SCHEMA_VERSION,

@@ -38,6 +38,14 @@ L_a C = 0, iota_a C = 0 and the Bianchi identity d C = 0.  It is closed
 under products as [C, .] is a derivation.  `closure_report` counts the
 premises that fail and draws, builds and brackets no image.
 
+So are the inclusion columns.  Row k of flat is the whole kernel of
+[C, .] on the block (degree k classically, <= k quantum-side) that holds
+row k's basic vectors b and module elements m b, and its vectors h are
+checked by [C, h] = 0.  So basic lies in flat once [C, b] = 0 for each b;
+as [C, m b] = [C, m] b + m [C, b], the module does once also [C, m] b = 0,
+[C, m] bracketed once per monomial m, and it then spans flat when its one
+rank is dim flat.  Only that rank builds the products m b.
+
 Every bracket [C, x] is computed as [C - Z, x] (`WeilAlgebra.flat_op`),
 where Z is the sum of C's terms with no odd factor and a c I End V part:
 quantum-side the Casimir part (1/2) u_a u_a (x) I and the constant c I,
@@ -60,7 +68,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 
 from .linalg import Matrix, kernel, rank
@@ -129,6 +137,11 @@ class SubspaceResult:
     def commuting(self):
         """[C, h] = 0 for each vector h of `levelled`, in its order."""
         return [self.alg.flat_op(h).is_zero for _, h in self.levelled]
+
+    @property
+    def flags(self):
+        """(level, [C, h] = 0) for each pair (level, h) of `levelled`."""
+        return [(level, ok) for (level, _), ok in zip(self.levelled, self.commuting)]
 
     @cached_property
     def odd_premise_failure(self):
@@ -257,8 +270,8 @@ def flat_subspace(alg, max_degree) -> SubspaceResult:
 
 
 def inclusion_report(flat) -> dict:
-    """Per-degree dimensions of basic and flat (a `flat_subspace`
-    result) with containment columns.
+    """Per-degree dimensions of basic and flat (a `flat_subspace` result)
+    with containment columns, decided by premises (module docstring).
 
     Classically basic inside flat is a theorem; quantum-side the same
     column is observed evidence for an open question, never asserted.
@@ -266,27 +279,25 @@ def inclusion_report(flat) -> dict:
     alg, max_degree = flat.alg, flat.max_degree
     ident = Matrix.identity(alg.rep.dim)
     basic = basic_subspace(alg, max_degree)
-    # the multiples m b of the basic b, keyed (index of b, m) at level deg m
-    # + level b: the S-module classically, the left U-module quantum-side;
-    # each is built once, and kept while the rows list it
+    # the multiples m b_j of the basic b_j, keyed (j, m) at level deg m +
+    # level b_j: the S-module classically, the left U-module quantum-side
     module = [(sum(mono) + level, (j, mono)) for j, (level, _) in enumerate(basic.levelled)
               for mono in monomials_up_to(alg.lie.dim, max_degree - level)]
+    bracket = cache(lambda m: alg.flat_op(alg.element({(m, ()): ident})))  # [C, m (x) I]
+    # [C, m b_j] = [C, m] b_j + m [C, b_j] = 0 (module docstring)
+    commutes = cache(lambda j, m: basic.commuting[j]
+                     and (bracket(m) * basic.levelled[j][1]).is_zero)
     rows, built = [], {}
     for k in range(max_degree + 1):
-        bvecs, fvecs = _at_level(alg, basic.levelled, k), _at_level(alg, flat.levelled, k)
-        built = {(j, m): built[j, m] if (j, m) in built
-                 else alg.element({(m, ()): ident}) * basic.levelled[j][1]
-                 for j, m in _at_level(alg, module, k)}
-        mvecs = list(built.values())
-        rows.append({
-            "deg": k,
-            "dim_basic": basic.dims[k],
-            "dim_flat": flat.dims[k],
-            # a kernel basis is independent: span(fvecs) has rank len(fvecs)
-            "basic_subset_flat": span_rank(fvecs + bvecs) == len(fvecs),
-            "s_basic_equals_flat": (span_rank(mvecs) == len(fvecs)
-                                    == span_rank(fvecs + mvecs)),
-        })
+        pairs, flat_ok = _at_level(alg, module, k), all(_at_level(alg, flat.flags, k))
+        equal = flat_ok and all(commutes(j, m) for j, m in pairs)  # module inside flat
+        if equal:  # m b_j for one rank, built once and kept while the rows list it
+            built = {(j, m): built[j, m] if (j, m) in built
+                     else alg.element({(m, ()): ident}) * basic.levelled[j][1] for j, m in pairs}
+            equal = span_rank(list(built.values())) == len(_at_level(alg, flat.levelled, k))
+        rows.append({"deg": k, "dim_basic": basic.dims[k], "dim_flat": flat.dims[k],
+                     "basic_subset_flat": flat_ok and all(_at_level(alg, basic.flags, k)),
+                     "s_basic_equals_flat": equal})
     return {"algebra": alg.KIND,
             "degree_semantics": "exact" if alg.GRADED else "filtration_increment",
             "per_degree": rows}
@@ -306,14 +317,13 @@ def decomposition_report(flat) -> dict:
     docstring, and a level matches when its premises hold: [C, x_a] = 0
     for each odd generator and [C, h] = 0 for each horizontal vector h
     that the row lists (`_at_level`).  Each vector is bracketed once per
-    result (`SubspaceResult.commuting`), for this report and the closure.
+    result (`SubspaceResult.commuting`), for the three reports.
     """
     n = flat.alg.lie.dim
     odd_flat = flat.odd_premise_failure is None
-    flags = [(level, ok) for (level, _), ok in zip(flat.levelled, flat.commuting)]
     rows = []
     for k in range(flat.max_degree + 1):
-        row = _at_level(flat.alg, flags, k)
+        row = _at_level(flat.alg, flat.flags, k)
         full = (2 ** n) * len(row)
         rows.append({"deg": k, "dim_hor_flat": len(row), "dim_full_flat": full,
                      "expected_full": full, "match": odd_flat and all(row)})

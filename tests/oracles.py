@@ -14,7 +14,10 @@ used before it derived the full flat basis from the horizontal one;
 before its reports stopped building it.  `rebracket_decomposition_report`
 and `list_closure_report` are those reports: the first brackets each of
 the 2^n dim derived vectors again, the second draws its samples from the
-built list.
+built list.  `rank_inclusion_report` is `weil.flat.inclusion_report`
+before its columns were decided by premises: each row compares spans by
+three ranks, span(flat + basic), span(module) and span(flat + module),
+and brackets nothing with C.
 `full_flat_op` is `WeilAlgebra.flat_op` before it bracketed with the
 curvature minus its checked central part: it brackets with the whole
 curvature, and every flat oracle here brackets through it.  The flat
@@ -108,8 +111,8 @@ from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_stru
                          scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
-from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure,
-                       degree_monomials, monomials_up_to)
+from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_subspace,
+                       degree_monomials, monomials_up_to, span_rank)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
 from weil.render import TENSOR, _gen_string, _index_string, _join, render
@@ -855,6 +858,38 @@ def full_flat_basis(alg, max_degree, degree=None):
                     raise AssertionError("curvature bracket left its index block")
         basis.extend(dense_kernel(domain, [element_coords(im) for im in images]))
     return basis
+
+
+def rank_inclusion_report(flat) -> dict:
+    """`weil.flat.inclusion_report` by three ranks per row (module
+    docstring)."""
+    alg, max_degree = flat.alg, flat.max_degree
+    ident = Matrix.identity(alg.rep.dim)
+    basic = basic_subspace(alg, max_degree)
+    # the multiples m b of the basic b, keyed (index of b, m) at level deg m
+    # + level b: the S-module classically, the left U-module quantum-side;
+    # each is built once, and kept while the rows list it
+    module = [(sum(mono) + level, (j, mono)) for j, (level, _) in enumerate(basic.levelled)
+              for mono in monomials_up_to(alg.lie.dim, max_degree - level)]
+    rows, built = [], {}
+    for k in range(max_degree + 1):
+        bvecs, fvecs = _at_level(alg, basic.levelled, k), _at_level(alg, flat.levelled, k)
+        built = {(j, m): built[j, m] if (j, m) in built
+                 else alg.element({(m, ()): ident}) * basic.levelled[j][1]
+                 for j, m in _at_level(alg, module, k)}
+        mvecs = list(built.values())
+        rows.append({
+            "deg": k,
+            "dim_basic": basic.dims[k],
+            "dim_flat": flat.dims[k],
+            # a kernel basis is independent: span(fvecs) has rank len(fvecs)
+            "basic_subset_flat": span_rank(fvecs + bvecs) == len(fvecs),
+            "s_basic_equals_flat": (span_rank(mvecs) == len(fvecs)
+                                    == span_rank(fvecs + mvecs)),
+        })
+    return {"algebra": alg.KIND,
+            "degree_semantics": "exact" if alg.GRADED else "filtration_increment",
+            "per_degree": rows}
 
 
 def rebracket_decomposition_report(flat) -> dict:

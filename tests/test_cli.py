@@ -401,6 +401,46 @@ def test_report_all_builtins(capsys):
     assert "so3 rep adjoint (quantum)" in out
 
 
+def test_report_skips_a_builtin_that_fails_validation(tmp_path, capsys, monkeypatch):
+    """A builtin whose algebra fails validation prints its validation
+    report and nothing else, and the report goes on to the next builtin
+    and ends in failure."""
+    path = tmp_path / "bad.json"
+    path.write_text(CORRUPTED_FILE)
+    bad, real = load_algebra_file(path), cli.builtin
+    monkeypatch.setattr(cli, "builtin", lambda name: bad if name == "so3" else real(name))
+    code, out, _ = run(["report", "--all-builtins", "--samples", "1", "--max-degree", "0"], capsys)
+    so3, sl2 = out.split("== so3 ==\n")[1].split("== sl2 ==\n")
+    assert code == 1 and out.endswith("report: failures detected\n")
+    assert so3.startswith("FAIL  lie algebra") and "jacobi violation at (1,2,3)" in so3
+    assert "identities" not in so3 and "flat/basic" not in so3
+    assert "pass  sl2 rep adjoint (classical)" in sl2 and "flat/basic" in sl2
+
+
+def test_report_prints_each_failing_identity_with_its_detail(capsys, monkeypatch):
+    """A failing identity turns its suite's status line to FAIL, prints
+    its name and detail on a line of its own, and fails the report."""
+    from weil import checks
+
+    def planted(suite):
+        return lambda *args, **kw: suite(*args, **kw) + [
+            checks.CheckResult("planted identity", False, "lhs - rhs = u1")]
+
+    for context in ("classical", "quantum"):
+        name = f"{context}_suite"
+        monkeypatch.setattr(checks, name, planted(getattr(checks, name)))
+    code, out, _ = run(["report", "--builtin", "abelian(2)", "--samples", "1",
+                        "--max-degree", "0"], capsys)
+    lines = out.splitlines()
+    status = [line for line in lines if line.startswith("FAIL  abelian(2) rep adjoint")]
+    assert code == 1 and lines[-1] == "report: failures detected"
+    assert len(status) == 2 and all(line.endswith("identities") for line in status)
+    at = lines.index(status[0])
+    assert lines[at + 1] == "      planted identity: lhs - rhs = u1"
+    assert out.count("      planted identity: lhs - rhs = u1\n") == 2 * len(
+        builtin("abelian(2)").reps)
+
+
 @pytest.mark.parametrize("name", ["foo", "abelian(99)"])
 def test_report_unknown_builtin_exits_two(capsys, name):
     code, out, err = run(["report", "--builtin", name], capsys)

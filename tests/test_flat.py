@@ -17,6 +17,7 @@ import oracles
 from oracles import derived_full_flat_basis as full_flat_basis
 from test_kernels import _so3_blocks
 import weil.cli
+import weil.element
 import weil.flat
 from weil import (ALGEBRAS, BilinearForm, LieData, Matrix, adjoint_rep, builtin,
                   load_algebra_file)
@@ -180,23 +181,26 @@ def _add(flat, level, vector):
     flat.levelled.append((level, vector))
 
 
-@pytest.mark.parametrize("kind, level_one", [
-    (ClassicalAlgebra, lambda alg: []),
-    (QuantumAlgebra, lambda alg: []),
+@pytest.mark.parametrize("kind, level_one, columns", [
+    (ClassicalAlgebra, lambda alg: [], (True, False)),
+    (QuantumAlgebra, lambda alg: [], (True, False)),
     # as many vectors as the S-module has rank, spanning something else
-    (ClassicalAlgebra, lambda alg: oracles.hor_basis(alg, [(0, 0, 1)])[:4]),
+    (ClassicalAlgebra, lambda alg: oracles.hor_basis(alg, [(0, 0, 1)])[:4], (False, False)),
 ], ids=["dropped", "dropped-quantum", "swapped"])
-def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, kind, level_one):
-    """Both columns compare spans by rank: with the level-1 flat vectors of
-    so3 adjoint dropped or swapped, the level-1 basic vectors and the
-    S-module fall outside their span."""
+def test_inclusion_columns_fail_when_flat_misses_the_basic_vectors(so3, kind, level_one,
+                                                                    columns):
+    """With the level-1 flat vectors of so3 adjoint dropped, the basic
+    vectors still pass [C, b] = 0, so `basic_subset_flat` holds, but the
+    module's rank exceeds the 0 flat vectors left and
+    `s_basic_equals_flat` fails.  Swapped for vectors with [C, h] != 0,
+    the flat premise fails both columns."""
     flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 1)
     flat.levelled[:] = [(level, v) for level, v in flat.levelled if level != 1]
     for v in level_one(flat.alg):
         _add(flat, 1, v)
     rows = inclusion_report(flat)["per_degree"]
     assert [(row["basic_subset_flat"], row["s_basic_equals_flat"]) for row in rows] == \
-        [(True, True), (False, False)]
+        [(True, True), columns]
 
 
 def _scaled_rows(fm, den=None):
@@ -504,12 +508,16 @@ def test_closure_draws_and_brackets_nothing_when_its_premises_hold(monkeypatch, 
             "failures": 0, "all_closed": True}
 
 
-@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
-def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind):
+@pytest.mark.parametrize("kind, monomials", [(ClassicalAlgebra, 20), (QuantumAlgebra, 2)],
+                         ids=["classical", "quantum"])
+def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind, monomials):
     """One `flat_report_data` call on so3 adjoint at N = 3 brackets with C
-    each x_a and each distinct flat vector once: the solve brackets no
-    domain vector (its rows are written from tables), the reports share
-    the premises and the closure brackets nothing of its own."""
+    each x_a, each flat vector and each basic vector once, and m (x) I for
+    the monomials m whose module premises it reaches: classically all 20
+    of degree <= 3, quantum-side 1 and u3, the first whose [C, u3] I != 0
+    fails every row from 1 on.  The solves bracket no domain vector
+    (their rows are written from tables), the reports share the premises
+    and the closure brackets nothing of its own."""
     so3 = builtin("so3")
     calls = []
 
@@ -523,9 +531,10 @@ def test_one_flat_report_brackets_each_premise_once(monkeypatch, kind):
     assert data["closure"]["all_closed"] and data["closure"]["checked"]["product"] == 20
     brackets = len(calls)
     calls.clear()
-    dims = flat_subspace(Counted(so3.lie, so3.reps["adjoint"]), 3).dims
+    alg = Counted(so3.lie, so3.reps["adjoint"])
+    dims = [sub(alg, 3).dims for sub in (flat_subspace, basic_subspace)]
     assert calls == []
-    assert brackets == 3 + sum(dims.values())
+    assert brackets == 3 + sum(sum(d.values()) for d in dims) + monomials
 
 
 def _u2(alg):
@@ -606,6 +615,66 @@ def test_an_added_vector_counts_alike_in_both_reports(kind):
     dim_hor = [row["dim_hor_flat"] for row in decomposition_report(flat)["per_degree"]]
     assert dim_flat == [1, 5]
     assert dim_hor == (dim_flat if kind.GRADED else list(accumulate(dim_flat)))
+
+
+def _inclusion_cases():
+    yield from (pytest.param(case.values[0], 4, None, id=case.id) for case in _builtin_cases())
+    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    for kind in (ClassicalAlgebra, QuantumAlgebra):
+        yield pytest.param(kind(*_so3_pair()), 2, None, id=f"so3^2-{kind.KIND}-adjoint")
+        yield pytest.param(kind(half.lie, half.reps["adjoint"]), 3, None,
+                           id=f"so3-half-{kind.KIND}-adjoint")
+    so3 = builtin("so3")
+    yield pytest.param(_mutant(_u2)(so3.lie, so3.reps["adjoint"]), 2, [True, False, False],
+                       id="quantum-u2")
+
+
+@pytest.mark.parametrize("alg, top, subset", _inclusion_cases())
+def test_inclusion_columns_match_the_rank_oracle(alg, top, subset):
+    """The columns decided by their premises and one rank per row equal
+    the three-rank oracle's, row for row, at every N <= `top`.  With u2
+    (x) I added to the quantum curvature, the basic vectors' own brackets
+    turn `basic_subset_flat` False from level 1 on (`subset`)."""
+    for max_degree in range(top + 1):
+        report = inclusion_report(flat_subspace(alg, max_degree))
+        assert report == oracles.rank_inclusion_report(flat_subspace(alg, max_degree)), max_degree
+    if subset is not None:
+        assert [row["basic_subset_flat"] for row in report["per_degree"]] == subset
+
+
+@pytest.mark.parametrize("kind", [ClassicalAlgebra, QuantumAlgebra], ids=lambda k: k.KIND)
+def test_inclusion_ranks_once_per_row(monkeypatch, kind):
+    """On so3 adjoint at N = 3 the report runs at most one `span_rank` per
+    row.  Quantum-side tau != 0 fails the module premise of every row
+    from 1 on, so only row 0 ranks, over the basic vectors themselves,
+    and no product m b with m != 1 is built; classically every row ranks
+    its S-module."""
+    so3 = builtin("so3")
+    ranks, products = [], []
+    rank, mul = weil.flat.span_rank, weil.element.Element.__mul__
+
+    def counted_rank(elements):
+        ranks.append(elements)
+        return rank(elements)
+
+    def counted_mul(x, y):
+        if len(x.terms) == 1:
+            ((mono, odd), mat), = x.terms.items()
+            if any(mono) and odd == () and mat == Matrix.identity(3):
+                products.append(mono)
+        return mul(x, y)
+
+    flat = flat_subspace(kind(so3.lie, so3.reps["adjoint"]), 3)
+    monkeypatch.setattr(weil.flat, "span_rank", counted_rank)
+    monkeypatch.setattr(weil.element.Element, "__mul__", counted_mul)
+    rows = inclusion_report(flat)["per_degree"]
+    assert len(ranks) == sum(row["s_basic_equals_flat"] for row in rows) <= len(rows)
+    if kind.GRADED:
+        assert len(ranks) == len(rows) and products
+    else:
+        assert len(ranks) == 1 and products == []
+        level_zero = [b for level, b in basic_subspace(flat.alg, 3).levelled if level == 0]
+        assert ranks[0] == level_zero
 
 
 def _images_both_ways(alg, max_degree):
