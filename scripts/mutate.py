@@ -41,6 +41,10 @@ FOOTPRINT = ["tests/test_footprint.py"]
 INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
 INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
 REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_with_its_detail"]
+WALK = ["tests/test_element.py::test_walk_matches_each_operator_apart"]
+WALK_COUNT = ["tests/test_element.py::test_a_walk_evaluates_each_bracket_once_per_term"]
+PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
+RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -119,6 +123,31 @@ MUTANTS = [
      "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
     ("quantum images skip tau_t terms in the other tensor factor", "src/weil/quantum.py",
      "if t is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
+    ("walk: brackets shared per t alone, not per (t, s)", "src/weil/element.py",
+     "b = brackets.get((t, s))\n"
+     "                    if b is None:\n"
+     "                        b = [0] * len(num)\n"
+     "                        for o, c, v in cells[t][s]:\n"
+     "                            b[o] += v * num[c]\n"
+     "                        brackets[t, s] = b",
+     "b = brackets.get(t)\n"
+     "                    if b is None:\n"
+     "                        b = [0] * len(num)\n"
+     "                        for o, c, v in cells[t][s]:\n"
+     "                            b[o] += v * num[c]\n"
+     "                        brackets[t] = b",
+     [*WALK, "tests/test_quantum.py::test_operator_images_are_read_off_the_inner_elements"]),
+    ("walk: each bracket evaluated per route, not shared", "src/weil/element.py",
+     "b = brackets.get((t, s))", "b = None", WALK_COUNT),
+    ("walk: the plain fast path adds when p = -1", "src/weil/element.py",
+     "map(add if p == 1 else sub, cur[0], num)", "map(add, cur[0], num)",
+     [*WALK, *CLASSICAL_TABLES]),
+    ("supercommuting halves summed as m1 m2 + m2 m1", "src/weil/element.py",
+     "num = list(map(sub, num, m2._mul_num(m1)[0]))",
+     "num = list(map(add, num, m2._mul_num(m1)[0]))", PRODUCTS),
+    ("random_matrix over the max of the denominators, not the lcm", "src/weil/checks.py",
+     "den = lcm(*{q.denominator for q in qs})", "den = max(q.denominator for q in qs)",
+     RANDOM_DRAWS),
 ]
 
 

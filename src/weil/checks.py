@@ -6,11 +6,12 @@ as (name, passed, detail) records; nothing raises on failure, so a CLI
 or test can report all of them.
 
 Each case of an identity row is one accumulator: both sides, the right
-one negated, are summed in integers per result key (`apply_into`,
+one negated, are summed in integers per result key (`walk`,
 `products_into`, `add_into`), and the case holds when the sum vanishes.
 Each key's sum is kept over one common denominator, so that test is
-exact.  Only d x, L_a x and iota_a x, which feed further operators, are
-built as elements.
+exact.  None of d x, L_a x and iota_a x is built as an element: one
+walk of x sums all three into accumulators, and each of them feeds its
+further operators in one walk of its own.
 
 The restriction check uses an independently written differential on the
 scalar Weil algebra (no endomorphism factor), built as a sum of partial
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .classical import ClassicalAlgebra, ClassicalElement
 from .element import add_into, products_into, supercommutator, vanishes
@@ -50,14 +52,21 @@ def _result(name, failures, total=None):
 # -- random elements ---------------------------------------------------------
 
 
+_SCALARS = [[Fraction(num, den) for den in range(1, 4)] for num in range(-3, 4)]
+
+
 def random_scalar(rng) -> Fraction:
-    num = rng.randint(-3, 3)
-    den = rng.randint(1, 3)
-    return Fraction(num, den)
+    """num / den, num = rng.randint(-3, 3) then den = rng.randint(1, 3), from
+    `_SCALARS`: rng.randrange(7) and rng.randrange(3) draw them, offset."""
+    return _SCALARS[rng.randrange(7)][rng.randrange(3)]
 
 
 def random_matrix(rng, d) -> Matrix:
-    return Matrix(d, d, [random_scalar(rng) for _ in range(d * d)])
+    """d x d entries `random_scalar`, row by row, canonical: over the lcm
+    of their lowest-terms denominators, which leaves no common factor."""
+    qs = [random_scalar(rng) for _ in range(d * d)]
+    den = lcm(*{q.denominator for q in qs})
+    return Matrix._make(d, d, tuple([q.numerator * (den // q.denominator) for q in qs]), den)
 
 
 def _random_split(rng, n, total):
@@ -155,31 +164,32 @@ def scalar_weil_differential(lie, poly):
     scans, not `lie.pair_brackets()`, so the check is independent of
     the table `classical.differential` reads.
     """
+    return _scalar_differential(_generator_images(lie), poly)
+
+
+def _generator_images(lie):
+    """Per a, the images (d y^a, d v^a) that `scalar_weil_differential`
+    multiplies: v^a - (1/2) f^a_jk y^j y^k and -f^a_jk y^j v^k."""
     n = lie.dim
-    zero_s = (0,) * n
-    out = {}
-    for a in range(n):
-        dee = _partial_ext(poly, a)
-        if dee:
-            image = {((tuple(int(i == a) for i in range(n))), ()): Fraction(1)}
-            for j in range(n):
-                for k in range(n):
-                    q = lie.f(j, k, a)
-                    if not q:
-                        continue
+    unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    images = [({(unit[a], ()): Fraction(1)}, {}) for a in range(n)]
+    for a, (dy, dv) in enumerate(images):
+        for j in range(n):
+            for k in range(n):
+                q = lie.f(j, k, a)
+                if q:
                     sign, e = ext_mono_mul((j,), (k,))  # j != k, as f(j, j, a) = 0
-                    add_term(image, (zero_s, e), -q * sign / 2)
-            for m, c in _scalar_poly_mul(image, dee).items():
-                add_term(out, m, c)
-        dsym = _partial_sym(poly, a)
-        if dsym:
-            image = {}
-            for j in range(n):
-                for k in range(n):
-                    q = lie.f(j, k, a)
-                    if q:
-                        add_term(image, ((tuple(int(i == k) for i in range(n))), (j,)), -q)
-            for m, c in _scalar_poly_mul(image, dsym).items():
+                    add_term(dy, ((0,) * n, e), -q * sign / 2)
+                    add_term(dv, (unit[k], (j,)), -q)
+    return images
+
+
+def _scalar_differential(images, poly):
+    """`scalar_weil_differential` from its generator images."""
+    out = {}
+    for a, pair in enumerate(images):
+        for image, partial in zip(pair, (_partial_ext, _partial_sym)):
+            for m, c in _scalar_poly_mul(image, partial(poly, a)).items():
                 add_term(out, m, c)
     return out
 
@@ -202,8 +212,7 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     cname, fname = names
     n = alg.lie.dim
     brackets = alg.lie.pair_brackets()
-    d, lie_derivative, contraction = alg.differential, alg.lie_derivative, alg.contraction
-    apply_into = alg.apply_into
+    walk, d = alg.walk, 2 * n  # d: the index of the differential
 
     def pool():
         yield alg.unit()
@@ -216,35 +225,35 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     def witness(i, x, indices=""):
         return f"element {i} (seed {seed}){indices}: X = {render(x)}"
 
+    def routes(first, accs):  # operator first + a into accs[a]
+        return [(first + a, acc, 1) for a, acc in enumerate(accs)]
+
     cartan, ld, liota, ddc = [], [], [], []
     for i, x in enumerate(pool()):
-        dx = d(x)
-        lx = [lie_derivative(a, x) for a in range(n)]
-        ix = [contraction(a, x) for a in range(n)]
-        for a in range(n):
-            acc = {}  # iota_a(d x) + d(iota_a x) - L_a x
-            apply_into(acc, n + a, dx, 1)
-            apply_into(acc, 2 * n, ix[a], 1)
-            add_into(acc, lx[a], -1)
-            if not vanishes(acc):
-                cartan.append(witness(i, x, f", a={a + 1}"))
-            acc = {}  # L_a(d x) - d(L_a x)
-            apply_into(acc, a, dx, 1)
-            apply_into(acc, 2 * n, lx[a], -1)
-            if not vanishes(acc):
-                ld.append(witness(i, x, f", a={a + 1}"))
-            for b in range(n):
-                acc = {}  # L_a(iota_b x) - iota_b(L_a x) - f^c_ab iota_c x
-                apply_into(acc, a, ix[b], 1)
-                apply_into(acc, n + b, lx[a], -1)
+        dx, lx, ix = {}, [{} for _ in range(n)], [{} for _ in range(n)]
+        walk(x, [(d, dx, 1), *routes(0, lx), *routes(n, ix)])
+        # iota_a(d x) + d(iota_a x) - L_a x, L_a(d x) - d(L_a x) and d(d x) - [curv, x]
+        cart, lds, dd = [{} for _ in range(n)], [{} for _ in range(n)], {}
+        walk(dx, [*routes(n, cart), *routes(0, lds), (d, dd, 1)])
+        products_into(dd, curv, x, True, -1)
+        bad = set()
+        for b in range(n):
+            add_into(cart[b], lx[b], -1)
+            walk(lx[b], ((d, lds[b], -1),))
+            li = [{} for _ in range(n)]  # L_a(iota_b x) - iota_b(L_a x) - f^c_ab iota_c x, per a
+            walk(ix[b], [(d, cart[b], 1), *routes(0, li)])
+            for a in range(n):
+                walk(lx[a], ((n + b, li[a], -1),))
                 for c, q in brackets.get((a, b), ()):
-                    add_into(acc, ix[c], -q.numerator, q.denominator)
+                    add_into(li[a], ix[c], -q.numerator, q.denominator)
+                if not vanishes(li[a]):
+                    bad.add((a, b))
+        for a in range(n):
+            for rows, acc in ((cartan, cart[a]), (ld, lds[a])):
                 if not vanishes(acc):
-                    liota.append(witness(i, x, f", a={a + 1}, b={b + 1}"))
-        acc = {}  # d(d x) - [curv, x]
-        apply_into(acc, 2 * n, dx, 1)
-        products_into(acc, curv, x, True, -1)
-        if not vanishes(acc):
+                    rows.append(witness(i, x, f", a={a + 1}"))
+            liota += [witness(i, x, f", a={a + 1}, b={b + 1}") for b in range(n) if (a, b) in bad]
+        if not vanishes(dd):
             ddc.append(witness(i, x))
     total = 1 + 3 * n + samples
     return [
@@ -253,7 +262,7 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
         _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
         _result(f"d.d = [{cname},-]", ddc, total),
         _result(f"bianchi d({cname}) = 0",
-                [] if d(curv).is_zero else [f"d({cname}) != 0"]),
+                [] if alg.differential(curv).is_zero else [f"d({cname}) != 0"]),
     ]
 
 
@@ -272,18 +281,19 @@ def _classical_rows(alg, samples, seed, max_degree):
     results = _operator_identities(alg, rng, seed, samples, max_degree, alg.curvature,
                                    ("C", "f^c_ab"))
 
+    images = _generator_images(lie)
     restrict, ddzero = [], []
     for i in range(samples):
         poly = random_scalar_weil_poly(lie, rng, max_degree)
         if not poly:
             continue
-        elem = embed_scalar_poly(lie, rep, poly)
-        d_elem = alg.differential(elem)
-        if d_elem != embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly)):
+        d_elem, dd = {}, {}  # d elem, then d elem - the reference; d(d elem)
+        alg.apply_into(d_elem, 2 * lie.dim, embed_scalar_poly(lie, rep, poly), 1)
+        alg.apply_into(dd, 2 * lie.dim, d_elem, 1)
+        add_into(d_elem, embed_scalar_poly(lie, rep, _scalar_differential(images, poly)), -1)
+        if not vanishes(d_elem):
             restrict.append(f"poly {i}")
-        acc = {}  # d(d elem)
-        alg.apply_into(acc, 2 * lie.dim, d_elem, 1)
-        if not vanishes(acc):
+        if not vanishes(dd):
             ddzero.append(f"poly {i}")
     results.append(_result("restriction: d matches the scalar differential", restrict, samples))
     results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))

@@ -19,20 +19,21 @@ evaluated on A's numerators from tau_t's fixed cell map
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
-into each coefficient.  They and the operators (`WeilAlgebra._apply`)
+into each coefficient.  They and the operators (`WeilAlgebra.walk`)
 sum raw integer numerators in one accumulator, canonicalizing each End
 V part once per result key (`accumulate`, `collect`).  When one of a pair's
 matrix parts is c I the two matrix products agree and are one scaling
-of the other, and when the pair's monomials also supercommute (always
+of the other.  When the pair's monomials supercommute (always
 classically; quantum-side when one has no even part and the other no
-odd part, as U(g) and Cl(g) are tensor factors) the two halves cancel.
-`apply_into` and `products_into` add sign times an image or a product
-into a caller's accumulator, and `_apply` and `_products` are each one
-of them followed by `collect`.  So an identity is checked by summing
-both of its sides, one negated, into one accumulator and asking
-`vanishes`: each key's sum is held as integer numerators over one
-denominator, so it is zero exactly when every numerator is, and no side
-that is only compared becomes a canonical `Matrix` or an element.
+odd part, as U(g) and Cl(g) are tensor factors) both halves land on one
+key: they cancel, or else sum as one commutator of the matrix parts.
+`products_into` adds sign times a product, and `walk` sign times the
+images of several operators, into callers' accumulators; a walk reads
+an element or an accumulator, so an image feeds the next operator
+unreduced.  So an identity is checked by summing both of its sides, one
+negated, into one accumulator and asking `vanishes`: each key's sum is
+integer numerators over one denominator, so it is zero exactly when
+every numerator is, and no side becomes a canonical `Matrix` or element.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -47,7 +48,7 @@ from fractions import Fraction
 import weakref
 from functools import cached_property, lru_cache, partial
 from math import gcd
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .kernels import _bump, add_term
 from .linalg import Matrix, exact_scalar
@@ -163,13 +164,18 @@ def collect(acc: dict, dim: int) -> dict:
 def vanishes(acc: dict) -> bool:
     """Whether the accumulator sums to zero: every key's numerators are 0.
     Exact, as each key holds its sum over one common denominator."""
-    return not any(any(num) for num, _ in acc.values())
+    return not any(map(any, map(itemgetter(0), acc.values())))
 
 
-def add_into(acc: dict, x: Element, p: int = 1, r: int = 1):
-    """acc += (p / r) x for integers p and r > 0."""
-    for key, mat in x.terms.items():
-        accumulate(acc, key, mat.num, mat.den * r, p)
+def _sums(x):
+    """(key, (numerators, den)) per term of x, an accumulator or an element."""
+    return x.items() if type(x) is dict else [(k, (m.num, m.den)) for k, m in x.terms.items()]
+
+
+def add_into(acc: dict, x, p: int = 1, r: int = 1):
+    """acc += (p / r) x, x an element or an accumulator; p, r > 0 integers."""
+    for key, (num, den) in _sums(x):
+        accumulate(acc, key, num, den * r, p)
 
 
 def supercommutator(x: Element, y: Element) -> Element:
@@ -194,8 +200,8 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
     and the sign is folded into its c, or into the coefficient of a pair
     with no c I part, so no term pays for it.  When one matrix part of a
     pair is c I, its matrix product is a scaling of the other part and
-    serves both halves; if the monomials supercommute as well, the halves
-    cancel and neither is computed.
+    serves both halves.  When the monomials supercommute, the halves
+    cancel if a part is c I, and else are one commutator m1 m2 - m2 m1.
     """
     x._check_same(y)
     mono_mul = x._mono_mul
@@ -213,8 +219,9 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
         no_even1, no_odd1 = not any(k1[0]), not k1[1]
         for k2, m2, c2, odd2, no_even2, no_odd2 in yterms:
             scalar = c1 is not None or c2 is not None
-            if bracket and scalar and (everywhere or (no_even1 and no_odd2)
-                                       or (no_odd1 and no_even2)):
+            commute = bracket and (everywhere or (no_even1 and no_odd2)
+                                   or (no_odd1 and no_even2))
+            if commute and scalar:
                 continue  # the two halves cancel
             # the matrix product sign m1 m2 is c * num / den
             if c1 is not None:
@@ -223,10 +230,12 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
                 num, den, c = m1.num, m1.den * m2.den, c2
             else:
                 (num, den), c = m1._mul_num(m2), sign
+                if commute:  # both halves land on k1 k2: sign (m1 m2 - m2 m1)
+                    num = list(map(sub, num, m2._mul_num(m1)[0]))
             if any(num):
                 for key, p, r in mono_mul(k1, k2):
                     accumulate(acc, key, num, den * r, c * p)
-            if not bracket:
+            if commute or not bracket:
                 continue
             if not scalar:
                 num, den = m2._mul_num(m1)
@@ -327,28 +336,47 @@ class WeilAlgebra:
         return [{s: tau._bracket_cells(s) for s in (1, -1)} for tau in self.rep.matrices]
 
     def _apply(self, i, x):
-        """Operator i on x (`apply_into`)."""
+        """Operator i on x (`walk`)."""
         acc = {}
-        self.apply_into(acc, i, x, 1)
+        self.walk(x, ((i, acc, 1),))
         return self.element(collect(acc, self.rep.dim))
 
     def apply_into(self, acc, i, x, sign):
-        """acc += sign (operator i on x); sign is an integer, +-1 in use.  A
-        term key A adds its plain image (from the image table) times A and,
-        per endo term, tau_t A + s A tau_t from tau_t's cells, unless 0."""
+        """acc += sign (operator i on x): `walk` on one route."""
+        self.walk(x, ((i, acc, sign),))
+
+    def walk(self, x, routes):
+        """acc += sign (operator i on x) per route (i, acc, sign), sign +-1 in
+        use, in one pass over x, an element or an accumulator.  A term key A
+        adds its plain image (image table) times A and, per endo term, tau_t
+        A + s A tau_t from tau_t's cells unless 0, evaluated once per term
+        and (t, s) for all routes.  A plain term onto a new key, or with p =
+        +-1 onto a key over the same denominator, is added here, any other
+        by `accumulate`."""
         image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices
-        size = self.rep.dim ** 2
-        for key, mat in x.terms.items():
-            plain, endo = image(i, key)
-            num, den = mat.num, mat.den
-            for k, p, r in plain:
-                accumulate(acc, k, num, den * r, sign * p)
-            for k, t, s, p, r in endo:
-                b = [0] * size
-                for o, c, v in cells[t][s]:
-                    b[o] += v * num[c]
-                if any(b):
-                    accumulate(acc, k, b, taus[t].den * den * r, sign * p)
+        for key, (num, den) in _sums(x):
+            brackets = {}  # (t, s) -> tau_t A + s A tau_t, () when 0
+            for i, acc, sign in routes:
+                plain, endo = image(i, key)
+                for k, p, r in plain:
+                    p *= sign
+                    r *= den
+                    cur = acc.get(k)
+                    if cur is None:
+                        acc[k] = (num if p == 1 else [p * v for v in num], r)
+                    elif cur[1] == r and (p == 1 or p == -1):
+                        acc[k] = (list(map(add if p == 1 else sub, cur[0], num)), r)
+                    else:
+                        accumulate(acc, k, num, r, p)
+                for k, t, s, p, r in endo:
+                    b = brackets.get((t, s))
+                    if b is None:
+                        b = [0] * len(num)
+                        for o, c, v in cells[t][s]:
+                            b[o] += v * num[c]
+                        brackets[t, s] = b = b if any(b) else ()
+                    if b:
+                        accumulate(acc, k, b, taus[t].den * den * r, sign * p)
 
     # -- the curvature split -------------------------------------------------
 

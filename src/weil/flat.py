@@ -5,7 +5,7 @@ domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
 bound, and on it both defining operators (L_a for basic, the bracket with
 the curvature for flat) are sums of per-monomial table terms key (p / r)
 M A and key (p / r) A M, A the matrix unit: L_a's from the monomial
-images `_image(a, (m, ()))` that `apply_into` reads, the bracket's from
+images `_image(a, (m, ()))` that `walk` reads, the bracket's from
 the products of m with each term of C - Z.  `_rows` writes the integer
 rows of the coordinate matrix straight from these tables, since M E_ij
 is column i of M moved to column j and E_ij M is row j of M moved to

@@ -187,6 +187,8 @@ class Matrix:
 
     def _combine(self, other, op):
         """Entrywise op (add or sub) over the common denominator."""
+        if not isinstance(other, Matrix):
+            return NotImplemented  # Matrix + 1 is a TypeError, as 1 + Matrix is
         self._check_same_shape(other)
         da, db = self.den, other.den
         if da == db:

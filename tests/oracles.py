@@ -83,6 +83,11 @@ through it.
 `weil.checks`' identity rows before each case summed its two sides into
 one accumulator: every side is a canonical element, built through
 `+`, `-` and scalar products, and the two sides are compared with `==`.
+`fraction_random_scalar`, `fraction_random_matrix` and
+`fraction_random_element` are `weil.checks`' random draws before they read
+prebuilt values: each scalar is a new Fraction and each matrix goes
+through `Matrix.__init__`, one Fraction per entry; the identity-row
+oracles draw their elements through them.
 `fraction_render` is `weil.render.render` before it printed from the
 canonical integers: each c I part becomes a Fraction (`scalar_value`),
 its sign is flipped on a Fraction and its magnitude printed by
@@ -106,8 +111,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from weil.checks import (_result, embed_scalar_poly, identity_part, quantum_structure_suite,
-                         random_element, random_scalar_weil_poly, random_sym_poly,
+from weil.checks import (_random_key, _result, embed_scalar_poly, identity_part,
+                         quantum_structure_suite, random_scalar_weil_poly, random_sym_poly,
                          scalar_weil_differential)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
@@ -1320,6 +1325,29 @@ def dense_adjoint_rep(lie: LieData) -> RepData:
     return RepData("adjoint", tuple(mats))
 
 
+# -- random draws through Fraction entries --------------------------------------
+
+def fraction_random_scalar(rng) -> Fraction:
+    num = rng.randint(-3, 3)
+    den = rng.randint(1, 3)
+    return Fraction(num, den)
+
+
+def fraction_random_matrix(rng, d) -> Matrix:
+    return Matrix(d, d, [fraction_random_scalar(rng) for _ in range(d * d)])
+
+
+def fraction_random_element(alg, rng, max_degree=4, max_terms=3):
+    """`weil.checks.random_element` on `fraction_random_matrix`."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        key = _random_key(rng, alg.lie.dim, max_degree)
+        mat = fraction_random_matrix(rng, alg.rep.dim)
+        if mat:
+            add_term(terms, key, mat)
+    return alg.element(terms)
+
+
 # -- identity rows by element comparison ----------------------------------------
 
 def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
@@ -1337,7 +1365,7 @@ def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
             for a in range(n):
                 yield make(a)
         for _ in range(samples):
-            yield random_element(alg, rng, max_degree)
+            yield fraction_random_element(alg, rng, max_degree)
 
     def witness(i, x, indices=""):
         return f"element {i} (seed {seed}){indices}: X = {render(x)}"
@@ -1419,7 +1447,7 @@ def quantum_rows(alg, samples, seed, max_degree):
 
     restrict = []
     for i in range(samples // 2 + 1):
-        ident_part = identity_part(random_element(alg, rng, max_degree))
+        ident_part = identity_part(fraction_random_element(alg, rng, max_degree))
         lhs = alg.differential(ident_part)
         rhs = alg.weil_differential(ident_part)
         for a in range(lie.dim):

@@ -50,6 +50,29 @@ def _rows_and_oracle(kind, lie, rep, samples, seed):
             ORACLE_ROWS[kind.KIND](kind(lie, rep), samples, seed, 4))
 
 
+@pytest.mark.parametrize("name", ["so3", "so3+so3"])
+def test_random_draws_match_the_fraction_oracle(name):
+    """`random_element` draws what the Fraction path it replaced draws:
+    the same keys in the same order, each End V part with the same
+    numerators and denominator, and the generator left in the same state;
+    on the adjoint rep, both kinds, seeds 0-5.  `random_scalar` returns
+    the oracle's values."""
+    lie, rep = LIES[name], REPS[name]["adjoint"]
+    for kind in (ClassicalAlgebra, QuantumAlgebra):
+        alg = kind(lie, rep)
+        for seed in range(6):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                got = random_element(alg, rng)
+                want = oracles.fraction_random_element(alg, ref)
+                assert [(k, m.rows, m.cols, m.num, m.den) for k, m in got.terms.items()] == \
+                    [(k, m.rows, m.cols, m.num, m.den) for k, m in want.terms.items()]
+            assert rng.getstate() == ref.getstate()
+    rng, ref = random.Random(9), random.Random(9)
+    assert [checks.random_scalar(rng) for _ in range(300)] == \
+        [oracles.fraction_random_scalar(ref) for _ in range(300)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("kind,name,rep", CONTEXTS,
                          ids=lambda v: getattr(v, "KIND", v))

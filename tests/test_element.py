@@ -290,6 +290,73 @@ def test_apply_into_with_sign_minus_one_cancels_the_operator(mod, lie, rep):
             _same_bits(alg.element(neg), -alg._apply(i, x))
 
 
+def _walk_contexts():
+    """(kind, lie, rep): so3 adjoint and standard and so3+so3 adjoint, both
+    kinds."""
+    so3, pair = builtin("so3"), _so3_blocks(2)
+    reps = [(so3.lie, so3.reps["adjoint"]), (so3.lie, so3.reps["standard"]),
+            (pair, adjoint_rep(pair))]
+    return [(mod, lie, rep) for mod in (ClassicalAlgebra, QuantumAlgebra) for lie, rep in reps]
+
+
+@pytest.mark.parametrize("mod,lie,rep", _walk_contexts(),
+                         ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
+def test_walk_matches_each_operator_apart(mod, lie, rep):
+    """One walk over every operator i, each into its own accumulator,
+    collects to `_apply(i, x)` bit for bit, from the element x and from an
+    accumulator holding x unreduced (x / 2 added twice); every route into
+    one accumulator, signs +-1, collects to the signed sum of the images."""
+    alg = mod(lie, rep)
+    ops = range(2 * lie.dim + 1)
+    signs = [-1 if i % 3 else 1 for i in ops]
+    rng = random.Random(11)
+    for _ in range(4):
+        x = random_element(alg, rng, max_degree=3)
+        halves = {}
+        add_into(halves, x, 1, 2)
+        add_into(halves, x, 1, 2)
+        want = alg.zero()
+        for i, sign in zip(ops, signs):
+            want = want + alg._apply(i, x) * sign
+        for source in (x, halves):
+            accs = [{} for _ in ops]
+            alg.walk(source, [(i, accs[i], 1) for i in ops])
+            for i in ops:
+                _same_bits(alg.element(collect(accs[i], rep.dim)), alg._apply(i, x))
+            acc = {}
+            alg.walk(source, [(i, acc, sign) for i, sign in zip(ops, signs)])
+            _same_bits(alg.element(collect(acc, rep.dim)), want)
+
+
+def test_a_walk_evaluates_each_bracket_once_per_term(so3):
+    """so3 adjoint classical: d and L_1..L_3 in one walk evaluate 3 brackets
+    per term, [tau_t, A] for t = 1, 2, 3, shared by d and L_t; four walks,
+    one per operator, evaluate 6.  The terms have no y part, so every
+    y^b [tau_b, A] term of d survives."""
+    alg = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
+    evaluations = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            evaluations.append(1)
+            return super().__iter__()
+
+    vars(alg)["bracket_cells"] = [{s: Counted(c) for s, c in cells.items()}
+                                  for cells in alg.bracket_cells]
+    a = Matrix.from_rows([[1, 2, 0], [0, Fraction(1, 2), 0], [3, 0, -1]])
+    x = alg.element({((0, 0, 0), ()): a, ((1, 0, 2), ()): a * 3, ((0, 1, 0), ()): Matrix.identity(3)})
+    routes = [(6, {}, 1)] + [(t, {}, 1) for t in range(3)]
+    alg.walk(x, routes)
+    assert len(evaluations) == 3 * len(x.terms)
+    shared = [collect(acc, 3) for _, acc, _ in routes]
+    evaluations.clear()
+    routes = [(i, {}, sign) for i, _, sign in routes]
+    for route in routes:
+        alg.walk(x, (route,))
+    assert len(evaluations) == 6 * len(x.terms)
+    assert [collect(acc, 3) for _, acc, _ in routes] == shared
+
+
 @given(element_pairs(), st.booleans())
 @settings(max_examples=150)
 def test_products_into_with_sign_minus_one_negates_the_product(pair, bracket):

@@ -75,6 +75,22 @@ def test_matrix_shape_errors():
         Matrix.from_rows([[1, 2]]).commutator(Matrix.from_rows([[1, 2]]))
 
 
+def test_ragged_rows_a_non_square_trace_and_non_matrix_operands():
+    """`from_rows` refuses ragged rows and `trace` a non-square matrix;
+    a Matrix plus or minus a non-matrix is a TypeError through
+    NotImplemented, as 1 + Matrix is, and == with a non-matrix is False."""
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="trace needs a square matrix"):
+        Matrix.from_rows([[1, 2]]).trace()
+    m = Matrix.identity(2)
+    for op in (lambda: m + 1, lambda: 1 + m, lambda: m - 1, lambda: m * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert m.__add__(1) is NotImplemented and m.__eq__(1) is NotImplemented
+    assert (m == 1) is False and m != 1
+
+
 def test_shape_mismatch_with_a_scalar_factor_raises():
     """c I times a matrix of the wrong height is an error, not a
     scaling."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weil import ALGEBRAS, builtin, checks
+from weil import classical as cw
 from weil import element as ew
 from weil import quantum as qw
 from weil.checks import identity_part, quantum_structure_suite, quantum_suite, random_element
@@ -218,6 +219,16 @@ def test_gamma_squared_cross_checks_fire(so3, monkeypatch):
     with pytest.raises(AssertionError) as raised:
         qw.gamma_squared(so3.lie)
     assert str(raised.value) == "gamma^2 is not a scalar"
+
+
+def test_module_curvatures_are_the_values_curvature(so3, abelian2):
+    """`quantum.curvature(lie, rep)` and `classical.curvature(lie, rep)`
+    equal the curvature of the value each builds."""
+    for lie, rep in ((so3.lie, so3.reps["adjoint"]), (so3.lie, so3.reps["standard"]),
+                     (abelian2.lie, abelian2.reps["adjoint"])):
+        assert qw.curvature(lie, rep) == QuantumAlgebra(lie, rep).curvature
+        assert cw.curvature(lie, rep) == ClassicalAlgebra(lie, rep).curvature
+        assert not qw.curvature(lie, rep).is_zero
 
 
 def test_curvature_trivial_cases(so3, abelian2):
