@@ -50,15 +50,18 @@ ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_tha
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
-    ("bracket cells: A tau half with s fixed at -1", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] += -v",
+    ("cells: A M half with r fixed at -1", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + t, j * n + i] += -v",
      BRACKET_CELLS),
-    ("bracket cells: A tau half transposed", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + i, j * n + t] += s * v",
+    ("cells: A M half transposed", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + i, j * n + t] += r * v",
      BRACKET_CELLS),
-    ("bracket cells: a duplicate (out, in) overwritten, not summed", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] = s * v",
+    ("cells: a duplicate (out, in) overwritten, not summed", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + t, j * n + i] = r * v",
      BRACKET_CELLS),
+    ("cells: M A half ignores l", "src/weil/linalg.py",
+     "cells[i * n + j, t * n + j] += l * v", "cells[i * n + j, t * n + j] += v",
+     [*WRITTEN_ROWS, "tests/test_element.py::test_cell_rule_is_tau_a_plus_s_a_tau"]),
     ("quantum split over r, not 2r", "src/weil/quantum.py",
      "(k, t, s, p, 2 * r)", "(k, t, s, p, r)", QUANTUM_TABLES),
     ("quantum split drops {tau, A}", "src/weil/quantum.py",
@@ -100,9 +103,9 @@ MUTANTS = [
     ("report drops a failing identity's detail line", "src/weil/cli.py",
      'print(f"      {r.name}: {r.detail}")', "pass", REPORT_DETAIL),
     ("flat rows: E_ij M half added, not subtracted", "src/weil/flat.py",
-     "(0, k, mat, False, -p, r)", "(0, k, mat, False, p, r)", WRITTEN_ROWS),
+     "(0, k, mat, 0, 1, -p, r)", "(0, k, mat, 0, 1, p, r)", WRITTEN_ROWS),
     ("basic rows: endo terms with s = +1", "src/weil/flat.py",
-     "(a, k, taus[t], False, s * p, r)", "(a, k, taus[t], False, p, r)", WRITTEN_ROWS),
+     "(a, k, taus[t], 1, s, p, r)", "(a, k, taus[t], 1, 1, p, r)", WRITTEN_ROWS),
     ("gamma cross-check as an assert", "src/weil/quantum.py",
      "if third * Fraction(1, 3) != gamma:\n            raise AssertionError(",
      "assert third * Fraction(1, 3) == gamma, (", SOURCE_SCAN),

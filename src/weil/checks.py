@@ -56,8 +56,8 @@ _SCALARS = [[Fraction(num, den) for den in range(1, 4)] for num in range(-3, 4)]
 
 
 def random_scalar(rng) -> Fraction:
-    """num / den, num = rng.randint(-3, 3) then den = rng.randint(1, 3), from
-    `_SCALARS`: rng.randrange(7) and rng.randrange(3) draw them, offset."""
+    """rng.randint(-3, 3) / rng.randint(1, 3): each randint(a, b) here is
+    drawn as a + randrange(b - a + 1), the same stream one call frame less."""
     return _SCALARS[rng.randrange(7)][rng.randrange(3)]
 
 
@@ -78,8 +78,8 @@ def _random_split(rng, n, total):
 
 def _random_key(rng, n, max_degree):
     """A random (even monomial, odd monomial) pair of degree <= max_degree."""
-    deg = rng.randint(0, max_degree)
-    odd_len = rng.randint(0, min(deg, n))
+    deg = rng.randrange(max_degree + 1)
+    odd_len = rng.randrange(min(deg, n) + 1)
     odd = tuple(sorted(rng.sample(range(n), odd_len)))
     return _random_split(rng, n, (deg - odd_len) // 2), odd
 
@@ -87,7 +87,7 @@ def _random_key(rng, n, max_degree):
 def random_element(alg, rng, max_degree=4, max_terms=3):
     """A random element of the `WeilAlgebra` `alg`."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(1 + rng.randrange(max_terms)):
         key = _random_key(rng, alg.lie.dim, max_degree)
         mat = random_matrix(rng, alg.rep.dim)
         if mat:
@@ -99,8 +99,8 @@ def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
     """A random scalar polynomial in the symmetric generators."""
     n = lie.dim
     poly = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mono = _random_split(rng, n, rng.randint(0, max_degree))
+    for _ in range(1 + rng.randrange(max_terms)):
+        mono = _random_split(rng, n, rng.randrange(max_degree + 1))
         q = random_scalar(rng)
         if q:
             add_term(poly, mono, q)
@@ -110,7 +110,7 @@ def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
 def random_scalar_weil_poly(lie, rng, max_degree=4, max_terms=3):
     """A random scalar polynomial with both symmetric and exterior parts."""
     poly = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(1 + rng.randrange(max_terms)):
         key = _random_key(rng, lie.dim, max_degree)
         q = random_scalar(rng)
         if q:
@@ -288,8 +288,8 @@ def _classical_rows(alg, samples, seed, max_degree):
         if not poly:
             continue
         d_elem, dd = {}, {}  # d elem, then d elem - the reference; d(d elem)
-        alg.apply_into(d_elem, 2 * lie.dim, embed_scalar_poly(lie, rep, poly), 1)
-        alg.apply_into(dd, 2 * lie.dim, d_elem, 1)
+        alg.walk(embed_scalar_poly(lie, rep, poly), ((2 * lie.dim, d_elem, 1),))
+        alg.walk(d_elem, ((2 * lie.dim, dd, 1),))
         add_into(d_elem, embed_scalar_poly(lie, rep, _scalar_differential(images, poly)), -1)
         if not vanishes(d_elem):
             restrict.append(f"poly {i}")
@@ -386,7 +386,7 @@ def _quantum_rows(alg, samples, seed, max_degree):
     for i in range(samples // 2 + 1):
         ident_part = identity_part(random_element(alg, rng, max_degree))
         acc = {}  # d(X) - d_W(X) - iota_a(X) tau_a, d_W = [D, -]
-        alg.apply_into(acc, 2 * lie.dim, ident_part, 1)
+        alg.walk(ident_part, ((2 * lie.dim, acc, 1),))
         products_into(acc, alg.dirac, ident_part, True, -1)
         for a in range(lie.dim):
             products_into(acc, alg.contraction(a, ident_part), alg.tau(a), False, -1)

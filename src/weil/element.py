@@ -15,7 +15,7 @@ L_a, iota_a and d only through tau, so every End V part of an operator
 image is tau_t A + s A tau_t, s = +-1: a commutator, or quantum-side an
 anticommutator from the Clifford sign of d's x_a tau_a terms, each
 evaluated on A's numerators from tau_t's fixed cell map
-(`Matrix._bracket_cells`), with no table.
+(`Matrix._cells(1, s)`), with no table.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
@@ -332,18 +332,14 @@ class WeilAlgebra:
 
     @cached_property
     def bracket_cells(self):
-        """bracket_cells[t][s]: tau_t's `_bracket_cells(s)`, s = +-1."""
-        return [{s: tau._bracket_cells(s) for s in (1, -1)} for tau in self.rep.matrices]
+        """bracket_cells[t][s]: tau_t's cells (1, s), s = +-1."""
+        return [{s: tau._cells(1, s) for s in (1, -1)} for tau in self.rep.matrices]
 
     def _apply(self, i, x):
         """Operator i on x (`walk`)."""
         acc = {}
         self.walk(x, ((i, acc, 1),))
         return self.element(collect(acc, self.rep.dim))
-
-    def apply_into(self, acc, i, x, sign):
-        """acc += sign (operator i on x): `walk` on one route."""
-        self.walk(x, ((i, acc, sign),))
 
     def walk(self, x, routes):
         """acc += sign (operator i on x) per route (i, acc, sign), sign +-1 in

@@ -3,17 +3,16 @@
 Horizontal elements have no exterior / Clifford factor.  The solver's
 domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
 bound, and on it both defining operators (L_a for basic, the bracket with
-the curvature for flat) are sums of per-monomial table terms key (p / r)
-M A and key (p / r) A M, A the matrix unit: L_a's from the monomial
-images `_image(a, (m, ()))` that `walk` reads, the bracket's from
-the products of m with each term of C - Z.  `_rows` writes the integer
-rows of the coordinate matrix straight from these tables, since M E_ij
-is column i of M moved to column j and E_ij M is row j of M moved to
-row i, and the exact kernel is taken in integers; no domain vector or
-image is built as an element.  Degree means symmetric degree
-classically (where the operators are graded and the solve splits into
-per-degree blocks) and PBW degree quantum-side (a filtration: one solve
-on the whole <= N block).  A vector's level is its top degree.
+the curvature for flat) are sums of per-monomial table terms key (p / q)
+(l M A + r A M), A the matrix unit: L_a's from the monomial images
+`_image(a, (m, ()))` that `walk` reads, the bracket's from the products
+of m with each term of C - Z.  `_rows` writes the integer rows of the
+coordinate matrix from the operators' cell maps `Matrix._cells(l, r)`,
+and the kernel is taken in integers; no domain vector or image is built
+as an element.  Degree means symmetric degree classically (where the
+operators are graded and the solve splits into per-degree blocks) and
+PBW degree quantum-side (a filtration: one solve on the whole <= N
+block).  A vector's level is its top degree.
 
 The flat subspace of the full algebra is derived, not solved.  The
 bracket with the even curvature C is a derivation, so once [C, x_a] = 0
@@ -155,44 +154,31 @@ class SubspaceResult:
         return sum(not alg._apply(i, alg.curvature).is_zero for i in range(2 * alg.lie.dim + 1))
 
 
-def _unit_products(mat, left):
-    """The numerators of M E_ij (`left`) or of E_ij M for M = `mat`, for
-    every matrix unit E_ij in the order i d + j, each as its nonzero
-    cells [(cell, numerator)]: M E_ij is column i of M moved to column j,
-    E_ij M is row j of M moved to row i."""
-    d, num = mat.rows, mat.num
-    if left:
-        return [[(x * d + j, num[x * d + i]) for x in range(d) if num[x * d + i]]
-                for i in range(d) for j in range(d)]
-    return [[(i * d + y, num[j * d + y]) for y in range(d) if num[j * d + y]]
-            for i in range(d) for j in range(d)]
-
-
 def _rows(alg, monos, table):
     """The nonzero rows {column: int} of an operator's coordinate matrix on
     the domain m (x) E_ij, m in `monos`, whose column (index of m) d^2 + i d
     + j is that vector, keyed (tag, key, cell): entry `cell` of term `key`
     of image `tag`.
 
-    `table(m)` lists the operator on m (x) A as terms (tag, key, M, left,
-    p, r): key (p / r) M A when `left`, else key (p / r) A M, for integers p
-    and r > 0.  The entries are numerators over one denominator, the lcm
-    of the terms' r M.den.
+    `table(m)` lists the operator on m (x) A as terms (tag, key, M, l, r,
+    p, q): key (p / q) (l M A + r A M), for integers l, r, p and q > 0.
+    Each triple (out, in, v) of M's `_cells(l, r)`, made once per (M, l,
+    r), is entry v at row (tag, key, out), column base + in, as numerators
+    over the lcm of the terms' q M.den.
     """
     d2 = alg.rep.dim ** 2
     tables = [table(m) for m in monos]
-    den = lcm(*{r * mat.den for terms in tables for _, _, mat, _, _, r in terms})
-    units, rows = {}, defaultdict(dict)
+    den = lcm(*{q * mat.den for terms in tables for _, _, mat, _, _, _, q in terms})
+    maps, rows = {}, defaultdict(dict)
     for base, terms in zip(range(0, d2 * len(monos), d2), tables):
-        for tag, key, mat, left, p, r in terms:
-            cells = units.get((mat.num, left))
+        for tag, key, mat, l, r, p, q in terms:
+            cells = maps.get((mat.num, l, r))
             if cells is None:
-                cells = units[mat.num, left] = _unit_products(mat, left)
-            scale = p * (den // (r * mat.den))
-            for col, unit in enumerate(cells, base):
-                for cell, x in unit:
-                    row = rows[tag, key, cell]
-                    row[col] = row.get(col, 0) + scale * x
+                cells = maps[mat.num, l, r] = mat._cells(l, r)
+            scale = p * (den // (q * mat.den))
+            for out, c, v in cells:
+                row, col = rows[tag, key, out], base + c
+                row[col] = row.get(col, 0) + scale * v
     return {row_key: row for row_key, row in rows.items() if any(row.values())}
 
 
@@ -230,16 +216,16 @@ def basic_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of L_a x = 0 for every a, up to max_degree.
 
     L_a on m (x) A is read off `_image(a, (m, ()))`: a plain term key (p /
-    r) A and an endo term key (p / r) (tau_t A + s A tau_t)."""
+    r) A, cells (1, 0) of I, and an endo term key (p / r) (tau_t A + s A
+    tau_t), cells (1, s) of tau_t."""
     n, taus, ident = alg.lie.dim, alg.rep.matrices, Matrix.identity(alg.rep.dim)
 
     def table(m):
         terms = []
         for a in range(n):
             plain, endo = alg._image(a, (m, ()))
-            terms += [(a, k, ident, True, p, r) for k, p, r in plain]
-            for k, t, s, p, r in endo:
-                terms += [(a, k, taus[t], True, p, r), (a, k, taus[t], False, s * p, r)]
+            terms += [(a, k, ident, 1, 0, p, r) for k, p, r in plain]
+            terms += [(a, k, taus[t], 1, s, p, r) for k, t, s, p, r in endo]
         return terms
 
     return _solve_levels(alg, max_degree, table)
@@ -249,14 +235,14 @@ def flat_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree.
 
     [C - Z, m (x) A] is, summed over the terms k1 M of C - Z, k1 m (x) M A
-    - m k1 (x) A M: the yx sign is -1 as m is even.  The nonzero rows must
-    have no Clifford or exterior factor and, classically, symmetric degree
-    one more than the block's."""
+    - m k1 (x) A M, M's cells (1, 0) and (0, 1): the yx sign is -1 as m
+    is even.  The nonzero rows must have no Clifford or exterior factor
+    and, classically, symmetric degree one more than the block's."""
     mono_mul, curv = alg.zero()._mono_mul, alg.bracketed_curvature.terms.items()
 
     def table(m):
-        return ([(0, k, mat, True, p, r) for k1, mat in curv for k, p, r in mono_mul(k1, (m, ()))]
-                + [(0, k, mat, False, -p, r)
+        return ([(0, k, mat, 1, 0, p, r) for k1, mat in curv for k, p, r in mono_mul(k1, (m, ()))]
+                + [(0, k, mat, 0, 1, -p, r)
                    for k1, mat in curv for k, p, r in mono_mul((m, ()), k1)])
 
     def check(keys, monos):

@@ -10,12 +10,15 @@ such form, which is why equality and hashing compare the plain tuples
 and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
-the raw kernels `_mul_num` and `_bracket_num` (ab + s ba for s = +-1,
-from a's fixed cell map `_bracket_cells`, which the operators evaluate
-inline) return them unreduced, for the element products, brackets and
-operators to sum and reduce once per result key.  Entries leave as
-`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`);
-`render` prints them from the integers (`format_ratio`).
+the raw kernels `_mul_num` and `_bracket_num` (ab + s ba, s = +-1)
+return them unreduced, for the element products, brackets and operators
+to sum and reduce once per result key.  Every End V action of the
+operators and of the solver's rows, A -> l M A + r A M, is M's one cell
+map `_cells(l, r)`: integer triples (out cell, in cell, v), v times
+cell `in` of A's numerators added into cell `out`.  The brackets are
+(1, s).  Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`,
+`trace`, `scalar_value`); `render` prints them from the integers
+(`format_ratio`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -47,8 +50,8 @@ canonical form by a count of zeros and a look at the diagonal, and
 scaling of the other factor.  A product here walks the nonzero entries
 of whichever factor has fewer of them, adding a scaled row or column of
 the other factor for each: its cost follows the sparser factor, and the
-representation matrices are nearly all zeros.  A bracket's cell map has
-about 2 n triples per nonzero entry of a.
+representation matrices are nearly all zeros.  A cell map has about n
+triples per nonzero entry of M and nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -281,27 +284,27 @@ class Matrix:
         self._check_same_shape(other)
         return Matrix._canonical(self.rows, self.rows, *self._bracket_num(other, -1))
 
-    def _bracket_cells(self, s):
-        """The map A -> self A + s A self, s = +-1, of a square matrix, as
-        triples (out cell, in cell, v): out[o] += v * A.num[c], over
-        self.den.  Entry (i, t) = v sends row t of A to row i and column i
-        to column t, times s; the triples are merged per (out, in) and the
-        zeros dropped."""
-        n, tau = self.rows, self.num
+    def _cells(self, l, r):
+        """The map A -> l self A + r A self of a square matrix, for integers
+        l and r, as triples (out cell, in cell, v): out[o] += v * A.num[c],
+        over self.den.  Entry (i, t) = v sends row t of A to row i, times
+        l, and column i to column t, times r; the triples are merged per
+        (out, in) and the zeros dropped."""
+        n, m = self.rows, self.num
         cells = defaultdict(int)
-        for p in compress(range(n * n), tau):
+        for p in compress(range(n * n), m):
             i, t = divmod(p, n)
-            v = tau[p]
+            v = m[p]
             for j in range(n):
-                cells[i * n + j, t * n + j] += v
-                cells[j * n + t, j * n + i] += s * v
+                cells[i * n + j, t * n + j] += l * v
+                cells[j * n + t, j * n + i] += r * v
         return tuple((o, c, v) for (o, c), v in cells.items() if v)
 
     def _bracket_num(self, other, s):
         """(numerators, den) of ab + s ba for square matrices of one size and
-        s = +-1, not reduced: a's `_bracket_cells` on b's numerators."""
+        s = +-1, not reduced: a's cells (1, s) on b's numerators."""
         b, num = other.num, [0] * len(other.num)
-        for o, c, v in self._bracket_cells(s):
+        for o, c, v in self._cells(1, s):
             num[o] += v * b[c]
         return num, self.den * other.den
 

@@ -272,20 +272,20 @@ SIGN_CONTEXTS = [(mod, ALGEBRAS[name].lie, ALGEBRAS[name].reps[rep])
 @pytest.mark.parametrize("mod,lie,rep", SIGN_CONTEXTS,
                          ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
 def test_apply_into_with_sign_minus_one_cancels_the_operator(mod, lie, rep):
-    """For every operator i, apply_into with sign -1 and then _apply added
-    vanishes, and apply_into with sign -1 alone collects to -_apply bit
-    for bit."""
+    """For every operator i, a walk with sign -1 and then _apply added
+    vanishes, and a walk with sign -1 alone collects to -_apply bit for
+    bit."""
     alg = mod(lie, rep)
     rng = random.Random(5)
     for _ in range(6):
         x = random_element(alg, rng, max_degree=4)
         for i in range(2 * lie.dim + 1):
             acc = {}
-            alg.apply_into(acc, i, x, -1)
+            alg.walk(x, ((i, acc, -1),))
             add_into(acc, alg._apply(i, x))
             assert vanishes(acc), i
             acc = {}
-            alg.apply_into(acc, i, x, -1)
+            alg.walk(x, ((i, acc, -1),))
             neg = collect(acc, rep.dim)
             _same_bits(alg.element(neg), -alg._apply(i, x))
 
@@ -418,42 +418,64 @@ def _cell_contexts():
 CELL_CONTEXTS = _cell_contexts()
 _SL2 = builtin("sl2")
 cell_entries = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+dense_entries = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+SIDES = [(1, 1), (1, -1), (1, 0), (0, 1)]
 
 
 @st.composite
 def cell_cases(draw):
-    """(lie, rep, t, s, A): A is a matrix with zero cells and mixed
-    denominators, c I or c tau_t; with s = -1 the last two bracket to 0."""
+    """(lie, rep, t, M, (l, r), A): M is tau_t or a dense matrix with mixed
+    denominators that is no tau_t, (l, r) a bracket (1, +-1) or one side
+    (1, 0) or (0, 1), and A a matrix with zero cells and mixed
+    denominators, c I or c tau_t; with M = tau_t and (1, -1) the last two
+    bracket to 0."""
     lie, rep = draw(st.sampled_from(CELL_CONTEXTS))
     d, t = rep.dim, draw(st.integers(0, lie.dim - 1))
     c = draw(st.sampled_from([1, -2, Fraction(3, 2), Fraction(-1, 3)]))
     a = draw(st.sampled_from([
         Matrix(d, d, draw(st.lists(cell_entries, min_size=d * d, max_size=d * d))),
         Matrix.identity(d) * c, rep.matrices[t] * c]))
-    return lie, rep, t, draw(st.sampled_from([1, -1])), a
+    dense = Matrix(d, d, draw(st.lists(dense_entries, min_size=d * d, max_size=d * d)))
+    m = draw(st.sampled_from([rep.matrices[t], dense]))
+    return lie, rep, t, m, draw(st.sampled_from(SIDES)), a
+
+
+_H, _A = _SL2.reps["standard"].matrices[2], Matrix.from_rows([[1, 2], [Fraction(1, 2), -1]])
+_DENSE = Matrix.from_rows([[Fraction(1, 2), -3], [Fraction(2, 3), 5]])
 
 
 @given(cell_cases())
 @settings(max_examples=300)
-@example((_SL2.lie, _SL2.reps["standard"], 2, -1, Matrix.identity(2) * 3))
-@example((_SL2.lie, _SL2.reps["standard"], 2, -1, Matrix.from_rows([[1, 2], [Fraction(1, 2), -1]])))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _H, (1, -1), Matrix.identity(2) * 3))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _H, (1, -1), _A))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, (1, 0), _A))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, (0, 1), _A))
 def test_cell_rule_is_tau_a_plus_s_a_tau(case):
-    """`_bracket_num` and `WeilAlgebra.apply_into`'s evaluation of tau_t's
-    cells give tau_t A + s A tau_t as two `_mul_num` products give it,
-    numerators and denominator, and apply_into skips a zero bracket.  The
-    examples take sl2's diagonal h, whose cells at (i, j) -> (i, j) sum
-    one entry of each half."""
-    lie, rep, t, s, a = case
-    tau = rep.matrices[t]
-    (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)
-    want = [x + s * y for x, y in zip(ta, at)]
-    assert den == den2 and tau._bracket_num(a, s) == (want, den)
+    """M's cells (l, r), one triple per (out, in) and none zero, give l M A
+    + r A M on A's numerators as two `_mul_num` products give it,
+    numerators and denominator, for M = tau_t or a dense fractional
+    matrix and each of (1, +-1), (1, 0) and (0, 1).  For M = tau_t and (1,
+    s), `_bracket_num` and a walk's evaluation of tau_t's cells give the
+    same, and the walk skips a zero bracket.  The examples take sl2's
+    diagonal h, whose cells at (i, j) -> (i, j) sum one entry of each
+    half, and a dense M over 6 on one side."""
+    lie, rep, t, m, (l, r), a = case
+    (ma, den), (am, den2) = m._mul_num(a), a._mul_num(m)
+    want = [l * x + r * y for x, y in zip(ma, am)]
+    cells, got = m._cells(l, r), [0] * len(a.num)
+    assert len({(o, c) for o, c, _ in cells}) == len(cells) and all(v for _, _, v in cells)
+    for o, c, v in cells:
+        got[o] += v * a.num[c]
+    assert den == den2 == m.den * a.den and got == want
+    if m != rep.matrices[t] or (l, r) not in ((1, 1), (1, -1)):
+        return
+    assert m._bracket_num(a, r) == (want, den)
     if not a:
         return  # no element has a zero End V part
     alg, key = ClassicalAlgebra(lie, rep), ((0,) * lie.dim, ())
-    vars(alg)["image_table"] = lambda i, k: ((), ((k, t, s, 1, 1),))  # one endo term
+    vars(alg)["image_table"] = lambda i, k: ((), ((k, t, r, 1, 1),))  # one endo term
     acc = {}
-    alg.apply_into(acc, 0, alg.element({key: a}), 1)
+    alg.walk(alg.element({key: a}), ((0, acc, 1),))
     assert acc == ({key: (want, den)} if any(want) else {})
 
 

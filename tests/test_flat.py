@@ -379,6 +379,11 @@ def _so3_pair():
     return lie, adjoint_rep(lie)
 
 
+def _goldens_file(name):
+    """The algebra file `name` next to the CLI goldens."""
+    return load_algebra_file(Path(__file__).parent / "goldens" / name)
+
+
 def test_full_flat_basis_matches_oracle_on_so3_pair():
     alg = QuantumAlgebra(*_so3_pair())
     basis = full_flat_basis(flat_subspace(alg, 0))
@@ -619,11 +624,13 @@ def test_an_added_vector_counts_alike_in_both_reports(kind):
 
 def _inclusion_cases():
     yield from (pytest.param(case.values[0], 4, None, id=case.id) for case in _builtin_cases())
-    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    half, summed = _goldens_file("so3-half.json"), _goldens_file("so3-sum.json")
     for kind in (ClassicalAlgebra, QuantumAlgebra):
         yield pytest.param(kind(*_so3_pair()), 2, None, id=f"so3^2-{kind.KIND}-adjoint")
         yield pytest.param(kind(half.lie, half.reps["adjoint"]), 3, None,
                            id=f"so3-half-{kind.KIND}-adjoint")
+        yield pytest.param(kind(summed.lie, summed.reps["sum"]), 3, None,
+                           id=f"so3-{kind.KIND}-sum")
     so3 = builtin("so3")
     yield pytest.param(_mutant(_u2)(so3.lie, so3.reps["adjoint"]), 2, [True, False, False],
                        id="quantum-u2")
@@ -732,14 +739,17 @@ def test_levels_match_the_per_level_solve_at_degree_four():
 
 def _row_writer_cases():
     """Every builtin x admitted context x rep at N <= 3, so3+so3 adjoint at
-    N <= 1, and so3/2 adjoint (tau over 2) at N <= 3."""
+    N <= 1, so3/2 adjoint (tau over 2) at N <= 3, and so3 on adjoint +
+    trivial at N <= 3, where quantum-side C - Z keeps the constant
+    diag(-9/8, -9/8, -9/8, -1/8), an End V part that is no tau_t."""
     for case in _builtin_cases():
         yield pytest.param(case.values[0], 3, id=case.id)
-    half = load_algebra_file(Path(__file__).parent / "goldens" / "so3-half.json")
+    half, summed = _goldens_file("so3-half.json"), _goldens_file("so3-sum.json")
     for kind in (ClassicalAlgebra, QuantumAlgebra):
         yield pytest.param(kind(*_so3_pair()), 1, id=f"so3^2-{kind.KIND}-adjoint")
         yield pytest.param(kind(half.lie, half.reps["adjoint"]), 3,
                            id=f"so3-half-{kind.KIND}-adjoint")
+        yield pytest.param(kind(summed.lie, summed.reps["sum"]), 3, id=f"so3-{kind.KIND}-sum")
 
 
 @pytest.mark.parametrize("alg, top", _row_writer_cases())
