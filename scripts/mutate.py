@@ -45,6 +45,8 @@ WALK = ["tests/test_element.py::test_walk_matches_each_operator_apart"]
 WALK_COUNT = ["tests/test_element.py::test_a_walk_evaluates_each_bracket_once_per_term"]
 PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
+ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
+ROWS_UNDER_MUTANTS = ["tests/test_checks.py::test_rows_match_the_oracle_under_mutants"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 
@@ -151,6 +153,12 @@ MUTANTS = [
     ("random_matrix over the max of the denominators, not the lcm", "src/weil/checks.py",
      "den = lcm(*{q.denominator for q in qs})", "den = max(q.denominator for q in qs)",
      RANDOM_DRAWS),
+    ("row table: scalar entries drop {tau, I} at the first letter too", "src/weil/checks.py",
+     "if scalar and not word and s == -1:", "if scalar and not word:", ROWS_ORACLE),
+    ("row table: each row keeps only its first key'", "src/weil/checks.py",
+     "entry.append((index, parts))", "entry.append((index, parts[:1]))", ROWS_UNDER_MUTANTS),
+    ("row table: [C, -] adds the right product", "src/weil/checks.py",
+     "(m, 0, 1), -yx)", "(m, 0, 1), yx)", ROWS_ORACLE),
 ]
 
 

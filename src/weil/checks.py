@@ -6,12 +6,14 @@ as (name, passed, detail) records; nothing raises on failure, so a CLI
 or test can report all of them.
 
 Each case of an identity row is one accumulator: both sides, the right
-one negated, are summed in integers per result key (`walk`,
-`products_into`, `add_into`), and the case holds when the sum vanishes.
-Each key's sum is kept over one common denominator, so that test is
-exact.  None of d x, L_a x and iota_a x is built as an element: one
-walk of x sums all three into accumulators, and each of them feeds its
-further operators in one walk of its own.
+one negated, are summed in integers per result key, and the case holds
+when the sum vanishes.  Each key's sum is kept over one common
+denominator, so that test is exact.  The operator rows are linear in the
+element, and a pool repeats its term keys, so each row is composed once
+per term key (`_composite_rows`): the key's images under the row's
+operators, with the End V letters each applied, summed per result key
+into one End V map.  A term of an element applies its key's maps to its
+End V part; none of d x, L_a x and iota_a x is built.
 
 The restriction check uses an independently written differential on the
 scalar Weil algebra (no endomorphism factor), built as a sum of partial
@@ -27,8 +29,8 @@ from fractions import Fraction
 from math import lcm
 
 from .classical import ClassicalAlgebra, ClassicalElement
-from .element import add_into, products_into, supercommutator, vanishes
-from .kernels import add_term, ext_mono_mul, sym_mono_mul
+from .element import accumulate, add_into, products_into, supercommutator, vanishes
+from .kernels import _bump, add_term, ext_mono_mul, sym_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
 from .quantum import QuantumAlgebra, gamma_square_formula
@@ -202,17 +204,135 @@ def embed_scalar_poly(lie, rep, poly):
 # -- the operator identities, in either algebra ----------------------------------
 
 
+def _composite_rows(alg, curv):
+    """The identity rows composed per term key, as a function `entry(key,
+    scalar)` that composes each (key, scalar) once and keeps it.
+
+    Rows are indexed cartan_a = a, ld_a = n + a, liota_ab = 2n + an + b and
+    dd = 2n + n^2, each case one side minus the other.  An entry lists, per
+    row that does not vanish on key A, its parts (key', cells, den): the
+    row sends key A to the sum of key' (cells on A's numerators) / den.
+    A row is composed as (key', word) -> coefficient, a word being the End
+    V letters its operators applied, and each key's words are summed into
+    one map.  With `scalar` the maps read A = c I off its cell 0, for the
+    terms whose End V part is c I; then a word that starts with a
+    commutator [tau_t, I] = 0 is dropped before the second operator.  For
+    correct operators every entry is empty."""
+    n, dim = alg.lie.dim, alg.rep.dim
+    image, brackets, d = alg.image_table, alg.lie.pair_brackets(), 2 * n
+    mono_mul = alg.zero()._mono_mul
+    # letter (m, l, r): the cells of A -> l M A + r A M over M.den, for tau_t's
+    # bracket (t, 1, s) and each side of a curvature part M that is not c I
+    letters = {(t, 1, s): (cells[s], tau.den)
+               for t, (tau, cells) in enumerate(zip(alg.rep.matrices, alg.bracket_cells))
+               for s in (1, -1)}
+    curv_terms = []
+    for kc, mat in curv.terms.items():
+        c, m = mat._scalar(), n + len(curv_terms)
+        curv_terms.append((kc, len(kc[1]) & 1, c, mat.den, m))
+        for l, r in ((1, 0), (0, 1)) if c is None else ():
+            letters[m, l, r] = mat._cells(l, r), mat.den
+    # the empty word: the identity, or A -> A[0, 0] I, which agrees with it on c I
+    maps = {((), False): (tuple((o, o, 1) for o in range(dim * dim)), 1),
+            ((), True): (tuple((o * (dim + 1), 0, 1) for o in range(dim)), 1)}
+    table = {}
+
+    def word_map(word, scalar):
+        """The empty word's map, then the word's letters left to right, as
+        (cells, den)."""
+        if (word, scalar) not in maps:
+            inner, den = word_map(word[:-1], scalar)
+            last, lden = letters[word[-1]]
+            into = {}
+            for o, c, v in inner:
+                into.setdefault(o, []).append((c, v))
+            cells = {}
+            for o, c, v in last:
+                for c1, v1 in into.get(c, ()):
+                    cells[o, c1] = cells.get((o, c1), 0) + v * v1
+            maps[word, scalar] = (tuple((o, c, v) for (o, c), v in cells.items() if v),
+                                  den * lden)
+        return maps[word, scalar]
+
+    def compose(key, scalar):
+        def walk(state, routes):  # acc += sign (operator i on state) per route (i, acc, sign)
+            for (k0, word), ((p,), r) in state.items():
+                if not p:
+                    continue
+                for i, acc, sign in routes:
+                    plain, endo = image(i, k0)
+                    for k, q, u in plain:
+                        accumulate(acc, (k, word), (p * q,), r * u, sign)
+                    for k, t, s, q, u in endo:
+                        if scalar and not word and s == -1:
+                            continue  # [tau_t, I] = 0
+                        accumulate(acc, (k, word + ((t, 1, s),)), (p * q,), r * u, sign)
+
+        def routes(first, accs):  # operator first + a into accs[a]
+            return [(first + a, acc, 1) for a, acc in enumerate(accs)]
+
+        dk, lk, ik = {}, [{} for _ in range(n)], [{} for _ in range(n)]
+        walk({(key, ()): ((1,), 1)}, [(d, dk, 1), *routes(0, lk), *routes(n, ik)])
+        rows = [{} for _ in range((n + 1) ** 2)]
+        walk(dk, [*routes(n, rows[:n]), *routes(0, rows[n:2 * n]), (d, rows[-1], 1)])
+        odd = len(key[1]) & 1
+        for kc, oddc, c, den, m in curv_terms:  # - [kc M, key A]
+            yx = 1 if odd and oddc else -1  # the coefficient of key kc A M in the bracket
+            for k1, k2, side, sign in ((kc, key, (m, 1, 0), -1), (key, kc, (m, 0, 1), -yx)):
+                for k, p, r in mono_mul(k1, k2):
+                    if c is None:
+                        accumulate(rows[-1], (k, (side,)), (p,), r, sign)
+                    else:
+                        accumulate(rows[-1], (k, ()), (c * p,), den * r, sign)
+        for b in range(n):
+            add_into(rows[b], lk[b], -1)
+            walk(lk[b], ((d, rows[n + b], -1),))
+            li = [rows[2 * n + a * n + b] for a in range(n)]
+            walk(ik[b], [(d, rows[b], 1), *routes(0, li)])
+            for a in range(n):
+                walk(lk[a], ((n + b, li[a], -1),))
+                for c, q in brackets.get((a, b), ()):
+                    add_into(li[a], ik[c], -q.numerator, q.denominator)
+        entry = []
+        for index, row in enumerate(rows):
+            by_key = {}
+            for (k, word), ((p,), r) in row.items():
+                if p:
+                    by_key.setdefault(k, []).append((word_map(word, scalar), p, r))
+            parts = []
+            for k, terms in by_key.items():
+                den = lcm(*[r * wden for (_, wden), _, r in terms])
+                sums = {}
+                for (cells, wden), p, r in terms:
+                    f = p * (den // (r * wden))
+                    for o, c, v in cells:
+                        sums[o, c] = sums.get((o, c), 0) + f * v
+                cells = tuple((o, c, v) for (o, c), v in sums.items() if v)
+                if cells:
+                    parts.append((k, cells, den))
+            if parts:
+                entry.append((index, parts))
+        return entry
+
+    def entry(key, scalar):
+        if (key, scalar) not in table:
+            table[key, scalar] = compose(key, scalar)
+        return table[key, scalar]
+
+    return entry
+
+
 def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
     `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
-    (seeded with `seed`) one at a time.
+    (seeded with `seed`) one at a time.  Each element's terms apply their
+    keys' composite entries (`_composite_rows`) to their End V parts.
     `names` = (curvature name, structure-constant name) as the rows print
     them.  A failure names its witness: the seed, the element's index and
     its rendering, which `weil eval` reads back as X in the identity."""
     cname, fname = names
     n = alg.lie.dim
-    brackets = alg.lie.pair_brackets()
-    walk, d = alg.walk, 2 * n  # d: the index of the differential
+    entry = _composite_rows(alg, curv)
 
     def pool():
         yield alg.unit()
@@ -225,35 +345,25 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     def witness(i, x, indices=""):
         return f"element {i} (seed {seed}){indices}: X = {render(x)}"
 
-    def routes(first, accs):  # operator first + a into accs[a]
-        return [(first + a, acc, 1) for a, acc in enumerate(accs)]
-
     cartan, ld, liota, ddc = [], [], [], []
     for i, x in enumerate(pool()):
-        dx, lx, ix = {}, [{} for _ in range(n)], [{} for _ in range(n)]
-        walk(x, [(d, dx, 1), *routes(0, lx), *routes(n, ix)])
-        # iota_a(d x) + d(iota_a x) - L_a x, L_a(d x) - d(L_a x) and d(d x) - [curv, x]
-        cart, lds, dd = [{} for _ in range(n)], [{} for _ in range(n)], {}
-        walk(dx, [*routes(n, cart), *routes(0, lds), (d, dd, 1)])
-        products_into(dd, curv, x, True, -1)
-        bad = set()
-        for b in range(n):
-            add_into(cart[b], lx[b], -1)
-            walk(lx[b], ((d, lds[b], -1),))
-            li = [{} for _ in range(n)]  # L_a(iota_b x) - iota_b(L_a x) - f^c_ab iota_c x, per a
-            walk(ix[b], [(d, cart[b], 1), *routes(0, li)])
-            for a in range(n):
-                walk(lx[a], ((n + b, li[a], -1),))
-                for c, q in brackets.get((a, b), ()):
-                    add_into(li[a], ix[c], -q.numerator, q.denominator)
-                if not vanishes(li[a]):
-                    bad.add((a, b))
+        rows = [{} for _ in range((n + 1) ** 2)]
+        for key, mat in x.terms.items():
+            num = mat.num
+            for index, parts in entry(key, mat._scalar() is not None):
+                for k, cells, den in parts:
+                    out = [0] * len(num)
+                    for o, c, v in cells:
+                        out[o] += v * num[c]
+                    accumulate(rows[index], k, out, den * mat.den)
+        bad = [not vanishes(acc) for acc in rows]
         for a in range(n):
-            for rows, acc in ((cartan, cart[a]), (ld, lds[a])):
-                if not vanishes(acc):
-                    rows.append(witness(i, x, f", a={a + 1}"))
-            liota += [witness(i, x, f", a={a + 1}, b={b + 1}") for b in range(n) if (a, b) in bad]
-        if not vanishes(dd):
+            for found, failed in ((cartan, bad[a]), (ld, bad[n + a])):
+                if failed:
+                    found.append(witness(i, x, f", a={a + 1}"))
+            liota += [witness(i, x, f", a={a + 1}, b={b + 1}")
+                      for b in range(n) if bad[2 * n + a * n + b]]
+        if bad[-1]:
             ddc.append(witness(i, x))
     total = 1 + 3 * n + samples
     return [
@@ -302,9 +412,12 @@ def _classical_rows(alg, samples, seed, max_degree):
     for i in range(samples):
         poly = random_sym_poly(lie, rng, max_degree)
         f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
-        acc = {}  # v^a L_a f
-        for a in range(lie.dim):
-            products_into(acc, alg.even_gen(a), alg.lie_derivative(a, f), False, 1)
+        lf = [{} for _ in range(lie.dim)]  # L_a f
+        alg.walk(f, [(a, acc, 1) for a, acc in enumerate(lf)])
+        acc = {}  # v^a L_a f: v^a only raises the v exponent of a key
+        for a, terms in enumerate(lf):
+            for (s, e), (num, den) in terms.items():
+                accumulate(acc, (_bump(s, a, 1), e), num, den)
         if not vanishes(acc):
             lemma.append(f"poly {i}")
     results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))

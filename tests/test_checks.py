@@ -7,6 +7,7 @@ under at least one mutant."""
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ import oracles
 from test_kernels import _so3_blocks
 from test_quantum import _UncoupledDifferential
 from weil import (BilinearForm, ClassicalAlgebra, LieData, Matrix, QuantumAlgebra, adjoint_rep,
-                  builtin, checks)
+                  builtin, checks, load_algebra_file)
 from weil import quantum as qw
 from weil.checks import random_element
 from weil.element import add_into, vanishes
@@ -25,16 +26,20 @@ from weil.render import render
 ROWS = {"classical": checks._classical_rows, "quantum": checks._quantum_rows}
 ORACLE_ROWS = {"classical": oracles.classical_rows, "quantum": oracles.quantum_rows}
 
-# one algebra object per name; so3+so3 carries only its adjoint rep here
+# one algebra object per name; so3+so3 carries only its adjoint rep here, and
+# so3-sum the rep adjoint + trivial, where QC's constant End V part is not c I
 ALGEBRAS = {name: builtin(name) for name in ("abelian(2)", "heisenberg3", "so3", "sl2")}
 SO3_PAIR = _so3_blocks(2)
+SO3_SUM = load_algebra_file(Path(__file__).parent / "goldens" / "so3-sum.json")
 REPS = {name: alg.reps for name, alg in ALGEBRAS.items()}
 REPS["so3+so3"] = {"adjoint": adjoint_rep(SO3_PAIR)}
+REPS["so3-sum"] = {"sum": SO3_SUM.reps["sum"]}
 LIES = {name: alg.lie for name, alg in ALGEBRAS.items()}
 LIES["so3+so3"] = SO3_PAIR
+LIES["so3-sum"] = SO3_SUM.lie
 
 # every builtin x rep x context the suites accept (quantum-side only the
-# algebras with an orthonormal form), plus so3+so3 adjoint in both
+# algebras with an orthonormal form), plus so3+so3 adjoint and so3-sum in both
 CONTEXTS = [(kind, name, rep) for name in LIES for rep in REPS[name]
             for kind in (ClassicalAlgebra, QuantumAlgebra)
             if kind is ClassicalAlgebra or LIES[name].has_orthonormal_form]
@@ -147,6 +152,17 @@ class _LieDerivativeWithoutG(QuantumAlgebra):
         return self.even_gen(i) + self.tau(i) if i < self.lie.dim else super()._inner_element(i)
 
 
+class _NonScalarCurvatureConstant(QuantumAlgebra):
+    """QC's constant End V part plus E_last,last.  On so3-sum that projects
+    onto the trivial summand: it commutes with every tau_a, so d(QC) = 0
+    still, but not with a random End V part, so d.d != [QC, -]."""
+
+    def four_term_curvature(self):
+        d = self.rep.dim
+        corner = Matrix._make(d, d, tuple(int(k == d * d - 1) for k in range(d * d)), 1)
+        return super().four_term_curvature() + self.endo(corner)
+
+
 CARTAN, LD, LIOTA = "cartan formula [iota_a,d] = L_a", "[L_a,d] = 0", "[L_a,iota_b] = {} iota_c"
 CLASSICAL_FAILURES = {
     _OffDegreeLieDerivative: {CARTAN, LD, "v^a L_a annihilates symmetric polynomials"},
@@ -234,6 +250,18 @@ def test_rows_match_the_oracle_under_mutants(mutant, seed):
         got, want = _rows_and_oracle(mutant, LIES[name], REPS[name][rep], 4 - seed, seed)
         assert _fields(got) == _fields(want)
         assert not all(r.passed for r in got)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_non_scalar_curvature_constant_fails_d_d_as_the_oracle_does(seed):
+    """[QC, -] on so3-sum with a curvature part that is neither c I nor a
+    tau_t: its left and right products must sum to the oracle's bracket."""
+    lie, rep = LIES["so3-sum"], REPS["so3-sum"]["sum"]
+    got, want = _rows_and_oracle(_NonScalarCurvatureConstant, lie, rep, 4 - seed, seed)
+    assert _fields(got) == _fields(want)
+    assert {r.name for r in got if not r.passed} == {
+        "d.d = [QC,-]", "QC four-term formula = (D + x_a tau_a)^2"}
+    _assert_witnesses_parse(_NonScalarCurvatureConstant(lie, rep), got, seed)
 
 
 def _wrong_clifford(monkeypatch, wrong):
