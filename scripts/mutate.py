@@ -41,14 +41,17 @@ FOOTPRINT = ["tests/test_footprint.py"]
 INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
 INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
 REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_with_its_detail"]
-WALK = ["tests/test_element.py::test_walk_matches_each_operator_apart"]
-WALK_COUNT = ["tests/test_element.py::test_a_walk_evaluates_each_bracket_once_per_term"]
+WALK = ["tests/test_element.py::test_walk_matches_each_operator_apart",
+        "tests/test_element.py::test_apply_into_with_sign_minus_one_cancels_the_operator"]
+BRACKET_SIDES = ["tests/test_element.py::test_bracket_sides_sum_to_the_numeric_bracket"]
 PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
 ROWS_UNDER_MUTANTS = ["tests/test_checks.py::test_rows_match_the_oracle_under_mutants"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
+# every table that reads `bracket_sides`: quantum images, flat rows, the [C, -] row
+SIDES = [*BRACKET_SIDES, *QUANTUM_TABLES, *WRITTEN_ROWS, *ROWS_ORACLE]
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
@@ -73,13 +76,12 @@ MUTANTS = [
     ("classical endo terms with s = +1", "src/weil/classical.py",
      "endo_terms.append((key, t, -1, p, r))", "endo_terms.append((key, t, 1, p, r))",
      CLASSICAL_TABLES),
-    ("quantum yx half unsigned", "src/weil/quantum.py",
-     "yx = p1 if odd and len(k1[1]) & 1 else -p1", "yx = -p1", QUANTUM_TABLES),
-    ("quantum M A and A M sides swapped", "src/weil/quantum.py",
-     "(p1 * p, 0), r * r1)\n            for k, p, r in mono_mul(key, k1):\n"
-     "                accumulate(sums, (k, t), (0, yx * p)",
-     "(0, p1 * p), r * r1)\n            for k, p, r in mono_mul(key, k1):\n"
-     "                accumulate(sums, (k, t), (yx * p, 0)", QUANTUM_TABLES),
+    ("quantum yx half unsigned", "src/weil/element.py",
+     "yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1", "yx = -1",
+     [*BRACKET_SIDES, *QUANTUM_TABLES]),
+    ("quantum M A and A M sides swapped", "src/weil/element.py",
+     "[(0, k, p, r) for k, p, r in self.mono_mul(k1, key)]\n                + [(1, k,",
+     "[(1, k, p, r) for k, p, r in self.mono_mul(k1, key)]\n                + [(0, k,", SIDES),
     ("_cancel adds the pivot row", "src/weil/linalg.py",
      "y = row.get(j, 0) - v * x", "y = row.get(j, 0) + v * x", ["tests/test_linalg.py"]),
     ("closure: curvature images counted as 0", "src/weil/flat.py",
@@ -104,8 +106,8 @@ MUTANTS = [
      "basic.commuting[j])", INCLUSION_ORACLE),
     ("report drops a failing identity's detail line", "src/weil/cli.py",
      'print(f"      {r.name}: {r.detail}")', "pass", REPORT_DETAIL),
-    ("flat rows: E_ij M half added, not subtracted", "src/weil/flat.py",
-     "(0, k, mat, 0, 1, -p, r)", "(0, k, mat, 0, 1, p, r)", WRITTEN_ROWS),
+    ("flat rows: E_ij M half added, not subtracted", "src/weil/element.py",
+     "len(key[1]) & 1 else -1", "len(key[1]) & 1 else 1", SIDES),
     ("basic rows: endo terms with s = +1", "src/weil/flat.py",
      "(a, k, taus[t], 1, s, p, r)", "(a, k, taus[t], 1, 1, p, r)", WRITTEN_ROWS),
     ("gamma cross-check as an assert", "src/weil/quantum.py",
@@ -128,25 +130,6 @@ MUTANTS = [
      "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
     ("quantum images skip tau_t terms in the other tensor factor", "src/weil/quantum.py",
      "if t is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
-    ("walk: brackets shared per t alone, not per (t, s)", "src/weil/element.py",
-     "b = brackets.get((t, s))\n"
-     "                    if b is None:\n"
-     "                        b = [0] * len(num)\n"
-     "                        for o, c, v in cells[t][s]:\n"
-     "                            b[o] += v * num[c]\n"
-     "                        brackets[t, s] = b",
-     "b = brackets.get(t)\n"
-     "                    if b is None:\n"
-     "                        b = [0] * len(num)\n"
-     "                        for o, c, v in cells[t][s]:\n"
-     "                            b[o] += v * num[c]\n"
-     "                        brackets[t] = b",
-     [*WALK, "tests/test_quantum.py::test_operator_images_are_read_off_the_inner_elements"]),
-    ("walk: each bracket evaluated per route, not shared", "src/weil/element.py",
-     "b = brackets.get((t, s))", "b = None", WALK_COUNT),
-    ("walk: the plain fast path adds when p = -1", "src/weil/element.py",
-     "map(add if p == 1 else sub, cur[0], num)", "map(add, cur[0], num)",
-     [*WALK, *CLASSICAL_TABLES]),
     ("supercommuting halves summed as m1 m2 + m2 m1", "src/weil/element.py",
      "num = list(map(sub, num, m2._mul_num(m1)[0]))",
      "num = list(map(add, num, m2._mul_num(m1)[0]))", PRODUCTS),
@@ -157,8 +140,12 @@ MUTANTS = [
      "if scalar and not word and s == -1:", "if scalar and not word:", ROWS_ORACLE),
     ("row table: each row keeps only its first key'", "src/weil/checks.py",
      "entry.append((index, parts))", "entry.append((index, parts[:1]))", ROWS_UNDER_MUTANTS),
-    ("row table: [C, -] adds the right product", "src/weil/checks.py",
-     "(m, 0, 1), -yx)", "(m, 0, 1), yx)", ROWS_ORACLE),
+    ("row table: [C, -] adds the right product", "src/weil/element.py",
+     "[(1, k, yx * p, r)", "[(1, k, -yx * p, r)", SIDES),
+    ("walk ignores sign", "src/weil/element.py",
+     "image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices",
+     "image, cells, taus, sign = self.image_table, self.bracket_cells, self.rep.matrices, 1",
+     WALK),
 ]
 
 

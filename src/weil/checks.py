@@ -214,13 +214,13 @@ def _composite_rows(alg, curv):
     row sends key A to the sum of key' (cells on A's numerators) / den.
     A row is composed as (key', word) -> coefficient, a word being the End
     V letters its operators applied, and each key's words are summed into
-    one map.  With `scalar` the maps read A = c I off its cell 0, for the
-    terms whose End V part is c I; then a word that starts with a
-    commutator [tau_t, I] = 0 is dropped before the second operator.  For
-    correct operators every entry is empty."""
+    one map; [C, -] adds each curvature term's `bracket_sides`, as letter
+    M A or A M or as c for M = c I.  With `scalar` the maps read A = c I
+    off its cell 0, for the terms whose End V part is c I; then a word that
+    starts with a commutator [tau_t, I] = 0 is dropped before the second
+    operator.  For correct operators every entry is empty."""
     n, dim = alg.lie.dim, alg.rep.dim
     image, brackets, d = alg.image_table, alg.lie.pair_brackets(), 2 * n
-    mono_mul = alg.zero()._mono_mul
     # letter (m, l, r): the cells of A -> l M A + r A M over M.den, for tau_t's
     # bracket (t, 1, s) and each side of a curvature part M that is not c I
     letters = {(t, 1, s): (cells[s], tau.den)
@@ -229,7 +229,7 @@ def _composite_rows(alg, curv):
     curv_terms = []
     for kc, mat in curv.terms.items():
         c, m = mat._scalar(), n + len(curv_terms)
-        curv_terms.append((kc, len(kc[1]) & 1, c, mat.den, m))
+        curv_terms.append((kc, c, mat.den, m))
         for l, r in ((1, 0), (0, 1)) if c is None else ():
             letters[m, l, r] = mat._cells(l, r), mat.den
     # the empty word: the identity, or A -> A[0, 0] I, which agrees with it on c I
@@ -275,15 +275,12 @@ def _composite_rows(alg, curv):
         walk({(key, ()): ((1,), 1)}, [(d, dk, 1), *routes(0, lk), *routes(n, ik)])
         rows = [{} for _ in range((n + 1) ** 2)]
         walk(dk, [*routes(n, rows[:n]), *routes(0, rows[n:2 * n]), (d, rows[-1], 1)])
-        odd = len(key[1]) & 1
-        for kc, oddc, c, den, m in curv_terms:  # - [kc M, key A]
-            yx = 1 if odd and oddc else -1  # the coefficient of key kc A M in the bracket
-            for k1, k2, side, sign in ((kc, key, (m, 1, 0), -1), (key, kc, (m, 0, 1), -yx)):
-                for k, p, r in mono_mul(k1, k2):
-                    if c is None:
-                        accumulate(rows[-1], (k, (side,)), (p,), r, sign)
-                    else:
-                        accumulate(rows[-1], (k, ()), (c * p,), den * r, sign)
+        for kc, c, den, m in curv_terms:  # - [kc M, key A]
+            for side, k, p, r in alg.bracket_sides(kc, key):
+                if c is None:
+                    accumulate(rows[-1], (k, ((m, 1 - side, side),)), (p,), r, -1)
+                else:
+                    accumulate(rows[-1], (k, ()), (c * p,), den * r, -1)
         for b in range(n):
             add_into(rows[b], lk[b], -1)
             walk(lk[b], ((d, rows[n + b], -1),))
@@ -398,8 +395,8 @@ def _classical_rows(alg, samples, seed, max_degree):
         if not poly:
             continue
         d_elem, dd = {}, {}  # d elem, then d elem - the reference; d(d elem)
-        alg.walk(embed_scalar_poly(lie, rep, poly), ((2 * lie.dim, d_elem, 1),))
-        alg.walk(d_elem, ((2 * lie.dim, dd, 1),))
+        alg.walk(2 * lie.dim, embed_scalar_poly(lie, rep, poly), d_elem, 1)
+        alg.walk(2 * lie.dim, d_elem, dd, 1)
         add_into(d_elem, embed_scalar_poly(lie, rep, _scalar_differential(images, poly)), -1)
         if not vanishes(d_elem):
             restrict.append(f"poly {i}")
@@ -413,7 +410,8 @@ def _classical_rows(alg, samples, seed, max_degree):
         poly = random_sym_poly(lie, rng, max_degree)
         f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
         lf = [{} for _ in range(lie.dim)]  # L_a f
-        alg.walk(f, [(a, acc, 1) for a, acc in enumerate(lf)])
+        for a, acc in enumerate(lf):
+            alg.walk(a, f, acc, 1)
         acc = {}  # v^a L_a f: v^a only raises the v exponent of a key
         for a, terms in enumerate(lf):
             for (s, e), (num, den) in terms.items():
@@ -499,7 +497,7 @@ def _quantum_rows(alg, samples, seed, max_degree):
     for i in range(samples // 2 + 1):
         ident_part = identity_part(random_element(alg, rng, max_degree))
         acc = {}  # d(X) - d_W(X) - iota_a(X) tau_a, d_W = [D, -]
-        alg.walk(ident_part, ((2 * lie.dim, acc, 1),))
+        alg.walk(2 * lie.dim, ident_part, acc, 1)
         products_into(acc, alg.dirac, ident_part, True, -1)
         for a in range(lie.dim):
             products_into(acc, alg.contraction(a, ident_part), alg.tau(a), False, -1)

@@ -27,13 +27,15 @@ of the other.  When the pair's monomials supercommute (always
 classically; quantum-side when one has no even part and the other no
 odd part, as U(g) and Cl(g) are tensor factors) both halves land on one
 key: they cancel, or else sum as one commutator of the matrix parts.
-`products_into` adds sign times a product, and `walk` sign times the
-images of several operators, into callers' accumulators; a walk reads
-an element or an accumulator, so an image feeds the next operator
-unreduced.  So an identity is checked by summing both of its sides, one
-negated, into one accumulator and asking `vanishes`: each key's sum is
-integer numerators over one denominator, so it is zero exactly when
-every numerator is, and no side becomes a canonical `Matrix` or element.
+`products_into` adds sign times a product, and `walk` sign times one
+operator's image, into a caller's accumulator; a walk reads an element
+or an accumulator, so an image feeds the next operator unreduced.  So an
+identity is checked by summing both of its sides, one negated, into one
+accumulator and asking `vanishes`: each key's sum is integer numerators
+over one denominator, so it is zero exactly when every numerator is, and
+no side becomes a canonical `Matrix` or element.  Brackets written as
+tables (quantum operator images, the rows of [C, -]) read the Koszul sign
+from `WeilAlgebra.bracket_sides`; `products_into` checks them by its own.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -245,10 +247,10 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
                     accumulate(acc, key, num, den * r, c * p)
 
 
-# entries of each value's image table, read by `WeilAlgebra._apply`.  With
-# 512, perfbench's check jobs miss only first lookups on so3 adjoint (98% hits
-# classically, 95% quantum-side); so3+so3 adjoint classically hits 49%, 41%
-# with 256 and 59% with 1,024, which adds about 0.1 MB to the job's peak RSS
+# entries of each value's image table (`walk`); in perfbench's check jobs at seed
+# 1000 (`image_table.cache_info()`) it hits 90% classically and 84% quantum-side on
+# so3 adjoint, missing only first lookups, and 35% and 55% on so3+so3, classically
+# 32% with 256 and 43% with 1,024, which adds about 0.1 MB to the job's peak RSS
 IMAGE_TABLE_SIZE = 512
 
 
@@ -335,44 +337,39 @@ class WeilAlgebra:
         """bracket_cells[t][s]: tau_t's cells (1, s), s = +-1."""
         return [{s: tau._cells(1, s) for s in (1, -1)} for tau in self.rep.matrices]
 
+    @cached_property
+    def mono_mul(self):
+        """The product of two (even, odd) monomials (`Element._mono_mul`)."""
+        return self.zero()._mono_mul
+
+    def bracket_sides(self, k1, key):
+        """[k1 M, key A] as terms (side, key', p, r), key' (p / r) times M A
+        (side 0, from k1 key) or A M (side 1, -(-1)^{|k1||key|} key k1)."""
+        yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
+        return ([(0, k, p, r) for k, p, r in self.mono_mul(k1, key)]
+                + [(1, k, yx * p, r) for k, p, r in self.mono_mul(key, k1)])
+
     def _apply(self, i, x):
         """Operator i on x (`walk`)."""
         acc = {}
-        self.walk(x, ((i, acc, 1),))
+        self.walk(i, x, acc, 1)
         return self.element(collect(acc, self.rep.dim))
 
-    def walk(self, x, routes):
-        """acc += sign (operator i on x) per route (i, acc, sign), sign +-1 in
-        use, in one pass over x, an element or an accumulator.  A term key A
-        adds its plain image (image table) times A and, per endo term, tau_t
-        A + s A tau_t from tau_t's cells unless 0, evaluated once per term
-        and (t, s) for all routes.  A plain term onto a new key, or with p =
-        +-1 onto a key over the same denominator, is added here, any other
-        by `accumulate`."""
+    def walk(self, i, x, acc, sign):
+        """acc += sign (operator i on x), x an element or an accumulator: term
+        key A adds its image table's plain terms times A and, per endo term,
+        tau_t A + s A tau_t from tau_t's cells unless it is 0."""
         image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices
         for key, (num, den) in _sums(x):
-            brackets = {}  # (t, s) -> tau_t A + s A tau_t, () when 0
-            for i, acc, sign in routes:
-                plain, endo = image(i, key)
-                for k, p, r in plain:
-                    p *= sign
-                    r *= den
-                    cur = acc.get(k)
-                    if cur is None:
-                        acc[k] = (num if p == 1 else [p * v for v in num], r)
-                    elif cur[1] == r and (p == 1 or p == -1):
-                        acc[k] = (list(map(add if p == 1 else sub, cur[0], num)), r)
-                    else:
-                        accumulate(acc, k, num, r, p)
-                for k, t, s, p, r in endo:
-                    b = brackets.get((t, s))
-                    if b is None:
-                        b = [0] * len(num)
-                        for o, c, v in cells[t][s]:
-                            b[o] += v * num[c]
-                        brackets[t, s] = b = b if any(b) else ()
-                    if b:
-                        accumulate(acc, k, b, taus[t].den * den * r, sign * p)
+            plain, endo = image(i, key)
+            for k, p, r in plain:
+                accumulate(acc, k, num, den * r, sign * p)
+            for k, t, s, p, r in endo:
+                b = [0] * len(num)
+                for o, c, v in cells[t][s]:
+                    b[o] += v * num[c]
+                if any(b):
+                    accumulate(acc, k, b, taus[t].den * den * r, sign * p)
 
     # -- the curvature split -------------------------------------------------
 

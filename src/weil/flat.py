@@ -5,14 +5,15 @@ domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
 bound, and on it both defining operators (L_a for basic, the bracket with
 the curvature for flat) are sums of per-monomial table terms key (p / q)
 (l M A + r A M), A the matrix unit: L_a's from the monomial images
-`_image(a, (m, ()))` that `walk` reads, the bracket's from the products
-of m with each term of C - Z.  `_rows` writes the integer rows of the
-coordinate matrix from the operators' cell maps `Matrix._cells(l, r)`,
-and the kernel is taken in integers; no domain vector or image is built
-as an element.  Degree means symmetric degree classically (where the
-operators are graded and the solve splits into per-degree blocks) and
-PBW degree quantum-side (a filtration: one solve on the whole <= N
-block).  A vector's level is its top degree.
+`_image(a, (m, ()))` that `WeilAlgebra.walk` applies, the bracket's from
+the two sides of [k1 M, m A] per term k1 M of C - Z (`bracket_sides`).
+`_rows` writes the integer rows of the coordinate matrix from the
+operators' cell maps `Matrix._cells(l, r)`, and the kernel is taken in
+integers; no domain vector or image is built as an element.  Degree
+means symmetric degree classically (where the operators are graded and
+the solve splits into per-degree blocks) and PBW degree quantum-side (a
+filtration: one solve on the whole <= N block).  A vector's level is
+its top degree.
 
 The flat subspace of the full algebra is derived, not solved.  The
 bracket with the even curvature C is a derivation, so once [C, x_a] = 0
@@ -234,16 +235,15 @@ def basic_subspace(alg, max_degree) -> SubspaceResult:
 def flat_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree.
 
-    [C - Z, m (x) A] is, summed over the terms k1 M of C - Z, k1 m (x) M A
-    - m k1 (x) A M, M's cells (1, 0) and (0, 1): the yx sign is -1 as m
-    is even.  The nonzero rows must have no Clifford or exterior factor
+    [C - Z, m (x) A] sums, over the terms k1 M of C - Z, the sides k1 m
+    (x) M A - m k1 (x) A M (`bracket_sides`, m even), M's cells (1, 0)
+    and (0, 1).  The nonzero rows must have no Clifford or exterior factor
     and, classically, symmetric degree one more than the block's."""
-    mono_mul, curv = alg.zero()._mono_mul, alg.bracketed_curvature.terms.items()
+    curv = alg.bracketed_curvature.terms.items()
 
     def table(m):
-        return ([(0, k, mat, 1, 0, p, r) for k1, mat in curv for k, p, r in mono_mul(k1, (m, ()))]
-                + [(0, k, mat, 0, 1, -p, r)
-                   for k1, mat in curv for k, p, r in mono_mul((m, ()), k1)])
+        return [(0, k, mat, 1 - side, side, p, r)
+                for k1, mat in curv for side, k, p, r in alg.bracket_sides(k1, (m, ()))]
 
     def check(keys, monos):
         for s, e in keys:

@@ -10,15 +10,14 @@ such form, which is why equality and hashing compare the plain tuples
 and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
-the raw kernels `_mul_num` and `_bracket_num` (ab + s ba, s = +-1)
-return them unreduced, for the element products, brackets and operators
-to sum and reduce once per result key.  Every End V action of the
-operators and of the solver's rows, A -> l M A + r A M, is M's one cell
-map `_cells(l, r)`: integer triples (out cell, in cell, v), v times
-cell `in` of A's numerators added into cell `out`.  The brackets are
-(1, s).  Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`,
-`trace`, `scalar_value`); `render` prints them from the integers
-(`format_ratio`).
+the raw kernel `_mul_num` returns a product unreduced, for the element
+products and brackets to sum and reduce once per result key.  Every End
+V action of the operators and of the solver's rows, A -> l M A + r A M,
+is M's one cell map `_cells(l, r)`: integer triples (out cell, in cell,
+v), v times cell `in` of A's numerators added into cell `out`.  The
+brackets, `commutator` among them, are (1, s).  Entries leave as
+`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`);
+`render` prints them from the integers (`format_ratio`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -278,11 +277,15 @@ class Matrix:
         return NotImplemented
 
     def commutator(self, other) -> Matrix:
-        """ab - ba, canonical; both matrices must be square of the same size."""
+        """ab - ba, canonical, from a's cells (1, -1) on b's numerators; both
+        matrices must be square of the same size."""
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
-        return Matrix._canonical(self.rows, self.rows, *self._bracket_num(other, -1))
+        b, num = other.num, [0] * len(other.num)
+        for o, c, v in self._cells(1, -1):
+            num[o] += v * b[c]
+        return Matrix._canonical(self.rows, self.rows, num, self.den * other.den)
 
     def _cells(self, l, r):
         """The map A -> l self A + r A self of a square matrix, for integers
@@ -299,14 +302,6 @@ class Matrix:
                 cells[i * n + j, t * n + j] += l * v
                 cells[j * n + t, j * n + i] += r * v
         return tuple((o, c, v) for (o, c), v in cells.items() if v)
-
-    def _bracket_num(self, other, s):
-        """(numerators, den) of ab + s ba for square matrices of one size and
-        s = +-1, not reduced: a's cells (1, s) on b's numerators."""
-        b, num = other.num, [0] * len(other.num)
-        for o, c, v in self._cells(1, s):
-            num[o] += v * b[c]
-        return num, self.den * other.den
 
     def transpose(self) -> Matrix:
         c = self.cols

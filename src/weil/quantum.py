@@ -133,21 +133,17 @@ class QuantumAlgebra(element.WeilAlgebra):
         return self._operator_terms[i]
 
     def _image(self, i, key):
-        """[inner[i], key A]: k1 key M A - (-1)^{|k1||key|} key k1 A M per term
-        k1 M of inner[i], summed per (key', t) into (pl, pr) by `accumulate`.
+        """[inner[i], key A], per term k1 M of inner[i] its two sides
+        (`bracket_sides`), summed per (key', t) into (pl, pr) by `accumulate`.
         A c I part M gives the plain term (pl + pr) A, a tau_t part the endo
         terms ((pl + pr) {tau_t, A} + (pl - pr) [tau_t, A]) / 2, each over 2r."""
-        mono_mul, odd = self.zero()._mono_mul, len(key[1]) & 1
         no_even, no_odd = not any(key[0]), not key[1]
         sums = {}  # (key', t) -> ((pl, pr), r): pl of the M A side, pr of A M
         for k1, t, p1, r1 in self._inner_terms(i):
             if t is None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
                 continue  # k1 and key lie in different tensor factors: the sides cancel
-            yx = p1 if odd and len(k1[1]) & 1 else -p1
-            for k, p, r in mono_mul(k1, key):
-                accumulate(sums, (k, t), (p1 * p, 0), r * r1)
-            for k, p, r in mono_mul(key, k1):
-                accumulate(sums, (k, t), (0, yx * p), r * r1)
+            for side, k, p, r in self.bracket_sides(k1, key):
+                accumulate(sums, (k, t), (0, p1 * p) if side else (p1 * p, 0), r * r1)
         return (tuple((k, pl + pr, r) for (k, t), ((pl, pr), r) in sums.items()
                       if t is None and pl + pr),
                 tuple((k, t, s, p, 2 * r) for (k, t), ((pl, pr), r) in sums.items()

@@ -237,8 +237,8 @@ def test_a_defect_only_on_a_key_the_other_side_lacks_fails_its_row(so3):
     rows = {r.name: r for r in checks._classical_rows(alg, 2, 0, 4)}
     assert rows[CARTAN].detail.startswith("element 0 (seed 0), a=1: X = I; ")
     acc = {}
-    alg.walk(alg.differential(one), ((n, acc, 1),))
-    alg.walk(alg.contraction(0, one), ((2 * n, acc, 1),))
+    alg.walk(n, alg.differential(one), acc, 1)
+    alg.walk(2 * n, alg.contraction(0, one), acc, 1)
     add_into(acc, alg.lie_derivative(0, one), -1)
     assert list(acc) == [((1, 0, 0), ())] and not vanishes(acc)
 

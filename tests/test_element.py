@@ -16,7 +16,7 @@ import oracles
 from test_kernels import _so3_blocks
 from weil import (AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin,
                   load_algebra_file)
-from weil.checks import random_element
+from weil.checks import random_element, random_matrix
 from weil.element import (_products, accumulate, add_into, collect, products_into,
                           supercommutator, vanishes)
 from weil.linalg import Matrix
@@ -281,11 +281,11 @@ def test_apply_into_with_sign_minus_one_cancels_the_operator(mod, lie, rep):
         x = random_element(alg, rng, max_degree=4)
         for i in range(2 * lie.dim + 1):
             acc = {}
-            alg.walk(x, ((i, acc, -1),))
+            alg.walk(i, x, acc, -1)
             add_into(acc, alg._apply(i, x))
             assert vanishes(acc), i
             acc = {}
-            alg.walk(x, ((i, acc, -1),))
+            alg.walk(i, x, acc, -1)
             neg = collect(acc, rep.dim)
             _same_bits(alg.element(neg), -alg._apply(i, x))
 
@@ -302,59 +302,59 @@ def _walk_contexts():
 @pytest.mark.parametrize("mod,lie,rep", _walk_contexts(),
                          ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
 def test_walk_matches_each_operator_apart(mod, lie, rep):
-    """One walk over every operator i, each into its own accumulator,
-    collects to `_apply(i, x)` bit for bit, from the element x and from an
-    accumulator holding x unreduced (x / 2 added twice); every route into
-    one accumulator, signs +-1, collects to the signed sum of the images."""
+    """walk(i, x, acc, +-1) into an empty accumulator collects to +-_apply(i,
+    x) bit for bit for every operator i, from the element x and from an
+    accumulator holding x unreduced (x / 2 added twice)."""
     alg = mod(lie, rep)
-    ops = range(2 * lie.dim + 1)
-    signs = [-1 if i % 3 else 1 for i in ops]
     rng = random.Random(11)
     for _ in range(4):
         x = random_element(alg, rng, max_degree=3)
         halves = {}
         add_into(halves, x, 1, 2)
         add_into(halves, x, 1, 2)
-        want = alg.zero()
-        for i, sign in zip(ops, signs):
-            want = want + alg._apply(i, x) * sign
-        for source in (x, halves):
-            accs = [{} for _ in ops]
-            alg.walk(source, [(i, accs[i], 1) for i in ops])
-            for i in ops:
-                _same_bits(alg.element(collect(accs[i], rep.dim)), alg._apply(i, x))
+        for i in range(2 * lie.dim + 1):
+            want = alg._apply(i, x)
+            for source in (x, halves):
+                for sign in (1, -1):
+                    acc = {}
+                    alg.walk(i, source, acc, sign)
+                    _same_bits(alg.element(collect(acc, rep.dim)), want * sign)
+
+
+def _side_pairs(n):
+    """(k1, key) pairs: x1 x2 and x1 x1 (odd x odd, the second a Clifford
+    contraction), x1 against x1 x2 (a contraction, odd x even), u2 u1 (a
+    PBW reordering), u2 x3 against u1^2 x1 x3, and x1 u1 against u_n x_n,
+    which on so3+so3 lie in different blocks."""
+    def u(*gens):
+        return tuple(gens.count(a) for a in range(n))
+    z = u()
+    return [((z, (0,)), (z, (1,))), ((z, (0,)), (z, (0,))), ((z, (0,)), (z, (0, 1))),
+            ((u(1), ()), (u(0), ())), ((u(1), (2,)), (u(0, 0), (0, 2))),
+            ((u(0), (0,)), (u(n - 1), (n - 1,)))]
+
+
+@pytest.mark.parametrize("mod,lie,rep", [c for c in _walk_contexts() if c[2].name == "adjoint"],
+                         ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
+def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
+    """The sides of [k1 M, key A], side s applied through M's cells (1 - s,
+    s), sum to supercommutator(k1 M, key A) bit for bit, for random M and
+    A on each pair of `_side_pairs`."""
+    alg = mod(lie, rep)
+    rng = random.Random(13)
+    for k1, key in _side_pairs(lie.dim):
+        for _ in range(3):
+            m, a = random_matrix(rng, rep.dim), random_matrix(rng, rep.dim)
+            if not m or not a:
+                continue
             acc = {}
-            alg.walk(source, [(i, acc, sign) for i, sign in zip(ops, signs)])
+            for side, k, p, r in alg.bracket_sides(k1, key):
+                out = [0] * len(a.num)
+                for o, c, v in m._cells(1 - side, side):
+                    out[o] += v * a.num[c]
+                accumulate(acc, k, out, m.den * a.den * r, p)
+            want = supercommutator(alg.element({k1: m}), alg.element({key: a}))
             _same_bits(alg.element(collect(acc, rep.dim)), want)
-
-
-def test_a_walk_evaluates_each_bracket_once_per_term(so3):
-    """so3 adjoint classical: d and L_1..L_3 in one walk evaluate 3 brackets
-    per term, [tau_t, A] for t = 1, 2, 3, shared by d and L_t; four walks,
-    one per operator, evaluate 6.  The terms have no y part, so every
-    y^b [tau_b, A] term of d survives."""
-    alg = ClassicalAlgebra(so3.lie, so3.reps["adjoint"])
-    evaluations = []
-
-    class Counted(tuple):
-        def __iter__(self):
-            evaluations.append(1)
-            return super().__iter__()
-
-    vars(alg)["bracket_cells"] = [{s: Counted(c) for s, c in cells.items()}
-                                  for cells in alg.bracket_cells]
-    a = Matrix.from_rows([[1, 2, 0], [0, Fraction(1, 2), 0], [3, 0, -1]])
-    x = alg.element({((0, 0, 0), ()): a, ((1, 0, 2), ()): a * 3, ((0, 1, 0), ()): Matrix.identity(3)})
-    routes = [(6, {}, 1)] + [(t, {}, 1) for t in range(3)]
-    alg.walk(x, routes)
-    assert len(evaluations) == 3 * len(x.terms)
-    shared = [collect(acc, 3) for _, acc, _ in routes]
-    evaluations.clear()
-    routes = [(i, {}, sign) for i, _, sign in routes]
-    for route in routes:
-        alg.walk(x, (route,))
-    assert len(evaluations) == 6 * len(x.terms)
-    assert [collect(acc, 3) for _, acc, _ in routes] == shared
 
 
 @given(element_pairs(), st.booleans())
@@ -455,8 +455,8 @@ def test_cell_rule_is_tau_a_plus_s_a_tau(case):
     + r A M on A's numerators as two `_mul_num` products give it,
     numerators and denominator, for M = tau_t or a dense fractional
     matrix and each of (1, +-1), (1, 0) and (0, 1).  For M = tau_t and (1,
-    s), `_bracket_num` and a walk's evaluation of tau_t's cells give the
-    same, and the walk skips a zero bracket.  The examples take sl2's
+    s), a walk's evaluation of tau_t's cells gives the same, and the walk
+    skips a zero bracket.  The examples take sl2's
     diagonal h, whose cells at (i, j) -> (i, j) sum one entry of each
     half, and a dense M over 6 on one side."""
     lie, rep, t, m, (l, r), a = case
@@ -469,13 +469,12 @@ def test_cell_rule_is_tau_a_plus_s_a_tau(case):
     assert den == den2 == m.den * a.den and got == want
     if m != rep.matrices[t] or (l, r) not in ((1, 1), (1, -1)):
         return
-    assert m._bracket_num(a, r) == (want, den)
     if not a:
         return  # no element has a zero End V part
     alg, key = ClassicalAlgebra(lie, rep), ((0,) * lie.dim, ())
     vars(alg)["image_table"] = lambda i, k: ((), ((k, t, r, 1, 1),))  # one endo term
     acc = {}
-    alg.walk(alg.element({key: a}), ((0, acc, 1),))
+    alg.walk(0, alg.element({key: a}), acc, 1)
     assert acc == ({key: (want, den)} if any(want) else {})
 
 

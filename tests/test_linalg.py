@@ -437,16 +437,21 @@ def _bracket_cases():
     return cases
 
 
-def test_bracket_num_is_one_product_plus_s_times_the_other():
-    """_bracket_num(A, s) = tau A + s A tau, numerators and denominator as
-    the two `_mul_num` products give them (the oracle of the cell rule),
-    for s = +-1, with either factor the sparser one."""
+def test_cells_one_s_are_one_product_plus_s_times_the_other():
+    """tau's cells (1, s) on A's numerators give tau A + s A tau over tau.den
+    A.den as the two `_mul_num` products give them (the oracle of the cell
+    rule), for s = +-1, with either factor the sparser one; `commutator`,
+    the cells (1, -1), is tau A - A tau."""
     swapped = set()
     for tau, a in _bracket_cases():
         (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)
-        assert den == den2
+        assert den == den2 == tau.den * a.den
         for s in (1, -1):
-            assert tau._bracket_num(a, s) == ([x + s * y for x, y in zip(ta, at)], den)
+            got = [0] * len(a.num)
+            for o, c, v in tau._cells(1, s):
+                got[o] += v * a.num[c]
+            assert got == [x + s * y for x, y in zip(ta, at)]
+        assert tau.commutator(a) == tau * a - a * tau
         swapped.add(a.num.count(0) > tau.num.count(0))
     assert swapped == {True, False}
 
