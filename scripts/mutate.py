@@ -41,8 +41,6 @@ FOOTPRINT = ["tests/test_footprint.py"]
 INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
 INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
 REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_with_its_detail"]
-WALK = ["tests/test_element.py::test_walk_matches_each_operator_apart",
-        "tests/test_element.py::test_apply_into_with_sign_minus_one_cancels_the_operator"]
 BRACKET_SIDES = ["tests/test_element.py::test_bracket_sides_sum_to_the_numeric_bracket"]
 PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
@@ -142,10 +140,13 @@ MUTANTS = [
      "entry.append((index, parts))", "entry.append((index, parts[:1]))", ROWS_UNDER_MUTANTS),
     ("row table: [C, -] adds the right product", "src/weil/element.py",
      "[(1, k, yx * p, r)", "[(1, k, -yx * p, r)", SIDES),
-    ("walk ignores sign", "src/weil/element.py",
-     "image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices",
-     "image, cells, taus, sign = self.image_table, self.bracket_cells, self.rep.matrices, 1",
-     WALK),
+    ("restriction rows: a key's d image drops its first term", "src/weil/checks.py",
+     "alg.differential(alg.element({key: ident}))",
+     "alg.element(dict(list(alg.differential(alg.element({key: ident})).terms.items())[1:]))",
+     ROWS_ORACLE),
+    ("lemma row: the image leaves out v^1 L_1", "src/weil/checks.py",
+     "alg.lie_derivative(a, one) for a in range(lie.dim)",
+     "alg.lie_derivative(a, one) for a in range(1, lie.dim)", ROWS_ORACLE),
 ]
 
 

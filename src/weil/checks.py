@@ -26,11 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .classical import ClassicalAlgebra, ClassicalElement
 from .element import accumulate, add_into, products_into, supercommutator, vanishes
-from .kernels import _bump, add_term, ext_mono_mul, sym_mono_mul
+from .kernels import add_term, ext_mono_mul, sym_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
 from .quantum import QuantumAlgebra, gamma_square_formula
@@ -53,6 +54,9 @@ def _result(name, failures, total=None):
 
 # -- random elements ---------------------------------------------------------
 
+
+# the top degree of the suites' random elements and polynomials
+MAX_DEGREE = 4
 
 _SCALARS = [[Fraction(num, den) for den in range(1, 4)] for num in range(-3, 4)]
 
@@ -86,7 +90,7 @@ def _random_key(rng, n, max_degree):
     return _random_split(rng, n, (deg - odd_len) // 2), odd
 
 
-def random_element(alg, rng, max_degree=4, max_terms=3):
+def random_element(alg, rng, max_degree=MAX_DEGREE, max_terms=3):
     """A random element of the `WeilAlgebra` `alg`."""
     terms = {}
     for _ in range(1 + rng.randrange(max_terms)):
@@ -97,7 +101,7 @@ def random_element(alg, rng, max_degree=4, max_terms=3):
     return alg.element(terms)
 
 
-def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
+def random_sym_poly(lie, rng, max_degree=MAX_DEGREE, max_terms=4):
     """A random scalar polynomial in the symmetric generators."""
     n = lie.dim
     poly = {}
@@ -109,7 +113,7 @@ def random_sym_poly(lie, rng, max_degree=4, max_terms=4):
     return poly
 
 
-def random_scalar_weil_poly(lie, rng, max_degree=4, max_terms=3):
+def random_scalar_weil_poly(lie, rng, max_degree=MAX_DEGREE, max_terms=3):
     """A random scalar polynomial with both symmetric and exterior parts."""
     poly = {}
     for _ in range(1 + rng.randrange(max_terms)):
@@ -319,7 +323,7 @@ def _composite_rows(alg, curv):
     return entry
 
 
-def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
+def _operator_identities(alg, rng, seed, samples, curv, names):
     """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
     `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
     (seeded with `seed`) one at a time.  Each element's terms apply their
@@ -337,7 +341,7 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
             for a in range(n):
                 yield make(a)
         for _ in range(samples):
-            yield random_element(alg, rng, max_degree)
+            yield random_element(alg, rng)
 
     def witness(i, x, indices=""):
         return f"element {i} (seed {seed}){indices}: X = {render(x)}"
@@ -376,50 +380,54 @@ def _operator_identities(alg, rng, seed, samples, max_degree, curv, names):
 # -- classical suite -----------------------------------------------------------
 
 
-def classical_suite(lie, rep, samples=50, seed=0, max_degree=4):
+def classical_suite(lie, rep, samples=50, seed=0):
     """Run every classical identity; returns a list of CheckResult."""
-    return _classical_rows(ClassicalAlgebra(lie, rep), samples, seed, max_degree)
+    return _classical_rows(ClassicalAlgebra(lie, rep), samples, seed)
 
 
-def _classical_rows(alg, samples, seed, max_degree):
-    """The classical rows on the `ClassicalAlgebra` value `alg`."""
+def _classical_rows(alg, samples, seed):
+    """The classical rows on the `ClassicalAlgebra` value `alg`.  The two
+    restriction rows and the lemma row check only sampled polynomials, so
+    with no samples they are left out.  Each is linear in its polynomial,
+    and sums the images of its keys (`_linear`), each composed once."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    results = _operator_identities(alg, rng, seed, samples, max_degree, alg.curvature,
-                                   ("C", "f^c_ab"))
+    results = _operator_identities(alg, rng, seed, samples, alg.curvature, ("C", "f^c_ab"))
+    if not samples:
+        return results
+    ident, images = Matrix.identity(rep.dim), _generator_images(lie)
+    d_image = cache(lambda key: alg.differential(alg.element({key: ident})))
+    dd_image = cache(lambda key: alg.differential(d_image(key)))
 
-    images = _generator_images(lie)
+    @cache
+    def lemma_image(mono):  # v^a L_a (mono I)
+        one = alg.element({(mono, ()): ident})
+        return sum((alg.even_gen(a) * alg.lie_derivative(a, one) for a in range(lie.dim)),
+                   alg.zero())
+
     restrict, ddzero = [], []
     for i in range(samples):
-        poly = random_scalar_weil_poly(lie, rng, max_degree)
-        if not poly:
-            continue
-        d_elem, dd = {}, {}  # d elem, then d elem - the reference; d(d elem)
-        alg.walk(2 * lie.dim, embed_scalar_poly(lie, rep, poly), d_elem, 1)
-        alg.walk(2 * lie.dim, d_elem, dd, 1)
-        add_into(d_elem, embed_scalar_poly(lie, rep, _scalar_differential(images, poly)), -1)
-        if not vanishes(d_elem):
+        poly = random_scalar_weil_poly(lie, rng)
+        diff = _linear(poly, d_image)  # d elem - the reference
+        add_into(diff, embed_scalar_poly(lie, rep, _scalar_differential(images, poly)), -1)
+        if not vanishes(diff):
             restrict.append(f"poly {i}")
-        if not vanishes(dd):
+        if not vanishes(_linear(poly, dd_image)):
             ddzero.append(f"poly {i}")
     results.append(_result("restriction: d matches the scalar differential", restrict, samples))
     results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
-
-    lemma = []
-    for i in range(samples):
-        poly = random_sym_poly(lie, rng, max_degree)
-        f = embed_scalar_poly(lie, rep, {(m, ()): q for m, q in poly.items()})
-        lf = [{} for _ in range(lie.dim)]  # L_a f
-        for a, acc in enumerate(lf):
-            alg.walk(a, f, acc, 1)
-        acc = {}  # v^a L_a f: v^a only raises the v exponent of a key
-        for a, terms in enumerate(lf):
-            for (s, e), (num, den) in terms.items():
-                accumulate(acc, (_bump(s, a, 1), e), num, den)
-        if not vanishes(acc):
-            lemma.append(f"poly {i}")
+    lemma = [f"poly {i}" for i in range(samples)
+             if not vanishes(_linear(random_sym_poly(lie, rng), lemma_image))]
     results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
     return results
+
+
+def _linear(poly, image):
+    """The accumulator of the sum of q image(key) over the terms q key of `poly`."""
+    acc = {}
+    for key, q in poly.items():
+        add_into(acc, image(key), q.numerator, q.denominator)
+    return acc
 
 
 # -- quantum suite ---------------------------------------------------------------
@@ -473,12 +481,12 @@ def identity_part(x):
     return type(x)(x.lie, x.rep, {m: ident * a[0, 0] for m, a in x.terms.items() if a[0, 0]})
 
 
-def quantum_suite(lie, rep, samples=50, seed=0, max_degree=4):
+def quantum_suite(lie, rep, samples=50, seed=0):
     """Run the quantum operator identities; returns a list of CheckResult."""
-    return _quantum_rows(QuantumAlgebra(lie, rep), samples, seed, max_degree)
+    return _quantum_rows(QuantumAlgebra(lie, rep), samples, seed)
 
 
-def _quantum_rows(alg, samples, seed, max_degree):
+def _quantum_rows(alg, samples, seed):
     """The quantum rows on the `QuantumAlgebra` value `alg`."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
@@ -486,8 +494,7 @@ def _quantum_rows(alg, samples, seed, max_degree):
     # the four-term element, not alg.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
     curv = alg.four_term_curvature()
-    results += _operator_identities(alg, rng, seed, samples, max_degree, curv,
-                                    ("QC", "f_abc"))
+    results += _operator_identities(alg, rng, seed, samples, curv, ("QC", "f_abc"))
 
     ok = curv == alg.dirac_tau * alg.dirac_tau
     results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
@@ -495,9 +502,9 @@ def _quantum_rows(alg, samples, seed, max_degree):
 
     restrict = []
     for i in range(samples // 2 + 1):
-        ident_part = identity_part(random_element(alg, rng, max_degree))
+        ident_part = identity_part(random_element(alg, rng))
         acc = {}  # d(X) - d_W(X) - iota_a(X) tau_a, d_W = [D, -]
-        alg.walk(2 * lie.dim, ident_part, acc, 1)
+        add_into(acc, alg.differential(ident_part))
         products_into(acc, alg.dirac, ident_part, True, -1)
         for a in range(lie.dim):
             products_into(acc, alg.contraction(a, ident_part), alg.tau(a), False, -1)

@@ -19,7 +19,7 @@ evaluated on A's numerators from tau_t's fixed cell map
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
-into each coefficient.  They and the operators (`WeilAlgebra.walk`)
+into each coefficient.  They and the operators (`WeilAlgebra._apply`)
 sum raw integer numerators in one accumulator, canonicalizing each End
 V part once per result key (`accumulate`, `collect`).  When one of a pair's
 matrix parts is c I the two matrix products agree and are one scaling
@@ -27,15 +27,14 @@ of the other.  When the pair's monomials supercommute (always
 classically; quantum-side when one has no even part and the other no
 odd part, as U(g) and Cl(g) are tensor factors) both halves land on one
 key: they cancel, or else sum as one commutator of the matrix parts.
-`products_into` adds sign times a product, and `walk` sign times one
-operator's image, into a caller's accumulator; a walk reads an element
-or an accumulator, so an image feeds the next operator unreduced.  So an
-identity is checked by summing both of its sides, one negated, into one
-accumulator and asking `vanishes`: each key's sum is integer numerators
-over one denominator, so it is zero exactly when every numerator is, and
-no side becomes a canonical `Matrix` or element.  Brackets written as
-tables (quantum operator images, the rows of [C, -]) read the Koszul sign
-from `WeilAlgebra.bracket_sides`; `products_into` checks them by its own.
+`products_into` adds sign times a product, and `add_into` a rational
+multiple of an element or an accumulator, into a caller's accumulator.
+So an identity is checked by summing both of its sides, one negated,
+into one accumulator and asking `vanishes`: each key's sum is integer
+numerators over one denominator, so it is zero exactly when every
+numerator is.  Brackets written as tables (quantum operator images,
+the rows of [C, -]) read the Koszul sign from `WeilAlgebra.bracket_sides`;
+`products_into` checks them by its own.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -169,14 +168,10 @@ def vanishes(acc: dict) -> bool:
     return not any(map(any, map(itemgetter(0), acc.values())))
 
 
-def _sums(x):
-    """(key, (numerators, den)) per term of x, an accumulator or an element."""
-    return x.items() if type(x) is dict else [(k, (m.num, m.den)) for k, m in x.terms.items()]
-
-
 def add_into(acc: dict, x, p: int = 1, r: int = 1):
-    """acc += (p / r) x, x an element or an accumulator; p, r > 0 integers."""
-    for key, (num, den) in _sums(x):
+    """acc += (p / r) x, x an element or an accumulator; p, r integers, r > 0."""
+    sums = x.items() if type(x) is dict else [(k, (m.num, m.den)) for k, m in x.terms.items()]
+    for key, (num, den) in sums:
         accumulate(acc, key, num, den * r, p)
 
 
@@ -247,7 +242,7 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
                     accumulate(acc, key, num, den * r, c * p)
 
 
-# entries of each value's image table (`walk`); in perfbench's check jobs at seed
+# entries of each value's image table (`_apply`); in perfbench's check jobs at seed
 # 1000 (`image_table.cache_info()`) it hits 90% classically and 84% quantum-side on
 # so3 adjoint, missing only first lookups, and 35% and 55% on so3+so3, classically
 # 32% with 256 and 43% with 1,024, which adds about 0.1 MB to the job's peak RSS
@@ -350,26 +345,23 @@ class WeilAlgebra:
                 + [(1, k, yx * p, r) for k, p, r in self.mono_mul(key, k1)])
 
     def _apply(self, i, x):
-        """Operator i on x (`walk`)."""
-        acc = {}
-        self.walk(i, x, acc, 1)
-        return self.element(collect(acc, self.rep.dim))
-
-    def walk(self, i, x, acc, sign):
-        """acc += sign (operator i on x), x an element or an accumulator: term
-        key A adds its image table's plain terms times A and, per endo term,
-        tau_t A + s A tau_t from tau_t's cells unless it is 0."""
+        """Operator i on the element x: term key A adds its image table's
+        plain terms times A and, per endo term, tau_t A + s A tau_t from
+        tau_t's cells unless it is 0, summed in one accumulator."""
         image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices
-        for key, (num, den) in _sums(x):
+        acc = {}
+        for key, mat in x.terms.items():
+            num, den = mat.num, mat.den
             plain, endo = image(i, key)
             for k, p, r in plain:
-                accumulate(acc, k, num, den * r, sign * p)
+                accumulate(acc, k, num, den * r, p)
             for k, t, s, p, r in endo:
                 b = [0] * len(num)
                 for o, c, v in cells[t][s]:
                     b[o] += v * num[c]
                 if any(b):
-                    accumulate(acc, k, b, taus[t].den * den * r, sign * p)
+                    accumulate(acc, k, b, taus[t].den * den * r, p)
+        return self.element(collect(acc, self.rep.dim))
 
     # -- the curvature split -------------------------------------------------
 

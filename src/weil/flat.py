@@ -5,7 +5,7 @@ domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
 bound, and on it both defining operators (L_a for basic, the bracket with
 the curvature for flat) are sums of per-monomial table terms key (p / q)
 (l M A + r A M), A the matrix unit: L_a's from the monomial images
-`_image(a, (m, ()))` that `WeilAlgebra.walk` applies, the bracket's from
+`_image(a, (m, ()))` that `WeilAlgebra._apply` applies, the bracket's from
 the two sides of [k1 M, m A] per term k1 M of C - Z (`bracket_sides`).
 `_rows` writes the integer rows of the coordinate matrix from the
 operators' cell maps `Matrix._cells(l, r)`, and the kernel is taken in

@@ -51,7 +51,7 @@ def _fields(rows):
 
 def _rows_and_oracle(kind, lie, rep, samples, seed):
     """The rows and the oracle's rows, each on a fresh value of `kind`."""
-    return (ROWS[kind.KIND](kind(lie, rep), samples, seed, 4),
+    return (ROWS[kind.KIND](kind(lie, rep), samples, seed),
             ORACLE_ROWS[kind.KIND](kind(lie, rep), samples, seed, 4))
 
 
@@ -220,7 +220,7 @@ def _assert_witnesses_parse(alg, rows, seed):
 @pytest.mark.parametrize("mutant", list(MUTANTS), ids=lambda m: m.__name__)
 def test_each_mutant_fails_exactly_its_rows(so3, mutant):
     alg = mutant(so3.lie, so3.reps["adjoint"])
-    rows = ROWS[mutant.KIND](alg, 4, 1, 4)
+    rows = ROWS[mutant.KIND](alg, 4, 1)
     assert {r.name for r in rows if not r.passed} == MUTANTS[mutant]
     _assert_witnesses_parse(alg, rows, 1)
 
@@ -234,11 +234,11 @@ def test_a_defect_only_on_a_key_the_other_side_lacks_fails_its_row(so3):
     assert alg.contraction(0, alg.differential(one)).is_zero
     assert alg.differential(alg.contraction(0, one)).is_zero
     assert alg.lie_derivative(0, one) == alg.even_gen(0)
-    rows = {r.name: r for r in checks._classical_rows(alg, 2, 0, 4)}
+    rows = {r.name: r for r in checks._classical_rows(alg, 2, 0)}
     assert rows[CARTAN].detail.startswith("element 0 (seed 0), a=1: X = I; ")
     acc = {}
-    alg.walk(n, alg.differential(one), acc, 1)
-    alg.walk(2 * n, alg.contraction(0, one), acc, 1)
+    add_into(acc, alg._apply(n, alg.differential(one)))
+    add_into(acc, alg._apply(2 * n, alg.contraction(0, one)))
     add_into(acc, alg.lie_derivative(0, one), -1)
     assert list(acc) == [((1, 0, 0), ())] and not vanishes(acc)
 

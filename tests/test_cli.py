@@ -653,3 +653,21 @@ def test_structure_constants_above_the_cap_exit_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot load {path}: $.f: expected at most {MAX_F_ENTRIES} "
                           f"entries, got {MAX_F_ENTRIES + 1}"), err
+
+
+def test_samples_zero_leaves_out_the_rows_that_only_sample(capsys):
+    """With --samples 0 the classical suite leaves out its two restriction
+    rows and its lemma row, which would pass with no case; its operator
+    rows still run on the 1 + 3n generators, the quantum suite keeps all
+    15 rows, and `weil report` counts only the rows that ran."""
+    code, out, _ = run(["check", "--builtin", "so3", "--rep", "adjoint", "--classical",
+                        "--samples", "0"], capsys)
+    rows = [line for line in out.splitlines() if line.startswith(("pass", "FAIL"))]
+    assert code == 0 and len(rows) == 5 and rows[0].startswith("pass  cartan formula")
+    assert "restriction" not in out and "v^a L_a" not in out
+    code, out, _ = run(["report", "--builtin", "so3", "--samples", "0", "--max-degree", "0"],
+                       capsys)
+    assert code == 0
+    for rep in ("adjoint", "standard", "trivial"):
+        assert f"pass  so3 rep {rep} (classical): 5/5 identities\n" in out
+        assert f"pass  so3 rep {rep} (quantum): 15/15 identities\n" in out

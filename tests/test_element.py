@@ -16,7 +16,7 @@ import oracles
 from test_kernels import _so3_blocks
 from weil import (AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin,
                   load_algebra_file)
-from weil.checks import random_element, random_matrix
+from weil.checks import random_matrix
 from weil.element import (_products, accumulate, add_into, collect, products_into,
                           supercommutator, vanishes)
 from weil.linalg import Matrix
@@ -265,60 +265,11 @@ def test_vanishes_only_when_every_key_sums_to_zero():
     assert vanishes(acc)
 
 
-SIGN_CONTEXTS = [(mod, ALGEBRAS[name].lie, ALGEBRAS[name].reps[rep])
-                 for mod, name, rep in SETTINGS + [(QuantumAlgebra, "so3/2", "adjoint")]]
-
-
-@pytest.mark.parametrize("mod,lie,rep", SIGN_CONTEXTS,
-                         ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
-def test_apply_into_with_sign_minus_one_cancels_the_operator(mod, lie, rep):
-    """For every operator i, a walk with sign -1 and then _apply added
-    vanishes, and a walk with sign -1 alone collects to -_apply bit for
-    bit."""
-    alg = mod(lie, rep)
-    rng = random.Random(5)
-    for _ in range(6):
-        x = random_element(alg, rng, max_degree=4)
-        for i in range(2 * lie.dim + 1):
-            acc = {}
-            alg.walk(i, x, acc, -1)
-            add_into(acc, alg._apply(i, x))
-            assert vanishes(acc), i
-            acc = {}
-            alg.walk(i, x, acc, -1)
-            neg = collect(acc, rep.dim)
-            _same_bits(alg.element(neg), -alg._apply(i, x))
-
-
-def _walk_contexts():
-    """(kind, lie, rep): so3 adjoint and standard and so3+so3 adjoint, both
-    kinds."""
+def _adjoint_contexts():
+    """(kind, lie, rep): so3 adjoint and so3+so3 adjoint, both kinds."""
     so3, pair = builtin("so3"), _so3_blocks(2)
-    reps = [(so3.lie, so3.reps["adjoint"]), (so3.lie, so3.reps["standard"]),
-            (pair, adjoint_rep(pair))]
+    reps = [(so3.lie, so3.reps["adjoint"]), (pair, adjoint_rep(pair))]
     return [(mod, lie, rep) for mod in (ClassicalAlgebra, QuantumAlgebra) for lie, rep in reps]
-
-
-@pytest.mark.parametrize("mod,lie,rep", _walk_contexts(),
-                         ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
-def test_walk_matches_each_operator_apart(mod, lie, rep):
-    """walk(i, x, acc, +-1) into an empty accumulator collects to +-_apply(i,
-    x) bit for bit for every operator i, from the element x and from an
-    accumulator holding x unreduced (x / 2 added twice)."""
-    alg = mod(lie, rep)
-    rng = random.Random(11)
-    for _ in range(4):
-        x = random_element(alg, rng, max_degree=3)
-        halves = {}
-        add_into(halves, x, 1, 2)
-        add_into(halves, x, 1, 2)
-        for i in range(2 * lie.dim + 1):
-            want = alg._apply(i, x)
-            for source in (x, halves):
-                for sign in (1, -1):
-                    acc = {}
-                    alg.walk(i, source, acc, sign)
-                    _same_bits(alg.element(collect(acc, rep.dim)), want * sign)
 
 
 def _side_pairs(n):
@@ -334,7 +285,7 @@ def _side_pairs(n):
             ((u(0), (0,)), (u(n - 1), (n - 1,)))]
 
 
-@pytest.mark.parametrize("mod,lie,rep", [c for c in _walk_contexts() if c[2].name == "adjoint"],
+@pytest.mark.parametrize("mod,lie,rep", _adjoint_contexts(),
                          ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
 def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
     """The sides of [k1 M, key A], side s applied through M's cells (1 - s,
@@ -455,8 +406,8 @@ def test_cell_rule_is_tau_a_plus_s_a_tau(case):
     + r A M on A's numerators as two `_mul_num` products give it,
     numerators and denominator, for M = tau_t or a dense fractional
     matrix and each of (1, +-1), (1, 0) and (0, 1).  For M = tau_t and (1,
-    s), a walk's evaluation of tau_t's cells gives the same, and the walk
-    skips a zero bracket.  The examples take sl2's
+    s), `_apply`'s evaluation of tau_t's cells gives the same, and a zero
+    bracket gives no term.  The examples take sl2's
     diagonal h, whose cells at (i, j) -> (i, j) sum one entry of each
     half, and a dense M over 6 on one side."""
     lie, rep, t, m, (l, r), a = case
@@ -473,9 +424,8 @@ def test_cell_rule_is_tau_a_plus_s_a_tau(case):
         return  # no element has a zero End V part
     alg, key = ClassicalAlgebra(lie, rep), ((0,) * lie.dim, ())
     vars(alg)["image_table"] = lambda i, k: ((), ((k, t, r, 1, 1),))  # one endo term
-    acc = {}
-    alg.walk(0, alg.element({key: a}), acc, 1)
-    assert acc == ({key: (want, den)} if any(want) else {})
+    got = alg._apply(0, alg.element({key: a}))
+    assert got.terms == ({key: Matrix._canonical(rep.dim, rep.dim, want, den)} if any(want) else {})
 
 
 def _render_contexts():
