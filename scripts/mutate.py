@@ -41,45 +41,56 @@ FOOTPRINT = ["tests/test_footprint.py"]
 INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
 INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
 REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_with_its_detail"]
-BRACKET_SIDES = ["tests/test_element.py::test_bracket_sides_sum_to_the_numeric_bracket"]
+BRACKET_TERMS = ["tests/test_element.py::test_bracket_sides_sum_to_the_numeric_bracket"]
+ALPHABET = ["tests/test_element.py::test_the_alphabet_stays_bounded"]
+SPLIT_PRODUCTS = ["tests/test_quantum.py::test_images_sum_terms_over_differing_denominators"]
 PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
 ROWS_UNDER_MUTANTS = ["tests/test_checks.py::test_rows_match_the_oracle_under_mutants"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
-# every table that reads `bracket_sides`: quantum images, flat rows, the [C, -] row
-SIDES = [*BRACKET_SIDES, *QUANTUM_TABLES, *WRITTEN_ROWS, *ROWS_ORACLE]
+# every table that reads `bracket_terms`: quantum images, flat rows, the [C, -] row
+SIDES = [*BRACKET_TERMS, *QUANTUM_TABLES, *WRITTEN_ROWS, *ROWS_ORACLE]
 
 # (name, file, old text, new text, tests)
 MUTANTS = [
-    ("cells: A M half with r fixed at -1", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + t, j * n + i] += -v",
+    ("cells: A M half with s fixed at -1", "src/weil/linalg.py",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] += -v",
      BRACKET_CELLS),
     ("cells: A M half transposed", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + i, j * n + t] += r * v",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + i, j * n + t] += s * v",
      BRACKET_CELLS),
     ("cells: a duplicate (out, in) overwritten, not summed", "src/weil/linalg.py",
-     "cells[j * n + t, j * n + i] += r * v", "cells[j * n + t, j * n + i] = r * v",
+     "cells[j * n + t, j * n + i] += s * v", "cells[j * n + t, j * n + i] = s * v",
      BRACKET_CELLS),
-    ("cells: M A half ignores l", "src/weil/linalg.py",
-     "cells[i * n + j, t * n + j] += l * v", "cells[i * n + j, t * n + j] += v",
+    ("cells: M A half also times s", "src/weil/linalg.py",
+     "cells[i * n + j, t * n + j] += v", "cells[i * n + j, t * n + j] += s * v",
      [*WRITTEN_ROWS, "tests/test_element.py::test_cell_rule_is_tau_a_plus_s_a_tau"]),
-    ("quantum split over r, not 2r", "src/weil/quantum.py",
-     "(k, t, s, p, 2 * r)", "(k, t, s, p, r)", QUANTUM_TABLES),
-    ("quantum split drops {tau, A}", "src/weil/quantum.py",
+    ("letters: s flipped when registered", "src/weil/element.py",
+     "self.letters.append((mat, s, mat._cells(s)))",
+     "self.letters.append((mat, -s, mat._cells(-s)))", [*CLASSICAL_TABLES, *ALPHABET]),
+    ("letters: each lookup registers a new letter", "src/weil/element.py",
+     "t = self._letter_ids.get((mat, s))", "t = None", ALPHABET),
+    ("quantum split over r, not 2r", "src/weil/element.py",
+     "(k, self.letter(part, s), p, 2 * r)", "(k, self.letter(part, s), p, r)", QUANTUM_TABLES),
+    ("quantum split drops {tau, A}", "src/weil/element.py",
      "((1, pl + pr), (-1, pl - pr))", "((-1, pl - pr),)", QUANTUM_TABLES),
-    ("quantum split drops [tau, A]", "src/weil/quantum.py",
+    ("quantum split drops [tau, A]", "src/weil/element.py",
      "((1, pl + pr), (-1, pl - pr))", "((1, pl + pr),)", QUANTUM_TABLES),
-    ("classical endo terms with s = +1", "src/weil/classical.py",
-     "endo_terms.append((key, t, -1, p, r))", "endo_terms.append((key, t, 1, p, r))",
-     CLASSICAL_TABLES),
+    ("bracket_terms: the M A side overwrites its key's sum", "src/weil/element.py",
+     "accumulate(sums, (k, part), (p1 * p, 0), r * r1)",
+     "sums[k, part] = ((p1 * p, 0), r * r1)", SPLIT_PRODUCTS),
+    ("classical End V images with s = +1", "src/weil/classical.py",
+     "self.letter(t, -1)", "self.letter(t, 1)", CLASSICAL_TABLES),
     ("quantum yx half unsigned", "src/weil/element.py",
      "yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1", "yx = -1",
-     [*BRACKET_SIDES, *QUANTUM_TABLES]),
+     [*BRACKET_TERMS, *QUANTUM_TABLES]),
     ("quantum M A and A M sides swapped", "src/weil/element.py",
-     "[(0, k, p, r) for k, p, r in self.mono_mul(k1, key)]\n                + [(1, k,",
-     "[(1, k, p, r) for k, p, r in self.mono_mul(k1, key)]\n                + [(0, k,", SIDES),
+     "(p1 * p, 0), r * r1)\n            for k, p, r in self.mono_mul(key, k1):\n"
+     "                accumulate(sums, (k, part), (0, yx * p1 * p)",
+     "(0, p1 * p), r * r1)\n            for k, p, r in self.mono_mul(key, k1):\n"
+     "                accumulate(sums, (k, part), (yx * p1 * p, 0)", SIDES),
     ("_cancel adds the pivot row", "src/weil/linalg.py",
      "y = row.get(j, 0) - v * x", "y = row.get(j, 0) + v * x", ["tests/test_linalg.py"]),
     ("closure: curvature images counted as 0", "src/weil/flat.py",
@@ -106,8 +117,8 @@ MUTANTS = [
      'print(f"      {r.name}: {r.detail}")', "pass", REPORT_DETAIL),
     ("flat rows: E_ij M half added, not subtracted", "src/weil/element.py",
      "len(key[1]) & 1 else -1", "len(key[1]) & 1 else 1", SIDES),
-    ("basic rows: endo terms with s = +1", "src/weil/flat.py",
-     "(a, k, taus[t], 1, s, p, r)", "(a, k, taus[t], 1, 1, p, r)", WRITTEN_ROWS),
+    ("rows: every letter's cells taken with s = +1", "src/weil/flat.py",
+     "maps = {t: (cells, mat.den)", "maps = {t: (mat._cells(1), mat.den)", WRITTEN_ROWS),
     ("gamma cross-check as an assert", "src/weil/quantum.py",
      "if third * Fraction(1, 3) != gamma:\n            raise AssertionError(",
      "assert third * Fraction(1, 3) == gamma, (", SOURCE_SCAN),
@@ -126,8 +137,8 @@ MUTANTS = [
      "range(node.exponent - 1)", "range(node.exponent - 2)", POWERS),
     ("cli imports checks at module level", "src/weil/cli.py",
      "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
-    ("quantum images skip tau_t terms in the other tensor factor", "src/weil/quantum.py",
-     "if t is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
+    ("brackets skip non-scalar parts in the other tensor factor", "src/weil/element.py",
+     "if c is not None and ((no_even", "if ((no_even", QUANTUM_TABLES),
     ("supercommuting halves summed as m1 m2 + m2 m1", "src/weil/element.py",
      "num = list(map(sub, num, m2._mul_num(m1)[0]))",
      "num = list(map(add, num, m2._mul_num(m1)[0]))", PRODUCTS),
@@ -135,11 +146,11 @@ MUTANTS = [
      "den = lcm(*{q.denominator for q in qs})", "den = max(q.denominator for q in qs)",
      RANDOM_DRAWS),
     ("row table: scalar entries drop {tau, I} at the first letter too", "src/weil/checks.py",
-     "if scalar and not word and s == -1:", "if scalar and not word:", ROWS_ORACLE),
+     "scalar and not word and letters[t][1] == -1", "scalar and not word", ROWS_UNDER_MUTANTS),
     ("row table: each row keeps only its first key'", "src/weil/checks.py",
      "entry.append((index, parts))", "entry.append((index, parts[:1]))", ROWS_UNDER_MUTANTS),
     ("row table: [C, -] adds the right product", "src/weil/element.py",
-     "[(1, k, yx * p, r)", "[(1, k, -yx * p, r)", SIDES),
+     "(0, yx * p1 * p)", "(0, -yx * p1 * p)", SIDES),
     ("restriction rows: a key's d image drops its first term", "src/weil/checks.py",
      "alg.differential(alg.element({key: ident}))",
      "alg.element(dict(list(alg.differential(alg.element({key: ident})).terms.items())[1:]))",

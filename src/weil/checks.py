@@ -11,9 +11,11 @@ when the sum vanishes.  Each key's sum is kept over one common
 denominator, so that test is exact.  The operator rows are linear in the
 element, and a pool repeats its term keys, so each row is composed once
 per term key (`_composite_rows`): the key's images under the row's
-operators, with the End V letters each applied, summed per result key
-into one End V map.  A term of an element applies its key's maps to its
-End V part; none of d x, L_a x and iota_a x is built.
+operators and, for d.d, its bracket with the curvature
+(`WeilAlgebra.bracket_terms`), each a word of the value's End V
+letters, summed per result key into one End V map.  A term of an
+element applies its key's maps to its End V part; none of d x, L_a x
+and iota_a x is built.
 
 The restriction check uses an independently written differential on the
 scalar Weil algebra (no endomorphism factor), built as a sum of partial
@@ -216,26 +218,14 @@ def _composite_rows(alg, curv):
     dd = 2n + n^2, each case one side minus the other.  An entry lists, per
     row that does not vanish on key A, its parts (key', cells, den): the
     row sends key A to the sum of key' (cells on A's numerators) / den.
-    A row is composed as (key', word) -> coefficient, a word being the End
-    V letters its operators applied, and each key's words are summed into
-    one map; [C, -] adds each curvature term's `bracket_sides`, as letter
-    M A or A M or as c for M = c I.  With `scalar` the maps read A = c I
-    off its cell 0, for the terms whose End V part is c I; then a word that
-    starts with a commutator [tau_t, I] = 0 is dropped before the second
-    operator.  For correct operators every entry is empty."""
-    n, dim = alg.lie.dim, alg.rep.dim
+    A row is composed as (key', word) -> coefficient, a word being the
+    letters (`WeilAlgebra.letters`) its operators applied, and each key's
+    words are summed into one map; [C, -] adds `bracket_terms(C, key)`.
+    With `scalar` the maps read A = c I off its cell 0, for the terms whose
+    End V part is c I; then a word whose first letter is a commutator
+    [M, I] = 0 is dropped.  For correct operators every entry is empty."""
+    n, dim, letters = alg.lie.dim, alg.rep.dim, alg.letters
     image, brackets, d = alg.image_table, alg.lie.pair_brackets(), 2 * n
-    # letter (m, l, r): the cells of A -> l M A + r A M over M.den, for tau_t's
-    # bracket (t, 1, s) and each side of a curvature part M that is not c I
-    letters = {(t, 1, s): (cells[s], tau.den)
-               for t, (tau, cells) in enumerate(zip(alg.rep.matrices, alg.bracket_cells))
-               for s in (1, -1)}
-    curv_terms = []
-    for kc, mat in curv.terms.items():
-        c, m = mat._scalar(), n + len(curv_terms)
-        curv_terms.append((kc, c, mat.den, m))
-        for l, r in ((1, 0), (0, 1)) if c is None else ():
-            letters[m, l, r] = mat._cells(l, r), mat.den
     # the empty word: the identity, or A -> A[0, 0] I, which agrees with it on c I
     maps = {((), False): (tuple((o, o, 1) for o in range(dim * dim)), 1),
             ((), True): (tuple((o * (dim + 1), 0, 1) for o in range(dim)), 1)}
@@ -246,7 +236,7 @@ def _composite_rows(alg, curv):
         (cells, den)."""
         if (word, scalar) not in maps:
             inner, den = word_map(word[:-1], scalar)
-            last, lden = letters[word[-1]]
+            mat, _, last = letters[word[-1]]
             into = {}
             for o, c, v in inner:
                 into.setdefault(o, []).append((c, v))
@@ -255,22 +245,22 @@ def _composite_rows(alg, curv):
                 for c1, v1 in into.get(c, ()):
                     cells[o, c1] = cells.get((o, c1), 0) + v * v1
             maps[word, scalar] = (tuple((o, c, v) for (o, c), v in cells.items() if v),
-                                  den * lden)
+                                  den * mat.den)
         return maps[word, scalar]
 
     def compose(key, scalar):
+        def add(acc, terms, word, p, r, sign):  # acc += sign (p / r) terms after word
+            for k, t, q, u in terms:
+                if t is None:
+                    accumulate(acc, (k, word), (p * q,), r * u, sign)
+                elif not (scalar and not word and letters[t][1] == -1):  # else [M, I] = 0
+                    accumulate(acc, (k, word + (t,)), (p * q,), r * u, sign)
+
         def walk(state, routes):  # acc += sign (operator i on state) per route (i, acc, sign)
             for (k0, word), ((p,), r) in state.items():
-                if not p:
-                    continue
-                for i, acc, sign in routes:
-                    plain, endo = image(i, k0)
-                    for k, q, u in plain:
-                        accumulate(acc, (k, word), (p * q,), r * u, sign)
-                    for k, t, s, q, u in endo:
-                        if scalar and not word and s == -1:
-                            continue  # [tau_t, I] = 0
-                        accumulate(acc, (k, word + ((t, 1, s),)), (p * q,), r * u, sign)
+                if p:
+                    for i, acc, sign in routes:
+                        add(acc, image(i, k0), word, p, r, sign)
 
         def routes(first, accs):  # operator first + a into accs[a]
             return [(first + a, acc, 1) for a, acc in enumerate(accs)]
@@ -279,12 +269,7 @@ def _composite_rows(alg, curv):
         walk({(key, ()): ((1,), 1)}, [(d, dk, 1), *routes(0, lk), *routes(n, ik)])
         rows = [{} for _ in range((n + 1) ** 2)]
         walk(dk, [*routes(n, rows[:n]), *routes(0, rows[n:2 * n]), (d, rows[-1], 1)])
-        for kc, c, den, m in curv_terms:  # - [kc M, key A]
-            for side, k, p, r in alg.bracket_sides(kc, key):
-                if c is None:
-                    accumulate(rows[-1], (k, ((m, 1 - side, side),)), (p,), r, -1)
-                else:
-                    accumulate(rows[-1], (k, ()), (c * p,), den * r, -1)
+        add(rows[-1], alg.bracket_terms(curv, key), (), 1, 1, -1)  # - [C, key A]
         for b in range(n):
             add_into(rows[b], lk[b], -1)
             walk(lk[b], ((d, rows[n + b], -1),))

@@ -9,7 +9,8 @@ L_a, iota_a and d are derivations, each given by its images of v^c, y^c
 and End V (read off `LieData.pair_brackets`, see `derivations`) and
 extended to products by one Leibniz rule over generator images: that
 rule is the value's `_image` of one monomial, which the shared
-`element.WeilAlgebra._apply` reads from the value's image table.
+`element.WeilAlgebra._apply` reads from the value's image table.  Every
+End V image is a commutator [tau_b, A], the letter (tau_b, -1).
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class _Derivation(NamedTuple):
     """A derivation D by its generator images.
 
     An image is a sequence of terms (g, w, p, r, t): (p / r) v^g y^w times
-    the End V part, which is [tau_t, A] for an index t and else the term's
-    own A; p and r > 0 are integers, and g and t are None for no v and no
-    tau.
+    the End V part, which is letter t on A, a commutator [tau_b, A], and
+    else the term's own A; p and r > 0 are integers, and g and t are None
+    for no v and no letter.
     """
 
     odd: bool
@@ -55,10 +56,10 @@ def _monomial_image(der: _Derivation, s, e):
       + sum_j (-1)^(j |D|) v^s y^(e<j) D(y^(e_j)) y^(e>j) A
       + (-1)^(|e| |D|) v^s y^e D(A)
 
-    as (plain, endo): the v- and y-slot terms summed per key by
-    `element.accumulate`, (key, p, r) for key times (p / r) A with zero
-    sums dropped, and the End V slot, (key, t, -1, p, r) for key times
-    (p / r) [tau_t, A].  Terms whose y-word repeats an index are dropped.
+    as terms (key, t, p, r): first the v- and y-slot terms summed per key
+    by `element.accumulate`, t None for key times (p / r) A, zero sums
+    dropped, then the End V slot's, key times (p / r) letter t on A.
+    Terms whose y-word repeats an index are dropped.
     """
     odd, vs, ys, endo = der
     # (v part, multiplicity, y's before, y's after, sign, image) per factor
@@ -80,10 +81,10 @@ def _monomial_image(der: _Derivation, s, e):
                 ws, word = 1, before + after
             key, p = (base if g is None else _bump(base, g, 1), word), p * k * sign * ws
             if t is not None:
-                endo_terms.append((key, t, -1, p, r))
+                endo_terms.append((key, t, p, r))
             else:
                 element.accumulate(plain, key, (p,), r)
-    return tuple((key, p, r) for key, ((p,), r) in plain.items() if p), tuple(endo_terms)
+    return tuple((key, None, p, r) for key, ((p,), r) in plain.items() if p) + tuple(endo_terms)
 
 
 class ClassicalAlgebra(element.WeilAlgebra):
@@ -112,12 +113,13 @@ class ClassicalAlgebra(element.WeilAlgebra):
                 ly[a].setdefault(c, []).append((None, (b,), -p, r, None))
                 dv.setdefault(c, []).append((b, (a,), -p, r, None))
                 dy[c].append((None, (a, b), -p, 2 * r, None))
-        lie_ders = tuple(_Derivation(False, lv[a], ly[a],
-                                     ((None, (), 1, 1, a),) if taus[a] else ())
-                         for a in range(n))
+        ids = [self.letter(t, -1) if t else None for t in taus]
+        lie_ders = tuple(_Derivation(False, lv[a], ly[a], ((None, (), 1, 1, t),) if taus[a] else ())
+                         for a, t in enumerate(ids))
         iotas = tuple(_Derivation(True, {}, {a: ((None, (), 1, 1, None),)}, ())
                       for a in range(n))
-        d = _Derivation(True, dv, dy, tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t))
+        d = _Derivation(True, dv, dy,
+                        tuple((None, (b,), 1, 1, t) for b, t in enumerate(ids) if taus[b]))
         return lie_ders + iotas + (d,)
 
     def _image(self, i, key):

@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rep", default="adjoint", help="representation name (default adjoint)")
         p.add_argument("--classical", action="store_true", help="classical algebra (default)")
         p.add_argument("--quantum", action="store_true", help="quantum algebra")
-        p.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
 
     p_validate = sub.add_parser("validate", help="run the validation reports")
     add_algebra_flags(p_validate)
@@ -309,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify every operator identity")
     add_algebra_flags(p_check)
     add_session_flags(p_check)
+    p_check.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
     p_check.add_argument("--samples", type=_int, default=50,
                          help=f"random elements per identity (default 50, at most {MAX_SAMPLES})")
     p_check.set_defaults(fn=cmd_check)
@@ -323,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flat = sub.add_parser("flat", help="basic/flat subspace tables up to a degree")
     add_algebra_flags(p_flat)
     add_session_flags(p_flat)
+    p_flat.add_argument("--seed", type=_int, default=0, help="seed for sampled checks")
     p_flat.add_argument("--max-degree", type=_int, default=2, dest="max_degree",
                         help="truncation degree N (default 2); C(n + N, n) dim V^2 "
                         f"must be at most {MAX_DOMAIN_COLUMNS}")

@@ -11,11 +11,15 @@ letters and joiner of their renderings.
 A `WeilAlgebra` is one algebra on a (lie, rep), classical or quantum:
 its element class, constructors, operators and curvature.  What a value
 derives is built on first use and kept on the value.  End V enters
-L_a, iota_a and d only through tau, so every End V part of an operator
-image is tau_t A + s A tau_t, s = +-1: a commutator, or quantum-side an
-anticommutator from the Clifford sign of d's x_a tau_a terms, each
-evaluated on A's numerators from tau_t's fixed cell map
-(`Matrix._cells(1, s)`), with no table.
+L_a, iota_a and d only through tau, and d.d through the curvature, so
+each acts on an End V part A as A -> M A + s A M, s = +-1: a
+commutator, or quantum-side an anticommutator from the Clifford sign of
+d's x_a tau_a terms.  The value's `letters` list these actions, each
+(M, s) once with its cell map (`Matrix._cells(s)`), and an operator
+image or a bracket names its End V action by letter id.  One table,
+`WeilAlgebra.bracket_terms`, writes [x, key A] in letters: the quantum
+operator images, the solver's rows of [C, -] and the [C, -] part of the
+d.d check rows all read it.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
@@ -32,9 +36,8 @@ multiple of an element or an accumulator, into a caller's accumulator.
 So an identity is checked by summing both of its sides, one negated,
 into one accumulator and asking `vanishes`: each key's sum is integer
 numerators over one denominator, so it is zero exactly when every
-numerator is.  Brackets written as tables (quantum operator images,
-the rows of [C, -]) read the Koszul sign from `WeilAlgebra.bracket_sides`;
-`products_into` checks them by its own.
+numerator is.  `products_into` is independent of `bracket_terms`, and
+the tests check the table by it.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -257,11 +260,11 @@ class WeilAlgebra:
     "quantum"; and `GRADED`, whether its operators have exact degrees (the
     flat solver then splits by degree).  It defines the cached `curvature`
     and `_image(i, key)`: operator i (L_a is a, iota_a is n + a, d is 2n)
-    on key A, as plain terms (key', p, r), key' (p / r) A, and endo terms
-    (key', t, s, p, r), key' (p / r) (tau_t A + s A tau_t) with s = +-1, in
-    integers with r > 0.  These make the algebra a curved dg algebra; their
-    degrees are exact when GRADED and bound the filtration degree otherwise.
-    Constructing a value builds nothing.
+    on key A, as terms (key', t, p, r), key' (p / r) times A for t None and
+    else times letter t on A (`letters`), in integers with r > 0.  These
+    make the algebra a curved dg algebra; their degrees are exact when
+    GRADED and bound the filtration degree otherwise.  Constructing a
+    value builds nothing.
     """
 
     lie: object
@@ -328,39 +331,74 @@ class WeilAlgebra:
         return lru_cache(maxsize=IMAGE_TABLE_SIZE)(partial(type(self)._image, weakref.proxy(self)))
 
     @cached_property
-    def bracket_cells(self):
-        """bracket_cells[t][s]: tau_t's cells (1, s), s = +-1."""
-        return [{s: tau._cells(1, s) for s in (1, -1)} for tau in self.rep.matrices]
+    def letters(self):
+        """The End V actions that images name: letter t is letters[t] = (M,
+        s, cells), A -> M A + s A M with M's `_cells(s)` over M.den.  Each
+        (M, s) is registered once, by `letter`."""
+        return []
+
+    @cached_property
+    def _letter_ids(self):
+        return {}  # (M, s) -> its index in `letters`
+
+    def letter(self, mat, s):
+        """The id of the letter A -> mat A + s A mat, registered on first use."""
+        t = self._letter_ids.get((mat, s))
+        if t is None:
+            t = self._letter_ids[mat, s] = len(self.letters)
+            self.letters.append((mat, s, mat._cells(s)))
+        return t
 
     @cached_property
     def mono_mul(self):
         """The product of two (even, odd) monomials (`Element._mono_mul`)."""
         return self.zero()._mono_mul
 
-    def bracket_sides(self, k1, key):
-        """[k1 M, key A] as terms (side, key', p, r), key' (p / r) times M A
-        (side 0, from k1 key) or A M (side 1, -(-1)^{|k1||key|} key k1)."""
-        yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
-        return ([(0, k, p, r) for k, p, r in self.mono_mul(k1, key)]
-                + [(1, k, yx * p, r) for k, p, r in self.mono_mul(key, k1)])
+    def bracket_terms(self, x, key):
+        """[x, key A] as terms (key', t, p, r): key' (p / r) times A for t
+        None, else times letter t applied to A; p and r > 0 are integers.
+
+        Per term k1 M of x the sides are k1 key (M A) and -(-1)^{|k1||key|}
+        key k1 (A M), summed per (key', M) into (pl, pr).  A c I part gives
+        the plain term key' (pl + pr) c I A, and none when k1 and key lie in
+        different tensor factors, whose sides cancel; any other part gives
+        the halves ((pl + pr) (M, +1) + (pl - pr) (M, -1)) / 2."""
+        no_even, no_odd = not any(key[0]), not key[1]
+        sums = {}  # (key', M or None) -> ((pl, pr), r): pl of the M A side, pr of A M
+        for k1, mat in x.terms.items():
+            c = mat._scalar()
+            if c is not None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
+                continue  # k1 and key lie in different tensor factors: the sides cancel
+            part, p1, r1 = (mat, 1, 1) if c is None else (None, c, mat.den)
+            yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
+            for k, p, r in self.mono_mul(k1, key):
+                accumulate(sums, (k, part), (p1 * p, 0), r * r1)
+            for k, p, r in self.mono_mul(key, k1):
+                accumulate(sums, (k, part), (0, yx * p1 * p), r * r1)
+        items = sums.items()
+        return (tuple((k, None, pl + pr, r) for (k, part), ((pl, pr), r) in items
+                      if part is None and pl + pr)
+                + tuple((k, self.letter(part, s), p, 2 * r) for (k, part), ((pl, pr), r) in items
+                        if part is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
 
     def _apply(self, i, x):
         """Operator i on the element x: term key A adds its image table's
-        plain terms times A and, per endo term, tau_t A + s A tau_t from
-        tau_t's cells unless it is 0, summed in one accumulator."""
-        image, cells, taus = self.image_table, self.bracket_cells, self.rep.matrices
+        terms, each key' (p / r) times A or times its letter on A unless
+        that is 0, summed in one accumulator."""
+        image, letters = self.image_table, self.letters
         acc = {}
         for key, mat in x.terms.items():
             num, den = mat.num, mat.den
-            plain, endo = image(i, key)
-            for k, p, r in plain:
-                accumulate(acc, k, num, den * r, p)
-            for k, t, s, p, r in endo:
+            for k, t, p, r in image(i, key):
+                if t is None:
+                    accumulate(acc, k, num, den * r, p)
+                    continue
+                m, _, cells = letters[t]
                 b = [0] * len(num)
-                for o, c, v in cells[t][s]:
+                for o, c, v in cells:
                     b[o] += v * num[c]
                 if any(b):
-                    accumulate(acc, k, b, taus[t].den * den * r, p)
+                    accumulate(acc, k, b, m.den * den * r, p)
         return self.element(collect(acc, self.rep.dim))
 
     # -- the curvature split -------------------------------------------------

@@ -4,16 +4,15 @@ Horizontal elements have no exterior / Clifford factor.  The solver's
 domain is the monomial-times-matrix-unit basis m (x) E_ij up to a degree
 bound, and on it both defining operators (L_a for basic, the bracket with
 the curvature for flat) are sums of per-monomial table terms key (p / q)
-(l M A + r A M), A the matrix unit: L_a's from the monomial images
-`_image(a, (m, ()))` that `WeilAlgebra._apply` applies, the bracket's from
-the two sides of [k1 M, m A] per term k1 M of C - Z (`bracket_sides`).
-`_rows` writes the integer rows of the coordinate matrix from the
-operators' cell maps `Matrix._cells(l, r)`, and the kernel is taken in
-integers; no domain vector or image is built as an element.  Degree
-means symmetric degree classically (where the operators are graded and
-the solve splits into per-degree blocks) and PBW degree quantum-side (a
-filtration: one solve on the whole <= N block).  A vector's level is
-its top degree.
+times A or a letter (M A + s A M) on A, A the matrix unit: L_a's from the
+monomial images `_image(a, (m, ()))` that `WeilAlgebra._apply` applies,
+the bracket's from `bracket_terms(C - Z, (m, ()))`, one table in one
+format.  `_rows` writes the integer rows of the coordinate matrix from
+the letters' cell maps, and the kernel is taken in integers; no domain
+vector or image is built as an element.  Degree means symmetric degree
+classically (where the operators are graded and the solve splits into
+per-degree blocks) and PBW degree quantum-side (a filtration: one solve
+on the whole <= N block).  A vector's level is its top degree.
 
 The flat subspace of the full algebra is derived, not solved.  The
 bracket with the even curvature C is a derivation, so once [C, x_a] = 0
@@ -156,44 +155,46 @@ class SubspaceResult:
 
 
 def _rows(alg, monos, table):
-    """The nonzero rows {column: int} of an operator's coordinate matrix on
-    the domain m (x) E_ij, m in `monos`, whose column (index of m) d^2 + i d
-    + j is that vector, keyed (tag, key, cell): entry `cell` of term `key`
-    of image `tag`.
+    """The nonzero rows {column: nonzero int} of an operator's coordinate
+    matrix on the domain m (x) E_ij, m in `monos`, whose column (index of
+    m) d^2 + i d + j is that vector, keyed (tag, key, cell): entry `cell`
+    of term `key` of image `tag`.
 
-    `table(m)` lists the operator on m (x) A as terms (tag, key, M, l, r,
-    p, q): key (p / q) (l M A + r A M), for integers l, r, p and q > 0.
-    Each triple (out, in, v) of M's `_cells(l, r)`, made once per (M, l,
-    r), is entry v at row (tag, key, out), column base + in, as numerators
-    over the lcm of the terms' q M.den.
+    `table(m)` lists the operator on m (x) A as pairs (tag, terms), the
+    terms (key, t, p, q) of `WeilAlgebra._image`: key (p / q) times A, or
+    letter t on A.  Each triple (out, in, v) of the letter's cells, or (o,
+    o, 1) for A, is entry v at row (tag, key, out), column base + in, as
+    numerators over the lcm of the terms' q M.den.
     """
     d2 = alg.rep.dim ** 2
     tables = [table(m) for m in monos]
-    den = lcm(*{q * mat.den for terms in tables for _, _, mat, _, _, _, q in terms})
-    maps, rows = {}, defaultdict(dict)
-    for base, terms in zip(range(0, d2 * len(monos), d2), tables):
-        for tag, key, mat, l, r, p, q in terms:
-            cells = maps.get((mat.num, l, r))
-            if cells is None:
-                cells = maps[mat.num, l, r] = mat._cells(l, r)
-            scale = p * (den // (q * mat.den))
-            for out, c, v in cells:
-                row, col = rows[tag, key, out], base + c
-                row[col] = row.get(col, 0) + scale * v
-    return {row_key: row for row_key, row in rows.items() if any(row.values())}
+    maps = {t: (cells, mat.den) for t, (mat, _, cells) in enumerate(alg.letters)}
+    maps[None] = tuple((o, o, 1) for o in range(d2)), 1
+    den = lcm(*{q * maps[t][1] for parts in tables for _, terms in parts for _, t, _, q in terms})
+    rows = defaultdict(dict)
+    for base, parts in zip(range(0, d2 * len(monos), d2), tables):
+        for tag, terms in parts:
+            for key, t, p, q in terms:
+                cells, mden = maps[t]
+                scale = p * (den // (q * mden))
+                for out, c, v in cells:
+                    row, col = rows[tag, key, out], base + c
+                    row[col] = row.get(col, 0) + scale * v
+    # a letter's halves can cancel at a cell: keep only the nonzero entries
+    rows = {row_key: {c: v for c, v in row.items() if v} for row_key, row in rows.items()}
+    return {row_key: row for row_key, row in rows.items() if row}
 
 
-def _solve_levels(alg, max_degree, table, check=None):
+def _solve_levels(alg, max_degree, table):
     """Kernel of the horizontal part up to max_degree, split into levels.
 
     One solve per degree block classically, one <= max_degree block
-    quantum-side, on the rows that `_rows` writes from `table`; `check`,
-    if given, is called with the set of term keys of a block's nonzero
-    rows and the block's monomials.  Columns are ordered by degree and a
-    normalized kernel vector lives on its free column and the pivot
-    columns before it, so its level is its top polynomial degree, and
-    those of level <= k are the normalized kernel of the <= k block.  A
-    kernel vector becomes an element by grouping its columns per monomial.
+    quantum-side, on the rows that `_rows` writes from `table`.  Columns
+    are ordered by degree and a normalized kernel vector lives on its
+    free column and the pivot columns before it, so its level is its top
+    polynomial degree, and those of level <= k are the normalized kernel
+    of the <= k block.  A kernel vector becomes an element by grouping
+    its columns per monomial.
     """
     n, d = alg.lie.dim, alg.rep.dim
     blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
@@ -201,8 +202,6 @@ def _solve_levels(alg, max_degree, table, check=None):
     basis = []
     for monos in blocks:
         rows = _rows(alg, monos, table)
-        if check is not None:
-            check({key for _, key, _ in rows}, monos)
         for nums, den in kernel([rows[row_key] for row_key in sorted(rows)], len(monos) * d * d):
             parts = {}
             for c, x in nums.items():
@@ -214,45 +213,31 @@ def _solve_levels(alg, max_degree, table, check=None):
 
 
 def basic_subspace(alg, max_degree) -> SubspaceResult:
-    """Horizontal solutions of L_a x = 0 for every a, up to max_degree.
-
-    L_a on m (x) A is read off `_image(a, (m, ()))`: a plain term key (p /
-    r) A, cells (1, 0) of I, and an endo term key (p / r) (tau_t A + s A
-    tau_t), cells (1, s) of tau_t."""
-    n, taus, ident = alg.lie.dim, alg.rep.matrices, Matrix.identity(alg.rep.dim)
-
-    def table(m):
-        terms = []
-        for a in range(n):
-            plain, endo = alg._image(a, (m, ()))
-            terms += [(a, k, ident, 1, 0, p, r) for k, p, r in plain]
-            terms += [(a, k, taus[t], 1, s, p, r) for k, t, s, p, r in endo]
-        return terms
-
-    return _solve_levels(alg, max_degree, table)
+    """Horizontal solutions of L_a x = 0 for every a, up to max_degree;
+    L_a on m (x) A is read off `_image(a, (m, ()))`."""
+    n = alg.lie.dim
+    return _solve_levels(alg, max_degree,
+                         lambda m: [(a, alg._image(a, (m, ()))) for a in range(n)])
 
 
 def flat_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree.
 
-    [C - Z, m (x) A] sums, over the terms k1 M of C - Z, the sides k1 m
-    (x) M A - m k1 (x) A M (`bracket_sides`, m even), M's cells (1, 0)
-    and (0, 1).  The nonzero rows must have no Clifford or exterior factor
-    and, classically, symmetric degree one more than the block's."""
-    curv = alg.bracketed_curvature.terms.items()
+    [C - Z, m (x) A] is `bracket_terms(C - Z, (m, ()))`.  Its terms must
+    have no Clifford or exterior factor and, classically, symmetric
+    degree one more than m's."""
+    curv = alg.bracketed_curvature
 
     def table(m):
-        return [(0, k, mat, 1 - side, side, p, r)
-                for k1, mat in curv for side, k, p, r in alg.bracket_sides(k1, (m, ()))]
-
-    def check(keys, monos):
-        for s, e in keys:
+        terms = alg.bracket_terms(curv, (m, ()))
+        for (s, e), _, _, _ in terms:
             if e != ():
                 raise AssertionError("the bracket with the curvature must stay horizontal")
-            if alg.GRADED and sum(s) != sum(monos[0]) + 1:
+            if alg.GRADED and sum(s) != sum(m) + 1:
                 raise AssertionError("bracket with C must raise symmetric degree by exactly 1")
+        return [(0, terms)]
 
-    return _solve_levels(alg, max_degree, table, check)
+    return _solve_levels(alg, max_degree, table)
 
 
 def inclusion_report(flat) -> dict:

@@ -12,10 +12,10 @@ they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
 the raw kernel `_mul_num` returns a product unreduced, for the element
 products and brackets to sum and reduce once per result key.  Every End
-V action of the operators and of the solver's rows, A -> l M A + r A M,
-is M's one cell map `_cells(l, r)`: integer triples (out cell, in cell,
-v), v times cell `in` of A's numerators added into cell `out`.  The
-brackets, `commutator` among them, are (1, s).  Entries leave as
+V action of the operators and of the solver's rows, A -> M A + s A M,
+is M's one cell map `_cells(s)`: integer triples (out cell, in cell, v),
+v times cell `in` of A's numerators added into cell `out`; `commutator`
+is s = -1.  Entries leave as
 `Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`);
 `render` prints them from the integers (`format_ratio`).
 
@@ -277,30 +277,30 @@ class Matrix:
         return NotImplemented
 
     def commutator(self, other) -> Matrix:
-        """ab - ba, canonical, from a's cells (1, -1) on b's numerators; both
+        """ab - ba, canonical, from a's cells(-1) on b's numerators; both
         matrices must be square of the same size."""
         if self.rows != self.cols or other.rows != other.cols:
             raise ValueError("commutator needs square matrices")
         self._check_same_shape(other)
         b, num = other.num, [0] * len(other.num)
-        for o, c, v in self._cells(1, -1):
+        for o, c, v in self._cells(-1):
             num[o] += v * b[c]
         return Matrix._canonical(self.rows, self.rows, num, self.den * other.den)
 
-    def _cells(self, l, r):
-        """The map A -> l self A + r A self of a square matrix, for integers
-        l and r, as triples (out cell, in cell, v): out[o] += v * A.num[c],
-        over self.den.  Entry (i, t) = v sends row t of A to row i, times
-        l, and column i to column t, times r; the triples are merged per
-        (out, in) and the zeros dropped."""
+    def _cells(self, s):
+        """The map A -> self A + s A self of a square matrix, for an integer
+        s, as triples (out cell, in cell, v): out[o] += v * A.num[c], over
+        self.den.  Entry (i, t) = v sends row t of A to row i, and column i
+        to column t, times s; the triples are merged per (out, in) and the
+        zeros dropped."""
         n, m = self.rows, self.num
         cells = defaultdict(int)
         for p in compress(range(n * n), m):
             i, t = divmod(p, n)
             v = m[p]
             for j in range(n):
-                cells[i * n + j, t * n + j] += l * v
-                cells[j * n + t, j * n + i] += r * v
+                cells[i * n + j, t * n + j] += v
+                cells[j * n + t, j * n + i] += s * v
         return tuple((o, c, v) for (o, c), v in cells.items() if v)
 
     def transpose(self) -> Matrix:

@@ -10,9 +10,11 @@ distinguished elements below make all three operators inner:
 
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
-`inner` holds these elements in the order of the operator table, each
-built on first use, and its `_image(i, key)` brackets inner[i] with one
-monomial for `element.WeilAlgebra._apply`.  Elements are sparse maps
+`inner` holds these elements in the order of the operator table, and
+its `_image(i, key)` brackets inner[i] with one monomial in the shared
+table `element.WeilAlgebra.bracket_terms`, for `_apply`: a tau_a part
+of inner[i] gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
+and a commutator, and a c I part a plain term.  Elements are sparse maps
 (PBW monomial, Clifford monomial) -> matrix, with the arithmetic of
 `element.Element`; this module supplies the monomial product (PBW times
 Clifford).  Parity is the Clifford length mod 2, the filtration degree
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import element
-from .element import accumulate, supercommutator
+from .element import supercommutator
 from .kernels import add_term, cliff_mono_mul, pbw_mono_mul
 from .lie import trivial_rep
 from .linalg import Matrix
@@ -118,36 +120,17 @@ class QuantumAlgebra(element.WeilAlgebra):
 
     # -- operators: all three are inner -------------------------------------------
 
-    @cached_property
-    def _operator_terms(self) -> dict:
-        return {}  # i -> `_inner_terms(i)`, filled per index on first use
-
-    def _inner_terms(self, i):
-        """The terms of `_inner_element(i)` as (key, t, p, r): key (p / r) I
-        for t None, else key tau_t."""
-        if i not in self._operator_terms:
-            self._operator_terms[i] = tuple(
-                (key, None, c, m.den) if (c := m._scalar()) is not None
-                else (key, self.rep.matrices.index(m), 1, 1)
-                for key, m in self._inner_element(i).terms.items())
-        return self._operator_terms[i]
-
     def _image(self, i, key):
-        """[inner[i], key A], per term k1 M of inner[i] its two sides
-        (`bracket_sides`), summed per (key', t) into (pl, pr) by `accumulate`.
-        A c I part M gives the plain term (pl + pr) A, a tau_t part the endo
-        terms ((pl + pr) {tau_t, A} + (pl - pr) [tau_t, A]) / 2, each over 2r."""
-        no_even, no_odd = not any(key[0]), not key[1]
-        sums = {}  # (key', t) -> ((pl, pr), r): pl of the M A side, pr of A M
-        for k1, t, p1, r1 in self._inner_terms(i):
-            if t is None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
-                continue  # k1 and key lie in different tensor factors: the sides cancel
-            for side, k, p, r in self.bracket_sides(k1, key):
-                accumulate(sums, (k, t), (0, p1 * p) if side else (p1 * p, 0), r * r1)
-        return (tuple((k, pl + pr, r) for (k, t), ((pl, pr), r) in sums.items()
-                      if t is None and pl + pr),
-                tuple((k, t, s, p, 2 * r) for (k, t), ((pl, pr), r) in sums.items()
-                      if t is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
+        """[inner[i], key A] (`bracket_terms`).  inner[i] is built once per
+        index, not with all of `inner`, so that L_a and iota_a build
+        neither gamma nor D."""
+        if i not in self._inner_built:
+            self._inner_built[i] = self._inner_element(i)
+        return self.bracket_terms(self._inner_built[i], key)
+
+    @cached_property
+    def _inner_built(self) -> dict:
+        return {}  # i -> `_inner_element(i)`, filled on first use
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one

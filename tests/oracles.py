@@ -579,9 +579,10 @@ def differential(x: ClassicalElement) -> ClassicalElement:
     return ClassicalElement(lie, rep, out)
 
 
-def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
-    """D(x) for a derivation of `ClassicalAlgebra.derivations` by the
-    Leibniz rule, slot by slot for every term v^s y^e A of every call:
+def slot_leibniz(der, letters, x: ClassicalElement) -> ClassicalElement:
+    """D(x) for a derivation of `ClassicalAlgebra.derivations`, whose End
+    V image names letter t of `letters` for [M, A], M = letters[t][0], by
+    the Leibniz rule, slot by slot for every term v^s y^e A of every call:
 
         sum_c s_c v^(s - e_c) D(v^c) y^e A
       + sum_j (-1)^(j |D|) v^s y^(e<j) D(y^(e_j)) y^(e>j) A
@@ -591,7 +592,6 @@ def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
     a term's y-word is checked before its commutator is computed.
     """
     odd, vs, ys, endo = der.odd, der.v, der.y, der.endo
-    taus = x.rep.matrices
     acc = {}
     for (s, e), mat in x.terms.items():
         # (v part, multiplicity, y's before, y's after, sign, image) per factor
@@ -614,7 +614,7 @@ def slot_leibniz(der, x: ClassicalElement) -> ClassicalElement:
                 if t is None:
                     num, den = mat.num, mat.den
                 else:
-                    cm = taus[t].commutator(mat)
+                    cm = letters[t][0].commutator(mat)
                     if not cm:
                         continue
                     num, den = cm.num, cm.den

@@ -97,10 +97,8 @@ class _OffDegreeLieDerivative(ClassicalAlgebra):
     there) lacks."""
 
     def _image(self, i, key):
-        plain, endo = super()._image(i, key)
-        if i == 0:
-            plain += (((_bump(key[0], 0, 1), key[1]), 1, 1),)
-        return plain, endo
+        terms = super()._image(i, key)
+        return terms + (((_bump(key[0], 0, 1), key[1]), None, 1, 1),) if i == 0 else terms
 
 
 def _scaled(image, k):
@@ -141,8 +139,8 @@ class _LieDerivativeWithoutTau(QuantumAlgebra):
     """L_a = [u_a + g_a, -], its End V terms dropped: [L_a, d] != 0."""
 
     def _image(self, i, key):
-        plain, endo = super()._image(i, key)
-        return (plain, ()) if i < self.lie.dim else (plain, endo)
+        terms = super()._image(i, key)
+        return tuple(term for term in terms if term[1] is None) if i < self.lie.dim else terms
 
 
 class _LieDerivativeWithoutG(QuantumAlgebra):

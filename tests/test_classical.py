@@ -303,7 +303,7 @@ def test_tables_match_the_slot_oracle(drawn):
     for y in (x, x * q, c.differential(x)):
         for op, der in ops:
             got = op(y)
-            assert _bits(got) == _bits(oracles.slot_leibniz(der, y))
+            assert _bits(got) == _bits(oracles.slot_leibniz(der, c.letters, y))
             assert all(got.terms.values())
     info = c.image_table.cache_info()
     assert info.maxsize == ew.IMAGE_TABLE_SIZE and info.currsize <= ew.IMAGE_TABLE_SIZE

@@ -470,8 +470,8 @@ def test_abelian_zero_keeps_its_range_message(capsys):
     assert code == 2 and out == "" and "abelian(n) needs 1 <= n" in err
 
 
-INT_FLAGS = [("check", "--seed"), ("check", "--samples"), ("eval", "--seed"),
-             ("flat", "--seed"), ("flat", "--max-degree"), ("flat", "--samples"),
+INT_FLAGS = [("check", "--seed"), ("check", "--samples"), ("flat", "--seed"),
+             ("flat", "--max-degree"), ("flat", "--samples"),
              ("report", "--max-degree"), ("report", "--samples"), ("report", "--seed")]
 
 
@@ -612,7 +612,8 @@ def test_eval_unknown_option_exits_two(capsys):
     for argv in (["eval", "--builtin", "so3", "--bogus", "u1"],
                  ["eval", "--builtin", "so3", "--bogus"],
                  ["eval", "--builtin", "so3", "-u1", "-u2"],
-                 ["check", "--builtin", "so3", "-u1"]):
+                 ["check", "--builtin", "so3", "-u1"],
+                 ["eval", "--builtin", "so3", "--seed", "1", "u1"]):  # eval draws nothing
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "", argv
         assert "unrecognized arguments" in err, argv

@@ -16,7 +16,9 @@ import oracles
 from test_kernels import _so3_blocks
 from weil import (AlgebraDef, ClassicalAlgebra, LieData, QuantumAlgebra, adjoint_rep, builtin,
                   load_algebra_file)
+from weil import checks
 from weil.checks import random_matrix
+from weil.flat import flat_subspace
 from weil.element import (_products, accumulate, add_into, collect, products_into,
                           supercommutator, vanishes)
 from weil.linalg import Matrix
@@ -288,23 +290,32 @@ def _side_pairs(n):
 @pytest.mark.parametrize("mod,lie,rep", _adjoint_contexts(),
                          ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
 def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
-    """The sides of [k1 M, key A], side s applied through M's cells (1 - s,
-    s), sum to supercommutator(k1 M, key A) bit for bit, for random M and
-    A on each pair of `_side_pairs`."""
+    """The terms of `bracket_terms(x, key)`, each letter applied through
+    its cells, sum to supercommutator(x, key A) bit for bit, for random M
+    and A on each pair of `_side_pairs` and x = k1 M plus c I parts on u_n
+    and x_1, one in each tensor factor: quantum-side each is skipped
+    against a key in the other factor only."""
     alg = mod(lie, rep)
     rng = random.Random(13)
-    for k1, key in _side_pairs(lie.dim):
+    n, ident = lie.dim, Matrix.identity(rep.dim)
+    z = (0,) * n
+    scalars = alg.element({(z[:-1] + (1,), ()): ident * Fraction(-2, 3), (z, (0,)): ident * 3})
+    for k1, key in _side_pairs(n):
         for _ in range(3):
             m, a = random_matrix(rng, rep.dim), random_matrix(rng, rep.dim)
             if not m or not a:
                 continue
-            acc = {}
-            for side, k, p, r in alg.bracket_sides(k1, key):
+            x, acc = alg.element({k1: m}) + scalars, {}
+            for k, t, p, r in alg.bracket_terms(x, key):
+                if t is None:
+                    accumulate(acc, k, a.num, a.den * r, p)
+                    continue
+                mat, s, cells = alg.letters[t]
                 out = [0] * len(a.num)
-                for o, c, v in m._cells(1 - side, side):
+                for o, c, v in cells:
                     out[o] += v * a.num[c]
-                accumulate(acc, k, out, m.den * a.den * r, p)
-            want = supercommutator(alg.element({k1: m}), alg.element({key: a}))
+                accumulate(acc, k, out, mat.den * a.den * r, p)
+            want = supercommutator(x, alg.element({key: a}))
             _same_bits(alg.element(collect(acc, rep.dim)), want)
 
 
@@ -333,10 +344,11 @@ def _keys_to_degree_two(n):
 
 
 def test_every_endo_term_is_tau_a_plus_s_a_tau():
-    """Every endo term (key', t, s, p, r) of every operator's image of every
-    key up to degree 2 has s = +-1, p != 0 and r > 0, on every builtin,
-    rep and kind; classically s = -1 (a commutator), and the quantum d on
-    so3 adjoint has anticommutators (s = +1)."""
+    """Every letter term (key', t, p, r) of every operator's image of every
+    key up to degree 2 names a letter (tau_b, s) with tau_b nonzero, s =
+    +-1 and cells `tau_b._cells(s)`, and has p != 0 and r > 0, on every
+    builtin, rep and kind; classically s = -1 (a commutator), and the
+    quantum d on so3 adjoint has anticommutators (s = +1)."""
     signs = {}
     for name in ("abelian(2)", "heisenberg3", "so3", "sl2"):
         defn = builtin(name)
@@ -347,13 +359,62 @@ def test_every_endo_term_is_tau_a_plus_s_a_tau():
                 alg, n = kind(defn.lie, rep), defn.lie.dim
                 for i in range(2 * n + 1):
                     for key in _keys_to_degree_two(n):
-                        for _, t, s, p, r in alg._image(i, key)[1]:
-                            assert s in (1, -1) and p != 0 and r > 0 and 0 <= t < n
+                        for _, t, p, r in alg._image(i, key):
+                            if t is None:
+                                continue
+                            m, s, cells = alg.letters[t]
+                            assert s in (1, -1) and p != 0 and r > 0
+                            assert m and m in rep.matrices and cells == m._cells(s)
                             signs.setdefault((kind, name, rep_name, i), set()).add(s)
     classical = [found for (kind, *_), found in signs.items() if kind is ClassicalAlgebra]
     assert classical and all(found == {-1} for found in classical)
     assert 1 in signs[(QuantumAlgebra, "so3", "adjoint", 6)]
 
+
+def _alphabet_contexts():
+    """(kind, name, rep name, lie, rep): every builtin rep and kind, and
+    so3-sum, whose quantum curvature has a constant part that is no tau_a."""
+    out = [(kind, name, rep_name, defn.lie, rep)
+           for name in ("abelian(2)", "heisenberg3", "so3", "sl2") for defn in (builtin(name),)
+           for rep_name, rep in defn.reps.items() for kind in (ClassicalAlgebra, QuantumAlgebra)
+           if kind is ClassicalAlgebra or defn.lie.has_orthonormal_form]
+    so3_sum = load_algebra_file(Path(__file__).parent / "goldens" / "so3-sum.json")
+    return out + [(kind, "so3-sum", "sum", so3_sum.lie, so3_sum.reps["sum"])
+                  for kind in (ClassicalAlgebra, QuantumAlgebra)]
+
+
+def test_the_alphabet_stays_bounded():
+    """After every operator on every key up to degree 2, the check rows'
+    entries of those keys and `flat_subspace(alg, 2)`, the letters number
+    at most two per distinct End V part, not c I, of the inner elements
+    and the curvature, and each (M, s) is one letter; classically every
+    letter is a commutator (s = -1).  On the builtins: none on the trivial
+    and abelian reps, one per tau_a classically, two quantum-side; so3-sum
+    adds one quantum-side, for its curvature's constant part."""
+    counts = {}
+    for kind, name, rep_name, lie, rep in _alphabet_contexts():
+        alg, n = kind(lie, rep), lie.dim
+        entry = checks._composite_rows(alg, alg.curvature)
+        for key in _keys_to_degree_two(n):
+            for i in range(2 * n + 1):
+                alg._image(i, key)
+            entry(key, False)
+            entry(key, True)
+        flat_subspace(alg, 2)
+        parts = {m for x in (alg.curvature, *getattr(alg, "inner", ()))
+                 for m in x.terms.values() if m._scalar() is None}
+        pairs = [(m, s) for m, s, _ in alg.letters]
+        assert len(set(pairs)) == len(pairs) <= 2 * len(parts), (kind, name, rep_name)
+        assert {m for m, _ in pairs} <= parts
+        if kind is ClassicalAlgebra:
+            assert all(s == -1 for _, s in pairs)
+        counts[kind.KIND, name, rep_name] = len(pairs)
+    assert counts == {**{key: 0 for key in counts if key[2] == "trivial" or key[1] == "abelian(2)"},
+                      ("classical", "heisenberg3", "adjoint"): 2,
+                      **{("classical", name, rep): 3 for name in ("so3", "sl2")
+                         for rep in ("standard", "adjoint")},
+                      **{("quantum", "so3", rep): 6 for rep in ("standard", "adjoint")},
+                      ("classical", "so3-sum", "sum"): 3, ("quantum", "so3-sum", "sum"): 7}
 
 
 def _cell_contexts():
@@ -370,16 +431,15 @@ CELL_CONTEXTS = _cell_contexts()
 _SL2 = builtin("sl2")
 cell_entries = st.sampled_from([0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
 dense_entries = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
-SIDES = [(1, 1), (1, -1), (1, 0), (0, 1)]
+SIDES = [1, -1, 0]
 
 
 @st.composite
 def cell_cases(draw):
-    """(lie, rep, t, M, (l, r), A): M is tau_t or a dense matrix with mixed
-    denominators that is no tau_t, (l, r) a bracket (1, +-1) or one side
-    (1, 0) or (0, 1), and A a matrix with zero cells and mixed
-    denominators, c I or c tau_t; with M = tau_t and (1, -1) the last two
-    bracket to 0."""
+    """(lie, rep, t, M, s, A): M is tau_t or a dense matrix with mixed
+    denominators that is no tau_t, s a bracket +-1 or the left product 0,
+    and A a matrix with zero cells and mixed denominators, c I or c tau_t;
+    with M = tau_t and s = -1 the last two bracket to 0."""
     lie, rep = draw(st.sampled_from(CELL_CONTEXTS))
     d, t = rep.dim, draw(st.integers(0, lie.dim - 1))
     c = draw(st.sampled_from([1, -2, Fraction(3, 2), Fraction(-1, 3)]))
@@ -397,33 +457,34 @@ _DENSE = Matrix.from_rows([[Fraction(1, 2), -3], [Fraction(2, 3), 5]])
 
 @given(cell_cases())
 @settings(max_examples=300)
-@example((_SL2.lie, _SL2.reps["standard"], 2, _H, (1, -1), Matrix.identity(2) * 3))
-@example((_SL2.lie, _SL2.reps["standard"], 2, _H, (1, -1), _A))
-@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, (1, 0), _A))
-@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, (0, 1), _A))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _H, -1, Matrix.identity(2) * 3))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _H, -1, _A))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, 0, _A))
+@example((_SL2.lie, _SL2.reps["standard"], 2, _DENSE, -1, _A))
 def test_cell_rule_is_tau_a_plus_s_a_tau(case):
-    """M's cells (l, r), one triple per (out, in) and none zero, give l M A
-    + r A M on A's numerators as two `_mul_num` products give it,
-    numerators and denominator, for M = tau_t or a dense fractional
-    matrix and each of (1, +-1), (1, 0) and (0, 1).  For M = tau_t and (1,
-    s), `_apply`'s evaluation of tau_t's cells gives the same, and a zero
-    bracket gives no term.  The examples take sl2's
-    diagonal h, whose cells at (i, j) -> (i, j) sum one entry of each
-    half, and a dense M over 6 on one side."""
-    lie, rep, t, m, (l, r), a = case
+    """M's cells(s), one triple per (out, in) and none zero, give M A + s
+    A M on A's numerators as two `_mul_num` products give it, numerators
+    and denominator, for M = tau_t or a dense fractional matrix and each
+    of s = +-1 and 0.  For M = tau_t and s = +-1, `_apply`'s evaluation of
+    the letter (tau_t, s) gives the same, and a zero bracket gives no
+    term.  The examples take sl2's diagonal h, whose cells at (i, j) ->
+    (i, j) sum one entry of each half, and a dense M over 6."""
+    lie, rep, t, m, s, a = case
     (ma, den), (am, den2) = m._mul_num(a), a._mul_num(m)
-    want = [l * x + r * y for x, y in zip(ma, am)]
-    cells, got = m._cells(l, r), [0] * len(a.num)
+    want = [x + s * y for x, y in zip(ma, am)]
+    cells, got = m._cells(s), [0] * len(a.num)
     assert len({(o, c) for o, c, _ in cells}) == len(cells) and all(v for _, _, v in cells)
     for o, c, v in cells:
         got[o] += v * a.num[c]
     assert den == den2 == m.den * a.den and got == want
-    if m != rep.matrices[t] or (l, r) not in ((1, 1), (1, -1)):
+    if m != rep.matrices[t] or s == 0:
         return
     if not a:
         return  # no element has a zero End V part
     alg, key = ClassicalAlgebra(lie, rep), ((0,) * lie.dim, ())
-    vars(alg)["image_table"] = lambda i, k: ((), ((k, t, r, 1, 1),))  # one endo term
+    letter = alg.letter(m, s)
+    assert alg.letters[letter] == (m, s, cells)
+    vars(alg)["image_table"] = lambda i, k: ((k, letter, 1, 1),)  # one letter term
     got = alg._apply(0, alg.element({key: a}))
     assert got.terms == ({key: Matrix._canonical(rep.dim, rep.dim, want, den)} if any(want) else {})
 

@@ -293,13 +293,17 @@ def _same_validation(lie, form):
 
 def _same_tables(lie):
     """`pair_brackets`, the classical generator images read off it, and the
-    adjoint rep against dense scans: same keys, rows and order."""
+    adjoint rep against dense scans: same keys, rows and order; the End V
+    images name the letters (tau_b, -1) of the nonzero tau_b, and only them."""
     pairs, action, dpairs = oracles.dense_lie_tables(lie)
     assert list(lie.pair_brackets().items()) == list(pairs.items())
     rep = adjoint_rep(lie)
     taus = rep.matrices
-    n, ders = lie.dim, ClassicalAlgebra(lie, rep).derivations
+    alg = ClassicalAlgebra(lie, rep)
+    n, ders = lie.dim, alg.derivations
     lie_ders, iotas, d = ders[:n], ders[n:2 * n], ders[2 * n]
+    letters = [(m, s) for m, s, _ in alg.letters]
+    assert set(letters) == {(t, -1) for t in taus if t}
     for a in range(n):
         for c in range(n):
             row = action.get((a, c), ())
@@ -307,14 +311,16 @@ def _same_tables(lie):
                                                 for b, q in row]
             assert lie_ders[a].y.get(c, []) == [(None, (b,), q.numerator, q.denominator, None)
                                                 for b, q in row]
-        assert lie_ders[a].endo == (((None, (), 1, 1, a),) if taus[a] else ())
+        assert lie_ders[a].endo == (((None, (), 1, 1, letters.index((taus[a], -1))),)
+                                    if taus[a] else ())
         assert not lie_ders[a].odd and iotas[a].odd
         assert (iotas[a].v, iotas[a].y, iotas[a].endo) == ({}, {a: ((None, (), 1, 1, None),)}, ())
         row = dpairs.get(a, ())
         assert d.v.get(a, []) == [(k, (j,), q.numerator, q.denominator, None) for j, k, q in row]
         assert d.y[a] == [(a, (), 1, 1, None)] + [(None, (j, k), q.numerator, 2 * q.denominator,
                                                    None) for j, k, q in row]
-    assert d.odd and d.endo == tuple((None, (b,), 1, 1, b) for b, t in enumerate(taus) if t)
+    assert d.odd and d.endo == tuple((None, (b,), 1, 1, letters.index((t, -1)))
+                                     for b, t in enumerate(taus) if t)
     assert len(ders) == 2 * n + 1
     assert taus == oracles.dense_adjoint_rep(lie).matrices
 

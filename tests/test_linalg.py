@@ -438,17 +438,17 @@ def _bracket_cases():
 
 
 def test_cells_one_s_are_one_product_plus_s_times_the_other():
-    """tau's cells (1, s) on A's numerators give tau A + s A tau over tau.den
+    """tau's cells(s) on A's numerators give tau A + s A tau over tau.den
     A.den as the two `_mul_num` products give them (the oracle of the cell
     rule), for s = +-1, with either factor the sparser one; `commutator`,
-    the cells (1, -1), is tau A - A tau."""
+    the cells(-1), is tau A - A tau."""
     swapped = set()
     for tau, a in _bracket_cases():
         (ta, den), (at, den2) = tau._mul_num(a), a._mul_num(tau)
         assert den == den2 == tau.den * a.den
         for s in (1, -1):
             got = [0] * len(a.num)
-            for o, c, v in tau._cells(1, s):
+            for o, c, v in tau._cells(s):
                 got[o] += v * a.num[c]
             assert got == [x + s * y for x, y in zip(ta, at)]
         assert tau.commutator(a) == tau * a - a * tau

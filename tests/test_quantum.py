@@ -289,8 +289,8 @@ def test_lie_derivative_builds_only_its_own_operator_entry(so3):
 
 def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
     """The image table holds its value weakly: once every operator has
-    filled it and the cell maps, dropping the last reference frees the
-    value with the cycle collector off, classically and quantum-side."""
+    filled it and the letters, dropping the last reference frees the value
+    with the cycle collector off, classically and quantum-side."""
     refs = []
     gc.disable()
     try:
@@ -299,7 +299,7 @@ def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
             x = alg.even_gen(0) * alg.odd_gen(1) * alg.tau(2)
             for i in range(7):
                 alg._apply(i, x)
-            assert alg.image_table.cache_info().currsize and "bracket_cells" in vars(alg)
+            assert alg.image_table.cache_info().currsize and alg.letters
             refs.append(weakref.ref(alg))
             del alg
     finally:
@@ -395,20 +395,21 @@ class _CurvatureOperator(QuantumAlgebra):
         return self.four_term_curvature() if i == 2 * self.lie.dim else super()._inner_element(i)
 
 
-class _SplitScalars(QuantumAlgebra):
-    """The operator terms with each c I part split into c/2 + c/3 + c/6:
-    the same operators, with sums over three denominators per image."""
+class _SplitProducts(QuantumAlgebra):
+    """Each monomial product term (key, p, r) that `bracket_terms` reads
+    split into p / 2r + p / 3r + p / 6r: the same operators, with each
+    image's per-(key', part) sums taken over three denominators."""
 
-    def _inner_terms(self, i):
-        return tuple(split for key, t, p, r in super()._inner_terms(i)
-                     for split in ([(key, t, p, r)] if t is not None
-                                   else [(key, t, p, 2 * r), (key, t, p, 3 * r), (key, t, p, 6 * r)]))
+    @cached_property
+    def mono_mul(self):
+        mul = self.zero()._mono_mul
+        return lambda k1, k2: [(k, p, m * r) for k, p, r in mul(k1, k2) for m in (2, 3, 6)]
 
 
 def test_images_sum_terms_over_differing_denominators(so3):
     """Operator terms over different denominators merge exactly: with the
-    split terms every operator still equals its bracket, bit for bit."""
-    q = _SplitScalars(so3.lie, so3.reps["adjoint"])
+    split products every operator still equals its bracket, bit for bit."""
+    q = _SplitProducts(so3.lie, so3.reps["adjoint"])
     rng = random.Random(13)
     for _ in range(8):
         x = random_element(q, rng, max_degree=4)
