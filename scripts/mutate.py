@@ -73,7 +73,8 @@ MUTANTS = [
     ("letters: each lookup registers a new letter", "src/weil/element.py",
      "t = self._letter_ids.get((mat, s))", "t = None", ALPHABET),
     ("quantum split over r, not 2r", "src/weil/element.py",
-     "(k, self.letter(part, s), p, 2 * r)", "(k, self.letter(part, s), p, r)", QUANTUM_TABLES),
+     "(k, self.letter(parts[part], s), p, 2 * r)", "(k, self.letter(parts[part], s), p, r)",
+     QUANTUM_TABLES),
     ("quantum split drops {tau, A}", "src/weil/element.py",
      "((1, pl + pr), (-1, pl - pr))", "((-1, pl - pr),)", QUANTUM_TABLES),
     ("quantum split drops [tau, A]", "src/weil/element.py",
@@ -149,6 +150,10 @@ MUTANTS = [
      "scalar and not word and letters[t][1] == -1", "scalar and not word", ROWS_UNDER_MUTANTS),
     ("row table: each row keeps only its first key'", "src/weil/checks.py",
      "entry.append((index, parts))", "entry.append((index, parts[:1]))", ROWS_UNDER_MUTANTS),
+    ("rows: [L_a,iota_b] witness names b before a", "src/weil/checks.py",
+     'f", a={a + 1}, b={b + 1}"', 'f", a={b + 1}, b={a + 1}"', ROWS_UNDER_MUTANTS),
+    ("rows: d.d without - [C, -]", "src/weil/checks.py",
+     "((d + 1, -1, 1),)", "()", ROWS_ORACLE),
     ("row table: [C, -] adds the right product", "src/weil/element.py",
      "(0, yx * p1 * p)", "(0, -yx * p1 * p)", SIDES),
     ("restriction rows: a key's d image drops its first term", "src/weil/checks.py",

@@ -5,10 +5,11 @@ seeded random elements, exactly over the rationals.  Results come back
 as (name, passed, detail) records; nothing raises on failure, so a CLI
 or test can report all of them.
 
-Each case of an identity row is one accumulator: both sides, the right
-one negated, are summed in integers per result key, and the case holds
-when the sum vanishes.  Each key's sum is kept over one common
-denominator, so that test is exact.  The operator rows are linear in the
+The operator identities are one table (`_identity_rows`) with a row per
+case: its printed name, its witness suffix and its two sides.  A case is
+one accumulator: both sides, the right one negated, summed in integers
+per result key over one common denominator, so that the case holds
+exactly when every numerator vanishes.  The rows are linear in the
 element, and a pool repeats its term keys, so each row is composed once
 per term key (`_composite_rows`): the key's images under the row's
 operators and, for d.d, its bracket with the curvature
@@ -34,7 +35,6 @@ from math import lcm
 from .classical import ClassicalAlgebra, ClassicalElement
 from .element import accumulate, add_into, products_into, supercommutator, vanishes
 from .kernels import add_term, ext_mono_mul, sym_mono_mul
-from .lie import trivial_rep
 from .linalg import Matrix
 from .quantum import QuantumAlgebra, gamma_square_formula
 from .render import render
@@ -210,26 +210,44 @@ def embed_scalar_poly(lie, rep, poly):
 # -- the operator identities, in either algebra ----------------------------------
 
 
-def _composite_rows(alg, curv):
-    """The identity rows composed per term key, as a function `entry(key,
-    scalar)` that composes each (key, scalar) once and keeps it.
+def _identity_rows(n, brackets, names):
+    """The operator identities as rows (printed name, witness suffix, pairs,
+    singles), one per case, each one side minus the other.  A pair (P, Q,
+    sign) is sign P.Q and a single (R, p, r) is (p / r) R, the operators
+    indexed L_a = a, iota_a = n + a, d = 2n and [C, -] = 2n + 1.  `brackets`
+    is `lie.pair_brackets()`; `names` = (curvature name, structure-constant
+    name) as the rows print them."""
+    cname, fname = names
+    d = 2 * n
+    return [*[("cartan formula [iota_a,d] = L_a", f", a={a + 1}",
+               ((n + a, d, 1), (d, n + a, 1)), ((a, -1, 1),)) for a in range(n)],
+            *[("[L_a,d] = 0", f", a={a + 1}", ((a, d, 1), (d, a, -1)), ()) for a in range(n)],
+            *[(f"[L_a,iota_b] = {fname} iota_c", f", a={a + 1}, b={b + 1}",
+               ((a, n + b, 1), (n + b, a, -1)),
+               tuple((n + c, -q.numerator, q.denominator) for c, q in brackets.get((a, b), ())))
+              for a in range(n) for b in range(n)],
+            (f"d.d = [{cname},-]", "", ((d, d, 1),), ((d + 1, -1, 1),))]
 
-    Rows are indexed cartan_a = a, ld_a = n + a, liota_ab = 2n + an + b and
-    dd = 2n + n^2, each case one side minus the other.  An entry lists, per
-    row that does not vanish on key A, its parts (key', cells, den): the
-    row sends key A to the sum of key' (cells on A's numerators) / den.
-    A row is composed as (key', word) -> coefficient, a word being the
-    letters (`WeilAlgebra.letters`) its operators applied, and each key's
-    words are summed into one map; [C, -] adds `bracket_terms(C, key)`.
-    With `scalar` the maps read A = c I off its cell 0, for the terms whose
-    End V part is c I; then a word whose first letter is a commutator
-    [M, I] = 0 is dropped.  For correct operators every entry is empty."""
-    n, dim, letters = alg.lie.dim, alg.rep.dim, alg.letters
-    image, brackets, d = alg.image_table, alg.lie.pair_brackets(), 2 * n
+
+def _composite_rows(alg, curv, rows):
+    """The `_identity_rows` `rows` composed per term key, as a function
+    `entry(key, scalar)` that composes each (key, scalar) once and keeps it.
+
+    An entry lists, per row that does not vanish on key A, its index in
+    `rows` and its parts (key', cells, den): the row sends key A to the sum
+    of key' (cells on A's numerators) / den.  A row is composed as (key',
+    word) -> coefficient, a word being the letters (`WeilAlgebra.letters`)
+    its operators applied: first key A's image under each operator and its
+    bracket with `curv` (`WeilAlgebra.bracket_terms`), then per pair the
+    outer operator on the inner one's image, plus the singles; each key's
+    words are summed into one map.  With `scalar` the maps read A = c I off
+    its cell 0, for the terms whose End V part is c I; then a word whose
+    first letter is a commutator [M, I] = 0 is dropped.  For correct
+    operators every entry is empty."""
+    n, dim, letters, image = alg.lie.dim, alg.rep.dim, alg.letters, alg.image_table
     # the empty word: the identity, or A -> A[0, 0] I, which agrees with it on c I
     maps = {((), False): (tuple((o, o, 1) for o in range(dim * dim)), 1),
             ((), True): (tuple((o * (dim + 1), 0, 1) for o in range(dim)), 1)}
-    table = {}
 
     def word_map(word, scalar):
         """The empty word's map, then the word's letters left to right, as
@@ -256,31 +274,18 @@ def _composite_rows(alg, curv):
                 elif not (scalar and not word and letters[t][1] == -1):  # else [M, I] = 0
                     accumulate(acc, (k, word + (t,)), (p * q,), r * u, sign)
 
-        def walk(state, routes):  # acc += sign (operator i on state) per route (i, acc, sign)
-            for (k0, word), ((p,), r) in state.items():
-                if p:
-                    for i, acc, sign in routes:
-                        add(acc, image(i, k0), word, p, r, sign)
-
-        def routes(first, accs):  # operator first + a into accs[a]
-            return [(first + a, acc, 1) for a, acc in enumerate(accs)]
-
-        dk, lk, ik = {}, [{} for _ in range(n)], [{} for _ in range(n)]
-        walk({(key, ()): ((1,), 1)}, [(d, dk, 1), *routes(0, lk), *routes(n, ik)])
-        rows = [{} for _ in range((n + 1) ** 2)]
-        walk(dk, [*routes(n, rows[:n]), *routes(0, rows[n:2 * n]), (d, rows[-1], 1)])
-        add(rows[-1], alg.bracket_terms(curv, key), (), 1, 1, -1)  # - [C, key A]
-        for b in range(n):
-            add_into(rows[b], lk[b], -1)
-            walk(lk[b], ((d, rows[n + b], -1),))
-            li = [rows[2 * n + a * n + b] for a in range(n)]
-            walk(ik[b], [(d, rows[b], 1), *routes(0, li)])
-            for a in range(n):
-                walk(lk[a], ((n + b, li[a], -1),))
-                for c, q in brackets.get((a, b), ()):
-                    add_into(li[a], ik[c], -q.numerator, q.denominator)
+        first = [{} for _ in range(2 * n + 2)]
+        for i, acc in enumerate(first):
+            add(acc, image(i, key) if i <= 2 * n else alg.bracket_terms(curv, key), (), 1, 1, 1)
         entry = []
-        for index, row in enumerate(rows):
+        for index, (_, _, pairs, singles) in enumerate(rows):
+            row = {}
+            for outer, inner, sign in pairs:
+                for (k0, word), ((p,), r) in first[inner].items():
+                    if p:
+                        add(row, image(outer, k0), word, p, r, sign)
+            for i, p, r in singles:
+                add_into(row, first[i], p, r)
             by_key = {}
             for (k, word), ((p,), r) in row.items():
                 if p:
@@ -300,25 +305,20 @@ def _composite_rows(alg, curv):
                 entry.append((index, parts))
         return entry
 
-    def entry(key, scalar):
-        if (key, scalar) not in table:
-            table[key, scalar] = compose(key, scalar)
-        return table[key, scalar]
-
-    return entry
+    return cache(compose)
 
 
 def _operator_identities(alg, rng, seed, samples, curv, names):
-    """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
-    `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
-    (seeded with `seed`) one at a time.  Each element's terms apply their
-    keys' composite entries (`_composite_rows`) to their End V parts.
-    `names` = (curvature name, structure-constant name) as the rows print
-    them.  A failure names its witness: the seed, the element's index and
-    its rendering, which `weil eval` reads back as X in the identity."""
-    cname, fname = names
+    """The `_identity_rows`, one result per printed name, and Bianchi over
+    the generators and `samples` random elements of the `WeilAlgebra`
+    `alg`, drawn from `rng` (seeded with `seed`) one at a time.  Each
+    element's terms apply their keys' composite entries (`_composite_rows`)
+    to their End V parts.  A failure names its witness: the seed, the
+    element's index, the row's suffix and its rendering, which `weil eval`
+    reads back as X in the identity."""
     n = alg.lie.dim
-    entry = _composite_rows(alg, curv)
+    rows = _identity_rows(n, alg.lie.pair_brackets(), names)
+    entry = _composite_rows(alg, curv, rows)
 
     def pool():
         yield alg.unit()
@@ -328,12 +328,9 @@ def _operator_identities(alg, rng, seed, samples, curv, names):
         for _ in range(samples):
             yield random_element(alg, rng)
 
-    def witness(i, x, indices=""):
-        return f"element {i} (seed {seed}){indices}: X = {render(x)}"
-
-    cartan, ld, liota, ddc = [], [], [], []
+    found = {name: [] for name, *_ in rows}
     for i, x in enumerate(pool()):
-        rows = [{} for _ in range((n + 1) ** 2)]
+        sums = [{} for _ in rows]
         for key, mat in x.terms.items():
             num = mat.num
             for index, parts in entry(key, mat._scalar() is not None):
@@ -341,25 +338,14 @@ def _operator_identities(alg, rng, seed, samples, curv, names):
                     out = [0] * len(num)
                     for o, c, v in cells:
                         out[o] += v * num[c]
-                    accumulate(rows[index], k, out, den * mat.den)
-        bad = [not vanishes(acc) for acc in rows]
-        for a in range(n):
-            for found, failed in ((cartan, bad[a]), (ld, bad[n + a])):
-                if failed:
-                    found.append(witness(i, x, f", a={a + 1}"))
-            liota += [witness(i, x, f", a={a + 1}, b={b + 1}")
-                      for b in range(n) if bad[2 * n + a * n + b]]
-        if bad[-1]:
-            ddc.append(witness(i, x))
+                    accumulate(sums[index], k, out, den * mat.den)
+        for (name, suffix, _, _), acc in zip(rows, sums):
+            if not vanishes(acc):
+                found[name].append(f"element {i} (seed {seed}){suffix}: X = {render(x)}")
     total = 1 + 3 * n + samples
-    return [
-        _result("cartan formula [iota_a,d] = L_a", cartan, total),
-        _result("[L_a,d] = 0", ld, total),
-        _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
-        _result(f"d.d = [{cname},-]", ddc, total),
-        _result(f"bianchi d({cname}) = 0",
-                [] if alg.differential(curv).is_zero else [f"d({cname}) != 0"]),
-    ]
+    bianchi = [] if alg.differential(curv).is_zero else [f"d({names[0]}) != 0"]
+    return [*(_result(name, bad, total) for name, bad in found.items()),
+            _result(f"bianchi d({names[0]}) = 0", bianchi)]
 
 
 # -- classical suite -----------------------------------------------------------
@@ -418,9 +404,11 @@ def _linear(poly, image):
 # -- quantum suite ---------------------------------------------------------------
 
 
-def quantum_structure_suite(lie):
-    """Structural lemmas in the representation-free quantum algebra."""
-    alg = QuantumAlgebra(lie, trivial_rep(lie))
+def quantum_structure_suite(alg):
+    """Structural lemmas on the distinguished elements of the
+    `QuantumAlgebra` value `alg`, the g_a, gamma and D its operators use;
+    each has End V part I, so the lemmas do not depend on the representation."""
+    lie = alg.lie
     n, x = lie.dim, alg.odd_gen
     results = []
 
@@ -475,7 +463,7 @@ def _quantum_rows(alg, samples, seed):
     """The quantum rows on the `QuantumAlgebra` value `alg`."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    results = list(quantum_structure_suite(lie))
+    results = quantum_structure_suite(alg)
     # the four-term element, not alg.curvature: that one raises on the
     # mismatch that the "QC four-term formula" row below reports
     curv = alg.four_term_curvature()

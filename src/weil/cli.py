@@ -95,7 +95,7 @@ def _require_rep(alg, args):
     try:
         return alg.rep(name)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
 
 
 def cmd_validate(args) -> int:

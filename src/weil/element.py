@@ -359,17 +359,20 @@ class WeilAlgebra:
         None, else times letter t applied to A; p and r > 0 are integers.
 
         Per term k1 M of x the sides are k1 key (M A) and -(-1)^{|k1||key|}
-        key k1 (A M), summed per (key', M) into (pl, pr).  A c I part gives
-        the plain term key' (pl + pr) c I A, and none when k1 and key lie in
-        different tensor factors, whose sides cancel; any other part gives
-        the halves ((pl + pr) (M, +1) + (pl - pr) (M, -1)) / 2."""
+        key k1 (A M), summed per (key', term of x) into (pl, pr), the c I
+        terms together.  A c I part gives the plain term key' (pl + pr) c I
+        A, and none when k1 and key lie in different tensor factors, whose
+        sides cancel; any other part gives the halves ((pl + pr) (M, +1) +
+        (pl - pr) (M, -1)) / 2."""
         no_even, no_odd = not any(key[0]), not key[1]
-        sums = {}  # (key', M or None) -> ((pl, pr), r): pl of the M A side, pr of A M
-        for k1, mat in x.terms.items():
+        parts = list(x.terms.values())
+        # (key', index into parts, or None for c I) -> ((pl, pr), r): pl of M A, pr of A M
+        sums = {}
+        for j, (k1, mat) in enumerate(x.terms.items()):
             c = mat._scalar()
             if c is not None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
                 continue  # k1 and key lie in different tensor factors: the sides cancel
-            part, p1, r1 = (mat, 1, 1) if c is None else (None, c, mat.den)
+            part, p1, r1 = (j, 1, 1) if c is None else (None, c, mat.den)
             yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
             for k, p, r in self.mono_mul(k1, key):
                 accumulate(sums, (k, part), (p1 * p, 0), r * r1)
@@ -378,7 +381,8 @@ class WeilAlgebra:
         items = sums.items()
         return (tuple((k, None, pl + pr, r) for (k, part), ((pl, pr), r) in items
                       if part is None and pl + pr)
-                + tuple((k, self.letter(part, s), p, 2 * r) for (k, part), ((pl, pr), r) in items
+                + tuple((k, self.letter(parts[part], s), p, 2 * r)
+                        for (k, part), ((pl, pr), r) in items
                         if part is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
 
     def _apply(self, i, x):

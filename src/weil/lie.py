@@ -379,6 +379,7 @@ def load_algebra_file(path) -> AlgebraDef:
     _expect(isinstance(specs, dict), "$.reps", "an object")
     for rep_name, spec in specs.items():
         where = f"$.reps.{rep_name}"
+        _expect(rep_name not in reps, where, "a name other than the built-in trivial and adjoint")
         _expect(isinstance(spec, dict), where, "an object")
         d, mats = spec.get("dim_v"), spec.get("matrices")
         _expect(type(d) is int and d >= 1, f"{where}.dim_v", "a positive integer")

@@ -1437,7 +1437,7 @@ def quantum_rows(alg, samples, seed, max_degree):
     """The rows of `weil.checks.quantum_suite` on the value `alg`."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    results = list(quantum_structure_suite(lie))
+    results = quantum_structure_suite(alg)
     curv = alg.four_term_curvature()
     results += operator_identities(alg, rng, seed, samples, max_degree, curv, ("QC", "f_abc"))
 

@@ -101,7 +101,7 @@ def test_criterion_4_quantum_structural_lemmas():
                           "gamma^2 = -1/8 by independent Clifford expansion"):
         for name in ("so3", "abelian(2)"):
             alg = builtin(name)
-            for r in quantum_structure_suite(alg.lie):
+            for r in quantum_structure_suite(QuantumAlgebra(alg.lie, trivial_rep(alg.lie))):
                 assert r.passed, (name, r.name, r.detail)
         so3 = builtin("so3").lie
         assert qw.gamma_squared(so3) == Fraction(-1, 8)

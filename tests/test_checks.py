@@ -179,8 +179,9 @@ QUANTUM_FAILURES = {
 }
 MUTANTS = {**CLASSICAL_FAILURES, **QUANTUM_FAILURES}
 
-# the structure rows take only the Lie data: they fail with a wrong
-# Clifford coefficient, and with a bracket whose form is not invariant
+# the structure rows read the checked value's g_a, gamma and D, whose End V
+# parts are I: they fail with a wrong Clifford coefficient, and with a
+# bracket whose form is not invariant, on any representation
 STRUCTURE = ["[x_a,g_b] = -f_bac x_c", "[x_a,gamma] = g_a", "[x_a,D] = u_a + g_a",
              "[u_a+g_a,D] = 0", "D^2 = (1/2) u_a u_a + gamma^2",
              "gamma^2 = -(1/48) f_abc f_abc", "u_a u_a is central"]
@@ -301,7 +302,7 @@ def test_a_form_that_is_not_invariant_fails_the_structure_rows():
     """heisenberg3's bracket with the identity as its 'orthonormal' form:
     f_abc is not totally antisymmetric, so u_a u_a is not central."""
     lie = LieData(3, {(0, 1, 2): 1}, form=BilinearForm(Matrix.identity(3)), name="heisenberg3")
-    rows = checks.quantum_structure_suite(lie)
+    rows = checks.quantum_structure_suite(QuantumAlgebra(lie, adjoint_rep(lie)))
     assert {r.name for r in rows if not r.passed} == NON_INVARIANT_FORM_FAILURES
 
 

@@ -373,10 +373,11 @@ def test_validate_file_conflicts_with_the_algebra_flags(tmp_path, capsys, flag):
 
 
 def test_unknown_rep_exits_two(capsys):
-    code, _, err = run(
+    code, out, err = run(
         ["check", "--builtin", "heisenberg3", "--rep", "spin", "--classical"], capsys
     )
-    assert code == 2 and "unknown representation" in err
+    assert (code, out) == (2, "")
+    assert err == "error: unknown representation 'spin' (have: adjoint, trivial)\n"
 
 
 def test_report_single_builtin(capsys):
@@ -501,6 +502,10 @@ def test_integer_flags_take_ascii_digits_only(capsys, command, flag):
     ('{"dim": 2, "reps": {"r": {"dim_v": 1, "matrices": [[[1]], 7]}}}',
      "$.reps.r.matrices[1]: expected a list of rows"),
     ('{"dim": 1, "name": 7}', "$.name: expected a string"),
+    ('{"dim": 1, "reps": {"adjoint": {"dim_v": 1, "matrices": [[[5]]]}}}',
+     "$.reps.adjoint: expected a name other than the built-in trivial and adjoint"),
+    ('{"dim": 1, "reps": {"trivial": {"dim_v": 1, "matrices": [[[0]]]}}}',
+     "$.reps.trivial: expected a name other than the built-in trivial and adjoint"),
 ])
 def test_validate_malformed_file_exits_two_with_json_path(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

@@ -394,7 +394,8 @@ def test_the_alphabet_stays_bounded():
     counts = {}
     for kind, name, rep_name, lie, rep in _alphabet_contexts():
         alg, n = kind(lie, rep), lie.dim
-        entry = checks._composite_rows(alg, alg.curvature)
+        rows = checks._identity_rows(n, lie.pair_brackets(), ("C", "f"))
+        entry = checks._composite_rows(alg, alg.curvature, rows)
         for key in _keys_to_degree_two(n):
             for i in range(2 * n + 1):
                 alg._image(i, key)

@@ -102,7 +102,7 @@ def test_gamma_squared_by_direct_expansion(so3):
 
 def test_structure_lemmas(so3, abelian2):
     for alg in (so3, abelian2):
-        for result in quantum_structure_suite(alg.lie):
+        for result in quantum_structure_suite(QuantumAlgebra(alg.lie, trivial_rep(alg.lie))):
             assert result.passed, (alg.name, result.name, result.detail)
 
 
@@ -259,7 +259,8 @@ def test_casimir_report(so3, abelian2):
     """The structure suite's Casimir rows: u_a u_a is central and D^2 =
     (1/2) u_a u_a + gamma^2, with gamma^2 from -(1/48) f_abc f_abc."""
     for alg in (so3, abelian2):
-        rows = {r.name: r for r in quantum_structure_suite(alg.lie)}
+        q = QuantumAlgebra(alg.lie, alg.reps["adjoint"])
+        rows = {r.name: r for r in quantum_structure_suite(q)}
         for name in ("u_a u_a is central", "D^2 = (1/2) u_a u_a + gamma^2"):
             assert rows[name].passed and rows[name].detail == "exact", (alg.name, name)
 
