@@ -37,6 +37,7 @@ CURVATURE_CHECK = ["tests/test_quantum.py::"
 ONE_CONTEXT = ["tests/test_cli.py::test_check_takes_one_context"]
 RENDER = ["tests/test_element.py::test_render_matches_the_fraction_oracle"]
 POWERS = ["tests/test_expr.py::test_powers_are_repeated_products_of_the_base"]
+CHAINS = ["tests/test_expr.py::test_parse_precedence_and_whitespace"]
 FOOTPRINT = ["tests/test_footprint.py"]
 INCLUSION = ["tests/test_flat.py::test_inclusion_columns_fail_when_flat_misses_the_basic_vectors"]
 INCLUSION_ORACLE = ["tests/test_flat.py::test_inclusion_columns_match_the_rank_oracle"]
@@ -135,7 +136,9 @@ MUTANTS = [
     ("a scalar |c|/den printed as |c|", "src/weil/render.py",
      "format_ratio(mag, mat.den)", "str(mag)", RENDER),
     ("a power one product short", "src/weil/expr.py",
-     "range(node.exponent - 1)", "range(node.exponent - 2)", POWERS),
+     "range(exponent - 1)", "range(exponent - 2)", POWERS),
+    ("a chain's '-' evaluated as '+'", "src/weil/expr.py",
+     '"-": operator.sub', '"-": operator.add', CHAINS),
     ("cli imports checks at module level", "src/weil/cli.py",
      "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
     ("brackets skip non-scalar parts in the other tensor factor", "src/weil/element.py",

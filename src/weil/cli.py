@@ -10,6 +10,7 @@ eval, so `weil flat` compiles neither.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -345,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # UTF-8 whatever the locale: renderings print the tensor sign
+    for stream in (s for s in (sys.stdout, sys.stderr) if isinstance(s, io.TextIOWrapper)):
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         code = _run(argv)
         sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
@@ -367,6 +371,8 @@ def _run(argv) -> int:
             args.expression = extra.pop()
         if extra:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if argv is None and getattr(args, "expression", None):  # decoded in the locale's codec
+            args.expression = os.fsencode(args.expression).decode("utf-8", "surrogateescape")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other exits
         return int(exc.code) if exc.code else EXIT_OK

@@ -15,22 +15,26 @@ Grammar (whitespace-insensitive):
                  the table _CALLS; i an INT generator index, e an expr
 
 Hand-written recursive descent; errors carry (line, column) and what was
-expected.  Literals are at most MAX_LITERAL characters long, factors
-nest at most MAX_NESTING deep, no sub-result may have polynomial
-degree above MAX_DEGREE (checked before a product, power or comm and
-after d, the only operations that raise it), and no product, power step
-or comm may pair more than MAX_TERM_PAIRS terms of its two factors, each
-pair weighted by the product d1 d2 of the two words' polynomial degrees,
-nor weigh more than MAX_DEEP_PAIRS with each pair weighted by (d1 d2)^2.
-Parsing is context-free; whether a generator or name is legal is
-decided at evaluation time.  An expression is evaluated in one
-`WeilAlgebra` value, built from the context string by `weil.ALGEBRAS`.
+expected.  Each production of `Parser` returns its meaning, a function
+of one `WeilAlgebra` value (built from the context string by
+`weil.ALGEBRAS`): `parse` returns the meaning of the whole source and
+`evaluate` calls it.  Parsing is context-free and reads the whole source
+first, so a syntax error anywhere is reported before any evaluation
+error; whether a generator or name is legal is decided at evaluation
+time.  Literals are at most MAX_LITERAL characters long, factors nest at
+most MAX_NESTING deep, no sub-result may have polynomial degree above
+MAX_DEGREE (checked before a product, power or comm and after d, the
+only operations that raise it), and no product, power step or comm may
+pair more than MAX_TERM_PAIRS terms of its two factors, each pair
+weighted by the product d1 d2 of the two words' polynomial degrees, nor
+weigh more than MAX_DEEP_PAIRS with each pair weighted by (d1 d2)^2.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import ALGEBRAS
@@ -45,62 +49,7 @@ class ExprError(Exception):
     def __init__(self, message, pos):
         self.message = message
         self.pos = pos  # (line, column), 1-based
-        super().__init__(str(self))
-
-    def __str__(self):
-        return f"{self.pos[0]}:{self.pos[1]}: {self.message}"
-
-
-# -- AST ---------------------------------------------------------------------
-
-@dataclass
-class Node:
-    pos: tuple
-
-
-@dataclass
-class Lit(Node):
-    value: Fraction
-
-
-@dataclass
-class MatLit(Node):
-    rows: list
-
-
-@dataclass
-class Gen(Node):
-    letter: str
-    index: int  # 1-based as written
-
-
-@dataclass
-class Name(Node):
-    name: str  # C, QC, gamma, Dirac, I
-
-
-@dataclass
-class Neg(Node):
-    arg: Node
-
-
-@dataclass
-class BinOp(Node):
-    op: str  # '+', '-', '*'
-    left: Node
-    right: Node
-
-
-@dataclass
-class Pow(Node):
-    base: Node
-    exponent: int
-
-
-@dataclass
-class Call(Node):
-    name: str  # a key of _CALLS
-    args: tuple  # int for a generator index, Node for an expression
+        super().__init__(f"{pos[0]}:{pos[1]}: {message}")
 
 
 # -- lexer --------------------------------------------------------------------
@@ -145,11 +94,8 @@ _CALLS = {"tau": "i", "d": "e", "L": "ie", "iota": "ie", "comm": "ee"}
 _ALIASES = {"−": "-", "⊗": "*"}
 
 
-@dataclass
-class Token:
-    kind: str  # 'int', 'ident', or the operator character
-    text: str
-    pos: tuple
+# kind: 'int', 'ident', 'eof' or the operator character; pos: (line, column)
+Token = namedtuple("Token", "kind text pos")
 
 
 def tokenize(src):
@@ -181,7 +127,14 @@ def tokenize(src):
 
 # -- parser --------------------------------------------------------------------
 
+# chain operator -> the step that joins the value so far with the next operand
+_STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 class Parser:
+    """Recursive descent in which each production returns its meaning: a
+    function from a `WeilAlgebra` value to the element it denotes."""
+
     def __init__(self, src):
         self.tokens = tokenize(src)
         self.i = 0
@@ -203,39 +156,53 @@ class Parser:
             raise ExprError(f"expected {want}, got {got!r}", self.cur.pos)
         return self.advance()
 
-    def parse(self) -> Node:
-        e = self.expr()
+    def parse(self):
+        meaning = self.expr()
         if self.cur.kind != "eof":
             raise ExprError(
                 f"expected '+', '-', '*', or end of input, got {self.cur.text!r}",
                 self.cur.pos,
             )
-        return e
+        return meaning
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            node = BinOp(op.pos, op.kind, node, self.term())
-        return node
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.cur.kind == "*":
-            op = self.advance()
-            node = BinOp(op.pos, "*", node, self.factor())
-        return node
+    def term(self):
+        return self.chain(("*",), self.factor)
 
-    def factor(self) -> Node:
+    def chain(self, ops, operand):
+        """operand (op operand)*, its operands evaluated left to right in a
+        loop, so that a long sum (a rendering, say) costs no stack depth."""
+        first, links = operand(), []
+        while self.cur.kind in ops:
+            tok = self.advance()
+            links.append((_STEPS[tok.kind], tok.pos, operand()))
+        if not links:
+            return first
+
+        def meaning(alg):
+            out = first(alg)
+            for step, pos, right in links:
+                y = right(alg)
+                if step is operator.mul:
+                    _check_product(out, y, pos)
+                out = step(out, y)
+            return out
+
+        return meaning
+
+    def factor(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ExprError(f"expression nested deeper than {MAX_NESTING} levels",
                             self.cur.pos)
         if self.cur.kind == "-":
-            tok = self.advance()
-            node = Neg(tok.pos, self.factor())
+            self.advance()
+            arg = self.factor()
+            meaning = lambda alg: -arg(alg)  # noqa: E731
         else:
-            node = self.atom()
+            meaning = self.atom()
             if self.cur.kind == "^":
                 caret = self.advance()
                 tok = self.expect("int", "a non-negative integer exponent")
@@ -243,9 +210,9 @@ class Parser:
                 if exponent > MAX_EXPONENT:
                     raise ExprError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
                                     tok.pos)
-                node = Pow(caret.pos, node, exponent)
+                meaning = _power(meaning, exponent, caret.pos)
         self.depth -= 1
-        return node
+        return meaning
 
     def rational(self, what) -> Fraction:
         num = int(self.expect("int", what).text)
@@ -257,17 +224,18 @@ class Parser:
             raise ExprError("zero denominator", tok.pos)
         return Fraction(num, int(tok.text))
 
-    def atom(self) -> Node:
+    def atom(self):
         tok = self.cur
         if tok.kind == "int":
-            return Lit(tok.pos, self.rational("a number"))
+            value = self.rational("a number")
+            return lambda alg: alg.scalar(value)
         if tok.kind == "[":
             return self.matrix()
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            meaning = self.expr()
             self.expect(")")
-            return node
+            return meaning
         if tok.kind == "ident":
             return self.ident()
         raise ExprError(
@@ -275,14 +243,14 @@ class Parser:
             tok.pos,
         )
 
-    def ident(self) -> Node:
+    def ident(self):
         tok = self.advance()
         name = tok.text
         m = _GEN.match(name)
         if m:
-            return Gen(tok.pos, m.group(1), int(m.group(2)))
+            return _generator(m.group(1), int(m.group(2)), tok.pos)
         if name in _NAMES:
-            return Name(tok.pos, name)
+            return _name(name, tok.pos)
         if name not in _CALLS:
             raise ExprError(f"unknown identifier {name!r}", tok.pos)
         self.expect("(")
@@ -295,28 +263,22 @@ class Parser:
             else:
                 args.append(self.expr())
         self.expect(")")
-        return Call(tok.pos, name, tuple(args))
+        return _call(name, args, tok.pos)
 
-    def matrix(self) -> Node:
-        start = self.expect("[")
-        rows = []
-        while True:
-            rows.append(self.matrix_row())
-            if self.cur.kind == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
-        return MatLit(start.pos, rows)
+    def matrix(self):
+        pos = self.cur.pos
+        row = lambda: self.listed(self.signed_scalar, "'[' opening a matrix row")  # noqa: E731
+        return _matrix(self.listed(row, "'['"), pos)
 
-    def matrix_row(self):
-        self.expect("[", "'[' opening a matrix row")
-        row = [self.signed_scalar()]
+    def listed(self, item, what):
+        """'[' item (',' item)* ']' as a list of the items."""
+        self.expect("[", what)
+        items = [item()]
         while self.cur.kind == ",":
             self.advance()
-            row.append(self.signed_scalar())
+            items.append(item())
         self.expect("]")
-        return row
+        return items
 
     def signed_scalar(self) -> Fraction:
         neg = False
@@ -327,117 +289,92 @@ class Parser:
         return -val if neg else val
 
 
-def parse(src: str) -> Node:
+def parse(src: str):
+    """The meaning of `src`: a function from a `WeilAlgebra` value to the
+    element `src` denotes there."""
     return Parser(src).parse()
 
 
-# -- evaluator ------------------------------------------------------------------
+# -- meanings ---------------------------------------------------------------------
 
-class Evaluator:
-    """Evaluate an AST in one `WeilAlgebra` value."""
+def _index(alg, idx, pos):
+    if not 1 <= idx <= alg.lie.dim:
+        raise ExprError(f"generator index {idx} out of range 1..{alg.lie.dim}", pos)
+    return idx - 1
 
-    def __init__(self, alg):
-        self.alg = alg
 
-    def _check_index(self, idx, pos):
-        if not 1 <= idx <= self.alg.lie.dim:
-            raise ExprError(f"generator index {idx} out of range 1..{self.alg.lie.dim}", pos)
-        return idx - 1
+def _generator(letter, index, pos):
+    def meaning(alg):
+        a = _index(alg, index, pos)
+        letters = alg.Element.LETTERS
+        if letter not in letters:
+            raise ExprError(f"generator {letter}{index} is not part of the {alg.KIND} algebra",
+                            pos)
+        return (alg.even_gen if letter == letters[0] else alg.odd_gen)(a)
 
-    def eval(self, node):
-        method = getattr(self, f"_eval_{type(node).__name__.lower()}")
-        return method(node)
+    return meaning
 
-    def _eval_lit(self, node):
-        return self.alg.scalar(node.value)
 
-    def _eval_matlit(self, node):
-        widths = {len(r) for r in node.rows}
-        if len(widths) != 1:
-            raise ExprError("matrix rows have unequal lengths", node.pos)
-        mat, dim = Matrix.from_rows(node.rows), self.alg.rep.dim
-        if mat.rows != dim or mat.cols != dim:
-            raise ExprError(
-                f"matrix literal is {mat.rows}x{mat.cols}; the representation "
-                f"needs {dim}x{dim}",
-                node.pos,
-            )
-        return self.alg.endo(mat)
-
-    def _eval_gen(self, node):
-        a = self._check_index(node.index, node.pos)
-        letters = self.alg.Element.LETTERS
-        if node.letter not in letters:
-            raise ExprError(
-                f"generator {node.letter}{node.index} is not part of the "
-                f"{self.alg.KIND} algebra",
-                node.pos,
-            )
-        return (self.alg.even_gen if node.letter == letters[0] else self.alg.odd_gen)(a)
-
-    def _eval_name(self, node):
-        name, kind = node.name, self.alg.KIND
+def _name(name, pos):
+    def meaning(alg):
         if name == "I":
-            return self.alg.unit()
-        if name == "C" and kind != "classical":
-            raise ExprError("C is the classical curvature; use QC here", node.pos)
-        if name != "C" and kind != "quantum":
-            raise ExprError(f"{name} only exists in the quantum algebra", node.pos)
+            return alg.unit()
+        if name == "C" and alg.KIND != "classical":
+            raise ExprError("C is the classical curvature; use QC here", pos)
+        if name != "C" and alg.KIND != "quantum":
+            raise ExprError(f"{name} only exists in the quantum algebra", pos)
         if name in ("C", "QC"):
-            return self.alg.curvature
-        return self.alg.gamma if name == "gamma" else self.alg.dirac
+            return alg.curvature
+        return alg.gamma if name == "gamma" else alg.dirac
 
-    def _eval_neg(self, node):
-        return -self.eval(node.arg)
+    return meaning
 
-    def _eval_binop(self, node):
-        # a chain a + b - c * d ... nests to the left; walk it in a loop so
-        # that a long sum (a rendering, say) costs no stack depth
-        chain = []
-        while isinstance(node, BinOp):
-            chain.append(node)
-            node = node.left
-        out = self.eval(node)
-        for link in reversed(chain):
-            right = self.eval(link.right)
-            if link.op == "*":
-                _check_degree(out.poly_degree() + right.poly_degree(), link.pos)
-                _check_term_pairs(out, right, link.pos)
-                out = out * right
-            else:
-                out = out + right if link.op == "+" else out - right
-        return out
 
-    def _eval_pow(self, node):
-        base = self.eval(node.base)
-        _check_degree(base.poly_degree() * node.exponent, node.pos)
-        if not node.exponent:
-            return self.alg.unit()
-        out = base
-        for _ in range(node.exponent - 1):
-            _check_term_pairs(out, base, node.pos)
-            out = out * base
-        return out
+def _matrix(rows, pos):
+    def meaning(alg):
+        if len({len(r) for r in rows}) != 1:
+            raise ExprError("matrix rows have unequal lengths", pos)
+        mat, dim = Matrix.from_rows(rows), alg.rep.dim
+        if mat.rows != dim or mat.cols != dim:
+            raise ExprError(f"matrix literal is {mat.rows}x{mat.cols}; the representation "
+                            f"needs {dim}x{dim}", pos)
+        return alg.endo(mat)
 
-    def _eval_call(self, node):
-        name, args = node.name, node.args
+    return meaning
+
+
+def _call(name, args, pos):
+    """A call's meaning; an error in its expression argument is reported
+    before a bad index."""
+    def meaning(alg):
         if name == "tau":
-            return self.alg.tau(self._check_index(args[0], node.pos))
+            return alg.tau(_index(alg, args[0], pos))
         if name == "comm":
-            left, right = self.eval(args[0]), self.eval(args[1])
-            _check_degree(left.poly_degree() + right.poly_degree(), node.pos)
-            _check_term_pairs(left, right, node.pos)
+            left, right = args[0](alg), args[1](alg)
+            _check_product(left, right, pos)
             return supercommutator(left, right)
-        # d, L, iota: an error in the argument is reported before a bad index
-        arg = self.eval(args[-1])
+        arg = args[-1](alg)
         if name == "d":  # raises the degree by at most one: check the result
-            out = self.alg.differential(arg)
-            _check_degree(out.poly_degree(), node.pos)
+            out = alg.differential(arg)
+            _check_degree(out.poly_degree(), pos)
             return out
-        a = self._check_index(args[0], node.pos)
-        if name == "L":
-            return self.alg.lie_derivative(a, arg)
-        return self.alg.contraction(a, arg)
+        a = _index(alg, args[0], pos)
+        return (alg.lie_derivative if name == "L" else alg.contraction)(a, arg)
+
+    return meaning
+
+
+def _power(base, exponent, pos):
+    def meaning(alg):
+        x = base(alg)
+        _check_degree(x.poly_degree() * exponent, pos)
+        out = x if exponent else alg.unit()
+        for _ in range(exponent - 1):
+            _check_product(out, x, pos)
+            out = out * x
+        return out
+
+    return meaning
 
 
 def _check_degree(degree, pos):
@@ -445,11 +382,13 @@ def _check_degree(degree, pos):
         raise ExprError(f"polynomial degree {degree} exceeds the limit {MAX_DEGREE}", pos)
 
 
-def _check_term_pairs(x, y, pos):
-    """Weigh each term pair by its words' polynomial degrees d1 and d2, each at
-    least 1, once by d1 d2 and once by (d1 d2)^2.  Every caller checks the
-    degrees first, so d1 + d2 <= MAX_DEGREE and a pair weighs at most
-    (MAX_DEGREE / 2)^2 and its square: a few pairs need no weighing."""
+def _check_product(x, y, pos):
+    """Refuse x y past MAX_DEGREE, or when its term pairs weigh too much:
+    each pair by its words' polynomial degrees d1 and d2, each at least 1,
+    once by d1 d2 and once by (d1 d2)^2.  With the degree checked, d1 + d2
+    <= MAX_DEGREE and a pair weighs at most (MAX_DEGREE / 2)^2 and its
+    square: a few pairs need no weighing."""
+    _check_degree(x.poly_degree() + y.poly_degree(), pos)
     pairs = len(x.terms) * len(y.terms)
     if pairs * (MAX_DEGREE // 2) ** 4 <= MAX_DEEP_PAIRS:
         return
@@ -464,11 +403,10 @@ def _check_term_pairs(x, y, pos):
                         f"weighted by squared degree) exceeds the limit {MAX_DEEP_PAIRS}", pos)
 
 
-def evaluate(src_or_node, lie, rep, context):
-    """The element `src_or_node` (a string or a parsed node) denotes in
-    the `context` algebra ("classical" or "quantum") on (lie, rep)."""
-    node = parse(src_or_node) if isinstance(src_or_node, str) else src_or_node
+def evaluate(src_or_parsed, lie, rep, context):
+    """The element `src_or_parsed` (a string or what `parse` returned)
+    denotes in the `context` algebra ("classical" or "quantum") on (lie, rep)."""
+    meaning = parse(src_or_parsed) if isinstance(src_or_parsed, str) else src_or_parsed
     if context not in ALGEBRAS:
         raise ValueError(f"context must be classical or quantum, not {context!r}")
-    return Evaluator(ALGEBRAS[context](lie, rep)).eval(node)
-
+    return meaning(ALGEBRAS[context](lie, rep))

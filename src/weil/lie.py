@@ -347,7 +347,7 @@ def load_algebra_file(path) -> AlgebraDef:
     MAX_F_ENTRIES or an entry that is not a plain "p/q" raises
     ValueError naming a JSON path.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     _expect(isinstance(data, dict), "$", "an object")
     n = data.get("dim")

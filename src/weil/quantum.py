@@ -10,10 +10,10 @@ distinguished elements below make all three operators inner:
 
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
-`inner` holds these elements in the order of the operator table, and
-its `_image(i, key)` brackets inner[i] with one monomial in the shared
+`inner(i)` is the element of operator i of the table, and its
+`_image(i, key)` brackets inner(i) with one monomial in the shared
 table `element.WeilAlgebra.bracket_terms`, for `_apply`: a tau_a part
-of inner[i] gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
+of inner(i) gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
 and a commutator, and a c I part a plain term.  Elements are sparse maps
 (PBW monomial, Clifford monomial) -> matrix, with the arithmetic of
 `element.Element`; this module supplies the monomial product (PBW times
@@ -112,25 +112,23 @@ class QuantumAlgebra(element.WeilAlgebra):
         return (self.even_gen(i) + self.g[i] + self.tau(i) if i < n
                 else self.odd_gen(i - n) if i < 2 * n else self.dirac_tau)
 
+    def inner(self, i) -> QuantumElement:
+        """The element whose bracket is operator i of the table: u_a + g_a +
+        tau_a (L_a), x_a (iota_a), D + x_a tau_a (d).  Each is built on its
+        first use, so that L_a and iota_a build neither gamma nor D."""
+        if i not in self._inner:
+            self._inner[i] = self._inner_element(i)
+        return self._inner[i]
+
     @cached_property
-    def inner(self) -> tuple:
-        """The elements whose brackets are the operators, at their indices
-        in the table: u_a + g_a + tau_a (L_a), x_a (iota_a), D + x_a tau_a (d)."""
-        return tuple(map(self._inner_element, range(2 * self.lie.dim + 1)))
+    def _inner(self) -> dict:
+        return {}  # i -> `_inner_element(i)`, filled by `inner`
 
     # -- operators: all three are inner -------------------------------------------
 
     def _image(self, i, key):
-        """[inner[i], key A] (`bracket_terms`).  inner[i] is built once per
-        index, not with all of `inner`, so that L_a and iota_a build
-        neither gamma nor D."""
-        if i not in self._inner_built:
-            self._inner_built[i] = self._inner_element(i)
-        return self.bracket_terms(self._inner_built[i], key)
-
-    @cached_property
-    def _inner_built(self) -> dict:
-        return {}  # i -> `_inner_element(i)`, filled on first use
+        """[inner(i), key A] (`bracket_terms`)."""
+        return self.bracket_terms(self.inner(i), key)
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one

@@ -61,7 +61,7 @@ every term on every call, normalizes each y-word, and computes each
 commutator [tau_b, A] afresh.
 `bracket_apply` is `QuantumAlgebra`'s operator before its images were
 read per monomial from the value's tables: the whole supercommutator
-[inner[i], x], both halves of every term pair, with the leading terms
+[inner(i), x], both halves of every term pair, with the leading terms
 that cancel built and summed.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
@@ -625,8 +625,8 @@ def slot_leibniz(der, letters, x: ClassicalElement) -> ClassicalElement:
 
 def bracket_apply(alg, i, x):
     """Operator i of the `QuantumAlgebra` `alg` applied to x, as the
-    bracket [alg.inner[i], x]."""
-    return supercommutator(alg.inner[i], x)
+    bracket [alg.inner(i), x]."""
+    return supercommutator(alg.inner(i), x)
 
 
 # -- the dense Fraction kernel path ---------------------------------------------

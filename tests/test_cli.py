@@ -196,7 +196,7 @@ def test_eval_deep_word_bound_exits_two_before_the_product(capsys, monkeypatch):
     for i, j in ((2, 0), (0, 0)):
         x, y = (alg.element({(tuple(32 * (k == g) for k in range(3)), ()): Matrix.identity(1)})
                 for g in (i, j))
-        expr._check_term_pairs(x, y, (1, 1))
+        expr._check_product(x, y, (1, 1))
     assert "Traceback" not in err
 
 
@@ -547,6 +547,35 @@ def test_a_closed_stdout_exits_one_silently(unbuffered, argv):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    """A rendering's tensor sign is printed, an algebra file's name read
+    and an expression argument read as UTF-8 both under an ASCII output
+    encoding and in the C locale with UTF-8 mode off: each run prints
+    what the UTF-8 run prints."""
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"name": "café", "dim": 1, "f": []}, ensure_ascii=False),
+                    encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "LC_ALL")}
+    env["PYTHONPATH"] = str(Path(weil.__file__).parents[1])
+    utf8 = {**env, "PYTHONUTF8": "1"}
+    ascii_output = {**env, "PYTHONIOENCODING": "ascii"}
+    c_locale = {**env, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def weil_cli(env, *argv):
+        proc = subprocess.run([sys.executable, "-m", "weil.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+        return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+    evaluate = ["eval", "--builtin", "so3", "--rep", "adjoint", "--quantum"]
+    for env, argv, out in ((ascii_output, [*evaluate, "tau(1)*u1"],
+                            "u1 ⊗ [[0,0,0],[0,0,-1],[0,1,0]]\n"),
+                           (c_locale, ["validate", str(path)], "ok    lie algebra café\n"),
+                           (c_locale, [*evaluate, "u1 ⊗ x1"], "u1 ⊗ x1 ⊗ I\n")):
+        want = weil_cli(utf8, *argv)
+        assert want[0] == 0 and want[1].startswith(out) and want[2] == "", want
+        assert weil_cli(env, *argv) == want, argv
 
 
 @pytest.mark.parametrize("value", ["1e400", "0.5", "1_0"])

@@ -5,14 +5,12 @@ import pytest
 from weil import ALGEBRAS
 from weil.classical import ClassicalAlgebra
 from weil.cli import main
+from weil.element import supercommutator
 from weil.expr import (
     MAX_EXPONENT,
     MAX_LITERAL,
     MAX_NESTING,
-    BinOp,
-    Call,
     ExprError,
-    Neg,
     evaluate,
     parse,
     render,
@@ -30,36 +28,56 @@ def quantum_ctx(so3):
     return so3.lie, so3.reps["adjoint"], "quantum"
 
 
-def test_parse_shapes():
-    tree = parse("v1*y2 + y2*v1")
-    assert isinstance(tree, BinOp) and tree.op == "+"
-    assert isinstance(tree.left, BinOp) and tree.left.op == "*"
-    tree = parse("comm(C, tau(1))")
-    assert isinstance(tree, Call) and tree.name == "comm"
-    tree = parse("d(d(tau(1)))")
-    assert isinstance(tree, Call) and isinstance(tree.args[0], Call)
+def test_parse_shapes(classical_ctx):
+    """'*' binds tighter than '+', and a call's argument is a whole
+    expression: each source evaluates to its reading built by hand."""
+    lie, rep, context = classical_ctx
+    c = ClassicalAlgebra(lie, rep)
+    v, y = [c.even_gen(a) for a in range(3)], [c.odd_gen(a) for a in range(3)]
+    assert evaluate("v1*y2 + y2*v1", lie, rep, context) == v[0] * y[1] + y[1] * v[0]
+    assert evaluate("v1*y2 + y2*v1", lie, rep, context) != v[0] * (y[1] + y[1]) * v[0]
+    assert evaluate("comm(C, tau(1))", lie, rep, context) == \
+        supercommutator(c.curvature, c.tau(0))
+    assert evaluate("d(d(tau(1)))", lie, rep, context) == \
+        c.differential(c.differential(c.tau(0)))
+    assert evaluate("L(2, v1 + y3)", lie, rep, context) == c.lie_derivative(1, v[0] + y[2])
 
 
-def _shape(node):
-    """Structure of an AST with source positions stripped."""
-    items = [type(node).__name__]
-    for name, value in vars(node).items():
-        if name == "pos":
-            continue
-        if hasattr(value, "pos"):
-            items.append((name, _shape(value)))
-        elif isinstance(value, tuple):
-            items.append((name, tuple(_shape(v) if hasattr(v, "pos") else v for v in value)))
-        else:
-            items.append((name, value))
-    return tuple(items)
+def test_parse_precedence_and_whitespace(classical_ctx, quantum_ctx):
+    """Products before sums, '^' before unary minus, chains from left to
+    right, and whitespace (newlines too) ignored."""
+    lie, rep, context = classical_ctx
+    c = ClassicalAlgebra(lie, rep)
+
+    def ev(src):
+        return evaluate(src, lie, rep, context)
+
+    assert ev("1+2*3") == ev(" 1 +\t2 * 3 ") == c.scalar(7)
+    assert ev("1 - 2 - 3") == c.scalar(-4)
+    assert ev("2*3 - 4/2*5 + 1") == c.scalar(-3)
+    assert ev("-v1^2") == -(c.even_gen(0) * c.even_gen(0))
+    assert ev(" d( y1 ) ") == ev("d(y1)") == ev("d(\n  y1\n)")
+    lie, rep, context = quantum_ctx
+    q = QuantumAlgebra(lie, rep)
+    u1, u2, x1 = q.even_gen(0), q.even_gen(1), q.odd_gen(0)
+    assert evaluate("u1*u2*x1 - x1*u2*u1", lie, rep, context) == u1 * u2 * x1 - x1 * u2 * u1
+    assert evaluate("u1*u2 - u2*u1", lie, rep, context) == q.even_gen(2)
 
 
-def test_parse_precedence_and_whitespace():
-    assert _shape(parse("1+2*3")) == _shape(parse("1 + 2 * 3"))
-    assert _shape(parse(" d( y1 ) ")) == _shape(parse("d(y1)"))
-    tree = parse("1+2*3")
-    assert tree.op == "+" and tree.right.op == "*"
+def test_errors_are_reported_in_evaluation_order(classical_ctx):
+    """The whole source is parsed before anything is evaluated; then the
+    operands of a chain are evaluated left to right, and a call's argument
+    before its index is checked."""
+    lie, rep, context = classical_ctx
+    for src, pos, what in (("v9 + (", (1, 7), "expected a number"),
+                           ("v9 - u1", (1, 1), "index 9 out of range"),
+                           ("v1 - u1*v9", (1, 6), "u1 is not part of the classical"),
+                           ("L(9, v4)", (1, 6), "index 4 out of range"),
+                           ("L(9, v3)", (1, 1), "index 9 out of range"),
+                           ("v1^2 * [[1],[1,2]]", (1, 8), "unequal lengths")):
+        with pytest.raises(ExprError, match=what) as exc:
+            evaluate(src, lie, rep, context)
+        assert exc.value.pos == pos, src
 
 
 def test_parse_errors_carry_positions():
@@ -92,8 +110,9 @@ def test_only_ascii_digits_are_digits(capsys):
     assert captured.err == "error: 1:1: unexpected character '٣'\n"
 
 
-def test_exponent_above_cap_is_positioned():
-    assert parse(f"u1^{MAX_EXPONENT}").exponent == MAX_EXPONENT
+def test_exponent_above_cap_is_positioned(classical_ctx):
+    lie, rep, context = classical_ctx
+    assert render(evaluate(f"v1^{MAX_EXPONENT}", lie, rep, context)) == f"v1^{MAX_EXPONENT} ⊗ I"
     with pytest.raises(ExprError) as exc:
         parse(f"2*u1^{MAX_EXPONENT + 1}")
     assert exc.value.pos == (1, 6)
@@ -108,20 +127,29 @@ def test_long_sums_evaluate_without_recursion(quantum_ctx):
     assert render(elem) == "2000*u1 ⊗ I + 1000*u3 ⊗ x2 ⊗ I"
 
 
-def test_literal_length_limit():
+def test_literal_length_limit(classical_ctx):
     """int() refuses more than 4,300 digits; the lexer stops far earlier."""
-    assert parse("1" * MAX_LITERAL).value == int("1" * MAX_LITERAL)
+    lie, rep, context = classical_ctx
+    assert evaluate("1" * MAX_LITERAL, lie, rep, context) == \
+        ClassicalAlgebra(lie, rep).scalar(int("1" * MAX_LITERAL))
     with pytest.raises(ExprError) as exc:
         parse("2*" + "1" * (MAX_LITERAL + 1))
     assert exc.value.pos == (1, 3)
     assert f"literal longer than {MAX_LITERAL} characters" in str(exc.value)
 
 
-def test_nesting_limit():
-    assert isinstance(parse("(" * (MAX_NESTING - 2) + "-u1" + ")" * (MAX_NESTING - 2)), Neg)
-    with pytest.raises(ExprError) as exc:
-        parse("d(" * MAX_NESTING + "y1" + ")" * MAX_NESTING)
-    assert exc.value.pos == (1, 2 * MAX_NESTING + 1)
+def test_nesting_limit(quantum_ctx):
+    """Parentheses, calls and unary minus each nest one level: 100 levels
+    are accepted and 101 refused where the 101st begins."""
+    lie, rep, context = quantum_ctx
+    depth = MAX_NESTING - 2  # with the unary minus and u1, 100 levels
+    assert evaluate("(" * depth + "-u1" + ")" * depth, lie, rep, context) == \
+        -QuantumAlgebra(lie, rep).even_gen(0)
+    for src, pos in (("(" * (depth + 1) + "-u1" + ")" * (depth + 1), (1, depth + 3)),
+                     ("d(" * MAX_NESTING + "y1" + ")" * MAX_NESTING, (1, 2 * MAX_NESTING + 1))):
+        with pytest.raises(ExprError, match=f"nested deeper than {MAX_NESTING} levels") as exc:
+            parse(src)
+        assert exc.value.pos == pos
 
 
 def test_zero_denominator_is_positioned():

@@ -266,15 +266,16 @@ def test_casimir_report(so3, abelian2):
 
 
 def test_inner_elements_are_the_operator_table(so3):
-    """inner[a] = u_a + g_a + tau_a, inner[n + a] = x_a and inner[2n] =
-    D + x_a tau_a: L_a, iota_a and d are their brackets."""
+    """inner(a) = u_a + g_a + tau_a, inner(n + a) = x_a and inner(2n) =
+    D + x_a tau_a: L_a, iota_a and d are their brackets.  Each is built
+    once per value."""
     for lie in (so3.lie, so3_plus_so3()):
         q, n = QuantumAlgebra(lie, adjoint_rep(lie)), lie.dim
-        assert len(q.inner) == 2 * n + 1
         for a in range(n):
-            assert q.inner[a] == q.even_gen(a) + q.g[a] + q.tau(a)
-            assert q.inner[n + a] == q.odd_gen(a)
-        assert q.inner[2 * n] == q.dirac_tau
+            assert q.inner(a) == q.even_gen(a) + q.g[a] + q.tau(a)
+            assert q.inner(n + a) == q.odd_gen(a)
+        assert q.inner(2 * n) == q.dirac_tau
+        assert q.inner(0) is q.inner(0)
 
 
 def test_lie_derivative_builds_only_its_own_operator_entry(so3):
@@ -354,7 +355,7 @@ def _bits(x):
 def test_tables_match_the_bracket_oracle(drawn):
     """All 2n + 1 operators read from the image table and tau's cell
     maps against `oracles.bracket_apply`, the whole bracket with
-    inner[i], numerators and denominator bit for bit, on x, x * q and
+    inner(i), numerators and denominator bit for bit, on x, x * q and
     d x; the table stays within its bound."""
     q, x, scale = drawn
     for y in (x, x * scale, oracles.bracket_apply(q, 2 * q.lie.dim, x)):
@@ -380,14 +381,14 @@ def test_tables_match_the_bracket_oracle_while_evicting():
 
 
 class _UncoupledDifferential(QuantumAlgebra):
-    """A wrong operator table: inner[2n] is D, without x_a tau_a."""
+    """A wrong operator table: inner(2n) is D, without x_a tau_a."""
 
     def _inner_element(self, i):
         return self.dirac if i == 2 * self.lie.dim else super()._inner_element(i)
 
 
 class _CurvatureOperator(QuantumAlgebra):
-    """inner[2n] is the curvature: its u_a tau_a terms give images with
+    """inner(2n) is the curvature: its u_a tau_a terms give images with
     pl tau_a A + pr A tau_a and pl != +-pr where the lower PBW terms of
     u_a key and key u_a differ, each split into an anticommutator and a
     commutator."""
@@ -419,13 +420,13 @@ def test_images_sum_terms_over_differing_denominators(so3):
 
 
 def test_operator_images_are_read_off_the_inner_elements(so3, monkeypatch):
-    """With inner[2n] = D the table-read d is the bracket with D, bit for
+    """With inner(2n) = D the table-read d is the bracket with D, bit for
     bit, and the suite on so3 adjoint reports failing rows: no image is
-    written down apart from `inner`.  With inner[2n] the curvature, d is
+    written down apart from `inner`.  With inner(2n) the curvature, d is
     the bracket with it."""
     lie, rep = so3.lie, so3.reps["adjoint"]
     q = _UncoupledDifferential(lie, rep)
-    assert q.inner[6] == q.dirac
+    assert q.inner(6) == q.dirac
     rng = random.Random(7)
     for _ in range(10):
         x = random_element(q, rng, max_degree=4)
