@@ -166,6 +166,11 @@ MUTANTS = [
     ("lemma row: the image leaves out v^1 L_1", "src/weil/checks.py",
      "alg.lie_derivative(a, one) for a in range(lie.dim)",
      "alg.lie_derivative(a, one) for a in range(1, lie.dim)", ROWS_ORACLE),
+    ("reference: d y^a with +1/2 f, not -1/2 f", "src/weil/checks.py",
+     "dy[a] = dy[a] - y(j) * y(k) * (q / 2)", "dy[a] = dy[a] + y(j) * y(k) * (q / 2)",
+     ROWS_ORACLE),
+    ("quantum restriction image without its iota_a(X) tau_a terms", "src/weil/checks.py",
+     "products_into(acc, alg.contraction(a, x), alg.tau(a), False, -1)", "pass", ROWS_ORACLE),
 ]
 
 

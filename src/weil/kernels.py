@@ -18,9 +18,10 @@ the PBW kernel as it ran on Fractions only, live on in the tests as
 oracles.
 
 The Clifford and PBW products are memoized in bounded LRU caches.
-`_pbw_left` and `pbw_mono_mul` take the `LieData` itself as part of the
-key: `LieData` is declared `eq=False`, so the key hashes by identity, and
-an entry keeps its algebra alive until the entry is evicted.
+`_pbw_left` and `pbw_mono_mul` take the algebra's `lie.BracketTable` as
+part of the key: immutable, one object per distinct table, and hashed by
+identity.  So algebras with equal structure constants share entries, a
+lookup hashes no table, and an entry keeps no `LieData` alive.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def _bump(mono, i, k):
 
 
 @lru_cache(maxsize=1 << 16)
-def _pbw_left(a, mono, lie):
+def _pbw_left(a, mono, table):
     """u_a times the normal-form monomial u^mono, as (monomial, coefficient)
-    pairs: ints when every f^c_ab in `lie.pair_brackets()` is an int, exact
+    pairs: ints when every f^c_ab in the `BracketTable` is an int, exact
     ints and Fractions otherwise.
 
     With b the smallest letter of mono and b < a, write u^mono = u_b m'; then
@@ -115,23 +116,24 @@ def _pbw_left(a, mono, lie):
         return ((_bump(mono, a, 1), 1),)
     rest = _bump(mono, b, -1)
     out = {}
-    for m, q in _pbw_left(a, rest, lie):
-        for m2, q2 in _pbw_left(b, m, lie):
+    for m, q in _pbw_left(a, rest, table):
+        for m2, q2 in _pbw_left(b, m, table):
             add_term(out, m2, q * q2)
-    for c, f in lie.pair_brackets().get((b, a), ()):  # [u_a, u_b] = -f^c_ba u_c
-        for m, q in _pbw_left(c, rest, lie):
+    for c, f in table.rows.get((b, a), ()):  # [u_a, u_b] = -f^c_ba u_c
+        for m, q in _pbw_left(c, rest, table):
             add_term(out, m, -f * q)
     return tuple(out.items())
 
 
 @lru_cache(maxsize=1 << 14)
-def pbw_mono_mul(m1, m2, lie):
-    """u^m1 u^m2 in PBW normal form: the letters of m1, right to left, onto m2."""
+def pbw_mono_mul(m1, m2, table):
+    """u^m1 u^m2 in PBW normal form, f^c_ab read off the `BracketTable`: the
+    letters of m1, right to left, onto m2."""
     terms = {m2: 1}
     for a in reversed(pbw_word(m1)):
         nxt = {}
         for m, c in terms.items():
-            for m3, q in _pbw_left(a, m, lie):
+            for m3, q in _pbw_left(a, m, table):
                 add_term(nxt, m3, c * q)
         terms = nxt
     return tuple(sorted(terms.items()))

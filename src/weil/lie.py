@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
+from types import MappingProxyType
 
 from .linalg import Matrix, exact_scalar, parse_scalar, rank
 
@@ -25,6 +28,19 @@ class BilinearForm:
     @property
     def is_orthonormal(self) -> bool:
         return self.matrix.is_identity
+
+
+@dataclass(frozen=True, eq=False)
+class BracketTable:
+    """`LieData.pair_brackets()` read-only, the key of the PBW caches.  Equal
+    tables are one object (`_TABLES`), so algebras with equal structure
+    constants share cache entries; it hashes by identity, and holds no
+    `LieData`, so an entry keeps no algebra alive."""
+
+    rows: MappingProxyType  # (a, b) -> ((c, f^c_ab), ...)
+
+
+_TABLES = weakref.WeakValueDictionary()  # a table's rows, as a tuple -> the table
 
 
 @dataclass(eq=False)
@@ -45,7 +61,6 @@ class LieData:
 
     def __post_init__(self):
         self.entries = {k: exact_scalar(v) for k, v in self.entries.items()}
-        self._pairs = None
 
     def f(self, a, b, c) -> Fraction:
         """f^c_ab with the sign of the stored orientation synthesized."""
@@ -57,30 +72,35 @@ class LieData:
             return -v
         return Fraction(0)
 
-    def pair_brackets(self) -> dict:
+    def pair_brackets(self) -> MappingProxyType:
         """Nonzero (c, f^c_ab) pairs for every ordered pair (a, b) in range,
-        built once on first use.  Each f^c_ab is an int when it is integral
-        and a Fraction otherwise, so that the PBW kernel and every other
-        reader multiply in ints on an integral algebra.
+        read-only: the rows of `bracket_table`."""
+        return self.bracket_table.rows
+
+    @cached_property
+    def bracket_table(self) -> BracketTable:
+        """The `BracketTable` of the pairs, built once on first use.  Each
+        f^c_ab is an int when it is integral and a Fraction otherwise, so
+        that the PBW kernel and every other reader multiply in ints on an
+        integral algebra.
 
         Only a stored key or its swapped partner can give a nonzero f, so
         the table costs the number of entries, not n^3; keys and rows keep
         the index order of a dense scan.
         """
-        if self._pairs is None:
-            n = self.dim
-            keys = set()
-            for a, b, c in self.entries:
-                if 0 <= a < n and 0 <= b < n and 0 <= c < n:
-                    keys.add((a, b, c))
-                    keys.add((b, a, c))
-            pairs = {}
-            for a, b, c in sorted(keys):
-                if q := self.f(a, b, c):
-                    q = q.numerator if q.denominator == 1 else q
-                    pairs.setdefault((a, b), []).append((c, q))
-            self._pairs = {k: tuple(v) for k, v in pairs.items()}
-        return self._pairs
+        n = self.dim
+        keys = set()
+        for a, b, c in self.entries:
+            if 0 <= a < n and 0 <= b < n and 0 <= c < n:
+                keys.add((a, b, c))
+                keys.add((b, a, c))
+        pairs = {}
+        for a, b, c in sorted(keys):
+            if q := self.f(a, b, c):
+                q = q.numerator if q.denominator == 1 else q
+                pairs.setdefault((a, b), []).append((c, q))
+        rows = tuple((k, tuple(v)) for k, v in pairs.items())
+        return _TABLES.setdefault(rows, BracketTable(MappingProxyType(dict(rows))))
 
     @property
     def has_orthonormal_form(self) -> bool:

@@ -43,7 +43,7 @@ class QuantumElement(element.Element):
         cm, cp, cr = cliff_mono_mul(k1[1], k2[1])
         return [((pm, cm), cp * q, cr) if type(q) is int
                 else ((pm, cm), cp * q.numerator, cr * q.denominator)
-                for pm, q in pbw_mono_mul(k1[0], k2[0], self.lie)]
+                for pm, q in pbw_mono_mul(k1[0], k2[0], self.lie.bracket_table)]
 
 
 def _cliff_word(word):

@@ -83,6 +83,12 @@ through it.
 `weil.checks`' identity rows before each case summed its two sides into
 one accumulator: every side is a canonical element, built through
 `+`, `-` and scalar products, and the two sides are compared with `==`.
+`scalar_weil_differential` is the reference differential that
+`weil.checks` computed on scalar polynomials (dicts (sym, ext) ->
+Fraction) before it summed per-key images of the algebra's own
+elements: its generator images, partial derivatives and product are
+Fraction polynomials, and `embed_scalar_poly` tensors a polynomial with
+I.
 `fraction_random_scalar`, `fraction_random_matrix` and
 `fraction_random_element` are `weil.checks`' random draws before they read
 prebuilt values: each scalar is a new Fraction and each matrix goes
@@ -111,9 +117,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from weil.checks import (_random_key, _result, embed_scalar_poly, identity_part,
-                         quantum_structure_suite, random_scalar_weil_poly, random_sym_poly,
-                         scalar_weil_differential)
+from weil.checks import (_random_key, _result, quantum_structure_suite, random_scalar_weil_poly,
+                         random_sym_poly)
 from weil.classical import ClassicalElement
 from weil.element import accumulate, collect, supercommutator
 from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_subspace,
@@ -164,7 +169,7 @@ def pbw_poly_mul(a: dict, b: dict, lie) -> dict:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             c = c1 * c2
-            for m, q in cached_pbw_mono_mul(m1, m2, lie):
+            for m, q in cached_pbw_mono_mul(m1, m2, lie.bracket_table):
                 add_term(out, m, c * q)
     return out
 
@@ -1348,6 +1353,87 @@ def fraction_random_element(alg, rng, max_degree=4, max_terms=3):
     return alg.element(terms)
 
 
+# -- independent scalar Weil differential -------------------------------------
+
+
+def _partial_sym(poly, a):
+    """d/dv^a on a scalar (sym, ext) polynomial."""
+    out = {}
+    for (s, e), q in poly.items():
+        if s[a]:
+            s2 = list(s)
+            s2[a] -= 1
+            add_term(out, (tuple(s2), e), q * s[a])
+    return out
+
+
+def _partial_ext(poly, a):
+    """Odd d/dy^a with the left-to-right sign convention."""
+    out = {}
+    for (s, e), q in poly.items():
+        for j, idx in enumerate(e):
+            if idx == a:
+                add_term(out, (s, e[:j] + e[j + 1:]), q if j % 2 == 0 else -q)
+                break
+    return out
+
+
+def _scalar_poly_mul(a, b):
+    out = {}
+    for (s1, e1), q1 in a.items():
+        for (s2, e2), q2 in b.items():
+            r = ext_mono_mul(e1, e2)
+            if r is None:
+                continue
+            sign, e = r
+            add_term(out, (sym_mono_mul(s1, s2), e), q1 * q2 * sign)
+    return out
+
+
+def scalar_weil_differential(lie, poly):
+    """Reference differential on the scalar Weil algebra.
+
+    Written as sum_a (image of generator) * (partial derivative); the
+    generator images are even, so no Koszul correction is needed when
+    they multiply from the left.  The images come from dense `lie.f`
+    scans, not `lie.pair_brackets()`, so the check is independent of
+    the table `classical.differential` reads.
+    """
+    return _scalar_differential(_generator_images(lie), poly)
+
+
+def _generator_images(lie):
+    """Per a, the images (d y^a, d v^a) that `scalar_weil_differential`
+    multiplies: v^a - (1/2) f^a_jk y^j y^k and -f^a_jk y^j v^k."""
+    n = lie.dim
+    unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    images = [({(unit[a], ()): Fraction(1)}, {}) for a in range(n)]
+    for a, (dy, dv) in enumerate(images):
+        for j in range(n):
+            for k in range(n):
+                q = lie.f(j, k, a)
+                if q:
+                    sign, e = ext_mono_mul((j,), (k,))  # j != k, as f(j, j, a) = 0
+                    add_term(dy, ((0,) * n, e), -q * sign / 2)
+                    add_term(dv, (unit[k], (j,)), -q)
+    return images
+
+
+def _scalar_differential(images, poly):
+    """`scalar_weil_differential` from its generator images."""
+    out = {}
+    for a, pair in enumerate(images):
+        for image, partial in zip(pair, (_partial_ext, _partial_sym)):
+            for m, c in _scalar_poly_mul(image, partial(poly, a)).items():
+                add_term(out, m, c)
+    return out
+
+
+def embed_scalar_poly(lie, rep, poly):
+    ident = Matrix.identity(rep.dim)
+    return ClassicalElement(lie, rep, {m: ident * q for m, q in poly.items()})
+
+
 # -- identity rows by element comparison ----------------------------------------
 
 def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
@@ -1446,8 +1532,10 @@ def quantum_rows(alg, samples, seed, max_degree):
                            [] if ok else ["mismatch"]))
 
     restrict = []
+    ident = Matrix.identity(rep.dim)
     for i in range(samples // 2 + 1):
-        ident_part = identity_part(fraction_random_element(alg, rng, max_degree))
+        poly = random_scalar_weil_poly(lie, rng, max_degree)
+        ident_part = alg.element({m: ident * q for m, q in poly.items()})
         lhs = alg.differential(ident_part)
         rhs = alg.weil_differential(ident_part)
         for a in range(lie.dim):

@@ -2,9 +2,11 @@ import random
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import oracles
 import pytest
+from oracles import embed_scalar_poly, scalar_weil_differential
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import _so3_blocks
@@ -12,15 +14,10 @@ from test_kernels import _so3_blocks
 from weil import adjoint_rep, builtin, trivial_rep
 from weil import classical as cw
 from weil import element as ew
-from weil.checks import (
-    embed_scalar_poly,
-    random_element,
-    random_scalar_weil_poly,
-    random_sym_poly,
-    scalar_weil_differential,
-)
+from weil.checks import _reference, random_element, random_scalar_weil_poly, random_sym_poly
 from weil.classical import ClassicalAlgebra
 from weil.element import supercommutator
+from weil.flat import monomials_up_to
 from weil.lie import LieData
 from weil.linalg import Matrix
 from weil.render import render
@@ -182,6 +179,30 @@ def test_restriction_matches_scalar_differential(ctx):
         ref = embed_scalar_poly(lie, rep, scalar_weil_differential(lie, poly))
         assert ctx.differential(elem) == ref
         assert ctx.differential(ctx.differential(elem)).is_zero
+
+
+def _keys(n, top):
+    """Every (sym, ext) key of Weil degree 2 |sym| + |ext| <= top in n generators."""
+    return [(s, e) for k in range(top + 1) for e in combinations(range(n), k)
+            for s in monomials_up_to(n, (top - k) // 2)]
+
+
+@pytest.mark.parametrize("name,rep,top", [("so3", "adjoint", 4), ("sl2", "standard", 4),
+                                          ("heisenberg3", "adjoint", 4), ("so3+so3", "adjoint", 3)])
+def test_reference_matches_the_fraction_oracle_on_every_key(name, rep, top):
+    """The suite's per-key reference image of key I, built from elements,
+    against the Fraction-polynomial reference on every key up to `top`."""
+    if name == "so3+so3":
+        lie = _so3_blocks(2)
+        rep = adjoint_rep(lie)
+    else:
+        defn = builtin(name)
+        lie, rep = defn.lie, defn.reps[rep]
+    alg = ClassicalAlgebra(lie, rep)
+    reference = _reference(alg)
+    for key in _keys(lie.dim, top):
+        want = embed_scalar_poly(lie, rep, scalar_weil_differential(lie, {key: Fraction(1)}))
+        assert reference(key) == want, key
 
 
 def test_sym_euler_lemma(ctx):

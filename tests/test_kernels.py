@@ -1,8 +1,10 @@
+import gc
 import importlib.util
 import itertools
 import json
 import random
 import tempfile
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -22,8 +24,9 @@ from weil.kernels import (
     pbw_mono_mul,
     pbw_word,
 )
-from weil.lie import builtin, load_algebra_file
+from weil.lie import builtin, load_algebra_file, trivial_rep
 from weil.linalg import Matrix
+from weil.quantum import QuantumAlgebra
 
 
 def one(mono):
@@ -177,7 +180,7 @@ def test_pbw_kernel_matches_oracle_strategies():
             m1 = _random_mono(rng, lie.dim, 4)
             m2 = _random_mono(rng, lie.dim, 4)
             word = pbw_word(m1) + pbw_word(m2)
-            got = dict(pbw_mono_mul(m1, m2, lie))
+            got = dict(pbw_mono_mul(m1, m2, lie.bracket_table))
             for strategy in ("leftmost", "rightmost"):
                 assert got == oracles.pbw_word_mul(word, lie, strategy), \
                     (lie.name, m1, m2, strategy)
@@ -198,7 +201,7 @@ def _pbw_algebras():
 def _assert_pbw_matches_fraction_oracle(mono_mul, lie, m1, m2):
     """Term for term equal to the Fraction kernel; every coefficient an int
     when every f^c_ab of `lie` is integral, an int or a Fraction otherwise."""
-    got = mono_mul(m1, m2, lie)
+    got = mono_mul(m1, m2, lie.bracket_table)
     assert got == oracles.fraction_pbw_mono_mul(m1, m2, lie), (lie.name, m1, m2)
     integral = all(q.denominator == 1 for q in lie.entries.values())
     kinds = (int,) if integral else (int, Fraction)
@@ -228,17 +231,17 @@ def test_pbw_oracle_test_fails_on_a_wrong_integer_bracket_sign(monkeypatch):
     fails on every integral algebra that has a bracket, and only there."""
 
     @lru_cache(maxsize=None)
-    def wrong(a, mono, lie):
+    def wrong(a, mono, table):
         b = next((i for i, k in enumerate(mono) if k), a)
         if b >= a:
             return ((kernels._bump(mono, a, 1), 1),)
         rest = kernels._bump(mono, b, -1)
         out = {}
-        for m, q in wrong(a, rest, lie):
-            for m2, q2 in wrong(b, m, lie):
+        for m, q in wrong(a, rest, table):
+            for m2, q2 in wrong(b, m, table):
                 add_term(out, m2, q * q2)
-        for c, f in lie.pair_brackets().get((b, a), ()):
-            for m, q in wrong(c, rest, lie):
+        for c, f in table.rows.get((b, a), ()):
+            for m, q in wrong(c, rest, table):
                 add_term(out, m, (f if type(f) is int else -f) * q)
         return tuple(out.items())
 
@@ -290,6 +293,32 @@ def test_pbw_filtration_bound():
 
 def test_pbw_word_expansion():
     assert pbw_word((2, 0, 1)) == (0, 0, 2)
+
+
+def _u3_cubed_u1_cubed(lie):
+    q = QuantumAlgebra(lie, trivial_rep(lie))
+    u1, u3 = q.even_gen(0), q.even_gen(2)
+    return u3 * u3 * u3 * (u1 * u1 * u1)
+
+
+def test_a_freed_algebra_is_collected_after_pbw_products():
+    """The PBW cache entries that a product leaves keep no `LieData` alive."""
+    lie = builtin("so3").lie
+    _u3_cubed_u1_cubed(lie)
+    ref = weakref.ref(lie)
+    del lie
+    gc.collect()
+    assert ref() is None
+
+
+def test_an_equal_algebra_reuses_the_pbw_cache_entries():
+    """A second so3 with the same structure constants misses no entry that
+    the first filled."""
+    first = _u3_cubed_u1_cubed(builtin("so3").lie)
+    misses = kernels._pbw_left.cache_info().misses, pbw_mono_mul.cache_info().misses
+    second = _u3_cubed_u1_cubed(builtin("so3").lie)
+    assert (kernels._pbw_left.cache_info().misses, pbw_mono_mul.cache_info().misses) == misses
+    assert second.terms == first.terms
 
 
 def test_kernel_caches_are_bounded():

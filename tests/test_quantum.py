@@ -17,7 +17,7 @@ from weil import ALGEBRAS, builtin, checks
 from weil import classical as cw
 from weil import element as ew
 from weil import quantum as qw
-from weil.checks import identity_part, quantum_structure_suite, quantum_suite, random_element
+from weil.checks import quantum_structure_suite, quantum_suite, random_element
 from weil.classical import ClassicalAlgebra, ClassicalElement
 from weil.cli import main
 from weil.element import supercommutator
@@ -465,21 +465,6 @@ def test_full_suite_passes(so3):
     results = quantum_suite(so3.lie, so3.reps["adjoint"], samples=25, seed=3)
     for r in results:
         assert r.passed, (r.name, r.detail)
-
-
-def test_identity_part_stores_no_zero_matrix(ctx):
-    """The restriction row's identity part keeps A[0, 0] I for every term
-    with A[0, 0] != 0 and drops the others, so no stored matrix is zero."""
-    rng = random.Random(21001)
-    dropped = 0
-    for _ in range(60):
-        x = random_element(ctx, rng)
-        part = identity_part(x)
-        assert all(part.terms.values())
-        assert part.terms == {m: Matrix.identity(3) * a[0, 0]
-                              for m, a in x.terms.items() if a[0, 0]}
-        dropped += len(x.terms) - len(part.terms)
-    assert dropped  # some draws have A[0, 0] = 0
 
 
 def test_render_golden(ctx):

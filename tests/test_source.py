@@ -11,6 +11,8 @@ module of the imported package, wherever it was imported from.
 import ast
 from pathlib import Path
 
+import pytest
+
 import weil
 
 PACKAGE = Path(weil.__file__).parent
@@ -44,3 +46,15 @@ def test_no_source_line_depends_on_python_O():
              for path in paths
              for line, what in optimize_dependent(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def test_every_module_and_script_parses_with_the_python_3_10_grammar():
+    """pyproject declares Python >= 3.10, so every module of `weil` and every
+    script under `scripts/` must parse under the 3.10 grammar.  This checks
+    the grammar only, on a best-effort basis: `feature_version` rejects
+    syntax such as `except*` (3.11), not a library call that 3.10 lacks."""
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(scripts.glob("*.py"))]:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
