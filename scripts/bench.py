@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Time the flat report rows, each run in a fresh process, into a BENCH file.
+
+Each row is one `weil flat` report computed in-process, as
+`cli.flat_report_data` computes it (20 closure samples, seed 0), with
+its phases timed in that order: the flat solve, the decomposition, the
+inclusion (whose basic solve is also timed on its own) and the closure.
+The rows are so3 adjoint quantum at N = 6, 8 and 10, so3 adjoint
+classical at N = 10, and so3+so3 adjoint quantum at N = 3 and 6, so3+so3
+being `gamma_square_table.so3_blocks(2)`; N = 6 is over the CLI's column
+cap, which the in-process run does not apply.
+
+Every run is a fresh `sys.executable` process, the rows taking turns
+round by round.  A run records its wall time, the phase times, its own
+peak RSS (`ru_maxrss`), the flat and basic dims, a sha256 of the report,
+and the host state: the median time of `perfbench/speedclock.yardstick()`
+before and after the job, as a ratio to its `REF_S`.  The file holds the
+commit, `nproc`, the Python version and per row the runs with the median
+and quartiles of every figure; the script prints each row's median and
+quartile spread.
+
+Usage: python scripts/bench.py OUT.json REPEATS
+"""
+
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ROWS = [
+    {"name": "so3-adjoint-quantum-N6", "lie": "so3", "kind": "quantum", "N": 6},
+    {"name": "so3-adjoint-quantum-N8", "lie": "so3", "kind": "quantum", "N": 8},
+    {"name": "so3-adjoint-quantum-N10", "lie": "so3", "kind": "quantum", "N": 10},
+    {"name": "so3-adjoint-classical-N10", "lie": "so3", "kind": "classical", "N": 10},
+    {"name": "so3+so3-adjoint-quantum-N3", "lie": "so3+so3", "kind": "quantum", "N": 3},
+    {"name": "so3+so3-adjoint-quantum-N6", "lie": "so3+so3", "kind": "quantum", "N": 6},
+]
+PHASES = ("flat", "decomposition", "inclusion", "basic", "closure")
+SAMPLES, SEED = 20, 0  # the `weil flat` defaults
+YARDSTICKS = 5  # timed yardstick calls before and after a job, after 3 warm-up calls
+
+
+def host_ratio():
+    """The median time of one yardstick over its REF_S."""
+    from speedclock import REF_S, yardstick
+
+    times = []
+    for k in range(3 + YARDSTICKS):
+        start = time.perf_counter()
+        yardstick()
+        if k >= 3:
+            times.append(time.perf_counter() - start)
+    return statistics.median(times) / REF_S
+
+
+def child(row):
+    """Run one row in this process and return its record."""
+    from weil import ALGEBRAS, adjoint_rep, builtin, flat
+
+    before = host_ratio()
+    phases = dict.fromkeys(PHASES, 0.0)
+
+    def timed(name, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        phases[name] += time.perf_counter() - start
+        return out
+
+    flat.basic_subspace = partial(timed, "basic", flat.basic_subspace)  # inside inclusion
+    start = time.perf_counter()
+    if row["lie"] == "so3":
+        lie = builtin("so3").lie
+    else:
+        from gamma_square_table import so3_blocks
+
+        lie = so3_blocks(2)
+    hor = timed("flat", flat.flat_subspace, ALGEBRAS[row["kind"]](lie, adjoint_rep(lie)), row["N"])
+    report = [timed("decomposition", flat.decomposition_report, hor),
+              timed("inclusion", flat.inclusion_report, hor),
+              timed("closure", flat.closure_report, hor, samples=SAMPLES, seed=SEED)]
+    wall = time.perf_counter() - start
+    per_degree = report[1]["per_degree"]
+    return {"wall_s": wall, "phases_s": phases,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "yardstick_ratio": [before, host_ratio()],
+            "dims_flat": [r["dim_flat"] for r in per_degree],
+            "dims_basic": [r["dim_basic"] for r in per_degree],
+            "report_sha256": hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()}
+
+
+def summary(values):
+    """(first quartile, median, third quartile) of the values."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def git(*args):
+    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def run(rows, repeats, out):
+    """Run each row `repeats` times, round by round, and write the file."""
+    runs = {row["name"]: [] for row in rows}
+    for _ in range(repeats):
+        for row in rows:
+            proc = subprocess.run([sys.executable, __file__, "child", json.dumps(row)],
+                                  capture_output=True, text=True, check=True)
+            runs[row["name"]].append(json.loads(proc.stdout))
+    out_rows = {}
+    for row in rows:
+        records = runs[row["name"]]
+        figures = {"wall_s": [r["wall_s"] for r in records],
+                   "peak_rss_mb": [r["peak_rss_mb"] for r in records],
+                   **{f"{p}_s": [r["phases_s"][p] for r in records] for p in PHASES}}
+        quartiles = {k: summary(v) for k, v in figures.items()}
+        out_rows[row["name"]] = {
+            "spec": row, "runs": records,
+            "median": {k: q[1] for k, q in quartiles.items()},
+            "quartiles": {k: [q[0], q[2]] for k, q in quartiles.items()}}
+        q = quartiles["wall_s"]
+        print(f"{row['name']:<28} wall {q[1]:8.3f} s [{q[0]:.3f}, {q[2]:.3f}]  "
+              f"peak {quartiles['peak_rss_mb'][1]:7.1f} MB", flush=True)
+    status = git("status", "--porcelain", "--", "src", "scripts")
+    data = {"sha": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status),
+            "nproc": os.cpu_count(), "python": platform.python_version(),
+            "repeats": repeats, "rows": out_rows}
+    Path(out).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    return data
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "child":  # one run, from `run`, on this checkout
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
+        print(json.dumps(child(json.loads(argv[1]))))
+        return 0
+    if len(argv) != 2 or not argv[1].isdigit() or int(argv[1]) < 1:
+        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        return 2
+    run(ROWS, int(argv[1]), argv[0])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

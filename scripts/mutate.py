@@ -31,6 +31,7 @@ BRACKET_CELLS = ["tests/test_element.py::test_cell_rule_is_tau_a_plus_s_a_tau",
                  *QUANTUM_TABLES, *CLASSICAL_TABLES]
 CLOSURE_PREMISES = ["tests/test_flat.py::test_a_failed_premise_fails_the_closure"]
 WRITTEN_ROWS = ["tests/test_flat.py::test_written_rows_solve_as_the_element_images"]
+ROWS_GUARD = ["tests/test_flat.py::test_rows_hold_no_zero_and_no_copy"]
 SOURCE_SCAN = ["tests/test_source.py::test_no_source_line_depends_on_python_O"]
 CURVATURE_CHECK = ["tests/test_quantum.py::"
                    "test_curvature_cross_check_fires_on_a_wrong_four_term_formula"]
@@ -121,6 +122,14 @@ MUTANTS = [
      "len(key[1]) & 1 else -1", "len(key[1]) & 1 else 1", SIDES),
     ("rows: every letter's cells taken with s = +1", "src/weil/flat.py",
      "maps = {t: (cells, mat.den)", "maps = {t: (mat._cells(1), mat.den)", WRITTEN_ROWS),
+    ("rows: a cancelled cell kept as a zero entry", "src/weil/flat.py",
+     "add_term(rows[tag, key, out], base + c, scale * v)",
+     "rows[tag, key, out][base + c] = rows[tag, key, out].get(base + c, 0) + scale * v",
+     ROWS_GUARD),
+    ("rows: each row copied to drop its zeros", "src/weil/flat.py",
+     "return [row for row in rows.values() if row]",
+     "return [r for r in ({c: v for c, v in row.items() if v} for row in rows.values()) if r]",
+     ROWS_GUARD),
     ("gamma cross-check as an assert", "src/weil/quantum.py",
      "if third * Fraction(1, 3) != gamma:\n            raise AssertionError(",
      "assert third * Fraction(1, 3) == gamma, (", SOURCE_SCAN),

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import lcm
 
+from .kernels import add_term
 from .linalg import Matrix, kernel, rank
 
 
@@ -97,8 +98,8 @@ def _at_level(alg, pairs, k):
 
 def span_rank(elements) -> int:
     """Rank of the coordinate matrix whose column c is `elements[c]`: row
-    (key, cell) holds entry `cell` of term `key`, for the sorted keys that
-    occur, as the terms' numerators over the lcm of their denominators."""
+    (key, cell), in any order, holds entry `cell` of term `key`, as the
+    terms' numerators over the lcm of their denominators."""
     den = lcm(*{mat.den for x in elements for mat in x.terms.values()})
     rows = defaultdict(dict)
     for c, x in enumerate(elements):
@@ -107,7 +108,7 @@ def span_rank(elements) -> int:
             for cell, v in enumerate(mat.num):
                 if v:
                     rows[(key, cell)][c] = v * scale
-    return rank([rows[row_key] for row_key in sorted(rows)])
+    return rank(rows.values())
 
 
 @dataclass
@@ -157,14 +158,15 @@ class SubspaceResult:
 def _rows(alg, monos, table):
     """The nonzero rows {column: nonzero int} of an operator's coordinate
     matrix on the domain m (x) E_ij, m in `monos`, whose column (index of
-    m) d^2 + i d + j is that vector, keyed (tag, key, cell): entry `cell`
-    of term `key` of image `tag`.
+    m) d^2 + i d + j is that vector: row (tag, key, cell), listed where
+    it first occurs, is entry `cell` of term `key` of image `tag`.
 
     `table(m)` lists the operator on m (x) A as pairs (tag, terms), the
     terms (key, t, p, q) of `WeilAlgebra._image`: key (p / q) times A, or
     letter t on A.  Each triple (out, in, v) of the letter's cells, or (o,
-    o, 1) for A, is entry v at row (tag, key, out), column base + in, as
-    numerators over the lcm of the terms' q M.den.
+    o, 1) for A, adds v at row (tag, key, out), column base + in, as
+    numerators over the lcm of the terms' q M.den, by `add_term`, so a
+    cell where a letter's halves cancel is deleted where it is summed.
     """
     d2 = alg.rep.dim ** 2
     tables = [table(m) for m in monos]
@@ -178,31 +180,28 @@ def _rows(alg, monos, table):
                 cells, mden = maps[t]
                 scale = p * (den // (q * mden))
                 for out, c, v in cells:
-                    row, col = rows[tag, key, out], base + c
-                    row[col] = row.get(col, 0) + scale * v
-    # a letter's halves can cancel at a cell: keep only the nonzero entries
-    rows = {row_key: {c: v for c, v in row.items() if v} for row_key, row in rows.items()}
-    return {row_key: row for row_key, row in rows.items() if row}
+                    add_term(rows[tag, key, out], base + c, scale * v)
+    return [row for row in rows.values() if row]
 
 
 def _solve_levels(alg, max_degree, table):
     """Kernel of the horizontal part up to max_degree, split into levels.
 
     One solve per degree block classically, one <= max_degree block
-    quantum-side, on the rows that `_rows` writes from `table`.  Columns
-    are ordered by degree and a normalized kernel vector lives on its
-    free column and the pivot columns before it, so its level is its top
-    polynomial degree, and those of level <= k are the normalized kernel
-    of the <= k block.  A kernel vector becomes an element by grouping
-    its columns per monomial.
+    quantum-side, on the rows `_rows` writes from `table`, as written:
+    `kernel` takes them sparsest first, and its normalized basis does not
+    depend on their order.  Columns are ordered by degree and a normalized
+    kernel vector lives on its free column and the pivot columns before
+    it, so its level is its top polynomial degree, and those of level <= k
+    are the normalized kernel of the <= k block.  A kernel vector becomes
+    an element by grouping its columns per monomial.
     """
     n, d = alg.lie.dim, alg.rep.dim
     blocks = ([degree_monomials(n, k) for k in range(max_degree + 1)] if alg.GRADED
               else [monomials_up_to(n, max_degree)])
     basis = []
     for monos in blocks:
-        rows = _rows(alg, monos, table)
-        for nums, den in kernel([rows[row_key] for row_key in sorted(rows)], len(monos) * d * d):
+        for nums, den in kernel(_rows(alg, monos, table), len(monos) * d * d):
             parts = {}
             for c, x in nums.items():
                 mono, cell = divmod(c, d * d)

@@ -43,24 +43,25 @@ class BracketTable:
 _TABLES = weakref.WeakValueDictionary()  # a table's rows, as a tuple -> the table
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LieData:
     """Dimension, structure constants f^c_ab keyed (a, b, c) over the
     0-based basis indices, an optional invariant form, a name, and one
     derived table, `pair_brackets`.
 
     Entries are kept exactly as constructed so that validation can flag
-    inconsistent orientations; builtins and the file loader only ever
-    populate a < b keys.
+    inconsistent orientations, and read-only so that `f` and the table
+    agree; builtins and the file loader only ever populate a < b keys.
     """
 
     dim: int
-    entries: dict
+    entries: MappingProxyType
     form: BilinearForm | None = None
     name: str = ""
 
     def __post_init__(self):
-        self.entries = {k: exact_scalar(v) for k, v in self.entries.items()}
+        object.__setattr__(self, "entries", MappingProxyType(
+            {k: exact_scalar(v) for k, v in self.entries.items()}))
 
     def f(self, a, b, c) -> Fraction:
         """f^c_ab with the sign of the stored orientation synthesized."""
@@ -107,7 +108,7 @@ class LieData:
         return self.form is not None and self.form.is_orthonormal
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RepData:
     """A tuple of n matrices, one per basis element, acting on V."""
 

@@ -105,6 +105,8 @@ through `weil.kernels`' monomial products, and `matrix_rows` lists the
 rows of a `weil.linalg.Matrix`; `weil` itself never needs them.
 They are kept unchanged so that the fast code can be tested against an
 obvious, independently written reference.
+`symbol_mismatches` replaces nothing: it ties the quantum construction
+to the classical one through the symbol map u_a -> v^a, x_a -> y^a.
 """
 
 from __future__ import annotations
@@ -119,12 +121,13 @@ from math import gcd, lcm
 
 from weil.checks import (_random_key, _result, quantum_structure_suite, random_scalar_weil_poly,
                          random_sym_poly)
-from weil.classical import ClassicalElement
+from weil.classical import ClassicalAlgebra, ClassicalElement
 from weil.element import accumulate, collect, supercommutator
 from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_subspace,
                        degree_monomials, monomials_up_to, span_rank)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
+from weil.quantum import QuantumAlgebra
 from weil.render import TENSOR, _gen_string, _index_string, _join, render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
@@ -1550,3 +1553,62 @@ def quantum_rows(alg, samples, seed, max_degree):
     results.append(_result("restriction: d != d_W exactly when tau_1 is nonzero",
                            [] if ok else ["witness failed at x1"]))
     return results
+
+
+# -- the symbol oracle ------------------------------------------------------------
+
+def weil_degree(key):
+    """Twice the even degree plus the odd length of an (even, odd) key."""
+    return 2 * sum(key[0]) + len(key[1])
+
+
+def weil_keys(n, top):
+    """Every (even, odd) key of Weil degree <= top in n generators."""
+    return [(s, e) for k in range(top + 1) for e in combinations(range(n), k)
+            for s in monomials_up_to(n, (top - k) // 2)]
+
+
+def symbol_mismatches(lie, rep, K):
+    """Where a quantum operator's symbol is not the classical operator.
+
+    The quantum key u^s x_e A has the classical key v^s y^e A as its
+    symbol, of Weil degree 2 |s| + |e|.  For every key of Weil degree <=
+    K, every End V unit E_ij and I, and each of L_a, iota_a and d (Weil
+    degrees 0, -1 and +1), the quantum image may have no term above the
+    key's degree plus the operator's, and its part at that degree must be
+    the classical image.  The same holds on horizontal keys for [C_q - Z,
+    .] (`QuantumAlgebra.flat_op`) against the classical [C, .], with the
+    degree raised by 2.  Returns one line per failing (operator, key, A).
+
+    The quantum algebra is `QuantumAlgebra`, read when called, so a test
+    can put a mutant class in its place.  Only the top part is compared,
+    so a mutant that changes an operator only below its top degree passes
+    by design: d plus [x_1, .], a term of Weil degree -1, does.  A wrong
+    gamma coefficient does not pass, as [gamma, x_a] = g_a is the top
+    part -(1/2) f y y of d y^a.  The quantization map of ROADMAP item 14
+    is the oracle for the lower-order terms.
+    """
+    cl, qa = ClassicalAlgebra(lie, rep), QuantumAlgebra(lie, rep)
+    n, d = lie.dim, rep.dim
+    units = [Matrix._make(d, d, tuple(int(k == c) for k in range(d * d)), 1)
+             for c in range(d * d)] + [Matrix.identity(d)]
+    ops = [(f"L_{a + 1}", 0, a) for a in range(n)] + \
+          [(f"iota_{a + 1}", -1, n + a) for a in range(n)] + [("d", 1, 2 * n)]
+    out = []
+
+    def compare(name, key, c, shift, classical, quantum):
+        top = weil_degree(key) + shift
+        above = [k for k in quantum.terms if weil_degree(k) > top]
+        symbol = {k: m for k, m in quantum.terms.items() if weil_degree(k) == top}
+        if above or symbol != classical.terms:
+            unit = "I" if c == d * d else "E_{}{}".format(*(k + 1 for k in divmod(c, d)))
+            out.append(f"{name} on {key} (x) {unit}: {len(above)} terms above degree {top}")
+
+    for key in weil_keys(n, K):
+        for c, unit in enumerate(units):
+            xc, xq = cl.element({key: unit}), qa.element({key: unit})
+            for name, shift, i in ops:
+                compare(name, key, c, shift, cl._apply(i, xc), qa._apply(i, xq))
+            if not key[1]:
+                compare("[C, .]", key, c, 2, supercommutator(cl.curvature, xc), qa.flat_op(xq))
+    return out

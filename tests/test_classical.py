@@ -2,7 +2,6 @@ import random
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 
 import oracles
 import pytest
@@ -17,7 +16,6 @@ from weil import element as ew
 from weil.checks import _reference, random_element, random_scalar_weil_poly, random_sym_poly
 from weil.classical import ClassicalAlgebra
 from weil.element import supercommutator
-from weil.flat import monomials_up_to
 from weil.lie import LieData
 from weil.linalg import Matrix
 from weil.render import render
@@ -181,12 +179,6 @@ def test_restriction_matches_scalar_differential(ctx):
         assert ctx.differential(ctx.differential(elem)).is_zero
 
 
-def _keys(n, top):
-    """Every (sym, ext) key of Weil degree 2 |sym| + |ext| <= top in n generators."""
-    return [(s, e) for k in range(top + 1) for e in combinations(range(n), k)
-            for s in monomials_up_to(n, (top - k) // 2)]
-
-
 @pytest.mark.parametrize("name,rep,top", [("so3", "adjoint", 4), ("sl2", "standard", 4),
                                           ("heisenberg3", "adjoint", 4), ("so3+so3", "adjoint", 3)])
 def test_reference_matches_the_fraction_oracle_on_every_key(name, rep, top):
@@ -200,7 +192,7 @@ def test_reference_matches_the_fraction_oracle_on_every_key(name, rep, top):
         lie, rep = defn.lie, defn.reps[rep]
     alg = ClassicalAlgebra(lie, rep)
     reference = _reference(alg)
-    for key in _keys(lie.dim, top):
+    for key in oracles.weil_keys(lie.dim, top):
         want = embed_scalar_poly(lie, rep, scalar_weil_differential(lie, {key: Fraction(1)}))
         assert reference(key) == want, key
 

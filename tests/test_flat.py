@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -788,6 +789,31 @@ def test_one_kernel_solve_per_quantum_subspace(monkeypatch):
     basic = basic_subspace(alg, 3)
     assert calls == {"kernel": 2, "bracket": 0}
     assert basic.dims == {0: 1, 1: 1, 2: 2, 3: 1}
+
+
+def test_rows_hold_no_zero_and_no_copy(monkeypatch):
+    """so3+so3 adjoint quantum at N = 2, caches warm: `_rows` hands back
+    only nonempty rows with no zero entry, and allocates little beyond
+    them on the way (tracemalloc peak at most 1.3 times what stays
+    allocated with the rows), so no second copy of the rows is built.
+    A cell where a letter's halves cancel must be deleted where it is
+    summed, not kept as a zero or filtered out in a copy."""
+    calls, rows_of = [], weil.flat._rows
+    monkeypatch.setattr(weil.flat, "_rows",
+                        lambda *args: calls.append(args) or rows_of(*args))
+    alg = QuantumAlgebra(*_so3_pair())
+    flat_subspace(alg, 2), basic_subspace(alg, 2)
+    for args in calls:
+        rows_of(*args)  # warm every table the rows read
+        tracemalloc.start()
+        try:
+            rows = rows_of(*args)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * kept, (peak, kept)
+        assert isinstance(rows, list) and rows
+        assert all(row and all(row.values()) for row in rows)
 
 
 def test_so3_pair_quantum_dims_at_degree_three():

@@ -1,12 +1,17 @@
 import gc
+import importlib.util
+import sys
 import weakref
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weil
 from weil.classical import ClassicalAlgebra
 from weil.lie import (
     BilinearForm,
@@ -54,6 +59,44 @@ def test_a_float_structure_constant_raises_type_error():
     with pytest.raises(TypeError, match="not an exact scalar"):
         LieData(3, {(0, 1, 2): 0.1})
     assert LieData(3, {(0, 1, 2): Fraction(1, 10)}).f(1, 0, 2) == Fraction(-1, 10)
+
+
+def _pairs_from_f(lie):
+    """The nonzero (c, f^c_ab) per ordered pair, from the accessor `f`."""
+    n = lie.dim
+    pairs = {(a, b): tuple((c, lie.f(a, b, c)) for c in range(n) if lie.f(a, b, c))
+             for a in range(n) for b in range(n)}
+    return {k: v for k, v in pairs.items() if v}
+
+
+def test_lie_and_rep_data_are_frozen():
+    """Once built, a LieData's entries and attributes and a RepData's
+    attributes cannot change, so `f` and `pair_brackets()`, which the PBW
+    caches and the classical derivations read, cannot disagree."""
+    lie = builtin("so3").lie
+    assert dict(lie.pair_brackets()) == _pairs_from_f(lie)
+    with pytest.raises(TypeError):
+        lie.entries[(0, 1, 2)] = Fraction(2)
+    with pytest.raises(FrozenInstanceError):
+        lie.entries = {(0, 1, 2): Fraction(2)}
+    with pytest.raises(FrozenInstanceError):
+        lie.dim = 4
+    with pytest.raises(FrozenInstanceError):
+        adjoint_rep(lie).matrices = ()
+    assert lie.f(0, 1, 2) == 1 and dict(lie.pair_brackets()) == _pairs_from_f(lie)
+
+
+def test_perfbench_builds_its_lie_data_from_a_dict(monkeypatch):
+    """perfbench's so3+so3 passes a plain dict of Fractions to LieData."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    algebra = workloads.so3_pair(weil)
+    lie = algebra.lie
+    assert validate_lie(lie).ok and validate_rep(lie, algebra.reps["adjoint"]).ok
+    assert len(lie.entries) == 6 and dict(lie.pair_brackets()) == _pairs_from_f(lie)
 
 
 def test_so3_is_valid(so3):
