@@ -19,7 +19,14 @@ commit, `nproc`, the Python version and per row the runs with the median
 and quartiles of every figure; the script prints each row's median and
 quartile spread.
 
+`--compare OLD.json NEW.json` reads two such files and prints, for each
+row in both, the median [first, third quartile] of the wall time, the
+peak RSS and each phase from each file, marking with `*` a figure whose
+medians differ by more than either file's quartile spread, and whether
+the row's report sha256 is one and the same in every run of both files.
+
 Usage: python scripts/bench.py OUT.json REPEATS
+       python scripts/bench.py --compare OLD.json NEW.json
 """
 
 import hashlib
@@ -139,13 +146,32 @@ def run(rows, repeats, out):
     return data
 
 
+def compare(old, new):
+    """The lines `--compare` prints for the BENCH data `old` and `new`."""
+    lines = []
+    for name in [n for n in old["rows"] if n in new["rows"]]:
+        rows = old["rows"][name], new["rows"][name]
+        hashes = {run["report_sha256"] for row in rows for run in row["runs"]}
+        lines.append(f"{name}: report sha256 {'matches' if len(hashes) == 1 else 'differs'}")
+        for figure in [f for f in rows[0]["median"] if f in rows[1]["median"]]:
+            (m0, m1), (q0, q1) = ([row[k][figure] for row in rows] for k in ("median", "quartiles"))
+            moved = abs(m1 - m0) > max(q0[1] - q0[0], q1[1] - q1[0])
+            old_s, new_s = (f"{m:.3f} [{q[0]:.3f}, {q[1]:.3f}]" for m, q in ((m0, q0), (m1, q1)))
+            lines.append(f"  {figure:<16}{old_s:>28}  ->{new_s:>28}{'  *' if moved else ''}")
+    return lines
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "child":  # one run, from `run`, on this checkout
         sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
         print(json.dumps(child(json.loads(argv[1]))))
         return 0
+    if len(argv) == 3 and argv[0] == "--compare":
+        old, new = (json.loads(Path(f).read_text(encoding="utf-8")) for f in argv[1:])
+        print("\n".join(compare(old, new)))
+        return 0
     if len(argv) != 2 or not argv[1].isdigit() or int(argv[1]) < 1:
-        print(__doc__.strip().splitlines()[-1], file=sys.stderr)
+        print(__doc__[__doc__.index("Usage:"):].strip(), file=sys.stderr)
         return 2
     run(ROWS, int(argv[1]), argv[0])
     return 0

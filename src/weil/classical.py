@@ -128,9 +128,7 @@ class ClassicalAlgebra(element.WeilAlgebra):
     @cached_property
     def curvature(self) -> ClassicalElement:
         """C = sum_a v^a (x) 1 (x) tau_a; degree 2, d-closed."""
-        n = self.lie.dim
-        return self.element({(tuple(int(i == a) for i in range(n)), ()): mat
-                             for a, mat in enumerate(self.rep.matrices) if mat})
+        return sum((self.even_gen(a) * self.tau(a) for a in range(self.lie.dim)), self.zero())
 
 
 def curvature(lie, rep) -> ClassicalElement:

@@ -158,8 +158,8 @@ class SubspaceResult:
 def _rows(alg, monos, table):
     """The nonzero rows {column: nonzero int} of an operator's coordinate
     matrix on the domain m (x) E_ij, m in `monos`, whose column (index of
-    m) d^2 + i d + j is that vector: row (tag, key, cell), listed where
-    it first occurs, is entry `cell` of term `key` of image `tag`.
+    m) d^2 + i d + j is that vector: row (tag, key, cell) is entry `cell`
+    of term `key` of image `tag`, held in one list of d^2 rows per (tag, key).
 
     `table(m)` lists the operator on m (x) A as pairs (tag, terms), the
     terms (key, t, p, q) of `WeilAlgebra._image`: key (p / q) times A, or
@@ -173,15 +173,15 @@ def _rows(alg, monos, table):
     maps = {t: (cells, mat.den) for t, (mat, _, cells) in enumerate(alg.letters)}
     maps[None] = tuple((o, o, 1) for o in range(d2)), 1
     den = lcm(*{q * maps[t][1] for parts in tables for _, terms in parts for _, t, _, q in terms})
-    rows = defaultdict(dict)
+    rows = defaultdict(lambda: [{} for _ in range(d2)])  # (tag, key) -> its rows by cell
     for base, parts in zip(range(0, d2 * len(monos), d2), tables):
         for tag, terms in parts:
             for key, t, p, q in terms:
-                cells, mden = maps[t]
+                (cells, mden), group = maps[t], rows[tag, key]
                 scale = p * (den // (q * mden))
                 for out, c, v in cells:
-                    add_term(rows[tag, key, out], base + c, scale * v)
-    return [row for row in rows.values() if row]
+                    add_term(group[out], base + c, scale * v)
+    return [row for group in rows.values() for row in group if row]
 
 
 def _solve_levels(alg, max_degree, table):

@@ -2,11 +2,14 @@
 
 Requires an orthonormal invariant form (B = identity); with it the
 lowered structure constants are totally antisymmetric and the
-distinguished elements below make all three operators inner:
+distinguished elements below, each built from the ones before it with
+the value's own product, make all three operators inner:
 
-    g_a   = -(1/2) f_abc x_b x_c
-    gamma = (1/3) x_a g_a = -(1/6) f_abc x_a x_b x_c
-    D     = x_a u_a + gamma
+    g_a = -(1/2) f_abc x_b x_c,  gamma = (1/3) x_a g_a,  D = x_a u_a + gamma
+
+The curvature (1/2) sum_a (u_a + tau_a)^2 + gamma^2, gamma^2 being the
+scalar -(1/48) sum f_abc^2, must equal (D + x_a tau_a)^2 (Alekseev and
+Meinrenken, Invent. Math. 139, 2000), which checks g_a and gamma.
 
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
@@ -29,9 +32,8 @@ from functools import cached_property
 
 from . import element
 from .element import supercommutator
-from .kernels import add_term, cliff_mono_mul, pbw_mono_mul
+from .kernels import cliff_mono_mul, pbw_mono_mul
 from .lie import trivial_rep
-from .linalg import Matrix
 from .render import TENSOR
 
 
@@ -44,15 +46,6 @@ class QuantumElement(element.Element):
         return [((pm, cm), cp * q, cr) if type(q) is int
                 else ((pm, cm), cp * q.numerator, cr * q.denominator)
                 for pm, q in pbw_mono_mul(k1[0], k2[0], self.lie.bracket_table)]
-
-
-def _cliff_word(word):
-    """Normal form of a product of Clifford generators, as (mono, coeff)."""
-    mono, coeff = (), Fraction(1)
-    for a in word:
-        mono, p, r = cliff_mono_mul(mono, (a,))
-        coeff *= Fraction(p, r)
-    return mono, coeff
 
 
 class QuantumAlgebra(element.WeilAlgebra):
@@ -71,29 +64,18 @@ class QuantumAlgebra(element.WeilAlgebra):
 
     @cached_property
     def g(self) -> tuple:
-        """g_a = -(1/2) f_abc x_b x_c, one per generator."""
-        n, ident = self.lie.dim, Matrix.identity(self.rep.dim)
-        gs = [{} for _ in range(n)]
+        """g_a = -(1/2) f^a_bc x_b x_c, one per generator."""
+        x, gs = self.odd_gen, [self.zero()] * self.lie.dim
         for (b, c), row in self.lie.pair_brackets().items():
+            xbc = x(b) * x(c)
             for a, q in row:
-                cm, cp, cr = cliff_mono_mul((b,), (c,))
-                add_term(gs[a], ((0,) * n, cm), ident * (Fraction(-cp, 2 * cr) * q))
-        return tuple(self.element(terms) for terms in gs)
+                gs[a] = gs[a] + xbc * (Fraction(-1, 2) * q)
+        return tuple(gs)
 
     @cached_property
     def gamma(self) -> QuantumElement:
-        """gamma = -(1/6) f_abc x_a x_b x_c, checked against (1/3) x_a g_a."""
-        n, ident = self.lie.dim, Matrix.identity(self.rep.dim)
-        terms = {}
-        for (b, c), row in self.lie.pair_brackets().items():
-            for a, q in row:
-                cm, cq = _cliff_word((a, b, c))
-                add_term(terms, ((0,) * n, cm), ident * (cq * q * Fraction(-1, 6)))
-        gamma = self.element(terms)
-        third = sum((self.odd_gen(a) * self.g[a] for a in range(n)), self.zero())
-        if third * Fraction(1, 3) != gamma:
-            raise AssertionError("gamma construction inconsistent: (1/3) x_a g_a != gamma")
-        return gamma
+        """gamma = (1/3) x_a g_a."""
+        return Fraction(1, 3) * sum((self.odd_gen(a) * g for a, g in enumerate(self.g)), self.zero())
 
     @cached_property
     def dirac(self) -> QuantumElement:
@@ -138,31 +120,21 @@ class QuantumAlgebra(element.WeilAlgebra):
     # -- curvature -------------------------------------------------------------------
 
     def four_term_curvature(self) -> QuantumElement:
-        """(1/2)(u_a u_a + 2 u_a tau_a + tau_a tau_a) + gamma^2, written down
-        term by term with gamma^2 from its closed form: no element products."""
-        n, d = self.lie.dim, self.rep.dim
-        ident = Matrix.identity(d)
-        terms = {}
-        tau_sq = Matrix.zeros(d, d)
-        for a in range(n):
-            mono = tuple(2 * int(i == a) for i in range(n))
-            add_term(terms, (mono, ()), ident * Fraction(1, 2))
-            ta = self.rep.matrices[a]
-            if ta:
-                add_term(terms, (tuple(int(i == a) for i in range(n)), ()), ta)
-                tau_sq = tau_sq + ta * ta
-        const = tau_sq * Fraction(1, 2) + ident * gamma_square_formula(self.lie)
-        if const:
-            add_term(terms, ((0,) * n, ()), const)
-        return self.element(terms)
+        """(1/2) sum_a (u_a + tau_a)^2 + gamma^2 in the algebra's own product,
+        with gamma^2 the closed form -(1/48) sum f^2 times I, not built from
+        g, so that `curvature`'s comparison still checks g and gamma."""
+        deltas = [self.even_gen(a) + self.tau(a) for a in range(self.lie.dim)]
+        return (sum((da * da for da in deltas), self.zero()) * Fraction(1, 2)
+                + self.scalar(gamma_square_formula(self.lie)))
 
     @cached_property
     def curvature(self) -> QuantumElement:
-        """Quantum curvature (1/2)(u_a u_a + 2 u_a tau_a + tau_a tau_a + 2 gamma^2).
+        """The quantum curvature, `four_term_curvature()`.
 
         Also derived independently as the square of D + x_a tau_a; the two
-        must agree exactly.  `checks.quantum_suite` reports the same
-        comparison as a row instead of raising.
+        must agree exactly, so a wrong g or gamma raises here.
+        `checks.quantum_suite` reports the same comparison as a row instead
+        of raising.
         """
         curv = self.four_term_curvature()
         if curv != self.dirac_tau * self.dirac_tau:

@@ -107,6 +107,15 @@ They are kept unchanged so that the fast code can be tested against an
 obvious, independently written reference.
 `symbol_mismatches` replaces nothing: it ties the quantum construction
 to the classical one through the symbol map u_a -> v^a, x_a -> y^a.
+`term_g`, `scan_gamma`, `term_four_term_curvature` and
+`term_classical_curvature` are the distinguished elements as `weil`
+wrote them term by term before it built each from the one before with
+the algebra's own product: g_a and gamma add one Clifford normal form
+per pair or triple of a scan of the f_abc, and the curvatures are
+keyed terms written down with no element product.
+`quantum_quotient` replaces nothing: it is the quotient of the quantum
+algebra by the ideal of the u's, acyclic by a theorem (Measurements,
+ROADMAP item 27(c)).
 """
 
 from __future__ import annotations
@@ -127,7 +136,7 @@ from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_su
                        degree_monomials, monomials_up_to, span_rank)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
-from weil.quantum import QuantumAlgebra
+from weil.quantum import QuantumAlgebra, gamma_square_formula
 from weil.render import TENSOR, _gen_string, _index_string, _join, render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
                           ext_mono_mul, ext_normalize, pbw_mono_mul as cached_pbw_mono_mul,
@@ -1612,3 +1621,97 @@ def symbol_mismatches(lie, rep, K):
             if not key[1]:
                 compare("[C, .]", key, c, 2, supercommutator(cl.curvature, xc), qa.flat_op(xq))
     return out
+
+
+# -- the distinguished elements, term by term --------------------------------------
+
+def _cliff_word(word):
+    """Normal form of a product of Clifford generators, as (mono, coeff)."""
+    mono, coeff = (), Fraction(1)
+    for a in word:
+        mono, p, r = orthonormal_cliff_mono_mul(mono, (a,))
+        coeff *= Fraction(p, r)
+    return mono, coeff
+
+
+def term_g(alg):
+    """g_a = -(1/2) f_abc x_b x_c of the `QuantumAlgebra` value `alg`, one
+    Clifford product per pair (b, c)."""
+    n, ident = alg.lie.dim, Matrix.identity(alg.rep.dim)
+    gs = [{} for _ in range(n)]
+    for (b, c), row in alg.lie.pair_brackets().items():
+        for a, q in row:
+            cm, cp, cr = orthonormal_cliff_mono_mul((b,), (c,))
+            add_term(gs[a], ((0,) * n, cm), ident * (Fraction(-cp, 2 * cr) * q))
+    return tuple(alg.element(terms) for terms in gs)
+
+
+def scan_gamma(alg):
+    """gamma = -(1/6) f_abc x_a x_b x_c, by a scan of the triples (a, b, c)."""
+    n, ident = alg.lie.dim, Matrix.identity(alg.rep.dim)
+    terms = {}
+    for (b, c), row in alg.lie.pair_brackets().items():
+        for a, q in row:
+            cm, cq = _cliff_word((a, b, c))
+            add_term(terms, ((0,) * n, cm), ident * (cq * q * Fraction(-1, 6)))
+    return alg.element(terms)
+
+
+def term_four_term_curvature(alg):
+    """(1/2)(u_a u_a + 2 u_a tau_a + tau_a tau_a) + gamma^2, written down
+    term by term with gamma^2 from its closed form: no element products."""
+    n, d = alg.lie.dim, alg.rep.dim
+    ident = Matrix.identity(d)
+    terms = {}
+    tau_sq = Matrix.zeros(d, d)
+    for a in range(n):
+        mono = tuple(2 * int(i == a) for i in range(n))
+        add_term(terms, (mono, ()), ident * Fraction(1, 2))
+        ta = alg.rep.matrices[a]
+        if ta:
+            add_term(terms, (tuple(int(i == a) for i in range(n)), ()), ta)
+            tau_sq = tau_sq + ta * ta
+    const = tau_sq * Fraction(1, 2) + ident * gamma_square_formula(alg.lie)
+    if const:
+        add_term(terms, ((0,) * n, ()), const)
+    return alg.element(terms)
+
+
+def term_classical_curvature(alg):
+    """C = sum_a v^a (x) 1 (x) tau_a of the `ClassicalAlgebra` value `alg`,
+    one keyed term per nonzero tau_a."""
+    n = alg.lie.dim
+    return alg.element({(tuple(int(i == a) for i in range(n)), ()): mat
+                        for a, mat in enumerate(alg.rep.matrices) if mat})
+
+
+# -- the quantum quotient -------------------------------------------------------------
+
+def quantum_quotient(alg):
+    """The quotient of the `QuantumAlgebra` value `alg` by the two-sided
+    ideal of the u's, as (basis, d).
+
+    The basis is the u-free keys times the End V matrix units, as
+    elements, and d maps an element to `alg.differential` of it with every
+    term that has a u factor dropped.  This is well defined only if d
+    keeps the ideal, so first every term of each d(u_a) must have a u
+    factor.  The quotient is Cl(g) (x) End V with d = [gamma + x_a tau_a,
+    .], whose square is the bracket with gamma^2 + (1/2) sum tau_a^2; where
+    that is a nonzero scalar lambda, left multiplication by (gamma + x_a
+    tau_a) / (2 lambda) is a contracting homotopy, so d^2 = 0 and the
+    rank of d is half the dimension.
+    """
+    n, dim = alg.lie.dim, alg.rep.dim
+    for a in range(n):
+        if not all(any(s) for s, _ in alg.differential(alg.even_gen(a)).terms):
+            raise AssertionError(f"d(u_{a + 1}) has a term with no u factor")
+    units = [Matrix._make(dim, dim, tuple(int(k == c) for k in range(dim * dim)), 1)
+             for c in range(dim * dim)]
+    basis = [alg.element({((0,) * n, e): unit}) for k in range(n + 1)
+             for e in combinations(range(n), k) for unit in units]
+
+    def d(x):
+        return alg.element({key: m for key, m in alg.differential(x).terms.items()
+                            if not any(key[0])})
+
+    return basis, d

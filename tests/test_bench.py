@@ -1,4 +1,5 @@
-"""Smoke test of `scripts/bench.py` at tiny sizes: the BENCH file's schema."""
+"""Smoke test of `scripts/bench.py` at tiny sizes (the BENCH file's schema), and its
+`--compare` mode on two small synthetic files."""
 
 import importlib.util
 import json
@@ -55,3 +56,35 @@ def test_bench_file_schema(tmp_path, capsys):
     assert data["rows"]["so3-quantum-N1"]["runs"][0]["dims_flat"] == [1, 4]
     assert "so3+so3-quantum-N0" in capsys.readouterr().out
 
+
+
+def _bench_file(path, rows):
+    """A BENCH file holding only what `--compare` reads: per row, the runs'
+    hashes and the median and quartiles of each figure."""
+    data = {"rows": {name: {"runs": [{"report_sha256": h} for h in hashes],
+                            "median": {k: q[1] for k, q in figures.items()},
+                            "quartiles": {k: [q[0], q[2]] for k, q in figures.items()}}
+                     for name, (hashes, figures) in rows.items()}}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_compare_marks_medians_apart_by_more_than_both_spreads(tmp_path, capsys):
+    """A figure is marked when its medians differ by more than each file's
+    quartile spread; a row's hashes match when every run of both files has
+    one; a row in one file only is left out."""
+    old = _bench_file(tmp_path / "old.json", {
+        "same": (["a", "a"], {"wall_s": (1.0, 1.1, 1.2), "peak_rss_mb": (9.9, 10.0, 10.1)}),
+        "moved": (["b", "b"], {"wall_s": (1.0, 1.1, 1.2)}),
+        "old-only": (["c"], {"wall_s": (1.0, 1.0, 1.0)})})
+    new = _bench_file(tmp_path / "new.json", {
+        "same": (["a", "a"], {"wall_s": (1.5, 1.55, 1.6), "peak_rss_mb": (10.1, 10.15, 10.2)}),
+        "moved": (["b", "d"], {"wall_s": (1.0, 1.25, 1.3)})})
+    assert _bench().main(["--compare", old, new]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        "same: report sha256 matches".split(),
+        "wall_s 1.100 [1.000, 1.200] -> 1.550 [1.500, 1.600] *".split(),
+        "peak_rss_mb 10.000 [9.900, 10.100] -> 10.150 [10.100, 10.200]".split(),
+        "moved: report sha256 differs".split(),
+        "wall_s 1.100 [1.000, 1.200] -> 1.250 [1.000, 1.300]".split()]

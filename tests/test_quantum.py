@@ -7,13 +7,15 @@ import sys
 import weakref
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weil import ALGEBRAS, builtin, checks
+from test_kernels import _so3_blocks
+from weil import ALGEBRAS, builtin, checks, load_algebra_file
 from weil import classical as cw
 from weil import element as ew
 from weil import quantum as qw
@@ -21,10 +23,12 @@ from weil.checks import quantum_structure_suite, quantum_suite, random_element
 from weil.classical import ClassicalAlgebra, ClassicalElement
 from weil.cli import main
 from weil.element import supercommutator
-from weil.lie import BilinearForm, LieData, adjoint_rep, trivial_rep
+from weil.lie import MAX_DIM, BilinearForm, LieData, adjoint_rep, trivial_rep
 from weil.linalg import Matrix
 from weil.quantum import QuantumAlgebra
 from weil.render import render
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +173,7 @@ def test_restriction_formula(ctx):
 
 
 class DoubledG(QuantumAlgebra):
-    """g_1 doubled, so gamma is no longer (1/3) x_a g_a."""
+    """g_1 doubled; gamma = (1/3) x_a g_a follows it."""
 
     @cached_property
     def g(self):
@@ -193,8 +197,49 @@ class TiltedGamma(QuantumAlgebra):
 
 
 def test_gamma_cross_check_fires_on_a_wrong_g(so3):
-    with pytest.raises(AssertionError, match=r"^gamma construction inconsistent: "):
-        DoubledG(so3.lie, so3.reps["adjoint"]).gamma
+    """With g_1 doubled, gamma = (1/3) x_a g_a follows g, and (D + x_a
+    tau_a)^2 no longer equals the four-term curvature, whose gamma^2 is the
+    closed form: `curvature` raises, and the quantum rows fail, the
+    structure rows among them."""
+    with pytest.raises(AssertionError, match=r"^four-term curvature formula disagrees"):
+        DoubledG(so3.lie, so3.reps["adjoint"]).curvature
+    rows = checks._quantum_rows(DoubledG(so3.lie, so3.reps["adjoint"]), 50, 0)
+    failed = {r.name for r in rows if not r.passed}
+    assert {"[x_a,g_b] = -f_bac x_c", "gamma^2 = -(1/48) f_abc f_abc",
+            "QC four-term formula = (D + x_a tau_a)^2"} <= failed
+
+
+def _construction_cases():
+    """Every builtin family with each rep (abelian(n) at a few n), the two
+    file algebras, and so3^2 and so3^3 adjoint."""
+    for name in ("so3", "sl2", "heisenberg3", "abelian(1)", "abelian(2)", "abelian(5)",
+                 f"abelian({MAX_DIM})"):
+        alg = builtin(name)
+        for rep in alg.reps.values():
+            yield pytest.param(alg.lie, rep, id=f"{name}-{rep.name}")
+    for path in ("so3-sum.json", "so3-half.json"):
+        alg = load_algebra_file(GOLDENS / path)
+        for rep in alg.reps.values():
+            yield pytest.param(alg.lie, rep, id=f"{alg.name}-{rep.name}")
+    for k in (2, 3):
+        lie = _so3_blocks(k)
+        yield pytest.param(lie, adjoint_rep(lie), id=f"so3^{k}-adjoint")
+
+
+@pytest.mark.parametrize("lie, rep", _construction_cases())
+def test_distinguished_elements_equal_the_term_by_term_oracles(lie, rep):
+    """The classical curvature and, on an orthonormal form, g_a, gamma and
+    the four-term curvature, each built from the one before with the
+    algebra's own product, equal the term-by-term constructions of
+    `oracles`, key by key."""
+    c = ClassicalAlgebra(lie, rep)
+    assert c.curvature.terms == oracles.term_classical_curvature(c).terms
+    if lie.has_orthonormal_form:
+        q = QuantumAlgebra(lie, rep)
+        assert [g.terms for g in q.g] == [g.terms for g in oracles.term_g(q)]
+        assert q.gamma.terms == oracles.scan_gamma(q).terms
+        assert q.four_term_curvature().terms == oracles.term_four_term_curvature(q).terms
+        assert q.curvature.terms == q.four_term_curvature().terms
 
 
 def test_curvature_cross_check_fires_on_a_wrong_four_term_formula(so3, monkeypatch, capsys):
@@ -279,8 +324,8 @@ def test_inner_elements_are_the_operator_table(so3):
 
 
 def test_lie_derivative_builds_only_its_own_operator_entry(so3):
-    """The first L_a and iota_a on a fresh value build neither gamma (with
-    its cross-check), D nor D + x_a tau_a; the first d does."""
+    """The first L_a and iota_a on a fresh value build neither gamma, D
+    nor D + x_a tau_a; the first d does."""
     q = QuantumAlgebra(so3.lie, so3.reps["adjoint"])
     q.lie_derivative(0, q.even_gen(1))
     q.contraction(2, q.odd_gen(1))
