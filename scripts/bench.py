@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the flat report rows, each run in a fresh process, into a BENCH file.
+"""Time the flat report rows and the CLI rows, each run in a fresh process,
+into a BENCH file.
 
 Each row is one `weil flat` report computed in-process, as
 `cli.flat_report_data` computes it (20 closure samples, seed 0), with
@@ -9,6 +10,13 @@ The rows are so3 adjoint quantum at N = 6, 8 and 10, so3 adjoint
 classical at N = 10, and so3+so3 adjoint quantum at N = 3 and 6, so3+so3
 being `gamma_square_table.so3_blocks(2)`; N = 6 is over the CLI's column
 cap, which the in-process run does not apply.
+
+Each CLI row is one `cli.main(argv)` call with stdout captured: `weil
+check --builtin so3 --rep adjoint`, classical and quantum, and `weil flat
+--builtin so3 --rep adjoint --quantum --max-degree N --json` for N = 2, 3
+and 4.  Its wall time takes in the import of `weil.cli`, and it records
+the exit status and a sha256 of stdout in place of the phases, dims and
+report hash.
 
 Every run is a fresh `sys.executable` process, the rows taking turns
 round by round.  A run records its wall time, the phase times, its own
@@ -23,13 +31,16 @@ quartile spread.
 row in both, the median [first, third quartile] of the wall time, the
 peak RSS and each phase from each file, marking with `*` a figure whose
 medians differ by more than either file's quartile spread, and whether
-the row's report sha256 is one and the same in every run of both files.
+the row's report (or stdout) sha256 is one and the same in every run of
+both files.
 
 Usage: python scripts/bench.py OUT.json REPEATS
        python scripts/bench.py --compare OLD.json NEW.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -51,6 +62,15 @@ ROWS = [
     {"name": "so3+so3-adjoint-quantum-N3", "lie": "so3+so3", "kind": "quantum", "N": 3},
     {"name": "so3+so3-adjoint-quantum-N6", "lie": "so3+so3", "kind": "quantum", "N": 6},
 ]
+CLI_ROWS = [
+    {"name": "check-so3-adjoint-classical",
+     "argv": ["check", "--builtin", "so3", "--rep", "adjoint", "--classical"]},
+    {"name": "check-so3-adjoint-quantum",
+     "argv": ["check", "--builtin", "so3", "--rep", "adjoint", "--quantum"]},
+    *({"name": f"flat-so3-adjoint-quantum-N{n}",
+       "argv": ["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum",
+                "--max-degree", str(n), "--json"]} for n in (2, 3, 4)),
+]
 PHASES = ("flat", "decomposition", "inclusion", "basic", "closure")
 SAMPLES, SEED = 20, 0  # the `weil flat` defaults
 YARDSTICKS = 5  # timed yardstick calls before and after a job, after 3 warm-up calls
@@ -69,8 +89,26 @@ def host_ratio():
     return statistics.median(times) / REF_S
 
 
+def cli_child(argv):
+    """Run one CLI row in this process and return its record."""
+    before = host_ratio()
+    out = io.StringIO()
+    start = time.perf_counter()
+    from weil.cli import main
+
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "exit": code,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "yardstick_ratio": [before, host_ratio()],
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
 def child(row):
     """Run one row in this process and return its record."""
+    if "argv" in row:
+        return cli_child(row["argv"])
     from weil import ALGEBRAS, adjoint_rep, builtin, flat
 
     before = host_ratio()
@@ -129,7 +167,8 @@ def run(rows, repeats, out):
         records = runs[row["name"]]
         figures = {"wall_s": [r["wall_s"] for r in records],
                    "peak_rss_mb": [r["peak_rss_mb"] for r in records],
-                   **{f"{p}_s": [r["phases_s"][p] for r in records] for p in PHASES}}
+                   **{f"{p}_s": [r["phases_s"][p] for r in records]
+                      for p in PHASES if "phases_s" in records[0]}}
         quartiles = {k: summary(v) for k, v in figures.items()}
         out_rows[row["name"]] = {
             "spec": row, "runs": records,
@@ -151,8 +190,9 @@ def compare(old, new):
     lines = []
     for name in [n for n in old["rows"] if n in new["rows"]]:
         rows = old["rows"][name], new["rows"][name]
-        hashes = {run["report_sha256"] for row in rows for run in row["runs"]}
-        lines.append(f"{name}: report sha256 {'matches' if len(hashes) == 1 else 'differs'}")
+        digest = "report" if "report_sha256" in rows[0]["runs"][0] else "stdout"
+        hashes = {run[f"{digest}_sha256"] for row in rows for run in row["runs"]}
+        lines.append(f"{name}: {digest} sha256 {'matches' if len(hashes) == 1 else 'differs'}")
         for figure in [f for f in rows[0]["median"] if f in rows[1]["median"]]:
             (m0, m1), (q0, q1) = ([row[k][figure] for row in rows] for k in ("median", "quartiles"))
             moved = abs(m1 - m0) > max(q0[1] - q0[0], q1[1] - q1[0])
@@ -173,7 +213,7 @@ def main(argv):
     if len(argv) != 2 or not argv[1].isdigit() or int(argv[1]) < 1:
         print(__doc__[__doc__.index("Usage:"):].strip(), file=sys.stderr)
         return 2
-    run(ROWS, int(argv[1]), argv[0])
+    run(ROWS + CLI_ROWS, int(argv[1]), argv[0])
     return 0
 
 

@@ -2,7 +2,8 @@
 """Tabulate gamma^2 for quadratic algebras of increasing size.
 
 gamma^2 is the scalar -(1/48) sum f_abc^2; the table cross-checks the
-closed form against the actual Clifford product for block sums of
+closed form against the actual Clifford product gamma * gamma on the
+trivial representation, and against -k/8, for the sums of k copies of
 so(3), where the sum grows linearly in the number of blocks.
 
 Usage: python scripts/gamma_square_table.py [--blocks K]
@@ -12,9 +13,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from weil.lie import BilinearForm, LieData
+from weil.lie import BilinearForm, LieData, trivial_rep
 from weil.linalg import Matrix, format_scalar
-from weil.quantum import gamma_squared
+from weil.quantum import QuantumAlgebra, gamma_square_formula
+from weil.render import render
 
 
 def so3_blocks(k):
@@ -37,7 +39,12 @@ def main(argv=None):
     print("blocks  dim  gamma^2")
     for k in range(args.blocks + 1):
         lie = so3_blocks(k)
-        value = gamma_squared(lie)
+        q, value = QuantumAlgebra(lie, trivial_rep(lie)), gamma_square_formula(lie)
+        square = q.gamma * q.gamma
+        if square != q.scalar(value):
+            print(f"mismatch: gamma * gamma = {render(square)} on so3^{k}, "
+                  f"-(1/48) sum f^2 = {format_scalar(value)}", file=sys.stderr)
+            return 1
         if value != Fraction(-k, 8):
             print(f"mismatch: gamma^2 = {format_scalar(value)} on so3^{k}, "
                   f"expected {format_scalar(Fraction(-k, 8))}", file=sys.stderr)

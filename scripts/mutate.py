@@ -134,6 +134,8 @@ MUTANTS = [
      "return [row for group in rows.values() for row in group if row]",
      "return [r for r in ({c: v for c, v in row.items() if v}\n"
      "                        for group in rows.values() for row in group) if r]", ROWS_GUARD),
+    ("inner table: d's entry is D, not D + x_a tau_a", "src/weil/quantum.py",
+     "if i < 2 * n else self.dirac_tau)", "if i < 2 * n else self.dirac)", QUANTUM_TABLES),
     ("gamma = (1/2) x_a g_a", "src/weil/quantum.py",
      "return Fraction(1, 3) * sum(", "return Fraction(1, 2) * sum(",
      [*ONE_CONSTRUCTION, *QUOTIENT]),

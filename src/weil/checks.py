@@ -96,38 +96,35 @@ def _random_key(rng, n, max_degree):
     return _random_split(rng, n, (deg - odd_len) // 2), odd
 
 
-def random_element(alg, rng, max_degree=MAX_DEGREE, max_terms=3):
-    """A random element of the `WeilAlgebra` `alg`."""
+def _random_sum(rng, max_terms, key, value):
+    """1 to max_terms draws, each key() then value(), the nonzero values
+    summed per key."""
     terms = {}
     for _ in range(1 + rng.randrange(max_terms)):
-        key = _random_key(rng, alg.lie.dim, max_degree)
-        mat = random_matrix(rng, alg.rep.dim)
-        if mat:
-            add_term(terms, key, mat)
-    return alg.element(terms)
+        k, v = key(), value()
+        if v:
+            add_term(terms, k, v)
+    return terms
+
+
+def random_element(alg, rng, max_degree=MAX_DEGREE, max_terms=3):
+    """A random element of the `WeilAlgebra` `alg`."""
+    return alg.element(_random_sum(rng, max_terms,
+                                   lambda: _random_key(rng, alg.lie.dim, max_degree),
+                                   lambda: random_matrix(rng, alg.rep.dim)))
 
 
 def random_sym_poly(lie, rng, max_degree=MAX_DEGREE, max_terms=4):
     """A random scalar polynomial in the symmetric generators."""
-    n = lie.dim
-    poly = {}
-    for _ in range(1 + rng.randrange(max_terms)):
-        mono = _random_split(rng, n, rng.randrange(max_degree + 1))
-        q = random_scalar(rng)
-        if q:
-            add_term(poly, mono, q)
-    return poly
+    return _random_sum(rng, max_terms,
+                       lambda: _random_split(rng, lie.dim, rng.randrange(max_degree + 1)),
+                       lambda: random_scalar(rng))
 
 
 def random_scalar_weil_poly(lie, rng, max_degree=MAX_DEGREE, max_terms=3):
     """A random scalar polynomial with both symmetric and exterior parts."""
-    poly = {}
-    for _ in range(1 + rng.randrange(max_terms)):
-        key = _random_key(rng, lie.dim, max_degree)
-        q = random_scalar(rng)
-        if q:
-            add_term(poly, key, q)
-    return poly
+    return _random_sum(rng, max_terms, lambda: _random_key(rng, lie.dim, max_degree),
+                       lambda: random_scalar(rng))
 
 
 # -- independent scalar Weil differential -------------------------------------

@@ -245,10 +245,11 @@ def products_into(acc: dict, x: Element, y: Element, bracket: bool, sign: int):
                     accumulate(acc, key, num, den * r, c * p)
 
 
-# entries of each value's image table (`_apply`); in perfbench's check jobs at seed
-# 1000 (`image_table.cache_info()`) it hits 90% classically and 84% quantum-side on
-# so3 adjoint, missing only first lookups, and 35% and 55% on so3+so3, classically
-# 32% with 256 and 43% with 1,024, which adds about 0.1 MB to the job's peak RSS
+# entries of each value's image table, shared by `_apply` and the identity rows of
+# `checks._composite_rows`, so the quantum restriction row reuses their images; in
+# perfbench's check jobs at seed 1000 (`image_table.cache_info()`) it hits 90% classically
+# and 84% quantum-side on so3 adjoint, missing only first lookups, and 35% and 55% on
+# so3+so3, classically 32% with 256 and 43% with 1,024, adding about 0.1 MB of peak RSS
 IMAGE_TABLE_SIZE = 512
 
 

@@ -13,10 +13,11 @@ Meinrenken, Invent. Math. 139, 2000), which checks g_a and gamma.
 
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
-`inner(i)` is the element of operator i of the table, and its
-`_image(i, key)` brackets inner(i) with one monomial in the shared
-table `element.WeilAlgebra.bracket_terms`, for `_apply`: a tau_a part
-of inner(i) gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
+`inner` is the table of these 2n + 1 elements, built at once as the
+classical `derivations` are, and its `_image(i, key)` brackets inner[i]
+with one monomial in the shared table
+`element.WeilAlgebra.bracket_terms`, for `_apply`: a tau_a part of
+inner[i] gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
 and a commutator, and a c I part a plain term.  Elements are sparse maps
 (PBW monomial, Clifford monomial) -> matrix, with the arithmetic of
 `element.Element`; this module supplies the monomial product (PBW times
@@ -33,7 +34,6 @@ from functools import cached_property
 from . import element
 from .element import supercommutator
 from .kernels import cliff_mono_mul, pbw_mono_mul
-from .lie import trivial_rep
 from .render import TENSOR
 
 
@@ -94,23 +94,18 @@ class QuantumAlgebra(element.WeilAlgebra):
         return (self.even_gen(i) + self.g[i] + self.tau(i) if i < n
                 else self.odd_gen(i - n) if i < 2 * n else self.dirac_tau)
 
-    def inner(self, i) -> QuantumElement:
-        """The element whose bracket is operator i of the table: u_a + g_a +
-        tau_a (L_a), x_a (iota_a), D + x_a tau_a (d).  Each is built on its
-        first use, so that L_a and iota_a build neither gamma nor D."""
-        if i not in self._inner:
-            self._inner[i] = self._inner_element(i)
-        return self._inner[i]
-
     @cached_property
-    def _inner(self) -> dict:
-        return {}  # i -> `_inner_element(i)`, filled by `inner`
+    def inner(self) -> tuple:
+        """The elements whose brackets are the operators of the table: u_a
+        + g_a + tau_a (L_a, index a), x_a (iota_a, n + a) and D + x_a tau_a
+        (d, 2n), each `_inner_element(i)`."""
+        return tuple(self._inner_element(i) for i in range(2 * self.lie.dim + 1))
 
     # -- operators: all three are inner -------------------------------------------
 
     def _image(self, i, key):
-        """[inner(i), key A] (`bracket_terms`)."""
-        return self.bracket_terms(self.inner(i), key)
+        """[inner[i], key A] (`bracket_terms`)."""
+        return self.bracket_terms(self.inner[i], key)
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one
@@ -151,17 +146,3 @@ def gamma_square_formula(lie) -> Fraction:
     """-(1/48) sum f_abc^2: the scalar that gamma^2 must equal."""
     total = sum(q * q for row in lie.pair_brackets().values() for _, q in row)
     return -Fraction(total) / 48
-
-
-def gamma_squared(lie) -> Fraction:
-    """gamma^2 as a scalar, cross-checked against -(1/48) sum f_abc^2."""
-    gamma = QuantumAlgebra(lie, trivial_rep(lie)).gamma
-    value = Fraction(0)
-    for (p, c), m in (gamma * gamma).terms.items():
-        if any(p) or c != ():
-            raise AssertionError("gamma^2 is not a scalar")
-        value = m.scalar_value()  # a 1x1 matrix: the trivial representation
-    formula = gamma_square_formula(lie)
-    if value != formula:
-        raise AssertionError(f"gamma^2 = {value} but -(1/48) sum f^2 = {formula}")
-    return value

@@ -61,7 +61,7 @@ every term on every call, normalizes each y-word, and computes each
 commutator [tau_b, A] afresh.
 `bracket_apply` is `QuantumAlgebra`'s operator before its images were
 read per monomial from the value's tables: the whole supercommutator
-[inner(i), x], both halves of every term pair, with the leading terms
+[inner[i], x], both halves of every term pair, with the leading terms
 that cancel built and summed.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
@@ -115,7 +115,10 @@ per pair or triple of a scan of the f_abc, and the curvatures are
 keyed terms written down with no element product.
 `quantum_quotient` replaces nothing: it is the quotient of the quantum
 algebra by the ideal of the u's, acyclic by a theorem (Measurements,
-ROADMAP item 27(c)).
+ROADMAP item 27(c)).  Nor does `ce_quotient_cohomology`: the quotient of
+the classical algebra by the ideal of the v's is the Chevalley-Eilenberg
+complex of g with coefficients in End V (ROADMAP item 27(b)), and
+`commutant_dim` is dim (End V)^g.
 """
 
 from __future__ import annotations
@@ -136,6 +139,7 @@ from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_su
                        degree_monomials, monomials_up_to, span_rank)
 from weil.lie import BilinearForm, FormReport, LieData, RepData, ValidationReport
 from weil.linalg import Matrix, format_scalar, kernel
+from weil.linalg import rank as sparse_rank
 from weil.quantum import QuantumAlgebra, gamma_square_formula
 from weil.render import TENSOR, _gen_string, _index_string, _join, render
 from weil.kernels import (_bump, add_term, cliff_mono_mul as orthonormal_cliff_mono_mul,
@@ -642,8 +646,8 @@ def slot_leibniz(der, letters, x: ClassicalElement) -> ClassicalElement:
 
 def bracket_apply(alg, i, x):
     """Operator i of the `QuantumAlgebra` `alg` applied to x, as the
-    bracket [alg.inner(i), x]."""
-    return supercommutator(alg.inner(i), x)
+    bracket [alg.inner[i], x]."""
+    return supercommutator(alg.inner[i], x)
 
 
 # -- the dense Fraction kernel path ---------------------------------------------
@@ -1715,3 +1719,45 @@ def quantum_quotient(alg):
                             if not any(key[0])})
 
     return basis, d
+
+
+# -- the Chevalley-Eilenberg quotient -------------------------------------------------
+
+def ce_quotient_cohomology(alg):
+    """The dims of H^0, ..., H^n of the quotient of the `ClassicalAlgebra`
+    value `alg` by the ideal of the v's.
+
+    Its degree-k basis is the v-free keys of exterior degree k times the
+    End V matrix units, and its d is `alg.differential` with every term
+    of positive v-degree dropped: the Chevalley-Eilenberg differential of
+    g with coefficients in End V.  d^2 = 0 on the quotient is checked
+    first; then H^k = dim C^k - rank d_k - rank d_(k-1).  For semisimple
+    g this is dim H^k(g) times dim (End V)^g (`commutant_dim`).
+    """
+    n, dim = alg.lie.dim, alg.rep.dim
+    units = [Matrix._make(dim, dim, tuple(int(k == c) for k in range(dim * dim)), 1)
+             for c in range(dim * dim)]
+
+    def d(x):
+        return alg.element({key: m for key, m in alg.differential(x).terms.items()
+                            if not any(key[0])})
+
+    dims, ranks = [], []
+    for k in range(n + 1):
+        images = [d(alg.element({((0,) * n, e): unit}))
+                  for e in combinations(range(n), k) for unit in units]
+        if not all(d(y).is_zero for y in images):
+            raise AssertionError(f"d^2 != 0 on the quotient in degree {k}")
+        dims.append(len(images))
+        ranks.append(span_rank(images))
+    return [c - r - (ranks[k - 1] if k else 0) for k, (c, r) in enumerate(zip(dims, ranks))]
+
+
+def commutant_dim(rep):
+    """dim (End V)^g: dim End V minus the rank of the equations [tau_a, A]
+    = 0, one row per (a, cell of the commutator) from `Matrix._cells(-1)`."""
+    rows = defaultdict(dict)
+    for a, tau in enumerate(rep.matrices):
+        for o, c, v in tau._cells(-1):
+            rows[a, o][c] = v
+    return rep.dim ** 2 - sparse_rank(rows.values())

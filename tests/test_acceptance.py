@@ -16,7 +16,6 @@ import pytest
 from oracles import embed_scalar_poly, scalar_weil_differential
 
 from weil import builtin, kernels
-from weil import quantum as qw
 from weil.checks import (
     classical_suite,
     quantum_structure_suite,
@@ -103,14 +102,16 @@ def test_criterion_4_quantum_structural_lemmas():
             for r in quantum_structure_suite(QuantumAlgebra(alg.lie, trivial_rep(alg.lie))):
                 assert r.passed, (name, r.name, r.detail)
         so3 = builtin("so3").lie
-        assert qw.gamma_squared(so3) == Fraction(-1, 8)
-        # independent expansion: gamma = -x1x2x3, and (x1x2x3)^2 = -1/8
         q = QuantumAlgebra(so3, trivial_rep(so3))
+        assert q.gamma * q.gamma == q.scalar(Fraction(-1, 8))
+        # independent expansion: gamma = -x1x2x3, and (x1x2x3)^2 = -1/8
         x = [q.odd_gen(a) for a in range(3)]
         top = x[0] * x[1] * x[2]
         assert q.gamma == -top
         assert top * top == q.scalar(Fraction(-1, 8))
-        assert qw.gamma_squared(builtin("abelian(2)").lie) == 0
+        abelian = builtin("abelian(2)").lie
+        qa = QuantumAlgebra(abelian, trivial_rep(abelian))
+        assert (qa.gamma * qa.gamma).is_zero
 
 
 def test_criterion_5_quantum_operator_suite():

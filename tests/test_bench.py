@@ -1,9 +1,12 @@
-"""Smoke test of `scripts/bench.py` at tiny sizes (the BENCH file's schema), and its
-`--compare` mode on two small synthetic files."""
+"""Smoke test of `scripts/bench.py` at tiny sizes (the BENCH file's schema, flat
+report rows and CLI rows), and its `--compare` mode on two small synthetic files."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+from weil.cli import main
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 TINY = [{"name": "so3-quantum-N1", "lie": "so3", "kind": "quantum", "N": 1},
@@ -55,6 +58,38 @@ def test_bench_file_schema(tmp_path, capsys):
         assert len({run["report_sha256"] for run in entry["runs"]}) == 1
     assert data["rows"]["so3-quantum-N1"]["runs"][0]["dims_flat"] == [1, 4]
     assert "so3+so3-quantum-N0" in capsys.readouterr().out
+
+
+def test_the_cli_rows_are_the_north_star_ones():
+    assert [row["argv"] for row in _bench().CLI_ROWS] == [
+        ["check", "--builtin", "so3", "--rep", "adjoint", "--classical"],
+        ["check", "--builtin", "so3", "--rep", "adjoint", "--quantum"],
+        *(["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum", "--max-degree", n, "--json"]
+          for n in ("2", "3", "4"))]
+
+
+def test_a_cli_row_records_its_exit_and_stdout_hash(tmp_path, capsys):
+    """Two runs of a small `weil flat --json` row, each in a fresh process:
+    each records its wall time, peak RSS, host ratio, exit status and the
+    sha256 of the stdout that `cli.main` prints here; the figures are the
+    wall time and the peak RSS alone."""
+    bench = _bench()
+    argv = ["flat", "--builtin", "so3", "--rep", "adjoint", "--quantum", "--max-degree", "1",
+            "--json"]
+    row = {"name": "flat-so3-adjoint-quantum-N1", "argv": argv}
+    out = tmp_path / "BENCH.json"
+    bench.run([row], 2, out)
+    entry = json.loads(out.read_text(encoding="utf-8"))["rows"][row["name"]]
+    assert row["name"] in capsys.readouterr().out
+    assert main(argv) == 0
+    expected = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert entry["spec"] == row and set(entry["median"]) == {"wall_s", "peak_rss_mb"}
+    for run in entry["runs"]:
+        assert set(run) == {"wall_s", "exit", "peak_rss_mb", "yardstick_ratio", "stdout_sha256"}
+        assert run["exit"] == 0 and run["stdout_sha256"] == expected
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 1
+    assert bench.compare({"rows": {row["name"]: entry}}, {"rows": {row["name"]: entry}})[0] == (
+        "flat-so3-adjoint-quantum-N1: stdout sha256 matches")
 
 
 

@@ -24,7 +24,7 @@ from weil.kernels import (
     pbw_mono_mul,
     pbw_word,
 )
-from weil.lie import builtin, load_algebra_file, trivial_rep
+from weil.lie import LieData, builtin, load_algebra_file, trivial_rep
 from weil.linalg import Matrix
 from weil.quantum import QuantumAlgebra
 
@@ -163,12 +163,21 @@ def _so3_blocks(k):
 
 
 def test_gamma_square_table_exits_one_on_a_mismatch(monkeypatch, capsys):
-    """The script's check is an `if`, not an `assert` that python -O strips."""
+    """The script's checks are `if`s, not `assert`s that python -O strips:
+    gamma * gamma against the closed form, and the closed form against
+    -k/8 (with every f_abc doubled gamma * gamma is -k/2 on so3^k)."""
     module = _gamma_square_table()
     assert module.main(["--blocks", "2"]) == 0
-    monkeypatch.setattr(module, "gamma_squared", lambda lie: Fraction(1, 8))
+    right = module.gamma_square_formula
+    monkeypatch.setattr(module, "gamma_square_formula", lambda lie: right(lie) + lie.dim)
     assert module.main(["--blocks", "2"]) == 1
-    assert "mismatch: gamma^2 = 1/8 on so3^0, expected 0" in capsys.readouterr().err
+    assert "mismatch: gamma * gamma = -1/8 on so3^1, -(1/48) sum f^2 = 23/8" in capsys.readouterr().err
+    monkeypatch.undo()
+    blocks = module.so3_blocks
+    monkeypatch.setattr(module, "so3_blocks", lambda k: LieData(
+        3 * k, {abc: 2 * f for abc, f in blocks(k).entries.items()}, form=blocks(k).form))
+    assert module.main(["--blocks", "2"]) == 1
+    assert "mismatch: gamma^2 = -1/2 on so3^1, expected -1/8" in capsys.readouterr().err
 
 
 def test_pbw_kernel_matches_oracle_strategies():

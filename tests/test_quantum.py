@@ -90,9 +90,13 @@ def test_distinguished_elements_abelian(abelian2):
 
 
 def test_gamma_squared_values(so3, abelian2):
-    assert qw.gamma_squared(so3.lie) == Fraction(-1, 8)
-    assert qw.gamma_squared(abelian2.lie) == 0
-    assert qw.gamma_squared(so3_plus_so3()) == Fraction(-1, 4)
+    """On the trivial rep gamma * gamma is the closed form -(1/48) sum f^2
+    times I: -1/8 on so3, 0 on abelian(2) and -1/4 on so3 + so3."""
+    for lie, value in ((so3.lie, Fraction(-1, 8)), (abelian2.lie, 0),
+                       (so3_plus_so3(), Fraction(-1, 4))):
+        q = QuantumAlgebra(lie, trivial_rep(lie))
+        assert qw.gamma_square_formula(lie) == value
+        assert q.gamma * q.gamma == q.scalar(value)
 
 
 def test_gamma_squared_by_direct_expansion(so3):
@@ -255,15 +259,22 @@ def test_curvature_cross_check_fires_on_a_wrong_four_term_formula(so3, monkeypat
 
 
 def test_gamma_squared_cross_checks_fire(so3, monkeypatch):
+    """The structure row "gamma^2 = -(1/48) f_abc f_abc" compares gamma *
+    gamma with the closed form times I: it fails when the closed form is
+    off by 1, and when gamma * gamma is not a scalar."""
+    lie = so3.lie
+
+    def row(q):
+        return {r.name: r for r in quantum_structure_suite(q)}["gamma^2 = -(1/48) f_abc f_abc"]
+
+    assert row(QuantumAlgebra(lie, trivial_rep(lie))).passed
     right = qw.gamma_square_formula
-    monkeypatch.setattr(qw, "gamma_square_formula", lambda lie: right(lie) + 1)
-    with pytest.raises(AssertionError) as raised:
-        qw.gamma_squared(so3.lie)
-    assert str(raised.value) == "gamma^2 = -1/8 but -(1/48) sum f^2 = 7/8"
-    monkeypatch.setattr(qw, "QuantumAlgebra", TiltedGamma)
-    with pytest.raises(AssertionError) as raised:
-        qw.gamma_squared(so3.lie)
-    assert str(raised.value) == "gamma^2 is not a scalar"
+    monkeypatch.setattr(checks, "gamma_square_formula", lambda lie: right(lie) + 1)
+    assert row(QuantumAlgebra(lie, trivial_rep(lie))).detail == "mismatch"
+    monkeypatch.undo()
+    q = TiltedGamma(lie, trivial_rep(lie))
+    assert any(any(p) for p, _ in (q.gamma * q.gamma).terms)
+    assert row(q).detail == "mismatch"
 
 
 def test_module_curvatures_are_the_values_curvature(so3, abelian2):
@@ -311,27 +322,17 @@ def test_casimir_report(so3, abelian2):
 
 
 def test_inner_elements_are_the_operator_table(so3):
-    """inner(a) = u_a + g_a + tau_a, inner(n + a) = x_a and inner(2n) =
-    D + x_a tau_a: L_a, iota_a and d are their brackets.  Each is built
-    once per value."""
+    """inner[a] = u_a + g_a + tau_a, inner[n + a] = x_a and inner[2n] =
+    D + x_a tau_a: L_a, iota_a and d are their brackets.  The table is
+    built once per value."""
     for lie in (so3.lie, so3_plus_so3()):
         q, n = QuantumAlgebra(lie, adjoint_rep(lie)), lie.dim
+        assert len(q.inner) == 2 * n + 1
         for a in range(n):
-            assert q.inner(a) == q.even_gen(a) + q.g[a] + q.tau(a)
-            assert q.inner(n + a) == q.odd_gen(a)
-        assert q.inner(2 * n) == q.dirac_tau
-        assert q.inner(0) is q.inner(0)
-
-
-def test_lie_derivative_builds_only_its_own_operator_entry(so3):
-    """The first L_a and iota_a on a fresh value build neither gamma, D
-    nor D + x_a tau_a; the first d does."""
-    q = QuantumAlgebra(so3.lie, so3.reps["adjoint"])
-    q.lie_derivative(0, q.even_gen(1))
-    q.contraction(2, q.odd_gen(1))
-    assert not {"gamma", "dirac", "dirac_tau", "inner"} & set(vars(q))
-    q.differential(q.even_gen(1))
-    assert {"gamma", "dirac", "dirac_tau"} <= set(vars(q))
+            assert q.inner[a] == q.even_gen(a) + q.g[a] + q.tau(a)
+            assert q.inner[n + a] == q.odd_gen(a)
+        assert q.inner[2 * n] == q.dirac_tau
+        assert q.inner is q.inner
 
 
 def test_a_value_with_filled_tables_is_freed_by_reference_counting(so3):
@@ -400,7 +401,7 @@ def _bits(x):
 def test_tables_match_the_bracket_oracle(drawn):
     """All 2n + 1 operators read from the image table and tau's cell
     maps against `oracles.bracket_apply`, the whole bracket with
-    inner(i), numerators and denominator bit for bit, on x, x * q and
+    inner[i], numerators and denominator bit for bit, on x, x * q and
     d x; the table stays within its bound."""
     q, x, scale = drawn
     for y in (x, x * scale, oracles.bracket_apply(q, 2 * q.lie.dim, x)):
@@ -426,14 +427,14 @@ def test_tables_match_the_bracket_oracle_while_evicting():
 
 
 class _UncoupledDifferential(QuantumAlgebra):
-    """A wrong operator table: inner(2n) is D, without x_a tau_a."""
+    """A wrong operator table: inner[2n] is D, without x_a tau_a."""
 
     def _inner_element(self, i):
         return self.dirac if i == 2 * self.lie.dim else super()._inner_element(i)
 
 
 class _CurvatureOperator(QuantumAlgebra):
-    """inner(2n) is the curvature: its u_a tau_a terms give images with
+    """inner[2n] is the curvature: its u_a tau_a terms give images with
     pl tau_a A + pr A tau_a and pl != +-pr where the lower PBW terms of
     u_a key and key u_a differ, each split into an anticommutator and a
     commutator."""
@@ -465,20 +466,22 @@ def test_images_sum_terms_over_differing_denominators(so3):
 
 
 def test_operator_images_are_read_off_the_inner_elements(so3, monkeypatch):
-    """With inner(2n) = D the table-read d is the bracket with D, bit for
-    bit, and the suite on so3 adjoint reports failing rows: no image is
-    written down apart from `inner`.  With inner(2n) the curvature, d is
-    the bracket with it."""
+    """With inner[2n] = D the table-read d is the bracket with D, bit for
+    bit, and the suite on so3 adjoint fails the restriction row that it
+    passes with inner[2n] = D + x_a tau_a: no image is written down apart
+    from `inner`.  With inner[2n] the curvature, d is the bracket with it."""
     lie, rep = so3.lie, so3.reps["adjoint"]
+    row = "restriction: d = d_W + iota_a tau_a"
+    assert row not in {r.name for r in quantum_suite(lie, rep, samples=4, seed=0) if not r.passed}
     q = _UncoupledDifferential(lie, rep)
-    assert q.inner(6) == q.dirac
+    assert q.inner[6] == q.dirac
     rng = random.Random(7)
     for _ in range(10):
         x = random_element(q, rng, max_degree=4)
         assert _bits(q.differential(x)) == _bits(supercommutator(q.dirac, x))
     monkeypatch.setattr(checks, "QuantumAlgebra", _UncoupledDifferential)
     failed = {r.name for r in quantum_suite(lie, rep, samples=4, seed=0) if not r.passed}
-    assert "restriction: d = d_W + iota_a tau_a" in failed, failed
+    assert row in failed, failed
     q = _CurvatureOperator(lie, rep)
     curv = q.four_term_curvature()
     for _ in range(10):

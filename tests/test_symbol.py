@@ -1,7 +1,9 @@
 """The symbol oracle: each quantum operator has the classical one as its
-top part; and the quotient oracle: modulo the u's the quantum algebra is
-acyclic."""
+top part; and the quotient oracles: modulo the u's the quantum algebra is
+acyclic, and modulo the v's the classical algebra has the cohomology of
+g with coefficients in End V."""
 
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import oracles
 from test_checks import _LieDerivativeWithoutTau
 from test_kernels import _so3_blocks
 from weil import adjoint_rep, builtin, load_algebra_file
+from weil.classical import ClassicalAlgebra
 from weil.flat import span_rank
 from weil.quantum import QuantumAlgebra
 
@@ -110,3 +113,68 @@ def test_the_quantum_quotient_needs_d_to_keep_the_ideal():
     so3 = builtin("so3")
     with pytest.raises(AssertionError, match=r"^d\(u_1\) has a term with no u factor$"):
         oracles.quantum_quotient(_DifferentialPlusX1(so3.lie, so3.reps["adjoint"]))
+
+
+def _ce_cases():
+    """so3, sl2 and so3-sum with every rep, H(g) = 1 + t^3, and so3 + so3
+    adjoint, H(g) = (1 + t^3)^2."""
+    for alg in (builtin("so3"), builtin("sl2"), SO3_SUM):
+        for rep in alg.reps.values():
+            yield pytest.param(alg.lie, rep, [1, 0, 0, 1], id=f"{alg.name}-{rep.name}")
+    pair = _so3_blocks(2)
+    yield pytest.param(pair, adjoint_rep(pair), [1, 0, 0, 2, 0, 0, 1], id="so3^2-adjoint")
+
+
+@pytest.mark.parametrize("lie, rep, betti", _ce_cases())
+def test_the_ce_quotient_has_the_cohomology_of_g_times_the_invariants(lie, rep, betti):
+    """Modulo the ideal of the v's the classical algebra is the
+    Chevalley-Eilenberg complex of g with coefficients in End V, whose
+    cohomology for semisimple g is H(g) (x) (End V)^g
+    (`oracles.ce_quotient_cohomology`)."""
+    invariants = oracles.commutant_dim(rep)
+    assert oracles.ce_quotient_cohomology(ClassicalAlgebra(lie, rep)) == [b * invariants
+                                                                           for b in betti]
+
+
+def test_the_ce_quotient_on_an_abelian_algebra_and_the_commutants():
+    """On abelian(2) adjoint tau = 0, so d is 0 on the quotient, which is
+    all cohomology: /\\ g* (x) End V, of dims 4, 8, 4.  By Schur's lemma
+    (End V)^g is 1-dimensional on so3-sum's irreducible reps and
+    2-dimensional on their sum.  heisenberg3 adjoint, not semisimple,
+    gives 3, 8, 8, 3 (observed, not asserted)."""
+    abelian = builtin("abelian(2)")
+    alg = ClassicalAlgebra(abelian.lie, abelian.reps["adjoint"])
+    assert oracles.ce_quotient_cohomology(alg) == [4, 8, 4]
+    assert {name: oracles.commutant_dim(rep) for name, rep in SO3_SUM.reps.items()} == {
+        "trivial": 1, "adjoint": 1, "sum": 2}
+
+
+class _DifferentialWithoutTau(ClassicalAlgebra):
+    """d without its y^b [tau_b, A] term: End V no longer enters the
+    quotient's d."""
+
+    @cached_property
+    def derivations(self):
+        *others, d = ClassicalAlgebra.derivations.func(self)
+        return (*others, d._replace(endo=()))
+
+
+class _DifferentialWithHalvedBracket(ClassicalAlgebra):
+    """d y^c = v^c - (1/4) f^c_ab y^a y^b: the (1/2) f y y term halved."""
+
+    @cached_property
+    def derivations(self):
+        *others, d = ClassicalAlgebra.derivations.func(self)
+        y = {c: [(g, w, p, 2 * r if len(w) == 2 else r, t) for g, w, p, r, t in image]
+             for c, image in d.y.items()}
+        return (*others, d._replace(y=y))
+
+
+def test_the_ce_quotient_fails_on_mutant_differentials():
+    """Without y^b [tau_b, A] the quotient has H^0 = H^3 = dim End V = 9 on
+    so3 adjoint, not 1; with the halved bracket term d^2 != 0 on it."""
+    so3 = builtin("so3")
+    lie, rep = so3.lie, so3.reps["adjoint"]
+    assert oracles.ce_quotient_cohomology(_DifferentialWithoutTau(lie, rep)) == [9, 0, 0, 9]
+    with pytest.raises(AssertionError, match=r"^d\^2 != 0 on the quotient in degree 0$"):
+        oracles.ce_quotient_cohomology(_DifferentialWithHalvedBracket(lie, rep))
