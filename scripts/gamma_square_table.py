@@ -3,8 +3,8 @@
 
 gamma^2 is the scalar -(1/48) sum f_abc^2; the table cross-checks the
 closed form against the actual Clifford product gamma * gamma on the
-trivial representation, and against -k/8, for the sums of k copies of
-so(3), where the sum grows linearly in the number of blocks.
+trivial representation, and against -k/8, for the sums of k >= 1 copies
+of so(3), where the sum grows linearly in the number of blocks.
 
 Usage: python scripts/gamma_square_table.py [--blocks K]
 """
@@ -37,7 +37,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     print("blocks  dim  gamma^2")
-    for k in range(args.blocks + 1):
+    for k in range(1, args.blocks + 1):
         lie = so3_blocks(k)
         q, value = QuantumAlgebra(lie, trivial_rep(lie)), gamma_square_formula(lie)
         square = q.gamma * q.gamma

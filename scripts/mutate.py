@@ -55,6 +55,7 @@ PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_o
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
 ROWS_UNDER_MUTANTS = ["tests/test_checks.py::test_rows_match_the_oracle_under_mutants"]
+STRUCTURE_WITNESSES = ["tests/test_checks.py::test_the_structure_rows_name_each_failing_witness"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 # every table that reads `bracket_terms`: quantum images, flat rows, the [C, -] row
@@ -191,6 +192,10 @@ MUTANTS = [
      ROWS_ORACLE),
     ("quantum restriction image without its iota_a(X) tau_a terms", "src/weil/checks.py",
      "products_into(acc, alg.contraction(a, x), alg.tau(a), False, -1)", "pass", ROWS_ORACLE),
+    ("exact rule: a row names only its first failing witness", "src/weil/checks.py",
+     "cases if left != right])", "cases if left != right][:1])", STRUCTURE_WITNESSES),
+    ("sampled rule: each draw checked on its first image only", "src/weil/checks.py",
+     "zip(found, rows):", "zip(found, rows[:1]):", ROWS_UNDER_MUTANTS),
 ]
 
 

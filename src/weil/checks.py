@@ -5,27 +5,31 @@ seeded random elements, exactly over the rationals.  Results come back
 as (name, passed, detail) records; nothing raises on failure, so a CLI
 or test can report all of them.
 
-The operator identities are one table (`_identity_rows`) with a row per
-case: its printed name, its witness suffix and its two sides.  A case is
-one accumulator: both sides, the right one negated, summed in integers
-per result key over one common denominator, so that the case holds
-exactly when every numerator vanishes.  The rows are linear in the
-element, and a pool repeats its term keys, so each row is composed once
-per term key (`_composite_rows`): the key's images under the row's
-operators and, for d.d, its bracket with the curvature
-(`WeilAlgebra.bracket_terms`), each a word of the value's End V
-letters, summed per result key into one End V map.  A term of an
-element applies its key's maps to its End V part; none of d x, L_a x
-and iota_a x is built.
+Every row is decided by one of three rules, each written once.  The
+operator identities are one table (`_identity_rows`) with a row per
+case: its printed name, its witness suffix and its two sides.  An exact
+row (`_exact`) lists its cases as (witness, left, right) and fails each
+witness whose sides differ: the structure lemmas, Bianchi, the four-term
+formula and d != d_W.  A sampled row (`_sampled`) is linear in a c I
+polynomial (the restriction rows, d.d = 0 and the lemma): it fails each
+drawn polynomial whose sum of q image(K) over its terms q K does not
+vanish, each key's image an element or accumulator built once per call.
 
-Every other sampled row is linear in a c I polynomial: the restriction
-rows, d.d = 0 and the lemma sum q image(K) over its terms q K
-(`_linear`), each key's image an element or accumulator built once per
-suite call.  The classical reference image (`_reference`) is
-sum_a d(y^a) d/dy^a + d(v^a) d/dv^a on K I, from generator images that
-dense `lie.f` scans build and the value's product multiplies: it reads
-no table that `ClassicalAlgebra.differential` reads, so the two
-cross-check each other.
+A case of the table is one accumulator: both sides, the right one
+negated, summed in integers per result key over one common denominator,
+so that the case holds exactly when every numerator vanishes.  The rows
+are linear in the element, and a pool repeats its term keys, so each row
+is composed once per term key (`_composite_rows`): the key's images under
+the row's operators and, for d.d, its bracket with the curvature
+(`WeilAlgebra.bracket_terms`), each a word of the value's End V letters,
+summed per result key into one End V map.  A term of an element applies
+its key's maps to its End V part; none of d x, L_a x and iota_a x is
+built.
+
+The classical reference image (`_reference`) is sum_a d(y^a) d/dy^a +
+d(v^a) d/dv^a on K I, from generator images that dense `lie.f` scans
+build and the value's product multiplies: it reads no table that
+`ClassicalAlgebra.differential` reads, so the two cross-check each other.
 """
 
 from __future__ import annotations
@@ -56,6 +60,28 @@ def _result(name, failures, total=None):
         extra = f" ({total} cases)" if total else ""
         return CheckResult(name, True, "exact" + extra)
     return CheckResult(name, False, "; ".join(failures[:3]))
+
+
+def _exact(name, cases):
+    """The row `name` over its `cases` (witness, left, right): it fails
+    each witness whose two sides differ."""
+    return _result(name, [witness for witness, left, right in cases if left != right])
+
+
+def _sampled(rows, count, draw, witness, total):
+    """The rows (name, image) over `count` polynomials from `draw()`: a row
+    fails `witness` i when the sum of q image(key) over the terms q key of
+    draw i does not vanish, each image an element or an accumulator."""
+    found = [[] for _ in rows]
+    for i in range(count):
+        poly = draw()
+        for bad, (_, image) in zip(found, rows):
+            acc = {}
+            for key, q in poly.items():
+                add_into(acc, image(key), q.numerator, q.denominator)
+            if not vanishes(acc):
+                bad.append(f"{witness} {i}")
+    return [_result(name, bad, total) for (name, _), bad in zip(rows, found)]
 
 
 # -- random elements ---------------------------------------------------------
@@ -305,10 +331,10 @@ def _operator_identities(alg, rng, seed, samples, curv, names):
         for (name, suffix, _, _), acc in zip(rows, sums):
             if not vanishes(acc):
                 found[name].append(f"element {i} (seed {seed}){suffix}: X = {render(x)}")
-    total = 1 + 3 * n + samples
-    bianchi = [] if alg.differential(curv).is_zero else [f"d({names[0]}) != 0"]
+    total, cname = 1 + 3 * n + samples, names[0]
     return [*(_result(name, bad, total) for name, bad in found.items()),
-            _result(f"bianchi d({names[0]}) = 0", bianchi)]
+            _exact(f"bianchi d({cname}) = 0",
+                   [(f"d({cname}) != 0", alg.differential(curv), alg.zero())])]
 
 
 # -- classical suite -----------------------------------------------------------
@@ -322,8 +348,7 @@ def classical_suite(lie, rep, samples=50, seed=0):
 def _classical_rows(alg, samples, seed):
     """The classical rows on the `ClassicalAlgebra` value `alg`.  The two
     restriction rows and the lemma row check only sampled polynomials, so
-    with no samples they are left out.  Each is linear in its polynomial,
-    and sums the images of its keys (`_linear`), each composed once."""
+    with no samples they are left out."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
     results = _operator_identities(alg, rng, seed, samples, alg.curvature, ("C", "f^c_ab"))
@@ -340,27 +365,12 @@ def _classical_rows(alg, samples, seed):
         return sum((alg.even_gen(a) * alg.lie_derivative(a, one) for a in range(lie.dim)),
                    alg.zero())
 
-    restrict, ddzero = [], []
-    for i in range(samples):
-        poly = random_scalar_weil_poly(lie, rng)
-        if not vanishes(_linear(poly, restrict_image)):
-            restrict.append(f"poly {i}")
-        if not vanishes(_linear(poly, dd_image)):
-            ddzero.append(f"poly {i}")
-    results.append(_result("restriction: d matches the scalar differential", restrict, samples))
-    results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
-    lemma = [f"poly {i}" for i in range(samples)
-             if not vanishes(_linear(random_sym_poly(lie, rng), lemma_image))]
-    results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
-    return results
-
-
-def _linear(poly, image):
-    """The accumulator of the sum of q image(key) over the terms q key of `poly`."""
-    acc = {}
-    for key, q in poly.items():
-        add_into(acc, image(key), q.numerator, q.denominator)
-    return acc
+    return [*results,
+            *_sampled([("restriction: d matches the scalar differential", restrict_image),
+                       ("restriction: d.d = 0 on identity-part elements", dd_image)],
+                      samples, lambda: random_scalar_weil_poly(lie, rng), "poly", samples),
+            *_sampled([("v^a L_a annihilates symmetric polynomials", lemma_image)],
+                      samples, lambda: random_sym_poly(lie, rng), "poly", samples)]
 
 
 # -- quantum suite ---------------------------------------------------------------
@@ -370,44 +380,27 @@ def quantum_structure_suite(alg):
     """Structural lemmas on the distinguished elements of the
     `QuantumAlgebra` value `alg`, the g_a, gamma and D its operators use;
     each has End V part I, so the lemmas do not depend on the representation."""
-    lie = alg.lie
-    n, x = lie.dim, alg.odd_gen
-    results = []
-
-    bad = []
-    for a in range(n):
-        for b in range(n):
-            lhs = supercommutator(x(a), alg.g[b])
-            rhs = alg.zero()
-            for c in range(n):  # dense: independent of lie.pair_brackets()
-                q = -lie.f(a, c, b)  # -f_bac, with f_bac = f^b_ac
-                if q:
-                    rhs = rhs + x(c) * q
-            if lhs != rhs:
-                bad.append(f"a={a + 1}, b={b + 1}")
-    results.append(_result("[x_a,g_b] = -f_bac x_c", bad))
-
-    bad = [f"a={a + 1}" for a in range(n) if supercommutator(x(a), alg.gamma) != alg.g[a]]
-    results.append(_result("[x_a,gamma] = g_a", bad))
-
-    bad = [f"a={a + 1}" for a in range(n)
-           if supercommutator(x(a), alg.dirac) != alg.even_gen(a) + alg.g[a]]
-    results.append(_result("[x_a,D] = u_a + g_a", bad))
-
-    bad = [f"a={a + 1}" for a in range(n)
-           if not supercommutator(alg.even_gen(a) + alg.g[a], alg.dirac).is_zero]
-    results.append(_result("[u_a+g_a,D] = 0", bad))
-
-    cas = sum((alg.even_gen(a) * alg.even_gen(a) for a in range(n)), alg.zero())
-    g2 = gamma_square_formula(lie)
-    ok = alg.dirac * alg.dirac == cas * Fraction(1, 2) + alg.scalar(g2)
-    results.append(_result("D^2 = (1/2) u_a u_a + gamma^2", [] if ok else ["mismatch"]))
-    ok = alg.gamma * alg.gamma == alg.scalar(g2)
-    results.append(_result("gamma^2 = -(1/48) f_abc f_abc", [] if ok else ["mismatch"]))
-    ok = all(supercommutator(cas, gen(b)).is_zero
-             for b in range(n) for gen in (alg.even_gen, alg.odd_gen))
-    results.append(_result("u_a u_a is central", [] if ok else ["not central"]))
-    return results
+    lie, zero = alg.lie, alg.zero()
+    n, x, u, g = lie.dim, alg.odd_gen, alg.even_gen, alg.g
+    cas = sum((u(a) * u(a) for a in range(n)), zero)
+    g2 = alg.scalar(gamma_square_formula(lie))
+    return [
+        # f_bac = f^b_ac read densely: independent of lie.pair_brackets()
+        _exact("[x_a,g_b] = -f_bac x_c",
+               ((f"a={a + 1}, b={b + 1}", supercommutator(x(a), g[b]),
+                 sum((x(c) * -lie.f(a, c, b) for c in range(n) if lie.f(a, c, b)), zero))
+                for a in range(n) for b in range(n))),
+        _exact("[x_a,gamma] = g_a",
+               ((f"a={a + 1}", supercommutator(x(a), alg.gamma), g[a]) for a in range(n))),
+        _exact("[x_a,D] = u_a + g_a",
+               ((f"a={a + 1}", supercommutator(x(a), alg.dirac), u(a) + g[a]) for a in range(n))),
+        _exact("[u_a+g_a,D] = 0",
+               ((f"a={a + 1}", supercommutator(u(a) + g[a], alg.dirac), zero) for a in range(n))),
+        _exact("D^2 = (1/2) u_a u_a + gamma^2",
+               [("mismatch", alg.dirac * alg.dirac, cas * Fraction(1, 2) + g2)]),
+        _exact("gamma^2 = -(1/48) f_abc f_abc", [("mismatch", alg.gamma * alg.gamma, g2)]),
+        _exact("u_a u_a is central", [("not central", all(
+            supercommutator(cas, gen(b)).is_zero for b in range(n) for gen in (u, x)), True)])]
 
 
 def quantum_suite(lie, rep, samples=50, seed=0):
@@ -424,10 +417,8 @@ def _quantum_rows(alg, samples, seed):
     # mismatch that the "QC four-term formula" row below reports
     curv = alg.four_term_curvature()
     results += _operator_identities(alg, rng, seed, samples, curv, ("QC", "f_abc"))
-
-    ok = curv == alg.dirac_tau * alg.dirac_tau
-    results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
-                           [] if ok else ["mismatch"]))
+    results.append(_exact("QC four-term formula = (D + x_a tau_a)^2",
+                          [("mismatch", curv, alg.dirac_tau * alg.dirac_tau)]))
 
     @cache
     def restrict_image(key):  # d(X) - d_W(X) - iota_a(X) tau_a on X = key I, d_W = [D, -]
@@ -438,13 +429,10 @@ def _quantum_rows(alg, samples, seed):
             products_into(acc, alg.contraction(a, x), alg.tau(a), False, -1)
         return acc
 
-    restrict = [f"element {i}" for i in range(samples // 2 + 1)
-                if not vanishes(_linear(random_scalar_weil_poly(lie, rng), restrict_image))]
-    results.append(_result("restriction: d = d_W + iota_a tau_a", restrict))
-
     x1 = alg.odd_gen(0)
-    differs = alg.differential(x1) != alg.weil_differential(x1)
-    ok = differs == bool(rep.matrices[0])
-    results.append(_result("restriction: d != d_W exactly when tau_1 is nonzero",
-                           [] if ok else ["witness failed at x1"]))
-    return results
+    return [*results,
+            *_sampled([("restriction: d = d_W + iota_a tau_a", restrict_image)], samples // 2 + 1,
+                      lambda: random_scalar_weil_poly(lie, rng), "element", None),
+            _exact("restriction: d != d_W exactly when tau_1 is nonzero",
+                   [("witness failed at x1", alg.differential(x1) != alg.weil_differential(x1),
+                     bool(rep.matrices[0]))])]

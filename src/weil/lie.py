@@ -52,6 +52,7 @@ class LieData:
     Entries are kept exactly as constructed so that validation can flag
     inconsistent orientations, and read-only so that `f` and the table
     agree; builtins and the file loader only ever populate a < b keys.
+    A dimension below 1 raises ValueError.
     """
 
     dim: int
@@ -60,6 +61,8 @@ class LieData:
     name: str = ""
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"a Lie algebra needs dimension at least 1, got {self.dim}")
         object.__setattr__(self, "entries", MappingProxyType(
             {k: exact_scalar(v) for k, v in self.entries.items()}))
 

@@ -16,7 +16,7 @@ V action of the operators and of the solver's rows, A -> M A + s A M,
 is M's one cell map `_cells(s)`: integer triples (out cell, in cell, v),
 v times cell `in` of A's numerators added into cell `out`; `commutator`
 is s = -1.  Entries leave as
-`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`, `scalar_value`);
+`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`);
 `render` prints them from the integers (`format_ratio`).
 
 `rank` and `kernel` take a sparse integer system, rows as
@@ -323,11 +323,6 @@ class Matrix:
     @property
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == Matrix.identity(self.rows)
-
-    def scalar_value(self):
-        """Return c if this matrix equals c * identity, else None."""
-        c = self._scalar() if self.rows else None
-        return None if c is None else _frac(c, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

@@ -95,8 +95,8 @@ prebuilt values: each scalar is a new Fraction and each matrix goes
 through `Matrix.__init__`, one Fraction per entry; the identity-row
 oracles draw their elements through them.
 `fraction_render` is `weil.render.render` before it printed from the
-canonical integers: each c I part becomes a Fraction (`scalar_value`),
-its sign is flipped on a Fraction and its magnitude printed by
+canonical integers: each c I part becomes a Fraction, `_scalar()` over
+`den`, its sign is flipped on a Fraction and its magnitude printed by
 `format_scalar`; `fraction_matrix_render` is `Matrix.render` before it
 printed from the numerators, each entry a Fraction from `row`.
 `sym_poly_mul`, `ext_poly_mul`, `cliff_poly_mul` and `pbw_poly_mul`
@@ -1112,17 +1112,6 @@ class FractionMatrix:
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == FractionMatrix.identity(self.rows)
 
-    def scalar_value(self):
-        """Return c if this matrix equals c * identity, else None."""
-        if self.rows != self.cols or self.rows == 0:
-            return None
-        c = self[0, 0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self[i, j] != (c if i == j else 0):
-                    return None
-        return c
-
     def __eq__(self, other):
         if not isinstance(other, FractionMatrix):
             return NotImplemented
@@ -1209,10 +1198,11 @@ def fraction_matrix_render(m: Matrix) -> str:
 
 def _fraction_signed_term(mono_str, mat, endo_dim):
     """Return (negative, body) for one term."""
-    c = mat.scalar_value()
+    c = mat._scalar()
     if c is None:
         body = (mono_str + TENSOR if mono_str else "") + fraction_matrix_render(mat)
         return False, body
+    c = Fraction(c, mat.den)
     neg = c < 0
     mag = -c if neg else c
     coeff = "" if mag == 1 else format_scalar(mag)

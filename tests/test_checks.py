@@ -306,6 +306,19 @@ def test_a_form_that_is_not_invariant_fails_the_structure_rows():
     assert {r.name for r in rows if not r.passed} == NON_INVARIANT_FORM_FAILURES
 
 
+def test_the_structure_rows_name_each_failing_witness():
+    """Under the form above, a row with a case per a names each failing a,
+    in order, and a row with one case names that case."""
+    lie = LieData(3, {(0, 1, 2): 1}, form=BilinearForm(Matrix.identity(3)), name="heisenberg3")
+    rows = checks.quantum_structure_suite(QuantumAlgebra(lie, adjoint_rep(lie)))
+    assert _fields(rows) == [
+        ("[x_a,g_b] = -f_bac x_c", True, "exact"),
+        *[(name, False, "a=1; a=2; a=3") for name in STRUCTURE[1:4]],
+        ("D^2 = (1/2) u_a u_a + gamma^2", False, "mismatch"),
+        ("gamma^2 = -(1/48) f_abc f_abc", False, "mismatch"),
+        ("u_a u_a is central", False, "not central")]
+
+
 def test_every_row_of_both_suites_fails_under_some_mutant(so3):
     """The failure sets asserted above cover every row that either suite prints."""
     rep = so3.reps["adjoint"]

@@ -180,6 +180,19 @@ def test_gamma_square_table_exits_one_on_a_mismatch(monkeypatch, capsys):
     assert "mismatch: gamma^2 = -1/2 on so3^1, expected -1/8" in capsys.readouterr().err
 
 
+def test_gamma_square_table_starts_at_one_block(capsys):
+    """so3^0 would have a 0-dimensional trivial rep, on which gamma * gamma
+    and the closed form are both zero and agree whatever the formula:
+    `LieData` refuses dimension 0, and the table starts at one block."""
+    module = _gamma_square_table()
+    for make in (lambda: module.so3_blocks(0), lambda: LieData(0, {}), lambda: LieData(-1, {})):
+        with pytest.raises(ValueError, match="dimension at least 1"):
+            make()
+    assert module.main(["--blocks", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "blocks  dim  gamma^2", "     1    3  -1/8", "     2    6  -1/4"]
+
+
 def test_pbw_kernel_matches_oracle_strategies():
     algebras = [builtin(name).lie for name in ("so3", "heisenberg3", "sl2", "abelian(2)")]
     algebras.append(_so3_blocks(2))

@@ -343,10 +343,8 @@ def test_matrix_matches_fraction_oracle(grids, s):
         _same(v, fv)
     if a.rows == a.cols:
         assert a.trace() == fa.trace()
-        assert a.scalar_value() == fa.scalar_value()
         ident, fident = Matrix.identity(a.rows) * s, FractionMatrix.identity(a.rows) * s
         _same(ident, fident)
-        assert ident.scalar_value() == fident.scalar_value()
         _same(a.commutator(a2), fa.commutator(fa2))
 
 
