@@ -55,7 +55,11 @@ PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_o
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
 ROWS_UNDER_MUTANTS = ["tests/test_checks.py::test_rows_match_the_oracle_under_mutants"]
-STRUCTURE_WITNESSES = ["tests/test_checks.py::test_the_structure_rows_name_each_failing_witness"]
+STRUCTURE_WITNESSES = ["tests/test_checks.py::test_the_structure_rows_name_each_failing_witness",
+                       "tests/test_checks.py::test_a_wrong_clifford_coefficient_fails_its_rows"]
+DENSE_VALIDATION = ["tests/test_lie.py::test_sparse_validation_matches_dense_oracle"]
+NAMED_REPS = ["tests/test_cli.py::test_file_reps_may_take_any_name_but_trivial_and_adjoint"]
+FORM_SIZE = ["tests/test_lie.py::test_an_identity_form_of_the_wrong_size_is_not_orthonormal"]
 ROW_RULE = ["tests/test_flat.py::test_non_flat_vector_fails_exactly_the_rows_that_list_it",
             "tests/test_flat.py::test_an_added_vector_counts_alike_in_both_reports"]
 # every table that reads `bracket_terms`: quantum images, flat rows, the [C, -] row
@@ -196,6 +200,12 @@ MUTANTS = [
      "cases if left != right])", "cases if left != right][:1])", STRUCTURE_WITNESSES),
     ("sampled rule: each draw checked on its first image only", "src/weil/checks.py",
      "zip(found, rows):", "zip(found, rows[:1]):", ROWS_UNDER_MUTANTS),
+    ("antisymmetry pass also reads the a = b keys", "src/weil/lie.py",
+     "if a < b and other is not None", "if a <= b and other is not None", DENSE_VALIDATION),
+    ("catalog drops the extra reps", "src/weil/lie.py",
+     '"adjoint": adjoint_rep(lie), **reps}', '"adjoint": adjoint_rep(lie)}', NAMED_REPS),
+    ("orthonormal form read as any identity matrix", "src/weil/lie.py",
+     "self.form.matrix == Matrix.identity(self.dim)", "self.form.is_orthonormal", FORM_SIZE),
 ]
 
 

@@ -92,9 +92,8 @@ def _validate_all(alg, rep_names=None):
 
 
 def _require_rep(alg, args):
-    name = getattr(args, "rep", None) or "adjoint"
     try:
-        return alg.rep(name)
+        return alg.rep(args.rep)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
 

@@ -108,7 +108,7 @@ class LieData:
 
     @property
     def has_orthonormal_form(self) -> bool:
-        return self.form is not None and self.form.is_orthonormal
+        return self.form is not None and self.form.matrix == Matrix.identity(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +166,11 @@ def validate_lie(lie: LieData) -> ValidationReport:
             rep.add(f"index out of range at ({a + 1},{b + 1},{c + 1})")
         elif a == b and v != 0:
             rep.add(f"antisymmetry violation at ({a + 1},{b + 1},{c + 1}): f^c_aa must vanish")
-    seen = set()
-    for (a, b, c) in sorted(lie.entries):
-        if a == b or (a, b, c) in seen:
-            continue
+    # a pair (a, b, c), (b, a, c) is named once, at its a < b key
+    for (a, b, c), v in sorted(lie.entries.items()):
         other = lie.entries.get((b, a, c))
-        if other is not None and lie.entries[(a, b, c)] + other != 0:
-            key = (a, b, c) if a < b else (b, a, c)
-            rep.add(
-                f"antisymmetry violation at ({key[0] + 1},{key[1] + 1},{key[2] + 1}): "
-                f"f^c_ab + f^c_ba != 0"
-            )
-            seen.add((a, b, c))
-            seen.add((b, a, c))
+        if a < b and other is not None and v + other != 0:
+            rep.add(f"antisymmetry violation at ({a + 1},{b + 1},{c + 1}): f^c_ab + f^c_ba != 0")
     if not rep.ok:
         return rep
     # f is antisymmetric from here on; the Jacobi sum at (a, b, c) runs
@@ -295,42 +287,34 @@ MAX_DIM = 48
 MAX_F_ENTRIES = 2000
 
 
+def _catalog(name, lie, reps) -> AlgebraDef:
+    """The algebra `name` on `lie` with the trivial and adjoint
+    representations and the dict `reps` of the others."""
+    return AlgebraDef(name, lie, {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie), **reps})
+
+
 def builtin(name: str) -> AlgebraDef:
     """Catalog of validated algebras: abelian(n), heisenberg3, so3, sl2."""
-    m = _ABELIAN.fullmatch(name)
-    if m:
+    if m := _ABELIAN.fullmatch(name):
         n = int(m.group(1))
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"abelian(n) needs 1 <= n <= {MAX_DIM}")
-        lie = LieData(n, {}, form=BilinearForm(Matrix.identity(n)), name=name)
-        reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
-        return AlgebraDef(name, lie, reps)
+        return _catalog(name, LieData(n, {}, form=BilinearForm(Matrix.identity(n)), name=name), {})
     if name == "heisenberg3":
         # basis (x, y, z): [x,y] = z
-        lie = LieData(3, {(0, 1, 2): Fraction(1)}, name=name)
-        reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
-        return AlgebraDef(name, lie, reps)
+        return _catalog(name, LieData(3, {(0, 1, 2): Fraction(1)}, name=name), {})
     if name == "so3":
         f = {(0, 1, 2): Fraction(1), (1, 2, 0): Fraction(1), (0, 2, 1): Fraction(-1)}
         lie = LieData(3, f, form=BilinearForm(Matrix.identity(3)), name=name)
-        ad = adjoint_rep(lie)
-        reps = {
-            "trivial": trivial_rep(lie),
-            "standard": RepData("standard", ad.matrices),
-            "adjoint": ad,
-        }
-        return AlgebraDef(name, lie, reps)
+        return _catalog(name, lie, {"standard": RepData("standard", adjoint_rep(lie).matrices)})
     if name == "sl2":
         # basis (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
         f = {(0, 1, 2): Fraction(1), (0, 2, 0): Fraction(-2), (1, 2, 1): Fraction(2)}
-        lie = LieData(3, f, name=name)
-        std = RepData("standard", (
+        return _catalog(name, LieData(3, f, name=name), {"standard": RepData("standard", (
             Matrix.from_rows([[0, 1], [0, 0]]),
             Matrix.from_rows([[0, 0], [1, 0]]),
             Matrix.from_rows([[1, 0], [0, -1]]),
-        ))
-        reps = {"trivial": trivial_rep(lie), "standard": std, "adjoint": adjoint_rep(lie)}
-        return AlgebraDef(name, lie, reps)
+        ))})
     raise ValueError(f"unknown builtin algebra {name!r}")
 
 
@@ -364,12 +348,12 @@ def load_algebra_file(path) -> AlgebraDef:
     Schema: {"dim": n, "f": [[a, b, c, "p/q"], ...], "B": [[...]]?,
     "reps": {"name": {"dim_v": d, "matrices": [[[...]]]}}?, "name": "..."?}.
     Structure constants are 1-based, only a < b entries are allowed, and
-    the antisymmetric partners are synthesized.  The trivial and adjoint
-    representations are always available; the name defaults to the path.
+    the antisymmetric partners are synthesized.  File reps join trivial and
+    adjoint, whose names they may not take; the name defaults to the path.
     A malformed file (true or false count as no integer; a name that is
-    not a string), a `dim` above MAX_DIM, an `f` longer than
-    MAX_F_ENTRIES or an entry that is not a plain "p/q" raises
-    ValueError naming a JSON path.
+    not a string; a `B` that is not n x n), a `dim` above MAX_DIM, an `f`
+    longer than MAX_F_ENTRIES or an entry that is not a plain "p/q"
+    raises ValueError naming a JSON path.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -395,15 +379,16 @@ def load_algebra_file(path) -> AlgebraDef:
     form = None
     if "B" in data:
         form = BilinearForm(_load_matrix(data["B"], "$.B"))
+        _expect(form.matrix.rows == form.matrix.cols == n, "$.B", f"a {n}x{n} matrix")
     name = data.get("name", str(path))
     _expect(isinstance(name, str), "$.name", "a string")
-    lie = LieData(n, entries, form=form, name=name)
-    reps = {"trivial": trivial_rep(lie), "adjoint": adjoint_rep(lie)}
+    reps = {}
     specs = data.get("reps", {})
     _expect(isinstance(specs, dict), "$.reps", "an object")
     for rep_name, spec in specs.items():
         where = f"$.reps.{rep_name}"
-        _expect(rep_name not in reps, where, "a name other than the built-in trivial and adjoint")
+        _expect(rep_name not in ("trivial", "adjoint"), where,
+                "a name other than the built-in trivial and adjoint")
         _expect(isinstance(spec, dict), where, "an object")
         d, mats = spec.get("dim_v"), spec.get("matrices")
         _expect(type(d) is int and d >= 1, f"{where}.dim_v", "a positive integer")
@@ -413,4 +398,4 @@ def load_algebra_file(path) -> AlgebraDef:
         _expect(all(m.rows == d and m.cols == d for m in loaded), f"{where}.matrices",
                 f"{d}x{d} matrices")
         reps[rep_name] = RepData(rep_name, loaded)
-    return AlgebraDef(name, lie, reps)
+    return _catalog(name, LieData(n, entries, form=form, name=name), reps)

@@ -83,6 +83,11 @@ through it.
 `weil.checks`' identity rows before each case summed its two sides into
 one accumulator: every side is a canonical element, built through
 `+`, `-` and scalar products, and the two sides are compared with `==`.
+Their seven structure rows come from `structure_rows`, which reads no
+distinguished element off the value: g_a and gamma are `term_g` and
+`scan_gamma`, D is keyed term by term, and the sides are compared
+through `element_mul` and `parity_supercommutator`.  `_row` formats
+every row as the suites print it, so no row text comes from `weil.checks`.
 `scalar_weil_differential` is the reference differential that
 `weil.checks` computed on scalar polynomials (dicts (sym, ext) ->
 Fraction) before it summed per-key images of the algebra's own
@@ -131,8 +136,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from weil.checks import (_random_key, _result, quantum_structure_suite, random_scalar_weil_poly,
-                         random_sym_poly)
+from weil.checks import CheckResult, _random_key, random_scalar_weil_poly, random_sym_poly
 from weil.classical import ClassicalAlgebra, ClassicalElement
 from weil.element import accumulate, collect, supercommutator
 from weil.flat import (SubspaceResult, _at_level, _odd_premise_failure, basic_subspace,
@@ -1442,6 +1446,14 @@ def embed_scalar_poly(lie, rep, poly):
 
 # -- identity rows by element comparison ----------------------------------------
 
+def _row(name, failures, total=None):
+    """A row as the suites print it: "exact", with the case count when
+    given, or the first three failures joined by "; "."""
+    if failures:
+        return CheckResult(name, False, "; ".join(failures[:3]))
+    return CheckResult(name, True, f"exact ({total} cases)" if total else "exact")
+
+
 def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
     """Cartan, [L_a,d], [L_a,iota_b], d.d and Bianchi over the generators and
     `samples` random elements of the `WeilAlgebra` `alg`, drawn from `rng`
@@ -1483,12 +1495,12 @@ def operator_identities(alg, rng, seed, samples, max_degree, curv, names):
             ddc.append(witness(i, x))
     total = 1 + 3 * n + samples
     return [
-        _result("cartan formula [iota_a,d] = L_a", cartan, total),
-        _result("[L_a,d] = 0", ld, total),
-        _result(f"[L_a,iota_b] = {fname} iota_c", liota, total),
-        _result(f"d.d = [{cname},-]", ddc, total),
-        _result(f"bianchi d({cname}) = 0",
-                [] if d(curv).is_zero else [f"d({cname}) != 0"]),
+        _row("cartan formula [iota_a,d] = L_a", cartan, total),
+        _row("[L_a,d] = 0", ld, total),
+        _row(f"[L_a,iota_b] = {fname} iota_c", liota, total),
+        _row(f"d.d = [{cname},-]", ddc, total),
+        _row(f"bianchi d({cname}) = 0",
+             [] if d(curv).is_zero else [f"d({cname}) != 0"]),
     ]
 
 
@@ -1509,8 +1521,8 @@ def classical_rows(alg, samples, seed, max_degree):
             restrict.append(f"poly {i}")
         if not alg.differential(alg.differential(elem)).is_zero:
             ddzero.append(f"poly {i}")
-    results.append(_result("restriction: d matches the scalar differential", restrict, samples))
-    results.append(_result("restriction: d.d = 0 on identity-part elements", ddzero, samples))
+    results.append(_row("restriction: d matches the scalar differential", restrict, samples))
+    results.append(_row("restriction: d.d = 0 on identity-part elements", ddzero, samples))
 
     lemma = []
     for i in range(samples):
@@ -1521,21 +1533,60 @@ def classical_rows(alg, samples, seed, max_degree):
             acc = acc + alg.even_gen(a) * alg.lie_derivative(a, f)
         if not acc.is_zero:
             lemma.append(f"poly {i}")
-    results.append(_result("v^a L_a annihilates symmetric polynomials", lemma, samples))
+    results.append(_row("v^a L_a annihilates symmetric polynomials", lemma, samples))
     return results
+
+
+def structure_rows(alg):
+    """The rows of `weil.checks.quantum_structure_suite` on the
+    `QuantumAlgebra` value `alg`, over g_a and gamma written term by term
+    (`term_g`, `scan_gamma`) and D = x_a u_a + gamma keyed term by term,
+    with the products and brackets of `element_mul` and
+    `parity_supercommutator`; gamma^2 is -(1/48) f_abc f_abc by a dense
+    `lie.f` scan.  Each row lists its failing cases in order."""
+    lie, zero = alg.lie, alg.zero()
+    n, x, u, mul, bracket = lie.dim, alg.odd_gen, alg.even_gen, element_mul, parity_supercommutator
+    g, gamma = term_g(alg), scan_gamma(alg)
+    ident = Matrix.identity(alg.rep.dim)
+    dirac = gamma + alg.element({(tuple(int(i == a) for i in range(n)), (a,)): ident
+                                 for a in range(n)})
+    cas = sum((mul(u(a), u(a)) for a in range(n)), zero)
+    g2 = alg.scalar(Fraction(-1, 48) * sum(lie.f(a, b, c) ** 2 for a in range(n)
+                                           for b in range(n) for c in range(n)))
+    central = all(bracket(cas, gen(b)).is_zero for b in range(n) for gen in (u, x))
+
+    def failing(cases):
+        return [witness for witness, left, right in cases if left != right]
+
+    return [
+        _row("[x_a,g_b] = -f_bac x_c", failing(
+            (f"a={a + 1}, b={b + 1}", bracket(x(a), g[b]),
+             sum((x(c) * -lie.f(a, c, b) for c in range(n)), zero))
+            for a in range(n) for b in range(n))),
+        _row("[x_a,gamma] = g_a",
+             failing((f"a={a + 1}", bracket(x(a), gamma), g[a]) for a in range(n))),
+        _row("[x_a,D] = u_a + g_a",
+             failing((f"a={a + 1}", bracket(x(a), dirac), u(a) + g[a]) for a in range(n))),
+        _row("[u_a+g_a,D] = 0",
+             failing((f"a={a + 1}", bracket(u(a) + g[a], dirac), zero) for a in range(n))),
+        _row("D^2 = (1/2) u_a u_a + gamma^2",
+             failing([("mismatch", mul(dirac, dirac), cas * Fraction(1, 2) + g2)])),
+        _row("gamma^2 = -(1/48) f_abc f_abc", failing([("mismatch", mul(gamma, gamma), g2)])),
+        _row("u_a u_a is central", [] if central else ["not central"]),
+    ]
 
 
 def quantum_rows(alg, samples, seed, max_degree):
     """The rows of `weil.checks.quantum_suite` on the value `alg`."""
     lie, rep = alg.lie, alg.rep
     rng = random.Random(seed)
-    results = quantum_structure_suite(alg)
+    results = structure_rows(alg)
     curv = alg.four_term_curvature()
     results += operator_identities(alg, rng, seed, samples, max_degree, curv, ("QC", "f_abc"))
 
     ok = curv == alg.dirac_tau * alg.dirac_tau
-    results.append(_result("QC four-term formula = (D + x_a tau_a)^2",
-                           [] if ok else ["mismatch"]))
+    results.append(_row("QC four-term formula = (D + x_a tau_a)^2",
+                        [] if ok else ["mismatch"]))
 
     restrict = []
     ident = Matrix.identity(rep.dim)
@@ -1548,13 +1599,13 @@ def quantum_rows(alg, samples, seed, max_degree):
             rhs = rhs + alg.contraction(a, ident_part) * alg.tau(a)
         if lhs != rhs:
             restrict.append(f"element {i}")
-    results.append(_result("restriction: d = d_W + iota_a tau_a", restrict))
+    results.append(_row("restriction: d = d_W + iota_a tau_a", restrict))
 
     x1 = alg.odd_gen(0)
     differs = alg.differential(x1) != alg.weil_differential(x1)
     ok = differs == bool(rep.matrices[0])
-    results.append(_result("restriction: d != d_W exactly when tau_1 is nonzero",
-                           [] if ok else ["witness failed at x1"]))
+    results.append(_row("restriction: d != d_W exactly when tau_1 is nonzero",
+                        [] if ok else ["witness failed at x1"]))
     return results
 
 

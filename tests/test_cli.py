@@ -515,6 +515,43 @@ def test_validate_malformed_file_exits_two_with_json_path(tmp_path, capsys, cont
     assert err.startswith(f"error: cannot load {path}: {message}"), err
 
 
+def test_a_form_of_the_wrong_size_exits_two_before_any_command(tmp_path, capsys):
+    """A 1x1 identity B on so3 is refused on load with its JSON path:
+    `check --quantum` does not take it for an orthonormal form."""
+    path = tmp_path / "small-form.json"
+    path.write_text(SO3_FILE.replace('"B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]', '"B": [[1]]'))
+    for argv in (["validate", str(path)], ["check", "--file", str(path), "--quantum"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot load {path}: $.B: expected a 3x3 matrix"), err
+
+
+@pytest.mark.parametrize("command", ["check", "flat", "eval"])
+def test_an_empty_rep_name_is_an_unknown_rep(capsys, command):
+    """--rep '' names no representation; it is not read as the default."""
+    expression = ["u1"] if command == "eval" else []
+    code, out, err = run([command, "--builtin", "so3", "--rep", "", *expression], capsys)
+    assert code == 2 and out == ""
+    assert "unknown representation ''" in err, err
+
+
+def test_file_reps_may_take_any_name_but_trivial_and_adjoint(tmp_path, capsys):
+    """Reps named like the catalog helper's parameters load next to the
+    built-in two, each under its own name, and validate lists them all."""
+    path = tmp_path / "named-reps.json"
+    names = ["lie", "name", "reps"]
+    path.write_text(json.dumps({"dim": 2, "name": "named", "reps": {
+        name: {"dim_v": 1, "matrices": [[[k]], [[0]]]} for k, name in enumerate(names, 1)}}))
+    alg = load_algebra_file(path)
+    assert sorted(alg.reps) == ["adjoint", *names, "trivial"]
+    assert [(rep.name, rep.matrices[0]) for rep in map(alg.rep, names)] == [
+        (name, Matrix.from_rows([[k]])) for k, name in enumerate(names, 1)]
+    code, out, _ = run(["validate", str(path)], capsys)
+    assert code == 0
+    assert out.splitlines() == ["ok    lie algebra named", *[
+        f"ok    representation {name}" for name in ("adjoint", "lie", "name", "reps", "trivial")]]
+
+
 def test_unexpected_exception_exits_three(monkeypatch, capsys):
     def broken(args):
         raise KeyError("boom")

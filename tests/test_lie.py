@@ -26,6 +26,7 @@ from weil.lie import (
     validate_rep,
 )
 from weil.linalg import Matrix
+from weil.quantum import QuantumAlgebra
 
 
 def jacobi_oracle(lie):
@@ -297,6 +298,16 @@ def test_file_loader_rejects_duplicates(tmp_path):
     path.write_text('{"dim": 3, "f": [[1, 2, 3, "1"], [1, 2, 3, "2"]]}')
     with pytest.raises(ValueError, match="duplicate"):
         load_algebra_file(path)
+
+
+def test_an_identity_form_of_the_wrong_size_is_not_orthonormal(so3):
+    """A 1x1 identity B on so3 is no orthonormal form: the quantum
+    algebra refuses it, and `validate_form` reports its size."""
+    lie = LieData(3, so3.lie.entries, form=BilinearForm(Matrix.identity(1)))
+    assert not lie.has_orthonormal_form
+    with pytest.raises(ValueError, match="orthonormal"):
+        QuantumAlgebra(lie, trivial_rep(lie))
+    assert validate_form(lie, lie.form).violations == ["form is 1x1, expected 3x3"]
 
 
 # -- sparse validation and tables against the dense index loops -------------
