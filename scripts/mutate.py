@@ -51,6 +51,7 @@ REPORT_DETAIL = ["tests/test_cli.py::test_report_prints_each_failing_identity_wi
 BRACKET_TERMS = ["tests/test_element.py::test_bracket_sides_sum_to_the_numeric_bracket"]
 ALPHABET = ["tests/test_element.py::test_the_alphabet_stays_bounded"]
 SPLIT_PRODUCTS = ["tests/test_quantum.py::test_images_sum_terms_over_differing_denominators"]
+PREPARED = ["tests/test_element.py::test_prepared_brackets_match_the_per_call_oracle"]
 PRODUCTS = ["tests/test_element.py::test_product_and_supercommutator_match_the_oracles"]
 RANDOM_DRAWS = ["tests/test_checks.py::test_random_draws_match_the_fraction_oracle"]
 ROWS_ORACLE = ["tests/test_checks.py::test_rows_match_the_element_comparison_oracle"]
@@ -85,25 +86,25 @@ MUTANTS = [
     ("letters: each lookup registers a new letter", "src/weil/element.py",
      "t = self._letter_ids.get((mat, s))", "t = None", ALPHABET),
     ("quantum split over r, not 2r", "src/weil/element.py",
-     "(k, self.letter(parts[part], s), p, 2 * r)", "(k, self.letter(parts[part], s), p, r)",
+     "halves.append((k, letters[s], p, 2 * r))", "halves.append((k, letters[s], p, r))",
      QUANTUM_TABLES),
     ("quantum split drops {tau, A}", "src/weil/element.py",
-     "((1, pl + pr), (-1, pl - pr))", "((-1, pl - pr),)", QUANTUM_TABLES),
+     "add_ratio(sums, (k, part, 1), plus * p, r)", "pass", QUANTUM_TABLES),
     ("quantum split drops [tau, A]", "src/weil/element.py",
-     "((1, pl + pr), (-1, pl - pr))", "((1, pl + pr),)", QUANTUM_TABLES),
-    ("bracket_terms: the M A side overwrites its key's sum", "src/weil/element.py",
-     "accumulate(sums, (k, part), (p1 * p, 0), r * r1)",
-     "sums[k, part] = ((p1 * p, 0), r * r1)", SPLIT_PRODUCTS),
+     "add_ratio(sums, (k, part, -1), minus * p, r)", "pass", QUANTUM_TABLES),
+    ("bracket_terms: each c I term overwrites its key's sum", "src/weil/element.py",
+     "add_ratio(sums, (k, None, 0), plus * c * p, den * r)",
+     "sums[k, None, 0] = (plus * c * p, den * r)", SPLIT_PRODUCTS),
+    ("add_ratio: a sum over another denominator rescales only the new term",
+     "src/weil/element.py", "q * (r // g) + p * (d // g)", "q + p * (d // g)", SPLIT_PRODUCTS),
+    ("operand: a c I part prepared as a letter part", "src/weil/element.py",
+     "None if c is not None else [mat, None, None]", "[mat, None, None]", PREPARED),
     ("classical End V images with s = +1", "src/weil/classical.py",
      "self.letter(t, -1)", "self.letter(t, 1)", CLASSICAL_TABLES),
     ("quantum yx half unsigned", "src/weil/element.py",
-     "yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1", "yx = -1",
-     [*BRACKET_TERMS, *QUANTUM_TABLES]),
+     "yx = 1 if odd1 & odd else -1", "yx = -1", [*BRACKET_TERMS, *QUANTUM_TABLES]),
     ("quantum M A and A M sides swapped", "src/weil/element.py",
-     "(p1 * p, 0), r * r1)\n            for k, p, r in self.mono_mul(key, k1):\n"
-     "                accumulate(sums, (k, part), (0, yx * p1 * p)",
-     "(0, p1 * p), r * r1)\n            for k, p, r in self.mono_mul(key, k1):\n"
-     "                accumulate(sums, (k, part), (yx * p1 * p, 0)", SIDES),
+     "((k1, key, 1, 1), (key, k1, yx, -yx))", "((k1, key, yx, -yx), (key, k1, 1, 1))", SIDES),
     ("_cancel adds the pivot row", "src/weil/linalg.py",
      "y = row.get(j, 0) - v * x", "y = row.get(j, 0) + v * x", ["tests/test_linalg.py"]),
     ("closure: curvature images counted as 0", "src/weil/flat.py",
@@ -129,7 +130,7 @@ MUTANTS = [
     ("report drops a failing identity's detail line", "src/weil/cli.py",
      'print(f"      {r.name}: {r.detail}")', "pass", REPORT_DETAIL),
     ("flat rows: E_ij M half added, not subtracted", "src/weil/element.py",
-     "len(key[1]) & 1 else -1", "len(key[1]) & 1 else 1", SIDES),
+     "odd1 & odd else -1", "odd1 & odd else 1", SIDES),
     ("rows: every letter's cells taken with s = +1", "src/weil/flat.py",
      "maps = {t: (cells, mat.den)", "maps = {t: (mat._cells(1), mat.den)", WRITTEN_ROWS),
     ("rows: a cancelled cell kept as a zero entry", "src/weil/flat.py",
@@ -167,12 +168,12 @@ MUTANTS = [
     ("cli imports checks at module level", "src/weil/cli.py",
      "from . import ALGEBRAS, flat\n", "from . import ALGEBRAS, checks, flat\n", FOOTPRINT),
     ("brackets skip non-scalar parts in the other tensor factor", "src/weil/element.py",
-     "if c is not None and ((no_even", "if ((no_even", QUANTUM_TABLES),
+     "if letters is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
     ("supercommuting halves summed as m1 m2 + m2 m1", "src/weil/element.py",
      "num = list(map(sub, num, m2._mul_num(m1)[0]))",
      "num = list(map(add, num, m2._mul_num(m1)[0]))", PRODUCTS),
     ("random_matrix over the max of the denominators, not the lcm", "src/weil/checks.py",
-     "den = lcm(*{q.denominator for q in qs})", "den = max(q.denominator for q in qs)",
+     "den = lcm(*{r for _, r in pairs})", "den = max(r for _, r in pairs)",
      RANDOM_DRAWS),
     ("row table: scalar entries drop {tau, I} at the first letter too", "src/weil/checks.py",
      "scalar and not word and letters[t][1] == -1", "scalar and not word", ROWS_UNDER_MUTANTS),
@@ -183,7 +184,7 @@ MUTANTS = [
     ("rows: d.d without - [C, -]", "src/weil/checks.py",
      "((d + 1, -1, 1),)", "()", ROWS_ORACLE),
     ("row table: [C, -] adds the right product", "src/weil/element.py",
-     "(0, yx * p1 * p)", "(0, -yx * p1 * p)", SIDES),
+     "(key, k1, yx, -yx)", "(key, k1, -yx, yx)", SIDES),
     ("restriction rows: a key's d image drops its first term", "src/weil/checks.py",
      "alg.differential(alg.element({key: ident}))",
      "alg.element(dict(list(alg.differential(alg.element({key: ident})).terms.items())[1:]))",

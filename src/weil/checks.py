@@ -21,8 +21,10 @@ so that the case holds exactly when every numerator vanishes.  The rows
 are linear in the element, and a pool repeats its term keys, so each row
 is composed once per term key (`_composite_rows`): the key's images under
 the row's operators and, for d.d, its bracket with the curvature
-(`WeilAlgebra.bracket_terms`), each a word of the value's End V letters,
-summed per result key into one End V map.  A term of an element applies
+(`WeilAlgebra.bracket_terms`, the curvature prepared once per call by
+`bracket_operand`), each a word of the value's End V letters, its
+coefficient an integer pair summed by `add_ratio`, summed per result key
+into one End V map.  A term of an element applies
 its key's maps to its End V part; none of d x, L_a x and iota_a x is
 built.
 
@@ -41,7 +43,8 @@ from functools import cache
 from math import lcm
 
 from .classical import ClassicalAlgebra
-from .element import accumulate, add_into, collect, products_into, supercommutator, vanishes
+from .element import (accumulate, add_into, add_ratio, collect, products_into, supercommutator,
+                      vanishes)
 from .kernels import _bump, add_term
 from .linalg import Matrix
 from .quantum import QuantumAlgebra, gamma_square_formula
@@ -91,20 +94,35 @@ def _sampled(rows, count, draw, witness, total):
 MAX_DEGREE = 4
 
 _SCALARS = [[Fraction(num, den) for den in range(1, 4)] for num in range(-3, 4)]
+_PAIRS = [[(q.numerator, q.denominator) for q in row] for row in _SCALARS]
+
+
+def _below(bits, n):
+    """rng.randrange(n) for n > 0, drawn from bits = rng.getrandbits by
+    randrange's own rule: n.bit_length() bits, redrawn while the value is
+    >= n, so the stream and the generator's state are the same."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def random_scalar(rng) -> Fraction:
     """rng.randint(-3, 3) / rng.randint(1, 3): each randint(a, b) here is
-    drawn as a + randrange(b - a + 1), the same stream one call frame less."""
-    return _SCALARS[rng.randrange(7)][rng.randrange(3)]
+    drawn as a + randrange(b - a + 1) (`_below`), the same stream."""
+    bits = rng.getrandbits
+    return _SCALARS[_below(bits, 7)][_below(bits, 3)]
 
 
 def random_matrix(rng, d) -> Matrix:
-    """d x d entries `random_scalar`, row by row, canonical: over the lcm
-    of their lowest-terms denominators, which leaves no common factor."""
-    qs = [random_scalar(rng) for _ in range(d * d)]
-    den = lcm(*{q.denominator for q in qs})
-    return Matrix._make(d, d, tuple([q.numerator * (den // q.denominator) for q in qs]), den)
+    """d x d entries drawn as `random_scalar` draws them, row by row, each a
+    lowest-terms (num, den) pair, canonical: over the lcm of their
+    denominators, which leaves no common factor."""
+    bits = rng.getrandbits
+    pairs = [_PAIRS[_below(bits, 7)][_below(bits, 3)] for _ in range(d * d)]
+    den = lcm(*{r for _, r in pairs})
+    return Matrix._make(d, d, tuple([p * (den // r) for p, r in pairs]), den)
 
 
 def _random_split(rng, n, total):
@@ -225,15 +243,17 @@ def _composite_rows(alg, curv, rows):
     An entry lists, per row that does not vanish on key A, its index in
     `rows` and its parts (key', cells, den): the row sends key A to the sum
     of key' (cells on A's numerators) / den.  A row is composed as (key',
-    word) -> coefficient, a word being the letters (`WeilAlgebra.letters`)
-    its operators applied: first key A's image under each operator and its
-    bracket with `curv` (`WeilAlgebra.bracket_terms`), then per pair the
-    outer operator on the inner one's image, plus the singles; each key's
-    words are summed into one map.  With `scalar` the maps read A = c I off
+    word) -> coefficient (p, r), p / r summed by `add_ratio`, a word being
+    the letters (`WeilAlgebra.letters`) its operators applied: first key
+    A's image under each operator and its bracket with `curv`
+    (`WeilAlgebra.bracket_terms`, `curv` prepared once per call), then per
+    pair the outer operator on the inner one's image, plus the singles;
+    each key's words are summed into one map.  With `scalar` the maps read A = c I off
     its cell 0, for the terms whose End V part is c I; then a word whose
     first letter is a commutator [M, I] = 0 is dropped.  For correct
     operators every entry is empty."""
     n, dim, letters, image = alg.lie.dim, alg.rep.dim, alg.letters, alg.image_table
+    curv = alg.bracket_operand(curv)
     # the empty word: the identity, or A -> A[0, 0] I, which agrees with it on c I
     maps = {((), False): (tuple((o, o, 1) for o in range(dim * dim)), 1),
             ((), True): (tuple((o * (dim + 1), 0, 1) for o in range(dim)), 1)}
@@ -256,27 +276,28 @@ def _composite_rows(alg, curv, rows):
         return maps[word, scalar]
 
     def compose(key, scalar):
-        def add(acc, terms, word, p, r, sign):  # acc += sign (p / r) terms after word
+        def add(acc, terms, word, p, r):  # acc += (p / r) terms after word
             for k, t, q, u in terms:
                 if t is None:
-                    accumulate(acc, (k, word), (p * q,), r * u, sign)
+                    add_ratio(acc, (k, word), p * q, r * u)
                 elif not (scalar and not word and letters[t][1] == -1):  # else [M, I] = 0
-                    accumulate(acc, (k, word + (t,)), (p * q,), r * u, sign)
+                    add_ratio(acc, (k, word + (t,)), p * q, r * u)
 
         first = [{} for _ in range(2 * n + 2)]
         for i, acc in enumerate(first):
-            add(acc, image(i, key) if i <= 2 * n else alg.bracket_terms(curv, key), (), 1, 1, 1)
+            add(acc, image(i, key) if i <= 2 * n else alg.bracket_terms(curv, key), (), 1, 1)
         entry = []
         for index, (_, _, pairs, singles) in enumerate(rows):
             row = {}
             for outer, inner, sign in pairs:
-                for (k0, word), ((p,), r) in first[inner].items():
+                for (k0, word), (p, r) in first[inner].items():
                     if p:
-                        add(row, image(outer, k0), word, p, r, sign)
+                        add(row, image(outer, k0), word, sign * p, r)
             for i, p, r in singles:
-                add_into(row, first[i], p, r)
+                for kw, (q, u) in first[i].items():
+                    add_ratio(row, kw, p * q, r * u)
             by_key = {}
-            for (k, word), ((p,), r) in row.items():
+            for (k, word), (p, r) in row.items():
                 if p:
                     by_key.setdefault(k, []).append((word_map(word, scalar), p, r))
             parts = []

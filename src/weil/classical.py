@@ -57,7 +57,7 @@ def _monomial_image(der: _Derivation, s, e):
       + (-1)^(|e| |D|) v^s y^e D(A)
 
     as terms (key, t, p, r): first the v- and y-slot terms summed per key
-    by `element.accumulate`, t None for key times (p / r) A, zero sums
+    by `element.add_ratio`, t None for key times (p / r) A, zero sums
     dropped, then the End V slot's, key times (p / r) letter t on A.
     Terms whose y-word repeats an index are dropped.
     """
@@ -83,8 +83,8 @@ def _monomial_image(der: _Derivation, s, e):
             if t is not None:
                 endo_terms.append((key, t, p, r))
             else:
-                element.accumulate(plain, key, (p,), r)
-    return tuple((key, None, p, r) for key, ((p,), r) in plain.items() if p) + tuple(endo_terms)
+                element.add_ratio(plain, key, p, r)
+    return tuple((key, None, p, r) for key, (p, r) in plain.items() if p) + tuple(endo_terms)
 
 
 class ClassicalAlgebra(element.WeilAlgebra):

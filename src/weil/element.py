@@ -19,13 +19,20 @@ d's x_a tau_a terms.  The value's `letters` list these actions, each
 image or a bracket names its End V action by letter id.  One table,
 `WeilAlgebra.bracket_terms`, writes [x, key A] in letters: the quantum
 operator images, the solver's rows of [C, -] and the [C, -] part of the
-d.d check rows all read it.
+d.d check rows all read it.  It reads x through a record prepared once
+per value of x (`bracket_operand`: each term's monomial, parity and
+tensor-factor flags, and its c I part or its matrix, whose letter ids
+are looked up once), so no key pays for them; the caller keeps the
+record, and `QuantumAlgebra` keeps its inner elements' on the value.
 
 The product and the supercommutator share one pass over the term
 pairs of their factors; the bracket's yx half folds its Koszul sign
 into each coefficient.  They and the operators (`WeilAlgebra._apply`)
 sum raw integer numerators in one accumulator, canonicalizing each End
-V part once per result key (`accumulate`, `collect`).  When one of a pair's
+V part once per result key (`accumulate`, `collect`); a sum of scalar
+coefficients p / r, as in `bracket_terms`, the classical Leibniz images
+and the check rows' composites, is the same rule on one integer
+(`add_ratio`).  When one of a pair's
 matrix parts is c I the two matrix products agree and are one scaling
 of the other.  When the pair's monomials supercommute (always
 classically; quantum-side when one has no even part and the other no
@@ -153,6 +160,21 @@ def accumulate(acc: dict, key, num, den: int, p: int = 1):
         acc[key] = (list(map(sub, total, num)), d)
     else:
         acc[key] = ([x + p * y for x, y in zip(total, num)], d)
+
+
+def add_ratio(acc: dict, key, p: int, r: int):
+    """acc[key] += p / r for integers p and r > 0, the scalar `accumulate`:
+    `acc` holds (numerator, den) per key, unreduced, rescaled to the lcm only
+    when the denominators differ."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = p, r
+    elif cur[1] == r:
+        acc[key] = cur[0] + p, r
+    else:
+        q, d = cur
+        g = gcd(d, r)
+        acc[key] = q * (r // g) + p * (d // g), d // g * r
 
 
 def collect(acc: dict, dim: int) -> dict:
@@ -355,36 +377,60 @@ class WeilAlgebra:
         """The product of two (even, odd) monomials (`Element._mono_mul`)."""
         return self.zero()._mono_mul
 
-    def bracket_terms(self, x, key):
-        """[x, key A] as terms (key', t, p, r): key' (p / r) times A for t
-        None, else times letter t applied to A; p and r > 0 are integers.
+    def bracket_operand(self, x):
+        """x read once for `bracket_terms`: per term k1 M a record (k1, the
+        parity |k1|, whether k1 has no even part, whether it has no odd
+        part, c, den, letters).  For M = (c / den) I, letters is None; otherwise c is
+        None and letters is the list [M, id of (M, +1), id of (M, -1)],
+        indexed by s, each id None until `bracket_terms` first names it.
+        The ids are this value's `letters`, so a record serves this value
+        only; preparing registers no letter."""
+        out = []
+        for k1, mat in x.terms.items():
+            c = mat._scalar()
+            out.append((k1, len(k1[1]) & 1, not any(k1[0]), not k1[1], c, mat.den,
+                        None if c is not None else [mat, None, None]))
+        return tuple(out)
+
+    def bracket_terms(self, operand, key):
+        """[x, key A] as terms (key', t, p, r) for x's `bracket_operand`:
+        key' (p / r) times A for t None, else times letter t applied to A;
+        p and r > 0 are integers.
 
         Per term k1 M of x the sides are k1 key (M A) and -(-1)^{|k1||key|}
-        key k1 (A M), summed per (key', term of x) into (pl, pr), the c I
-        terms together.  A c I part gives the plain term key' (pl + pr) c I
-        A, and none when k1 and key lie in different tensor factors, whose
-        sides cancel; any other part gives the halves ((pl + pr) (M, +1) +
-        (pl - pr) (M, -1)) / 2."""
-        no_even, no_odd = not any(key[0]), not key[1]
-        parts = list(x.terms.values())
-        # (key', index into parts, or None for c I) -> ((pl, pr), r): pl of M A, pr of A M
-        sums = {}
-        for j, (k1, mat) in enumerate(x.terms.items()):
-            c = mat._scalar()
-            if c is not None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
+        key k1 (A M).  A c I part adds (c / den) times both sides to the
+        plain term key' A, and nothing when k1 and key lie in different
+        tensor factors, whose sides cancel.  Any other part M splits them
+        into halves, M A = ((M, +1) + (M, -1)) / 2 and A M = ((M, +1) -
+        (M, -1)) / 2 on A, summed per (key', part, s) over 2r.  Each sum
+        is integers over one denominator (`add_ratio`); zero sums give no
+        term, the plain terms come first."""
+        odd, no_even, no_odd = len(key[1]) & 1, not any(key[0]), not key[1]
+        mono_mul, sums = self.mono_mul, {}  # (key', part, s) -> (p, r); part None for c I
+        for part, (k1, odd1, no_even1, no_odd1, c, den, letters) in enumerate(operand):
+            if letters is None and ((no_even and no_odd1) or (no_odd and no_even1)):
                 continue  # k1 and key lie in different tensor factors: the sides cancel
-            part, p1, r1 = (j, 1, 1) if c is None else (None, c, mat.den)
-            yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
-            for k, p, r in self.mono_mul(k1, key):
-                accumulate(sums, (k, part), (p1 * p, 0), r * r1)
-            for k, p, r in self.mono_mul(key, k1):
-                accumulate(sums, (k, part), (0, yx * p1 * p), r * r1)
-        items = sums.items()
-        return (tuple((k, None, pl + pr, r) for (k, part), ((pl, pr), r) in items
-                      if part is None and pl + pr)
-                + tuple((k, self.letter(parts[part], s), p, 2 * r)
-                        for (k, part), ((pl, pr), r) in items
-                        if part is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
+            yx = 1 if odd1 & odd else -1
+            # (left, right, weight on (M, +1), weight on (M, -1)) of each side
+            for left, right, plus, minus in ((k1, key, 1, 1), (key, k1, yx, -yx)):
+                for k, p, r in mono_mul(left, right):
+                    if letters is None:
+                        add_ratio(sums, (k, None, 0), plus * c * p, den * r)
+                    else:
+                        add_ratio(sums, (k, part, 1), plus * p, r)
+                        add_ratio(sums, (k, part, -1), minus * p, r)
+        plain, halves = [], []
+        for (k, part, s), (p, r) in sums.items():
+            if not p:
+                continue
+            if part is None:
+                plain.append((k, None, p, r))
+                continue
+            letters = operand[part][6]
+            if letters[s] is None:
+                letters[s] = self.letter(letters[0], s)
+            halves.append((k, letters[s], p, 2 * r))
+        return (*plain, *halves)
 
     def _apply(self, i, x):
         """Operator i on the element x: term key A adds its image table's

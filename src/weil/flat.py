@@ -6,9 +6,10 @@ bound, and on it both defining operators (L_a for basic, the bracket with
 the curvature for flat) are sums of per-monomial table terms key (p / q)
 times A or a letter (M A + s A M) on A, A the matrix unit: L_a's from the
 monomial images `_image(a, (m, ()))` that `WeilAlgebra._apply` applies,
-the bracket's from `bracket_terms(C - Z, (m, ()))`, one table in one
-format.  `_rows` writes the integer rows of the coordinate matrix from
-the letters' cell maps, and the kernel is taken in integers; no domain
+the bracket's from `bracket_terms` of C - Z, prepared once per solve
+(`bracket_operand`), on (m, ()), one table in one format.  `_rows`
+writes the integer rows of the coordinate matrix from the letters' cell
+maps, and the kernel is taken in integers; no domain
 vector or image is built as an element.  Degree means symmetric degree
 classically (where the operators are graded and the solve splits into
 per-degree blocks) and PBW degree quantum-side (a filtration: one solve
@@ -222,10 +223,11 @@ def basic_subspace(alg, max_degree) -> SubspaceResult:
 def flat_subspace(alg, max_degree) -> SubspaceResult:
     """Horizontal solutions of [curvature, x] = 0, up to max_degree.
 
-    [C - Z, m (x) A] is `bracket_terms(C - Z, (m, ()))`.  Its terms must
-    have no Clifford or exterior factor and, classically, symmetric
-    degree one more than m's."""
-    curv = alg.bracketed_curvature
+    [C - Z, m (x) A] is `bracket_terms` on (m, ()) of C - Z, read once
+    per solve by `bracket_operand`.  Its terms must have no Clifford or
+    exterior factor and, classically, symmetric degree one more than
+    m's."""
+    curv = alg.bracket_operand(alg.bracketed_curvature)
 
     def table(m):
         terms = alg.bracket_terms(curv, (m, ()))

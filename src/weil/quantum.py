@@ -14,8 +14,9 @@ Meinrenken, Invent. Math. 139, 2000), which checks g_a and gamma.
 L_a, iota_a, and the covariant differential are super-commutators with
 u_a + g_a + tau_a, x_a, and D + x_a tau_a respectively: the value's
 `inner` is the table of these 2n + 1 elements, built at once as the
-classical `derivations` are, and its `_image(i, key)` brackets inner[i]
-with one monomial in the shared table
+classical `derivations` are, read once into `inner_operands`
+(`element.WeilAlgebra.bracket_operand`), and its `_image(i, key)`
+brackets inner[i] with one monomial in the shared table
 `element.WeilAlgebra.bracket_terms`, for `_apply`: a tau_a part of
 inner[i] gives letters (tau_a, +1) and (tau_a, -1), an anticommutator
 and a commutator, and a c I part a plain term.  Elements are sparse maps
@@ -101,11 +102,16 @@ class QuantumAlgebra(element.WeilAlgebra):
         (d, 2n), each `_inner_element(i)`."""
         return tuple(self._inner_element(i) for i in range(2 * self.lie.dim + 1))
 
+    @cached_property
+    def inner_operands(self) -> tuple:
+        """`inner` read once for `bracket_terms`: each `bracket_operand`."""
+        return tuple(self.bracket_operand(x) for x in self.inner)
+
     # -- operators: all three are inner -------------------------------------------
 
     def _image(self, i, key):
         """[inner[i], key A] (`bracket_terms`)."""
-        return self.bracket_terms(self.inner[i], key)
+        return self.bracket_terms(self.inner_operands[i], key)
 
     def weil_differential(self, x: QuantumElement) -> QuantumElement:
         """The uncoupled differential ad(D); differs from the covariant one

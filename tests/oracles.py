@@ -63,6 +63,11 @@ commutator [tau_b, A] afresh.
 read per monomial from the value's tables: the whole supercommutator
 [inner[i], x], both halves of every term pair, with the leading terms
 that cancel built and summed.
+`bracket_terms` is `WeilAlgebra.bracket_terms` before it read a
+prepared operand (`WeilAlgebra.bracket_operand`): it tests every term of
+x for c I on every call, sums each (key', term) as a pair of numerators
+through `weil.element.accumulate`, and looks up each letter it names by
+its (M, s) in `WeilAlgebra.letter`.
 `row_combination_mul` and `two_product_commutator` are `Matrix`'s
 product and commutator before both walked the nonzero entries of the
 sparser factor: the product combines, for each row of the left factor,
@@ -646,6 +651,39 @@ def slot_leibniz(der, letters, x: ClassicalElement) -> ClassicalElement:
                 accumulate(acc, (base if g is None else _bump(base, g, 1), word), num,
                            den * r, p * k * sign * ws)
     return ClassicalElement(x.lie, x.rep, collect(acc, x.rep.dim))
+
+
+def bracket_terms(alg, x, key):
+    """[x, key A] on the `WeilAlgebra` `alg` as terms (key', t, p, r): key'
+    (p / r) times A for t None, else times letter t of `alg.letters`
+    applied to A; p and r > 0 are integers.
+
+    Per term k1 M of x the sides are k1 key (M A) and -(-1)^{|k1||key|}
+    key k1 (A M), summed per (key', term of x) into (pl, pr), the c I
+    terms together.  A c I part gives the plain term key' (pl + pr) c I
+    A, and none when k1 and key lie in different tensor factors, whose
+    sides cancel; any other part gives the halves ((pl + pr) (M, +1) +
+    (pl - pr) (M, -1)) / 2."""
+    no_even, no_odd = not any(key[0]), not key[1]
+    parts = list(x.terms.values())
+    # (key', index into parts, or None for c I) -> ((pl, pr), r): pl of M A, pr of A M
+    sums = {}
+    for j, (k1, mat) in enumerate(x.terms.items()):
+        c = mat._scalar()
+        if c is not None and ((no_even and not k1[1]) or (no_odd and not any(k1[0]))):
+            continue  # k1 and key lie in different tensor factors: the sides cancel
+        part, p1, r1 = (j, 1, 1) if c is None else (None, c, mat.den)
+        yx = 1 if len(k1[1]) & len(key[1]) & 1 else -1
+        for k, p, r in alg.mono_mul(k1, key):
+            accumulate(sums, (k, part), (p1 * p, 0), r * r1)
+        for k, p, r in alg.mono_mul(key, k1):
+            accumulate(sums, (k, part), (0, yx * p1 * p), r * r1)
+    items = sums.items()
+    return (tuple((k, None, pl + pr, r) for (k, part), ((pl, pr), r) in items
+                  if part is None and pl + pr)
+            + tuple((k, alg.letter(parts[part], s), p, 2 * r)
+                    for (k, part), ((pl, pr), r) in items
+                    if part is not None for s, p in ((1, pl + pr), (-1, pl - pr)) if p))
 
 
 def bracket_apply(alg, i, x):

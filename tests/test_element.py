@@ -290,11 +290,11 @@ def _side_pairs(n):
 @pytest.mark.parametrize("mod,lie,rep", _adjoint_contexts(),
                          ids=lambda v: getattr(v, "KIND", getattr(v, "name", None)))
 def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
-    """The terms of `bracket_terms(x, key)`, each letter applied through
-    its cells, sum to supercommutator(x, key A) bit for bit, for random M
-    and A on each pair of `_side_pairs` and x = k1 M plus c I parts on u_n
-    and x_1, one in each tensor factor: quantum-side each is skipped
-    against a key in the other factor only."""
+    """The terms of `bracket_terms(bracket_operand(x), key)`, each letter
+    applied through its cells, sum to supercommutator(x, key A) bit for
+    bit, for random M and A on each pair of `_side_pairs` and x = k1 M plus
+    c I parts on u_n and x_1, one in each tensor factor: quantum-side each
+    is skipped against a key in the other factor only."""
     alg = mod(lie, rep)
     rng = random.Random(13)
     n, ident = lie.dim, Matrix.identity(rep.dim)
@@ -306,7 +306,7 @@ def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
             if not m or not a:
                 continue
             x, acc = alg.element({k1: m}) + scalars, {}
-            for k, t, p, r in alg.bracket_terms(x, key):
+            for k, t, p, r in alg.bracket_terms(alg.bracket_operand(x), key):
                 if t is None:
                     accumulate(acc, k, a.num, a.den * r, p)
                     continue
@@ -317,6 +317,39 @@ def test_bracket_sides_sum_to_the_numeric_bracket(mod, lie, rep):
                 accumulate(acc, k, out, mat.den * a.den * r, p)
             want = supercommutator(x, alg.element({key: a}))
             _same_bits(alg.element(collect(acc, rep.dim)), want)
+
+
+def _named_letters(alg, terms):
+    """Terms (key', t, p, r) with each letter t named by its (M, s)."""
+    return [(k, None if t is None else alg.letters[t][:2], p, r) for k, t, p, r in terms]
+
+
+def test_prepared_brackets_match_the_per_call_oracle():
+    """`bracket_terms` on a `bracket_operand` gives the terms of the routine
+    it replaced (`oracles.bracket_terms`, run on a second value), in the
+    same order, numerators and denominators, each letter compared as its
+    (M, s), on every key of Weil degree <= 3; and preparing registers no
+    letter.  The operands are the inner elements quantum-side, the
+    curvature (the four-term element quantum-side) and C - Z, on every
+    builtin rep and kind, so3-sum and so3+so3 adjoint."""
+    pair = _so3_blocks(2)
+    contexts = [*_alphabet_contexts(), *[(kind, "so3+so3", "adjoint", pair, adjoint_rep(pair))
+                                         for kind in (ClassicalAlgebra, QuantumAlgebra)]]
+    for kind, name, rep_name, lie, rep in contexts:
+        alg, ref = kind(lie, rep), kind(lie, rep)
+        quantum = kind is QuantumAlgebra
+        operands = [*(alg.inner if quantum else ()),
+                    alg.four_term_curvature() if quantum else alg.curvature,
+                    alg.bracketed_curvature]
+        keys = oracles.weil_keys(lie.dim, 3)
+        for x in operands:
+            registered = len(alg.letters)
+            operand = alg.bracket_operand(x)
+            assert len(alg.letters) == registered
+            for key in keys:
+                got = _named_letters(alg, alg.bracket_terms(operand, key))
+                want = _named_letters(ref, oracles.bracket_terms(ref, x, key))
+                assert got == want, (kind.KIND, name, rep_name, render(x), key)
 
 
 @given(element_pairs(), st.booleans())

@@ -446,7 +446,7 @@ class _CurvatureOperator(QuantumAlgebra):
 class _SplitProducts(QuantumAlgebra):
     """Each monomial product term (key, p, r) that `bracket_terms` reads
     split into p / 2r + p / 3r + p / 6r: the same operators, with each
-    image's per-(key', part) sums taken over three denominators."""
+    image's per-(key', part, s) sums taken over three denominators."""
 
     @cached_property
     def mono_mul(self):
