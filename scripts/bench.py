@@ -27,12 +27,16 @@ commit, `nproc`, the Python version and per row the runs with the median
 and quartiles of every figure; the script prints each row's median and
 quartile spread.
 
-`--compare OLD.json NEW.json` reads two such files and prints, for each
-row in both, the median [first, third quartile] of the wall time, the
-peak RSS and each phase from each file, marking with `*` a figure whose
-medians differ by more than either file's quartile spread, and whether
-the row's report (or stdout) sha256 is one and the same in every run of
-both files.
+`--compare OLD.json NEW.json` reads two such files and prints the median
+[first, third quartile] of each file's yardstick ratios, over every run
+of every row, before and after.  Then, for each row in both, it prints
+the same for the wall time, the peak RSS and each phase from each file,
+marking with `*` a figure whose medians differ by more than either
+file's quartile spread, and whether the row's report (or stdout) sha256
+is one and the same in every run of both files.  When the two files'
+ratio quartiles do not overlap, the host was in another speed state for
+one of them, so no time in seconds is marked and the line `host state
+differs; compare counts` is printed; the peak RSS is marked as before.
 
 Usage: python scripts/bench.py OUT.json REPEATS
        python scripts/bench.py --compare OLD.json NEW.json
@@ -185,9 +189,24 @@ def run(rows, repeats, out):
     return data
 
 
+def host_quartiles(data):
+    """(first quartile, median, third quartile) of every yardstick ratio in
+    the BENCH data, before and after each run of every row."""
+    return summary([x for row in data["rows"].values() for run in row["runs"]
+                    for x in run["yardstick_ratio"]])
+
+
+def span(median, quartiles):
+    return f"{median:.3f} [{quartiles[0]:.3f}, {quartiles[1]:.3f}]"
+
+
 def compare(old, new):
     """The lines `--compare` prints for the BENCH data `old` and `new`."""
-    lines = []
+    (lo0, m0, hi0), (lo1, m1, hi1) = host_quartiles(old), host_quartiles(new)
+    same_host = lo0 <= hi1 and lo1 <= hi0
+    lines = [f"{'yardstick ratio':<18}{span(m0, (lo0, hi0)):>28}  ->{span(m1, (lo1, hi1)):>28}"]
+    if not same_host:
+        lines.append("host state differs; compare counts")
     for name in [n for n in old["rows"] if n in new["rows"]]:
         rows = old["rows"][name], new["rows"][name]
         digest = "report" if "report_sha256" in rows[0]["runs"][0] else "stdout"
@@ -195,9 +214,10 @@ def compare(old, new):
         lines.append(f"{name}: {digest} sha256 {'matches' if len(hashes) == 1 else 'differs'}")
         for figure in [f for f in rows[0]["median"] if f in rows[1]["median"]]:
             (m0, m1), (q0, q1) = ([row[k][figure] for row in rows] for k in ("median", "quartiles"))
-            moved = abs(m1 - m0) > max(q0[1] - q0[0], q1[1] - q1[0])
-            old_s, new_s = (f"{m:.3f} [{q[0]:.3f}, {q[1]:.3f}]" for m, q in ((m0, q0), (m1, q1)))
-            lines.append(f"  {figure:<16}{old_s:>28}  ->{new_s:>28}{'  *' if moved else ''}")
+            moved = abs(m1 - m0) > max(q0[1] - q0[0], q1[1] - q1[0]) and (
+                same_host or not figure.endswith("_s"))
+            lines.append(f"  {figure:<16}{span(m0, q0):>28}  ->{span(m1, q1):>28}"
+                         f"{'  *' if moved else ''}")
     return lines
 
 

@@ -105,6 +105,9 @@ MUTANTS = [
      "yx = 1 if odd1 & odd else -1", "yx = -1", [*BRACKET_TERMS, *QUANTUM_TABLES]),
     ("quantum M A and A M sides swapped", "src/weil/element.py",
      "((k1, key, 1, 1), (key, k1, yx, -yx))", "((k1, key, yx, -yx), (key, k1, 1, 1))", SIDES),
+    ("Matrix difference summed as a sum", "src/weil/linalg.py",
+     "return self._combine(other, -1)", "return self._combine(other, 1)",
+     ["tests/test_linalg.py::test_matrix_matches_fraction_oracle"]),
     ("_cancel adds the pivot row", "src/weil/linalg.py",
      "y = row.get(j, 0) - v * x", "y = row.get(j, 0) + v * x", ["tests/test_linalg.py"]),
     ("closure: curvature images counted as 0", "src/weil/flat.py",
@@ -171,7 +174,7 @@ MUTANTS = [
      "if letters is None and ((no_even", "if ((no_even", QUANTUM_TABLES),
     ("supercommuting halves summed as m1 m2 + m2 m1", "src/weil/element.py",
      "num = list(map(sub, num, m2._mul_num(m1)[0]))",
-     "num = list(map(add, num, m2._mul_num(m1)[0]))", PRODUCTS),
+     "num = [x + y for x, y in zip(num, m2._mul_num(m1)[0])]", PRODUCTS),
     ("random_matrix over the max of the denominators, not the lcm", "src/weil/checks.py",
      "den = lcm(*{r for _, r in pairs})", "den = max(r for _, r in pairs)",
      RANDOM_DRAWS),
@@ -206,7 +209,8 @@ MUTANTS = [
     ("catalog drops the extra reps", "src/weil/lie.py",
      '"adjoint": adjoint_rep(lie), **reps}', '"adjoint": adjoint_rep(lie)}', NAMED_REPS),
     ("orthonormal form read as any identity matrix", "src/weil/lie.py",
-     "self.form.matrix == Matrix.identity(self.dim)", "self.form.is_orthonormal", FORM_SIZE),
+     "self.matrix == Matrix.identity(n)", "self.matrix == Matrix.identity(self.matrix.rows)",
+     FORM_SIZE),
 ]
 
 

@@ -43,10 +43,9 @@ from functools import cache
 from math import lcm
 
 from .classical import ClassicalAlgebra
-from .element import (accumulate, add_into, add_ratio, collect, products_into, supercommutator,
-                      vanishes)
+from .element import add_into, add_ratio, collect, products_into, supercommutator, vanishes
 from .kernels import _bump, add_term
-from .linalg import Matrix
+from .linalg import Matrix, accumulate
 from .quantum import QuantumAlgebra, gamma_square_formula
 from .render import render
 

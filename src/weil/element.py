@@ -25,26 +25,25 @@ tensor-factor flags, and its c I part or its matrix, whose letter ids
 are looked up once), so no key pays for them; the caller keeps the
 record, and `QuantumAlgebra` keeps its inner elements' on the value.
 
-The product and the supercommutator share one pass over the term
-pairs of their factors; the bracket's yx half folds its Koszul sign
-into each coefficient.  They and the operators (`WeilAlgebra._apply`)
-sum raw integer numerators in one accumulator, canonicalizing each End
-V part once per result key (`accumulate`, `collect`); a sum of scalar
+The product and the supercommutator share one pass over the term pairs
+of their factors; the bracket's yx half folds its Koszul sign into each
+coefficient.  They and the operators (`WeilAlgebra._apply`) sum raw
+integer numerators in one accumulator, canonicalizing each End V part
+once per result key (`linalg.accumulate`, `collect`); a sum of scalar
 coefficients p / r, as in `bracket_terms`, the classical Leibniz images
 and the check rows' composites, is the same rule on one integer
-(`add_ratio`).  When one of a pair's
-matrix parts is c I the two matrix products agree and are one scaling
-of the other.  When the pair's monomials supercommute (always
-classically; quantum-side when one has no even part and the other no
-odd part, as U(g) and Cl(g) are tensor factors) both halves land on one
-key: they cancel, or else sum as one commutator of the matrix parts.
-`products_into` adds sign times a product, and `add_into` a rational
-multiple of an element or an accumulator, into a caller's accumulator.
-So an identity is checked by summing both of its sides, one negated,
-into one accumulator and asking `vanishes`: each key's sum is integer
-numerators over one denominator, so it is zero exactly when every
-numerator is.  `products_into` is independent of `bracket_terms`, and
-the tests check the table by it.
+(`add_ratio`).  When one of a pair's matrix parts is c I the two matrix
+products agree and are one scaling of the other.  When the pair's
+monomials supercommute (always classically; quantum-side when one has no
+even part and the other no odd part, as U(g) and Cl(g) are tensor
+factors) both halves land on one key: they cancel, or else sum as one
+commutator of the matrix parts.  `products_into` adds sign times a
+product, and `add_into` a rational multiple of an element or an
+accumulator, into a caller's accumulator.  So an identity is checked by
+summing both of its sides, one negated, into one accumulator and asking
+`vanishes`: each key's sum is integer numerators over one denominator,
+so it is zero exactly when every numerator is.  `products_into` is
+independent of `bracket_terms`, and the tests check the table by it.
 
 Parity (for Koszul signs) is the odd length mod 2, since the other two
 factors are even.  The degree of a term is twice the even degree plus
@@ -59,10 +58,10 @@ from fractions import Fraction
 import weakref
 from functools import cached_property, lru_cache, partial
 from math import gcd
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 
 from .kernels import _bump, add_term
-from .linalg import Matrix, exact_scalar
+from .linalg import Matrix, accumulate, exact_scalar
 from .render import render
 
 
@@ -137,29 +136,6 @@ class Element:
 
     def __repr__(self):
         return f"<{render(self)}>"
-
-
-def accumulate(acc: dict, key, num, den: int, p: int = 1):
-    """acc[key] += p * num / den for a matrix's integer numerators `num` and
-    integers p, den > 0.  `acc` holds (numerators, den) per key, unreduced,
-    rescaled to the lcm only when the denominators differ; p = -1 subtracts."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = (num if p == 1 else [p * x for x in num], den)
-        return
-    total, d = cur
-    if d != den:
-        g = gcd(d, den)
-        p *= d // g
-        if den != g:
-            total = [x * (den // g) for x in total]
-            d *= den // g
-    if p == 1:
-        acc[key] = (list(map(add, total, num)), d)
-    elif p == -1:
-        acc[key] = (list(map(sub, total, num)), d)
-    else:
-        acc[key] = ([x + p * y for x, y in zip(total, num)], d)
 
 
 def add_ratio(acc: dict, key, p: int, r: int):

@@ -4,7 +4,9 @@ Structure constants are stored sparsely as supplied; the accessor `f`
 synthesizes the antisymmetric partner, so well-formed data only ever
 lists one orientation per pair.  Validation never raises on bad algebra
 data: it returns reports listing every violated instance, with 1-based
-indices (all indices are 0-based internally).
+indices (all indices are 0-based internally).  A form is orthonormal when
+it is the n x n identity, n = dim g: `BilinearForm.is_orthonormal(n)`,
+read by `LieData.has_orthonormal_form` and `validate_form` alike.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from .linalg import Matrix, exact_scalar, parse_scalar, rank
 class BilinearForm:
     matrix: Matrix
 
-    @property
-    def is_orthonormal(self) -> bool:
-        return self.matrix.is_identity
+    def is_orthonormal(self, n) -> bool:
+        """Whether the form is the n x n identity, n the algebra's dimension."""
+        return self.matrix == Matrix.identity(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +110,7 @@ class LieData:
 
     @property
     def has_orthonormal_form(self) -> bool:
-        return self.form is not None and self.form.matrix == Matrix.identity(self.dim)
+        return self.form is not None and self.form.is_orthonormal(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +214,7 @@ def validate_form(lie: LieData, form: BilinearForm) -> FormReport:
         for i in compress(range(n * n), m.num):
             b, d = divmod(i, n)
             rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {m[b, d]}")
-    rep.orthonormal = form.is_orthonormal
+    rep.orthonormal = form.is_orthonormal(n)
     return rep
 
 

@@ -10,14 +10,15 @@ such form, which is why equality and hashing compare the plain tuples
 and stay exact: matrices equal over Q compare and hash equal, however
 they were built.  Sums, differences, products and scalar multiples run
 in integer arithmetic and reduce to the canonical form once per result;
-the raw kernel `_mul_num` returns a product unreduced, for the element
-products and brackets to sum and reduce once per result key.  Every End
+`accumulate`, the one sum over the lcm of two denominators, serves a
+`Matrix` sum or difference and the element accumulators alike.  The raw
+kernel `_mul_num` returns a product unreduced, for the element products
+and brackets to sum and reduce once per result key.  Every End
 V action of the operators and of the solver's rows, A -> M A + s A M,
 is M's one cell map `_cells(s)`: integer triples (out cell, in cell, v),
 v times cell `in` of A's numerators added into cell `out`; `commutator`
-is s = -1.  Entries leave as
-`Fraction`s (`entries`, `m[i, j]`, `row`, `trace`);
-`render` prints them from the integers (`format_ratio`).
+is s = -1.  Entries leave as `Fraction`s (`entries`, `m[i, j]`, `row`,
+`trace`); `render` prints them from the integers (`format_ratio`).
 
 `rank` and `kernel` take a sparse integer system, rows as
 {column: int}, and share one elimination: each row in turn, sparsest
@@ -111,6 +112,29 @@ def _frac(n, den):
     return Fraction(n) if den == 1 else Fraction(n, den)
 
 
+def accumulate(acc: dict, key, num, den: int, p: int = 1):
+    """acc[key] += p * num / den for a matrix's integer numerators `num` and
+    integers p, den > 0.  `acc` holds (numerators, den) per key, unreduced,
+    rescaled to the lcm only when the denominators differ; p = -1 subtracts."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = (num if p == 1 else [p * x for x in num], den)
+        return
+    total, d = cur
+    if d != den:
+        g = gcd(d, den)
+        p *= d // g
+        if den != g:
+            total = [x * (den // g) for x in total]
+            d *= den // g
+    if p == 1:
+        acc[key] = (list(map(add, total, num)), d)
+    elif p == -1:
+        acc[key] = (list(map(sub, total, num)), d)
+    else:
+        acc[key] = ([x + p * y for x, y in zip(total, num)], d)
+
+
 class Matrix:
     """Immutable dense matrix over Q: integer numerators `num` (row by
     row) over one positive common denominator `den`, in canonical form."""
@@ -187,26 +211,20 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def _combine(self, other, op):
-        """Entrywise op (add or sub) over the common denominator."""
+    def _combine(self, other, p):
+        """self + p * other for p = +-1, summed by `accumulate`."""
         if not isinstance(other, Matrix):
             return NotImplemented  # Matrix + 1 is a TypeError, as 1 + Matrix is
         self._check_same_shape(other)
-        da, db = self.den, other.den
-        if da == db:
-            num = list(map(op, self.num, other.num))
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, da // g
-            num = list(map(op, [a * ma for a in self.num], [b * mb for b in other.num]))
-            da *= ma
-        return Matrix._canonical(self.rows, self.cols, num, da)
+        acc = {None: (self.num, self.den)}
+        accumulate(acc, None, other.num, other.den, p)
+        return Matrix._canonical(self.rows, self.cols, *acc[None])
 
     def __add__(self, other):
-        return self._combine(other, add)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return Matrix._make(self.rows, self.cols, tuple([-a for a in self.num]), self.den)
@@ -319,10 +337,6 @@ class Matrix:
 
     def __bool__(self):
         return any(self.num)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Matrix.identity(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

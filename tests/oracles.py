@@ -1150,10 +1150,6 @@ class FractionMatrix:
     def __bool__(self):
         return not self.is_zero
 
-    @property
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == FractionMatrix.identity(self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, FractionMatrix):
             return NotImplemented
@@ -1333,7 +1329,7 @@ def dense_validate_form(lie: LieData, form: BilinearForm) -> FormReport:
                     s += lie.f(a, b, c) * B[c, d] + lie.f(a, d, c) * B[b, c]
                 if s != 0:
                     rep.add(f"invariance violation at ({a + 1},{b + 1},{d + 1}): sum = {s}")
-    rep.orthonormal = form.is_orthonormal
+    rep.orthonormal = B.entries == FractionMatrix.identity(n).entries
     return rep
 
 

@@ -88,15 +88,17 @@ def test_a_cli_row_records_its_exit_and_stdout_hash(tmp_path, capsys):
         assert set(run) == {"wall_s", "exit", "peak_rss_mb", "yardstick_ratio", "stdout_sha256"}
         assert run["exit"] == 0 and run["stdout_sha256"] == expected
         assert run["wall_s"] > 0 and run["peak_rss_mb"] > 1
-    assert bench.compare({"rows": {row["name"]: entry}}, {"rows": {row["name"]: entry}})[0] == (
+    assert bench.compare({"rows": {row["name"]: entry}}, {"rows": {row["name"]: entry}})[1] == (
         "flat-so3-adjoint-quantum-N1: stdout sha256 matches")
 
 
 
-def _bench_file(path, rows):
+def _bench_file(path, rows, ratios):
     """A BENCH file holding only what `--compare` reads: per row, the runs'
-    hashes and the median and quartiles of each figure."""
-    data = {"rows": {name: {"runs": [{"report_sha256": h} for h in hashes],
+    hashes and yardstick ratios (`ratios` in every run) and the median and
+    quartiles of each figure."""
+    data = {"rows": {name: {"runs": [{"report_sha256": h, "yardstick_ratio": list(ratios)}
+                                     for h in hashes],
                             "median": {k: q[1] for k, q in figures.items()},
                             "quartiles": {k: [q[0], q[2]] for k, q in figures.items()}}
                      for name, (hashes, figures) in rows.items()}}
@@ -105,21 +107,44 @@ def _bench_file(path, rows):
 
 
 def test_compare_marks_medians_apart_by_more_than_both_spreads(tmp_path, capsys):
-    """A figure is marked when its medians differ by more than each file's
-    quartile spread; a row's hashes match when every run of both files has
-    one; a row in one file only is left out."""
+    """On overlapping yardstick ratios, a figure is marked when its medians
+    differ by more than each file's quartile spread; a row's hashes match
+    when every run of both files has one; a row in one file only is left
+    out."""
     old = _bench_file(tmp_path / "old.json", {
         "same": (["a", "a"], {"wall_s": (1.0, 1.1, 1.2), "peak_rss_mb": (9.9, 10.0, 10.1)}),
         "moved": (["b", "b"], {"wall_s": (1.0, 1.1, 1.2)}),
-        "old-only": (["c"], {"wall_s": (1.0, 1.0, 1.0)})})
+        "old-only": (["c"], {"wall_s": (1.0, 1.0, 1.0)})}, ratios=(0.6, 0.7))
     new = _bench_file(tmp_path / "new.json", {
         "same": (["a", "a"], {"wall_s": (1.5, 1.55, 1.6), "peak_rss_mb": (10.1, 10.15, 10.2)}),
-        "moved": (["b", "d"], {"wall_s": (1.0, 1.25, 1.3)})})
+        "moved": (["b", "d"], {"wall_s": (1.0, 1.25, 1.3)})}, ratios=(0.65, 0.75))
     assert _bench().main(["--compare", old, new]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert lines == [
+        "yardstick ratio 0.650 [0.600, 0.700] -> 0.700 [0.650, 0.750]".split(),
         "same: report sha256 matches".split(),
         "wall_s 1.100 [1.000, 1.200] -> 1.550 [1.500, 1.600] *".split(),
         "peak_rss_mb 10.000 [9.900, 10.100] -> 10.150 [10.100, 10.200]".split(),
         "moved: report sha256 differs".split(),
         "wall_s 1.100 [1.000, 1.200] -> 1.250 [1.000, 1.300]".split()]
+
+
+def test_compare_marks_no_seconds_across_host_states(tmp_path, capsys):
+    """When the two files' yardstick ratio quartiles do not overlap, the
+    host was in another speed state: no time in seconds is marked, the
+    host line says so, and the peak RSS and the hashes read as before."""
+    figures = {"wall_s": (1.0, 1.1, 1.2), "flat_s": (0.5, 0.55, 0.6),
+               "peak_rss_mb": (9.9, 10.0, 10.1)}
+    old = _bench_file(tmp_path / "old.json", {"row": (["a"], figures)}, ratios=(0.9, 1.3))
+    new = _bench_file(tmp_path / "new.json", {"row": (["a"], {
+        "wall_s": (0.7, 0.75, 0.8), "flat_s": (0.3, 0.35, 0.4),
+        "peak_rss_mb": (10.5, 10.6, 10.7)})}, ratios=(0.6, 0.68))
+    assert _bench().main(["--compare", old, new]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        "yardstick ratio 1.100 [1.000, 1.200] -> 0.640 [0.620, 0.660]".split(),
+        "host state differs; compare counts".split(),
+        "row: report sha256 matches".split(),
+        "wall_s 1.100 [1.000, 1.200] -> 0.750 [0.700, 0.800]".split(),
+        "flat_s 0.550 [0.500, 0.600] -> 0.350 [0.300, 0.400]".split(),
+        "peak_rss_mb 10.000 [9.900, 10.100] -> 10.600 [10.500, 10.700] *".split()]

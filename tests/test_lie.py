@@ -279,7 +279,7 @@ def test_file_loader_round_trip(tmp_path, so3):
     alg = load_algebra_file(path)
     assert validate_lie(alg.lie).ok
     assert alg.lie.f(0, 1, 2) == 1
-    assert alg.form is not None and alg.form.is_orthonormal
+    assert alg.lie.has_orthonormal_form
     assert validate_rep(alg.lie, alg.reps["standard"]).ok
     # trivial and adjoint are synthesized for files too
     assert set(alg.reps) >= {"trivial", "adjoint", "standard"}

@@ -132,7 +132,8 @@ def test_identity_cache_is_bounded():
     """Identity matrices are cached, but at most CACHE_SIZE of them."""
     for n in range(1, CACHE_SIZE + 11):
         ident = Matrix.identity(n)
-        assert ident.rows == ident.cols == n and ident.is_identity
+        assert ident.rows == ident.cols == n
+        assert ident.entries == FractionMatrix.identity(n).entries
         assert Matrix.identity(n) is ident
     assert Matrix.identity.cache_info().currsize <= CACHE_SIZE
 
